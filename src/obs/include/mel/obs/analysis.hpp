@@ -79,8 +79,10 @@ struct TraceStats {
   mpi::CommMatrix to_comm_matrix() const;
 };
 
-/// Parse + validate + roll up one Chrome trace document.
-TraceStats analyze_trace(const json::Value& root, int top_k = 10);
+/// Parse + validate + roll up one Chrome trace document in one streaming
+/// pass; the file variant reads through a fixed-size buffer, so memory
+/// does not grow with the file. A malformed document yields exactly one
+/// error and empty rollups.
 TraceStats analyze_trace_text(const std::string& text, int top_k = 10);
 TraceStats analyze_trace_file(const std::string& path, int top_k = 10);
 
@@ -101,7 +103,5 @@ std::string summarize_json(const TraceStats& s);
 /// per-class flow volume, matrix totals).
 std::string diff(const TraceStats& a, const TraceStats& b,
                  const std::string& label_a, const std::string& label_b);
-
-std::string read_file(const std::string& path);
 
 }  // namespace mel::obs

@@ -89,11 +89,11 @@ struct ReplayTrace {
   std::vector<Span> spans;  // sorted by (rank, start)
 };
 
-/// Parse a mel.trace/2 document into replay form. Throws
-/// std::runtime_error when the trace is structurally unusable (no
-/// traceEvents, missing metadata header, missing net params / run
-/// result — i.e. recorded before mel.trace/2 or not by melsim).
-ReplayTrace load_replay_trace(const json::Value& root);
+/// Parse a mel.trace/2 document into replay form (the file variant
+/// streams through a fixed-size buffer). Throws std::runtime_error when
+/// the trace is malformed JSON or structurally unusable (no traceEvents,
+/// missing metadata header, missing net params / run result — i.e.
+/// recorded before mel.trace/2 or not by melsim).
 ReplayTrace load_replay_trace_text(const std::string& text);
 ReplayTrace load_replay_trace_file(const std::string& path);
 

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+
+#include "trace_scan.hpp"
 
 namespace mel::obs {
 
@@ -69,87 +72,83 @@ struct FlowAgg {
   std::string cls;
 };
 
-}  // namespace
+TraceStats only_error(std::string what) {
+  TraceStats out;
+  out.errors.push_back(std::move(what));
+  return out;
+}
 
-TraceStats analyze_trace(const json::Value& root, int top_k) {
+/// Validate and roll up one trace as the scanner streams it. Memory is
+/// bounded by the rollups, the per-flow table and top_k spans.
+TraceStats analyze(json::Reader& in, int top_k) {
   TraceStats out;
   auto err = [&out](std::string text) {
     if (out.errors.size() < 64) out.errors.push_back(std::move(text));
   };
 
-  if (!root.is_object()) {
-    err("root is not a JSON object");
-    return out;
-  }
-  const json::Value* events = root.find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    err("missing or non-array traceEvents");
-    return out;
-  }
-  if (const json::Value* other = root.find("otherData")) {
-    if (const json::Value* ranks = other->find("ranks")) {
-      if (ranks->is_number()) out.nranks = static_cast<int>(ranks->as_int());
-    }
-  }
-
   std::map<std::uint64_t, FlowAgg> flows;
   std::vector<std::pair<std::uint64_t, Time>> flow_refs;  // instants -> flows
   bool first_ts = true;
 
-  for (std::size_t idx = 0; idx < events->array.size(); ++idx) {
-    const json::Value& e = events->array[idx];
-    auto where = [&idx] { return " (event " + std::to_string(idx) + ")"; };
-    if (!e.is_object()) {
+  // Bounded top-k: a heap whose front is the span to drop next (shortest,
+  // then latest in stream order), so the kept spans and their final order
+  // equal a stable sort by duration cut to top_k.
+  struct Ranked {
+    std::uint64_t seq = 0;
+    TraceStats::TopSpan span;
+  };
+  const auto ranks_before = [](const Ranked& a, const Ranked& b) {
+    return a.span.dur_ns != b.span.dur_ns ? a.span.dur_ns > b.span.dur_ns
+                                          : a.seq < b.seq;
+  };
+  const std::size_t keep = top_k > 0 ? static_cast<std::size_t>(top_k) : 0;
+  std::vector<Ranked> top;
+  std::uint64_t spans_seen = 0;
+
+  static const std::string kKnown = "XistfCM";
+  const auto on_event = [&](const TraceEvent& e) {
+    auto where = [&e] { return " (event " + std::to_string(e.index) + ")"; };
+    if (!e.is_object) {
       err("traceEvents entry is not an object" + where());
-      continue;
+      return;
     }
-    const json::Value* name = e.find("name");
-    const json::Value* ph = e.find("ph");
-    if (name == nullptr || !name->is_string() || ph == nullptr ||
-        !ph->is_string() || ph->string.size() != 1) {
+    if (!e.name.is_string() || !e.ph.is_string() || e.ph.string.size() != 1) {
       err("event without a string name/ph" + where());
-      continue;
+      return;
     }
-    const char p = ph->string[0];
-    static const std::string kKnown = "XistfCM";
+    const std::string& name = e.name.string;
+    const char p = e.ph.string[0];
     if (kKnown.find(p) == std::string::npos) {
-      err("unknown phase '" + ph->string + "'" + where());
-      continue;
+      err("unknown phase '" + e.ph.string + "'" + where());
+      return;
     }
     out.events += 1;
-    if (p == 'M') continue;  // metadata: no timestamp requirements
+    if (p == 'M') return;  // metadata: no timestamp requirements
 
-    const json::Value* ts = e.find("ts");
-    const json::Value* pid = e.find("pid");
-    const json::Value* tid = e.find("tid");
-    if (ts == nullptr || !ts->is_number() || pid == nullptr ||
-        !pid->is_number() || tid == nullptr || !tid->is_number()) {
+    if (!e.ts.is_number() || !e.pid.is_number() || !e.tid.is_number()) {
       err("event missing numeric ts/pid/tid" + where());
-      continue;
+      return;
     }
-    const Time t = ts_to_ns(ts->number);
-    const int rank = static_cast<int>(tid->as_int());
+    const Time t = ts_to_ns(e.ts.number);
+    const int rank = static_cast<int>(e.tid.as_int());
     out.max_rank = std::max(out.max_rank, rank);
     if (first_ts || t < out.ts_min_ns) out.ts_min_ns = t;
     if (first_ts || t > out.ts_max_ns) out.ts_max_ns = t;
     first_ts = false;
 
-    const json::Value* cat = e.find("cat");
-    const std::string category = cat != nullptr && cat->is_string()
-                                     ? cat->string
-                                     : std::string();
+    const std::string empty;
+    const std::string& category = e.cat.is_string() ? e.cat.string : empty;
 
     if (p == 'X' || (p == 'i' && category == "op")) {
       Time dur = 0;
       if (p == 'X') {
-        const json::Value* d = e.find("dur");
-        if (d == nullptr || !d->is_number() || d->number < 0) {
+        if (!e.dur.is_number() || e.dur.number < 0) {
           err("X event without a non-negative dur" + where());
-          continue;
+          return;
         }
-        dur = ts_to_ns(d->number);
+        dur = ts_to_ns(e.dur.number);
       }
-      auto& roll = out.spans_by_category[name->string];
+      auto& roll = out.spans_by_category[name];
       roll.count += 1;
       roll.total_ns += dur;
       roll.max_ns = std::max(roll.max_ns, dur);
@@ -157,68 +156,75 @@ TraceStats analyze_trace(const json::Value& root, int top_k) {
       rroll.count += 1;
       rroll.total_ns += dur;
       rroll.max_ns = std::max(rroll.max_ns, dur);
-      out.top_spans.push_back({name->string, rank, t, dur});
-      continue;
+      const std::uint64_t seq = spans_seen++;
+      if (top.size() == keep) {
+        if (keep == 0 || dur <= top.front().span.dur_ns) return;
+        std::pop_heap(top.begin(), top.end(), ranks_before);
+        top.pop_back();
+      }
+      top.push_back({seq, {name, rank, t, dur}});
+      std::push_heap(top.begin(), top.end(), ranks_before);
+      return;
     }
 
     if (p == 's' || p == 't' || p == 'f') {
-      const json::Value* id = e.find("id");
-      if (id == nullptr || !id->is_number()) {
+      if (!e.id.is_number()) {
         err("flow event without an id" + where());
-        continue;
+        return;
       }
-      auto& agg = flows[static_cast<std::uint64_t>(id->as_int())];
+      auto& agg = flows[static_cast<std::uint64_t>(e.id.as_int())];
       if (p == 's') {
         agg.s_count += 1;
         agg.s_ts = t;
-        agg.cls = name->string;
-        if (const json::Value* args = e.find("args")) {
-          if (const json::Value* b = args->find("bytes")) {
-            if (b->is_number()) agg.bytes = static_cast<std::uint64_t>(b->as_int());
-          }
+        agg.cls = name;
+        if (e.bytes.is_number()) {
+          agg.bytes = static_cast<std::uint64_t>(e.bytes.as_int());
         }
       } else if (p == 'f') {
         agg.f_count += 1;
         agg.f_ts = t;
       }
-      continue;
+      return;
     }
 
     if (p == 'C') {
-      const json::Value* args = e.find("args");
-      if (args == nullptr || !args->is_object() || args->object.empty() ||
-          !args->object.front().second.is_number()) {
+      if (!e.args.is_object() || !e.args_first_is_number) {
         err("C event without a numeric args value" + where());
-        continue;
+        return;
       }
-      out.counter_samples[name->string] += 1;
-      continue;
+      out.counter_samples[name] += 1;
+      return;
     }
 
     // Instants (non-"op"): faults, crashes, checkpoints, wire transfers.
     if (category == "wire") {
-      const json::Value* args = e.find("args");
-      const json::Value* src = args != nullptr ? args->find("src") : nullptr;
-      const json::Value* dst = args != nullptr ? args->find("dst") : nullptr;
-      const json::Value* bytes = args != nullptr ? args->find("bytes") : nullptr;
-      if (src == nullptr || !src->is_number() || dst == nullptr ||
-          !dst->is_number() || bytes == nullptr || !bytes->is_number()) {
+      if (!e.src.is_number() || !e.dst.is_number() || !e.bytes.is_number()) {
         err("wire event without numeric args src/dst/bytes" + where());
-        continue;
+        return;
       }
-      auto& cell = out.wire_matrix[{static_cast<int>(src->as_int()),
-                                    static_cast<int>(dst->as_int())}];
+      auto& cell = out.wire_matrix[{static_cast<int>(e.src.as_int()),
+                                    static_cast<int>(e.dst.as_int())}];
       cell.msgs += 1;
-      cell.bytes += static_cast<std::uint64_t>(bytes->as_int());
-      continue;
+      cell.bytes += static_cast<std::uint64_t>(e.bytes.as_int());
+      return;
     }
-    out.instants_by_name[name->string] += 1;
-    if (const json::Value* args = e.find("args")) {
-      if (const json::Value* flow = args->find("flow")) {
-        if (flow->is_number()) {
-          flow_refs.emplace_back(static_cast<std::uint64_t>(flow->as_int()), t);
-        }
-      }
+    out.instants_by_name[name] += 1;
+    if (e.flow.is_number()) {
+      flow_refs.emplace_back(static_cast<std::uint64_t>(e.flow.as_int()), t);
+    }
+  };
+
+  TraceDoc doc;
+  try {
+    doc = scan_trace(in, on_event);
+  } catch (const json::ParseError& e) {
+    return only_error(e.what());
+  }
+  if (!doc.is_object) return only_error("root is not a JSON object");
+  if (!doc.has_events) return only_error("missing or non-array traceEvents");
+  if (doc.other_data) {
+    if (const json::Value* ranks = doc.other_data->find("ranks")) {
+      if (ranks->is_number()) out.nranks = static_cast<int>(ranks->as_int());
     }
   }
 
@@ -262,45 +268,17 @@ TraceStats analyze_trace(const json::Value& root, int top_k) {
     }
   }
 
-  std::stable_sort(out.top_spans.begin(), out.top_spans.end(),
-                   [](const TraceStats::TopSpan& a,
-                      const TraceStats::TopSpan& b) {
-                     return a.dur_ns > b.dur_ns;
-                   });
-  if (static_cast<int>(out.top_spans.size()) > top_k) {
-    out.top_spans.resize(static_cast<std::size_t>(top_k));
-  }
+  std::sort_heap(top.begin(), top.end(), ranks_before);
+  for (Ranked& r : top) out.top_spans.push_back(std::move(r.span));
   return out;
 }
 
-TraceStats analyze_trace_text(const std::string& text, int top_k) {
-  try {
-    return analyze_trace(json::parse(text), top_k);
-  } catch (const json::ParseError& e) {
-    TraceStats out;
-    out.errors.push_back(e.what());
-    return out;
-  }
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-TraceStats analyze_trace_file(const std::string& path, int top_k) {
-  return analyze_trace_text(read_file(path), top_k);
-}
-
-std::vector<std::string> validate_metrics_text(const std::string& text) {
+/// Validate a metrics JSONL stream line by line.
+std::vector<std::string> validate_metrics(std::istream& in) {
   std::vector<std::string> errors;
   auto err = [&errors](std::string e) {
     if (errors.size() < 64) errors.push_back(std::move(e));
   };
-  std::istringstream in(text);
   std::string line;
   std::size_t lineno = 0;
   bool saw_header = false;
@@ -395,8 +373,33 @@ std::vector<std::string> validate_metrics_text(const std::string& text) {
   return errors;
 }
 
+std::ifstream open_or_throw(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open: " + path);
+  return in;
+}
+
+}  // namespace
+
+TraceStats analyze_trace_text(const std::string& text, int top_k) {
+  json::Reader in(text);
+  return analyze(in, top_k);
+}
+
+TraceStats analyze_trace_file(const std::string& path, int top_k) {
+  std::ifstream file = open_or_throw(path);
+  json::Reader in(file);
+  return analyze(in, top_k);
+}
+
+std::vector<std::string> validate_metrics_text(const std::string& text) {
+  std::istringstream in(text);
+  return validate_metrics(in);
+}
+
 std::vector<std::string> validate_metrics_file(const std::string& path) {
-  return validate_metrics_text(read_file(path));
+  std::ifstream in = open_or_throw(path);
+  return validate_metrics(in);
 }
 
 namespace {

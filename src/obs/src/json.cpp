@@ -1,9 +1,11 @@
 #include "mel/obs/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+
+#include "trace_scan.hpp"
 
 namespace mel::obs {
 
@@ -35,220 +37,215 @@ std::string json_escape(std::string_view s) {
 
 namespace json {
 
-namespace {
+Reader::Reader(std::string_view text)
+    : data_(text.data()), size_(text.size()) {}
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
+Reader::Reader(std::istream& in) : in_(&in), buf_(kChunkBytes, '\0') {
+  data_ = buf_.data();
+  refill();
+}
 
-  Value run() {
-    Value v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing garbage after JSON document");
-    return v;
+void Reader::fail(const std::string& why) const {
+  throw ParseError("JSON parse error at byte " + std::to_string(base_ + pos_) +
+                   ": " + why);
+}
+
+bool Reader::refill() {
+  if (in_ == nullptr) return false;
+  const std::size_t keep = size_ - pos_;
+  std::memmove(buf_.data(), buf_.data() + pos_, keep);
+  base_ += pos_;
+  pos_ = 0;
+  in_->read(buf_.data() + keep, static_cast<std::streamsize>(kChunkBytes - keep));
+  const auto got = static_cast<std::size_t>(in_->gcount());
+  size_ = keep + got;
+  return got > 0;
+}
+
+bool Reader::ensure(std::size_t n) {
+  while (size_ - pos_ < n) {
+    if (!refill()) return false;
   }
+  return true;
+}
 
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw ParseError("JSON parse error at byte " + std::to_string(pos_) +
-                     ": " + why);
+void Reader::literal(std::string_view lit) {
+  if (!ensure(lit.size()) ||
+      std::string_view(data_ + pos_, lit.size()) != lit) {
+    fail("bad literal");
   }
+  pos_ += lit.size();
+}
 
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
+void Reader::finish() {
+  skip_ws();
+  if (pos_ < size_) fail("trailing garbage after JSON document");
+}
 
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_lit(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  Value value() {
-    skip_ws();
-    switch (peek()) {
-      case '{': return object();
-      case '[': return array();
-      case '"': {
-        Value v;
-        v.kind = Value::Kind::kString;
-        v.string = string();
-        return v;
+void Reader::value(Value* out) {
+  skip_ws();
+  switch (peek()) {
+    case '{':
+      if (out != nullptr) {
+        out->kind = Value::Kind::kObject;
+        out->object.clear();
       }
-      case 't':
-        if (!consume_lit("true")) fail("bad literal");
-        return make_bool(true);
-      case 'f':
-        if (!consume_lit("false")) fail("bad literal");
-        return make_bool(false);
-      case 'n':
-        if (!consume_lit("null")) fail("bad literal");
-        return Value{};
-      default: return number();
-    }
-  }
-
-  static Value make_bool(bool b) {
-    Value v;
-    v.kind = Value::Kind::kBool;
-    v.boolean = b;
-    return v;
-  }
-
-  Value object() {
-    expect('{');
-    Value v;
-    v.kind = Value::Kind::kObject;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      v.object.emplace_back(std::move(key), value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
+      object([this, out](std::string_view key) {
+        if (out == nullptr) return value(nullptr);
+        out->object.emplace_back(std::string(key), Value{});
+        value(&out->object.back().second);
+      });
+      return;
+    case '[':
+      if (out != nullptr) {
+        out->kind = Value::Kind::kArray;
+        out->array.clear();
       }
-      expect('}');
-      return v;
+      array([this, out] {
+        if (out == nullptr) return value(nullptr);
+        out->array.emplace_back();
+        value(&out->array.back());
+      });
+      return;
+    case '"':
+      if (out != nullptr) out->kind = Value::Kind::kString;
+      string(out != nullptr ? &out->string : nullptr);
+      return;
+    case 't':
+    case 'f': {
+      const bool b = data_[pos_] == 't';
+      literal(b ? "true" : "false");
+      if (out != nullptr) {
+        out->kind = Value::Kind::kBool;
+        out->boolean = b;
+      }
+      return;
     }
+    case 'n':
+      literal("null");
+      if (out != nullptr) out->kind = Value::Kind::kNull;
+      return;
+    default:
+      number(out);
   }
+}
 
-  Value array() {
-    expect('[');
-    Value v;
-    v.kind = Value::Kind::kArray;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
+void Reader::string_slow(std::string* out) {
+  expect('"');
+  if (out != nullptr) out->clear();
+  for (;;) {
+    const auto run =
+        static_cast<std::size_t>(plain_end(data_ + pos_) - data_);
+    if (out != nullptr) out->append(data_ + pos_, run - pos_);
+    pos_ = run;
+    if (pos_ >= size_) {
+      if (!refill()) fail("unterminated string");
+      continue;
     }
-    for (;;) {
-      v.array.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("raw control character inside string (must be escaped)");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        case 'r': out += '\r'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad hex digit in \\u escape");
-          }
-          // The writers only emit \u00XX for control bytes; encode the
-          // general case as UTF-8 anyway so foreign traces parse.
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xc0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3f));
-          } else {
-            out += static_cast<char>(0xe0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (code & 0x3f));
-          }
-          break;
+    const char c = data_[pos_++];
+    if (c == '"') return;
+    if (c != '\\') fail("raw control character inside string (must be escaped)");
+    if (pos_ >= size_ && !refill()) fail("unterminated escape");
+    const char e = data_[pos_++];
+    char plain = 0;
+    switch (e) {
+      case '"': plain = '"'; break;
+      case '\\': plain = '\\'; break;
+      case '/': plain = '/'; break;
+      case 'n': plain = '\n'; break;
+      case 't': plain = '\t'; break;
+      case 'r': plain = '\r'; break;
+      case 'b': plain = '\b'; break;
+      case 'f': plain = '\f'; break;
+      case 'u': {
+        if (!ensure(4)) fail("truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = data_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+          else fail("bad hex digit in \\u escape");
         }
-        default: fail("unknown escape");
+        if (out == nullptr) continue;
+        // The writers only emit \u00XX for control bytes; encode the
+        // general case as UTF-8 anyway so foreign traces parse.
+        if (code < 0x80) {
+          *out += static_cast<char>(code);
+        } else if (code < 0x800) {
+          *out += static_cast<char>(0xc0 | (code >> 6));
+          *out += static_cast<char>(0x80 | (code & 0x3f));
+        } else {
+          *out += static_cast<char>(0xe0 | (code >> 12));
+          *out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+          *out += static_cast<char>(0x80 | (code & 0x3f));
+        }
+        continue;
       }
+      default: fail("unknown escape");
     }
+    if (out != nullptr) *out += plain;
   }
+}
 
-  Value number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    bool integral = true;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
+void Reader::number(Value* out) {
+  // Token: an optional leading '-', then digits and any of ".eE+-".
+  token_.clear();
+  bool integral = true;
+  bool any = false;
+  std::size_t start = pos_;
+  for (;;) {
+    while (pos_ < size_) {
+      const char c = data_[pos_];
+      if (c == '.' || c == 'e' || c == 'E' || c == '+' || (c == '-' && any)) {
         integral = false;
-        ++pos_;
-      } else {
+      } else if ((c < '0' || c > '9') && c != '-') {
         break;
       }
+      any = true;
+      ++pos_;
     }
-    if (pos_ == start) fail("expected a value");
-    const std::string_view tok = text_.substr(start, pos_ - start);
-    Value v;
-    v.kind = Value::Kind::kNumber;
-    if (integral) {
-      const auto res =
-          std::from_chars(tok.data(), tok.data() + tok.size(), v.integer);
-      if (res.ec == std::errc{} && res.ptr == tok.data() + tok.size()) {
-        v.is_integer = true;
-        v.number = static_cast<double>(v.integer);
-        return v;
-      }
-    }
-    v.number = std::strtod(std::string(tok).c_str(), nullptr);
-    return v;
+    if (pos_ < size_) break;
+    token_.append(data_ + start, pos_ - start);
+    const bool more = refill();
+    start = pos_;
+    if (!more) break;
   }
+  if (!any) fail("expected a value");
+  if (out == nullptr) return;
+  if (!token_.empty()) token_.append(data_ + start, pos_ - start);
+  const std::string_view tok =
+      token_.empty() ? std::string_view(data_ + start, pos_ - start)
+                     : std::string_view(token_);
+  const char* end = tok.data() + tok.size();
+  out->kind = Value::Kind::kNumber;
+  out->is_integer = false;
+  if (integral) {
+    std::int64_t v = 0;
+    const auto res = std::from_chars(tok.data(), end, v);
+    if (res.ec == std::errc{} && res.ptr == end) {
+      out->integer = v;
+      out->is_integer = true;
+      out->number = static_cast<double>(v);
+      return;
+    }
+  }
+  // from_chars and strtod both round correctly, so they agree wherever
+  // from_chars takes the whole token; strtod covers the lenient rest.
+  const auto res = std::from_chars(tok.data(), end, out->number);
+  if (res.ec != std::errc{} || res.ptr != end) {
+    out->number = std::strtod(std::string(tok).c_str(), nullptr);
+  }
+}
 
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-Value parse(std::string_view text) { return Parser(text).run(); }
+Value parse(std::string_view text) {
+  Reader in(text);
+  Value v;
+  in.value(&v);
+  in.finish();
+  return v;
+}
 
 }  // namespace json
 }  // namespace mel::obs

@@ -1,7 +1,6 @@
 #include "mel/obs/replay.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -13,6 +12,7 @@
 
 #include "mel/mpi/message.hpp"
 #include "mel/net/params_io.hpp"
+#include "trace_scan.hpp"
 
 namespace mel::obs {
 
@@ -20,7 +20,7 @@ namespace {
 
 /// Chrome trace timestamps are microsecond floats printed with three
 /// decimals from integer nanoseconds, so this round trip is exact (the
-/// same conversion obs::analyze_trace uses).
+/// same conversion obs::analyze_trace_text uses).
 Time ts_to_ns(double ts_us) {
   return static_cast<Time>(std::llround(ts_us * 1000.0));
 }
@@ -70,13 +70,11 @@ bool is_ft_repair_instant(std::string_view n) {
          n == "ft-dup";
 }
 
-/// Accumulates raw trace events — from the DOM walk or the streaming
-/// scanner — and applies the shared consolidation rules in finish():
-/// first s/t/f wins per flow id (id reuse across crash recovery),
-/// step/finish events attach only to a begin seen earlier in the stream,
-/// structurally inconsistent flows are dropped, repaired flows marked,
-/// spans ordered. Keeping both loaders on one sink keeps their semantics
-/// identical by construction.
+/// Accumulates raw trace events in stream order and applies the
+/// consolidation rules in finish(): first s/t/f wins per flow id (id
+/// reuse across crash recovery), step/finish events attach only to a
+/// begin seen earlier in the stream, structurally inconsistent flows are
+/// dropped, repaired flows marked, spans ordered.
 struct EventSink {
   struct Start {
     std::int64_t id = 0;
@@ -180,9 +178,8 @@ struct EventSink {
   }
 };
 
-/// Validate and extract the otherData metadata header (shared by both
-/// loaders; pass nullptr when the trace has none to get the standard
-/// diagnostic).
+/// Validate and extract the otherData metadata header (pass nullptr when
+/// the trace has none to get the standard diagnostic).
 void parse_header(const json::Value* od, ReplayTrace& t) {
   if (od == nullptr || !od->is_object()) {
     fail("trace has no otherData metadata header (re-record with melsim "
@@ -246,374 +243,80 @@ void parse_header(const json::Value* od, ReplayTrace& t) {
   }
 }
 
-/// Minimal read-only JSON cursor for the streaming trace loader. Replay
-/// wall time is dominated by parsing multi-hundred-MB traces, so the
-/// event array is scanned straight into the EventSink without building a
-/// DOM; only the small otherData header goes through json::parse.
-/// Strings come back as raw (still-escaped) views — every token the
-/// loader matches (channel names, span names, phase letters) is
-/// escape-free, so raw comparison is exact.
-class Scanner {
- public:
-  explicit Scanner(std::string_view text)
-      : p_(text.data()), end_(text.data() + text.size()) {}
-
-  void skip_ws() {
-    while (p_ < end_ &&
-           (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) {
-      ++p_;
-    }
+/// One traceEvents element into the sink. Malformed or foreign events
+/// are skipped rather than rejected: validation is meltrace validate's job.
+void add_event(const TraceEvent& ev, EventSink& sink) {
+  if (!ev.is_object || !ev.ph.is_string() || !ev.cat.is_string()) {
+    return;  // metadata records ("M") and friends
   }
-  bool eat(char c) {
-    skip_ws();
-    if (p_ < end_ && *p_ == c) {
-      ++p_;
-      return true;
-    }
-    return false;
-  }
-  void expect(char c, const char* where) {
-    if (!eat(c)) {
-      fail(std::string("malformed trace JSON: expected '") + c + "' in " +
-           where);
-    }
-  }
-  bool peek(char c) {
-    skip_ws();
-    return p_ < end_ && *p_ == c;
-  }
-  /// Cursor after whitespace (value start) / raw cursor (value end) —
-  /// used to slice the otherData substring out for json::parse.
-  const char* value_start() {
-    skip_ws();
-    return p_;
-  }
-  const char* raw_cursor() const { return p_; }
-
-  std::string_view string_raw() {
-    skip_ws();
-    if (p_ >= end_ || *p_ != '"') {
-      fail("malformed trace JSON: expected a string");
-    }
-    const char* s = ++p_;
-    while (p_ < end_ && *p_ != '"') {
-      if (*p_ == '\\') ++p_;
-      ++p_;
-    }
-    if (p_ >= end_) fail("malformed trace JSON: unterminated string");
-    const std::string_view v(s, static_cast<std::size_t>(p_ - s));
-    ++p_;
-    return v;
-  }
-
-  double number() {
-    skip_ws();
-    double out = 0.0;
-    const auto res = std::from_chars(p_, end_, out);
-    if (res.ec != std::errc()) fail("malformed trace JSON: expected a number");
-    p_ = res.ptr;
-    return out;
-  }
-
-  void skip_value() {
-    skip_ws();
-    if (p_ >= end_) fail("malformed trace JSON: truncated value");
-    const char c = *p_;
-    if (c == '"') {
-      string_raw();
-      return;
-    }
-    if (c == '{' || c == '[') {
-      skip_container();
-      return;
-    }
-    while (p_ < end_ && *p_ != ',' && *p_ != '}' && *p_ != ']' && *p_ != ' ' &&
-           *p_ != '\t' && *p_ != '\n' && *p_ != '\r') {
-      ++p_;
-    }
-  }
-
- private:
-  void skip_container() {
-    int depth = 0;
-    while (p_ < end_) {
-      const char c = *p_;
-      if (c == '"') {
-        string_raw();
-        continue;
-      }
-      ++p_;
-      if (c == '{' || c == '[') {
-        ++depth;
-      } else if (c == '}' || c == ']') {
-        if (--depth == 0) return;
-      }
-    }
-    fail("malformed trace JSON: unterminated object or array");
-  }
-
-  const char* p_;
-  const char* end_;
-};
-
-/// `{ "k": <v>, ... }` — the callback must consume each value.
-template <typename OnMember>
-void scan_object(Scanner& sc, OnMember&& on_member) {
-  sc.expect('{', "object");
-  if (sc.eat('}')) return;
-  do {
-    const std::string_view key = sc.string_raw();
-    sc.expect(':', "object");
-    on_member(key);
-  } while (sc.eat(','));
-  sc.expect('}', "object");
-}
-
-/// One traceEvents entry, streamed field by field into the sink with the
-/// same acceptance rules as the DOM walk.
-void scan_event(Scanner& sc, EventSink& sink) {
-  if (!sc.peek('{')) {  // non-object entries are ignored, as in the DOM walk
-    sc.skip_value();
-    return;
-  }
-  std::string_view name;
-  std::string_view cat;
-  std::string_view ph;
-  double ts = 0.0;
-  double dur = 0.0;
-  std::int64_t tid = -1;
-  std::int64_t id = 0;
-  std::int64_t dst = -1;
-  std::int64_t tag = 0;
-  std::int64_t bytes = 0;
-  std::int64_t flow = 0;
-  bool has_name = false;
-  bool has_cat = false;
-  bool has_ph = false;
-  bool has_ts = false;
-  bool has_dur = false;
-  bool has_id = false;
-  bool has_flow = false;
-  scan_object(sc, [&](std::string_view key) {
-    if (key == "name") {
-      name = sc.string_raw();
-      has_name = true;
-    } else if (key == "cat") {
-      cat = sc.string_raw();
-      has_cat = true;
-    } else if (key == "ph") {
-      ph = sc.string_raw();
-      has_ph = true;
-    } else if (key == "ts") {
-      ts = sc.number();
-      has_ts = true;
-    } else if (key == "dur") {
-      dur = sc.number();
-      has_dur = true;
-    } else if (key == "tid") {
-      tid = static_cast<std::int64_t>(sc.number());
-    } else if (key == "id") {
-      id = static_cast<std::int64_t>(sc.number());
-      has_id = true;
-    } else if (key == "args") {
-      if (!sc.peek('{')) {
-        sc.skip_value();
-        return;
-      }
-      scan_object(sc, [&](std::string_view akey) {
-        if (akey == "dst") {
-          dst = static_cast<std::int64_t>(sc.number());
-        } else if (akey == "tag") {
-          tag = static_cast<std::int64_t>(sc.number());
-        } else if (akey == "bytes") {
-          bytes = static_cast<std::int64_t>(sc.number());
-        } else if (akey == "flow") {
-          flow = static_cast<std::int64_t>(sc.number());
-          has_flow = true;
-        } else {
-          sc.skip_value();
-        }
-      });
-    } else {
-      sc.skip_value();
-    }
-  });
-
-  if (!has_ph || !has_cat || !has_ts) return;  // metadata records ("M")
-  const Time at = ts_to_ns(ts);
-  const Rank rank = static_cast<Rank>(tid);
+  if (!ev.ts.is_number()) return;
+  const Time at = ts_to_ns(ev.ts.number);
+  const Rank rank =
+      ev.tid.is_number() ? static_cast<Rank>(ev.tid.as_int()) : -1;
+  const std::string& ph = ev.ph.string;
+  const std::string& cat = ev.cat.string;
   if (cat == "flow") {
-    if (!has_id || id <= 0) return;
+    if (!ev.id.is_number()) return;
+    const std::int64_t id = ev.id.as_int();
+    if (id <= 0) return;
     if (ph == "s") {
       Channel ch;
-      if (!has_name || !parse_channel(name, ch)) return;
-      sink.flow_start(id, ch, rank, at, static_cast<Rank>(dst),
-                      static_cast<int>(tag), static_cast<std::uint64_t>(bytes));
+      if (!ev.name.is_string() || !parse_channel(ev.name.string, ch)) return;
+      const Rank dst =
+          ev.dst.is_number() ? static_cast<Rank>(ev.dst.as_int()) : -1;
+      const int tag = ev.tag.is_number() ? static_cast<int>(ev.tag.as_int()) : 0;
+      const std::uint64_t bytes =
+          ev.bytes.is_number() ? static_cast<std::uint64_t>(ev.bytes.as_int())
+                               : 0;
+      sink.flow_start(id, ch, rank, at, dst, tag, bytes);
     } else if (ph == "t") {
       sink.flow_step(id, at);
     } else if (ph == "f") {
       sink.flow_finish(id, rank, at);
     }
   } else if (cat == "op") {
-    if (ph != "X" || !has_name || !has_dur) return;
+    if (ph != "X" || !ev.name.is_string() || !ev.dur.is_number()) return;
     ReplayTrace::SpanClass cls;
-    if (name == "compute") {
+    if (ev.name.string == "compute") {
       cls = ReplayTrace::SpanClass::kCompute;
-    } else if (is_barrier_span(name)) {
+    } else if (is_barrier_span(ev.name.string)) {
       cls = ReplayTrace::SpanClass::kBarrier;
     } else {
       return;
     }
-    sink.span(rank, at, ts_to_ns(dur), cls);
+    sink.span(rank, at, ts_to_ns(ev.dur.number), cls);
   } else if (cat == "instant") {
-    if (has_name && is_ft_repair_instant(name) && has_flow) {
-      sink.repaired(flow);
+    if (ev.name.is_string() && is_ft_repair_instant(ev.name.string) &&
+        ev.flow.is_number()) {
+      sink.repaired(ev.flow.as_int());
     }
   }
+}
+
+ReplayTrace load(json::Reader& in) {
+  EventSink sink;
+  const TraceDoc doc =
+      scan_trace(in, [&sink](const TraceEvent& ev) { add_event(ev, sink); });
+  if (!doc.is_object) fail("trace root is not a JSON object");
+  if (!doc.has_events) fail("trace has no traceEvents array");
+  ReplayTrace t;
+  parse_header(doc.other_data ? &*doc.other_data : nullptr, t);
+  sink.finish(t);
+  return t;
 }
 
 }  // namespace
 
-ReplayTrace load_replay_trace(const json::Value& root) {
-  if (!root.is_object()) fail("trace root is not a JSON object");
-  const json::Value* events = root.find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    fail("trace has no traceEvents array");
-  }
-  ReplayTrace t;
-  parse_header(root.find("otherData"), t);
-
-  EventSink sink;
-  for (const json::Value& ev : events->array) {
-    if (!ev.is_object()) continue;
-    const json::Value* ph = ev.find("ph");
-    const json::Value* cat = ev.find("cat");
-    if (ph == nullptr || !ph->is_string() || cat == nullptr ||
-        !cat->is_string()) {
-      continue;  // metadata records ("M") and friends
-    }
-    const json::Value* ts = ev.find("ts");
-    if (ts == nullptr || !ts->is_number()) continue;
-    const Time at = ts_to_ns(ts->number);
-    const json::Value* tid = ev.find("tid");
-    const Rank rank =
-        tid != nullptr && tid->is_number() ? static_cast<Rank>(tid->as_int())
-                                           : -1;
-    if (cat->string == "flow") {
-      const json::Value* idv = ev.find("id");
-      if (idv == nullptr || !idv->is_number()) continue;
-      const std::int64_t id = idv->as_int();
-      if (id <= 0) continue;
-      if (ph->string == "s") {
-        Channel ch;
-        const json::Value* name = ev.find("name");
-        if (name == nullptr || !name->is_string() ||
-            !parse_channel(name->string, ch)) {
-          continue;
-        }
-        Rank dst = -1;
-        int tag = 0;
-        std::uint64_t bytes = 0;
-        const json::Value* args = ev.find("args");
-        if (args != nullptr && args->is_object()) {
-          if (const json::Value* v = args->find("dst"); v && v->is_number()) {
-            dst = static_cast<Rank>(v->as_int());
-          }
-          if (const json::Value* v = args->find("tag"); v && v->is_number()) {
-            tag = static_cast<int>(v->as_int());
-          }
-          if (const json::Value* v = args->find("bytes"); v && v->is_number()) {
-            bytes = static_cast<std::uint64_t>(v->as_int());
-          }
-        }
-        sink.flow_start(id, ch, rank, at, dst, tag, bytes);
-      } else if (ph->string == "t") {
-        sink.flow_step(id, at);
-      } else if (ph->string == "f") {
-        sink.flow_finish(id, rank, at);
-      }
-    } else if (cat->string == "op") {
-      if (ph->string != "X") continue;
-      const json::Value* name = ev.find("name");
-      if (name == nullptr || !name->is_string()) continue;
-      ReplayTrace::SpanClass cls;
-      if (name->string == "compute") {
-        cls = ReplayTrace::SpanClass::kCompute;
-      } else if (is_barrier_span(name->string)) {
-        cls = ReplayTrace::SpanClass::kBarrier;
-      } else {
-        continue;
-      }
-      const json::Value* dur = ev.find("dur");
-      if (dur == nullptr || !dur->is_number()) continue;
-      sink.span(rank, at, ts_to_ns(dur->number), cls);
-    } else if (cat->string == "instant") {
-      const json::Value* name = ev.find("name");
-      if (name == nullptr || !name->is_string()) continue;
-      if (!is_ft_repair_instant(name->string)) continue;
-      const json::Value* args = ev.find("args");
-      if (args == nullptr) continue;
-      if (const json::Value* v = args->find("flow"); v && v->is_number()) {
-        sink.repaired(v->as_int());
-      }
-    }
-  }
-  sink.finish(t);
-  return t;
-}
-
 ReplayTrace load_replay_trace_text(const std::string& text) {
-  Scanner sc(text);
-  if (!sc.eat('{')) fail("trace root is not a JSON object");
-
-  ReplayTrace t;
-  EventSink sink;
-  bool saw_events = false;
-  const char* od_begin = nullptr;
-  const char* od_end = nullptr;
-  if (!sc.eat('}')) {
-    do {
-      const std::string_view key = sc.string_raw();
-      sc.expect(':', "trace object");
-      if (key == "traceEvents") {
-        saw_events = true;
-        sc.expect('[', "traceEvents");
-        if (!sc.eat(']')) {
-          do {
-            scan_event(sc, sink);
-          } while (sc.eat(','));
-          sc.expect(']', "traceEvents");
-        }
-      } else if (key == "otherData") {
-        od_begin = sc.value_start();
-        sc.skip_value();
-        od_end = sc.raw_cursor();
-      } else {
-        sc.skip_value();
-      }
-    } while (sc.eat(','));
-    sc.expect('}', "trace object");
-  }
-  if (!saw_events) fail("trace has no traceEvents array");
-
-  if (od_begin == nullptr) {
-    parse_header(nullptr, t);  // emits the standard missing-header message
-  } else {
-    const json::Value od =
-        json::parse(std::string(od_begin, static_cast<std::size_t>(od_end -
-                                                                   od_begin)));
-    parse_header(&od, t);
-  }
-  sink.finish(t);
-  return t;
+  json::Reader in(text);
+  return load(in);
 }
 
 ReplayTrace load_replay_trace_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail("cannot open trace file: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return load_replay_trace_text(ss.str());
+  std::ifstream file(path, std::ios::binary);
+  if (!file) fail("cannot open trace file: " + path);
+  json::Reader in(file);
+  return load(in);
 }
 
 Replayer::Replayer(ReplayTrace trace) : trace_(std::move(trace)) {

@@ -1,7 +1,8 @@
 # CLI contract for meltrace, run as a CTest script:
 #   * every subcommand (validate, summarize, matrix, diff, replay,
 #     critical) runs against a freshly recorded trace and exits 0,
-#   * unknown flags and unknown commands exit 2,
+#   * unknown flags, unknown commands and a --top that is not a positive
+#     integer exit 2,
 #   * --json output is deterministic (byte-identical across invocations)
 #     and carries the expected schema tag,
 #   * `replay` with no --set is a fidelity self-check (exit 0 and says
@@ -112,6 +113,15 @@ run_rejected("replay fractional int field" replay ${nsr} --set o_send=1.5)
 run_rejected("replay missing trace" replay)
 run_rejected("critical unknown flag" critical ${nsr} --bogus)
 run_rejected("critical missing trace" critical)
+run_rejected("summarize negative top" summarize ${nsr} --top -3)
+run_rejected("summarize non-numeric top" summarize ${nsr} --top abc)
+run_rejected("summarize top with suffix" summarize ${nsr} --top 5x)
+run_rejected("critical zero top" critical ${nsr} --top 0)
+execute_process(COMMAND ${MELTRACE} summarize ${nsr} --top -3
+                ERROR_VARIABLE err OUTPUT_QUIET)
+if(NOT err MATCHES "positive integer.*meltrace --help")
+  message(FATAL_ERROR "bad --top lacks a --help pointer: ${err}")
+endif()
 run_rejected("replay nonexistent file" replay ${workdir}/no-such.json)
 
 # A schema-less trace (plain Chrome JSON) is rejected with a pointer at

@@ -21,9 +21,8 @@
 // from the run end and attributes every nanosecond of the makespan to a
 // cost class (compute, software overhead, wire latency/bandwidth, copy,
 // ack-wait, barrier-wait).
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -58,6 +57,18 @@ void print_usage(std::FILE* out) {
                "attribution (compute / overhead /\n"
                "                                    latency / bandwidth / "
                "ack-wait / barrier-wait per rank)\n");
+}
+
+/// --top K: a positive integer, else a usage error (exit 2).
+int parse_top(const std::string& value) {
+  int k = 0;
+  const char* end = value.data() + value.size();
+  const auto res = std::from_chars(value.data(), end, k);
+  if (res.ec != std::errc() || res.ptr != end || k <= 0) {
+    throw std::invalid_argument("--top expects a positive integer, got '" +
+                                value + "' (run `meltrace --help`)");
+  }
+  return k;
 }
 
 int cmd_validate(const std::vector<std::string>& args) {
@@ -110,7 +121,7 @@ int cmd_summarize(const std::vector<std::string>& args) {
   bool as_json = false;
   for (std::size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--top" && i + 1 < args.size()) {
-      top_k = std::atoi(args[++i].c_str());
+      top_k = parse_top(args[++i]);
     } else if (args[i] == "--json") {
       as_json = true;
     } else {
@@ -287,7 +298,7 @@ int cmd_critical(const std::vector<std::string>& args) {
   bool as_json = false;
   for (std::size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--top" && i + 1 < args.size()) {
-      top_k = std::atoi(args[++i].c_str());
+      top_k = parse_top(args[++i]);
     } else if (args[i] == "--json") {
       as_json = true;
     } else {
