@@ -31,6 +31,7 @@ struct BfsResult {
   /// Simulator (time, sequence) event-trace hash — the same determinism
   /// fingerprint run_match reports, so BFS runs can be pinned too.
   std::uint64_t trace_hash = 0;
+  std::uint64_t sim_events = 0;
   mpi::CommCounters totals;
   std::unique_ptr<mpi::CommMatrix> matrix;
 };

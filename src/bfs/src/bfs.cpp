@@ -3,6 +3,7 @@
 #include <deque>
 #include <set>
 
+#include "mel/match/exchange.hpp"
 #include "mel/mpi/machine.hpp"
 
 namespace mel::bfs {
@@ -32,137 +33,61 @@ std::vector<std::int64_t> serial_bfs(const Csr& g, VertexId root) {
 
 namespace {
 
-constexpr int kTagCount = 100;
-constexpr int kTagVisit = 101;
-
-struct LevelState {
-  std::vector<std::int64_t> dist;       // per owned vertex
-  std::vector<VertexId> frontier;       // owned, discovered last level
-  std::vector<VertexId> next;           // owned, discovered this level
+/// One rank's level-synchronous BFS: expand the frontier, relaxing owned
+/// neighbors locally and pushing each ghost (once per level) to its owner,
+/// then one exchange round and a global count of the next frontier.
+sim::RankTask bfs_rank(Model model, mpi::Comm& comm, const LocalGraph& lg,
+                       const Distribution& dist_map, VertexId root,
+                       std::vector<std::int64_t>* dist_out,
+                       std::int64_t* levels_out) {
+  // Send-Recv sends each neighbor's visits right behind its count.
+  const auto ex =
+      match::make_level_exchange<VertexId>(model, comm, lg, /*grouped=*/true);
+  std::vector<std::int64_t> dist(static_cast<std::size_t>(lg.nlocal()), -1);
+  std::vector<VertexId> frontier;  // owned, discovered last level
+  std::vector<VertexId> next;      // owned, discovered this level
   std::int64_t level = 0;
-
-  void relax(const LocalGraph& lg, VertexId global_v) {
-    const VertexId lv = global_v - lg.vbegin;
+  const auto relax = [&](VertexId v) {
+    const VertexId lv = v - lg.vbegin;
     if (dist[lv] < 0) {
       dist[lv] = level + 1;
-      next.push_back(global_v);
+      next.push_back(v);
     }
-  }
-};
-
-sim::RankTask bfs_nsr(mpi::Comm& comm, const LocalGraph& lg,
-                      const Distribution& dist_map, VertexId root,
-                      std::vector<std::int64_t>* dist_out,
-                      std::int64_t* levels_out) {
-  LevelState st;
-  st.dist.assign(static_cast<std::size_t>(lg.nlocal()), -1);
+  };
+  match::Sink<VertexId> sink{relax};
   if (lg.owns(root)) {
-    st.dist[root - lg.vbegin] = 0;
-    st.frontier.push_back(root);
+    dist[root - lg.vbegin] = 0;
+    frontier.push_back(root);
   }
-  const std::size_t deg = lg.neighbor_ranks.size();
 
   for (;;) {
-    // Expand: local relaxations + staged ghost visits (deduped per level).
     // Membership-only dedup, but ordered anyway: determinism discipline
     // (mellint R1) costs nothing here and survives future iteration.
-    std::vector<std::vector<VertexId>> staged(deg);
     std::set<VertexId> sent;
-    for (const VertexId v : st.frontier) {
+    for (const VertexId v : frontier) {
       const VertexId lv = v - lg.vbegin;
       comm.compute_edges(lg.offsets[lv + 1] - lg.offsets[lv]);
       for (graph::EdgeId i = lg.offsets[lv]; i < lg.offsets[lv + 1]; ++i) {
         const VertexId u = lg.adj[i].to;
         if (lg.owns(u)) {
-          st.relax(lg, u);
+          relax(u);
         } else if (sent.insert(u).second) {
-          staged[lg.neighbor_index(dist_map.owner(u))].push_back(u);
+          ex->push(dist_map.owner(u), u);
         }
       }
     }
-    // Exchange: one count message per process neighbor, then one message
-    // per visit (the unaggregated Send-Recv style the paper profiles).
-    for (std::size_t k = 0; k < deg; ++k) {
-      comm.isend_pod<std::int64_t>(lg.neighbor_ranks[k], kTagCount,
-                                   static_cast<std::int64_t>(staged[k].size()));
-      for (const VertexId u : staged[k]) {
-        comm.isend_pod<VertexId>(lg.neighbor_ranks[k], kTagVisit, u);
-      }
-    }
-    std::int64_t expected = 0;
-    for (std::size_t k = 0; k < deg; ++k) {
-      const mpi::Message m =
-          co_await comm.recv(lg.neighbor_ranks[k], kTagCount);
-      expected += mpi::from_bytes<std::int64_t>(m.data);
-    }
-    for (std::int64_t i = 0; i < expected; ++i) {
-      const mpi::Message m = co_await comm.recv(mpi::kAnySource, kTagVisit);
-      st.relax(lg, mpi::from_bytes<VertexId>(m.data));
-    }
+    co_await ex->round(sink);
     // Level-synchronous exit: global size of the next frontier.
     const std::int64_t global_next =
-        co_await comm.allreduce_sum(static_cast<std::int64_t>(st.next.size()));
-    st.frontier = std::move(st.next);
-    st.next.clear();
-    ++st.level;
+        co_await comm.allreduce_sum(static_cast<std::int64_t>(next.size()));
+    frontier = std::move(next);
+    next.clear();
+    comm.obs_iteration(static_cast<std::uint64_t>(++level), global_next);
     if (global_next == 0) break;
   }
 
-  *dist_out = st.dist;
-  *levels_out = st.level;
-  co_return;
-}
-
-sim::RankTask bfs_ncl(mpi::Comm& comm, const LocalGraph& lg,
-                      const Distribution& dist_map, VertexId root,
-                      std::vector<std::int64_t>* dist_out,
-                      std::int64_t* levels_out) {
-  LevelState st;
-  st.dist.assign(static_cast<std::size_t>(lg.nlocal()), -1);
-  if (lg.owns(root)) {
-    st.dist[root - lg.vbegin] = 0;
-    st.frontier.push_back(root);
-  }
-  const std::size_t deg = lg.neighbor_ranks.size();
-
-  for (;;) {
-    std::vector<std::vector<std::byte>> slices(deg);
-    std::vector<std::int64_t> counts(deg, 0);
-    std::set<VertexId> sent;  // membership-only; ordered for determinism
-    for (const VertexId v : st.frontier) {
-      const VertexId lv = v - lg.vbegin;
-      comm.compute_edges(lg.offsets[lv + 1] - lg.offsets[lv]);
-      for (graph::EdgeId i = lg.offsets[lv]; i < lg.offsets[lv + 1]; ++i) {
-        const VertexId u = lg.adj[i].to;
-        if (lg.owns(u)) {
-          st.relax(lg, u);
-        } else if (sent.insert(u).second) {
-          const int k = lg.neighbor_index(dist_map.owner(u));
-          const auto bytes = mpi::bytes_of(u);
-          slices[k].insert(slices[k].end(), bytes.begin(), bytes.end());
-          ++counts[k];
-        }
-      }
-    }
-    (void)co_await comm.neighbor_alltoall_i64(counts);
-    const auto incoming = co_await comm.neighbor_alltoallv(std::move(slices));
-    for (const auto& slice : incoming) {
-      const std::size_t n = mpi::record_count<VertexId>(slice);
-      for (std::size_t i = 0; i < n; ++i) {
-        st.relax(lg, mpi::nth_record<VertexId>(slice, i));
-      }
-    }
-    const std::int64_t global_next =
-        co_await comm.allreduce_sum(static_cast<std::int64_t>(st.next.size()));
-    st.frontier = std::move(st.next);
-    st.next.clear();
-    ++st.level;
-    if (global_next == 0) break;
-  }
-
-  *dist_out = st.dist;
-  *levels_out = st.level;
-  co_return;
+  *dist_out = std::move(dist);
+  *levels_out = level;
 }
 
 }  // namespace
@@ -172,27 +97,22 @@ BfsResult run_bfs(const Csr& g, int nranks, VertexId root, Model model,
   if (model != Model::kNsr && model != Model::kNcl) {
     throw std::invalid_argument("run_bfs: only NSR and NCL are supported");
   }
-  const graph::DistGraph dg(g, nranks);
-  sim::Simulator simulator(nranks);
-  simulator.set_horizon(cfg.watchdog_horizon);
-  mpi::Machine machine(simulator, net::Network(nranks, cfg.net));
-  machine.set_audit(cfg.audit);
-  for (Rank r = 0; r < nranks; ++r) {
-    machine.set_topology(r, dg.local(r).neighbor_ranks);
+  if (!cfg.net.chaos.crashes.empty()) {
+    throw std::invalid_argument(
+        "run_bfs: scheduled rank crashes need recovery, which only matching "
+        "implements");
   }
+  const graph::DistGraph dg(g, nranks);
+  match::Job job(dg, cfg);
 
   std::vector<std::vector<std::int64_t>> dists(nranks);
   std::vector<std::int64_t> levels(nranks, 0);
   for (Rank r = 0; r < nranks; ++r) {
-    if (model == Model::kNsr) {
-      simulator.spawn(r, bfs_nsr(machine.comm(r), dg.local(r), dg.dist(), root,
-                                 &dists[r], &levels[r]));
-    } else {
-      simulator.spawn(r, bfs_ncl(machine.comm(r), dg.local(r), dg.dist(), root,
-                                 &dists[r], &levels[r]));
-    }
+    job.simulator.spawn(r, bfs_rank(model, job.machine.comm(r), dg.local(r),
+                                    dg.dist(), root, &dists[r], &levels[r]));
   }
-  simulator.run();
+  job.simulator.run();
+  job.machine.audit_or_throw();
 
   BfsResult result;
   result.dist.assign(static_cast<std::size_t>(g.nverts()), -1);
@@ -203,11 +123,12 @@ BfsResult run_bfs(const Csr& g, int nranks, VertexId root, Model model,
     }
     result.levels = std::max(result.levels, levels[r]);
   }
-  result.time = simulator.max_rank_time();
-  result.trace_hash = simulator.trace_hash();
-  result.totals = machine.total_counters();
+  result.time = job.simulator.max_rank_time();
+  result.trace_hash = job.simulator.trace_hash();
+  result.sim_events = job.simulator.events_executed();
+  result.totals = job.machine.total_counters();
   if (cfg.collect_matrix) {
-    result.matrix = std::make_unique<mpi::CommMatrix>(machine.matrix());
+    result.matrix = std::make_unique<mpi::CommMatrix>(job.machine.matrix());
   }
   return result;
 }

@@ -43,6 +43,7 @@ struct ColorResult {
   /// Simulator (time, sequence) event-trace hash — the same determinism
   /// fingerprint run_match reports, so coloring runs can be pinned too.
   std::uint64_t trace_hash = 0;
+  std::uint64_t sim_events = 0;
   mpi::CommCounters totals;
 };
 

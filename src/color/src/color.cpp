@@ -1,13 +1,12 @@
 #include "mel/color/color.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <numeric>
 #include <set>
 
+#include "mel/match/exchange.hpp"
 #include "mel/mpi/machine.hpp"
-#include "mel/util/buffer.hpp"
 #include "mel/util/rng.hpp"
 
 namespace mel::color {
@@ -84,9 +83,6 @@ struct ColorMsg {
   std::int64_t color = -1;
 };
 
-constexpr int kTagCount = 200;
-constexpr int kTagColor = 201;
-
 /// Per-rank Jones-Plassmann state shared by both backends.
 struct JpState {
   const LocalGraph& lg;
@@ -110,8 +106,8 @@ struct JpState {
 
   /// One round: color eligible vertices until a local fixpoint (a vertex
   /// colored in a pass can unblock lower-priority local neighbors in the
-  /// same round). Appends (owner-deduped) updates for ghosts' owners.
-  void sweep(mpi::Comm& comm, std::vector<std::pair<Rank, ColorMsg>>& out,
+  /// same round). Pushes (owner-deduped) updates to ghosts' owners.
+  void sweep(mpi::Comm& comm, match::Exchange<ColorMsg>& ex,
              const Distribution& dist) {
     std::vector<std::int64_t> used;
     bool progressed = true;
@@ -145,7 +141,7 @@ struct JpState {
           if (lg.owns(u)) continue;
           const Rank owner = dist.owner(u);
           if (!told.insert(owner).second) continue;
-          out.push_back({owner, ColorMsg{v, colors[lv]}});
+          ex.push(owner, ColorMsg{v, colors[lv]});
         }
       }
     }
@@ -154,88 +150,28 @@ struct JpState {
   void apply(const ColorMsg& m) { ghost_colors[m.v] = m.color; }
 };
 
-sim::RankTask jp_nsr(mpi::Comm& comm, const LocalGraph& lg,
-                     const Distribution& dist,
-                     std::vector<std::int64_t>* colors_out,
-                     std::int64_t* rounds_out) {
+/// One rank's Jones-Plassmann coloring: sweep, one exchange round of color
+/// updates, then a global count of still-uncolored vertices.
+sim::RankTask jp_rank(Model model, mpi::Comm& comm, const LocalGraph& lg,
+                      const Distribution& dist,
+                      std::vector<std::int64_t>* colors_out,
+                      std::int64_t* rounds_out) {
+  // Send-Recv sends every count first, then the updates in sweep order.
+  const auto ex =
+      match::make_level_exchange<ColorMsg>(model, comm, lg, /*grouped=*/false);
   JpState st(lg);
-  const std::size_t deg = lg.neighbor_ranks.size();
+  match::Sink<ColorMsg> sink{[&st](const ColorMsg& m) { st.apply(m); }};
   std::int64_t rounds = 0;
   for (;;) {
     ++rounds;
-    std::vector<std::pair<Rank, ColorMsg>> updates;
-    st.sweep(comm, updates, dist);
-    std::vector<std::int64_t> counts(deg, 0);
-    for (const auto& [dst, msg] : updates) {
-      ++counts[static_cast<std::size_t>(lg.neighbor_index(dst))];
-    }
-    for (std::size_t k = 0; k < deg; ++k) {
-      comm.isend_pod<std::int64_t>(lg.neighbor_ranks[k], kTagCount, counts[k]);
-    }
-    for (const auto& [dst, msg] : updates) {
-      comm.isend_pod<ColorMsg>(dst, kTagColor, msg);
-    }
-    std::int64_t expected = 0;
-    for (std::size_t k = 0; k < deg; ++k) {
-      const auto m = co_await comm.recv(lg.neighbor_ranks[k], kTagCount);
-      expected += mpi::from_bytes<std::int64_t>(m.data);
-    }
-    for (std::int64_t i = 0; i < expected; ++i) {
-      const auto m = co_await comm.recv(mpi::kAnySource, kTagColor);
-      st.apply(mpi::from_bytes<ColorMsg>(m.data));
-    }
+    st.sweep(comm, *ex, dist);
+    co_await ex->round(sink);
     const auto remaining = co_await comm.allreduce_sum(st.uncolored);
+    comm.obs_iteration(static_cast<std::uint64_t>(rounds), remaining);
     if (remaining == 0) break;
   }
   *colors_out = std::move(st.colors);
   *rounds_out = rounds;
-  co_return;
-}
-
-sim::RankTask jp_ncl(mpi::Comm& comm, const LocalGraph& lg,
-                     const Distribution& dist,
-                     std::vector<std::int64_t>* colors_out,
-                     std::int64_t* rounds_out) {
-  JpState st(lg);
-  const std::size_t deg = lg.neighbor_ranks.size();
-  std::int64_t rounds = 0;
-  for (;;) {
-    ++rounds;
-    std::vector<std::pair<Rank, ColorMsg>> updates;
-    st.sweep(comm, updates, dist);
-    // Two-pass pooled-slice fill over the materialized update list: each
-    // slice is written once into its pooled block (the single copy).
-    std::vector<std::size_t> fill(deg, 0);
-    std::vector<std::int64_t> counts(deg, 0);
-    for (const auto& [dst, msg] : updates) {
-      const auto k = static_cast<std::size_t>(lg.neighbor_index(dst));
-      fill[k] += sizeof(ColorMsg);
-      ++counts[k];
-    }
-    std::vector<mel::util::Buffer> slices(deg);
-    for (std::size_t k = 0; k < deg; ++k) {
-      slices[k] = mel::util::Buffer::alloc(fill[k]);
-      fill[k] = 0;
-    }
-    for (const auto& [dst, msg] : updates) {
-      const auto k = static_cast<std::size_t>(lg.neighbor_index(dst));
-      std::memcpy(slices[k].mutable_data() + fill[k], &msg, sizeof(ColorMsg));
-      fill[k] += sizeof(ColorMsg);
-    }
-    (void)co_await comm.neighbor_alltoall_i64(counts);
-    const auto incoming = co_await comm.neighbor_alltoallv(std::move(slices));
-    for (const auto& slice : incoming) {
-      const std::size_t n = mpi::record_count<ColorMsg>(slice);
-      for (std::size_t i = 0; i < n; ++i) {
-        st.apply(mpi::nth_record<ColorMsg>(slice, i));
-      }
-    }
-    const auto remaining = co_await comm.allreduce_sum(st.uncolored);
-    if (remaining == 0) break;
-  }
-  *colors_out = std::move(st.colors);
-  *rounds_out = rounds;
-  co_return;
 }
 
 }  // namespace
@@ -245,27 +181,22 @@ ColorResult run_coloring(const Csr& g, int nranks, Model model,
   if (model != Model::kNsr && model != Model::kNcl) {
     throw std::invalid_argument("run_coloring: only NSR and NCL supported");
   }
-  const graph::DistGraph dg(g, nranks);
-  sim::Simulator simulator(nranks);
-  simulator.set_horizon(cfg.watchdog_horizon);
-  mpi::Machine machine(simulator, net::Network(nranks, cfg.net));
-  machine.set_audit(cfg.audit);
-  for (Rank r = 0; r < nranks; ++r) {
-    machine.set_topology(r, dg.local(r).neighbor_ranks);
+  if (!cfg.net.chaos.crashes.empty()) {
+    throw std::invalid_argument(
+        "run_coloring: scheduled rank crashes need recovery, which only "
+        "matching implements");
   }
+  const graph::DistGraph dg(g, nranks);
+  match::Job job(dg, cfg);
 
   std::vector<std::vector<std::int64_t>> colors(nranks);
   std::vector<std::int64_t> rounds(nranks, 0);
   for (Rank r = 0; r < nranks; ++r) {
-    if (model == Model::kNsr) {
-      simulator.spawn(r, jp_nsr(machine.comm(r), dg.local(r), dg.dist(),
-                                &colors[r], &rounds[r]));
-    } else {
-      simulator.spawn(r, jp_ncl(machine.comm(r), dg.local(r), dg.dist(),
-                                &colors[r], &rounds[r]));
-    }
+    job.simulator.spawn(r, jp_rank(model, job.machine.comm(r), dg.local(r),
+                                   dg.dist(), &colors[r], &rounds[r]));
   }
-  simulator.run();
+  job.simulator.run();
+  job.machine.audit_or_throw();
 
   ColorResult result;
   result.colors.assign(static_cast<std::size_t>(g.nverts()), -1);
@@ -276,9 +207,10 @@ ColorResult run_coloring(const Csr& g, int nranks, Model model,
     }
     result.rounds = std::max(result.rounds, rounds[r]);
   }
-  result.time = simulator.max_rank_time();
-  result.trace_hash = simulator.trace_hash();
-  result.totals = machine.total_counters();
+  result.time = job.simulator.max_rank_time();
+  result.trace_hash = job.simulator.trace_hash();
+  result.sim_events = job.simulator.events_executed();
+  result.totals = job.machine.total_counters();
   return result;
 }
 

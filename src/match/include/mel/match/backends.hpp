@@ -1,5 +1,6 @@
-// The three (plus MatchBox-P-flavored baseline) communication backends for
-// distributed half-approx matching — the paper's Table I:
+// The ten communication models for distributed half-approx matching. The
+// paper's four (Table I) map onto the record-exchange layer
+// (exchange.hpp) as:
 //
 //             | Push                    | Evoke                    | Process
 //   ----------+-------------------------+--------------------------+-----------------
@@ -10,10 +11,10 @@
 //             |                         | MPI_Neighbor_alltoallv   |
 //   MBP       | as NSR, with MatchBox-P's heavier per-message bookkeeping
 //
-// Each backend is a coroutine driving one rank's LocalMatcher. RMA and NCL
-// additionally run a global MPI_Allreduce on the active ghost-edge count
-// each iteration — the exit criterion the paper calls out as their extra
-// communication cost; NSR exits on its local count alone (sound, see
+// One matcher loop drives one rank's LocalMatcher over any of them. RMA and
+// NCL additionally run a global MPI_Allreduce on the active ghost-edge
+// count each iteration — the exit criterion the paper calls out as their
+// extra communication cost; NSR exits on its local count alone (sound, see
 // engine.hpp).
 #pragma once
 
@@ -66,87 +67,23 @@ std::size_t backend_buffer_bytes(Model m, const graph::LocalGraph& lg);
 /// 2 * ghost_count records per process neighbor (paper Fig 1).
 std::size_t rma_window_bytes(const graph::LocalGraph& lg);
 
-/// Per-rank coroutines. `mate_out` receives one global partner id (or
-/// kNullVertex) per owned vertex. `iterations_out` (nullable) receives the
-/// number of exchange rounds (RMA/NCL) or processed messages (NSR/MBP).
-sim::RankTask nsr_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                          const graph::Distribution& dist, bool mbp_flavor,
-                          std::vector<VertexId>* mate_out,
-                          std::uint64_t* iterations_out);
-
-sim::RankTask rma_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                          const graph::Distribution& dist, int window_id,
-                          std::vector<VertexId>* mate_out,
-                          std::uint64_t* iterations_out);
-
-sim::RankTask ncl_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                          const graph::Distribution& dist,
-                          std::vector<VertexId>* mate_out,
-                          std::uint64_t* iterations_out);
-
-/// Send-Recv with per-neighbor aggregation: Push appends to a staging
-/// buffer; one packed Isend per neighbor per progress turn.
-sim::RankTask nsr_agg_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                              const graph::Distribution& dist,
-                              std::vector<VertexId>* mate_out,
-                              std::uint64_t* iterations_out);
-
-/// Active-target RMA: puts for data *and* counts, separated by
-/// MPI_Win_fence epochs (no neighbor_alltoall in the loop, but a global
-/// epoch per iteration).
-sim::RankTask rma_fence_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                                const graph::Distribution& dist, int window_id,
-                                std::vector<VertexId>* mate_out,
-                                std::uint64_t* iterations_out);
-
 /// Window bytes for the fence variant: the RMA layout plus one cumulative
 /// count slot per process neighbor.
 std::size_t rma_fence_window_bytes(const graph::LocalGraph& lg);
 
-/// Nonblocking neighborhood collectives (split-phase alltoallv).
-sim::RankTask ncl_nb_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                             const graph::Distribution& dist,
-                             std::vector<VertexId>* mate_out,
-                             std::uint64_t* iterations_out);
-
-/// Two-level (node-aware) Send-Recv: records destined for ranks on a remote
-/// node are combined into one batch addressed to that node's leader rank
-/// (node_of(r) * ranks_per_node), which relays each record over the cheap
-/// intra-node links. Each WireMsg's `pad` field carries the final
-/// destination rank while in transit through a leader. Exits on a global
-/// allreduce of the active ghost-edge count — leaders must outlive their own
-/// local work to keep relaying for the rest of the node.
-sim::RankTask nsr_hier_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                               const graph::Distribution& dist,
-                               std::vector<VertexId>* mate_out,
-                               std::uint64_t* iterations_out);
-
-/// Persistent neighborhood alltoallv: the exchange schedule (neighbor list,
-/// slice table, validated topology) is built once by
-/// neighbor_alltoallv_init, then every round is a cheap Start/Wait pair
-/// (o_coll_persistent_start instead of the full per-call setup charge).
-sim::RankTask ncl_persist_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                                  const graph::Distribution& dist,
-                                  std::vector<VertexId>* mate_out,
-                                  std::uint64_t* iterations_out);
-
-/// Partitioned puts over the fence-style window layout: each rank streams
-/// records into its region of the target window with ordered puts and
-/// publishes a cumulative record count (the MPI_Pready analogue) every
-/// kRmaPartitionRecords records, so the target consumes early partitions
-/// while later ones are still in flight. No flush or per-round count
-/// collective; exits on a global allreduce.
-sim::RankTask rma_part_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                               const graph::Distribution& dist, int window_id,
-                               std::vector<VertexId>* mate_out,
-                               std::uint64_t* iterations_out);
-
-/// Records per partition for the partitioned-put backend (how many records
-/// a rank writes to one neighbor before publishing the running count).
-inline constexpr std::size_t kRmaPartitionRecords = 8;
-
 /// Window bytes for the partitioned variant — same layout as the fence
 /// variant: data regions plus one cumulative count slot per neighbor.
 std::size_t rma_part_window_bytes(const graph::LocalGraph& lg);
+
+/// One rank of half-approx matching under model `m`. `window_id` names the
+/// window the driver allocated for the one-sided models (ignored by the
+/// others). `mate_out` receives one global partner id (or kNullVertex) per
+/// owned vertex; `iterations_out` receives the number of exchange rounds
+/// (RMA/NCL families), processed messages (NSR/MBP) or sent batches
+/// (NSR-AGG/NSR-HIER).
+sim::RankTask match_rank(Model m, mpi::Comm& comm, const graph::LocalGraph& lg,
+                         const graph::Distribution& dist, int window_id,
+                         std::vector<VertexId>* mate_out,
+                         std::uint64_t* iterations_out);
 
 }  // namespace mel::match

@@ -12,11 +12,8 @@
 #include "mel/match/backends.hpp"
 #include "mel/match/serial.hpp"
 #include "mel/mpi/counters.hpp"
+#include "mel/mpi/machine.hpp"
 #include "mel/net/network.hpp"
-
-namespace mel::mpi {
-class Tracer;
-}
 
 namespace mel::match {
 
@@ -95,6 +92,18 @@ struct RunResult {
   /// survivor state, no rollback); recoveries - shrinks fell back to the
   /// checkpoint rollback path.
   int shrinks = 0;
+};
+
+/// The simulated machine an algorithm runs on, built from a RunConfig: the
+/// engine (sharded at cfg.threads, with its watchdog), the audited machine
+/// with the reliable transport whenever faults need it, the graph's process
+/// topology, and the tracer. run_match, bfs::run_bfs and
+/// color::run_coloring all run on one.
+struct Job {
+  Job(const graph::DistGraph& dg, const RunConfig& cfg);
+
+  sim::Simulator simulator;
+  mpi::Machine machine;
 };
 
 /// Run one model on a prebuilt distribution.

@@ -3,9 +3,9 @@
 //
 // LocalMatcher holds one rank's algorithm state and implements FINDMATE,
 // PROCESSNEIGHBORS and PROCESSINCOMINGDATA. It never communicates: it
-// appends wire messages to an outbox that the communication backend
-// (backends.hpp — Send-Recv, RMA, or neighborhood collectives, per the
-// paper's Table I) drains with its own Push/Evoke/Process mapping.
+// hands each wire record to a push callback, the Push step of the record
+// exchange (exchange.hpp — Send-Recv, RMA, or neighborhood collectives, per
+// the paper's Table I), which moves it with its own Evoke/Process mapping.
 //
 // Two deliberate deviations from the paper's pseudocode (both documented
 // in DESIGN.md):
@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -56,17 +57,15 @@ struct WireMsg {
 };
 static_assert(sizeof(WireMsg) == 24);
 
-struct Outgoing {
-  Rank dst = -1;
-  WireMsg msg;
-};
-
 class LocalMatcher {
  public:
+  /// Receives every outgoing record and the rank that owns its target.
+  using Push = std::function<void(Rank dst, const WireMsg& msg)>;
+
   /// `comm` is used only to charge local-computation time to the rank's
-  /// virtual clock; all communication goes through the outbox.
+  /// virtual clock; all communication goes through `push`.
   LocalMatcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-               const graph::Distribution& dist);
+               const graph::Distribution& dist, Push push);
 
   /// Phase 1: FINDMATE for every owned vertex, then drain local work.
   void start();
@@ -79,9 +78,6 @@ class LocalMatcher {
 
   /// Number of ghost edges not yet deactivated on this side.
   std::int64_t active_cross() const { return active_cross_; }
-
-  /// Messages produced since the backend last drained them.
-  std::vector<Outgoing>& outbox() { return outbox_; }
 
   /// mate per owned vertex (global partner id or kNullVertex), indexed by
   /// local offset (global id - vbegin).
@@ -124,7 +120,7 @@ class LocalMatcher {
   std::vector<VertexId> cand_;              // per local vertex (global id)
   std::vector<VertexId> matched_queue_;
   std::vector<VertexId> refind_queue_;
-  std::vector<Outgoing> outbox_;
+  Push push_;
   std::int64_t active_cross_ = 0;
 };
 

@@ -1,11 +1,11 @@
 #include "mel/match/backends.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <map>
+#include <memory>
+#include <numeric>
 #include <stdexcept>
 
-#include "mel/util/buffer.hpp"
+#include "mel/match/exchange.hpp"
 
 namespace mel::match {
 
@@ -17,9 +17,372 @@ namespace {
 constexpr sim::Time kMbpSendSurcharge = 900;  // ns per message sent
 constexpr sim::Time kMbpRecvSurcharge = 600;  // ns per message received
 
-void copy_out_mates(const LocalMatcher& eng, std::vector<VertexId>* out) {
-  if (out == nullptr) return;
-  out->assign(eng.mates().begin(), eng.mates().end());
+constexpr int kAggTag = 64;         // above the Ctx tag range
+constexpr int kHierDirectTag = 65;  // final hop: every record is for the receiver
+constexpr int kHierRelayTag = 66;   // combined batch: pad carries the final rank
+
+/// Records per partition for the partitioned-put backend (how many records
+/// a rank writes to one neighbor before publishing the running count).
+constexpr std::int64_t kRmaPartitionRecords = 8;
+
+using WireExchange = Exchange<WireMsg>;
+using WireSink = Sink<WireMsg>;
+
+// ---------------------------------------------------------------------------
+// Send-Recv family: Iprobe, then Recv whatever has arrived, one message at a
+// time. NSR, NSR-AGG and NSR-HIER differ in how records combine into
+// messages.
+// ---------------------------------------------------------------------------
+
+class P2pExchange : public WireExchange {
+ public:
+  using WireExchange::WireExchange;
+
+  sim::Task round(WireSink& sink) override {
+    // Nothing arrived last turn and edges are still pending: block for
+    // progress instead of spinning on Iprobe. A globally paced model must
+    // not block here, or a rank with an empty mailbox would never reach
+    // the allreduce the others wait in.
+    if (idle_ && local_exit()) co_await comm_.wait_message();
+    idle_ = true;
+    while (auto env = comm_.iprobe()) {
+      const mpi::Message m = co_await comm_.recv(env->src, env->tag);
+      idle_ = false;
+      receive(m, env->tag, sink);
+    }
+  }
+
+  sim::Task drain(WireSink& sink) override {
+    // Both endpoints of a cross edge can deactivate it independently, so a
+    // peer's REJECT/INVALID may already sit in our mailbox with nothing left
+    // to decide. Consume everything visible (handle() is a no-op on dead
+    // edges) instead of abandoning it. Relayed records for other ranks are
+    // dropped: at global active == 0 an in-flight REQUEST is impossible (it
+    // would keep its sender's count positive), so anything still travelling
+    // is a dead REJECT/INVALID nobody needs.
+    while (auto env = comm_.iprobe()) {
+      const mpi::Message m = co_await comm_.recv(env->src, env->tag);
+      unpack(m, env->tag, sink, nullptr);
+    }
+  }
+
+ protected:
+  using Batches = std::map<Rank, std::vector<WireMsg>>;
+
+  /// Process one message received during a round.
+  virtual void receive(const mpi::Message& m, int tag, WireSink& sink) = 0;
+
+  /// Deliver the records of `m` addressed to this rank (an NSR message
+  /// holds one, a combined batch a packed array). Records of a relay batch
+  /// into a node leader that are meant for another rank go to `forward`,
+  /// grouped by final rank, or are dropped when it is null.
+  void unpack(const mpi::Message& m, int tag, WireSink& sink,
+              Batches* forward) {
+    const std::size_t n = mpi::record_count<WireMsg>(m.data);
+    for (std::size_t i = 0; i < n; ++i) {
+      WireMsg rec = mpi::nth_record<WireMsg>(m.data, i);
+      const Rank to = tag == kHierRelayTag ? rec.pad : comm_.rank();
+      rec.pad = 0;
+      if (to == comm_.rank()) {
+        sink.deliver(rec);
+      } else if (forward != nullptr) {
+        (*forward)[to].push_back(rec);
+      }
+    }
+  }
+
+  bool idle_ = false;
+  std::uint64_t batches_ = 0;
+};
+
+/// NSR / MBP: one Isend per record, handled one message at a time (the
+/// paper's baseline does not aggregate).
+class NsrExchange final : public P2pExchange {
+ public:
+  NsrExchange(mpi::Comm& comm, const graph::LocalGraph& lg, bool mbp)
+      : P2pExchange(comm, lg), mbp_(mbp) {}
+
+  void push(Rank dst, const WireMsg& rec) override {
+    outgoing_.emplace_back(dst, rec);
+  }
+  void flush() override {
+    for (const auto& [dst, rec] : outgoing_) {
+      if (mbp_) comm_.compute(kMbpSendSurcharge);
+      // Communication context rides in the message tag (paper §IV-B).
+      comm_.isend_pod<WireMsg>(dst, rec.ctx, rec);
+    }
+    outgoing_.clear();
+  }
+  bool local_exit() const override { return true; }
+  std::uint64_t iterations(std::uint64_t) const override { return received_; }
+
+ private:
+  void receive(const mpi::Message& m, int tag, WireSink& sink) override {
+    comm_.compute(comm_.machine().network().params().nsr_handling_per_msg);
+    if (mbp_) comm_.compute(kMbpRecvSurcharge);
+    unpack(m, tag, sink, nullptr);
+    sink.settle();
+    flush();
+    ++received_;
+  }
+
+  bool mbp_;
+  std::vector<std::pair<Rank, WireMsg>> outgoing_;
+  std::uint64_t received_ = 0;
+};
+
+/// NSR-AGG: Send-Recv with per-neighbor aggregation (the paper's "we do
+/// not aggregate outgoing messages" flag, implemented). A turn's records
+/// are staged per destination and leave as one packed Isend each.
+class AggExchange final : public P2pExchange {
+ public:
+  AggExchange(mpi::Comm& comm, const graph::LocalGraph& lg)
+      : P2pExchange(comm, lg), by_neighbor_(lg.neighbor_ranks.size()) {}
+
+  void push(Rank dst, const WireMsg& rec) override {
+    by_neighbor_[neighbor(dst)].push_back(rec);
+  }
+  void flush() override {
+    for (std::size_t k = 0; k < by_neighbor_.size(); ++k) {
+      if (by_neighbor_[k].empty()) continue;
+      comm_.isend(lg_.neighbor_ranks[k], kAggTag,
+                  std::as_bytes(std::span<const WireMsg>(by_neighbor_[k])));
+      by_neighbor_[k].clear();
+      ++batches_;
+    }
+  }
+  bool local_exit() const override { return true; }
+  std::uint64_t iterations(std::uint64_t) const override { return batches_; }
+
+ private:
+  void receive(const mpi::Message& m, int tag, WireSink& sink) override {
+    unpack(m, tag, sink, nullptr);
+    sink.settle();
+  }
+
+  std::vector<std::vector<WireMsg>> by_neighbor_;  // capacity kept across turns
+};
+
+/// NSR-HIER: two-level (node-aware) Send-Recv. Records for ranks on a
+/// remote node are combined into one batch addressed to that node's leader
+/// rank, which relays each record over the cheap intra-node links. The
+/// expensive inter-node hop carries one header per (source rank,
+/// destination node) instead of one per (source rank, destination rank);
+/// payload bytes are unchanged because the final destination rides in the
+/// otherwise-unused WireMsg::pad field. A turn drains everything visible
+/// before flushing once: staging across the whole turn is what concentrates
+/// its records into one batch per destination node. Exit is global — a
+/// leader whose own edges are all decided still owes relays to the rest of
+/// its node — and each round's allreduce advances every clock, so in-flight
+/// batches eventually land.
+class HierExchange final : public P2pExchange {
+ public:
+  HierExchange(mpi::Comm& comm, const graph::LocalGraph& lg)
+      : P2pExchange(comm, lg), net_(comm.machine().network()) {}
+
+  void push(Rank dst, const WireMsg& rec) override {
+    const int rpn = net_.params().ranks_per_node;
+    const Rank leader = (dst / rpn) * rpn;
+    // Relay failover: a dead leader must not orphan records addressed to
+    // its node's survivors. Skip the combining and send direct — pricier,
+    // but the record arrives (or fail-fasts on a dead final destination
+    // like any NSR send would).
+    if (net_.same_node(comm_.rank(), dst) || comm_.rank_failed(leader)) {
+      direct_[dst].push_back(rec);
+    } else {
+      WireMsg relayed = rec;
+      relayed.pad = dst;  // the final destination survives the leader hop
+      relay_[leader].push_back(relayed);
+    }
+  }
+  void flush() override {
+    send(direct_, kHierDirectTag);
+    send(relay_, kHierRelayTag);
+  }
+  std::uint64_t iterations(std::uint64_t) const override { return batches_; }
+
+ private:
+  void receive(const mpi::Message& m, int tag, WireSink& sink) override {
+    Batches forward;
+    unpack(m, tag, sink, &forward);
+    send(forward, kHierDirectTag);
+  }
+
+  /// One packed Isend per destination, in rank order: ordered maps keep the
+  /// send schedule independent of staging order (determinism rule R1).
+  void send(Batches& batches, int tag) {
+    for (const auto& [dst, recs] : batches) {
+      comm_.isend(dst, tag, std::as_bytes(std::span<const WireMsg>(recs)));
+      ++batches_;
+    }
+    batches.clear();
+  }
+
+  const net::Network& net_;
+  Batches direct_;
+  Batches relay_;  // node leader => records
+};
+
+// ---------------------------------------------------------------------------
+// One-sided family. My window holds one region per neighbor, sized for two
+// records per shared ghost edge (paper Fig 1) at prefix-sum offsets; the
+// fence and partitioned variants add one cumulative-count slot per neighbor
+// behind the data regions. The variants differ only in how a round makes
+// the puts visible:
+//   kFlush       - passive target: flush_all, then a neighbor_alltoall of
+//                  the cumulative counts (RMA);
+//   kFence       - active target: counts travel as puts too and
+//                  MPI_Win_fence closes the epoch — no neighbor_alltoall in
+//                  the loop, but a global epoch per round (RMA-FENCE);
+//   kPartitioned - ordered puts, and every kRmaPartitionRecords records the
+//                  origin publishes its cumulative count (the MPI_Pready
+//                  analogue, ordered so it never overtakes its data). The
+//                  target consumes whatever has landed: no flush, fence or
+//                  count collective (RMA-PART). The allreduce that paces the
+//                  exit also advances every clock, so unlanded puts always
+//                  land in a later round.
+// ---------------------------------------------------------------------------
+
+class WindowExchange final : public WireExchange {
+ public:
+  enum class Sync { kFlush, kFence, kPartitioned };
+
+  WindowExchange(mpi::Comm& comm, const graph::LocalGraph& lg, int window_id,
+                 Sync sync)
+      : WireExchange(comm, lg),
+        win_(comm.window(window_id)),
+        sync_(sync),
+        region_base_(lg.neighbor_ranks.size(), 0),
+        written_(lg.neighbor_ranks.size(), 0),
+        seen_(lg.neighbor_ranks.size(), 0),
+        pending_(lg.neighbor_ranks.size(), 0) {
+    std::int64_t acc = 0;
+    for (std::size_t k = 0; k < region_base_.size(); ++k) {
+      region_base_[k] = acc;
+      acc += 2 * lg.ghost_counts[k];
+    }
+  }
+
+  sim::Task setup() override {
+    // Tell each neighbor where its region in my window starts; what comes
+    // back is where my region in each neighbor's window starts.
+    remote_base_ = co_await comm_.neighbor_alltoall_i64(region_base_);
+    if (sync_ == Sync::kFlush) co_return;
+    // Which count slot is mine at each neighbor, and where its count area
+    // starts (behind data regions whose size differs per rank).
+    std::vector<std::int64_t> index_of(region_base_.size());
+    std::iota(index_of.begin(), index_of.end(), std::int64_t{0});
+    slot_at_ = co_await comm_.neighbor_alltoall_i64(std::move(index_of));
+    count_base_at_ = co_await comm_.neighbor_alltoall_i64(
+        std::vector<std::int64_t>(region_base_.size(),
+                                  static_cast<std::int64_t>(count_base())));
+  }
+
+  sim::Task round(WireSink& sink) override {
+    const bool ordered = sync_ == Sync::kPartitioned;
+    for (const auto& [k, rec] : staged_) {
+      const auto at = static_cast<std::size_t>(remote_base_[k] + written_[k]);
+      const std::span<const WireMsg> one(&rec, 1);
+      if (ordered) {
+        win_.put_records_ordered<WireMsg>(lg_.neighbor_ranks[k], at, one);
+      } else {
+        win_.put_records<WireMsg>(lg_.neighbor_ranks[k], at, one);
+      }
+      ++written_[k];
+      if (ordered && ++pending_[k] >= kRmaPartitionRecords) publish(k);
+    }
+    staged_.clear();
+
+    const std::size_t deg = written_.size();
+    std::vector<std::int64_t> avail(deg, 0);
+    switch (sync_) {
+      case Sync::kFlush:
+        co_await win_.flush_all();
+        avail = co_await comm_.neighbor_alltoall_i64(written_);
+        break;
+      case Sync::kFence:
+        for (std::size_t k = 0; k < deg; ++k) publish(k);
+        co_await win_.fence();  // epoch boundary: all puts visible everywhere
+        break;
+      case Sync::kPartitioned:
+        // Close the round's partial partitions.
+        for (std::size_t k = 0; k < deg; ++k) {
+          if (pending_[k] > 0) publish(k);
+        }
+        break;
+    }
+
+    // Process: consume freshly landed records straight from the window.
+    // Counts are cumulative (and, partitioned, ordered behind their data),
+    // so every record below one is valid.
+    for (std::size_t k = 0; k < deg; ++k) {
+      if (sync_ != Sync::kFlush) {
+        avail[k] = mpi::from_bytes<std::int64_t>(win_.local().subspan(
+            count_base() + k * sizeof(std::int64_t), sizeof(std::int64_t)));
+      }
+      for (std::int64_t r = seen_[k]; r < avail[k]; ++r) {
+        const auto off =
+            static_cast<std::size_t>(region_base_[k] + r) * sizeof(WireMsg);
+        sink.deliver(mpi::from_bytes<WireMsg>(
+            win_.local().subspan(off, sizeof(WireMsg))));
+      }
+      seen_[k] = avail[k];
+    }
+  }
+
+ private:
+  /// The count slots start right behind the data regions.
+  std::size_t count_base() const { return rma_window_bytes(lg_); }
+
+  /// Put my cumulative record count for neighbor k into my slot there.
+  void publish(std::size_t k) {
+    const std::size_t slot =
+        static_cast<std::size_t>(count_base_at_[k]) +
+        static_cast<std::size_t>(slot_at_[k]) * sizeof(std::int64_t);
+    const auto count = mpi::bytes_of(written_[k]);
+    if (sync_ == Sync::kPartitioned) {
+      win_.put_ordered(lg_.neighbor_ranks[k], slot, count);
+    } else {
+      win_.put(lg_.neighbor_ranks[k], slot, count);
+    }
+    pending_[k] = 0;
+  }
+
+  mpi::Window win_;
+  Sync sync_;
+  std::vector<std::int64_t> region_base_;    // neighbor k's region in mine
+  std::vector<std::int64_t> remote_base_;    // my region in neighbor k's
+  std::vector<std::int64_t> slot_at_;        // my count slot at neighbor k
+  std::vector<std::int64_t> count_base_at_;  // neighbor k's count area
+  std::vector<std::int64_t> written_;        // records I put per neighbor
+  std::vector<std::int64_t> seen_;           // records I consumed per nbr
+  std::vector<std::int64_t> pending_;        // records since last publish
+};
+
+std::unique_ptr<WireExchange> make_exchange(Model m, mpi::Comm& comm,
+                                            const graph::LocalGraph& lg,
+                                            int window_id) {
+  using Ncl = NclExchange<WireMsg>;
+  using Sync = WindowExchange::Sync;
+  switch (m) {
+    case Model::kNsr: return std::make_unique<NsrExchange>(comm, lg, false);
+    case Model::kMbp: return std::make_unique<NsrExchange>(comm, lg, true);
+    case Model::kNsrAgg: return std::make_unique<AggExchange>(comm, lg);
+    case Model::kNsrHier: return std::make_unique<HierExchange>(comm, lg);
+    case Model::kRma:
+      return std::make_unique<WindowExchange>(comm, lg, window_id, Sync::kFlush);
+    case Model::kRmaFence:
+      return std::make_unique<WindowExchange>(comm, lg, window_id, Sync::kFence);
+    case Model::kRmaPart:
+      return std::make_unique<WindowExchange>(comm, lg, window_id,
+                                              Sync::kPartitioned);
+    case Model::kNcl: return std::make_unique<Ncl>(comm, lg, Ncl::Start::kBlocking);
+    case Model::kNclNb:
+      return std::make_unique<Ncl>(comm, lg, Ncl::Start::kNonblocking);
+    case Model::kNclPersist:
+      return std::make_unique<Ncl>(comm, lg, Ncl::Start::kPersistent);
+  }
+  throw std::invalid_argument("match_rank: unknown model");
 }
 
 }  // namespace
@@ -105,755 +468,39 @@ std::size_t rma_part_window_bytes(const graph::LocalGraph& lg) {
   return rma_fence_window_bytes(lg);
 }
 
-// ---------------------------------------------------------------------------
-// NSR / MBP
-// ---------------------------------------------------------------------------
+sim::RankTask match_rank(Model m, mpi::Comm& comm, const graph::LocalGraph& lg,
+                         const graph::Distribution& dist, int window_id,
+                         std::vector<VertexId>* mate_out,
+                         std::uint64_t* iterations_out) {
+  const std::unique_ptr<WireExchange> ex = make_exchange(m, comm, lg, window_id);
+  LocalMatcher eng(comm, lg, dist, [&ex](Rank dst, const WireMsg& msg) {
+    ex->push(dst, msg);
+  });
+  WireSink sink{[&eng](const WireMsg& msg) { eng.handle(msg); },
+                [&eng] { eng.drain_local(); }};
 
-sim::RankTask nsr_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                          const graph::Distribution& dist, bool mbp_flavor,
-                          std::vector<VertexId>* mate_out,
-                          std::uint64_t* iterations_out) {
-  LocalMatcher eng(comm, lg, dist);
-  std::uint64_t processed = 0;
-
-  auto flush_outbox = [&] {
-    for (const Outgoing& o : eng.outbox()) {
-      if (mbp_flavor) comm.compute(kMbpSendSurcharge);
-      // Communication context rides in the message tag (paper §IV-B).
-      comm.isend_pod<WireMsg>(o.dst, o.msg.ctx, o.msg);
-    }
-    eng.outbox().clear();
-  };
-
+  co_await ex->setup();
   eng.start();
-  flush_outbox();
-
-  std::uint64_t turns = 0;
-  while (eng.active_cross() > 0) {
-    bool received_any = false;
-    // Nonblocking probe loop; receive and process one message at a time
-    // (the paper's baseline does not aggregate).
-    while (auto env = comm.iprobe()) {
-      const mpi::Message m = co_await comm.recv(env->src, env->tag);
-      comm.compute(comm.machine().network().params().nsr_handling_per_msg);
-      if (mbp_flavor) comm.compute(kMbpRecvSurcharge);
-      eng.handle(mpi::from_bytes<WireMsg>(m.data));
-      eng.drain_local();
-      flush_outbox();
-      ++processed;
-      received_any = true;
-    }
-    comm.obs_iteration(++turns, eng.active_cross());
-    if (eng.active_cross() == 0) break;
-    // Nothing arrived and edges are still pending: block for progress
-    // instead of spinning on Iprobe.
-    if (!received_any) co_await comm.wait_message();
-  }
-
-  // Exit hygiene: both endpoints of a cross edge can deactivate it
-  // independently, so a peer's REJECT/INVALID may already sit in our
-  // mailbox with nothing left to decide. Consume everything visible
-  // (handle() is a no-op on dead edges) instead of abandoning it.
-  while (auto env = comm.iprobe()) {
-    const mpi::Message m = co_await comm.recv(env->src, env->tag);
-    eng.handle(mpi::from_bytes<WireMsg>(m.data));
-  }
-
-  copy_out_mates(eng, mate_out);
-  if (iterations_out != nullptr) *iterations_out = processed;
-  co_return;
-}
-
-// ---------------------------------------------------------------------------
-// NSR-AGG: Send-Recv with per-neighbor message aggregation (the paper's
-// "we do not aggregate outgoing messages" flag, implemented).
-// ---------------------------------------------------------------------------
-
-namespace {
-constexpr int kAggTag = 64;  // above the Ctx tag range
-}
-
-sim::RankTask nsr_agg_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                              const graph::Distribution& dist,
-                              std::vector<VertexId>* mate_out,
-                              std::uint64_t* iterations_out) {
-  LocalMatcher eng(comm, lg, dist);
-  const std::size_t deg = lg.neighbor_ranks.size();
-  std::vector<std::vector<WireMsg>> staged(deg);
-  std::uint64_t batches = 0;
-
-  auto flush_staged = [&] {
-    // Stage the engine outbox per neighbor, then one packed Isend each.
-    for (const Outgoing& o : eng.outbox()) {
-      const int k = lg.neighbor_index(o.dst);
-      staged[static_cast<std::size_t>(k)].push_back(o.msg);
-    }
-    eng.outbox().clear();
-    for (std::size_t k = 0; k < deg; ++k) {
-      if (staged[k].empty()) continue;
-      comm.isend(lg.neighbor_ranks[k], kAggTag,
-                 std::as_bytes(std::span<const WireMsg>(staged[k])));
-      staged[k].clear();
-      ++batches;
-    }
-  };
-
-  eng.start();
-  flush_staged();
-
-  std::uint64_t turns = 0;
-  while (eng.active_cross() > 0) {
-    bool received_any = false;
-    while (auto env = comm.iprobe()) {
-      const mpi::Message m = co_await comm.recv(env->src, env->tag);
-      const std::size_t n = mpi::record_count<WireMsg>(m.data);
-      for (std::size_t i = 0; i < n; ++i) {
-        eng.handle(mpi::nth_record<WireMsg>(m.data, i));
-      }
-      eng.drain_local();
-      received_any = true;
-    }
-    flush_staged();
-    comm.obs_iteration(++turns, eng.active_cross());
-    if (eng.active_cross() == 0) break;
-    if (!received_any) co_await comm.wait_message();
-  }
-
-  // Exit hygiene: drain late crossing batches (see nsr_matcher).
-  while (auto env = comm.iprobe()) {
-    const mpi::Message m = co_await comm.recv(env->src, env->tag);
-    const std::size_t n = mpi::record_count<WireMsg>(m.data);
-    for (std::size_t i = 0; i < n; ++i) {
-      eng.handle(mpi::nth_record<WireMsg>(m.data, i));
-    }
-  }
-
-  copy_out_mates(eng, mate_out);
-  if (iterations_out != nullptr) *iterations_out = batches;
-  co_return;
-}
-
-// ---------------------------------------------------------------------------
-// RMA
-// ---------------------------------------------------------------------------
-
-sim::RankTask rma_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                          const graph::Distribution& dist, int window_id,
-                          std::vector<VertexId>* mate_out,
-                          std::uint64_t* iterations_out) {
-  LocalMatcher eng(comm, lg, dist);
-  mpi::Window win = comm.window(window_id);
-  const std::size_t deg = lg.neighbor_ranks.size();
-
-  // Region layout of MY window: neighbor k's region starts at
-  // prefix-sum(2 * ghost_counts) records (paper Fig 1).
-  std::vector<std::int64_t> my_region_base(deg, 0);
-  {
-    std::int64_t acc = 0;
-    for (std::size_t k = 0; k < deg; ++k) {
-      my_region_base[k] = acc;
-      acc += 2 * lg.ghost_counts[k];
-    }
-  }
-  // Tell each neighbor where its region in my window starts; what I get
-  // back is where my region in each neighbor's window starts.
-  std::vector<std::int64_t> remote_base =
-      co_await comm.neighbor_alltoall_i64(my_region_base);
-
-  std::vector<std::int64_t> written(deg, 0);  // records I put per neighbor
-  std::vector<std::int64_t> seen(deg, 0);     // records I consumed per nbr
-  std::uint64_t rounds = 0;
-
-  eng.start();
-
-  for (;;) {
-    ++rounds;
-    // Push: one-sided put per staged message, at the precomputed
-    // displacement.
-    for (const Outgoing& o : eng.outbox()) {
-      const int k = lg.neighbor_index(o.dst);
-      if (k < 0) throw std::logic_error("rma_matcher: message to non-neighbor");
-      const std::size_t record =
-          static_cast<std::size_t>(remote_base[k] + written[k]);
-      win.put_records<WireMsg>(o.dst, record,
-                               std::span<const WireMsg>(&o.msg, 1));
-      ++written[k];
-    }
-    eng.outbox().clear();
-
-    // Evoke: complete outstanding puts, then swap cumulative counts so
-    // each rank knows how much of its window is valid.
-    co_await win.flush_all();
-    const std::vector<std::int64_t> avail =
-        co_await comm.neighbor_alltoall_i64(written);
-
-    // Process: consume freshly landed records straight from the window.
-    for (std::size_t k = 0; k < deg; ++k) {
-      for (std::int64_t r = seen[k]; r < avail[k]; ++r) {
-        const std::size_t byte_off =
-            static_cast<std::size_t>(my_region_base[k] + r) * sizeof(WireMsg);
-        const WireMsg msg = mpi::from_bytes<WireMsg>(
-            win.local().subspan(byte_off, sizeof(WireMsg)));
-        eng.handle(msg);
-      }
-      seen[k] = avail[k];
-    }
+  ex->flush();
+  std::uint64_t iter = 1;
+  for (; !ex->local_exit() || eng.active_cross() > 0; ++iter) {
+    co_await ex->round(sink);
     eng.drain_local();
-
-    // Exit needs a global reduction (paper §V-D): a rank with no active
-    // edges may still owe answers that only exist as other ranks' state.
-    const std::int64_t remaining = co_await comm.allreduce_sum(eng.active_cross());
-    comm.obs_iteration(rounds, remaining);
+    ex->flush();
+    // Exit needs a global reduction (paper §V-D) unless the model exits on
+    // its local count: a rank with no active edges may still owe answers
+    // that only exist as other ranks' state (or, on NSR-HIER, relays).
+    std::int64_t remaining = eng.active_cross();
+    if (!ex->local_exit()) remaining = co_await comm.allreduce_sum(remaining);
+    comm.obs_iteration(iter, remaining);
     if (remaining == 0) break;
   }
+  co_await ex->drain(sink);
 
-  copy_out_mates(eng, mate_out);
-  if (iterations_out != nullptr) *iterations_out = rounds;
-  co_return;
-}
-
-// ---------------------------------------------------------------------------
-// RMA-FENCE: active-target one-sided epochs. Both the data records and the
-// cumulative per-neighbor counts travel as puts; an MPI_Win_fence closes
-// the epoch, so no neighbor_alltoall is needed inside the loop — at the
-// price of a global epoch per iteration (the restrictiveness the paper
-// cites for preferring passive target).
-// ---------------------------------------------------------------------------
-
-sim::RankTask rma_fence_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                                const graph::Distribution& dist, int window_id,
-                                std::vector<VertexId>* mate_out,
-                                std::uint64_t* iterations_out) {
-  LocalMatcher eng(comm, lg, dist);
-  mpi::Window win = comm.window(window_id);
-  const std::size_t deg = lg.neighbor_ranks.size();
-
-  // Window layout: data regions as in the passive-target variant, then
-  // one cumulative-count slot (int64) per neighbor at the tail.
-  std::vector<std::int64_t> my_region_base(deg, 0);
-  {
-    std::int64_t acc = 0;
-    for (std::size_t k = 0; k < deg; ++k) {
-      my_region_base[k] = acc;
-      acc += 2 * lg.ghost_counts[k];
-    }
+  if (mate_out != nullptr) {
+    mate_out->assign(eng.mates().begin(), eng.mates().end());
   }
-  const std::size_t counts_base =
-      2 * static_cast<std::size_t>(lg.total_ghost_edges) * sizeof(WireMsg);
-
-  // Setup exchanges (still collective, but one-time): where my data region
-  // starts in each neighbor's window, and which count slot is mine there.
-  const std::vector<std::int64_t> remote_base =
-      co_await comm.neighbor_alltoall_i64(my_region_base);
-  std::vector<std::int64_t> my_index_of(deg);
-  for (std::size_t k = 0; k < deg; ++k) {
-    my_index_of[k] = static_cast<std::int64_t>(k);
-  }
-  const std::vector<std::int64_t> my_slot_at =
-      co_await comm.neighbor_alltoall_i64(my_index_of);
-  // The count-slot area starts after the data regions, whose size differs
-  // per rank: learn each neighbor's counts base.
-  const std::vector<std::int64_t> nbr_counts_base =
-      co_await comm.neighbor_alltoall_i64(std::vector<std::int64_t>(
-          deg, static_cast<std::int64_t>(counts_base)));
-
-  std::vector<std::int64_t> written(deg, 0);
-  std::vector<std::int64_t> seen(deg, 0);
-  std::uint64_t rounds = 0;
-
-  eng.start();
-
-  for (;;) {
-    ++rounds;
-    for (const Outgoing& o : eng.outbox()) {
-      const int k = lg.neighbor_index(o.dst);
-      if (k < 0) {
-        throw std::logic_error("rma_fence_matcher: message to non-neighbor");
-      }
-      const std::size_t record =
-          static_cast<std::size_t>(remote_base[k] + written[k]);
-      win.put_records<WireMsg>(o.dst, record,
-                               std::span<const WireMsg>(&o.msg, 1));
-      ++written[k];
-    }
-    eng.outbox().clear();
-    // Publish cumulative counts into each neighbor's count slot.
-    for (std::size_t k = 0; k < deg; ++k) {
-      const std::size_t slot =
-          static_cast<std::size_t>(nbr_counts_base[k]) +
-          static_cast<std::size_t>(my_slot_at[k]) * sizeof(std::int64_t);
-      win.put(lg.neighbor_ranks[k], slot, mpi::bytes_of(written[k]));
-    }
-
-    co_await win.fence();  // epoch boundary: all puts visible everywhere
-
-    for (std::size_t k = 0; k < deg; ++k) {
-      const std::size_t slot = counts_base + k * sizeof(std::int64_t);
-      const auto avail = mpi::from_bytes<std::int64_t>(
-          win.local().subspan(slot, sizeof(std::int64_t)));
-      for (std::int64_t r = seen[k]; r < avail; ++r) {
-        const std::size_t byte_off =
-            static_cast<std::size_t>(my_region_base[k] + r) * sizeof(WireMsg);
-        eng.handle(mpi::from_bytes<WireMsg>(
-            win.local().subspan(byte_off, sizeof(WireMsg))));
-      }
-      seen[k] = avail;
-    }
-    eng.drain_local();
-
-    const std::int64_t remaining =
-        co_await comm.allreduce_sum(eng.active_cross());
-    comm.obs_iteration(rounds, remaining);
-    if (remaining == 0) break;
-  }
-
-  copy_out_mates(eng, mate_out);
-  if (iterations_out != nullptr) *iterations_out = rounds;
-  co_return;
-}
-
-// ---------------------------------------------------------------------------
-// NCL
-// ---------------------------------------------------------------------------
-
-sim::RankTask ncl_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                          const graph::Distribution& dist,
-                          std::vector<VertexId>* mate_out,
-                          std::uint64_t* iterations_out) {
-  LocalMatcher eng(comm, lg, dist);
-  const std::size_t deg = lg.neighbor_ranks.size();
-  std::uint64_t rounds = 0;
-
-  eng.start();
-
-  for (;;) {
-    ++rounds;
-    // Push: aggregate staged messages into per-neighbor pooled send
-    // buffers. The outbox is already materialized, so two passes (size,
-    // then fill) write each slice exactly once into its pooled block —
-    // the slice's single end-to-end copy; receivers alias it by refcount.
-    std::vector<std::size_t> fill(deg, 0);
-    std::vector<std::int64_t> counts(deg, 0);
-    for (const Outgoing& o : eng.outbox()) {
-      const int k = lg.neighbor_index(o.dst);
-      if (k < 0) throw std::logic_error("ncl_matcher: message to non-neighbor");
-      fill[static_cast<std::size_t>(k)] += sizeof(WireMsg);
-      ++counts[k];
-    }
-    std::vector<util::Buffer> slices(deg);
-    for (std::size_t k = 0; k < deg; ++k) {
-      slices[k] = util::Buffer::alloc(fill[k]);
-      fill[k] = 0;
-    }
-    for (const Outgoing& o : eng.outbox()) {
-      const auto k = static_cast<std::size_t>(lg.neighbor_index(o.dst));
-      std::memcpy(slices[k].mutable_data() + fill[k], &o.msg, sizeof(WireMsg));
-      fill[k] += sizeof(WireMsg);
-    }
-    eng.outbox().clear();
-
-    // Evoke: fixed-size count exchange so receivers can size buffers, then
-    // the variable-size payload exchange.
-    (void)co_await comm.neighbor_alltoall_i64(counts);
-    const std::vector<util::Buffer> incoming =
-        co_await comm.neighbor_alltoallv(std::move(slices));
-
-    // Process: drain the receive buffer.
-    for (const auto& slice : incoming) {
-      const std::size_t n = mpi::record_count<WireMsg>(slice);
-      for (std::size_t i = 0; i < n; ++i) {
-        eng.handle(mpi::nth_record<WireMsg>(slice, i));
-      }
-    }
-    eng.drain_local();
-
-    const std::int64_t remaining = co_await comm.allreduce_sum(eng.active_cross());
-    comm.obs_iteration(rounds, remaining);
-    if (remaining == 0) break;
-  }
-
-  copy_out_mates(eng, mate_out);
-  if (iterations_out != nullptr) *iterations_out = rounds;
-  co_return;
-}
-
-// ---------------------------------------------------------------------------
-// NCL-NB: split-phase (nonblocking) neighborhood collective per round. The
-// payload sizes ride with the alltoallv itself, so the per-round
-// fixed-size count exchange disappears; the wait point is the only
-// synchronization with the neighborhood.
-// ---------------------------------------------------------------------------
-
-sim::RankTask ncl_nb_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                             const graph::Distribution& dist,
-                             std::vector<VertexId>* mate_out,
-                             std::uint64_t* iterations_out) {
-  LocalMatcher eng(comm, lg, dist);
-  const std::size_t deg = lg.neighbor_ranks.size();
-  std::uint64_t rounds = 0;
-
-  eng.start();
-
-  for (;;) {
-    ++rounds;
-    // Same two-pass pooled-slice fill as the blocking NCL backend.
-    std::vector<std::size_t> fill(deg, 0);
-    for (const Outgoing& o : eng.outbox()) {
-      const int k = lg.neighbor_index(o.dst);
-      if (k < 0) throw std::logic_error("ncl_nb_matcher: message to non-neighbor");
-      fill[static_cast<std::size_t>(k)] += sizeof(WireMsg);
-    }
-    std::vector<util::Buffer> slices(deg);
-    for (std::size_t k = 0; k < deg; ++k) {
-      slices[k] = util::Buffer::alloc(fill[k]);
-      fill[k] = 0;
-    }
-    for (const Outgoing& o : eng.outbox()) {
-      const auto k = static_cast<std::size_t>(lg.neighbor_index(o.dst));
-      std::memcpy(slices[k].mutable_data() + fill[k], &o.msg, sizeof(WireMsg));
-      fill[k] += sizeof(WireMsg);
-    }
-    eng.outbox().clear();
-
-    mpi::NeighborRequest req;
-    comm.ineighbor_alltoallv(std::move(slices), req);
-    // Overlap window: local queues are already drained here, but a real
-    // application would fold independent work in before the wait.
-    co_await comm.ineighbor_wait(req);
-
-    for (const auto& slice : req.recv) {
-      const std::size_t n = mpi::record_count<WireMsg>(slice);
-      for (std::size_t i = 0; i < n; ++i) {
-        eng.handle(mpi::nth_record<WireMsg>(slice, i));
-      }
-    }
-    eng.drain_local();
-
-    const std::int64_t remaining =
-        co_await comm.allreduce_sum(eng.active_cross());
-    comm.obs_iteration(rounds, remaining);
-    if (remaining == 0) break;
-  }
-
-  copy_out_mates(eng, mate_out);
-  if (iterations_out != nullptr) *iterations_out = rounds;
-  co_return;
-}
-
-// ---------------------------------------------------------------------------
-// NSR-HIER: two-level (node-aware) Send-Recv. Records for ranks on a remote
-// node are combined into one batch addressed to that node's leader rank,
-// which relays each record over the cheap intra-node links. The expensive
-// inter-node hop carries one header per (source rank, destination node)
-// instead of one per (source rank, destination rank); record payload bytes
-// are unchanged because the final destination rides in the otherwise-unused
-// WireMsg::pad field. Exit must be global: a leader whose own edges are all
-// decided still owes relays to the rest of its node, so the loop is paced
-// by an allreduce of the active ghost-edge count (each round also advances
-// every clock, which guarantees in-flight batches eventually land).
-// ---------------------------------------------------------------------------
-
-namespace {
-constexpr int kHierDirectTag = 65;  // final hop: every record is for the receiver
-constexpr int kHierRelayTag = 66;   // combined batch: pad carries the final rank
-}
-
-sim::RankTask nsr_hier_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                               const graph::Distribution& dist,
-                               std::vector<VertexId>* mate_out,
-                               std::uint64_t* iterations_out) {
-  LocalMatcher eng(comm, lg, dist);
-  const net::Network& net = comm.machine().network();
-  const int rpn = net.params().ranks_per_node;
-  const mpi::Rank me = comm.rank();
-  const auto leader_of = [rpn](mpi::Rank r) { return (r / rpn) * rpn; };
-  std::uint64_t batches = 0;
-
-  auto flush_staged = [&] {
-    // Ordered maps keep the send schedule independent of staging order
-    // (determinism rule R1: no unordered containers on the hot path).
-    std::map<mpi::Rank, std::vector<WireMsg>> direct;  // same-node batches
-    std::map<mpi::Rank, std::vector<WireMsg>> relay;   // leader => records
-    for (const Outgoing& o : eng.outbox()) {
-      if (net.same_node(me, o.dst)) {
-        direct[o.dst].push_back(o.msg);
-      } else if (comm.rank_failed(leader_of(o.dst))) {
-        // Relay failover: a dead leader must not orphan records addressed
-        // to its node's survivors. Skip the combining and send direct —
-        // pricier, but the record arrives (or fail-fasts on a dead final
-        // destination like any NSR send would).
-        direct[o.dst].push_back(o.msg);
-      } else {
-        WireMsg rec = o.msg;
-        rec.pad = o.dst;  // final destination survives the leader hop
-        relay[leader_of(o.dst)].push_back(rec);
-      }
-    }
-    eng.outbox().clear();
-    for (const auto& [dst, recs] : direct) {
-      comm.isend(dst, kHierDirectTag,
-                 std::as_bytes(std::span<const WireMsg>(recs)));
-      ++batches;
-    }
-    for (const auto& [ldr, recs] : relay) {
-      comm.isend(ldr, kHierRelayTag,
-                 std::as_bytes(std::span<const WireMsg>(recs)));
-      ++batches;
-    }
-  };
-
-  // Unpack one incoming batch: records addressed to me are handled, the
-  // rest (possible only on a relay-tagged batch into a leader) are grouped
-  // per final destination and forwarded intra-node.
-  auto process_batch = [&](const mpi::Message& m, int tag) {
-    std::map<mpi::Rank, std::vector<WireMsg>> forward;
-    const std::size_t n = mpi::record_count<WireMsg>(m.data);
-    for (std::size_t i = 0; i < n; ++i) {
-      WireMsg rec = mpi::nth_record<WireMsg>(m.data, i);
-      if (tag == kHierRelayTag && rec.pad != me) {
-        const mpi::Rank fdst = rec.pad;
-        rec.pad = 0;
-        forward[fdst].push_back(rec);
-      } else {
-        rec.pad = 0;
-        eng.handle(rec);
-      }
-    }
-    for (const auto& [fdst, recs] : forward) {
-      comm.isend(fdst, kHierDirectTag,
-                 std::as_bytes(std::span<const WireMsg>(recs)));
-      ++batches;
-    }
-  };
-
-  eng.start();
-  flush_staged();
-
-  std::uint64_t rounds = 0;
-  for (;;) {
-    ++rounds;
-    // Drain everything visible before flushing once: staging across the
-    // whole turn is what concentrates a turn's records into one batch per
-    // destination (and per remote *node*) — flushing per message would
-    // shred the combining this backend exists for.
-    while (auto env = comm.iprobe()) {
-      const mpi::Message m = co_await comm.recv(env->src, env->tag);
-      process_batch(m, env->tag);
-    }
-    eng.drain_local();
-    flush_staged();
-    // Global exit (unlike plain NSR's local one): leaders must stay in the
-    // loop to relay even after their own edges are decided. No
-    // wait_message here — every rank has to reach the allreduce or a rank
-    // with an empty mailbox would deadlock the others.
-    const std::int64_t remaining =
-        co_await comm.allreduce_sum(eng.active_cross());
-    comm.obs_iteration(rounds, remaining);
-    if (remaining == 0) break;
-  }
-
-  // Exit hygiene: consume what is visible. Own records are handled (no-ops
-  // on dead edges); relayed records for other ranks are dropped — at global
-  // active == 0 an in-flight REQUEST is impossible (it would keep its
-  // sender's count positive), so anything still travelling is a dead
-  // REJECT/INVALID nobody needs.
-  while (auto env = comm.iprobe()) {
-    const mpi::Message m = co_await comm.recv(env->src, env->tag);
-    const std::size_t n = mpi::record_count<WireMsg>(m.data);
-    for (std::size_t i = 0; i < n; ++i) {
-      WireMsg rec = mpi::nth_record<WireMsg>(m.data, i);
-      if (env->tag == kHierRelayTag && rec.pad != me) continue;
-      rec.pad = 0;
-      eng.handle(rec);
-    }
-  }
-
-  copy_out_mates(eng, mate_out);
-  if (iterations_out != nullptr) *iterations_out = batches;
-  co_return;
-}
-
-// ---------------------------------------------------------------------------
-// NCL-PERSIST: persistent neighborhood alltoallv. The exchange schedule
-// (validated topology, peer list, matching state) is built once by the init
-// call — which pays the full collective entry — and every round is a cheap
-// Start/Wait pair charged o_coll_persistent_start. Wire slices are still
-// per-round pooled allocations: receivers alias a sender's slice by
-// refcount until their (later) fill event reads it, so a persistent send
-// slab reused across rounds could be overwritten before a slow neighbor
-// consumed the previous round (see machine.cpp). The pool recycles the
-// slabs, so the steady-state allocation cost is a free-list pop.
-// ---------------------------------------------------------------------------
-
-sim::RankTask ncl_persist_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                                  const graph::Distribution& dist,
-                                  std::vector<VertexId>* mate_out,
-                                  std::uint64_t* iterations_out) {
-  LocalMatcher eng(comm, lg, dist);
-  const std::size_t deg = lg.neighbor_ranks.size();
-  std::uint64_t rounds = 0;
-
-  mpi::PersistentNeighborRequest req;
-  comm.neighbor_alltoallv_init(req);
-  std::vector<std::size_t> fill(deg, 0);  // reused across rounds
-
-  eng.start();
-
-  for (;;) {
-    ++rounds;
-    // Same two-pass pooled-slice fill as the other NCL variants.
-    std::fill(fill.begin(), fill.end(), std::size_t{0});
-    for (const Outgoing& o : eng.outbox()) {
-      const int k = lg.neighbor_index(o.dst);
-      if (k < 0) {
-        throw std::logic_error("ncl_persist_matcher: message to non-neighbor");
-      }
-      fill[static_cast<std::size_t>(k)] += sizeof(WireMsg);
-    }
-    std::vector<util::Buffer> slices(deg);
-    for (std::size_t k = 0; k < deg; ++k) {
-      slices[k] = util::Buffer::alloc(fill[k]);
-      fill[k] = 0;
-    }
-    for (const Outgoing& o : eng.outbox()) {
-      const auto k = static_cast<std::size_t>(lg.neighbor_index(o.dst));
-      std::memcpy(slices[k].mutable_data() + fill[k], &o.msg, sizeof(WireMsg));
-      fill[k] += sizeof(WireMsg);
-    }
-    eng.outbox().clear();
-
-    comm.neighbor_alltoallv_start(req, std::move(slices));
-    co_await comm.neighbor_alltoallv_wait(req);
-
-    for (const auto& slice : req.recv) {
-      const std::size_t n = mpi::record_count<WireMsg>(slice);
-      for (std::size_t i = 0; i < n; ++i) {
-        eng.handle(mpi::nth_record<WireMsg>(slice, i));
-      }
-    }
-    eng.drain_local();
-
-    const std::int64_t remaining =
-        co_await comm.allreduce_sum(eng.active_cross());
-    comm.obs_iteration(rounds, remaining);
-    if (remaining == 0) break;
-  }
-
-  copy_out_mates(eng, mate_out);
-  if (iterations_out != nullptr) *iterations_out = rounds;
-  co_return;
-}
-
-// ---------------------------------------------------------------------------
-// RMA-PART: partitioned puts (MPI_Psend_init / MPI_Pready flavored) over the
-// fence-style window layout. Records stream into the target's region with
-// *ordered* puts; every kRmaPartitionRecords records the origin publishes
-// its cumulative record count into its count slot at the target — the
-// Pready analogue — again ordered, so the count can never overtake the data
-// it covers. The target simply reads its local count slots and consumes up
-// to what has landed: no flush, no fence, no per-round count collective.
-// Partitions published early in a round are consumable while later ones are
-// still in flight; the allreduce that paces the exit also advances every
-// clock, so unlanded puts always land in a later round.
-// ---------------------------------------------------------------------------
-
-sim::RankTask rma_part_matcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                               const graph::Distribution& dist, int window_id,
-                               std::vector<VertexId>* mate_out,
-                               std::uint64_t* iterations_out) {
-  LocalMatcher eng(comm, lg, dist);
-  mpi::Window win = comm.window(window_id);
-  const std::size_t deg = lg.neighbor_ranks.size();
-
-  // Window layout and one-time setup exchanges exactly as the fence
-  // variant: data regions in front, one count slot per neighbor behind.
-  std::vector<std::int64_t> my_region_base(deg, 0);
-  {
-    std::int64_t acc = 0;
-    for (std::size_t k = 0; k < deg; ++k) {
-      my_region_base[k] = acc;
-      acc += 2 * lg.ghost_counts[k];
-    }
-  }
-  const std::size_t counts_base =
-      2 * static_cast<std::size_t>(lg.total_ghost_edges) * sizeof(WireMsg);
-
-  const std::vector<std::int64_t> remote_base =
-      co_await comm.neighbor_alltoall_i64(my_region_base);
-  std::vector<std::int64_t> my_index_of(deg);
-  for (std::size_t k = 0; k < deg; ++k) {
-    my_index_of[k] = static_cast<std::int64_t>(k);
-  }
-  const std::vector<std::int64_t> my_slot_at =
-      co_await comm.neighbor_alltoall_i64(my_index_of);
-  const std::vector<std::int64_t> nbr_counts_base =
-      co_await comm.neighbor_alltoall_i64(std::vector<std::int64_t>(
-          deg, static_cast<std::int64_t>(counts_base)));
-
-  std::vector<std::int64_t> written(deg, 0);
-  std::vector<std::int64_t> seen(deg, 0);
-  std::vector<std::int64_t> pending(deg, 0);  // records since last publish
-  std::uint64_t rounds = 0;
-
-  const auto publish = [&](std::size_t k) {
-    const std::size_t slot =
-        static_cast<std::size_t>(nbr_counts_base[k]) +
-        static_cast<std::size_t>(my_slot_at[k]) * sizeof(std::int64_t);
-    win.put_ordered(lg.neighbor_ranks[k], slot, mpi::bytes_of(written[k]));
-    pending[k] = 0;
-  };
-
-  eng.start();
-
-  for (;;) {
-    ++rounds;
-    for (const Outgoing& o : eng.outbox()) {
-      const int k = lg.neighbor_index(o.dst);
-      if (k < 0) {
-        throw std::logic_error("rma_part_matcher: message to non-neighbor");
-      }
-      const auto ku = static_cast<std::size_t>(k);
-      const std::size_t record =
-          static_cast<std::size_t>(remote_base[ku] + written[ku]);
-      win.put_records_ordered<WireMsg>(o.dst, record,
-                                       std::span<const WireMsg>(&o.msg, 1));
-      ++written[ku];
-      if (++pending[ku] >= static_cast<std::int64_t>(kRmaPartitionRecords)) {
-        publish(ku);  // partition boundary: mark everything so far ready
-      }
-    }
-    eng.outbox().clear();
-    // Close the round's partial partitions.
-    for (std::size_t k = 0; k < deg; ++k) {
-      if (pending[k] > 0) publish(k);
-    }
-
-    // Consume whatever partitions have landed locally. Counts are
-    // cumulative and ordered behind their data, so `avail` records are
-    // always valid bytes.
-    for (std::size_t k = 0; k < deg; ++k) {
-      const std::size_t slot = counts_base + k * sizeof(std::int64_t);
-      const auto avail = mpi::from_bytes<std::int64_t>(
-          win.local().subspan(slot, sizeof(std::int64_t)));
-      for (std::int64_t r = seen[k]; r < avail; ++r) {
-        const std::size_t byte_off =
-            static_cast<std::size_t>(my_region_base[k] + r) * sizeof(WireMsg);
-        eng.handle(mpi::from_bytes<WireMsg>(
-            win.local().subspan(byte_off, sizeof(WireMsg))));
-      }
-      seen[k] = avail;
-    }
-    eng.drain_local();
-
-    const std::int64_t remaining =
-        co_await comm.allreduce_sum(eng.active_cross());
-    comm.obs_iteration(rounds, remaining);
-    if (remaining == 0) break;
-  }
-
-  copy_out_mates(eng, mate_out);
-  if (iterations_out != nullptr) *iterations_out = rounds;
-  co_return;
+  if (iterations_out != nullptr) *iterations_out = ex->iterations(iter);
 }
 
 }  // namespace mel::match

@@ -39,37 +39,14 @@ struct Attempt {
 
 Attempt run_once(const graph::DistGraph& dg, Model model,
                  const RunConfig& cfg) {
-  cfg.ft.validate();
   const int p = dg.nranks();
   Attempt a;
   a.ckpt.state.resize(p);
   a.mates.resize(p);
 
-  sim::Simulator simulator(p);
-  simulator.set_threads(cfg.threads);
-  simulator.set_horizon(cfg.watchdog_horizon);
-  mpi::Machine machine(simulator, net::Network(p, cfg.net));
-  machine.set_audit(cfg.audit);
-  const auto& chaos = cfg.net.chaos;
-  if (cfg.ft.enabled || chaos.wire_faults() || !chaos.crashes.empty()) {
-    // Wire faults destroy messages and crashes strand them: both need the
-    // reliable ack/retransmit transport below the MPI layer.
-    ft::Params fp = cfg.ft;
-    fp.enabled = true;
-    machine.enable_ft(fp);
-  }
-
-  // Distributed-graph process topology from the ghost structure; the
-  // machine validates symmetry before the first neighborhood collective.
-  for (Rank r = 0; r < p; ++r) {
-    machine.set_topology(r, dg.local(r).neighbor_ranks);
-  }
-  if (cfg.tracer != nullptr) {
-    machine.set_tracer(cfg.tracer);
-    if (cfg.sample_interval_ns > 0) {
-      machine.enable_sampling(cfg.sample_interval_ns);
-    }
-  }
+  Job job(dg, cfg);
+  sim::Simulator& simulator = job.simulator;
+  mpi::Machine& machine = job.machine;
 
   // RMA window allocation (host side, like MPI_Win_allocate at startup).
   int window_id = -1;
@@ -94,50 +71,9 @@ Attempt run_once(const graph::DistGraph& dg, Model model,
 
   std::vector<std::uint64_t> iterations(p, 0);
   for (Rank r = 0; r < p; ++r) {
-    mpi::Comm& comm = machine.comm(r);
-    const graph::LocalGraph& lg = dg.local(r);
-    switch (model) {
-      case Model::kNsr:
-        simulator.spawn(r, nsr_matcher(comm, lg, dg.dist(), false, &a.mates[r],
-                                       &iterations[r]));
-        break;
-      case Model::kMbp:
-        simulator.spawn(r, nsr_matcher(comm, lg, dg.dist(), true, &a.mates[r],
-                                       &iterations[r]));
-        break;
-      case Model::kRma:
-        simulator.spawn(r, rma_matcher(comm, lg, dg.dist(), window_id,
-                                       &a.mates[r], &iterations[r]));
-        break;
-      case Model::kNcl:
-        simulator.spawn(
-            r, ncl_matcher(comm, lg, dg.dist(), &a.mates[r], &iterations[r]));
-        break;
-      case Model::kNsrAgg:
-        simulator.spawn(r, nsr_agg_matcher(comm, lg, dg.dist(), &a.mates[r],
-                                           &iterations[r]));
-        break;
-      case Model::kRmaFence:
-        simulator.spawn(r, rma_fence_matcher(comm, lg, dg.dist(), window_id,
-                                             &a.mates[r], &iterations[r]));
-        break;
-      case Model::kNclNb:
-        simulator.spawn(
-            r, ncl_nb_matcher(comm, lg, dg.dist(), &a.mates[r], &iterations[r]));
-        break;
-      case Model::kNsrHier:
-        simulator.spawn(r, nsr_hier_matcher(comm, lg, dg.dist(), &a.mates[r],
-                                            &iterations[r]));
-        break;
-      case Model::kNclPersist:
-        simulator.spawn(r, ncl_persist_matcher(comm, lg, dg.dist(), &a.mates[r],
-                                               &iterations[r]));
-        break;
-      case Model::kRmaPart:
-        simulator.spawn(r, rma_part_matcher(comm, lg, dg.dist(), window_id,
-                                            &a.mates[r], &iterations[r]));
-        break;
-    }
+    simulator.spawn(r, match_rank(model, machine.comm(r), dg.local(r),
+                                  dg.dist(), window_id, &a.mates[r],
+                                  &iterations[r]));
   }
 
   if (cfg.ft.checkpoint_ns > 0) {
@@ -238,7 +174,39 @@ Attempt run_once(const graph::DistGraph& dg, Model model,
   return a;
 }
 
+sim::Simulator& configured(sim::Simulator& simulator, const RunConfig& cfg) {
+  simulator.set_threads(cfg.threads);
+  simulator.set_horizon(cfg.watchdog_horizon);
+  return simulator;
+}
+
 }  // namespace
+
+Job::Job(const graph::DistGraph& dg, const RunConfig& cfg)
+    : simulator(dg.nranks()),
+      machine(configured(simulator, cfg), net::Network(dg.nranks(), cfg.net)) {
+  cfg.ft.validate();
+  machine.set_audit(cfg.audit);
+  const auto& chaos = cfg.net.chaos;
+  if (cfg.ft.enabled || chaos.wire_faults() || !chaos.crashes.empty()) {
+    // Wire faults destroy messages and crashes strand them: both need the
+    // reliable ack/retransmit transport below the MPI layer.
+    ft::Params fp = cfg.ft;
+    fp.enabled = true;
+    machine.enable_ft(fp);
+  }
+  // Distributed-graph process topology from the ghost structure; the
+  // machine validates symmetry before the first neighborhood collective.
+  for (Rank r = 0; r < dg.nranks(); ++r) {
+    machine.set_topology(r, dg.local(r).neighbor_ranks);
+  }
+  if (cfg.tracer != nullptr) {
+    machine.set_tracer(cfg.tracer);
+    if (cfg.sample_interval_ns > 0) {
+      machine.enable_sampling(cfg.sample_interval_ns);
+    }
+  }
+}
 
 RunResult run_match(const graph::DistGraph& dg, Model model,
                     const RunConfig& cfg) {

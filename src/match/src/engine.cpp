@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace mel::match {
 
 LocalMatcher::LocalMatcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                           const graph::Distribution& dist)
-    : comm_(comm), lg_(lg), dist_(dist) {
+                           const graph::Distribution& dist, Push push)
+    : comm_(comm), lg_(lg), dist_(dist), push_(std::move(push)) {
   const VertexId n = lg.nlocal();
   sorted_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
   sorted_adj_.reserve(lg.adj.size());
@@ -66,9 +67,8 @@ bool LocalMatcher::deactivate(EdgeId orig_index) {
 }
 
 void LocalMatcher::push(Ctx ctx, VertexId target, VertexId source) {
-  outbox_.push_back(
-      Outgoing{dist_.owner(target),
-               WireMsg{target, source, static_cast<std::int32_t>(ctx), 0}});
+  push_(dist_.owner(target),
+        WireMsg{target, source, static_cast<std::int32_t>(ctx), 0});
 }
 
 void LocalMatcher::match_pair_local(VertexId x, VertexId y) {

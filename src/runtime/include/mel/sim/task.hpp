@@ -1,4 +1,5 @@
-// Coroutine task type for simulated rank main procedures.
+// Coroutine task types: RankTask for simulated rank main procedures, Task
+// for nested coroutines they await.
 //
 // A RankTask is the top-level coroutine of one simulated MPI rank. It is
 // eagerly created but lazily started (initial_suspend = suspend_always); the
@@ -68,6 +69,59 @@ class RankTask {
       handle_ = nullptr;
     }
   }
+  std::coroutine_handle<promise_type> handle_;
+};
+
+/// A nested coroutine that a RankTask (or another Task) co_awaits, so a
+/// multi-step communication pattern can live in a function of its own.
+/// It starts when awaited, resumes its awaiter by symmetric transfer when
+/// it finishes, and rethrows there whatever it threw. The awaiting frame
+/// owns it: a rank frozen inside one (a crashed rank) keeps the nested
+/// frame alive until the rank's own frame is destroyed.
+class [[nodiscard]] Task {
+ public:
+  struct promise_type {
+    Task get_return_object() {
+      return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+
+    struct FinalAwaiter {
+      bool await_ready() noexcept { return false; }
+      std::coroutine_handle<> await_suspend(
+          std::coroutine_handle<promise_type> h) noexcept {
+        return h.promise().awaiter;
+      }
+      void await_resume() noexcept {}
+    };
+    FinalAwaiter final_suspend() noexcept { return {}; }
+
+    void return_void() noexcept {}
+    void unhandled_exception() noexcept { error = std::current_exception(); }
+
+    std::coroutine_handle<> awaiter;
+    std::exception_ptr error;
+  };
+
+  explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
+  Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, nullptr)) {}
+  Task& operator=(Task&&) = delete;
+  Task(const Task&) = delete;
+  Task& operator=(const Task&) = delete;
+  ~Task() {
+    if (handle_) handle_.destroy();
+  }
+
+  bool await_ready() const noexcept { return false; }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiter) noexcept {
+    handle_.promise().awaiter = awaiter;
+    return handle_;
+  }
+  void await_resume() const {
+    if (handle_.promise().error) std::rethrow_exception(handle_.promise().error);
+  }
+
+ private:
   std::coroutine_handle<promise_type> handle_;
 };
 

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "mel/gen/generators.hpp"
+#include "mel/obs/recorder.hpp"
 
 namespace mel::bfs {
 namespace {
@@ -74,6 +75,39 @@ TEST(Bfs, RejectsUnsupportedModel) {
   EXPECT_THROW(run_bfs(g, 2, 0, Model::kRma), std::invalid_argument);
 }
 
+TEST(Bfs, RejectsCrashSchedules) {
+  match::RunConfig cfg;
+  cfg.net.chaos.crashes.push_back({1, 1000});
+  EXPECT_THROW(run_bfs(gen::path(10), 2, 0, Model::kNsr, cfg),
+               std::invalid_argument);
+}
+
+TEST(Bfs, LossyWireRunsOnTheReliableTransport) {
+  const auto g = gen::rmat(9, 8, 4);
+  match::RunConfig cfg;
+  cfg.net.chaos.loss = 0.05;
+  cfg.net.chaos.duplication = 0.02;
+  for (const Model m : {Model::kNsr, Model::kNcl}) {
+    const auto run = run_bfs(g, 8, 0, m, cfg);
+    EXPECT_EQ(run.dist, serial_bfs(g, 0)) << match::model_name(m);
+    EXPECT_GT(run.totals.retransmits, 0u) << match::model_name(m);
+  }
+}
+
+TEST(Bfs, TracingRecordsTheRunWithoutChangingIt) {
+  const auto g = gen::rmat(8, 8, 1);
+  obs::Recorder rec;
+  match::RunConfig cfg;
+  cfg.tracer = &rec;
+  const auto traced = run_bfs(g, 8, 0, Model::kNsr, cfg);
+  const auto plain = run_bfs(g, 8, 0, Model::kNsr);
+  EXPECT_EQ(traced.trace_hash, plain.trace_hash);
+  EXPECT_EQ(traced.time, plain.time);
+  EXPECT_FALSE(rec.flows().empty());
+  // One iteration record per rank per level.
+  EXPECT_EQ(rec.iterations().size(), static_cast<std::size_t>(8 * traced.levels));
+}
+
 TEST(Bfs, CommPatternDiffersFromMatching) {
   // Fig 2/11 rationale: BFS communicates in level-synchronized bursts; its
   // message count is far below matching's on the same graph (matching
@@ -129,6 +163,13 @@ TEST(BfsDeterminismPin, TraceHashPerModelAndSeed) {
         << "model " << static_cast<int>(pin.model) << " seed " << pin.seed;
     EXPECT_EQ(r.time, pin.time) << "seed " << pin.seed;
     EXPECT_EQ(r.levels, pin.levels) << "seed " << pin.seed;
+    // BFS runs on the matcher's machine set-up, so the sharded engine must
+    // reproduce the pin too.
+    match::RunConfig sharded;
+    sharded.threads = 4;
+    const auto t4 = run_bfs(g, 8, 0, pin.model, sharded);
+    EXPECT_EQ(t4.trace_hash, pin.trace_hash) << "threads 4, seed " << pin.seed;
+    EXPECT_EQ(t4.time, pin.time) << "threads 4, seed " << pin.seed;
   }
 }
 

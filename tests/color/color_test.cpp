@@ -87,6 +87,25 @@ TEST(DistColoring, RejectsUnsupportedModel) {
                std::invalid_argument);
 }
 
+TEST(DistColoring, RejectsCrashSchedules) {
+  match::RunConfig cfg;
+  cfg.net.chaos.crashes.push_back({1, 1000});
+  EXPECT_THROW(run_coloring(gen::path(10), 2, Model::kNsr, cfg),
+               std::invalid_argument);
+}
+
+TEST(DistColoring, LossyWireRunsOnTheReliableTransport) {
+  const auto g = gen::rmat(9, 8, 4);
+  match::RunConfig cfg;
+  cfg.net.chaos.loss = 0.05;
+  cfg.net.chaos.corruption = 0.02;
+  for (const Model m : {Model::kNsr, Model::kNcl}) {
+    const auto run = run_coloring(g, 8, m, cfg);
+    EXPECT_EQ(run.colors, serial_jp_coloring(g)) << match::model_name(m);
+    EXPECT_GT(run.totals.retransmits, 0u) << match::model_name(m);
+  }
+}
+
 TEST(DistColoring, RoundsGrowWithConflictChains) {
   // More ranks cut more cross edges, requiring more ghost-update rounds
   // than the single-rank case (which colors everything in one sweep).
@@ -138,6 +157,13 @@ TEST(ColorDeterminismPin, TraceHashPerModelAndSeed) {
         << "model " << static_cast<int>(pin.model) << " seed " << pin.seed;
     EXPECT_EQ(r.time, pin.time) << "seed " << pin.seed;
     EXPECT_EQ(r.rounds, pin.rounds) << "seed " << pin.seed;
+    // Coloring runs on the matcher's machine set-up, so the sharded engine
+    // must reproduce the pin too.
+    match::RunConfig sharded;
+    sharded.threads = 4;
+    const auto t4 = run_coloring(g, 8, pin.model, sharded);
+    EXPECT_EQ(t4.trace_hash, pin.trace_hash) << "threads 4, seed " << pin.seed;
+    EXPECT_EQ(t4.time, pin.time) << "threads 4, seed " << pin.seed;
   }
 }
 

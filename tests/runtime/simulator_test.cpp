@@ -186,5 +186,77 @@ TEST(Simulator, EventCountIsDeterministic) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+Task instant_step(int& steps) {
+  ++steps;
+  co_return;
+}
+
+Task parking_step(WakeLatch& latch, int& steps) {
+  ++steps;
+  co_await latch.wait();  // the wake resumes this nested frame
+  ++steps;
+}
+
+RankTask nesting_rank(WakeLatch& latch, int& steps) {
+  co_await instant_step(steps);  // finishes without suspending
+  co_await parking_step(latch, steps);
+  ++steps;
+}
+
+TEST(Task, NestedTaskSuspendsAndResumesItsAwaiter) {
+  Simulator s(1);
+  WakeLatch latch{&s, 0, {}, false};
+  int steps = 0;
+  s.spawn(0, nesting_rank(latch, steps));
+  s.schedule(10, [&] { s.wake(latch.parked, 500); });
+  s.run();
+  EXPECT_EQ(steps, 4);
+  EXPECT_TRUE(latch.resumed);
+  EXPECT_TRUE(s.rank_done(0));
+  EXPECT_EQ(s.rank_now(0), 500);
+}
+
+Task throwing_step() {
+  throw std::runtime_error("step boom");
+  co_return;  // unreachable; marks this function a coroutine
+}
+
+RankTask rank_awaiting_throw() { co_await throwing_step(); }
+
+TEST(Task, NestedExceptionReachesTheRank) {
+  Simulator s(1);
+  s.spawn(0, rank_awaiting_throw());
+  EXPECT_THROW(s.run(), std::runtime_error);
+}
+
+struct Alive {
+  explicit Alive(int& count) : n(count) { ++n; }
+  ~Alive() { --n; }
+  Alive(const Alive&) = delete;
+  Alive& operator=(const Alive&) = delete;
+  int& n;
+};
+
+Task guarded_park(WakeLatch& latch, int& alive) {
+  const Alive guard(alive);
+  co_await latch.wait();
+}
+
+RankTask guarded_rank(WakeLatch& latch, int& alive) {
+  co_await guarded_park(latch, alive);
+}
+
+TEST(Task, StuckNestedFrameIsDestroyedWithItsRank) {
+  int alive = 0;
+  {
+    Simulator s(1);
+    WakeLatch latch{&s, 0, {}, false};
+    s.spawn(0, guarded_rank(latch, alive));
+    EXPECT_THROW(s.run(), DeadlockError);
+    EXPECT_EQ(alive, 1);  // frozen inside the nested frame
+  }
+  EXPECT_EQ(alive, 0);
+}
+
 }  // namespace
 }  // namespace mel::sim

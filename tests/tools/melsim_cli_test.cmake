@@ -3,7 +3,9 @@
 #   * --help exits 0 and lists every backend the build knows about,
 #   * --fault-crash rejects out-of-range ranks, non-positive times, and
 #     malformed R@NS pairs at parse time (exit 2, --help pointer),
-#   * --ft-recovery rejects unknown strategies the same way.
+#   * --ft-recovery rejects unknown strategies the same way,
+#   * --algo, and the model, --root and match-only flags BFS and coloring
+#     get, are checked the same way.
 # Invoked with -DMELSIM=<path-to-binary>.
 if(NOT DEFINED MELSIM)
   message(FATAL_ERROR "pass -DMELSIM=<melsim binary>")
@@ -167,3 +169,63 @@ execute_process(
 if(NOT intra_code EQUAL 0)
   message(FATAL_ERROR "valid --intra-node-params: expected exit 0, got ${intra_code}: ${intra_err}")
 endif()
+
+# --algo checks: an unknown algorithm, a model BFS/coloring do not run on, a
+# match-only flag, or a --root that is no vertex is a usage error (exit 2,
+# --help pointer), never a silent fallback.
+function(expect_algo_rejected label expect_diag)
+  execute_process(
+    COMMAND ${MELSIM} --ranks 4 --gen er --verts 50 --edges 200 ${ARGN}
+    RESULT_VARIABLE code
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT code EQUAL 2)
+    message(FATAL_ERROR "${label}: expected exit 2, got ${code} (${err})")
+  endif()
+  if(NOT err MATCHES "${expect_diag}")
+    message(FATAL_ERROR "${label}: missing diagnostic '${expect_diag}': ${err}")
+  endif()
+  if(NOT err MATCHES "--help")
+    message(FATAL_ERROR "${label}: error must point at --help: ${err}")
+  endif()
+  if(out MATCHES "input:")
+    message(FATAL_ERROR "${label}: ran before the check")
+  endif()
+endfunction()
+
+expect_algo_rejected("unknown algo" "unknown --algo colour" --algo colour)
+expect_algo_rejected("bfs on RMA" "--algo bfs runs on --model NSR or NCL only"
+                     --algo bfs --model RMA)
+expect_algo_rejected("color on NSR-AGG" "--algo color runs on --model NSR or NCL"
+                     --algo color --model NSR-AGG)
+expect_algo_rejected("bfs crash" "--fault-crash applies to --algo match only"
+                     --algo bfs --model NSR --fault-crash 1@1000)
+expect_algo_rejected("color edge balance" "--edge-balance applies to --algo match"
+                     --algo color --model NCL --edge-balance)
+expect_algo_rejected("negative root" "--root: expected a vertex id"
+                     --algo bfs --model NSR --root -3)
+expect_algo_rejected("non-numeric root" "--root: expected a vertex id"
+                     --algo bfs --model NSR --root x1)
+expect_algo_rejected("root past |V|" "--root 50 is not a vertex of the 50-vertex"
+                     --algo bfs --model NSR --root 50)
+
+# BFS and coloring run on the matcher's machine set-up, so --threads keeps
+# their summaries identical too.
+foreach(algo bfs color)
+  execute_process(
+    COMMAND ${MELSIM} --algo ${algo} --model NSR --ranks 8 --gen er --verts 100
+            --edges 400 --threads 1
+    RESULT_VARIABLE a_seq_code
+    OUTPUT_VARIABLE a_seq_out)
+  execute_process(
+    COMMAND ${MELSIM} --algo ${algo} --model NSR --ranks 8 --gen er --verts 100
+            --edges 400 --threads 4
+    RESULT_VARIABLE a_thr_code
+    OUTPUT_VARIABLE a_thr_out)
+  if(NOT a_seq_code EQUAL 0 OR NOT a_thr_code EQUAL 0)
+    message(FATAL_ERROR "${algo} --threads run failed: ${a_seq_code} ${a_thr_code}")
+  endif()
+  if(NOT a_seq_out STREQUAL a_thr_out)
+    message(FATAL_ERROR "${algo} --threads 4 diverged:\n${a_seq_out}\nvs\n${a_thr_out}")
+  endif()
+endforeach()

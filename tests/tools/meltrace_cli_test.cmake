@@ -6,7 +6,8 @@
 #   * --json output is deterministic (byte-identical across invocations)
 #     and carries the expected schema tag,
 #   * `replay` with no --set is a fidelity self-check (exit 0 and says
-#     "fidelity exact") for NSR, RMA, and NCL traces,
+#     "fidelity exact") for NSR, RMA, and NCL traces, and for BFS and
+#     coloring traces,
 #   * `replay --set` rejects unknown parameters (exit 2) and accepts
 #     LogGP aliases (net.L_intra).
 # Invoked with -DMELSIM=<path> -DMELTRACE=<path>.
@@ -74,6 +75,24 @@ run_ok("help" "usage: meltrace" help)
 # every backend family's trace.
 foreach(trace ${nsr} ${rma} ${ncl})
   run_ok("replay fidelity ${trace}" "fidelity exact" replay ${trace})
+endforeach()
+
+# BFS and coloring record through the same machine set-up as matching, so
+# their traces validate and replay exactly too.
+foreach(run "bfs;NSR" "color;NCL")
+  list(GET run 0 algo)
+  list(GET run 1 model)
+  set(trace ${workdir}/${algo}-${model}.trace.json)
+  execute_process(
+    COMMAND ${MELSIM} --algo ${algo} --model ${model} --ranks 8 --gen er
+            --verts 120 --edges 700 --trace ${trace}
+    RESULT_VARIABLE code
+    ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "recording ${algo} ${model} trace failed (${code}): ${err}")
+  endif()
+  run_ok("validate ${algo}" "OK" validate ${trace})
+  run_ok("replay fidelity ${algo}" "fidelity exact" replay ${trace})
 endforeach()
 run_ok("replay fidelity json" "\"mode\":\"fidelity\"" replay ${nsr} --json)
 

@@ -44,7 +44,8 @@ struct Flag {
 // the unperturbed configuration.
 constexpr Flag kFlags[] = {
     {"help", "", "print this option list and exit"},
-    {"algo", "match|bfs|color", "algorithm to run (default match)"},
+    {"algo", "match|bfs|color",
+     "algorithm to run (default match); bfs and color run on NSR or NCL"},
     {"model",
      "NSR|RMA|NCL|MBP|NSR-AGG|RMA-FENCE|NCL-NB|NSR-HIER|NCL-PERSIST|RMA-PART",
      "communication model (default NCL)"},
@@ -130,6 +131,45 @@ match::Model parse_model(const std::string& name) {
   }
   throw std::invalid_argument("unknown model: " + name +
                               " (run `melsim --help` for the supported list)");
+}
+
+/// Check --algo, and that BFS and coloring get only what they implement:
+/// the NSR or NCL model, and no crash recovery. Same exit-2 + --help
+/// convention as an unknown --model.
+void check_algo(const std::string& algo, match::Model model,
+                const util::Cli& cli) {
+  if (algo == "match") return;
+  if (algo != "bfs" && algo != "color") {
+    throw std::invalid_argument(
+        "unknown --algo " + algo +
+        " (expected match, bfs or color; run `melsim --help` for the list)");
+  }
+  if (model != match::Model::kNsr && model != match::Model::kNcl) {
+    throw std::invalid_argument(
+        "--algo " + algo + " runs on --model NSR or NCL only, got " +
+        match::model_name(model) + " (run `melsim --help` for the list)");
+  }
+  for (const char* flag : {"fault-crash", "edge-balance"}) {
+    if (cli.has(flag)) {
+      throw std::invalid_argument(
+          std::string("--") + flag + " applies to --algo match only" +
+          " (run `melsim --help` for the list)");
+    }
+  }
+}
+
+/// Parse --root (same exit-2 + --help convention): a vertex id, checked
+/// against |V| once the graph is loaded. An out-of-range root would leave
+/// every vertex unreachable and still compare equal to the serial BFS.
+graph::VertexId parse_root(const std::string& text) {
+  char* end = nullptr;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || end != text.c_str() + text.size() || v < 0) {
+    throw std::invalid_argument(
+        "--root: expected a vertex id (non-negative integer), got \"" + text +
+        "\" (run `melsim --help` for the format)");
+  }
+  return static_cast<graph::VertexId>(v);
 }
 
 /// Parse "R@NS[,R@NS...]" into scheduled fail-stop crashes, validating
@@ -316,6 +356,8 @@ graph::Csr load_graph(const util::Cli& cli) {
 int run(const util::Cli& cli) {
   const std::string algo = cli.get("algo", "match");
   const auto model = parse_model(cli.get("model", "NCL"));
+  check_algo(algo, model, cli);
+  const graph::VertexId root = parse_root(cli.get("root", "0"));
   const int ranks = static_cast<int>(cli.get_int("ranks", 64));
   const bool csv = cli.get_bool("csv", false);
 
@@ -352,6 +394,12 @@ int run(const util::Cli& cli) {
 
   graph::Csr g = load_graph(cli);
   if (cli.get_bool("rcm", false)) g = g.permuted(order::rcm(g));
+  if (algo == "bfs" && root >= g.nverts()) {
+    throw std::invalid_argument(
+        "--root " + std::to_string(root) + " is not a vertex of the " +
+        std::to_string(g.nverts()) +
+        "-vertex input (run `melsim --help` for the format)");
+  }
   if (!csv) {
     std::printf("input: |V|=%lld |E|=%lld  algo=%s model=%s p=%d\n",
                 static_cast<long long>(g.nverts()),
@@ -459,23 +507,26 @@ int run(const util::Cli& cli) {
     }
     if (!valid) return 1;
   } else if (algo == "bfs") {
-    const auto run = bfs::run_bfs(g, ranks, cli.get_int("root", 0), model, cfg);
-    const bool ok = run.dist == bfs::serial_bfs(g, cli.get_int("root", 0));
+    const auto run = bfs::run_bfs(g, ranks, root, model, cfg);
+    if (want_obs) {
+      recorder.set_run_result(run.time, run.trace_hash, run.sim_events);
+    }
+    const bool ok = run.dist == bfs::serial_bfs(g, root);
     std::printf("bfs,%s,%d,%.6f,levels=%lld,correct=%s\n",
                 match::model_name(model), ranks, sim::to_seconds(run.time),
                 static_cast<long long>(run.levels), ok ? "yes" : "NO");
     if (!ok) return 1;
-  } else if (algo == "color") {
+  } else {
     const auto run = color::run_coloring(g, ranks, model, cfg);
+    if (want_obs) {
+      recorder.set_run_result(run.time, run.trace_hash, run.sim_events);
+    }
     const bool ok = color::is_proper_coloring(g, run.colors);
     std::printf("color,%s,%d,%.6f,colors=%lld,rounds=%lld,proper=%s\n",
                 match::model_name(model), ranks, sim::to_seconds(run.time),
                 static_cast<long long>(color::color_count(run.colors)),
                 static_cast<long long>(run.rounds), ok ? "yes" : "NO");
     if (!ok) return 1;
-  } else {
-    std::fprintf(stderr, "unknown --algo %s\n", algo.c_str());
-    return 2;
   }
 
   if (cli.has("trace")) {
