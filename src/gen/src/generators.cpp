@@ -58,31 +58,49 @@ Csr random_geometric(VertexId n, double radius, std::uint64_t seed) {
   std::sort(pts.begin(), pts.end(),
             [](const Point& a, const Point& b) { return a.x < b.x; });
 
-  // Uniform grid buckets of cell size `radius` for neighbor search.
+  // Uniform grid of cell size >= radius for the neighbour search, as flat
+  // cell lists: the ids of cell c are ids[start[c], start[c + 1]), in
+  // ascending order.
   const auto cells = static_cast<VertexId>(std::max(1.0, std::floor(1.0 / radius)));
   const double cell = 1.0 / static_cast<double>(cells);
-  std::vector<std::vector<VertexId>> bucket(
-      static_cast<std::size_t>(cells) * cells);
-  auto bucket_of = [&](double x, double y) {
-    auto cx = static_cast<VertexId>(x / cell);
-    auto cy = static_cast<VertexId>(y / cell);
-    cx = std::min(cx, cells - 1);
-    cy = std::min(cy, cells - 1);
-    return static_cast<std::size_t>(cx) * cells + cy;
+  auto cell_of = [&](VertexId i) {
+    const VertexId cx = std::min(static_cast<VertexId>(pts[i].x / cell), cells - 1);
+    const VertexId cy = std::min(static_cast<VertexId>(pts[i].y / cell), cells - 1);
+    return cx * cells + cy;
   };
-  for (VertexId i = 0; i < n; ++i) bucket[bucket_of(pts[i].x, pts[i].y)].push_back(i);
+  std::vector<VertexId> start(static_cast<std::size_t>(cells * cells) + 1, 0);
+  for (VertexId i = 0; i < n; ++i) ++start[cell_of(i) + 1];
+  for (VertexId c = 0; c < cells * cells; ++c) start[c + 1] += start[c];
+  std::vector<VertexId> ids(static_cast<std::size_t>(n));
+  std::vector<VertexId> next(start.begin(), start.end() - 1);  // fill cursor
+  for (VertexId i = 0; i < n; ++i) ids[next[cell_of(i)]++] = i;
+  // From here on, next[c] indexes the first id of cell c that the search
+  // below has not passed yet.
+  next.assign(start.begin(), start.end() - 1);
 
-  std::vector<Edge> edges;
+  // Two uniform points of the unit square lie within r <= 1 of each other
+  // with probability pi r^2 - 8/3 r^3 + 1/2 r^4. Reserving the expected
+  // pair count with some slack spares the list its reallocation copies.
   const double r2 = radius * radius;
+  const double p_pair = r2 * (3.14159265358979323846 - 8.0 / 3.0 * radius + 0.5 * r2);
+  std::vector<Edge> edges;
+  edges.reserve(static_cast<std::size_t>(1.05 * p_pair * 0.5 * static_cast<double>(n) *
+                                         static_cast<double>(n - 1)) + 64);
+
+  // Pairs (i, j > i) within the radius, in the order i ascending, then
+  // cell column, cell row, j ascending; each draws its weight when found.
+  // Ids are x-sorted, so column cx - 1 only holds ids below i and is
+  // skipped, and in column cx the scan starts just past i.
   for (VertexId i = 0; i < n; ++i) {
-    const auto cx = std::min(static_cast<VertexId>(pts[i].x / cell), cells - 1);
-    const auto cy = std::min(static_cast<VertexId>(pts[i].y / cell), cells - 1);
-    for (VertexId dx = -1; dx <= 1; ++dx) {
-      for (VertexId dy = -1; dy <= 1; ++dy) {
-        const VertexId bx = cx + dx, by = cy + dy;
-        if (bx < 0 || bx >= cells || by < 0 || by >= cells) continue;
-        for (VertexId j : bucket[static_cast<std::size_t>(bx) * cells + by]) {
-          if (j <= i) continue;
+    const VertexId c = cell_of(i);
+    ++next[c];
+    const VertexId cx = c / cells, cy = c % cells;
+    for (VertexId bx = cx; bx <= std::min(cx + 1, cells - 1); ++bx) {
+      for (VertexId by = std::max<VertexId>(cy - 1, 0);
+           by <= std::min(cy + 1, cells - 1); ++by) {
+        const VertexId b = bx * cells + by;
+        for (VertexId k = next[b]; k < start[b + 1]; ++k) {
+          const VertexId j = ids[k];
           const double ddx = pts[i].x - pts[j].x;
           const double ddy = pts[i].y - pts[j].y;
           if (ddx * ddx + ddy * ddy <= r2) {

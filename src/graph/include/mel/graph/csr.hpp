@@ -35,7 +35,10 @@ class Csr {
 
   /// Build from an edge list. Self-loops are dropped; parallel edges are
   /// deduplicated keeping the maximum weight (any deterministic rule works
-  /// for matching; max keeps the strongest edge).
+  /// for matching; max keeps the strongest edge). An endpoint outside
+  /// [0, nverts) throws std::out_of_range and a NaN weight (which no
+  /// ordering of edges can rank) std::invalid_argument. Linear in
+  /// |V| + |E| apart from sorting each vertex's own short row.
   static Csr from_edges(VertexId nverts, std::span<const Edge> edges);
 
   VertexId nverts() const { return static_cast<VertexId>(offsets_.size()) - 1; }
@@ -48,6 +51,12 @@ class Csr {
     return {adj_.data() + offsets_[v], adj_.data() + offsets_[v + 1]};
   }
   EdgeId degree(VertexId v) const { return offsets_[v + 1] - offsets_[v]; }
+
+  /// Row offsets (size nverts + 1) into the flat adjacency array: vertex
+  /// v's row is adjacency()[offsets()[v], offsets()[v + 1]).
+  std::span<const EdgeId> offsets() const { return offsets_; }
+  std::span<const Adj> adjacency() const { return adj_; }
+
   EdgeId max_degree() const;
 
   /// Matrix bandwidth: max |u - v| over edges (Fig 7 / RCM metric).

@@ -8,43 +8,60 @@ namespace mel::graph {
 
 Csr Csr::from_edges(VertexId nverts, std::span<const Edge> edges) {
   if (nverts < 0) throw std::invalid_argument("Csr: negative vertex count");
-  // Canonicalize to (min, max), drop self-loops.
-  std::vector<Edge> clean;
-  clean.reserve(edges.size());
+  // Counting sort: bucket each canonical (lo, hi) pair under lo, so rows
+  // come out in vertex order without a global comparison sort.
+  std::vector<EdgeId> row(static_cast<std::size_t>(nverts) + 1, 0);
   for (const Edge& e : edges) {
-    if (e.u == e.v) continue;
+    if (std::isnan(e.w)) throw std::invalid_argument("Csr: NaN edge weight");
+    if (e.u == e.v) continue;  // self-loop
     if (e.u < 0 || e.u >= nverts || e.v < 0 || e.v >= nverts) {
       throw std::out_of_range("Csr: edge endpoint out of range");
     }
-    clean.push_back(e.u < e.v ? e : Edge{e.v, e.u, e.w});
+    ++row[std::min(e.u, e.v) + 1];
   }
-  std::sort(clean.begin(), clean.end(), [](const Edge& a, const Edge& b) {
-    return a.u != b.u ? a.u < b.u : (a.v != b.v ? a.v < b.v : a.w > b.w);
-  });
-  // Dedupe keeping max weight (first after the sort above).
-  std::vector<Edge> uniq;
-  uniq.reserve(clean.size());
-  for (const Edge& e : clean) {
-    if (!uniq.empty() && uniq.back().u == e.u && uniq.back().v == e.v) continue;
-    uniq.push_back(e);
+  for (VertexId v = 0; v < nverts; ++v) row[v + 1] += row[v];
+  std::vector<Adj> up(static_cast<std::size_t>(row[nverts]));  // (hi, w) by lo
+  {
+    std::vector<EdgeId> cursor(row.begin(), row.end() - 1);
+    for (const Edge& e : edges) {
+      if (e.u == e.v) continue;
+      const auto [lo, hi] = std::minmax(e.u, e.v);
+      up[cursor[lo]++] = Adj{hi, e.w};
+    }
   }
+  // Sort each short row by (hi, weight descending) and keep the first
+  // entry of each hi, so parallel edges keep their maximum weight. Rows
+  // are compacted in place; row[lo] becomes the deduplicated row's start.
+  EdgeId kept = 0;
+  for (VertexId lo = 0; lo < nverts; ++lo) {
+    const auto first = up.begin() + row[lo];
+    const auto last = up.begin() + row[lo + 1];
+    std::sort(first, last, [](const Adj& a, const Adj& b) {
+      return a.to != b.to ? a.to < b.to : a.w > b.w;
+    });
+    row[lo] = kept;
+    for (auto it = first; it != last; ++it) {
+      if (kept == row[lo] || up[kept - 1].to != it->to) up[kept++] = *it;
+    }
+  }
+  row[nverts] = kept;
 
+  // Row v is its pairs (u, v) with u < v, then its own pairs (v, hi).
+  // Writing the former in ascending u leaves every row sorted by `to`.
   Csr g;
-  g.offsets_.assign(static_cast<std::size_t>(nverts) + 1, 0);
-  for (const Edge& e : uniq) {
-    ++g.offsets_[e.u + 1];
-    ++g.offsets_[e.v + 1];
+  g.offsets_.assign(row.size(), 0);
+  for (VertexId u = 0; u < nverts; ++u) {
+    g.offsets_[u + 1] += row[u + 1] - row[u];
+    for (EdgeId k = row[u]; k < row[u + 1]; ++k) ++g.offsets_[up[k].to + 1];
   }
   for (VertexId v = 0; v < nverts; ++v) g.offsets_[v + 1] += g.offsets_[v];
   g.adj_.resize(static_cast<std::size_t>(g.offsets_[nverts]));
   std::vector<EdgeId> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-  for (const Edge& e : uniq) {
-    g.adj_[cursor[e.u]++] = Adj{e.v, e.w};
-    g.adj_[cursor[e.v]++] = Adj{e.u, e.w};
-  }
-  for (VertexId v = 0; v < nverts; ++v) {
-    std::sort(g.adj_.begin() + g.offsets_[v], g.adj_.begin() + g.offsets_[v + 1],
-              [](const Adj& a, const Adj& b) { return a.to < b.to; });
+  for (VertexId u = 0; u < nverts; ++u) {
+    const auto first = up.begin() + row[u];
+    const auto last = up.begin() + row[u + 1];
+    std::copy(first, last, g.adj_.begin() + (g.offsets_[u + 1] - (last - first)));
+    for (auto it = first; it != last; ++it) g.adj_[cursor[it->to]++] = Adj{u, it->w};
   }
   return g;
 }

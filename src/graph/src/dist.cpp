@@ -1,7 +1,6 @@
 #include "mel/graph/dist.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 namespace mel::graph {
@@ -97,36 +96,38 @@ DistGraph::DistGraph(const Csr& global, Distribution dist)
     throw std::invalid_argument("DistGraph: distribution size mismatch");
   }
   const int nranks = dist_.nranks();
+  const auto offsets = global.offsets();
+  const auto adj = global.adjacency();
   locals_.resize(nranks);
+  // Ghost entries per owner rank, reset after each rank; `touched` lists
+  // the owners with a nonzero count.
+  std::vector<std::int64_t> ghosts(static_cast<std::size_t>(nranks), 0);
+  std::vector<Rank> touched;
   for (Rank r = 0; r < nranks; ++r) {
     LocalGraph& lg = locals_[r];
     lg.rank = r;
     lg.vbegin = dist_.begin(r);
     lg.vend = dist_.end(r);
-    const VertexId nlocal = lg.nlocal();
-    lg.offsets.assign(static_cast<std::size_t>(nlocal) + 1, 0);
+    // The owned rows are one contiguous slice of the global arrays.
+    const EdgeId first = offsets[lg.vbegin];
+    lg.offsets.assign(offsets.begin() + lg.vbegin, offsets.begin() + lg.vend + 1);
+    for (EdgeId& o : lg.offsets) o -= first;
+    lg.adj.assign(adj.begin() + first, adj.begin() + offsets[lg.vend]);
 
-    std::map<Rank, std::int64_t> ghosts;
-    EdgeId entries = 0;
-    for (VertexId v = lg.vbegin; v < lg.vend; ++v) {
-      entries += global.degree(v);
+    for (const Adj& a : lg.adj) {
+      if (lg.owns(a.to)) continue;
+      const Rank o = dist_.owner(a.to);
+      if (ghosts[o]++ == 0) touched.push_back(o);
     }
-    lg.adj.reserve(static_cast<std::size_t>(entries));
-    for (VertexId v = lg.vbegin; v < lg.vend; ++v) {
-      for (const Adj& a : global.neighbors(v)) {
-        lg.adj.push_back(a);
-        const Rank o = dist_.owner(a.to);
-        if (o != r) ++ghosts[o];
-      }
-      lg.offsets[v - lg.vbegin + 1] = static_cast<EdgeId>(lg.adj.size());
+    std::sort(touched.begin(), touched.end());
+    lg.neighbor_ranks = touched;
+    lg.ghost_counts.reserve(touched.size());
+    for (const Rank o : touched) {
+      lg.ghost_counts.push_back(ghosts[o]);
+      lg.total_ghost_edges += ghosts[o];
+      ghosts[o] = 0;
     }
-    lg.neighbor_ranks.reserve(ghosts.size());
-    lg.ghost_counts.reserve(ghosts.size());
-    for (const auto& [nbr, cnt] : ghosts) {
-      lg.neighbor_ranks.push_back(nbr);
-      lg.ghost_counts.push_back(cnt);
-      lg.total_ghost_edges += cnt;
-    }
+    touched.clear();
   }
 }
 

@@ -48,11 +48,15 @@ Csr read_matrix_market(std::istream& in) {
   }
   std::istringstream size_line(line);
   std::int64_t rows = 0, cols = 0, entries = 0;
-  if (!(size_line >> rows >> cols >> entries)) fail("bad size line");
+  if (!(size_line >> rows >> cols >> entries) || rows < 0 || cols < 0 ||
+      entries < 0) {
+    fail("bad size line");
+  }
   if (rows != cols) fail("matrix must be square to be a graph");
 
+  // `entries` is a claim about the file, not an allocation size: the list
+  // grows only as entries actually arrive.
   std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(entries));
   for (std::int64_t k = 0; k < entries; ++k) {
     if (!std::getline(in, line)) fail("unexpected end of entries");
     std::istringstream e(line);
@@ -107,10 +111,18 @@ Csr read_binary(std::istream& in) {
   in.read(reinterpret_cast<char*>(&nverts), sizeof nverts);
   in.read(reinterpret_cast<char*>(&nedges), sizeof nedges);
   if (!in) throw std::runtime_error("binary graph: truncated header");
-  std::vector<Edge> edges(nedges);
-  in.read(reinterpret_cast<char*>(edges.data()),
-          static_cast<std::streamsize>(nedges * sizeof(Edge)));
-  if (!in) throw std::runtime_error("binary graph: truncated edges");
+  // Read in bounded chunks, so a header that claims more edges than the
+  // stream holds fails as truncated instead of allocating for the claim.
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 16;
+  std::vector<Edge> edges;
+  while (edges.size() < nedges) {
+    const std::size_t done = edges.size();
+    const auto chunk = static_cast<std::size_t>(std::min(kChunk, nedges - done));
+    edges.resize(done + chunk);
+    in.read(reinterpret_cast<char*>(edges.data() + done),
+            static_cast<std::streamsize>(chunk * sizeof(Edge)));
+    if (!in) throw std::runtime_error("binary graph: truncated edges");
+  }
   return Csr::from_edges(static_cast<VertexId>(nverts), edges);
 }
 

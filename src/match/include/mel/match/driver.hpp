@@ -21,8 +21,7 @@ struct RunConfig {
   net::Params net{};
   /// Keep a copy of the (src, dst) communication matrix (O(p^2) memory).
   bool collect_matrix = false;
-  /// Optional per-operation timeline sink (see perf::ChromeTracer and
-  /// obs::Recorder).
+  /// Optional per-operation timeline sink (see obs::Recorder).
   mpi::Tracer* tracer = nullptr;
   /// Periodic gauge sampling (mailbox depth, in-flight bytes, event-queue
   /// size) into the tracer's counter tracks, every this many virtual ns.

@@ -83,7 +83,7 @@ Attempt run_once(const graph::DistGraph& dg, Model model,
     // their output vectors; live ranks through their registered state
     // probe (frame guaranteed alive); once any rank has crashed the hook
     // stops, preserving the last pre-crash snapshot for rollback.
-    simulator.set_periodic_hook(cfg.ft.checkpoint_ns, [&](sim::Time t) {
+    simulator.add_periodic_hook(cfg.ft.checkpoint_ns, [&](sim::Time t) {
       if (machine.failed_count() > 0) return;
       for (Rank r = 0; r < p; ++r) {
         if (simulator.rank_done(r)) {

@@ -53,16 +53,15 @@ enum class Channel : std::uint8_t {
 /// 0 means "no flow" (message predates tracer-relevant instrumentation).
 using FlowId = std::uint32_t;
 
-/// Optional structured trace sink (see perf::ChromeTracer for the span-only
-/// implementation and obs::Recorder for the full one). record() is invoked
-/// with the rank, an operation category ("isend", "recv", "ncoll",
-/// "allreduce", "put", "flush", "fence", "compute", ...), and the
-/// operation's virtual [start, end) interval. The remaining hooks default
-/// to no-ops so span-only sinks keep working: flow_* follow one message
-/// from injection through delivery to receive/match, wire() mirrors every
-/// CommMatrix record, counter() carries periodic gauge samples, instant()
-/// marks point events (crashes, checkpoints, transport faults), and
-/// iteration() carries per-backend-iteration phase metrics.
+/// Optional structured trace sink (obs::Recorder implements all of it).
+/// record() is invoked with the rank, an operation category ("isend",
+/// "recv", "ncoll", "allreduce", "put", "flush", "fence", "compute", ...),
+/// and the operation's virtual [start, end) interval. The remaining hooks
+/// default to no-ops so span-only sinks keep working: flow_* follow one
+/// message from injection through delivery to receive/match, wire()
+/// mirrors every CommMatrix record, counter() carries periodic gauge
+/// samples, instant() marks point events (crashes, checkpoints, transport
+/// faults), and iteration() carries per-backend-iteration phase metrics.
 class Tracer {
  public:
   virtual ~Tracer() = default;

@@ -241,16 +241,12 @@ class Simulator {
   /// the first event at virtual time >= k * interval, for every k >= 1.
   /// Unlike a self-rescheduling queue event this cannot keep the queue
   /// alive (which would mask deadlocks and crash detection). The hook must
-  /// not schedule events. interval <= 0 or a null hook clears it.
-  ///
-  /// set_periodic_hook keeps the original single-slot semantics (replaces
-  /// the previous hook installed through it); add_periodic_hook registers
-  /// an independent additional hook and returns its id. When several hooks
-  /// are due before the same event they fire in ascending boundary time,
-  /// ties broken by registration id — a deterministic order, so observers
-  /// that only *read* state cannot perturb the event trace.
+  /// not schedule events. Returns the hook's id; interval <= 0 or a null
+  /// hook throws std::invalid_argument. When several hooks are due before
+  /// the same event they fire in ascending boundary time, ties broken by
+  /// registration id — a deterministic order, so observers that only
+  /// *read* state cannot perturb the event trace.
   using PeriodicHook = std::function<void(Time)>;
-  void set_periodic_hook(Time interval, PeriodicHook hook);
   int add_periodic_hook(Time interval, PeriodicHook hook);
 
   /// Events currently queued (diagnostic gauge for telemetry sampling).
@@ -299,7 +295,7 @@ class Simulator {
   struct Hook {
     Time interval = 0;
     Time next_at = 0;
-    PeriodicHook fn;  // null = cleared slot
+    PeriodicHook fn;
   };
 
   /// Fire every registered hook whose boundary is <= t (ascending boundary
@@ -341,7 +337,6 @@ class Simulator {
   Time horizon_ = 0;
   StallReporter reporter_;
   std::vector<Hook> hooks_;
-  int legacy_hook_ = -1;  // index into hooks_ owned by set_periodic_hook
   int crashed_ = 0;
   std::uint64_t events_executed_ = 0;
   std::uint64_t trace_hash_ = 0x9e3779b97f4a7c15ULL;

@@ -164,20 +164,6 @@ void Simulator::kill(Rank rank) {
   ++crashed_;
 }
 
-void Simulator::set_periodic_hook(Time interval, PeriodicHook hook) {
-  if (interval <= 0 || !hook) {
-    if (legacy_hook_ >= 0) hooks_[legacy_hook_].fn = nullptr;
-    legacy_hook_ = -1;
-    return;
-  }
-  if (legacy_hook_ >= 0) {
-    // Replace in place, keeping the slot's id (and thus tie-break order).
-    hooks_[legacy_hook_] = Hook{interval, interval, std::move(hook)};
-    return;
-  }
-  legacy_hook_ = add_periodic_hook(interval, std::move(hook));
-}
-
 int Simulator::add_periodic_hook(Time interval, PeriodicHook hook) {
   if (interval <= 0 || !hook) {
     throw std::invalid_argument(
@@ -196,7 +182,7 @@ void Simulator::fire_hooks(Time t) {
     int best = -1;
     for (std::size_t i = 0; i < hooks_.size(); ++i) {
       const Hook& h = hooks_[i];
-      if (!h.fn || t < h.next_at) continue;
+      if (t < h.next_at) continue;
       if (best < 0 || h.next_at < hooks_[best].next_at) {
         best = static_cast<int>(i);
       }
@@ -504,7 +490,7 @@ void Simulator::prepare_window(bool first) {
   // strictly inside it — both must be window-global decisions taken at a
   // barrier, at the exact virtual boundary the sequential engine uses.
   for (const Hook& h : hooks_) {
-    if (h.fn && h.next_at < w_end) w_end = h.next_at;
+    if (h.next_at < w_end) w_end = h.next_at;
   }
   if (horizon_ > 0 && horizon_ + 1 < w_end) w_end = horizon_ + 1;
   e.w_end = w_end;

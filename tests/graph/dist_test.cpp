@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <map>
+
 #include "mel/gen/generators.hpp"
 #include "mel/graph/stats.hpp"
 
@@ -115,6 +118,92 @@ TEST(DistGraph, AllEdgesCoveredOnce) {
     entries += static_cast<EdgeId>(dg.local(r).adj.size());
   }
   EXPECT_EQ(entries, g.nentries());
+}
+
+/// Reference rank-local build: copy each owned vertex's row entry by entry
+/// and count ghosts per owner in an ordered map.
+LocalGraph reference_local(const Csr& global, const Distribution& dist, Rank r) {
+  LocalGraph lg;
+  lg.rank = r;
+  lg.vbegin = dist.begin(r);
+  lg.vend = dist.end(r);
+  lg.offsets.push_back(0);
+  std::map<Rank, std::int64_t> ghosts;
+  for (VertexId v = lg.vbegin; v < lg.vend; ++v) {
+    for (const Adj& a : global.neighbors(v)) {
+      lg.adj.push_back(a);
+      const Rank o = dist.owner(a.to);
+      if (o != r) ++ghosts[o];
+    }
+    lg.offsets.push_back(static_cast<EdgeId>(lg.adj.size()));
+  }
+  for (const auto& [nbr, cnt] : ghosts) {
+    lg.neighbor_ranks.push_back(nbr);
+    lg.ghost_counts.push_back(cnt);
+    lg.total_ghost_edges += cnt;
+  }
+  return lg;
+}
+
+void expect_matches_reference(const Csr& g, const DistGraph& dg,
+                              const char* label) {
+  EXPECT_EQ(dg.nverts(), g.nverts()) << label;
+  EXPECT_EQ(dg.nedges(), g.nedges()) << label;
+  for (Rank r = 0; r < dg.nranks(); ++r) {
+    const LocalGraph want = reference_local(g, dg.dist(), r);
+    const LocalGraph& got = dg.local(r);
+    EXPECT_EQ(got.rank, want.rank) << label << " rank " << r;
+    EXPECT_EQ(got.vbegin, want.vbegin) << label << " rank " << r;
+    EXPECT_EQ(got.vend, want.vend) << label << " rank " << r;
+    EXPECT_EQ(got.offsets, want.offsets) << label << " rank " << r;
+    ASSERT_EQ(got.adj.size(), want.adj.size()) << label << " rank " << r;
+    for (std::size_t k = 0; k < want.adj.size(); ++k) {
+      EXPECT_EQ(got.adj[k].to, want.adj[k].to) << label << " rank " << r;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.adj[k].w),
+                std::bit_cast<std::uint64_t>(want.adj[k].w))
+          << label << " rank " << r;
+    }
+    EXPECT_EQ(got.neighbor_ranks, want.neighbor_ranks) << label << " rank " << r;
+    EXPECT_EQ(got.ghost_counts, want.ghost_counts) << label << " rank " << r;
+    EXPECT_EQ(got.total_ghost_edges, want.total_ghost_edges)
+        << label << " rank " << r;
+  }
+}
+
+TEST(DistGraph, MatchesReferenceUniform) {
+  const auto rmat = gen::rmat(9, 8, 4);
+  for (int p : {1, 3, 8, 64}) expect_matches_reference(rmat, DistGraph(rmat, p), "rmat");
+  const auto rgg = gen::random_geometric(2000, gen::rgg_radius_for_degree(2000, 12.0), 3);
+  expect_matches_reference(rgg, DistGraph(rgg, 16), "rgg");
+  // More ranks than vertices: the trailing ranks own nothing.
+  const Edge edges[] = {{0, 4, 1.0}, {1, 2, 2.0}, {3, 4, 3.0}};
+  const Csr tiny = Csr::from_edges(5, edges);
+  expect_matches_reference(tiny, DistGraph(tiny, 8), "tiny");
+}
+
+TEST(DistGraph, MatchesReferenceEdgeBalancedAndEmptyRanks) {
+  const auto g = gen::chung_lu(3000, 20000, 2.2, 9);
+  for (int p : {2, 7, 32}) {
+    expect_matches_reference(g, DistGraph(g, edge_balanced_partition(g, p)),
+                             "edge_balanced");
+  }
+  // A star whose hub has the last id: the sweep reaches the hub with half
+  // the entries left and takes them all at once, so the trailing ranks
+  // own nothing.
+  std::vector<Edge> star;
+  for (VertexId v = 0; v < 39; ++v) {
+    star.push_back(Edge{39, v, 1.0 / static_cast<double>(v + 1)});
+  }
+  const Csr s = Csr::from_edges(40, star);
+  const Distribution d = edge_balanced_partition(s, 6);
+  EXPECT_EQ(d.count(4), 0);
+  EXPECT_EQ(d.count(5), 0);
+  expect_matches_reference(s, DistGraph(s, d), "star");
+  // Empty blocks in the middle and at both ends.
+  const auto er = gen::erdos_renyi(400, 2400, 5);
+  expect_matches_reference(
+      er, DistGraph(er, Distribution::from_offsets({0, 0, 150, 150, 151, 400, 400})),
+      "explicit");
 }
 
 TEST(Distribution, FromOffsets) {

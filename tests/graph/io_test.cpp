@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "mel/gen/generators.hpp"
@@ -48,6 +50,38 @@ TEST(MatrixMarket, RejectsGarbage) {
   EXPECT_THROW(read_matrix_market(truncated), std::runtime_error);
 }
 
+/// The reader's own error, with `what` in its message.
+template <class Read>
+void expect_reader_error(Read read, const std::string& what) {
+  try {
+    read();
+    ADD_FAILURE() << "expected std::runtime_error containing '" << what << "'";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "wrong exception type: " << e.what();
+  }
+}
+
+TEST(MatrixMarket, RejectsNegativeSizes) {
+  for (const char* size : {"3 3 -1", "-3 -3 1", "3 -3 1"}) {
+    std::istringstream in(
+        std::string("%%MatrixMarket matrix coordinate real general\n") + size +
+        "\n1 2 1.0\n");
+    expect_reader_error([&] { return read_matrix_market(in); }, "bad size line");
+  }
+}
+
+TEST(MatrixMarket, HugeEntryCountFailsOnTheMissingEntries) {
+  // The count is a claim about the file, not an allocation request.
+  std::istringstream in(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "3 3 100000000000000\n"
+      "1 2 1.0\n");
+  expect_reader_error([&] { return read_matrix_market(in); },
+                      "unexpected end of entries");
+}
+
 TEST(MatrixMarket, RoundTrip) {
   const Csr g = gen::erdos_renyi(100, 500, 7);
   std::stringstream buf;
@@ -82,6 +116,30 @@ TEST(Binary, RejectsTruncation) {
   std::stringstream cut(std::ios::in | std::ios::out | std::ios::binary);
   cut << full.substr(0, full.size() / 2);
   EXPECT_THROW(read_binary(cut), std::runtime_error);
+}
+
+std::string binary_header(std::uint64_t nverts, std::uint64_t nedges) {
+  std::string out = "MELG";
+  out.append(reinterpret_cast<const char*>(&nverts), sizeof nverts);
+  out.append(reinterpret_cast<const char*>(&nedges), sizeof nedges);
+  return out;
+}
+
+TEST(Binary, HugeEdgeCountFailsOnTheMissingEdges) {
+  // A 20-byte header claiming 2^40 edges, and one edge behind it.
+  std::string bytes = binary_header(3, std::uint64_t{1} << 40);
+  const Edge e{0, 1, 1.0};
+  bytes.append(reinterpret_cast<const char*>(&e), sizeof e);
+  std::istringstream in(bytes, std::ios::in | std::ios::binary);
+  expect_reader_error([&] { return read_binary(in); }, "truncated edges");
+}
+
+TEST(Binary, RejectsNanWeight) {
+  std::string bytes = binary_header(3, 2);
+  const Edge edges[] = {{0, 1, 1.0}, {1, 2, std::numeric_limits<double>::quiet_NaN()}};
+  bytes.append(reinterpret_cast<const char*>(edges), sizeof edges);
+  std::istringstream in(bytes, std::ios::in | std::ios::binary);
+  EXPECT_THROW(read_binary(in), std::invalid_argument);
 }
 
 TEST(Files, MissingFileThrows) {

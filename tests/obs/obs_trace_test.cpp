@@ -80,6 +80,24 @@ TEST(ObsTrace, ChannelClassesMatchTheBackend) {
   EXPECT_FALSE(ncl.count("p2p"));
 }
 
+TEST(ObsTrace, NclRunRecordsOperationSpans) {
+  // The per-rank operation timeline of an NCL run: compute,
+  // neighborhood-collective and allreduce spans, every one well formed.
+  const Traced t = traced_run(match::Model::kNcl, gen::erdos_renyi(200, 1200, 3), 4);
+  const TraceStats stats = analyze_trace_text(t.recorder.to_chrome_json());
+  EXPECT_TRUE(stats.errors.empty())
+      << (stats.errors.empty() ? "" : stats.errors.front());
+  EXPECT_EQ(stats.nranks, 4);
+  for (const char* category : {"compute", "ncoll", "allreduce"}) {
+    ASSERT_TRUE(stats.spans_by_category.count(category)) << category;
+    EXPECT_GT(stats.spans_by_category.at(category).count, 0u) << category;
+  }
+  for (const auto& [rank, roll] : stats.spans_by_rank) {
+    EXPECT_GE(rank, 0);
+    EXPECT_LT(rank, 4);
+  }
+}
+
 TEST(ObsTrace, FtRunTracesFtChannelAndRetransmits) {
   const auto g = small_graph();
   Recorder rec;

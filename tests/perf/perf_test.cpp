@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "mel/gen/generators.hpp"
-#include "mel/obs/json.hpp"
 #include "mel/perf/energy.hpp"
 #include "mel/perf/profile.hpp"
 #include "mel/perf/report.hpp"
-#include "mel/perf/trace.hpp"
 
 namespace mel::perf {
 namespace {
@@ -104,80 +102,6 @@ TEST(Report, HeatmapAndSummary) {
   const auto s = run_summary(run);
   EXPECT_NE(s.find("NCL"), std::string::npos);
   EXPECT_NE(s.find("p=8"), std::string::npos);
-}
-
-TEST(Trace, RecordsOperationTimeline) {
-  const auto g = gen::erdos_renyi(200, 1200, 3);
-  ChromeTracer tracer;
-  match::RunConfig cfg;
-  cfg.tracer = &tracer;
-  (void)match::run_match(g, 4, match::Model::kNcl, cfg);
-  ASSERT_FALSE(tracer.events().empty());
-  bool saw_ncoll = false, saw_compute = false, saw_allreduce = false;
-  for (const auto& e : tracer.events()) {
-    EXPECT_LE(e.start, e.end);
-    EXPECT_GE(e.rank, 0);
-    EXPECT_LT(e.rank, 4);
-    saw_ncoll |= std::string(e.category) == "ncoll";
-    saw_compute |= std::string(e.category) == "compute";
-    saw_allreduce |= std::string(e.category) == "allreduce";
-  }
-  EXPECT_TRUE(saw_ncoll);
-  EXPECT_TRUE(saw_compute);
-  EXPECT_TRUE(saw_allreduce);
-}
-
-TEST(Trace, JsonWellFormedEnough) {
-  ChromeTracer tracer;
-  tracer.record(0, "compute", 100, 2100);
-  tracer.record(1, "recv", 0, 500);
-  const auto json = tracer.to_json();
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"compute\""), std::string::npos);
-  EXPECT_NE(json.find("\"tid\":1"), std::string::npos);
-  // Balanced braces (cheap sanity check).
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-}
-
-TEST(Trace, MinDurationFilters) {
-  ChromeTracer tracer(1000);
-  tracer.record(0, "short", 0, 10);
-  tracer.record(0, "long", 0, 5000);
-  ASSERT_EQ(tracer.events().size(), 1u);
-  EXPECT_STREQ(tracer.events()[0].category, "long");
-}
-
-TEST(Trace, ZeroLengthEventsKeptAsInstants) {
-  // A zero-cost operation at the default min_duration of 0 must survive
-  // (end - start >= 0) and export as an instant event, not vanish.
-  ChromeTracer tracer;
-  tracer.record(0, "instant", 42, 42);
-  ASSERT_EQ(tracer.events().size(), 1u);
-  const auto json = tracer.to_json();
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_EQ(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_EQ(json.find("\"dur\""), std::string::npos);
-
-  // A nonzero min_duration still filters them.
-  ChromeTracer filtered(1);
-  filtered.record(0, "instant", 42, 42);
-  EXPECT_TRUE(filtered.events().empty());
-}
-
-TEST(Trace, CategoryEscapedInJson) {
-  ChromeTracer tracer;
-  tracer.record(0, "weird\"cat\\name", 0, 100);
-  const auto json = tracer.to_json();
-  EXPECT_NE(json.find("weird\\\"cat\\\\name"), std::string::npos);
-  // The escaped document must survive a real JSON parser round trip.
-  const auto doc = obs::json::parse(json);
-  const auto* events = doc.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->array.size(), 1u);
-  EXPECT_EQ(events->array[0].find("name")->string, "weird\"cat\\name");
 }
 
 }  // namespace
