@@ -45,6 +45,7 @@ struct ColorResult {
   std::uint64_t trace_hash = 0;
   std::uint64_t sim_events = 0;
   mpi::CommCounters totals;
+  std::unique_ptr<mpi::CommMatrix> matrix;  // if cfg.collect_matrix
 };
 
 /// Distributed Jones-Plassmann under kNsr or kNcl.

@@ -1,9 +1,10 @@
 #include "mel/color/color.hpp"
 
 #include <algorithm>
-#include <map>
+#include <limits>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 
 #include "mel/match/exchange.hpp"
 #include "mel/mpi/machine.hpp"
@@ -84,24 +85,60 @@ struct ColorMsg {
 };
 
 /// Per-rank Jones-Plassmann state shared by both backends.
+///
+/// A color goes from -1 to its final value exactly once, so a vertex never
+/// needs to re-read the adjacency entries it has already seen settled: its
+/// cursor resumes at the first dominating neighbor that was still
+/// uncolored. The simulated cost stays the modelled full rescan, one
+/// compute_edges(degree) per visit.
 struct JpState {
   const LocalGraph& lg;
-  std::vector<std::int64_t> colors;  // per local vertex
-  // Looked up by key only (never iterated), but ordered anyway so a
-  // future "iterate ghosts" refactor cannot silently become seed- and
-  // platform-dependent (mellint R1).
-  std::map<VertexId, std::int64_t> ghost_colors;
+  const VertexId nlocal;
+  /// Owned vertices' colors (by local index), then one color per ghost.
+  std::vector<std::int64_t> colors;
+  std::vector<VertexId> ghosts;  // sorted ghost ids; ghost k is slot nlocal + k
+  /// Per adjacency entry: the neighbor's slot in `colors` if it dominates
+  /// the row's vertex, else -1 (the row never waits for it).
+  std::vector<std::int32_t> slot;
+  std::vector<graph::EdgeId> cursor;  // per local vertex: next unsettled entry
+  std::vector<VertexId> told;         // per rank: last vertex that pushed to it
   std::int64_t uncolored;
 
-  explicit JpState(const LocalGraph& local)
+  JpState(const LocalGraph& local, const Distribution& dist)
       : lg(local),
-        colors(static_cast<std::size_t>(local.nlocal()), -1),
-        uncolored(local.nlocal()) {}
+        nlocal(local.nlocal()),
+        cursor(local.offsets.begin(), local.offsets.end() - 1),
+        told(static_cast<std::size_t>(dist.nranks()), -1),
+        uncolored(local.nlocal()) {
+    for (const graph::Adj& a : lg.adj) {
+      if (!lg.owns(a.to)) ghosts.push_back(a.to);
+    }
+    std::sort(ghosts.begin(), ghosts.end());
+    ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
+    if (nlocal + static_cast<VertexId>(ghosts.size()) >
+        std::numeric_limits<std::int32_t>::max()) {
+      throw std::length_error(
+          "run_coloring: a rank's owned plus ghost vertices exceed the "
+          "int32 range of its color slots");
+    }
+    colors.assign(static_cast<std::size_t>(nlocal) + ghosts.size(), -1);
+    slot.reserve(lg.adj.size());
+    for (VertexId lv = 0; lv < nlocal; ++lv) {
+      const VertexId v = lg.vbegin + lv;
+      for (graph::EdgeId i = lg.offsets[lv]; i < lg.offsets[lv + 1]; ++i) {
+        const VertexId u = lg.adj[i].to;
+        const VertexId s = lg.owns(u) ? u - lg.vbegin : nlocal + ghost_index(u);
+        slot.push_back(dominates(u, v) ? static_cast<std::int32_t>(s) : -1);
+      }
+    }
+  }
 
-  std::int64_t known_color(VertexId u) const {
-    if (lg.owns(u)) return colors[u - lg.vbegin];
-    const auto it = ghost_colors.find(u);
-    return it == ghost_colors.end() ? -1 : it->second;
+  VertexId ghost_index(VertexId u) const {
+    const auto it = std::lower_bound(ghosts.begin(), ghosts.end(), u);
+    if (it == ghosts.end() || *it != u) {
+      throw std::logic_error("run_coloring: color update for a non-ghost");
+    }
+    return it - ghosts.begin();
   }
 
   /// One round: color eligible vertices until a local fixpoint (a vertex
@@ -113,41 +150,35 @@ struct JpState {
     bool progressed = true;
     while (progressed) {
       progressed = false;
-      for (VertexId v = lg.vbegin; v < lg.vend; ++v) {
-        const VertexId lv = v - lg.vbegin;
+      for (VertexId lv = 0; lv < nlocal; ++lv) {
         if (colors[lv] >= 0) continue;
-        bool ready = true;
+        const graph::EdgeId begin = lg.offsets[lv], end = lg.offsets[lv + 1];
+        comm.compute_edges(end - begin);
+        graph::EdgeId& c = cursor[lv];
+        while (c < end && (slot[c] < 0 || colors[slot[c]] >= 0)) ++c;
+        if (c < end) continue;  // a dominating neighbor is still uncolored
         used.clear();
-        comm.compute_edges(lg.offsets[lv + 1] - lg.offsets[lv]);
-        for (graph::EdgeId i = lg.offsets[lv]; i < lg.offsets[lv + 1]; ++i) {
-          const VertexId u = lg.adj[i].to;
-          const std::int64_t cu = known_color(u);
-          if (dominates(u, v)) {
-            if (cu < 0) {
-              ready = false;
-              break;
-            }
-            used.push_back(cu);
-          }
+        for (graph::EdgeId i = begin; i < end; ++i) {
+          if (slot[i] >= 0) used.push_back(colors[slot[i]]);
         }
-        if (!ready) continue;
         colors[lv] = mex(used);
         --uncolored;
         progressed = true;
         // Tell each distinct neighboring owner about the new color.
-        std::set<Rank> told;
-        for (graph::EdgeId i = lg.offsets[lv]; i < lg.offsets[lv + 1]; ++i) {
+        const VertexId v = lg.vbegin + lv;
+        for (graph::EdgeId i = begin; i < end; ++i) {
           const VertexId u = lg.adj[i].to;
           if (lg.owns(u)) continue;
           const Rank owner = dist.owner(u);
-          if (!told.insert(owner).second) continue;
+          if (told[owner] == v) continue;
+          told[owner] = v;
           ex.push(owner, ColorMsg{v, colors[lv]});
         }
       }
     }
   }
 
-  void apply(const ColorMsg& m) { ghost_colors[m.v] = m.color; }
+  void apply(const ColorMsg& m) { colors[nlocal + ghost_index(m.v)] = m.color; }
 };
 
 /// One rank's Jones-Plassmann coloring: sweep, one exchange round of color
@@ -159,7 +190,7 @@ sim::RankTask jp_rank(Model model, mpi::Comm& comm, const LocalGraph& lg,
   // Send-Recv sends every count first, then the updates in sweep order.
   const auto ex =
       match::make_level_exchange<ColorMsg>(model, comm, lg, /*grouped=*/false);
-  JpState st(lg);
+  JpState st(lg, dist);
   match::Sink<ColorMsg> sink{[&st](const ColorMsg& m) { st.apply(m); }};
   std::int64_t rounds = 0;
   for (;;) {
@@ -170,6 +201,7 @@ sim::RankTask jp_rank(Model model, mpi::Comm& comm, const LocalGraph& lg,
     comm.obs_iteration(static_cast<std::uint64_t>(rounds), remaining);
     if (remaining == 0) break;
   }
+  st.colors.resize(static_cast<std::size_t>(lg.nlocal()));
   *colors_out = std::move(st.colors);
   *rounds_out = rounds;
 }
@@ -211,6 +243,9 @@ ColorResult run_coloring(const Csr& g, int nranks, Model model,
   result.trace_hash = job.simulator.trace_hash();
   result.sim_events = job.simulator.events_executed();
   result.totals = job.machine.total_counters();
+  if (cfg.collect_matrix) {
+    result.matrix = std::make_unique<mpi::CommMatrix>(job.machine.matrix());
+  }
   return result;
 }
 

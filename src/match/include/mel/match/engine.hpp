@@ -83,20 +83,12 @@ class LocalMatcher {
   /// local offset (global id - vbegin).
   std::span<const VertexId> mates() const { return mate_; }
 
-  /// Extra bytes of algorithm state (memory model).
-  std::size_t state_bytes() const;
-
  private:
-  struct SortedEntry {
-    VertexId to = kNullVertex;
-    Weight w = 0.0;
-    EdgeId orig = 0;  // index into lg_.adj for the dead bitmap
-  };
-
   VertexId local_index(VertexId global_v) const { return global_v - lg_.vbegin; }
   bool owned(VertexId v) const { return lg_.owns(v); }
 
-  /// Index of adjacency entry (x, y) in lg_.adj (rows sorted by `to`).
+  /// Index of adjacency entry (x, y) in lg_.adj (rows sorted by `to`). Only
+  /// handle() needs it: every other lookup already holds the entry.
   EdgeId entry_index(VertexId x, VertexId y) const;
 
   /// Deactivate an adjacency entry; returns false if already dead.
@@ -105,15 +97,19 @@ class LocalMatcher {
   void find_mate(VertexId x);
   void process_neighbors(VertexId v);
   void push(Ctx ctx, VertexId target, VertexId source);
-  void match_pair_local(VertexId x, VertexId y);
+  void match_pair_local(VertexId x, VertexId y, EdgeId xy);
 
   mpi::Comm& comm_;
   const graph::LocalGraph& lg_;
   const graph::Distribution& dist_;
 
-  std::vector<EdgeId> sorted_offsets_;      // per local vertex
-  std::vector<SortedEntry> sorted_adj_;     // rows in descending EdgeKey
-  std::vector<EdgeId> cursor_;              // per local vertex
+  // Per lg_.adj entry, as uint32 indices into lg_.adj (the constructor
+  // throws std::length_error past 2^32 - 1 entries). order_ lists each
+  // row's entries in descending EdgeKey; mirror_ holds the reverse entry
+  // (y, x) of an owned-owned entry (x, y) and is unused for ghost entries.
+  std::vector<std::uint32_t> order_;
+  std::vector<std::uint32_t> mirror_;
+  std::vector<EdgeId> cursor_;              // per local vertex: next in order_
   std::vector<char> dead_;                  // per lg_.adj entry
   std::vector<char> incoming_req_;          // deferred REQUEST per entry
   std::vector<VertexId> mate_;              // per local vertex (global id)

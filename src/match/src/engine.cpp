@@ -1,7 +1,9 @@
 #include "mel/match/engine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace mel::match {
@@ -9,22 +11,49 @@ namespace mel::match {
 LocalMatcher::LocalMatcher(mpi::Comm& comm, const graph::LocalGraph& lg,
                            const graph::Distribution& dist, Push push)
     : comm_(comm), lg_(lg), dist_(dist), push_(std::move(push)) {
+  if (lg.adj.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error(
+        "LocalMatcher: rank " + std::to_string(lg.rank) + " holds " +
+        std::to_string(lg.adj.size()) +
+        " adjacency entries, more than its uint32 edge indices address");
+  }
   const VertexId n = lg.nlocal();
-  sorted_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  sorted_adj_.reserve(lg.adj.size());
+  // Sort each row once, on keys computed once per entry.
+  order_.resize(lg.adj.size());
+  std::vector<EdgeKey> keys;
   for (VertexId lv = 0; lv < n; ++lv) {
     const VertexId v = lg.vbegin + lv;
-    const std::size_t row = sorted_adj_.size();
-    for (EdgeId i = lg.offsets[lv]; i < lg.offsets[lv + 1]; ++i) {
-      sorted_adj_.push_back(SortedEntry{lg.adj[i].to, lg.adj[i].w, i});
+    const EdgeId row = lg.offsets[lv];
+    keys.clear();
+    for (EdgeId i = row; i < lg.offsets[lv + 1]; ++i) {
+      keys.push_back(edge_key(v, lg.adj[i].to, lg.adj[i].w));
+      order_[i] = static_cast<std::uint32_t>(i);
     }
-    std::sort(sorted_adj_.begin() + row, sorted_adj_.end(),
-              [v](const SortedEntry& a, const SortedEntry& b) {
-                return edge_key(v, b.to, b.w) < edge_key(v, a.to, a.w);
+    std::sort(order_.begin() + row, order_.begin() + lg.offsets[lv + 1],
+              [&keys, row](std::uint32_t a, std::uint32_t b) {
+                return keys[b - row] < keys[a - row];
               });
-    sorted_offsets_[lv + 1] = static_cast<EdgeId>(sorted_adj_.size());
   }
-  cursor_.assign(sorted_offsets_.begin(), sorted_offsets_.end() - 1);
+  // Rows are sorted by `to` and visited in ascending x, so the reverse
+  // entries a row y is asked for come in ascending order too: one pointer
+  // per row, advancing only, finds them all.
+  mirror_.assign(lg.adj.size(), 0);
+  std::vector<EdgeId> next(lg.offsets.begin(), lg.offsets.end() - 1);
+  for (VertexId lx = 0; lx < n; ++lx) {
+    const VertexId x = lg.vbegin + lx;
+    for (EdgeId i = lg.offsets[lx]; i < lg.offsets[lx + 1]; ++i) {
+      const VertexId y = lg.adj[i].to;
+      if (!owned(y)) continue;
+      const EdgeId end = lg.offsets[local_index(y) + 1];
+      EdgeId& j = next[local_index(y)];
+      while (j < end && lg.adj[j].to < x) ++j;
+      if (j == end || lg.adj[j].to != x) {
+        throw std::logic_error("LocalMatcher: owned edge without its reverse");
+      }
+      mirror_[i] = static_cast<std::uint32_t>(j);
+    }
+  }
+  cursor_.assign(lg.offsets.begin(), lg.offsets.end() - 1);
   dead_.assign(lg.adj.size(), 0);
   incoming_req_.assign(lg.adj.size(), 0);
   mate_.assign(static_cast<std::size_t>(n), kNullVertex);
@@ -37,13 +66,6 @@ LocalMatcher::LocalMatcher(mpi::Comm& comm, const graph::LocalGraph& lg,
   comm.machine().set_state_probe(comm.rank(), [this] {
     return std::vector<std::int64_t>(mate_.begin(), mate_.end());
   });
-}
-
-std::size_t LocalMatcher::state_bytes() const {
-  return sorted_offsets_.size() * sizeof(EdgeId) +
-         sorted_adj_.size() * sizeof(SortedEntry) +
-         cursor_.size() * sizeof(EdgeId) + dead_.size() + incoming_req_.size() +
-         (mate_.size() + cand_.size()) * sizeof(VertexId);
 }
 
 EdgeId LocalMatcher::entry_index(VertexId x, VertexId y) const {
@@ -71,12 +93,12 @@ void LocalMatcher::push(Ctx ctx, VertexId target, VertexId source) {
         WireMsg{target, source, static_cast<std::int32_t>(ctx), 0});
 }
 
-void LocalMatcher::match_pair_local(VertexId x, VertexId y) {
+void LocalMatcher::match_pair_local(VertexId x, VertexId y, EdgeId xy) {
   mate_[local_index(x)] = y;
   mate_[local_index(y)] = x;
   // Deactivate the matched edge in both directions.
-  deactivate(entry_index(x, y));
-  deactivate(entry_index(y, x));
+  deactivate(xy);
+  deactivate(mirror_[xy]);
   matched_queue_.push_back(x);
   matched_queue_.push_back(y);
 }
@@ -87,13 +109,15 @@ void LocalMatcher::find_mate(VertexId x) {
   comm_.compute_vertices(1);
 
   EdgeId& c = cursor_[lx];
-  const EdgeId row_end = sorted_offsets_[lx + 1];
+  const EdgeId row_end = lg_.offsets[lx + 1];
   const EdgeId scan_start = c;
   VertexId candidate = kNullVertex;
+  EdgeId cand_entry = 0;
   while (c < row_end) {
-    const SortedEntry& e = sorted_adj_[c];
+    const EdgeId i = order_[c];
+    const graph::Adj& e = lg_.adj[i];
     if (e.w <= 0) break;  // sorted descending: nothing matchable remains
-    if (dead_[e.orig]) {
+    if (dead_[i]) {
       ++c;
       continue;
     }
@@ -102,6 +126,7 @@ void LocalMatcher::find_mate(VertexId x) {
       continue;
     }
     candidate = e.to;
+    cand_entry = i;
     break;
   }
   // Charge exactly the adjacency entries the scan inspected: every slot
@@ -120,7 +145,7 @@ void LocalMatcher::find_mate(VertexId x) {
       const VertexId z = lg_.adj[i].to;
       if (owned(z)) {
         deactivate(i);
-        deactivate(entry_index(z, x));
+        deactivate(mirror_[i]);
         if (mate_[local_index(z)] == kNullVertex &&
             cand_[local_index(z)] == x) {
           refind_queue_.push_back(z);
@@ -134,7 +159,9 @@ void LocalMatcher::find_mate(VertexId x) {
   }
 
   if (owned(candidate)) {
-    if (cand_[local_index(candidate)] == x) match_pair_local(x, candidate);
+    if (cand_[local_index(candidate)] == x) {
+      match_pair_local(x, candidate, cand_entry);
+    }
   } else {
     // Cross edge: initiate a matching request; the edge stays active on
     // this side until the outcome (mutual REQUEST or REJECT/INVALID)
@@ -142,10 +169,9 @@ void LocalMatcher::find_mate(VertexId x) {
     // is the mutual case: match now; the peer matches when our REQUEST
     // lands.
     push(Ctx::kRequest, candidate, x);
-    const EdgeId idx = entry_index(x, candidate);
-    if (incoming_req_[idx]) {
+    if (incoming_req_[cand_entry]) {
       mate_[lx] = candidate;
-      deactivate(idx);
+      deactivate(cand_entry);
       matched_queue_.push_back(x);
     }
   }
@@ -161,7 +187,7 @@ void LocalMatcher::process_neighbors(VertexId v) {
     if (x == m) continue;  // the matched edge itself (already dead anyway)
     if (owned(x)) {
       deactivate(i);
-      deactivate(entry_index(x, v));
+      deactivate(mirror_[i]);
       if (mate_[local_index(x)] == kNullVertex &&
           cand_[local_index(x)] == v) {
         refind_queue_.push_back(x);

@@ -121,8 +121,9 @@ TEST(DistColoring, RoundsGrowWithConflictChains) {
 // tests/match/determinism_pin_test.cpp: the simulator (time, sequence)
 // event-trace hash for both Jones-Plassmann backends x 3 seeds on
 // rmat(8, 8), 8 ranks. Captured from the pre-mellint tree
-// (std::unordered_map ghost table); the ordered-map replacement required
-// by mellint R1 is lookup-only and must be bit-identical. Re-capture with
+// (std::unordered_map ghost table); the ordered map mellint R1 required,
+// and the flat slot-indexed table and resumable sweep after it, change only
+// host-side lookups and must be bit-identical. Re-capture with
 // MEL_PIN_PRINT=1 only for an *intended* virtual-time change.
 TEST(ColorDeterminismPin, TraceHashPerModelAndSeed) {
   struct Pin {
@@ -164,6 +165,62 @@ TEST(ColorDeterminismPin, TraceHashPerModelAndSeed) {
     const auto t4 = run_coloring(g, 8, pin.model, sharded);
     EXPECT_EQ(t4.trace_hash, pin.trace_hash) << "threads 4, seed " << pin.seed;
     EXPECT_EQ(t4.time, pin.time) << "threads 4, seed " << pin.seed;
+  }
+}
+
+// Two runs that expose how the sweep charges its work. rmat(12, 8, 2) at
+// 16 ranks has hubs that stay uncolored, and are rescanned, for over a
+// hundred rounds. With stragglers, perturb_compute rounds every compute()
+// call on its own, so virtual time depends on the exact number and size of
+// the calls, and the summed compute_ns pins both. Re-capture with
+// MEL_PIN_PRINT=1 only for an *intended* virtual-time change.
+TEST(ColorDeterminismPin, DeepRescansAndStragglers) {
+  struct Pin {
+    const char* label;
+    Model model;
+    int scale;
+    int ranks;
+    int stragglers;
+    std::uint64_t trace_hash;
+    sim::Time time;
+    std::int64_t rounds;
+    sim::Time compute_ns;
+  };
+  const Pin kPins[] = {
+      {"hubs", Model::kNsr, 12, 16, 0, 0xe6d1aa8d836cd219ULL, 21142896, 112,
+       167142780},
+      {"stragglers", Model::kNcl, 9, 8, 2, 0x2ae13dc2c3b4679cULL, 2706117, 41,
+       7398972},
+  };
+  const bool print = std::getenv("MEL_PIN_PRINT") != nullptr;
+  for (const Pin& pin : kPins) {
+    const auto g = gen::rmat(pin.scale, 8, 2);
+    match::RunConfig cfg;
+    cfg.net.chaos.stragglers = pin.stragglers;
+    cfg.net.chaos.straggler_slowdown = 1.7;
+    const auto r = run_coloring(g, pin.ranks, pin.model, cfg);
+    EXPECT_EQ(r.colors, serial_jp_coloring(g)) << pin.label;
+    if (print) {
+      std::printf("      {\"%s\", Model::%s, %d, %d, %d, 0x%016llxULL, %lld, "
+                  "%lld, %lld},\n",
+                  pin.label, pin.model == Model::kNsr ? "kNsr" : "kNcl",
+                  pin.scale, pin.ranks, pin.stragglers,
+                  static_cast<unsigned long long>(r.trace_hash),
+                  static_cast<long long>(r.time),
+                  static_cast<long long>(r.rounds),
+                  static_cast<long long>(r.totals.compute_ns));
+      continue;
+    }
+    EXPECT_EQ(r.trace_hash, pin.trace_hash) << pin.label;
+    EXPECT_EQ(r.time, pin.time) << pin.label;
+    EXPECT_EQ(r.rounds, pin.rounds) << pin.label;
+    EXPECT_EQ(r.totals.compute_ns, pin.compute_ns) << pin.label;
+    cfg.threads = 4;
+    const auto t4 = run_coloring(g, pin.ranks, pin.model, cfg);
+    EXPECT_EQ(t4.trace_hash, pin.trace_hash) << "threads 4, " << pin.label;
+    EXPECT_EQ(t4.time, pin.time) << "threads 4, " << pin.label;
+    EXPECT_EQ(t4.totals.compute_ns, pin.compute_ns)
+        << "threads 4, " << pin.label;
   }
 }
 

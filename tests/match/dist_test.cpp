@@ -85,6 +85,18 @@ TEST_P(BackendSweep, NegativeWeightsExerciseInvalid) {
   expect_matches_serial(g, p, model);
 }
 
+TEST_P(BackendSweep, SignedZeroAndEqualWeightsMatchSerial) {
+  const auto [model, p] = GetParam();
+  // +0.0 and -0.0 compare equal and so do repeated weights: EdgeKey breaks
+  // both ties by the endpoint hash, and every backend's per-row order must
+  // tie them exactly the same way, not by the weights' bit patterns.
+  const double kWeights[] = {0.0, -0.0, 1.0, 1.0, 2.0};
+  auto edges = erdos_renyi(240, 1400, 31).to_edges();
+  util::Xoshiro256 rng(37);
+  for (auto& e : edges) e.w = kWeights[rng.next_below(5)];
+  expect_matches_serial(Csr::from_edges(240, edges), p, model);
+}
+
 TEST_P(BackendSweep, BarabasiAlbertMatchesSerial) {
   const auto [model, p] = GetParam();
   expect_matches_serial(gen::barabasi_albert(300, 4, 19), p, model);

@@ -14,9 +14,9 @@ TEST(EdgeCases, AllNegativeWeightsMatchNothing) {
   const auto g = graph::Csr::from_edges(100, edges);
   const auto serial = serial_half_approx(g);
   EXPECT_EQ(serial.cardinality, 0);
-  for (Model m : {Model::kNsr, Model::kRma, Model::kNcl, Model::kNsrAgg,
-                  Model::kRmaFence, Model::kNclNb, Model::kNsrHier,
-                  Model::kNclPersist, Model::kRmaPart}) {
+  for (Model m : {Model::kNsr, Model::kRma, Model::kNcl, Model::kMbp,
+                  Model::kNsrAgg, Model::kRmaFence, Model::kNclNb,
+                  Model::kNsrHier, Model::kNclPersist, Model::kRmaPart}) {
     const auto run = run_match(g, 5, m);
     EXPECT_EQ(run.matching.cardinality, 0) << model_name(m);
   }

@@ -5,7 +5,9 @@
 #     malformed R@NS pairs at parse time (exit 2, --help pointer),
 #   * --ft-recovery rejects unknown strategies the same way,
 #   * --algo, and the model, --root and match-only flags BFS and coloring
-#     get, are checked the same way.
+#     get, are checked the same way,
+#   * --matrix writes the comm matrix for every algorithm, and an
+#     unwritable --matrix path is a usage error.
 # Invoked with -DMELSIM=<path-to-binary>.
 if(NOT DEFINED MELSIM)
   message(FATAL_ERROR "pass -DMELSIM=<melsim binary>")
@@ -227,5 +229,40 @@ foreach(algo bfs color)
   endif()
   if(NOT a_seq_out STREQUAL a_thr_out)
     message(FATAL_ERROR "${algo} --threads 4 diverged:\n${a_seq_out}\nvs\n${a_thr_out}")
+  endif()
+endforeach()
+
+# --matrix writes one CSV row per rank, bytes sent to each rank, for every
+# algorithm; an unwritable path is rejected before any graph work.
+set(workdir "${CMAKE_CURRENT_BINARY_DIR}/melsim_cli_work")
+file(MAKE_DIRECTORY ${workdir})
+foreach(algo match bfs color)
+  expect_algo_rejected("${algo} unwritable matrix" "--matrix: cannot write"
+                       --algo ${algo} --model NSR --matrix /no-such-dir/m.csv)
+  set(csv ${workdir}/${algo}.matrix.csv)
+  file(REMOVE ${csv})
+  execute_process(
+    COMMAND ${MELSIM} --algo ${algo} --model NSR --ranks 4 --gen er
+            --verts 100 --edges 400 --matrix ${csv}
+    RESULT_VARIABLE m_code
+    ERROR_VARIABLE m_err)
+  if(NOT m_code EQUAL 0)
+    message(FATAL_ERROR "${algo} --matrix: expected exit 0, got ${m_code}: ${m_err}")
+  endif()
+  if(NOT EXISTS ${csv})
+    message(FATAL_ERROR "${algo} --matrix: no CSV written")
+  endif()
+  file(STRINGS ${csv} rows)
+  list(LENGTH rows nrows)
+  if(NOT nrows EQUAL 4)
+    message(FATAL_ERROR "${algo} --matrix: expected 4 rows, got ${nrows}")
+  endif()
+  foreach(row IN LISTS rows)
+    if(NOT row MATCHES "^[0-9]+,[0-9]+,[0-9]+,[0-9]+$")
+      message(FATAL_ERROR "${algo} --matrix: malformed row '${row}'")
+    endif()
+  endforeach()
+  if(NOT rows MATCHES "[1-9]")
+    message(FATAL_ERROR "${algo} --matrix: every entry is zero")
   endif()
 endforeach()

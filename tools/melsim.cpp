@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -299,8 +300,8 @@ sim::Time parse_sample_interval(const std::string& text) {
 }
 
 /// Probe an output path for writability before the simulation runs: a
-/// bad --trace/--metrics-jsonl destination is a usage error (exit 2 +
-/// --help pointer), not something to discover after minutes of
+/// bad --trace/--metrics-jsonl/--matrix destination is a usage error (exit
+/// 2 + --help pointer), not something to discover after minutes of
 /// simulated work. The probe opens in append mode (leaving an existing
 /// file's bytes alone) and removes the file again if the probe itself
 /// created it.
@@ -316,6 +317,21 @@ void require_writable(const char* flag, const std::string& path) {
   }
   std::fclose(f);
   if (!existed) std::remove(path.c_str());
+}
+
+/// Write the --matrix CSV (bytes per rank pair), if one was asked for.
+void write_matrix(const util::Cli& cli,
+                  const std::unique_ptr<mpi::CommMatrix>& matrix) {
+  if (!cli.has("matrix")) return;
+  const std::string path = cli.get("matrix", "");
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    throw std::runtime_error("--matrix: cannot write \"" + path +
+                             "\": " + std::strerror(errno));
+  }
+  const auto text = perf::matrix_csv(*matrix, true);
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
 }
 
 /// Parse --ft-recovery (same exit-2 + --help convention).
@@ -387,6 +403,7 @@ int run(const util::Cli& cli) {
   if (cli.has("metrics-jsonl")) {
     require_writable("--metrics-jsonl", cli.get("metrics-jsonl", ""));
   }
+  if (cli.has("matrix")) require_writable("--matrix", cli.get("matrix", ""));
 
   const bool host_profile =
       cli.get_bool("host-profile", false) || cli.has("host-profile-json");
@@ -497,14 +514,7 @@ int run(const util::Cli& cli) {
                     list.c_str(), run.recoveries, run.shrinks);
       }
     }
-    if (cli.has("matrix") && run.matrix != nullptr) {
-      std::FILE* f = std::fopen(cli.get("matrix", "").c_str(), "w");
-      if (f != nullptr) {
-        const auto text = perf::matrix_csv(*run.matrix, true);
-        std::fwrite(text.data(), 1, text.size(), f);
-        std::fclose(f);
-      }
-    }
+    write_matrix(cli, run.matrix);
     if (!valid) return 1;
   } else if (algo == "bfs") {
     const auto run = bfs::run_bfs(g, ranks, root, model, cfg);
@@ -515,6 +525,7 @@ int run(const util::Cli& cli) {
     std::printf("bfs,%s,%d,%.6f,levels=%lld,correct=%s\n",
                 match::model_name(model), ranks, sim::to_seconds(run.time),
                 static_cast<long long>(run.levels), ok ? "yes" : "NO");
+    write_matrix(cli, run.matrix);
     if (!ok) return 1;
   } else {
     const auto run = color::run_coloring(g, ranks, model, cfg);
@@ -526,6 +537,7 @@ int run(const util::Cli& cli) {
                 match::model_name(model), ranks, sim::to_seconds(run.time),
                 static_cast<long long>(color::color_count(run.colors)),
                 static_cast<long long>(run.rounds), ok ? "yes" : "NO");
+    write_matrix(cli, run.matrix);
     if (!ok) return 1;
   }
 
