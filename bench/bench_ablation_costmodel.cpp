@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
     cfg.net.o_send = o_send;
     double t[3];
     int i = 0;
-    for (const auto model : bench::kAllModels) {
+    for (const auto model : bench::kPaperModels) {
       t[i++] = match::run_match(g, ranks, model, cfg).seconds();
     }
     a.add_row({std::to_string(o_send), util::fmt_double(t[0], 4),
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     cfg.net.o_coll_per_neighbor = c;
     double t[3];
     int i = 0;
-    for (const auto model : bench::kAllModels) {
+    for (const auto model : bench::kPaperModels) {
       t[i++] = match::run_match(g, ranks, model, cfg).seconds();
     }
     b.add_row({std::to_string(c), util::fmt_double(t[0], 4),
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
     double t[3];
     double weight = 0.0;
     int i = 0;
-    for (const auto model : bench::kAllModels) {
+    for (const auto model : bench::kPaperModels) {
       const auto run = match::run_match(g, ranks, model, cfg);
       t[i++] = run.seconds();
       weight = run.matching.weight;  // identical across models by audit

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     const auto s = graph::process_graph_stats(dg);
     double t[3];
     int i = 0;
-    for (const auto model : bench::kAllModels) {
+    for (const auto model : bench::kPaperModels) {
       t[i++] = match::run_match(g, ranks, model).seconds();
     }
     table.add_row({name, std::to_string(s.dmax), util::fmt_double(s.davg, 1),

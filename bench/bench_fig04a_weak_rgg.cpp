@@ -10,8 +10,7 @@ using namespace mel;
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
-  const auto ranks_list =
-      util::parse_int_list(cli.get("ranks", "16,32,64,128"));
+  const auto ranks_list = cli.get_int_list("ranks", "16,32,64,128");
   const auto verts_per_rank = cli.get_int("verts-per-rank", 8192) << scale;
 
   std::printf("== Fig 4a: weak scaling, RGG, %lld vertices/rank ==\n\n",
@@ -27,7 +26,7 @@ int main(int argc, char** argv) {
     const auto stats = graph::process_graph_stats(dg);
     double t[3];
     int i = 0;
-    for (const auto model : bench::kAllModels) {
+    for (const auto model : bench::kPaperModels) {
       t[i++] = bench::run_verified(g, p, model).seconds();
     }
     table.add_row({std::to_string(p),

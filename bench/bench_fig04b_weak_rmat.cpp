@@ -7,7 +7,7 @@ using namespace mel;
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
-  const auto ranks_list = util::parse_int_list(cli.get("ranks", "16,32,64,128"));
+  const auto ranks_list = cli.get_int_list("ranks", "16,32,64,128");
   const int base_scale = 12 + scale;
 
   std::printf("== Fig 4b: weak scaling, Graph500 R-MAT scales %d-%d ==\n\n",
@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     const auto g = gen::rmat(s, 16, 7);
     double t[3];
     int i = 0;
-    for (const auto model : bench::kAllModels) {
+    for (const auto model : bench::kPaperModels) {
       t[i++] = bench::run_verified(g, p, model).seconds();
     }
     table.add_row({std::to_string(p), std::to_string(s),

@@ -11,8 +11,7 @@ using namespace mel;
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
-  const auto ranks_list =
-      util::parse_int_list(cli.get("ranks", "64,128,256,512"));
+  const auto ranks_list = cli.get_int_list("ranks", "64,128,256,512");
   const auto verts_per_rank = cli.get_int("verts-per-rank", 256) << scale;
 
   std::printf("== Fig 4c: weak scaling, stochastic block partitioned (HILO), "
@@ -31,7 +30,7 @@ int main(int argc, char** argv) {
                   std::to_string(stats.dmax), util::fmt_double(stats.davg, 0)});
     double t[3];
     int i = 0;
-    for (const auto model : bench::kAllModels) {
+    for (const auto model : bench::kPaperModels) {
       t[i++] = bench::run_verified(g, p, model).seconds();
     }
     table.add_row({std::to_string(p),

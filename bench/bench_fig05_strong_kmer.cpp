@@ -10,7 +10,7 @@ using namespace mel;
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
-  const auto ranks_list = util::parse_int_list(cli.get("ranks", "16,32,64"));
+  const auto ranks_list = cli.get_int_list("ranks", "16,32,64");
 
   // K-mer graphs are grids of different sizes, mostly — but not perfectly
   // — contiguous in memory (assembly emits runs out of order); a partial
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
       const int p = static_cast<int>(p64);
       double t[3];
       int i = 0;
-      for (const auto model : bench::kAllModels) {
+      for (const auto model : bench::kPaperModels) {
         t[i++] = bench::run_verified(g, p, model).seconds();
       }
       table.add_row({std::to_string(p), util::fmt_double(t[0], 4),

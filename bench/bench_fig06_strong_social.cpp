@@ -19,9 +19,9 @@ int main(int argc, char** argv) {
     std::vector<std::int64_t> ranks;
   } instances[] = {
       {"Orkut-like", graph::VertexId{1} << (15 + scale), 39,
-       util::parse_int_list(cli.get("ranks-orkut", "16,32,64,128"))},
+       cli.get_int_list("ranks-orkut", "16,32,64,128")},
       {"Friendster-like", graph::VertexId{1} << (17 + scale), 27,
-       util::parse_int_list(cli.get("ranks-friendster", "32,64,128,256"))},
+       cli.get_int_list("ranks-friendster", "32,64,128,256")},
   };
 
   std::printf("== Fig 6: strong scaling, social network stand-ins ==\n\n");
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
                     util::fmt_double(s.dsigma, 2)});
       double t[3];
       int i = 0;
-      for (const auto model : bench::kAllModels) {
+      for (const auto model : bench::kPaperModels) {
         t[i++] = bench::run_verified(g, p, model).seconds();
       }
       table.add_row({std::to_string(p), util::fmt_double(t[0], 4),

@@ -11,7 +11,7 @@ using namespace mel;
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
-  const auto ranks_list = util::parse_int_list(cli.get("ranks", "64,128"));
+  const auto ranks_list = cli.get_int_list("ranks", "64,128");
 
   struct Inst {
     std::string name;

@@ -11,7 +11,7 @@ using namespace mel;
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", -3));
-  const auto ranks_list = util::parse_int_list(cli.get("ranks", "16,32,64"));
+  const auto ranks_list = cli.get_int_list("ranks", "16,32,64");
 
   const auto datasets = gen::table2_datasets(scale, 1);
   std::vector<std::vector<double>> times(3);
@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     for (const auto p64 : ranks_list) {
       const int p = static_cast<int>(p64);
       int i = 0;
-      for (const auto model : bench::kAllModels) {
+      for (const auto model : bench::kPaperModels) {
         times[i++].push_back(bench::run_verified(g, p, model).seconds());
       }
       ++instances;

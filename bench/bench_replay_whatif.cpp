@@ -79,7 +79,7 @@ int run_speedup(const util::Cli& cli) {
   const int ranks = static_cast<int>(cli.get_int("ranks", 512));
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const auto verts_per_rank = cli.get_int("verts-per-rank", 8192) << scale;
-  const auto model = bench::parse_model(cli.get("model", "NCL"));
+  const auto model = match::parse_model(cli.get("model", "NCL"));
   const graph::VertexId n = verts_per_rank * ranks;
 
   std::printf("== replay vs full-sim: what-if pricing, fig04 RGG, p=%d ==\n\n",
@@ -152,12 +152,12 @@ int run_crossover(const util::Cli& cli) {
     std::fprintf(stderr, "unknown net param for --param\n");
     return 2;
   }
-  const auto values = util::parse_int_list(
-      cli.get("values", "1400,5600,22400,89600,358400"));
+  const auto values =
+      cli.get_int_list("values", "1400,5600,22400,89600,358400");
   const graph::VertexId n = verts_per_rank * ranks;
 
-  const auto model_a = bench::parse_model(cli.get("model-a", "NSR"));
-  const auto model_b = bench::parse_model(cli.get("model-b", "NSR-AGG"));
+  const auto model_a = match::parse_model(cli.get("model-a", "NSR"));
+  const auto model_b = match::parse_model(cli.get("model-b", "NSR-AGG"));
   const char* na = match::model_name(model_a);
   const char* nb = match::model_name(model_b);
 

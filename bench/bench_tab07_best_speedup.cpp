@@ -7,7 +7,7 @@ using namespace mel;
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", -2));
-  const auto ranks_list = util::parse_int_list(cli.get("ranks", "32,64"));
+  const auto ranks_list = cli.get_int_list("ranks", "32,64");
 
   std::printf("== Table VII: best speedup over NSR per input ==\n\n");
   util::Table table({"category", "identifier", "best speedup", "version",

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
                 util::fmt_si(static_cast<double>(inst.g.nedges())).c_str());
     util::Table table({"ver", "mem MB/proc", "node eng (kJ)", "node pwr (kW)",
                        "comp%", "MPI%", "EDP"});
-    for (const auto model : bench::kAllModels) {
+    for (const auto model : bench::kPaperModels) {
       const auto run = bench::run_verified(inst.g, ranks, model);
       const auto energy = perf::energy_report(run, np);
       const auto memory = perf::memory_report(run);

@@ -21,19 +21,10 @@
 
 namespace mel::bench {
 
-inline const std::vector<match::Model> kAllModels = {
+/// The three models the paper's figures compare; match::kAllModels has all
+/// ten.
+inline const std::vector<match::Model> kPaperModels = {
     match::Model::kNsr, match::Model::kRma, match::Model::kNcl};
-
-inline match::Model parse_model(const std::string& name) {
-  for (const auto m :
-       {match::Model::kNsr, match::Model::kRma, match::Model::kNcl,
-        match::Model::kMbp, match::Model::kNsrAgg, match::Model::kRmaFence,
-        match::Model::kNclNb, match::Model::kNsrHier, match::Model::kNclPersist,
-        match::Model::kRmaPart}) {
-    if (name == match::model_name(m)) return m;
-  }
-  throw std::invalid_argument("unknown model: " + name);
-}
 
 /// Run one model and verify the result against the serial matcher; abort
 /// loudly if the distributed matching is wrong (a bench must never report

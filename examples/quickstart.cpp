@@ -3,7 +3,6 @@
 //
 //   ./quickstart [--verts 4000] [--edges 24000] [--ranks 8] [--model NCL]
 #include <cstdio>
-#include <string>
 
 #include "mel/gen/generators.hpp"
 #include "mel/match/driver.hpp"
@@ -12,22 +11,12 @@
 
 using namespace mel;
 
-namespace {
-match::Model parse_model(const std::string& name) {
-  if (name == "NSR") return match::Model::kNsr;
-  if (name == "RMA") return match::Model::kRma;
-  if (name == "NCL") return match::Model::kNcl;
-  if (name == "MBP") return match::Model::kMbp;
-  throw std::invalid_argument("unknown model: " + name);
-}
-}  // namespace
-
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const auto nverts = cli.get_int("verts", 4000);
   const auto nedges = cli.get_int("edges", 24000);
   const int ranks = static_cast<int>(cli.get_int("ranks", 8));
-  const auto model = parse_model(cli.get("model", "NCL"));
+  const auto model = match::parse_model(cli.get("model", "NCL"));
 
   // 1. A random weighted graph (any mel::gen generator works here).
   const graph::Csr g = gen::erdos_renyi(nverts, nedges, /*seed=*/42);

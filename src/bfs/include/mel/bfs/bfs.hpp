@@ -9,12 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "mel/graph/dist.hpp"
-#include "mel/match/driver.hpp"  // RunConfig, Model
-#include "mel/mpi/counters.hpp"
+#include "mel/match/driver.hpp"  // Model, RunConfig, RunStats
 
 namespace mel::bfs {
 
@@ -24,16 +22,11 @@ using graph::VertexId;
 /// Distances from root (-1 = unreachable). Reference implementation.
 std::vector<std::int64_t> serial_bfs(const Csr& g, VertexId root);
 
-struct BfsResult {
+/// A BFS run: the run statistics every algorithm reports (time, trace
+/// hash, events, totals, matrix), plus distances and the level count.
+struct BfsResult : match::RunStats {
   std::vector<std::int64_t> dist;
-  sim::Time time = 0;
   std::int64_t levels = 0;
-  /// Simulator (time, sequence) event-trace hash — the same determinism
-  /// fingerprint run_match reports, so BFS runs can be pinned too.
-  std::uint64_t trace_hash = 0;
-  std::uint64_t sim_events = 0;
-  mpi::CommCounters totals;
-  std::unique_ptr<mpi::CommMatrix> matrix;
 };
 
 /// Run distributed BFS under the given communication model.

@@ -2,16 +2,15 @@
 
 #include <deque>
 #include <set>
+#include <span>
 
 #include "mel/match/exchange.hpp"
-#include "mel/mpi/machine.hpp"
 
 namespace mel::bfs {
 
 using graph::Distribution;
 using graph::LocalGraph;
 using match::Model;
-using sim::Rank;
 
 std::vector<std::int64_t> serial_bfs(const Csr& g, VertexId root) {
   std::vector<std::int64_t> dist(static_cast<std::size_t>(g.nverts()), -1);
@@ -35,15 +34,14 @@ namespace {
 
 /// One rank's level-synchronous BFS: expand the frontier, relaxing owned
 /// neighbors locally and pushing each ghost (once per level) to its owner,
-/// then one exchange round and a global count of the next frontier.
+/// then one exchange round and a global count of the next frontier. `dist`
+/// holds the owned vertices' distances, -1 until reached.
 sim::RankTask bfs_rank(Model model, mpi::Comm& comm, const LocalGraph& lg,
                        const Distribution& dist_map, VertexId root,
-                       std::vector<std::int64_t>* dist_out,
-                       std::int64_t* levels_out) {
+                       std::span<std::int64_t> dist, std::int64_t* levels_out) {
   // Send-Recv sends each neighbor's visits right behind its count.
   const auto ex =
       match::make_level_exchange<VertexId>(model, comm, lg, /*grouped=*/true);
-  std::vector<std::int64_t> dist(static_cast<std::size_t>(lg.nlocal()), -1);
   std::vector<VertexId> frontier;  // owned, discovered last level
   std::vector<VertexId> next;      // owned, discovered this level
   std::int64_t level = 0;
@@ -85,8 +83,6 @@ sim::RankTask bfs_rank(Model model, mpi::Comm& comm, const LocalGraph& lg,
     comm.obs_iteration(static_cast<std::uint64_t>(++level), global_next);
     if (global_next == 0) break;
   }
-
-  *dist_out = std::move(dist);
   *levels_out = level;
 }
 
@@ -94,42 +90,15 @@ sim::RankTask bfs_rank(Model model, mpi::Comm& comm, const LocalGraph& lg,
 
 BfsResult run_bfs(const Csr& g, int nranks, VertexId root, Model model,
                   const match::RunConfig& cfg) {
-  if (model != Model::kNsr && model != Model::kNcl) {
-    throw std::invalid_argument("run_bfs: only NSR and NCL are supported");
-  }
-  if (!cfg.net.chaos.crashes.empty()) {
-    throw std::invalid_argument(
-        "run_bfs: scheduled rank crashes need recovery, which only matching "
-        "implements");
-  }
-  const graph::DistGraph dg(g, nranks);
-  match::Job job(dg, cfg);
-
-  std::vector<std::vector<std::int64_t>> dists(nranks);
-  std::vector<std::int64_t> levels(nranks, 0);
-  for (Rank r = 0; r < nranks; ++r) {
-    job.simulator.spawn(r, bfs_rank(model, job.machine.comm(r), dg.local(r),
-                                    dg.dist(), root, &dists[r], &levels[r]));
-  }
-  job.simulator.run();
-  job.machine.audit_or_throw();
-
   BfsResult result;
-  result.dist.assign(static_cast<std::size_t>(g.nverts()), -1);
-  for (Rank r = 0; r < nranks; ++r) {
-    const VertexId base = dg.local(r).vbegin;
-    for (std::size_t i = 0; i < dists[r].size(); ++i) {
-      result.dist[static_cast<std::size_t>(base) + i] = dists[r][i];
-    }
-    result.levels = std::max(result.levels, levels[r]);
-  }
-  result.time = job.simulator.max_rank_time();
-  result.trace_hash = job.simulator.trace_hash();
-  result.sim_events = job.simulator.events_executed();
-  result.totals = job.machine.total_counters();
-  if (cfg.collect_matrix) {
-    result.matrix = std::make_unique<mpi::CommMatrix>(job.machine.matrix());
-  }
+  result.levels = match::run_levels(
+      "run_bfs", g, nranks, model, cfg,
+      [root](Model m, mpi::Comm& comm, const LocalGraph& lg,
+             const Distribution& dist, std::span<std::int64_t> owned,
+             std::int64_t* levels) {
+        return bfs_rank(m, comm, lg, dist, root, owned, levels);
+      },
+      result.dist, result);
   return result;
 }
 

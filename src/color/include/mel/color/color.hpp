@@ -11,12 +11,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "mel/graph/dist.hpp"
-#include "mel/match/driver.hpp"  // Model, RunConfig
-#include "mel/mpi/counters.hpp"
+#include "mel/match/driver.hpp"  // Model, RunConfig, RunStats
 
 namespace mel::color {
 
@@ -36,16 +34,12 @@ bool is_proper_coloring(const Csr& g, const std::vector<std::int64_t>& colors);
 /// Number of distinct colors used.
 std::int64_t color_count(const std::vector<std::int64_t>& colors);
 
-struct ColorResult {
+/// A coloring run: the run statistics every algorithm reports (time, trace
+/// hash, events, totals, matrix), plus one color per vertex and the round
+/// count.
+struct ColorResult : match::RunStats {
   std::vector<std::int64_t> colors;
-  sim::Time time = 0;
   std::int64_t rounds = 0;
-  /// Simulator (time, sequence) event-trace hash — the same determinism
-  /// fingerprint run_match reports, so coloring runs can be pinned too.
-  std::uint64_t trace_hash = 0;
-  std::uint64_t sim_events = 0;
-  mpi::CommCounters totals;
-  std::unique_ptr<mpi::CommMatrix> matrix;  // if cfg.collect_matrix
 };
 
 /// Distributed Jones-Plassmann under kNsr or kNcl.

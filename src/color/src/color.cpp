@@ -4,10 +4,10 @@
 #include <limits>
 #include <numeric>
 #include <set>
+#include <span>
 #include <stdexcept>
 
 #include "mel/match/exchange.hpp"
-#include "mel/mpi/machine.hpp"
 #include "mel/util/rng.hpp"
 
 namespace mel::color {
@@ -185,7 +185,7 @@ struct JpState {
 /// updates, then a global count of still-uncolored vertices.
 sim::RankTask jp_rank(Model model, mpi::Comm& comm, const LocalGraph& lg,
                       const Distribution& dist,
-                      std::vector<std::int64_t>* colors_out,
+                      std::span<std::int64_t> colors_out,
                       std::int64_t* rounds_out) {
   // Send-Recv sends every count first, then the updates in sweep order.
   const auto ex =
@@ -201,8 +201,7 @@ sim::RankTask jp_rank(Model model, mpi::Comm& comm, const LocalGraph& lg,
     comm.obs_iteration(static_cast<std::uint64_t>(rounds), remaining);
     if (remaining == 0) break;
   }
-  st.colors.resize(static_cast<std::size_t>(lg.nlocal()));
-  *colors_out = std::move(st.colors);
+  std::copy_n(st.colors.begin(), colors_out.size(), colors_out.begin());
   *rounds_out = rounds;
 }
 
@@ -210,42 +209,9 @@ sim::RankTask jp_rank(Model model, mpi::Comm& comm, const LocalGraph& lg,
 
 ColorResult run_coloring(const Csr& g, int nranks, Model model,
                          const match::RunConfig& cfg) {
-  if (model != Model::kNsr && model != Model::kNcl) {
-    throw std::invalid_argument("run_coloring: only NSR and NCL supported");
-  }
-  if (!cfg.net.chaos.crashes.empty()) {
-    throw std::invalid_argument(
-        "run_coloring: scheduled rank crashes need recovery, which only "
-        "matching implements");
-  }
-  const graph::DistGraph dg(g, nranks);
-  match::Job job(dg, cfg);
-
-  std::vector<std::vector<std::int64_t>> colors(nranks);
-  std::vector<std::int64_t> rounds(nranks, 0);
-  for (Rank r = 0; r < nranks; ++r) {
-    job.simulator.spawn(r, jp_rank(model, job.machine.comm(r), dg.local(r),
-                                   dg.dist(), &colors[r], &rounds[r]));
-  }
-  job.simulator.run();
-  job.machine.audit_or_throw();
-
   ColorResult result;
-  result.colors.assign(static_cast<std::size_t>(g.nverts()), -1);
-  for (Rank r = 0; r < nranks; ++r) {
-    const VertexId base = dg.local(r).vbegin;
-    for (std::size_t i = 0; i < colors[r].size(); ++i) {
-      result.colors[static_cast<std::size_t>(base) + i] = colors[r][i];
-    }
-    result.rounds = std::max(result.rounds, rounds[r]);
-  }
-  result.time = job.simulator.max_rank_time();
-  result.trace_hash = job.simulator.trace_hash();
-  result.sim_events = job.simulator.events_executed();
-  result.totals = job.machine.total_counters();
-  if (cfg.collect_matrix) {
-    result.matrix = std::make_unique<mpi::CommMatrix>(job.machine.matrix());
-  }
+  result.rounds = match::run_levels("run_coloring", g, nranks, model, cfg,
+                                    jp_rank, result.colors, result);
   return result;
 }
 

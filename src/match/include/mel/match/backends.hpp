@@ -19,7 +19,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
+#include <string>
 
 #include "mel/match/engine.hpp"
 #include "mel/mpi/comm.hpp"
@@ -57,7 +58,18 @@ enum class Model {
   kRmaPart,
 };
 
+/// All ten models, in enum order.
+inline constexpr Model kAllModels[] = {
+    Model::kNsr,    Model::kRma,      Model::kNcl,   Model::kMbp,
+    Model::kNsrAgg, Model::kRmaFence, Model::kNclNb, Model::kNsrHier,
+    Model::kNclPersist, Model::kRmaPart,
+};
+
 const char* model_name(Model m);
+
+/// The model model_name(m) names; std::invalid_argument("unknown model:
+/// NAME") for anything else.
+Model parse_model(const std::string& name);
 
 /// Bytes of communication buffer a rank needs under each model (beyond
 /// what the Machine accounts automatically); used for Table VIII.
@@ -67,23 +79,19 @@ std::size_t backend_buffer_bytes(Model m, const graph::LocalGraph& lg);
 /// 2 * ghost_count records per process neighbor (paper Fig 1).
 std::size_t rma_window_bytes(const graph::LocalGraph& lg);
 
-/// Window bytes for the fence variant: the RMA layout plus one cumulative
-/// count slot per process neighbor.
+/// Window bytes for the fence and partitioned variants: the RMA layout
+/// plus one cumulative count slot per process neighbor.
 std::size_t rma_fence_window_bytes(const graph::LocalGraph& lg);
-
-/// Window bytes for the partitioned variant — same layout as the fence
-/// variant: data regions plus one cumulative count slot per neighbor.
-std::size_t rma_part_window_bytes(const graph::LocalGraph& lg);
 
 /// One rank of half-approx matching under model `m`. `window_id` names the
 /// window the driver allocated for the one-sided models (ignored by the
-/// others). `mate_out` receives one global partner id (or kNullVertex) per
-/// owned vertex; `iterations_out` receives the number of exchange rounds
-/// (RMA/NCL families), processed messages (NSR/MBP) or sent batches
-/// (NSR-AGG/NSR-HIER).
+/// others). On completion `mate_out` holds one global partner id (or
+/// kNullVertex) per owned vertex, and `iterations_out` the number of
+/// exchange rounds (RMA/NCL families), processed messages (NSR/MBP) or sent
+/// batches (NSR-AGG/NSR-HIER).
 sim::RankTask match_rank(Model m, mpi::Comm& comm, const graph::LocalGraph& lg,
                          const graph::Distribution& dist, int window_id,
-                         std::vector<VertexId>* mate_out,
+                         std::span<VertexId> mate_out,
                          std::uint64_t* iterations_out);
 
 }  // namespace mel::match

@@ -1,10 +1,13 @@
-// Host-side driver: builds the simulated machine, distributes the graph,
-// runs one matching configuration to completion, and returns everything
-// the paper's tables/figures report about a run.
+// Host-side driver: the run shell every algorithm runs on (Job), the
+// level-synchronous entry point BFS and coloring share (run_levels), and
+// matching's own driver, which returns everything the paper's
+// tables/figures report about a run.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mel/ft/params.hpp"
@@ -14,6 +17,7 @@
 #include "mel/mpi/counters.hpp"
 #include "mel/mpi/machine.hpp"
 #include "mel/net/network.hpp"
+#include "mel/sim/task.hpp"
 
 namespace mel::match {
 
@@ -47,17 +51,31 @@ struct RunConfig {
   int threads = 1;
 };
 
-struct RunResult {
+/// What every run reports, whatever the algorithm; Job::run fills it.
+struct RunStats {
+  /// Simulated job time: max over ranks of final virtual clock.
+  sim::Time time = 0;
+  double seconds() const { return sim::to_seconds(time); }
+
+  std::uint64_t sim_events = 0;
+
+  /// Order-sensitive hash of the simulator's full (time, sequence) event
+  /// trace (sim::Simulator::trace_hash); recovery passes fold in their own
+  /// trace. Equal hashes across builds certify bit-identical virtual-time
+  /// behaviour — the determinism pin tests assert on this.
+  std::uint64_t trace_hash = 0;
+
+  mpi::CommCounters totals;  // summed over ranks
+
+  std::unique_ptr<mpi::CommMatrix> matrix;  // if collect_matrix
+};
+
+struct RunResult : RunStats {
   Model model = Model::kNsr;
   int nranks = 1;
 
   Matching matching;  // assembled global matching
 
-  /// Simulated job time: max over ranks of final virtual clock.
-  sim::Time time = 0;
-  double seconds() const { return sim::to_seconds(time); }
-
-  mpi::CommCounters totals;  // summed over ranks
   std::vector<mpi::CommCounters> per_rank;
 
   /// Memory model inputs, per rank: communication buffers (windows,
@@ -69,16 +87,7 @@ struct RunResult {
   std::vector<std::uint64_t> peak_queued_msgs;
   std::vector<std::uint64_t> peak_inflight_msgs;
 
-  std::uint64_t sim_events = 0;
   std::uint64_t iterations = 0;  // max over ranks
-
-  /// Order-sensitive hash of the simulator's full (time, sequence) event
-  /// trace (sim::Simulator::trace_hash); recovery passes fold in their own
-  /// trace. Equal hashes across builds certify bit-identical virtual-time
-  /// behaviour — the determinism pin tests assert on this.
-  std::uint64_t trace_hash = 0;
-
-  std::unique_ptr<mpi::CommMatrix> matrix;  // if collect_matrix
 
   /// Ranks that failed (fail-stop crashes), in rank order; empty for a
   /// fault-free run. When non-empty the matching covers only vertices
@@ -96,14 +105,49 @@ struct RunResult {
 /// The simulated machine an algorithm runs on, built from a RunConfig: the
 /// engine (sharded at cfg.threads, with its watchdog), the audited machine
 /// with the reliable transport whenever faults need it, the graph's process
-/// topology, and the tracer. run_match, bfs::run_bfs and
-/// color::run_coloring all run on one.
+/// topology, and the tracer. Matching, BFS and coloring all run on one,
+/// the way a vertex-program engine runs any program: the algorithm
+/// supplies only its per-rank task.
 struct Job {
   Job(const graph::DistGraph& dg, const RunConfig& cfg);
 
+  /// Rank r's task. It writes its owned vertices' results straight into
+  /// the caller's global output, at the rank's vbegin.
+  using Program = std::function<sim::RankTask(Rank r)>;
+
+  /// Spawn program(r) on every rank and run the engine to the end. A rank
+  /// failure (only matching schedules crashes) ends the run early and is
+  /// left to the caller to recover from; the audit runs only when no rank
+  /// failed. Fills `stats` either way.
+  void run(const Program& program, RunStats& stats);
+
   sim::Simulator simulator;
   mpi::Machine machine;
+
+ private:
+  bool collect_matrix_;
 };
+
+/// True for the models the level-synchronous algorithms (BFS, coloring)
+/// run on: NSR and NCL.
+bool supports_levels(Model m);
+
+/// One rank of a level-synchronous algorithm: it writes one value per owned
+/// vertex into `owned` (preset to -1) and its round count into `*rounds`.
+using LevelRank = std::function<sim::RankTask(
+    Model model, mpi::Comm& comm, const graph::LocalGraph& lg,
+    const graph::Distribution& dist, std::span<std::int64_t> owned,
+    std::int64_t* rounds)>;
+
+/// Run a level-synchronous algorithm (`algo` names it in errors) on `g`
+/// over `nranks` ranks. Only the supports_levels models run it, and no
+/// scheduled crashes, which only matching recovers from. Fills `values`
+/// with one value per vertex and `stats`; returns the most rounds any rank
+/// ran.
+std::int64_t run_levels(const char* algo, const graph::Csr& g, int nranks,
+                        Model model, const RunConfig& cfg,
+                        const LevelRank& rank,
+                        std::vector<std::int64_t>& values, RunStats& stats);
 
 /// Run one model on a prebuilt distribution.
 RunResult run_match(const graph::DistGraph& dg, Model model,

@@ -1,5 +1,6 @@
 #include "mel/match/backends.hpp"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -403,6 +404,13 @@ const char* model_name(Model m) {
   return "?";
 }
 
+Model parse_model(const std::string& name) {
+  for (const Model m : kAllModels) {
+    if (name == model_name(m)) return m;
+  }
+  throw std::invalid_argument("unknown model: " + name);
+}
+
 std::size_t rma_window_bytes(const graph::LocalGraph& lg) {
   // One region per process neighbor sized for the worst case of 2 records
   // per shared ghost edge (paper §IV-B: at most 2 messages per ghost).
@@ -461,16 +469,9 @@ std::size_t rma_fence_window_bytes(const graph::LocalGraph& lg) {
          lg.neighbor_ranks.size() * sizeof(std::int64_t);
 }
 
-std::size_t rma_part_window_bytes(const graph::LocalGraph& lg) {
-  // Identical layout to the fence variant: data regions plus one
-  // cumulative-count slot per process neighbor. Only the synchronization
-  // discipline differs (ordered partition publishes instead of epochs).
-  return rma_fence_window_bytes(lg);
-}
-
 sim::RankTask match_rank(Model m, mpi::Comm& comm, const graph::LocalGraph& lg,
                          const graph::Distribution& dist, int window_id,
-                         std::vector<VertexId>* mate_out,
+                         std::span<VertexId> mate_out,
                          std::uint64_t* iterations_out) {
   const std::unique_ptr<WireExchange> ex = make_exchange(m, comm, lg, window_id);
   LocalMatcher eng(comm, lg, dist, [&ex](Rank dst, const WireMsg& msg) {
@@ -497,10 +498,8 @@ sim::RankTask match_rank(Model m, mpi::Comm& comm, const graph::LocalGraph& lg,
   }
   co_await ex->drain(sink);
 
-  if (mate_out != nullptr) {
-    mate_out->assign(eng.mates().begin(), eng.mates().end());
-  }
-  if (iterations_out != nullptr) *iterations_out = ex->iterations(iter);
+  std::copy(eng.mates().begin(), eng.mates().end(), mate_out.begin());
+  *iterations_out = ex->iterations(iter);
 }
 
 }  // namespace mel::match

@@ -1,7 +1,9 @@
 #include "mel/match/driver.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "mel/match/verify.hpp"
@@ -11,6 +13,14 @@
 namespace mel::match {
 
 namespace {
+
+/// Rank `lg`'s owned range of a global per-vertex output: where the rank
+/// writes its results, so no per-rank copy is ever stitched together.
+template <class T>
+std::span<T> owned_range(std::vector<T>& global, const graph::LocalGraph& lg) {
+  return std::span<T>(global).subspan(static_cast<std::size_t>(lg.vbegin),
+                                      static_cast<std::size_t>(lg.nlocal()));
+}
 
 /// Snapshot of per-rank matching state taken by the periodic run-loop
 /// hook. Only *mutually recorded* pairs in it are trusted by recovery.
@@ -24,8 +34,6 @@ struct Checkpoint {
 /// rank failure (carrying both the last pre-crash checkpoint for rollback
 /// and the survivors' live state at abort time for shrink-and-continue).
 struct Attempt {
-  bool failed = false;
-  std::vector<Rank> failed_ranks;
   Checkpoint ckpt;
   /// Survivor state probed at abort time (ULFM shrink-and-continue):
   /// strictly fresher than any periodic checkpoint, valid even with
@@ -33,8 +41,7 @@ struct Attempt {
   /// state probe — the unrecoverable-frontier case that falls back to the
   /// checkpoint rollback path.
   Checkpoint live;
-  std::vector<std::vector<VertexId>> mates;  // per-rank engine output
-  RunResult result;  // matching fields empty when `failed`
+  RunResult result;  // after a failure, the matching holds finished ranks only
 };
 
 Attempt run_once(const graph::DistGraph& dg, Model model,
@@ -42,25 +49,21 @@ Attempt run_once(const graph::DistGraph& dg, Model model,
   const int p = dg.nranks();
   Attempt a;
   a.ckpt.state.resize(p);
-  a.mates.resize(p);
 
   Job job(dg, cfg);
   sim::Simulator& simulator = job.simulator;
   mpi::Machine& machine = job.machine;
 
   // RMA window allocation (host side, like MPI_Win_allocate at startup).
+  // RMA-PART shares the fence layout: data regions plus one cumulative
+  // count slot per process neighbor.
   int window_id = -1;
   if (model == Model::kRma || model == Model::kRmaFence ||
       model == Model::kRmaPart) {
     std::vector<std::size_t> sizes(p);
     for (Rank r = 0; r < p; ++r) {
-      switch (model) {
-        case Model::kRma: sizes[r] = rma_window_bytes(dg.local(r)); break;
-        case Model::kRmaFence:
-          sizes[r] = rma_fence_window_bytes(dg.local(r));
-          break;
-        default: sizes[r] = rma_part_window_bytes(dg.local(r)); break;
-      }
+      sizes[r] = model == Model::kRma ? rma_window_bytes(dg.local(r))
+                                      : rma_fence_window_bytes(dg.local(r));
     }
     window_id = machine.allocate_window(sizes);
   }
@@ -69,81 +72,71 @@ Attempt run_once(const graph::DistGraph& dg, Model model,
     machine.account_buffer(r, backend_buffer_bytes(model, dg.local(r)));
   }
 
-  std::vector<std::uint64_t> iterations(p, 0);
-  for (Rank r = 0; r < p; ++r) {
-    simulator.spawn(r, match_rank(model, machine.comm(r), dg.local(r),
-                                  dg.dist(), window_id, &a.mates[r],
-                                  &iterations[r]));
-  }
+  RunResult& result = a.result;
+  std::vector<VertexId>& mate = result.matching.mate;
+  mate.assign(static_cast<std::size_t>(dg.nverts()), kNullVertex);
+  const auto owned = [&](Rank r) { return owned_range(mate, dg.local(r)); };
+  // A rank that finished wrote its mates; one that is still running is
+  // read through its registered state probe (frame guaranteed alive).
+  const auto state_of = [&](Rank r, std::vector<std::int64_t>& state) {
+    if (simulator.rank_done(r)) {
+      const auto done = owned(r);
+      state.assign(done.begin(), done.end());
+    } else if (machine.has_state_probe(r)) {
+      state = machine.probe_state(r);
+    } else {
+      return false;
+    }
+    return true;
+  };
 
   if (cfg.ft.checkpoint_ns > 0) {
     // Periodic checkpoint from the run loop (never a queue event: a
     // self-rescheduling event would keep the queue alive forever and mask
-    // both deadlock and crash detection). Finished ranks are read from
-    // their output vectors; live ranks through their registered state
-    // probe (frame guaranteed alive); once any rank has crashed the hook
-    // stops, preserving the last pre-crash snapshot for rollback.
+    // both deadlock and crash detection). Once any rank has crashed the
+    // hook stops, preserving the last pre-crash snapshot for rollback.
     simulator.add_periodic_hook(cfg.ft.checkpoint_ns, [&](sim::Time t) {
       if (machine.failed_count() > 0) return;
-      for (Rank r = 0; r < p; ++r) {
-        if (simulator.rank_done(r)) {
-          a.ckpt.state[r].assign(a.mates[r].begin(), a.mates[r].end());
-        } else if (machine.has_state_probe(r)) {
-          a.ckpt.state[r] = machine.probe_state(r);
-        }
-      }
+      for (Rank r = 0; r < p; ++r) state_of(r, a.ckpt.state[r]);
       a.ckpt.valid = true;
       a.ckpt.at = t;
       machine.trace_instant(-1, "checkpoint", t);
     });
   }
 
-  try {
-    simulator.run();
-  } catch (const sim::RankFailure&) {
-    // Survivors blocked on a dead peer; fall through to recovery.
-  } catch (const mpi::RankFailedError&) {
-    // A survivor hit the dead rank fail-fast (ULFM MPI_ERR_PROC_FAILED).
-  }
-  a.failed_ranks = machine.failed_ranks();
-  a.failed = !a.failed_ranks.empty();
-  if (!a.failed) machine.audit_or_throw();
+  std::vector<std::uint64_t> iterations(p, 0);
+  job.run(
+      [&](Rank r) {
+        return match_rank(model, machine.comm(r), dg.local(r), dg.dist(),
+                          window_id, owned(r), &iterations[r]);
+      },
+      result);
+  result.failed_ranks = machine.failed_ranks();
+  const bool failed = !result.failed_ranks.empty();
 
-  if (a.failed) {
+  if (failed) {
     // Capture the surviving frontier for shrink-and-continue. Matched
     // pairs are final in the locally-dominant algorithm, so the state the
     // survivors hold *right now* is a checkpoint taken at the moment of
     // failure. Parked coroutine frames stay alive until the Simulator is
     // destroyed, so probing them here is safe; a rank that already
     // returned (cleanly or by unwinding on RankFailedError) reads from
-    // its output vector instead.
+    // the output instead. A surviving, unfinished rank with no probe
+    // leaves a frontier that cannot be reconstructed, so shrink recovery
+    // is off the table.
     a.live.valid = true;
     a.live.at = simulator.max_rank_time();
     a.live.state.resize(p);
     for (Rank r = 0; r < p; ++r) {
-      if (machine.rank_failed(r)) continue;
-      if (simulator.rank_done(r)) {
-        a.live.state[r].assign(a.mates[r].begin(), a.mates[r].end());
-      } else if (machine.has_state_probe(r)) {
-        a.live.state[r] = machine.probe_state(r);
-      } else {
-        // A surviving, unfinished rank with no probe: its frontier cannot
-        // be reconstructed, so shrink recovery is off the table.
-        a.live.valid = false;
-        a.live.state.clear();
-        break;
-      }
+      if (machine.rank_failed(r) || state_of(r, a.live.state[r])) continue;
+      a.live.valid = false;
+      a.live.state.clear();
+      break;
     }
   }
 
-  RunResult& result = a.result;
   result.model = model;
   result.nranks = p;
-  result.time = simulator.max_rank_time();
-  result.sim_events = simulator.events_executed();
-  result.trace_hash = simulator.trace_hash();
-  result.totals = machine.total_counters();
-  result.failed_ranks = a.failed_ranks;
   result.per_rank.reserve(p);
   for (Rank r = 0; r < p; ++r) {
     result.per_rank.push_back(machine.counters(r));
@@ -154,23 +147,7 @@ Attempt run_once(const graph::DistGraph& dg, Model model,
     result.peak_inflight_msgs.push_back(machine.peak_inflight_sends(r));
     result.iterations = std::max(result.iterations, iterations[r]);
   }
-  if (cfg.collect_matrix) {
-    result.matrix = std::make_unique<mpi::CommMatrix>(machine.matrix());
-  }
-
-  if (!a.failed) {
-    // Assemble the global matching.
-    result.matching.mate.assign(static_cast<std::size_t>(dg.nverts()),
-                                kNullVertex);
-    for (Rank r = 0; r < p; ++r) {
-      const VertexId base = dg.local(r).vbegin;
-      for (std::size_t i = 0; i < a.mates[r].size(); ++i) {
-        result.matching.mate[static_cast<std::size_t>(base) + i] =
-            a.mates[r][i];
-      }
-    }
-    result.matching.cardinality = matching_cardinality(result.matching.mate);
-  }
+  if (!failed) result.matching.cardinality = matching_cardinality(mate);
   return a;
 }
 
@@ -184,7 +161,8 @@ sim::Simulator& configured(sim::Simulator& simulator, const RunConfig& cfg) {
 
 Job::Job(const graph::DistGraph& dg, const RunConfig& cfg)
     : simulator(dg.nranks()),
-      machine(configured(simulator, cfg), net::Network(dg.nranks(), cfg.net)) {
+      machine(configured(simulator, cfg), net::Network(dg.nranks(), cfg.net)),
+      collect_matrix_(cfg.collect_matrix) {
   cfg.ft.validate();
   machine.set_audit(cfg.audit);
   const auto& chaos = cfg.net.chaos;
@@ -208,6 +186,56 @@ Job::Job(const graph::DistGraph& dg, const RunConfig& cfg)
   }
 }
 
+void Job::run(const Program& program, RunStats& stats) {
+  for (Rank r = 0; r < simulator.nranks(); ++r) {
+    simulator.spawn(r, program(r));
+  }
+  try {
+    simulator.run();
+  } catch (const sim::RankFailure&) {
+    // Survivors blocked on a dead peer; the caller recovers.
+  } catch (const mpi::RankFailedError&) {
+    // A survivor hit the dead rank fail-fast (ULFM MPI_ERR_PROC_FAILED).
+  }
+  if (machine.failed_count() == 0) machine.audit_or_throw();
+  stats.time = simulator.max_rank_time();
+  stats.sim_events = simulator.events_executed();
+  stats.trace_hash = simulator.trace_hash();
+  stats.totals = machine.total_counters();
+  if (collect_matrix_) {
+    stats.matrix = std::make_unique<mpi::CommMatrix>(machine.matrix());
+  }
+}
+
+bool supports_levels(Model m) { return m == Model::kNsr || m == Model::kNcl; }
+
+std::int64_t run_levels(const char* algo, const graph::Csr& g, int nranks,
+                        Model model, const RunConfig& cfg,
+                        const LevelRank& rank,
+                        std::vector<std::int64_t>& values, RunStats& stats) {
+  if (!supports_levels(model)) {
+    throw std::invalid_argument(std::string(algo) +
+                                ": only NSR and NCL are supported");
+  }
+  if (!cfg.net.chaos.crashes.empty()) {
+    throw std::invalid_argument(
+        std::string(algo) +
+        ": scheduled rank crashes need recovery, which only matching "
+        "implements");
+  }
+  const graph::DistGraph dg(g, nranks);
+  Job job(dg, cfg);
+  values.assign(static_cast<std::size_t>(g.nverts()), -1);
+  std::vector<std::int64_t> rounds(static_cast<std::size_t>(nranks), 0);
+  job.run(
+      [&](Rank r) {
+        return rank(model, job.machine.comm(r), dg.local(r), dg.dist(),
+                    owned_range(values, dg.local(r)), &rounds[r]);
+      },
+      stats);
+  return *std::max_element(rounds.begin(), rounds.end());
+}
+
 RunResult run_match(const graph::DistGraph& dg, Model model,
                     const RunConfig& cfg) {
   if (!cfg.net.chaos.crashes.empty()) {
@@ -224,7 +252,8 @@ RunResult run_match(const graph::Csr& g, int nranks, Model model,
                     const RunConfig& cfg) {
   const graph::DistGraph dg(g, nranks);
   Attempt a = run_once(dg, model, cfg);
-  if (!a.failed) {
+  const std::vector<Rank>& failed = a.result.failed_ranks;
+  if (failed.empty()) {
     RunResult result = std::move(a.result);
     result.matching.weight = matching_weight(g, result.matching.mate);
     return result;
@@ -248,7 +277,7 @@ RunResult run_match(const graph::Csr& g, int nranks, Model model,
   const auto& dist = dg.dist();
   const VertexId n = g.nverts();
   std::vector<char> rank_failed(static_cast<std::size_t>(nranks), 0);
-  for (const Rank r : a.failed_ranks) rank_failed[static_cast<std::size_t>(r)] = 1;
+  for (const Rank r : failed) rank_failed[static_cast<std::size_t>(r)] = 1;
 
   std::vector<VertexId> rolled(static_cast<std::size_t>(n), kNullVertex);
   if (base.valid) {
@@ -279,7 +308,7 @@ RunResult run_match(const graph::Csr& g, int nranks, Model model,
   }
   std::vector<VertexId> old_ids;
   const graph::Csr sub = g.induced_subgraph(keep, &old_ids);
-  const int p2 = nranks - static_cast<int>(a.failed_ranks.size());  // >= 1
+  const int p2 = nranks - static_cast<int>(failed.size());  // >= 1
 
   RunResult result = std::move(a.result);
   result.recoveries = 1;

@@ -1,9 +1,41 @@
 #include "mel/util/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 namespace mel::util {
+
+namespace {
+
+[[noreturn]] void bad_value(const std::string& name, const char* expected,
+                            const std::string& text) {
+  throw std::invalid_argument("--" + name + ": expected " + expected +
+                              ", got \"" + text + "\"");
+}
+
+/// from_chars over the whole of `text`: the number, or nullopt when
+/// anything is left over or the value does not fit.
+template <class T>
+std::optional<T> parse_whole(std::string_view text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return v;
+}
+
+}  // namespace
+
+std::optional<std::int64_t> parse_int(std::string_view text) {
+  return parse_whole<std::int64_t>(text);
+}
+
+std::optional<double> parse_double(std::string_view text) {
+  const auto v = parse_whole<double>(text);
+  if (v && !std::isfinite(*v)) return std::nullopt;
+  return v;
+}
 
 Cli::Cli(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -41,14 +73,18 @@ std::string Cli::get(const std::string& name, const std::string& fallback) const
 
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
   const auto it = options_.find(name);
-  if (it == options_.end() || it->second.empty()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == options_.end()) return fallback;
+  const auto v = parse_int(it->second);
+  if (!v) bad_value(name, "an integer", it->second);
+  return *v;
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = options_.find(name);
-  if (it == options_.end() || it->second.empty()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  if (it == options_.end()) return fallback;
+  const auto v = parse_double(it->second);
+  if (!v) bad_value(name, "a number", it->second);
+  return *v;
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {
@@ -61,14 +97,18 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
   return false;
 }
 
-std::vector<std::int64_t> parse_int_list(const std::string& text) {
+std::vector<std::int64_t> Cli::get_int_list(const std::string& name,
+                                            const std::string& fallback) const {
+  const auto it = options_.find(name);
+  if (it == options_.end() && fallback.empty()) return {};
+  const std::string& text = it == options_.end() ? fallback : it->second;
   std::vector<std::int64_t> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
+  for (std::size_t pos = 0; pos <= text.size();) {
     auto comma = text.find(',', pos);
     if (comma == std::string::npos) comma = text.size();
-    const std::string piece = text.substr(pos, comma - pos);
-    if (!piece.empty()) out.push_back(std::strtoll(piece.c_str(), nullptr, 10));
+    const auto v = parse_int(std::string_view(text).substr(pos, comma - pos));
+    if (!v) bad_value(name, "a comma-separated list of integers", text);
+    out.push_back(*v);
     pos = comma + 1;
   }
   return out;

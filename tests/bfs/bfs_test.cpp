@@ -70,6 +70,26 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+// More ranks than vertices: most ranks own none, so their slice of the
+// output is empty, yet they still take part in every exchange round and
+// every reduction.
+TEST(Bfs, RanksWithoutVerticesMatchSerial) {
+  const auto g = gen::grid2d(2, 3);
+  const auto serial = serial_bfs(g, 0);
+  for (const Model model : {Model::kNsr, Model::kNcl}) {
+    for (const int p : {8, 16}) {
+      for (const int threads : {1, 4}) {
+        match::RunConfig cfg;
+        cfg.threads = threads;
+        const auto run = run_bfs(g, p, 0, model, cfg);
+        EXPECT_EQ(run.dist, serial)
+            << match::model_name(model) << " p=" << p << " T=" << threads;
+        EXPECT_EQ(run.levels, 4);  // eccentricity 3, plus the empty level
+      }
+    }
+  }
+}
+
 TEST(Bfs, RejectsUnsupportedModel) {
   const auto g = gen::path(10);
   EXPECT_THROW(run_bfs(g, 2, 0, Model::kRma), std::invalid_argument);

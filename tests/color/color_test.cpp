@@ -82,6 +82,25 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+// More ranks than vertices: most ranks own none, so their slice of the
+// output is empty, yet they still take part in every exchange round and
+// every reduction.
+TEST(DistColoring, RanksWithoutVerticesMatchSerial) {
+  const auto g = gen::grid2d(2, 3);
+  const auto serial = serial_jp_coloring(g);
+  for (const Model model : {Model::kNsr, Model::kNcl}) {
+    for (const int p : {8, 16}) {
+      for (const int threads : {1, 4}) {
+        match::RunConfig cfg;
+        cfg.threads = threads;
+        const auto run = run_coloring(g, p, model, cfg);
+        EXPECT_EQ(run.colors, serial)
+            << match::model_name(model) << " p=" << p << " T=" << threads;
+      }
+    }
+  }
+}
+
 TEST(DistColoring, RejectsUnsupportedModel) {
   EXPECT_THROW(run_coloring(gen::path(10), 2, Model::kRma),
                std::invalid_argument);

@@ -35,7 +35,6 @@ TEST(BufferSizing, WindowBytesSurvive32BitOverflow) {
   EXPECT_EQ(rma_window_bytes(lg), expected_data);
   EXPECT_EQ(rma_fence_window_bytes(lg),
             expected_data + 2 * sizeof(std::int64_t));
-  EXPECT_EQ(rma_part_window_bytes(lg), rma_fence_window_bytes(lg));
   // The exact value, to catch a wrap that happens to stay positive:
   // 2 * (2^31 + 3) * 24 = 103079215248.
   EXPECT_EQ(rma_window_bytes(lg), std::size_t{103079215248});

@@ -1,6 +1,7 @@
 # CLI + behavior contract for melcheck, run as a CTest script:
 #   * --help exits 0 and documents the exit-code contract,
-#   * unknown flags / unknown models / degenerate rank counts exit 2,
+#   * unknown flags / unknown models / degenerate rank counts / malformed
+#     numbers exit 2,
 #   * a small clean sweep exits 0 and reports every schedule clean,
 #   * the same sweep run twice is bit-identical (JSONL diffed),
 #   * a planted bug flips the exit to 1 and prints a minimized schedule as
@@ -46,6 +47,30 @@ execute_process(
 if(NOT ranks_code EQUAL 2 OR NOT ranks_err MATCHES "fault space")
   message(FATAL_ERROR "--ranks 1: expected exit 2, got ${ranks_code}: "
                       "${ranks_err}")
+endif()
+
+# A malformed number is a usage error, not the readable prefix of it
+# ("abc" used to explore 0 schedules and exit 0).
+execute_process(
+  COMMAND ${MELCHECK} --schedules abc
+  RESULT_VARIABLE num_code
+  OUTPUT_VARIABLE num_out
+  ERROR_VARIABLE num_err)
+if(NOT num_code EQUAL 2 OR num_out MATCHES "schedules clean"
+   OR NOT num_err MATCHES "--schedules: expected an integer"
+   OR NOT num_err MATCHES "--help")
+  message(FATAL_ERROR "--schedules abc: expected exit 2 + --help pointer, "
+                      "got ${num_code}: ${num_err}")
+endif()
+
+# --schedules 0 still runs the fault-free baselines alone (exit 0).
+execute_process(
+  COMMAND ${MELCHECK} --schedules 0 --verts 120 --edges 600 --models NSR
+  RESULT_VARIABLE zero_code
+  OUTPUT_VARIABLE zero_out)
+if(NOT zero_code EQUAL 0 OR NOT zero_out MATCHES "0/0 schedules clean")
+  message(FATAL_ERROR "--schedules 0: expected exit 0, got ${zero_code}: "
+                      "${zero_out}")
 endif()
 
 # Clean sweep: 14 schedules cover both wire-fault and crash classes at the

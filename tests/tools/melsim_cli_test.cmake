@@ -4,6 +4,7 @@
 #   * --fault-crash rejects out-of-range ranks, non-positive times, and
 #     malformed R@NS pairs at parse time (exit 2, --help pointer),
 #   * --ft-recovery rejects unknown strategies the same way,
+#   * malformed numbers and --ranks 0 are rejected the same way,
 #   * --algo, and the model, --root and match-only flags BFS and coloring
 #     get, are checked the same way,
 #   * --matrix writes the comm matrix for every algorithm, and an
@@ -130,6 +131,19 @@ expect_crash_rejected("negative sample interval" "--sample-interval: must be a p
                       --trace /tmp/mel_si.json --sample-interval -5)
 expect_crash_rejected("non-numeric sample interval" "--sample-interval: expected an integer"
                       --trace /tmp/mel_si.json --sample-interval abc)
+
+# Malformed numbers: every numeric flag is read whole, so a value with a
+# bad character is a usage error instead of its readable prefix (0,05 ran
+# lossless, 1e4 built a 1-edge graph, abc an empty one), and --ranks 0 is
+# rejected before any graph work.
+expect_crash_rejected("decimal comma" "--fault-loss: expected a number"
+                      --fault-loss 0,05)
+expect_crash_rejected("exponent edge count" "--edges: expected an integer"
+                      --edges 1e4)
+expect_crash_rejected("non-numeric verts" "--verts: expected an integer"
+                      --verts abc)
+expect_crash_rejected("zero ranks" "--ranks: expected a positive rank count"
+                      --ranks 0)
 
 # Observability output paths are probed for writability up front: an
 # unwritable --trace/--metrics-jsonl destination is a usage error, not a

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace mel::util {
 namespace {
 
@@ -45,9 +48,63 @@ TEST(Cli, Positional) {
 }
 
 TEST(Cli, ParseIntList) {
-  EXPECT_EQ(parse_int_list("1,2,3"), (std::vector<std::int64_t>{1, 2, 3}));
-  EXPECT_EQ(parse_int_list("64"), (std::vector<std::int64_t>{64}));
-  EXPECT_TRUE(parse_int_list("").empty());
+  const auto cli = make({"prog", "--ranks", "1,2,3", "--p", "64"});
+  EXPECT_EQ(cli.get_int_list("ranks", ""),
+            (std::vector<std::int64_t>{1, 2, 3}));
+  EXPECT_EQ(cli.get_int_list("p", ""), (std::vector<std::int64_t>{64}));
+  EXPECT_TRUE(cli.get_int_list("absent", "").empty());
+}
+
+/// The message of the std::invalid_argument `read` throws, or "" if none.
+template <class Read>
+std::string rejection(Read read) {
+  try {
+    read();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Each value used to be read up to its first bad character, so a typo ran
+// a different configuration instead of failing.
+TEST(Cli, RejectsMalformedNumbers) {
+  const auto cli = make({"prog", "--fault-loss", "0,05", "--edges", "1e4",
+                         "--verts", "abc", "--ranks=", "--seed", "7 ",
+                         "--big", "99999999999999999999", "--jitter", "nan"});
+  EXPECT_EQ(rejection([&] { cli.get_double("fault-loss", 0.0); }),
+            "--fault-loss: expected a number, got \"0,05\"");
+  EXPECT_EQ(rejection([&] { cli.get_int("edges", 0); }),
+            "--edges: expected an integer, got \"1e4\"");
+  EXPECT_NE(rejection([&] { cli.get_int("verts", 0); }), "");
+  EXPECT_NE(rejection([&] { cli.get_int("ranks", 64); }), "");
+  EXPECT_NE(rejection([&] { cli.get_double("ranks", 1.0); }), "");
+  EXPECT_NE(rejection([&] { cli.get_int("seed", 1); }), "");
+  EXPECT_NE(rejection([&] { cli.get_int("big", 0); }), "");
+  EXPECT_NE(rejection([&] { cli.get_double("jitter", 0.0); }), "");
+  // 1e4 is a number, just not an integer.
+  EXPECT_DOUBLE_EQ(cli.get_double("edges", 0.0), 1e4);
+}
+
+TEST(Cli, RejectsMalformedIntLists) {
+  const auto cli = make({"prog", "--ranks", "16,x", "--trailing", "16,",
+                         "--empty="});
+  EXPECT_EQ(rejection([&] { cli.get_int_list("ranks", "1"); }),
+            "--ranks: expected a comma-separated list of integers, got "
+            "\"16,x\"");
+  EXPECT_NE(rejection([&] { cli.get_int_list("trailing", "1"); }), "");
+  EXPECT_NE(rejection([&] { cli.get_int_list("empty", "1"); }), "");
+}
+
+TEST(Cli, ParsesWholeNumbers) {
+  EXPECT_EQ(parse_int("-42"), -42);
+  EXPECT_EQ(parse_int("0"), 0);
+  EXPECT_FALSE(parse_int(""));
+  EXPECT_FALSE(parse_int("12abc"));
+  EXPECT_DOUBLE_EQ(parse_double("0.05").value(), 0.05);
+  EXPECT_DOUBLE_EQ(parse_double("-2").value(), -2.0);
+  EXPECT_FALSE(parse_double("inf"));
+  EXPECT_FALSE(parse_double("0.5x"));
 }
 
 }  // namespace

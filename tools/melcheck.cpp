@@ -88,22 +88,6 @@ bool known_flag(const std::string& name) {
   return false;
 }
 
-constexpr mel::match::Model kAllModels[] = {
-    mel::match::Model::kNsr,     mel::match::Model::kRma,
-    mel::match::Model::kNcl,     mel::match::Model::kMbp,
-    mel::match::Model::kNsrAgg,  mel::match::Model::kRmaFence,
-    mel::match::Model::kNclNb,   mel::match::Model::kNsrHier,
-    mel::match::Model::kNclPersist, mel::match::Model::kRmaPart,
-};
-
-mel::match::Model parse_model(const std::string& name) {
-  for (const auto m : kAllModels) {
-    if (name == mel::match::model_name(m)) return m;
-  }
-  throw std::invalid_argument("unknown model: " + name +
-                              " (run `melcheck --help` for the format)");
-}
-
 /// SplitMix64 — the schedule-derivation hash. Pure, so schedule i is the
 /// same schedule on every run with the same --seed.
 std::uint64_t mix(std::uint64_t x) {
@@ -209,8 +193,7 @@ enum class PlantBug { kNone, kUnmatch, kResurrect };
 PlantBug parse_plant_bug(const std::string& name) {
   if (name == "unmatch") return PlantBug::kUnmatch;
   if (name == "resurrect") return PlantBug::kResurrect;
-  throw std::invalid_argument("unknown --plant-bug: " + name +
-                              " (run `melcheck --help` for the kinds)");
+  throw std::invalid_argument("unknown --plant-bug: " + name);
 }
 
 struct Verdict {
@@ -344,8 +327,7 @@ Schedule minimize(Schedule s, const mel::graph::Csr& g,
 
 int run(const mel::util::Cli& cli) {
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const auto schedules =
-      static_cast<std::size_t>(cli.get_int("schedules", 64));
+  const auto schedules_arg = cli.get_int("schedules", 64);
   const int ranks = static_cast<int>(cli.get_int("ranks", 6));
   const auto verts = static_cast<VertexId>(cli.get_int("verts", 240));
   const auto edges = static_cast<mel::graph::EdgeId>(
@@ -354,10 +336,14 @@ int run(const mel::util::Cli& cli) {
   const PlantBug bug = cli.has("plant-bug")
                            ? parse_plant_bug(cli.get("plant-bug", ""))
                            : PlantBug::kNone;
+  if (schedules_arg < 0) {
+    throw std::invalid_argument("--schedules: must be >= 0, got " +
+                                std::to_string(schedules_arg));
+  }
+  const auto schedules = static_cast<std::size_t>(schedules_arg);
   if (ranks < 2) {
     throw std::invalid_argument(
-        "--ranks must be >= 2 (a one-rank job has no fault space; run "
-        "`melcheck --help` for the options)");
+        "--ranks must be >= 2 (a one-rank job has no fault space)");
   }
   std::vector<mel::match::Model> models;
   if (cli.has("models")) {
@@ -366,11 +352,12 @@ int run(const mel::util::Cli& cli) {
     while (pos <= text.size()) {
       auto comma = text.find(',', pos);
       if (comma == std::string::npos) comma = text.size();
-      models.push_back(parse_model(text.substr(pos, comma - pos)));
+      models.push_back(mel::match::parse_model(text.substr(pos, comma - pos)));
       pos = comma + 1;
     }
   } else {
-    models.assign(std::begin(kAllModels), std::end(kAllModels));
+    models.assign(std::begin(mel::match::kAllModels),
+                  std::end(mel::match::kAllModels));
   }
 
   const auto g = mel::gen::erdos_renyi(verts, edges, seed);
@@ -469,6 +456,12 @@ int main(int argc, char** argv) {
   }
   try {
     return run(cli);
+  } catch (const std::invalid_argument& e) {
+    // A bad flag value.
+    std::fprintf(stderr,
+                 "melcheck: %s (run `melcheck --help` for the options)\n",
+                 e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "melcheck: %s\n", e.what());
     return 2;

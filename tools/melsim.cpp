@@ -6,15 +6,17 @@
 //   melsim --algo bfs   --model NSR --ranks 16 --gen rmat --gen-scale 14
 //   melsim --algo match --model NSR --fault-loss 0.05 --fault-crash 2@40000000
 //
-// Run `melsim --help` for the full option list. Unknown options are
-// rejected (exit 2) instead of silently ignored.
+// Run `melsim --help` for the full option list. Unknown options and
+// malformed values are rejected (exit 2) instead of silently ignored.
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "mel/bfs/bfs.hpp"
 #include "mel/color/color.hpp"
@@ -122,62 +124,44 @@ bool known_flag(const std::string& name) {
   return false;
 }
 
-match::Model parse_model(const std::string& name) {
-  for (const auto m :
-       {match::Model::kNsr, match::Model::kRma, match::Model::kNcl,
-        match::Model::kMbp, match::Model::kNsrAgg, match::Model::kRmaFence,
-        match::Model::kNclNb, match::Model::kNsrHier, match::Model::kNclPersist,
-        match::Model::kRmaPart}) {
-    if (name == match::model_name(m)) return m;
-  }
-  throw std::invalid_argument("unknown model: " + name +
-                              " (run `melsim --help` for the supported list)");
-}
-
 /// Check --algo, and that BFS and coloring get only what they implement:
-/// the NSR or NCL model, and no crash recovery. Same exit-2 + --help
-/// convention as an unknown --model.
+/// the NSR or NCL model, and no crash recovery.
 void check_algo(const std::string& algo, match::Model model,
                 const util::Cli& cli) {
   if (algo == "match") return;
   if (algo != "bfs" && algo != "color") {
-    throw std::invalid_argument(
-        "unknown --algo " + algo +
-        " (expected match, bfs or color; run `melsim --help` for the list)");
+    throw std::invalid_argument("unknown --algo " + algo +
+                                " (expected match, bfs or color)");
   }
-  if (model != match::Model::kNsr && model != match::Model::kNcl) {
-    throw std::invalid_argument(
-        "--algo " + algo + " runs on --model NSR or NCL only, got " +
-        match::model_name(model) + " (run `melsim --help` for the list)");
+  if (!match::supports_levels(model)) {
+    throw std::invalid_argument("--algo " + algo +
+                                " runs on --model NSR or NCL only, got " +
+                                match::model_name(model));
   }
   for (const char* flag : {"fault-crash", "edge-balance"}) {
     if (cli.has(flag)) {
-      throw std::invalid_argument(
-          std::string("--") + flag + " applies to --algo match only" +
-          " (run `melsim --help` for the list)");
+      throw std::invalid_argument(std::string("--") + flag +
+                                  " applies to --algo match only");
     }
   }
 }
 
-/// Parse --root (same exit-2 + --help convention): a vertex id, checked
-/// against |V| once the graph is loaded. An out-of-range root would leave
-/// every vertex unreachable and still compare equal to the serial BFS.
+/// Parse --root: a vertex id, checked against |V| once the graph is
+/// loaded. An out-of-range root would leave every vertex unreachable and
+/// still compare equal to the serial BFS.
 graph::VertexId parse_root(const std::string& text) {
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || end != text.c_str() + text.size() || v < 0) {
+  const auto v = util::parse_int(text);
+  if (!v || *v < 0) {
     throw std::invalid_argument(
         "--root: expected a vertex id (non-negative integer), got \"" + text +
-        "\" (run `melsim --help` for the format)");
+        "\"");
   }
-  return static_cast<graph::VertexId>(v);
+  return *v;
 }
 
 /// Parse "R@NS[,R@NS...]" into scheduled fail-stop crashes, validating
 /// each pair at parse time: the rank must exist in the job and the crash
-/// time must be positive. Bad values exit 2 with a --help pointer (same
-/// convention as an unknown --model) instead of surfacing as a runtime
-/// error deep in chaos setup.
+/// time must be positive.
 std::vector<chaos::Config::Crash> parse_crashes(const std::string& text,
                                                 int ranks) {
   std::vector<chaos::Config::Crash> out;
@@ -187,74 +171,40 @@ std::vector<chaos::Config::Crash> parse_crashes(const std::string& text,
     if (comma == std::string::npos) comma = text.size();
     const std::string piece = text.substr(pos, comma - pos);
     const auto at = piece.find('@');
-    if (at == std::string::npos || at == 0 || at + 1 >= piece.size()) {
-      throw std::invalid_argument(
-          "--fault-crash: expected R@NS, got \"" + piece +
-          "\" (run `melsim --help` for the format)");
-    }
-    char* rank_end = nullptr;
-    char* time_end = nullptr;
-    chaos::Config::Crash c;
-    c.rank = static_cast<sim::Rank>(
-        std::strtoll(piece.c_str(), &rank_end, 10));
-    c.at = static_cast<sim::Time>(
-        std::strtoll(piece.c_str() + at + 1, &time_end, 10));
-    if (rank_end != piece.c_str() + at || *time_end != '\0') {
+    const std::string_view view(piece);
+    const auto rank = util::parse_int(view.substr(0, at));
+    const auto time = at == std::string::npos
+                          ? std::nullopt
+                          : util::parse_int(view.substr(at + 1));
+    if (!rank || !time) {
       throw std::invalid_argument(
           "--fault-crash: expected R@NS with integer R and NS, got \"" +
-          piece + "\" (run `melsim --help` for the format)");
+          piece + "\"");
     }
-    if (c.rank < 0 || c.rank >= ranks) {
-      throw std::invalid_argument(
-          "--fault-crash: rank " + std::to_string(c.rank) +
-          " out of range for --ranks " + std::to_string(ranks) +
-          " (run `melsim --help` for the format)");
+    if (*rank < 0 || *rank >= ranks) {
+      throw std::invalid_argument("--fault-crash: rank " +
+                                  std::to_string(*rank) +
+                                  " out of range for --ranks " +
+                                  std::to_string(ranks));
     }
-    if (c.at <= 0) {
+    if (*time <= 0) {
       throw std::invalid_argument(
           "--fault-crash: crash time must be a positive virtual-ns value, "
-          "got " + std::to_string(c.at) +
-          " (run `melsim --help` for the format)");
+          "got " + std::to_string(*time));
     }
-    out.push_back(c);
+    out.push_back({static_cast<sim::Rank>(*rank), *time});
     pos = comma + 1;
   }
   return out;
 }
 
-/// Parse --threads (same exit-2 + --help convention): a strict integer in
-/// [1, 1024] — non-numeric, non-positive, or absurd values are usage
-/// errors, not something to clamp silently.
-int parse_threads(const std::string& text) {
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || end != text.c_str() + text.size()) {
-    throw std::invalid_argument(
-        "--threads: expected an integer, got \"" + text +
-        "\" (run `melsim --help` for the format)");
-  }
-  if (v < 1 || v > 1024) {
-    throw std::invalid_argument(
-        "--threads: must be between 1 and 1024, got " + text +
-        " (run `melsim --help` for the format)");
-  }
-  return static_cast<int>(v);
-}
-
-/// Parse --intra-node-params "L,O,G": intra-node latency (ns, > 0),
-/// send/recv software overhead (ns, >= 0), inverse bandwidth (ns/byte,
-/// >= 0). Same exit-2 + --help convention.
-struct IntraNodeParams {
-  sim::Time latency = 0;
-  sim::Time overhead = 0;
-  double inv_bw = 0.0;
-};
-
-IntraNodeParams parse_intra_node(const std::string& text) {
+/// Parse --intra-node-params "L,O,G" into `net`: intra-node latency (ns,
+/// > 0), send/recv software overhead (ns, >= 0), inverse bandwidth
+/// (ns/byte, >= 0).
+void parse_intra_node(const std::string& text, net::Params& net) {
   const auto bad = [&text](const char* why) {
-    throw std::invalid_argument(
-        "--intra-node-params: " + std::string(why) + ", got \"" + text +
-        "\" (run `melsim --help` for the format)");
+    throw std::invalid_argument("--intra-node-params: " + std::string(why) +
+                                ", got \"" + text + "\"");
   };
   const auto c1 = text.find(',');
   const auto c2 = c1 == std::string::npos ? c1 : text.find(',', c1 + 1);
@@ -262,58 +212,35 @@ IntraNodeParams parse_intra_node(const std::string& text) {
       text.find(',', c2 + 1) != std::string::npos) {
     bad("expected L,O,G");
   }
-  const std::string l = text.substr(0, c1);
-  const std::string o = text.substr(c1 + 1, c2 - c1 - 1);
-  const std::string g = text.substr(c2 + 1);
-  IntraNodeParams out;
-  char* end = nullptr;
-  out.latency = static_cast<sim::Time>(std::strtoll(l.c_str(), &end, 10));
-  if (l.empty() || end != l.c_str() + l.size()) bad("L must be an integer");
-  out.overhead = static_cast<sim::Time>(std::strtoll(o.c_str(), &end, 10));
-  if (o.empty() || end != o.c_str() + o.size()) bad("O must be an integer");
-  out.inv_bw = std::strtod(g.c_str(), &end);
-  if (g.empty() || end != g.c_str() + g.size()) bad("G must be a number");
-  if (out.latency <= 0) bad("L (latency ns) must be positive");
-  if (out.overhead < 0) bad("O (overhead ns) must be >= 0");
-  if (out.inv_bw < 0.0) bad("G (ns/byte) must be >= 0");
-  return out;
-}
-
-/// Parse --sample-interval (same exit-2 + --help convention): a strict
-/// positive integer — the gauge sampling period in virtual ns. A zero or
-/// negative period would make the sampler spin forever (or never fire),
-/// so it is a usage error, not a value to clamp.
-sim::Time parse_sample_interval(const std::string& text) {
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || end != text.c_str() + text.size()) {
-    throw std::invalid_argument(
-        "--sample-interval: expected an integer ns period, got \"" + text +
-        "\" (run `melsim --help` for the format)");
-  }
-  if (v < 1) {
-    throw std::invalid_argument(
-        "--sample-interval: must be a positive ns period, got " + text +
-        " (run `melsim --help` for the format)");
-  }
-  return static_cast<sim::Time>(v);
+  const std::string_view view(text);
+  const auto l = util::parse_int(view.substr(0, c1));
+  const auto o = util::parse_int(view.substr(c1 + 1, c2 - c1 - 1));
+  const auto g = util::parse_double(view.substr(c2 + 1));
+  if (!l) bad("L must be an integer");
+  if (!o) bad("O must be an integer");
+  if (!g) bad("G must be a number");
+  if (*l <= 0) bad("L (latency ns) must be positive");
+  if (*o < 0) bad("O (overhead ns) must be >= 0");
+  if (*g < 0.0) bad("G (ns/byte) must be >= 0");
+  net.alpha_intra = *l;
+  net.o_send_intra = *o;
+  net.o_recv_intra = *o;
+  net.beta_intra = *g;
 }
 
 /// Probe an output path for writability before the simulation runs: a
-/// bad --trace/--metrics-jsonl/--matrix destination is a usage error (exit
-/// 2 + --help pointer), not something to discover after minutes of
-/// simulated work. The probe opens in append mode (leaving an existing
-/// file's bytes alone) and removes the file again if the probe itself
-/// created it.
+/// bad --trace/--metrics-jsonl/--matrix destination is a usage error, not
+/// something to discover after minutes of simulated work. The probe opens
+/// in append mode (leaving an existing file's bytes alone) and removes the
+/// file again if the probe itself created it.
 void require_writable(const char* flag, const std::string& path) {
   std::FILE* probe = std::fopen(path.c_str(), "rb");
   const bool existed = probe != nullptr;
   if (probe) std::fclose(probe);
   std::FILE* f = std::fopen(path.c_str(), "ab");
   if (!f) {
-    throw std::invalid_argument(std::string(flag) + ": cannot write \"" +
-                                path + "\": " + std::strerror(errno) +
-                                " (run `melsim --help` for the format)");
+    throw std::invalid_argument(std::string("--") + flag + ": cannot write \"" +
+                                path + "\": " + std::strerror(errno));
   }
   std::fclose(f);
   if (!existed) std::remove(path.c_str());
@@ -334,13 +261,58 @@ void write_matrix(const util::Cli& cli,
   std::fclose(f);
 }
 
-/// Parse --ft-recovery (same exit-2 + --help convention).
 ft::Recovery parse_recovery(const std::string& name) {
   if (name == "shrink") return ft::Recovery::kShrink;
   if (name == "rollback") return ft::Recovery::kRollback;
-  throw std::invalid_argument(
-      "unknown --ft-recovery: " + name +
-      " (expected shrink or rollback; run `melsim --help` for the list)");
+  throw std::invalid_argument("unknown --ft-recovery: " + name +
+                              " (expected shrink or rollback)");
+}
+
+/// Every RunConfig knob from the command line, checked before any graph
+/// work: a malformed value is a usage error, not something to discover
+/// after minutes of graph loading. The tracer is left to the caller.
+match::RunConfig parse_config(const util::Cli& cli, int ranks) {
+  match::RunConfig cfg;
+  cfg.collect_matrix = cli.has("matrix");
+  cfg.audit = !cli.get_bool("no-audit", false);
+  const auto threads = cli.get_int("threads", 1);
+  if (threads < 1 || threads > 1024) {
+    throw std::invalid_argument("--threads: must be between 1 and 1024, got " +
+                                std::to_string(threads));
+  }
+  cfg.threads = static_cast<int>(threads);
+  cfg.sample_interval_ns = cli.get_int("sample-interval", 100000);
+  if (cfg.sample_interval_ns < 1) {
+    // A zero or negative period would make the sampler spin forever (or
+    // never fire).
+    throw std::invalid_argument(
+        "--sample-interval: must be a positive ns period, got " +
+        std::to_string(cfg.sample_interval_ns));
+  }
+  cfg.watchdog_horizon = cli.get_int("watchdog-horizon", 0);
+  if (cli.has("intra-node-params")) {
+    parse_intra_node(cli.get("intra-node-params", ""), cfg.net);
+  }
+  chaos::Config& chaos = cfg.net.chaos;
+  chaos.seed = static_cast<std::uint64_t>(cli.get_int("chaos-seed", 1));
+  chaos.latency_jitter = cli.get_double("chaos-jitter", 0.0);
+  chaos.stragglers = static_cast<int>(cli.get_int("chaos-stragglers", 0));
+  chaos.straggler_slowdown = cli.get_double("chaos-straggler-slow", 1.0);
+  chaos.collective_skew = cli.get_int("chaos-coll-skew", 0);
+  chaos.loss = cli.get_double("fault-loss", 0.0);
+  chaos.duplication = cli.get_double("fault-dup", 0.0);
+  chaos.corruption = cli.get_double("fault-corrupt", 0.0);
+  if (cli.has("fault-crash")) {
+    chaos.crashes = parse_crashes(cli.get("fault-crash", ""), ranks);
+  }
+  cfg.ft.enabled = cli.get_bool("ft", false);
+  cfg.ft.retry_max =
+      static_cast<int>(cli.get_int("ft-retry-max", cfg.ft.retry_max));
+  cfg.ft.checkpoint_ns = cli.get_int("ft-checkpoint-ns", cfg.ft.checkpoint_ns);
+  if (cli.has("ft-recovery")) {
+    cfg.ft.recovery = parse_recovery(cli.get("ft-recovery", ""));
+  }
+  return cfg;
 }
 
 graph::Csr load_graph(const util::Cli& cli) {
@@ -371,39 +343,21 @@ graph::Csr load_graph(const util::Cli& cli) {
 
 int run(const util::Cli& cli) {
   const std::string algo = cli.get("algo", "match");
-  const auto model = parse_model(cli.get("model", "NCL"));
+  const auto model = match::parse_model(cli.get("model", "NCL"));
   check_algo(algo, model, cli);
   const graph::VertexId root = parse_root(cli.get("root", "0"));
-  const int ranks = static_cast<int>(cli.get_int("ranks", 64));
+  const auto nranks = cli.get_int("ranks", 64);
+  if (nranks < 1 || nranks > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(
+        "--ranks: expected a positive rank count, got " +
+        std::to_string(nranks));
+  }
+  const int ranks = static_cast<int>(nranks);
   const bool csv = cli.get_bool("csv", false);
-
-  // Validate fault/recovery flags before any graph work: a malformed
-  // --fault-crash or --ft-recovery is a usage error (exit 2 + --help
-  // pointer), not something to discover after minutes of graph loading.
-  std::vector<chaos::Config::Crash> crashes;
-  if (cli.has("fault-crash")) {
-    crashes = parse_crashes(cli.get("fault-crash", ""), ranks);
+  match::RunConfig cfg = parse_config(cli, ranks);
+  for (const char* flag : {"trace", "metrics-jsonl", "matrix"}) {
+    if (cli.has(flag)) require_writable(flag, cli.get(flag, ""));
   }
-  ft::Recovery recovery = ft::Recovery::kShrink;
-  if (cli.has("ft-recovery")) {
-    recovery = parse_recovery(cli.get("ft-recovery", "shrink"));
-  }
-  int threads = 1;
-  if (cli.has("threads")) threads = parse_threads(cli.get("threads", "1"));
-  IntraNodeParams intra;
-  const bool have_intra = cli.has("intra-node-params");
-  if (have_intra) intra = parse_intra_node(cli.get("intra-node-params", ""));
-  sim::Time sample_interval = 100000;
-  if (cli.has("sample-interval")) {
-    sample_interval = parse_sample_interval(cli.get("sample-interval", ""));
-  }
-  if (cli.has("trace")) {
-    require_writable("--trace", cli.get("trace", "trace.json"));
-  }
-  if (cli.has("metrics-jsonl")) {
-    require_writable("--metrics-jsonl", cli.get("metrics-jsonl", ""));
-  }
-  if (cli.has("matrix")) require_writable("--matrix", cli.get("matrix", ""));
 
   const bool host_profile =
       cli.get_bool("host-profile", false) || cli.has("host-profile-json");
@@ -412,10 +366,9 @@ int run(const util::Cli& cli) {
   graph::Csr g = load_graph(cli);
   if (cli.get_bool("rcm", false)) g = g.permuted(order::rcm(g));
   if (algo == "bfs" && root >= g.nverts()) {
-    throw std::invalid_argument(
-        "--root " + std::to_string(root) + " is not a vertex of the " +
-        std::to_string(g.nverts()) +
-        "-vertex input (run `melsim --help` for the format)");
+    throw std::invalid_argument("--root " + std::to_string(root) +
+                                " is not a vertex of the " +
+                                std::to_string(g.nverts()) + "-vertex input");
   }
   if (!csv) {
     std::printf("input: |V|=%lld |E|=%lld  algo=%s model=%s p=%d\n",
@@ -426,45 +379,19 @@ int run(const util::Cli& cli) {
 
   obs::Recorder recorder;
   const bool want_obs = cli.has("trace") || cli.has("metrics-jsonl");
-  match::RunConfig cfg;
-  cfg.collect_matrix = cli.has("matrix");
   if (want_obs) {
     cfg.tracer = &recorder;
-    cfg.sample_interval_ns = sample_interval;
     recorder.set_run_info(algo, match::model_name(model), ranks,
                           static_cast<std::uint64_t>(cli.get_int("seed", 1)));
+    // The embedded params must be exactly what the machine prices with, or
+    // replay fidelity breaks.
+    recorder.set_net_params(cfg.net);
   }
-  cfg.audit = !cli.get_bool("no-audit", false);
-  cfg.threads = threads;
-  if (have_intra) {
-    cfg.net.alpha_intra = intra.latency;
-    cfg.net.o_send_intra = intra.overhead;
-    cfg.net.o_recv_intra = intra.overhead;
-    cfg.net.beta_intra = intra.inv_bw;
-  }
-  cfg.watchdog_horizon =
-      static_cast<sim::Time>(cli.get_int("watchdog-horizon", 0));
-  cfg.net.chaos.seed = static_cast<std::uint64_t>(cli.get_int("chaos-seed", 1));
-  cfg.net.chaos.latency_jitter = cli.get_double("chaos-jitter", 0.0);
-  cfg.net.chaos.stragglers =
-      static_cast<int>(cli.get_int("chaos-stragglers", 0));
-  cfg.net.chaos.straggler_slowdown = cli.get_double("chaos-straggler-slow", 1.0);
-  cfg.net.chaos.collective_skew =
-      static_cast<sim::Time>(cli.get_int("chaos-coll-skew", 0));
-  cfg.net.chaos.loss = cli.get_double("fault-loss", 0.0);
-  cfg.net.chaos.duplication = cli.get_double("fault-dup", 0.0);
-  cfg.net.chaos.corruption = cli.get_double("fault-corrupt", 0.0);
-  cfg.net.chaos.crashes = std::move(crashes);
-  cfg.ft.enabled = cli.get_bool("ft", false);
-  cfg.ft.retry_max =
-      static_cast<int>(cli.get_int("ft-retry-max", cfg.ft.retry_max));
-  cfg.ft.checkpoint_ns =
-      static_cast<sim::Time>(cli.get_int("ft-checkpoint-ns", cfg.ft.checkpoint_ns));
-  cfg.ft.recovery = recovery;
-  // After every cfg.net mutation: the embedded params must be exactly
-  // what the machine prices with, or replay fidelity breaks.
-  if (want_obs) recorder.set_net_params(cfg.net);
 
+  // Each branch prints its own summary; the statistics every algorithm
+  // reports are kept (sliced off the full result) for the outputs below.
+  match::RunStats stats;
+  bool ok = false;
   if (algo == "match") {
     match::RunResult run;
     if (cli.get_bool("edge-balance", false)) {
@@ -474,23 +401,20 @@ int run(const util::Cli& cli) {
     } else {
       run = match::run_match(g, ranks, model, cfg);
     }
-    if (want_obs) {
-      recorder.set_run_result(run.time, run.trace_hash, run.sim_events);
-    }
-    const bool valid = match::is_valid_matching(g, run.matching.mate);
+    ok = match::is_valid_matching(g, run.matching.mate);
     const auto energy = perf::energy_report(run, cfg.net);
     const auto memory = perf::memory_report(run);
     if (csv) {
       std::printf("match,%s,%d,%.6f,%.3f,%lld,%d,%.1f,%.4f\n",
                   match::model_name(model), ranks, run.seconds(),
                   run.matching.weight,
-                  static_cast<long long>(run.matching.cardinality), valid,
+                  static_cast<long long>(run.matching.cardinality), ok,
                   memory.avg_mb_per_rank(), energy.node_energy_kj);
     } else {
       std::printf("%s\n", perf::run_summary(run).c_str());
       std::printf("valid=%s  mem=%.1f MB/proc  energy=%.4f kJ  comp%%=%.1f "
                   "MPI%%=%.1f\n",
-                  valid ? "yes" : "NO", memory.avg_mb_per_rank(),
+                  ok ? "yes" : "NO", memory.avg_mb_per_rank(),
                   energy.node_energy_kj, energy.comp_pct, energy.mpi_pct);
       const auto& t = run.totals;
       if (t.retransmits != 0 || t.dropped != 0 || t.corrupt_detected != 0 ||
@@ -514,32 +438,28 @@ int run(const util::Cli& cli) {
                     list.c_str(), run.recoveries, run.shrinks);
       }
     }
-    write_matrix(cli, run.matrix);
-    if (!valid) return 1;
+    stats = std::move(run);
   } else if (algo == "bfs") {
-    const auto run = bfs::run_bfs(g, ranks, root, model, cfg);
-    if (want_obs) {
-      recorder.set_run_result(run.time, run.trace_hash, run.sim_events);
-    }
-    const bool ok = run.dist == bfs::serial_bfs(g, root);
+    bfs::BfsResult run = bfs::run_bfs(g, ranks, root, model, cfg);
+    ok = run.dist == bfs::serial_bfs(g, root);
     std::printf("bfs,%s,%d,%.6f,levels=%lld,correct=%s\n",
-                match::model_name(model), ranks, sim::to_seconds(run.time),
+                match::model_name(model), ranks, run.seconds(),
                 static_cast<long long>(run.levels), ok ? "yes" : "NO");
-    write_matrix(cli, run.matrix);
-    if (!ok) return 1;
+    stats = std::move(run);
   } else {
-    const auto run = color::run_coloring(g, ranks, model, cfg);
-    if (want_obs) {
-      recorder.set_run_result(run.time, run.trace_hash, run.sim_events);
-    }
-    const bool ok = color::is_proper_coloring(g, run.colors);
+    color::ColorResult run = color::run_coloring(g, ranks, model, cfg);
+    ok = color::is_proper_coloring(g, run.colors);
     std::printf("color,%s,%d,%.6f,colors=%lld,rounds=%lld,proper=%s\n",
-                match::model_name(model), ranks, sim::to_seconds(run.time),
+                match::model_name(model), ranks, run.seconds(),
                 static_cast<long long>(color::color_count(run.colors)),
                 static_cast<long long>(run.rounds), ok ? "yes" : "NO");
-    write_matrix(cli, run.matrix);
-    if (!ok) return 1;
+    stats = std::move(run);
   }
+  if (want_obs) {
+    recorder.set_run_result(stats.time, stats.trace_hash, stats.sim_events);
+  }
+  write_matrix(cli, stats.matrix);
+  if (!ok) return 1;
 
   if (cli.has("trace")) {
     recorder.write_chrome_file(cli.get("trace", "trace.json"));
@@ -598,6 +518,11 @@ int main(int argc, char** argv) {
   }
   try {
     return run(cli);
+  } catch (const std::invalid_argument& e) {
+    // A bad flag value, caught before any graph work wherever it can be.
+    std::fprintf(stderr, "melsim: %s (run `melsim --help` for the options)\n",
+                 e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "melsim: %s\n", e.what());
     return 2;
