@@ -47,20 +47,22 @@ struct Config {
   /// global, or fence), in ns. Models OS noise at synchronization points.
   Time collective_skew = 0;
 
-  /// Per-copy wire fault probabilities for point-to-point traffic. Unlike
-  /// the timing knobs above these *do* destroy messages, so any nonzero
-  /// value requires the reliable transport (mel::ft) below the MPI layer;
-  /// the Machine refuses faulty p2p traffic without it. Each probability
-  /// is drawn independently per wire copy (original send or retransmit)
-  /// as a pure function of (seed, channel, sequence, attempt).
+  /// Per-copy wire fault probabilities for every message, put and
+  /// collective slice. Unlike the timing knobs above these *do* destroy
+  /// messages, so any nonzero value makes the Machine build the reliable
+  /// transport (mel::ft) below the MPI layer. Each probability is drawn
+  /// independently per wire copy (original send or retransmit) as a pure
+  /// function of (seed, channel, sequence, attempt).
   double loss = 0.0;         ///< copy silently dropped by the network
   double duplication = 0.0;  ///< copy delivered twice
   double corruption = 0.0;   ///< one payload byte flipped in transit
 
   /// A scheduled fail-stop rank crash: at virtual time `at` the rank stops
-  /// executing forever (its coroutine is never resumed again). Survivors
-  /// observe it ULFM-style through mpi::Machine::failed_ranks() and
-  /// Comm::agree_failed(); the match driver recovers via checkpoints.
+  /// executing forever (its coroutine is never resumed again). A crash
+  /// schedule makes the Machine build the reliable transport, which stops
+  /// retransmitting to the dead rank. Survivors that send to it get
+  /// mpi::RankFailedError; the match driver then recovers host-side, from
+  /// the survivors' live state or the last checkpoint.
   struct Crash {
     Rank rank = -1;
     Time at = 0;

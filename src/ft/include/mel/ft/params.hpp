@@ -19,7 +19,7 @@ class TransportError : public std::runtime_error {
       : std::runtime_error(std::move(what)) {}
 };
 
-/// How the match driver continues after survivors agree on a failed set.
+/// How the match driver continues after a run loses ranks to crashes.
 enum class Recovery {
   /// ULFM shrink-and-continue: probe the survivors' *live* state at abort
   /// time, keep mutually-recorded matched pairs, and resume
@@ -34,9 +34,9 @@ enum class Recovery {
 };
 
 struct Params {
-  /// Route point-to-point traffic through the ack/retransmit transport.
-  /// The match driver also enables it automatically whenever the chaos
-  /// config carries wire faults (loss/duplication/corruption) or crashes.
+  /// Build the ack/retransmit transport even on a fault-free wire. The
+  /// Machine builds it anyway whenever the chaos config carries wire
+  /// faults (loss/duplication/corruption) or crashes.
   bool enabled = false;
 
   /// Maximum retransmissions per segment (not counting the first copy).

@@ -9,6 +9,12 @@
 
 namespace mel::graph {
 
+/// The largest vertex count a graph file may declare: 2^31, whose row
+/// offsets alone take 16 GiB. Both readers reject a larger count with a
+/// std::runtime_error naming the count and this limit, before allocating
+/// anything for it.
+inline constexpr VertexId kMaxFileVertices = VertexId{1} << 31;
+
 /// Read a Matrix Market coordinate file as an undirected weighted graph.
 /// Supports `matrix coordinate (real|integer|pattern) (general|symmetric)`.
 /// Pattern entries get weight 1.0; explicit zeros are kept as 0-weight

@@ -22,6 +22,15 @@ std::string lower(std::string s) {
   throw std::runtime_error("matrix market: " + what);
 }
 
+/// Reject a declared vertex count above kMaxFileVertices.
+void check_vertex_count(const char* format, std::uint64_t nverts) {
+  if (nverts <= static_cast<std::uint64_t>(kMaxFileVertices)) return;
+  throw std::runtime_error(std::string(format) + ": the header declares " +
+                           std::to_string(nverts) +
+                           " vertices, above the limit of " +
+                           std::to_string(kMaxFileVertices));
+}
+
 }  // namespace
 
 Csr read_matrix_market(std::istream& in) {
@@ -53,6 +62,7 @@ Csr read_matrix_market(std::istream& in) {
     fail("bad size line");
   }
   if (rows != cols) fail("matrix must be square to be a graph");
+  check_vertex_count("matrix market", static_cast<std::uint64_t>(rows));
 
   // `entries` is a claim about the file, not an allocation size: the list
   // grows only as entries actually arrive.
@@ -111,6 +121,7 @@ Csr read_binary(std::istream& in) {
   in.read(reinterpret_cast<char*>(&nverts), sizeof nverts);
   in.read(reinterpret_cast<char*>(&nedges), sizeof nedges);
   if (!in) throw std::runtime_error("binary graph: truncated header");
+  check_vertex_count("binary graph", nverts);
   // Read in bounded chunks, so a header that claims more edges than the
   // stream holds fails as truncated instead of allocating for the claim.
   constexpr std::uint64_t kChunk = std::uint64_t{1} << 16;

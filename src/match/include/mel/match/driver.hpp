@@ -31,23 +31,20 @@ struct RunConfig {
   /// size) into the tracer's counter tracks, every this many virtual ns.
   /// 0 disables; ignored without a tracer.
   sim::Time sample_interval_ns = 0;
-  /// Run the substrate invariant auditor at finalize and throw on any
-  /// violation (byte conservation, mailbox/window accounting; see
-  /// mpi::Machine::audit). Cheap — on by default.
-  bool audit = true;
   /// Abort with a per-rank diagnostic (sim::WatchdogError) if virtual
   /// time exceeds this horizon, in ns. 0 = unlimited.
   sim::Time watchdog_horizon = 0;
-  /// Fault tolerance: reliable-transport knobs and the checkpoint interval
-  /// (ft.checkpoint_ns). The transport is enabled automatically whenever
-  /// the chaos config injects wire faults or schedules crashes, regardless
-  /// of ft.enabled.
+  /// Fault tolerance: reliable-transport knobs, the checkpoint interval
+  /// (ft.checkpoint_ns) and the recovery strategy, handed to the Machine,
+  /// which builds the transport when ft.enabled asks for it or the chaos
+  /// config injects wire faults or schedules crashes.
   ft::Params ft{};
   /// Host threads for the sharded discrete-event engine: ranks are
   /// partitioned into that many shards, each advancing in conservative
   /// LogGP-lookahead windows. Results — trace_hash, matching, counters,
-  /// metrics — are bit-identical at any thread count; chaos/fault-tolerant
-  /// runs fall back to the sequential engine automatically. 1 = sequential.
+  /// metrics — are bit-identical at any thread count. Runs with any chaos
+  /// knob or the reliable transport on fall back to the sequential engine
+  /// (see mpi::Machine's constructor). 1 = sequential.
   int threads = 1;
 };
 
@@ -104,8 +101,8 @@ struct RunResult : RunStats {
 
 /// The simulated machine an algorithm runs on, built from a RunConfig: the
 /// engine (sharded at cfg.threads, with its watchdog), the audited machine
-/// with the reliable transport whenever faults need it, the graph's process
-/// topology, and the tracer. Matching, BFS and coloring all run on one,
+/// with its fault model (chaos and the reliable transport), the graph's
+/// process topology, and the tracer. Matching, BFS and coloring all run on one,
 /// the way a vertex-program engine runs any program: the algorithm
 /// supplies only its per-rank task.
 struct Job {

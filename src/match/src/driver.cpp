@@ -161,18 +161,9 @@ sim::Simulator& configured(sim::Simulator& simulator, const RunConfig& cfg) {
 
 Job::Job(const graph::DistGraph& dg, const RunConfig& cfg)
     : simulator(dg.nranks()),
-      machine(configured(simulator, cfg), net::Network(dg.nranks(), cfg.net)),
+      machine(configured(simulator, cfg), net::Network(dg.nranks(), cfg.net),
+              cfg.ft),
       collect_matrix_(cfg.collect_matrix) {
-  cfg.ft.validate();
-  machine.set_audit(cfg.audit);
-  const auto& chaos = cfg.net.chaos;
-  if (cfg.ft.enabled || chaos.wire_faults() || !chaos.crashes.empty()) {
-    // Wire faults destroy messages and crashes strand them: both need the
-    // reliable ack/retransmit transport below the MPI layer.
-    ft::Params fp = cfg.ft;
-    fp.enabled = true;
-    machine.enable_ft(fp);
-  }
   // Distributed-graph process topology from the ghost structure; the
   // machine validates symmetry before the first neighborhood collective.
   for (Rank r = 0; r < dg.nranks(); ++r) {

@@ -162,25 +162,6 @@ class AllreduceScalarAwaiter {
   AllreduceAwaiter inner_;
 };
 
-/// co_await comm.agree_failed() -> sorted failed-rank set. ULFM-style
-/// agreement (MPIX_Comm_agree flavored): completes once every *surviving*
-/// rank has arrived, so it terminates even when ranks fail mid-collective.
-class AgreeAwaiter {
- public:
-  AgreeAwaiter(Machine& m, Rank rank);
-  AgreeAwaiter(AgreeAwaiter&&) = delete;
-
-  bool await_ready() { return false; }
-  void await_suspend(std::coroutine_handle<> h);
-  std::vector<Rank> await_resume();
-
- private:
-  Machine& m_;
-  Rank rank_;
-  Time entry_clock_;
-  std::vector<std::int64_t> result_;
-};
-
 /// co_await comm.barrier().
 class BarrierAwaiter {
  public:
@@ -483,11 +464,7 @@ class Comm {
   [[nodiscard]] BarrierAwaiter barrier() { return BarrierAwaiter(m_, rank_); }
 
   // -- Fault tolerance (ULFM flavored) -------------------------------------
-  /// Locally known failed-rank set (MPIX_Comm_failure_ack/get_acked).
-  std::vector<Rank> failed_ranks() const { return m_.failed_ranks(); }
   bool rank_failed(Rank r) const { return m_.rank_failed(r); }
-  /// Collective agreement on the failed set among survivors.
-  [[nodiscard]] AgreeAwaiter agree_failed() { return AgreeAwaiter(m_, rank_); }
 
   // -- RMA -----------------------------------------------------------------
   Window window(int id) { return Window(&m_, id, rank_); }

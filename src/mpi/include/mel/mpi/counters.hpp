@@ -22,7 +22,6 @@ struct CommCounters {
   std::uint64_t neighbor_colls = 0;
   std::uint64_t allreduces = 0;
   std::uint64_t barriers = 0;
-  std::uint64_t agrees = 0;          // ULFM-style failure-agreement collectives
 
   /// Reliable-transport (mel::ft) events; all zero when ft is off. These
   /// are what prices reliability: every retransmit and ack also lands in

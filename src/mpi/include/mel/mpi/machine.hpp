@@ -106,7 +106,15 @@ class Tracer {
 
 class Machine : public ft::Host {
  public:
-  Machine(sim::Simulator& simulator, net::Network network);
+  /// The fault model is fixed here, once. The chaos engine is built when
+  /// the network params turn any chaos knob on. The reliable transport
+  /// (mel::ft) is built when `ft.enabled` asks for it, or when the chaos
+  /// config destroys messages (wire faults) or strands them (scheduled
+  /// crashes). With either one on, the engine runs sequential, because
+  /// both keep per-channel state that every rank's shard would write;
+  /// otherwise a sharded engine gets the network's lookahead bound.
+  Machine(sim::Simulator& simulator, net::Network network,
+          const ft::Params& ft = {});
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
   ~Machine();
@@ -139,8 +147,6 @@ class Machine : public ft::Host {
   const CommCounters& counters(Rank rank) const { return counters_[rank]; }
   CommCounters total_counters() const;
   const CommMatrix& matrix() const { return matrix_; }
-  /// Reset matrices and counters (e.g. to measure only the iterative phase).
-  void reset_accounting();
 
   /// Explicitly registered communication-buffer bytes per rank (windows,
   /// staging buffers, ...), for the memory model.
@@ -162,17 +168,12 @@ class Machine : public ft::Host {
 
   // -- Invariant auditor ----------------------------------------------------
 
-  /// Enable/disable the substrate invariant audits (on by default; the
-  /// checks run at finalize and cost nothing per operation).
-  void set_audit(bool enabled) { audit_enabled_ = enabled; }
-  bool audit_enabled() const { return audit_enabled_; }
-
   /// Run the finalize-time conservation and accounting audits and return
   /// every violation found (empty = substrate state is consistent):
   /// p2p payload bytes sent == delivered, no in-flight sends, mailbox
   /// byte/message accounting back to zero with no parked waiters, every
   /// scheduled put landed, and window memory consistent with
-  /// account_buffer(). Returns {} without checking when audits are off.
+  /// account_buffer(). The checks cost nothing per operation.
   std::vector<std::string> audit() const;
 
   /// audit() and throw std::logic_error listing the violations, if any.
@@ -191,34 +192,24 @@ class Machine : public ft::Host {
 
   // -- Fault tolerance ------------------------------------------------------
 
-  /// Route point-to-point traffic through the reliable ack/retransmit
-  /// transport (mel::ft). Must be called before any isend; required (and
-  /// enabled automatically by the match driver) whenever the chaos config
-  /// carries wire faults or scheduled crashes.
-  void enable_ft(const ft::Params& params);
+  /// True when the constructor built the reliable transport: every p2p
+  /// message, RMA put and collective slice then rides it.
   bool ft_enabled() const { return transport_ != nullptr; }
   const ft::Transport* transport() const { return transport_.get(); }
   /// Mutable access for the transport's *_for_test hooks (channel
   /// preseeding near the sequence-number limit, rto probing).
   ft::Transport* transport() { return transport_.get(); }
 
-  /// ULFM-style failure queries: the set of ranks known to have failed.
+  /// ULFM-style failure queries: the set of ranks known to have failed,
+  /// sorted.
   bool rank_failed(Rank rank) const { return failed_[rank] != 0; }
   std::vector<Rank> failed_ranks() const;
   int failed_count() const { return static_cast<int>(failed_ranks_.size()); }
 
-  /// Mark a rank failed *now*: kill its coroutine, stop retransmissions to
-  /// it, and recheck pending failure-agreement collectives. Scheduled
-  /// automatically for every chaos-configured crash; a crash landing after
-  /// the rank already returned is a no-op.
+  /// Mark a rank failed *now*: kill its coroutine and stop retransmissions
+  /// to it. Scheduled automatically for every chaos-configured crash; a
+  /// crash landing after the rank already returned is a no-op.
   void handle_rank_failure(Rank rank);
-
-  /// ULFM shrink surface (MPIX_Comm_shrink flavored): the dense
-  /// re-numbering survivors agree on after `agree_failed` — old rank ->
-  /// new rank in the shrunk job, -1 for failed ranks. The continuation
-  /// run builds its ghost tables, neighborhood schedules and persistent
-  /// requests against the shrunk size (nranks() - failed_count()).
-  std::vector<Rank> shrink_map() const;
 
   /// Per-rank application-state probe for driver-level checkpointing: the
   /// matching engine registers a callback returning its current state
@@ -300,7 +291,7 @@ class Machine : public ft::Host {
 
   /// Active-target fence on a window (MPI_Win_fence): a barrier over all
   /// ranks that additionally waits for every outstanding put on the
-  /// window. `fence_out` receives the epoch completion time.
+  /// window. Every rank wakes at the epoch completion time.
   void fence_arrive(int win, Rank rank, sim::Simulator::Parked parked);
 
   /// Neighborhood collective: rank arrives with one buffer slice per
@@ -341,13 +332,6 @@ class Machine : public ft::Host {
   void global_arrive(Rank rank, std::vector<std::int64_t> contribution,
                      ReduceOp op, std::vector<std::int64_t>* result_out,
                      sim::Simulator::Parked parked);
-
-  /// ULFM-style failure agreement (MPIX_Comm_agree flavored): completes
-  /// once every *surviving* rank has arrived at the same sequence number —
-  /// a rank failing while others wait re-triggers completion — and
-  /// deposits the agreed failed-rank set into `result_out`.
-  void agree_arrive(Rank rank, std::vector<std::int64_t>* result_out,
-                    sim::Simulator::Parked parked);
 
   /// Install (or clear, with nullptr) the operation tracer.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
@@ -418,6 +402,12 @@ class Machine : public ft::Host {
 
  private:
   void enqueue_accounting(Rank dst, std::size_t bytes);
+  /// Record one wire copy sent at `t` in the matrix and the tracer.
+  void record_wire(Rank src, Rank dst, std::size_t bytes, Time t);
+  /// Schedule `msg`'s mailbox delivery at its arrival time on its
+  /// destination's shard; the sender's in-flight gauges settle at the
+  /// merge point.
+  void schedule_delivery(Message msg);
   void ensure_topology_validated();
   void put_impl(int win, Rank origin, Rank target, std::size_t offset,
                 std::span<const std::byte> data, bool ordered);
@@ -426,11 +416,9 @@ class Machine : public ft::Host {
   struct WindowState;
   struct NeighborState;
   struct GlobalCollState;
-  struct AgreeState;
 
   void deliver(Message msg);
   void complete_neighbor_op(Rank rank, std::uint64_t seq);
-  void maybe_complete_agree(std::uint64_t seq);
 
   sim::Simulator& sim_;
   net::Network net_;
@@ -448,10 +436,10 @@ class Machine : public ft::Host {
   std::vector<std::unique_ptr<WindowState>> windows_;
   std::unique_ptr<NeighborState> neighbor_;
   std::unique_ptr<GlobalCollState> global_;
-  std::unique_ptr<AgreeState> agree_;
 
-  /// Reliable transport (null unless enable_ft); declared after sim_/net_
-  /// and before the per-rank state it delivers into.
+  /// Reliable transport (null when the fault model does not need it);
+  /// declared after sim_/net_ and before the per-rank state it delivers
+  /// into.
   std::unique_ptr<ft::Transport> transport_;
 
   Tracer* tracer_ = nullptr;
@@ -480,8 +468,6 @@ class Machine : public ft::Host {
   std::vector<Rank> failed_ranks_;  // in failure order
   std::vector<StateProbe> state_probes_;  // per rank, may be null
 
-  bool audit_enabled_ = true;
-  bool accounting_reset_ = false;  // relaxes window-vs-buffer audit
   std::uint64_t sent_payload_bytes_ = 0;
   std::uint64_t delivered_payload_bytes_ = 0;
   /// Payload bytes whose delivery the transport abandoned because an

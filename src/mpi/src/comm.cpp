@@ -147,22 +147,6 @@ std::vector<std::int64_t> AllreduceAwaiter::await_resume() {
   return std::move(result_);
 }
 
-AgreeAwaiter::AgreeAwaiter(Machine& m, Rank rank)
-    : m_(m), rank_(rank), entry_clock_(m.simulator().rank_now(rank)) {}
-
-void AgreeAwaiter::await_suspend(std::coroutine_handle<> h) {
-  m_.agree_arrive(rank_, &result_, {rank_, h});
-}
-
-std::vector<Rank> AgreeAwaiter::await_resume() {
-  m_.add_comm_time(rank_, m_.simulator().rank_now(rank_) - entry_clock_);
-  m_.trace_op(rank_, "agree", entry_clock_);
-  std::vector<Rank> out;
-  out.reserve(result_.size());
-  for (const std::int64_t r : result_) out.push_back(static_cast<Rank>(r));
-  return out;
-}
-
 BarrierAwaiter::BarrierAwaiter(Machine& m, Rank rank)
     : m_(m), rank_(rank), entry_clock_(m.simulator().rank_now(rank)) {}
 

@@ -124,21 +124,6 @@ struct Machine::GlobalCollState {
   std::map<std::uint64_t, Inst> insts;
 };
 
-struct Machine::AgreeState {
-  struct Waiter {
-    Rank rank = -1;
-    std::vector<std::int64_t>* out = nullptr;
-    sim::Simulator::Parked parked;
-  };
-  struct Inst {
-    int arrived = 0;
-    Time max_arrive = 0;
-    std::vector<Waiter> waiters;
-  };
-  std::vector<std::uint64_t> next_seq;  // per rank
-  std::map<std::uint64_t, Inst> insts;
-};
-
 // ---------------------------------------------------------------------------
 
 CommCounters& CommCounters::operator+=(const CommCounters& o) {
@@ -152,7 +137,6 @@ CommCounters& CommCounters::operator+=(const CommCounters& o) {
   neighbor_colls += o.neighbor_colls;
   allreduces += o.allreduces;
   barriers += o.barriers;
-  agrees += o.agrees;
   retransmits += o.retransmits;
   dropped += o.dropped;
   corrupt_detected += o.corrupt_detected;
@@ -187,7 +171,8 @@ std::uint64_t CommMatrix::nonzero_pairs() const {
 
 // ---------------------------------------------------------------------------
 
-Machine::Machine(sim::Simulator& simulator, net::Network network)
+Machine::Machine(sim::Simulator& simulator, net::Network network,
+                 const ft::Params& ft)
     : sim_(simulator),
       net_(std::move(network)),
       topology_(net_.nranks()),
@@ -212,18 +197,25 @@ Machine::Machine(sim::Simulator& simulator, net::Network network)
     throw std::invalid_argument("Machine: simulator/network rank mismatch");
   }
   const int p = net_.nranks();
-  if (net_.params().chaos.enabled()) {
-    chaos_ = std::make_unique<chaos::Engine>(net_.params().chaos, p);
+  const chaos::Config& chaos = net_.params().chaos;
+  if (chaos.enabled()) chaos_ = std::make_unique<chaos::Engine>(chaos, p);
+  ft.validate();
+  if (ft.enabled || chaos.wire_faults() || !chaos.crashes.empty()) {
+    // Wire faults destroy messages and crashes strand them: both need the
+    // reliable ack/retransmit transport below the MPI layer.
+    transport_ =
+        std::make_unique<ft::Transport>(*this, sim_, net_, chaos_.get(), ft);
   }
-  if (sim_.threaded()) {
-    if (chaos_) {
-      // Chaos jitter can pull a wire time below the LogGP latency floor,
-      // which breaks the conservative cross-shard lookahead bound —
-      // fault-injected runs use the sequential engine.
-      sim_.require_sequential("chaos fault injection defeats the lookahead");
-    } else {
-      sim_.limit_lookahead(net_.min_remote_delay());
-    }
+  if (chaos_ || transport_) {
+    // Jitter never pulls a wire time below the LogGP floor, so the
+    // lookahead still holds. What the shards cannot split is per-channel
+    // state written from both ends: the chaos draw counters and tagged
+    // delivery floors, and the transport's sequence and reorder state.
+    sim_.require_sequential(
+        "chaos and the reliable transport keep per-channel state that "
+        "every shard writes");
+  } else if (sim_.threaded()) {
+    sim_.limit_lookahead(net_.min_remote_delay());
   }
   comms_.reserve(p);
   mailboxes_.reserve(p);
@@ -238,16 +230,11 @@ Machine::Machine(sim::Simulator& simulator, net::Network network)
   neighbor_->persistent_ready.assign(p, 0);
   global_ = std::make_unique<GlobalCollState>();
   global_->next_seq.assign(p, 0);
-  agree_ = std::make_unique<AgreeState>();
-  agree_->next_seq.assign(p, 0);
   // Scheduled fail-stop crashes: at the configured virtual time the rank is
   // killed and the failure surfaced ULFM-style. A crash landing after the
   // rank already returned is a no-op (handled inside handle_rank_failure).
-  if (chaos_) {
-    for (const auto& crash : net_.params().chaos.crashes) {
-      sim_.schedule(crash.at,
-                    [this, r = crash.rank] { handle_rank_failure(r); });
-    }
+  for (const auto& crash : chaos.crashes) {
+    sim_.schedule(crash.at, [this, r = crash.rank] { handle_rank_failure(r); });
   }
   sim_.set_stall_reporter([this](Rank r) { return rank_diagnostics(r); });
 }
@@ -333,23 +320,6 @@ CommCounters Machine::total_counters() const {
   return total;
 }
 
-void Machine::reset_accounting() {
-  for (auto& c : counters_) c = CommCounters{};
-  matrix_ = CommMatrix(nranks());
-  std::fill(buffer_bytes_.begin(), buffer_bytes_.end(), 0);
-  // Restart every peak from the *current* occupancy, not zero: resetting
-  // mid-run with queued messages or in-flight sends must not report a
-  // final peak below what is provably still resident. (The seed reset
-  // peak_mailbox_bytes_ only, leaving msg and in-flight peaks spanning
-  // the discarded phase.)
-  for (Rank r = 0; r < nranks(); ++r) {
-    peak_mailbox_bytes_[r] = mailbox_bytes_[r];
-    peak_mailbox_msgs_[r] = mailbox_msgs_[r];
-    peak_inflight_sends_[r] = inflight_sends_[r];
-  }
-  accounting_reset_ = true;
-}
-
 void Machine::account_buffer(Rank rank, std::size_t bytes) {
   buffer_bytes_.at(rank) += bytes;
 }
@@ -374,13 +344,6 @@ void Machine::isend(Rank src, Rank dst, int tag,
        << " tag=" << tag << " " << data.size() << " B)";
     throw RankFailedError(os.str());
   }
-  if (transport_ == nullptr && chaos_ && net_.params().chaos.wire_faults()) {
-    throw std::logic_error(
-        "isend: chaos config injects wire faults (loss/duplication/"
-        "corruption) but the reliable transport is not enabled; call "
-        "Machine::enable_ft first — without it lost messages would "
-        "silently deadlock the run");
-  }
   const prof::ScopedTimer pt(prof::Section::kP2P);
   const Time o_send = net_.send_overhead(src, dst);
   auto& c = counters_[src];
@@ -391,35 +354,39 @@ void Machine::isend(Rank src, Rank dst, int tag,
   sim_.charge(src, o_send);
   trace_op(src, "isend", isend_start);
   const FlowId flow = new_flow(src);
+  const std::size_t wire_bytes = data.size() + kHeaderBytes;
   if (tracer_ != nullptr) {
     const Channel ch = transport_ != nullptr ? Channel::kFt : Channel::kP2P;
-    const std::size_t wire_bytes = data.size() + kHeaderBytes;
     const Time tnow = sim_.rank_now(src);
     with_trace([=](Tracer& t) {
       t.flow_begin(flow, ch, src, dst, tag, wire_bytes, tnow);
     });
   }
-
-  if (transport_ != nullptr) {
-    // Reliable path: the transport sequences, checksums, acks and (under
-    // chaos) retransmits; each wire copy is priced and recorded by the
-    // transport itself (ft_record_wire), including the first one.
-    sent_payload_bytes_ += data.size();
+  // The reliable transport records each of its wire copies itself
+  // (ft_record_wire), the first one included.
+  if (transport_ == nullptr) {
+    record_wire(src, dst, wire_bytes, sim_.rank_now(src));
+  }
+  // Global byte/in-flight gauges are shared across ranks: the increment
+  // runs at the merge point (same global order as the sequential engine,
+  // so the recorded peaks are identical), as does the decrement in
+  // schedule_delivery.
+  const std::size_t payload_bytes = data.size();
+  sim_.defer([this, src, payload_bytes] {
+    sent_payload_bytes_ += payload_bytes;
     inflight_sends_[src] += 1;
     peak_inflight_sends_[src] =
         std::max(peak_inflight_sends_[src], inflight_sends_[src]);
-    inflight_bytes_[src] += data.size();
+    inflight_bytes_[src] += payload_bytes;
+  });
+  if (transport_ != nullptr) {
+    // Reliable path: the transport sequences, checksums, acks and (under
+    // chaos) retransmits, and hands each in-order segment to ft_deliver.
     transport_->send(src, dst, tag, data, flow);
     return;
   }
-  matrix_.record(src, dst, data.size() + kHeaderBytes);
-  if (tracer_ != nullptr) {
-    const std::size_t wire_bytes = data.size() + kHeaderBytes;
-    const Time tnow = sim_.rank_now(src);
-    with_trace([=](Tracer& t) { t.wire(src, dst, wire_bytes, tnow); });
-  }
 
-  Time wire = net_.transfer_time(src, dst, data.size() + kHeaderBytes);
+  Time wire = net_.transfer_time(src, dst, wire_bytes);
   if (chaos_) wire += chaos_->transfer_jitter(src, dst, tag, wire);
   Time arrival = sim_.rank_now(src) + wire;
   if (chaos_ && net_.params().chaos.latency_jitter > 0.0) {
@@ -452,24 +419,24 @@ void Machine::isend(Rank src, Rank dst, int tag,
   msg.sent_at = sim_.rank_now(src);
   msg.arrived_at = arrival;
   msg.flow = flow;
-  // Global byte/in-flight gauges are shared across ranks: the increment
-  // runs at the merge point (same global order as the sequential engine,
-  // so the recorded peaks are identical), as does the decrement below.
-  const std::size_t payload_bytes = data.size();
-  sim_.defer([this, src, payload_bytes] {
-    sent_payload_bytes_ += payload_bytes;
-    inflight_sends_[src] += 1;
-    peak_inflight_sends_[src] =
-        std::max(peak_inflight_sends_[src], inflight_sends_[src]);
-    inflight_bytes_[src] += payload_bytes;
-  });
-  sim_.schedule_for(dst, arrival, [this, src, m = std::move(msg)]() mutable {
-    sim_.defer([this, src, nbytes = m.data.size()] {
+  schedule_delivery(std::move(msg));
+}
+
+void Machine::schedule_delivery(Message msg) {
+  const Rank dst = msg.dst;
+  const Time at = msg.arrived_at;
+  sim_.schedule_for(dst, at, [this, m = std::move(msg)]() mutable {
+    sim_.defer([this, src = m.src, nbytes = m.data.size()] {
       inflight_sends_[src] -= 1;
       inflight_bytes_[src] -= nbytes;
     });
     deliver(std::move(m));
   });
+}
+
+void Machine::record_wire(Rank src, Rank dst, std::size_t bytes, Time t) {
+  matrix_.record(src, dst, bytes);
+  with_trace([=](Tracer& tr) { tr.wire(src, dst, bytes, t); });
 }
 
 namespace {
@@ -624,16 +591,6 @@ void Machine::put_impl(int win, Rank origin, Rank target, std::size_t offset,
   if (offset + data.size() > ws.mem.at(target).size()) {
     throw std::out_of_range("Window::put past end of target window");
   }
-  if (transport_ == nullptr && chaos_ && net_.params().chaos.wire_faults()) {
-    std::ostringstream os;
-    os << "Window::" << (ordered ? "put_ordered" : "put")
-       << ": chaos config injects wire faults (loss/duplication/corruption) "
-          "but the reliable transport is not enabled, so one-sided traffic "
-          "on the RMA backends (RMA/RMA-FENCE/RMA-PART) would bypass the "
-          "fault model; enable it with Machine::enable_ft (melsim: --ft, "
-          "driver: RunConfig::ft.enabled) before the first put";
-    throw std::logic_error(os.str());
-  }
   const auto& p = net_.params();
   const Time put_start = sim_.rank_now(origin);
   sim_.charge(origin, p.o_put);
@@ -647,11 +604,7 @@ void Machine::put_impl(int win, Rank origin, Rank target, std::size_t offset,
   // Under the reliable transport the wire record happens per copy in the
   // transport itself (ft_record_wire), exactly as on the p2p path.
   if (transport_ == nullptr) {
-    matrix_.record(origin, target, wire_bytes);
-    if (tracer_ != nullptr) {
-      const Time tnow = sim_.rank_now(origin);
-      with_trace([=](Tracer& t) { t.wire(origin, target, wire_bytes, tnow); });
-    }
+    record_wire(origin, target, wire_bytes, sim_.rank_now(origin));
   }
   if (tracer_ != nullptr) {
     const Time tnow = sim_.rank_now(origin);
@@ -785,16 +738,6 @@ void Machine::neighbor_begin(Rank rank, std::vector<util::Buffer> slices,
     throw std::logic_error(
         "persistent neighbor start without persistent_neighbor_init");
   }
-  if (transport_ == nullptr && chaos_ && net_.params().chaos.wire_faults()) {
-    std::ostringstream os;
-    os << "neighbor collective: chaos config injects wire faults "
-          "(loss/duplication/corruption) but the reliable transport is not "
-          "enabled, so the per-neighbor slices of the collective backends "
-          "(NCL/NCL-NB/NCL-PERSIST) would bypass the fault model; enable it "
-          "with Machine::enable_ft (melsim: --ft, driver: "
-          "RunConfig::ft.enabled) before the first collective";
-    throw std::logic_error(os.str());
-  }
   if (st.pending[rank].active) {
     throw std::logic_error("rank already in neighbor collective");
   }
@@ -808,26 +751,20 @@ void Machine::neighbor_begin(Rank rank, std::vector<util::Buffer> slices,
 
   std::size_t total_bytes = 0;
   std::vector<FlowId> slice_flows(topo.size(), 0);
+  const Time tnow = sim_.rank_now(rank);
   for (std::size_t i = 0; i < topo.size(); ++i) {
     total_bytes += slices[i].size();
+    const Rank peer = topo[i];
+    const std::size_t wire_bytes = slices[i].size() + kHeaderBytes;
     // Under the reliable transport each slice's wire copies are recorded
     // by the transport itself (ft_record_wire), like every other channel.
-    if (transport_ == nullptr) {
-      matrix_.record(rank, topo[i], slices[i].size() + kHeaderBytes);
-    }
-    slice_flows[i] = new_flow(rank);
-    if (tracer_ != nullptr) {
-      const Rank peer = topo[i];
-      const std::size_t wire_bytes = slices[i].size() + kHeaderBytes;
-      const FlowId f = slice_flows[i];
-      const Time tnow = sim_.rank_now(rank);
-      const bool wire_here = transport_ == nullptr;
-      with_trace([=](Tracer& t) {
-        if (wire_here) t.wire(rank, peer, wire_bytes, tnow);
-        t.flow_begin(f, Channel::kNeighbor, rank, peer, /*tag=*/-1, wire_bytes,
-                     tnow);
-      });
-    }
+    if (transport_ == nullptr) record_wire(rank, peer, wire_bytes, tnow);
+    const FlowId f = new_flow(rank);
+    slice_flows[i] = f;
+    with_trace([=](Tracer& t) {
+      t.flow_begin(f, Channel::kNeighbor, rank, peer, /*tag=*/-1, wire_bytes,
+                   tnow);
+    });
   }
   // Staging copy into the collective's send buffer.
   sim_.charge(rank, net_.copy_time(total_bytes));
@@ -1099,22 +1036,8 @@ Time Machine::charge_compute(Rank rank, Time ns) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault tolerance: reliable transport, failure notification, agreement
+// Fault tolerance: reliable transport and failure notification
 // ---------------------------------------------------------------------------
-
-void Machine::enable_ft(const ft::Params& params) {
-  if (transport_ != nullptr) {
-    throw std::logic_error("enable_ft: transport already enabled");
-  }
-  if (sent_payload_bytes_ != 0) {
-    throw std::logic_error("enable_ft: must be called before the first isend");
-  }
-  // Ack/retransmit timing has no lookahead floor (an ack can race a
-  // delivery inside one latency), so fault-tolerant runs are sequential.
-  sim_.require_sequential("reliable transport");
-  transport_ =
-      std::make_unique<ft::Transport>(*this, sim_, net_, chaos_.get(), params);
-}
 
 std::vector<Rank> Machine::failed_ranks() const {
   std::vector<Rank> out = failed_ranks_;
@@ -1134,20 +1057,6 @@ void Machine::handle_rank_failure(Rank rank) {
   failed_ranks_.push_back(rank);
   trace_instant(rank, "rank-crash", sim_.now());
   if (transport_ != nullptr) transport_->on_rank_failed(rank);
-  // Survivors parked in a failure-agreement must not wait for the dead:
-  // every pending instance may now be complete.
-  std::vector<std::uint64_t> seqs;
-  for (const auto& [seq, inst] : agree_->insts) seqs.push_back(seq);
-  for (const std::uint64_t seq : seqs) maybe_complete_agree(seq);
-}
-
-std::vector<Rank> Machine::shrink_map() const {
-  std::vector<Rank> map(static_cast<std::size_t>(nranks()), -1);
-  Rank next = 0;
-  for (Rank r = 0; r < nranks(); ++r) {
-    if (failed_[r] == 0) map[static_cast<std::size_t>(r)] = next++;
-  }
-  return map;
 }
 
 void Machine::set_state_probe(Rank rank, StateProbe probe) {
@@ -1177,11 +1086,7 @@ void Machine::ft_deliver(Rank src, Rank dst, int tag, util::Buffer payload,
   msg.data = std::move(payload);
   msg.sent_at = sent_at;
   msg.arrived_at = arrive_at;
-  sim_.schedule(arrive_at, [this, src, m = std::move(msg)]() mutable {
-    inflight_sends_[src] -= 1;
-    inflight_bytes_[src] -= m.data.size();
-    deliver(std::move(m));
-  });
+  schedule_delivery(std::move(msg));
 }
 
 void Machine::ft_count(Rank rank, ft::Stat stat, FlowId flow, Time t) {
@@ -1226,8 +1131,7 @@ void Machine::ft_abandoned(Rank src, std::size_t payload_bytes, FlowId flow) {
 }
 
 void Machine::ft_record_wire(Rank src, Rank dst, std::size_t bytes) {
-  matrix_.record(src, dst, bytes);
-  if (tracer_ != nullptr) tracer_->wire(src, dst, bytes, sim_.now());
+  record_wire(src, dst, bytes, sim_.now());
 }
 
 void Machine::enable_sampling(Time interval_ns) {
@@ -1247,61 +1151,12 @@ void Machine::enable_sampling(Time interval_ns) {
   });
 }
 
-void Machine::agree_arrive(Rank rank, std::vector<std::int64_t>* result_out,
-                           sim::Simulator::Parked parked) {
-  const prof::ScopedTimer pt(prof::Section::kGlobalColl);
-  if (sim_.threaded()) {
-    // Unreachable in practice — agreement only runs under the reliable
-    // transport, which forces the sequential engine — but guard anyway.
-    throw std::logic_error(
-        "agree_arrive: failure agreement requires the sequential engine");
-  }
-  auto& st = *agree_;
-  sim_.charge(rank, net_.params().o_coll_base);
-  counters_[rank].agrees += 1;
-  const std::uint64_t seq = st.next_seq[rank]++;
-  auto& inst = st.insts[seq];
-  inst.arrived += 1;
-  inst.max_arrive = std::max(inst.max_arrive, sim_.rank_now(rank));
-  inst.waiters.push_back({rank, result_out, parked});
-  maybe_complete_agree(seq);
-}
-
-void Machine::maybe_complete_agree(std::uint64_t seq) {
-  auto& st = *agree_;
-  auto it = st.insts.find(seq);
-  if (it == st.insts.end()) return;
-  auto& inst = it->second;
-  // Count survivors still owing an arrival. A rank that arrived and then
-  // failed is covered either way: its waiter's wake is suppressed by the
-  // simulator, and it no longer blocks completion.
-  int outstanding = 0;
-  for (Rank r = 0; r < nranks(); ++r) {
-    if (failed_[r] != 0 || sim_.rank_done(r)) continue;
-    if (st.next_seq[r] <= seq) ++outstanding;
-  }
-  if (outstanding > 0) return;
-  const Time complete = inst.max_arrive + net_.reduction_time();
-  auto failed = std::make_shared<std::vector<std::int64_t>>();
-  for (Rank r = 0; r < nranks(); ++r) {
-    if (failed_[r] != 0) failed->push_back(r);
-  }
-  for (const auto& w : inst.waiters) {
-    if (w.out != nullptr) {
-      sim_.schedule(complete, [out = w.out, failed] { *out = *failed; });
-    }
-    sim_.wake(w.parked, complete);
-  }
-  st.insts.erase(it);
-}
-
 // ---------------------------------------------------------------------------
 // Invariant auditor
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> Machine::audit() const {
   std::vector<std::string> violations;
-  if (!audit_enabled_) return violations;
   // A run with failed ranks tore coroutines mid-protocol: mailboxes,
   // waiters and in-flight accounting legitimately reflect the wreckage.
   // The driver re-validates the *result* after recovery instead.
@@ -1332,15 +1187,13 @@ std::vector<std::string> Machine::audit() const {
        << " puts scheduled but " << puts_landed_ << " landed";
     violate(os.str());
   }
-  if (!accounting_reset_) {
-    std::uint64_t counted = 0;
-    for (const auto& c : counters_) counted += c.bytes_sent;
-    if (counted != sent_payload_bytes_) {
-      std::ostringstream os;
-      os << "counter consistency: per-rank bytes_sent sums to " << counted
-         << " but the machine posted " << sent_payload_bytes_;
-      violate(os.str());
-    }
+  std::uint64_t counted = 0;
+  for (const auto& c : counters_) counted += c.bytes_sent;
+  if (counted != sent_payload_bytes_) {
+    std::ostringstream os;
+    os << "counter consistency: per-rank bytes_sent sums to " << counted
+       << " but the machine posted " << sent_payload_bytes_;
+    violate(os.str());
   }
 
   for (Rank r = 0; r < nranks(); ++r) {
@@ -1390,7 +1243,7 @@ std::vector<std::string> Machine::audit() const {
       violate(os.str());
     }
     // Window memory must stay consistent with what account_buffer was
-    // told (unless accounting was deliberately reset mid-run).
+    // told.
     std::size_t window_mem = 0;
     for (const auto& ws : windows_) window_mem += ws->mem[r].size();
     if (window_mem != window_bytes_[r]) {
@@ -1399,7 +1252,7 @@ std::vector<std::string> Machine::audit() const {
          << window_mem << " B but " << window_bytes_[r] << " B were recorded";
       violate(os.str());
     }
-    if (!accounting_reset_ && window_bytes_[r] > buffer_bytes_[r]) {
+    if (window_bytes_[r] > buffer_bytes_[r]) {
       std::ostringstream os;
       os << "buffer accounting on rank " << r << ": " << window_bytes_[r]
          << " B of window memory exceed the " << buffer_bytes_[r]
@@ -1429,14 +1282,6 @@ std::string Machine::rank_diagnostics(Rank rank) const {
   const auto& box = *mailboxes_[rank];
   if (failed_[rank] != 0) os << "FAILED ";
   bool parked = false;
-  for (const auto& [seq, inst] : agree_->insts) {
-    for (const auto& w : inst.waiters) {
-      if (w.rank != rank) continue;
-      parked = true;
-      os << "parked=agree(seq=" << seq << " arrived=" << inst.arrived << '/'
-         << (nranks() - static_cast<int>(failed_ranks_.size())) << ") ";
-    }
-  }
   for (const RecvTicket* t : box.waiters) {
     parked = true;
     os << "parked=" << (t->peek_only ? "wait_message(" : "recv(") << "src=";

@@ -97,10 +97,21 @@ struct Params {
   chaos::Config chaos{};
 };
 
+/// The largest per-byte rate (beta_intra, beta_inter, copy_per_byte) or
+/// per-KiB rate (copy_per_kib) a Network accepts, in ns: a millisecond,
+/// ten million times the calibrated beta_inter. At this cap the rate term
+/// of one transfer of up to 1 TiB stays below 2^60 ns, so it fits in Time.
+inline constexpr double kMaxRateNs = 1e6;
+
 /// Maps ranks to nodes and prices individual transfers. Stateless aside
 /// from the parameter set; all methods are pure.
 class Network {
  public:
+  /// Checks the cost model's domain, for every simulation, replay and
+  /// critical-path pass: each named Params field is finite and
+  /// non-negative, ranks_per_node and both alpha_* are positive, and no
+  /// rate exceeds kMaxRateNs. Throws std::invalid_argument naming the
+  /// first field that breaks a rule.
   Network(int nranks, const Params& params);
 
   const Params& params() const { return params_; }

@@ -38,11 +38,10 @@ std::string canonical_param_name(std::string_view name_or_alias);
 /// the name is unknown.
 bool get_param(const Params& p, std::string_view name, double& out);
 
-/// Set a field by canonical name. Integer-kind fields reject fractional
-/// values. Throws std::invalid_argument on an unknown name, a fractional
-/// value for an integral field, or a value outside the field's domain
-/// (ranks_per_node and alpha_* must stay positive; everything else
-/// non-negative).
+/// Set a field by canonical name. Throws std::invalid_argument on an
+/// unknown name, or on a value an integral field cannot hold exactly
+/// (fractional, non-finite or out of range). The cost model's domain is
+/// checked where it is used: net::Network's constructor.
 void set_param(Params& p, std::string_view name, double value);
 
 /// Canonical JSON object: every field from param_fields() in order, Time

@@ -2,15 +2,49 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+
+#include "mel/net/params_io.hpp"
 
 namespace mel::net {
+
+namespace {
+
+/// Why `name = v` lies outside the cost model's domain (see the Network
+/// constructor); empty when it lies inside.
+std::string domain_error(std::string_view name, double v) {
+  const bool positive = name == "ranks_per_node" || name == "alpha_intra" ||
+                        name == "alpha_inter";
+  const bool rate = name == "beta_intra" || name == "beta_inter" ||
+                    name == "copy_per_byte" || name == "copy_per_kib";
+  const char* rule = !std::isfinite(v)        ? "must be finite"
+                     : positive && v <= 0.0   ? "must be positive"
+                     : v < 0.0                ? "must be non-negative"
+                     : rate && v > kMaxRateNs ? "must be at most"
+                                              : nullptr;
+  if (rule == nullptr) return {};
+  std::ostringstream os;
+  os << "Network: " << name << ' ' << rule;
+  if (std::isfinite(v) && v > kMaxRateNs) {
+    os << " net::kMaxRateNs = " << kMaxRateNs << " ns";
+  }
+  os << ", got " << v;
+  return os.str();
+}
+
+}  // namespace
 
 Network::Network(int nranks, const Params& params)
     : nranks_(nranks), params_(params) {
   if (nranks <= 0) throw std::invalid_argument("Network: nranks must be > 0");
-  if (params.ranks_per_node <= 0) {
-    throw std::invalid_argument("Network: ranks_per_node must be > 0");
+  for (const ParamField& f : param_fields()) {
+    double v = 0.0;
+    (void)get_param(params, f.name, v);
+    const std::string error = domain_error(f.name, v);
+    if (!error.empty()) throw std::invalid_argument(error);
   }
   nnodes_ = (nranks + params.ranks_per_node - 1) / params.ranks_per_node;
 }

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 
 namespace mel::net {
@@ -119,14 +121,15 @@ void set_param(Params& p, std::string_view name, double value) {
   if (!ref_valid(r)) {
     throw std::invalid_argument("unknown net parameter: " + std::string(name));
   }
-  const bool must_be_positive =
-      name == "ranks_per_node" || name == "alpha_intra" ||
-      name == "alpha_inter";
-  if (value < 0.0 || (must_be_positive && value <= 0.0)) {
-    throw std::invalid_argument(
-        "net parameter " + std::string(name) + " must be " +
-        (must_be_positive ? "positive" : "non-negative") + ", got " +
-        std::to_string(value));
+  // The range an integral field can hold: [lo, hi). NaN fails both tests.
+  const double lo = r.kind == Kind::kInt ? std::numeric_limits<int>::min()
+                                         : -0x1p63;
+  const double hi = r.kind == Kind::kInt ? 0x1p31 : 0x1p63;
+  if (r.kind != Kind::kDouble && !(value >= lo && value < hi)) {
+    std::ostringstream os;
+    os << "net parameter " << name << " does not fit its integral field, got "
+       << value;
+    throw std::invalid_argument(os.str());
   }
   if (r.kind != Kind::kDouble && value != std::floor(value)) {
     throw std::invalid_argument("net parameter " + std::string(name) +

@@ -14,7 +14,7 @@
 //   copy          — staging copies through local buffers
 //   ack-wait      — wire residual of ft-repaired flows (retransmit and
 //                   recovery delay beyond the clean-wire model)
-//   barrier-wait  — overlap with barrier/allreduce/agree/fence/flush
+//   barrier-wait  — overlap with barrier/allreduce/fence/flush
 //                   spans (global re-synchronization)
 //   other         — unattributed residual (scheduler skew, delivery
 //                   floors, mailbox wait)

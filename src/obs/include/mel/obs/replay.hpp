@@ -156,19 +156,6 @@ class Replayer {
     std::uint64_t send_copy_bytes = 0;
   };
 
-  enum class EdgeType : std::uint8_t {
-    kStart = 0,  // rank origin (virtual time 0)
-    kChain,      // previous anchor on the same rank
-    kWire,       // begin -> delivery/completion transfer
-    kRecv,       // delivery -> receive completion
-    kOrder,      // per-channel non-overtaking floor
-    kGroup,      // neighbor-collective completion group
-  };
-  struct Binding {
-    EdgeType type = EdgeType::kStart;
-    std::int32_t pred = -1;
-  };
-
   const std::vector<Anchor>& anchors() const { return anchors_; }
   /// Member flow indices per neighbor completion group.
   const std::vector<std::vector<std::uint32_t>>& groups() const {
@@ -178,23 +165,19 @@ class Replayer {
   const std::vector<std::int32_t>& last_anchor_of_rank() const {
     return last_anchor_of_rank_;
   }
-  /// Per-flow anchor indexes (-1 when absent: no delivery / never ended).
+  /// Per-flow begin anchor index (every flow has one).
   const std::vector<std::int32_t>& begin_anchor() const { return b_idx_; }
-  const std::vector<std::int32_t>& deliver_anchor() const { return d_idx_; }
-  const std::vector<std::int32_t>& end_anchor() const { return e_idx_; }
-
-  /// One evaluation pass: replayed time per anchor (same order as
-  /// anchors()), optionally recording each anchor's binding in-edge and
-  /// the rank whose tail bound the total. Exposed for the critical-path
-  /// analyzer; replay() wraps it.
-  Time evaluate(const net::Params& params, std::vector<Time>& out,
-                std::vector<Binding>* bindings, Rank* binding_rank) const;
 
  private:
+  /// One evaluation pass: the replayed time per anchor into `out` (same
+  /// order as anchors_); returns the replayed total.
+  Time evaluate(const net::Params& params, std::vector<Time>& out) const;
+
   ReplayTrace trace_;
   std::vector<Anchor> anchors_;  // topologically sorted (recorded time)
   std::vector<std::vector<std::uint32_t>> groups_;
   std::vector<std::int32_t> last_anchor_of_rank_;
+  /// Per-flow anchor indexes (-1 when absent: no delivery / never ended).
   std::vector<std::int32_t> b_idx_;
   std::vector<std::int32_t> d_idx_;
   std::vector<std::int32_t> e_idx_;

@@ -61,8 +61,7 @@ std::uint64_t parse_hex_u64(const std::string& s) {
 /// Span names that classify as barrier-family waits (same set the
 /// critical-path analyzer reduces to kBarrier).
 bool is_barrier_span(std::string_view n) {
-  return n == "barrier" || n == "allreduce" || n == "agree" || n == "fence" ||
-         n == "flush";
+  return n == "barrier" || n == "allreduce" || n == "fence" || n == "flush";
 }
 
 bool is_ft_repair_instant(std::string_view n) {
@@ -433,9 +432,8 @@ Replayer::Replayer(ReplayTrace trace) : trace_(std::move(trace)) {
   }
 }
 
-Time Replayer::evaluate(const net::Params& params, std::vector<Time>& out,
-                        std::vector<Binding>* bindings,
-                        Rank* binding_rank) const {
+Time Replayer::evaluate(const net::Params& params,
+                        std::vector<Time>& out) const {
   using Kind = Anchor::Kind;
   const auto& flows = trace_.flows;
   const net::Network net_old(trace_.nranks, trace_.net);
@@ -469,17 +467,12 @@ Time Replayer::evaluate(const net::Params& params, std::vector<Time>& out,
   };
 
   out.assign(anchors_.size(), 0);
-  if (bindings != nullptr) bindings->assign(anchors_.size(), Binding{});
 
   for (std::size_t i = 0; i < anchors_.size(); ++i) {
     const Anchor& a = anchors_[i];
     const ReplayFlow& f = flows[a.flow];
     Time best = std::numeric_limits<Time>::min();
-    Binding bb{};
 
-    // Candidate preference for ties (which only matter for reporting):
-    // wire-family edges strongest, then order floors, then the local
-    // chain — evaluated weakest-first with >= replacement.
     if (in_chain(a.kind, f.channel)) {
       Time prev_rec = 0;
       Time prev_new = 0;
@@ -512,52 +505,31 @@ Time Replayer::evaluate(const net::Params& params, std::vector<Time>& out,
         model_new += net_new.recv_overhead(f.src, f.dst);
       }
       best = prev_new + reprice(a.t - prev_rec, model_old, model_new);
-      bb = Binding{EdgeType::kChain, a.chain_prev};
     }
 
     if (a.order_prev >= 0) {
       // Two-sided mailbox floors are strict (+1); put completion order
       // admits ties (0).
       const Time gap = a.kind == Kind::kDeliver ? 1 : 0;
-      const Time cand = out[static_cast<std::size_t>(a.order_prev)] + gap;
-      if (cand >= best) {
-        best = cand;
-        bb = Binding{EdgeType::kOrder, a.order_prev};
-      }
+      best = std::max(best, out[static_cast<std::size_t>(a.order_prev)] + gap);
     }
 
     if (a.wire_from >= 0) {
-      const Anchor& w = anchors_[static_cast<std::size_t>(a.wire_from)];
-      const Time raw = a.t - w.t;
-      Time cand = 0;
-      EdgeType type = EdgeType::kWire;
       if (a.group >= 0) {
         // Every consumed slice gates the exchange: the completion must
         // trail each member's (re-timed) begin by that member's recorded
         // interval, shifted by the group's joint re-pricing delta.
         const Time delta = group_delta[static_cast<std::size_t>(a.group)];
-        std::int32_t pred = a.wire_from;
-        cand = std::numeric_limits<Time>::min();
         for (const std::uint32_t fi :
              groups_[static_cast<std::size_t>(a.group)]) {
           const std::int32_t bi = b_idx_[fi];  // every flow has a begin
           const Time moved = (a.t - anchors_[static_cast<std::size_t>(bi)].t) +
                              delta;
-          const Time c = out[static_cast<std::size_t>(bi)] +
-                         (moved > 0 ? moved : 0);
-          if (c > cand) {
-            cand = c;
-            pred = bi;
-          }
+          best = std::max(best, out[static_cast<std::size_t>(bi)] +
+                                    (moved > 0 ? moved : 0));
         }
-        if (cand >= best) {
-          best = cand;
-          bb = Binding{EdgeType::kGroup, pred};
-        }
-        out[i] = best == std::numeric_limits<Time>::min() ? a.t : best;
-        if (bindings != nullptr) (*bindings)[i] = bb;
-        continue;
       } else {
+        const Anchor& w = anchors_[static_cast<std::size_t>(a.wire_from)];
         Time model_old = 0;
         Time model_new = 0;
         if (a.kind == Kind::kDeliver || f.channel == Channel::kRma) {
@@ -566,51 +538,37 @@ Time Replayer::evaluate(const net::Params& params, std::vector<Time>& out,
         } else if (f.has_step) {  // delivery -> receive completion
           model_old = net_old.recv_overhead(f.src, f.dst);
           model_new = net_new.recv_overhead(f.src, f.dst);
-          type = EdgeType::kRecv;
         } else {  // parked-waiter receive: wire + recv overhead in one hop
           model_old = net_old.transfer_time(f.src, f.dst, f.bytes) +
                       net_old.recv_overhead(f.src, f.dst);
           model_new = net_new.transfer_time(f.src, f.dst, f.bytes) +
                       net_new.recv_overhead(f.src, f.dst);
         }
-        cand = out[static_cast<std::size_t>(a.wire_from)] +
-               reprice(raw, model_old, model_new);
-      }
-      if (cand >= best) {
-        best = cand;
-        bb = Binding{type, a.wire_from};
+        best = std::max(best, out[static_cast<std::size_t>(a.wire_from)] +
+                                  reprice(a.t - w.t, model_old, model_new));
       }
     }
 
     out[i] = best == std::numeric_limits<Time>::min() ? a.t : best;
-    if (bindings != nullptr) (*bindings)[i] = bb;
   }
 
   // Run end: each rank finishes its recorded tail (final barrier rounds,
   // teardown — not re-priced) after its last anchor.
   Time total = anchors_.empty() ? trace_.run_time_ns : 0;
-  Rank brank = -1;
-  Time brank_last = -1;
   for (Rank r = 0; r < trace_.nranks; ++r) {
     const std::int32_t last = last_anchor_of_rank_[static_cast<std::size_t>(r)];
     if (last < 0) continue;
     const Anchor& a = anchors_[static_cast<std::size_t>(last)];
-    const Time term =
-        out[static_cast<std::size_t>(last)] + (trace_.run_time_ns - a.t);
-    if (term > total || (term == total && a.t > brank_last)) {
-      total = term;
-      brank = r;
-      brank_last = a.t;
-    }
+    total = std::max(total, out[static_cast<std::size_t>(last)] +
+                                (trace_.run_time_ns - a.t));
   }
-  if (binding_rank != nullptr) *binding_rank = brank;
   return total;
 }
 
 ReplayResult Replayer::replay(const net::Params& params) const {
   ReplayResult res;
   std::vector<Time> at;
-  res.total_ns = evaluate(params, at, nullptr, nullptr);
+  res.total_ns = evaluate(params, at);
 
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
@@ -644,7 +602,7 @@ std::vector<std::string> Replayer::fidelity_errors() const {
   constexpr std::size_t kMaxReports = 16;
   std::vector<std::string> errors;
   std::vector<Time> at;
-  const Time total = evaluate(trace_.net, at, nullptr, nullptr);
+  const Time total = evaluate(trace_.net, at);
   if (total != trace_.run_time_ns) {
     std::ostringstream os;
     os << "total virtual time: recorded " << trace_.run_time_ns

@@ -5,8 +5,9 @@
 // *simulated* metrics). Scoped RAII timers accumulate per-subsystem call
 // counts and nanoseconds into a process-global table; everything is
 // compiled in but gated on a single bool so the disabled cost is one
-// predictable branch per scope. Single-threaded by design, like the
-// simulator it measures.
+// predictable branch per scope. The table is not per thread: the sharded
+// engine's workers add into the same relaxed atomics, so at threads > 1 a
+// section sums every shard's time and can exceed the wall time.
 //
 // Enable with prof::set_enabled(true) (melsim: --host-profile), run, then
 // render report() / report_json(). Sections nest (kEventLoop wraps the
@@ -25,7 +26,7 @@ enum class Section : int {
   kP2P,            // isend + delivery + receive matching
   kRma,            // put / get / fence
   kNeighbor,       // neighborhood-collective begin/complete
-  kGlobalColl,     // allreduce-style global collectives + agreement
+  kGlobalColl,     // allreduce-style global collectives
   kTransport,      // reliable-transport send/arrive/ack (FT runs only)
 };
 constexpr int kSectionCount = 6;

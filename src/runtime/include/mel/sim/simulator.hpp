@@ -181,11 +181,11 @@ class Simulator {
   void limit_lookahead(Time d);
   Time lookahead() const { return lookahead_; }
 
-  /// Fall back to the sequential engine (e.g. a subsystem whose timing
-  /// model cannot provide a lookahead bound — chaos jitter, the
-  /// fault-tolerant transport). Only valid before run(); already-staged
-  /// events keep their sequence numbers, so the run is bit-identical to
-  /// one configured sequential from the start.
+  /// Fall back to the sequential engine (e.g. the MPI machine with chaos
+  /// or the reliable transport on, whose per-channel state every shard
+  /// would write). Only valid before run(); already-staged events keep
+  /// their sequence numbers, so the run is bit-identical to one
+  /// configured sequential from the start.
   void require_sequential(const char* why);
 
   /// True when the sharded engine is selected (threads > 1 over > 1 rank).
@@ -254,7 +254,7 @@ class Simulator {
   /// barriers this equals the sequential engine's queue size exactly.
   std::size_t pending_events() const;
 
-  /// Sum of final local clocks; the simulated "job time" is the max.
+  /// The latest local clock over all ranks: the simulated "job time".
   Time max_rank_time() const;
 
   // -- Progress watchdog ----------------------------------------------------

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "mel/gen/generators.hpp"
 
@@ -82,6 +83,17 @@ TEST(MatrixMarket, HugeEntryCountFailsOnTheMissingEntries) {
                       "unexpected end of entries");
 }
 
+TEST(MatrixMarket, VertexCountAboveTheLimitIsRejected) {
+  // 2^40 vertices: the reader refuses the count before allocating rows.
+  std::istringstream in(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "1099511627776 1099511627776 1\n"
+      "1 2 1.0\n");
+  expect_reader_error([&] { return read_matrix_market(in); },
+                      "1099511627776 vertices, above the limit of " +
+                          std::to_string(kMaxFileVertices));
+}
+
 TEST(MatrixMarket, RoundTrip) {
   const Csr g = gen::erdos_renyi(100, 500, 7);
   std::stringstream buf;
@@ -132,6 +144,18 @@ TEST(Binary, HugeEdgeCountFailsOnTheMissingEdges) {
   bytes.append(reinterpret_cast<const char*>(&e), sizeof e);
   std::istringstream in(bytes, std::ios::in | std::ios::binary);
   expect_reader_error([&] { return read_binary(in); }, "truncated edges");
+}
+
+TEST(Binary, VertexCountAboveTheLimitIsRejected) {
+  // 2^40 would be a huge allocation; 2^63 does not fit VertexId at all.
+  for (const std::uint64_t n :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 63}) {
+    std::istringstream in(binary_header(n, 0),
+                          std::ios::in | std::ios::binary);
+    expect_reader_error([&] { return read_binary(in); },
+                        std::to_string(n) + " vertices, above the limit of " +
+                            std::to_string(kMaxFileVertices));
+  }
 }
 
 TEST(Binary, RejectsNanWeight) {

@@ -1,8 +1,8 @@
 // The reliable transport under deterministic wire faults: lossy, noisy,
 // duplicating links must still deliver every message exactly once, in
 // order per (src, dst, tag) channel, with the recovery work visible in
-// the counters and the substrate auditor clean. Plus the ULFM-style
-// failure surface: fail-fast sends to dead ranks and survivor agreement.
+// the counters and the substrate auditor clean. Plus the rule that builds
+// the transport, and the ULFM-style fail-fast sends to dead ranks.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -30,6 +30,13 @@ net::Params faulty_params(double loss, double dup, double corrupt,
   return p;
 }
 
+/// Transport knobs that ask for the transport even on a fault-free wire.
+ft::Params ft_on() {
+  ft::Params p;
+  p.enabled = true;
+  return p;
+}
+
 constexpr int kMsgs = 60;
 
 /// rank 0 streams kMsgs sequenced payloads to rank 1 on one tag.
@@ -52,8 +59,7 @@ std::vector<std::int64_t> expected_stream() {
 }
 
 TEST(FtTransport, LossyChannelDeliversAllInOrder) {
-  World w(2, faulty_params(0.25, 0.0, 0.0));
-  w.machine.enable_ft({});
+  World w(2, faulty_params(0.25, 0.0, 0.0), ft_on());
   std::vector<std::int64_t> got;
   w.spawn_all([&](Comm& c) { return stream_body(c, got); });
   w.run();
@@ -66,8 +72,7 @@ TEST(FtTransport, LossyChannelDeliversAllInOrder) {
 }
 
 TEST(FtTransport, CorruptionIsDetectedAndRepaired) {
-  World w(2, faulty_params(0.0, 0.0, 0.3));
-  w.machine.enable_ft({});
+  World w(2, faulty_params(0.0, 0.0, 0.3), ft_on());
   std::vector<std::int64_t> got;
   w.spawn_all([&](Comm& c) { return stream_body(c, got); });
   w.run();
@@ -81,8 +86,7 @@ TEST(FtTransport, CorruptionIsDetectedAndRepaired) {
 }
 
 TEST(FtTransport, DuplicatesAreFiltered) {
-  World w(2, faulty_params(0.0, 0.5, 0.0));
-  w.machine.enable_ft({});
+  World w(2, faulty_params(0.0, 0.5, 0.0), ft_on());
   std::vector<std::int64_t> got;
   w.spawn_all([&](Comm& c) { return stream_body(c, got); });
   w.run();
@@ -93,8 +97,7 @@ TEST(FtTransport, DuplicatesAreFiltered) {
 
 TEST(FtTransport, FaultyRunsAreDeterministic) {
   auto once = [] {
-    World w(2, faulty_params(0.2, 0.1, 0.1, /*seed=*/9));
-    w.machine.enable_ft({});
+    World w(2, faulty_params(0.2, 0.1, 0.1, /*seed=*/9), ft_on());
     std::vector<std::int64_t> got;
     w.spawn_all([&](Comm& c) { return stream_body(c, got); });
     w.run();
@@ -114,8 +117,7 @@ TEST(FtTransport, SequencingStaysExactNearTheSequenceNumberLimit) {
   // must still deliver exactly once, in order, under loss + duplication:
   // the dup filter compares raw 64-bit sequence numbers, and nothing in
   // the reorder window may assume "small" sequence values.
-  World w(2, faulty_params(0.2, 0.3, 0.0, /*seed=*/5));
-  w.machine.enable_ft({});
+  World w(2, faulty_params(0.2, 0.3, 0.0, /*seed=*/5), ft_on());
   constexpr std::uint64_t kNearMax =
       std::numeric_limits<std::uint64_t>::max() - 200;
   // Both directions of the (0, 1) pair on the stream tag, so acks and data
@@ -135,8 +137,7 @@ TEST(FtTransport, RetransmitBackoffIsCappedUnderAStorm) {
   // loss streak backs off no further than rto_base * backoff^16 * (1 +
   // jitter), so a retransmit storm cannot push timers to astronomically
   // distant virtual times.
-  World w(2, test_params());
-  w.machine.enable_ft({});
+  World w(2, test_params(), ft_on());
   auto* tr = w.machine.transport();
   const ft::Params p;  // defaults: rto_base 25us, backoff 2.0, jitter 0.25
   const double ceil_ns = static_cast<double>(p.rto_base) *
@@ -157,10 +158,9 @@ TEST(FtTransport, RetryExhaustionWithALiveDestinationIsAnError) {
   // Past retry_max with the peer still alive, the transport surfaces a
   // named TransportError instead of hanging: that combination means a bug
   // or a loss rate the protocol was never meant to survive.
-  World w(2, faulty_params(0.97, 0.0, 0.0, /*seed=*/3));
-  ft::Params p;
+  ft::Params p = ft_on();
   p.retry_max = 3;
-  w.machine.enable_ft(p);
+  World w(2, faulty_params(0.97, 0.0, 0.0, /*seed=*/3), p);
   std::vector<std::int64_t> got;
   w.spawn_all([&](Comm& c) { return stream_body(c, got); });
   EXPECT_THROW(w.run(), ft::TransportError);
@@ -173,8 +173,7 @@ TEST(FtTransport, AckToADeadSenderIsHarmless) {
   // fail-fasts *application* traffic to dead ranks, not protocol acks.
   net::Params p = test_params();
   p.chaos.crashes.push_back({/*rank=*/0, /*at=*/2 * sim::kMicrosecond});
-  World w(2, p);
-  w.machine.enable_ft({});
+  World w(2, p, ft_on());
   std::vector<std::int64_t> got;
   auto body = [&](Comm& c) -> RankTask {
     if (c.rank() == 0) {
@@ -194,20 +193,63 @@ TEST(FtTransport, AckToADeadSenderIsHarmless) {
   EXPECT_EQ(w.machine.transport()->pending_segments(), 0u);
 }
 
-TEST(FtTransport, WireFaultsWithoutTransportAreRejected) {
-  // The Machine refuses faulty p2p traffic without the reliable transport:
-  // a lost message would otherwise silently deadlock the run.
+TEST(FtTransport, WireFaultsAloneBuildTheTransport) {
+  // No ft knob at all: the lossy wire alone makes the Machine build the
+  // reliable transport, so the stream still arrives whole and in order.
   World w(2, faulty_params(0.1, 0.0, 0.0));
+  EXPECT_TRUE(w.machine.ft_enabled());
   std::vector<std::int64_t> got;
   w.spawn_all([&](Comm& c) { return stream_body(c, got); });
-  EXPECT_THROW(w.run(), std::logic_error);
+  w.run();
+  EXPECT_EQ(got, expected_stream());
+  EXPECT_GT(w.machine.total_counters().dropped, 0u);
+  EXPECT_TRUE(w.machine.audit().empty());
+}
+
+TEST(FtTransport, CrashScheduleAloneBuildsTheTransport) {
+  // A crash strands messages to the dead rank, so a crash schedule alone
+  // builds the transport; a clean configuration builds none.
+  net::Params p = test_params();
+  p.chaos.crashes.push_back({/*rank=*/1, /*at=*/10 * sim::kMicrosecond});
+  EXPECT_TRUE(World(2, p).machine.ft_enabled());
+  EXPECT_FALSE(World(2).machine.ft_enabled());
+}
+
+/// Ten laps of a token ring: every rank sends to its successor and
+/// receives from its predecessor.
+RankTask ring_body(Comm& c) {
+  const sim::Rank next = (c.rank() + 1) % c.size();
+  const sim::Rank prev = (c.rank() + c.size() - 1) % c.size();
+  for (std::int64_t lap = 0; lap < 10; ++lap) {
+    c.isend_pod<std::int64_t>(next, 5, lap);
+    (void)co_await c.recv(prev, 5);
+  }
+}
+
+/// Trace hash of the ring on an 8-rank Machine built with the transport
+/// on, asking for `threads` host threads.
+std::uint64_t transport_ring_hash(int threads) {
+  sim::Simulator s(8);
+  s.set_threads(threads);
+  mpi::Machine m(s, net::Network(8, test_params()), ft_on());
+  EXPECT_FALSE(s.threaded()) << "threads=" << threads;
+  for (sim::Rank r = 0; r < 8; ++r) s.spawn(r, ring_body(m.comm(r)));
+  s.run();
+  m.audit_or_throw();
+  return s.trace_hash();
+}
+
+TEST(FtTransport, TransportRunsSequentialAtAnyThreadCount) {
+  // The transport's per-channel state cannot be split across shards, so
+  // the Machine runs the engine sequential and the event trace is the
+  // one threads = 1 produces.
+  EXPECT_EQ(transport_ring_hash(4), transport_ring_hash(1));
 }
 
 TEST(FtTransport, SendToFailedRankFailsFast) {
   net::Params p = test_params();
   p.chaos.crashes.push_back({/*rank=*/1, /*at=*/10 * sim::kMicrosecond});
-  World w(2, p);
-  w.machine.enable_ft({});
+  World w(2, p, ft_on());
   bool caught = false;
   auto body = [&](Comm& c) -> RankTask {
     if (c.rank() == 0) {
@@ -227,28 +269,6 @@ TEST(FtTransport, SendToFailedRankFailsFast) {
   EXPECT_TRUE(caught);
   EXPECT_EQ(w.machine.failed_ranks(), std::vector<sim::Rank>{1});
   EXPECT_GT(w.machine.total_counters().sends_failed, 0u);
-}
-
-TEST(FtTransport, SurvivorsAgreeOnFailedSet) {
-  net::Params p = test_params();
-  p.chaos.crashes.push_back({/*rank=*/2, /*at=*/10 * sim::kMicrosecond});
-  World w(4, p);
-  std::vector<std::vector<sim::Rank>> agreed(4);
-  auto body = [&](Comm& c) -> RankTask {
-    if (c.rank() == 2) {
-      co_await c.sleep(1 * sim::kSecond);  // killed long before this
-      co_return;
-    }
-    co_await c.sleep(20 * sim::kMicrosecond);
-    agreed[c.rank()] = co_await c.agree_failed();
-    co_return;
-  };
-  w.spawn_all(body);
-  w.run();
-  for (const sim::Rank r : {0, 1, 3}) {
-    EXPECT_EQ(agreed[r], std::vector<sim::Rank>{2}) << "rank " << r;
-  }
-  EXPECT_GT(w.machine.total_counters().agrees, 0u);
 }
 
 }  // namespace

@@ -188,25 +188,6 @@ TEST(Audit, ToleratesTrueDeadLetters) {
   EXPECT_TRUE(w.machine.audit().empty());
 }
 
-TEST(Audit, DisabledAuditReportsNothing) {
-  // Leave a mess on purpose with the auditor disabled.
-  World v(2);
-  v.machine.set_audit(false);
-  auto mess = [&](Comm& c) -> RankTask {
-    if (c.rank() == 0) {
-      c.isend_pod<int>(1, 0, 1);
-      c.isend_pod<int>(1, 1, 2);
-    } else {
-      (void)co_await c.recv(0, 1);
-    }
-    co_return;
-  };
-  v.spawn_all(mess);
-  v.run();
-  EXPECT_TRUE(v.machine.audit().empty());
-  EXPECT_FALSE(v.machine.audit_enabled());
-}
-
 TEST(Audit, ClockMonotonicityEnforcedAtChargeTime) {
   World w(1);
   auto body = [&](Comm& c) -> RankTask {

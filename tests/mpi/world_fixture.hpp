@@ -3,6 +3,7 @@
 
 #include <functional>
 
+#include "mel/ft/params.hpp"
 #include "mel/mpi/comm.hpp"
 #include "mel/mpi/machine.hpp"
 #include "mel/net/network.hpp"
@@ -20,8 +21,9 @@ struct World {
   sim::Simulator sim;
   mpi::Machine machine;
 
-  explicit World(int p, net::Params params = test_params())
-      : sim(p), machine(sim, net::Network(p, params)) {}
+  explicit World(int p, net::Params params = test_params(),
+                 const ft::Params& ft = {})
+      : sim(p), machine(sim, net::Network(p, params), ft) {}
 
   /// Spawn the same coroutine body on every rank.
   template <class F>

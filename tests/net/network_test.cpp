@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
+
+#include "mel/net/params_io.hpp"
+
 namespace mel::net {
 namespace {
 
@@ -31,6 +38,74 @@ TEST(Network, RejectsBadArgs) {
   EXPECT_THROW(Network(0, small_params()), std::invalid_argument);
   Params p = small_params();
   p.ranks_per_node = 0;
+  EXPECT_THROW(Network(4, p), std::invalid_argument);
+}
+
+/// The Network rejects `p` with an std::invalid_argument naming `what`.
+void expect_rejected(const Params& p, const std::string& what) {
+  try {
+    Network n(4, p);
+    ADD_FAILURE() << "expected a rejection naming '" << what << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+TEST(Network, RejectsParamsOutsideTheCostModelDomain) {
+  struct Case {
+    std::function<void(Params&)> mutate;
+    const char* what;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const Case cases[] = {
+      {[](Params& p) { p.beta_intra = std::nan(""); },
+       "beta_intra must be finite"},
+      {[inf](Params& p) { p.beta_inter = inf; }, "beta_inter must be finite"},
+      {[](Params& p) { p.beta_intra = 1e300; },
+       "beta_intra must be at most net::kMaxRateNs"},
+      {[](Params& p) { p.beta_intra = 1e12; },
+       "beta_intra must be at most net::kMaxRateNs"},
+      {[](Params& p) { p.beta_inter = -0.1; },
+       "beta_inter must be non-negative"},
+      {[](Params& p) { p.copy_per_byte = 2'000'000; },
+       "copy_per_byte must be at most"},
+      {[](Params& p) { p.copy_per_kib = 2'000'000; },
+       "copy_per_kib must be at most"},
+      {[](Params& p) { p.alpha_intra = 0; }, "alpha_intra must be positive"},
+      {[](Params& p) { p.o_send = -1; }, "o_send must be non-negative"},
+  };
+  for (const Case& c : cases) {
+    Params p = small_params();
+    c.mutate(p);
+    expect_rejected(p, c.what);
+  }
+}
+
+TEST(Network, RateCapKeepsOneTransferInsideTime) {
+  // At the cap, a 1 TiB transfer still prices to a positive Time.
+  Params p = small_params();
+  p.beta_inter = kMaxRateNs;
+  p.copy_per_kib = static_cast<sim::Time>(kMaxRateNs);
+  const Network n(16, p);
+  const std::size_t tib = std::size_t{1} << 40;
+  EXPECT_GT(n.transfer_time(0, 5, tib), 0);
+  EXPECT_LT(n.transfer_time(0, 5, tib), sim::Time{1} << 60);
+  EXPECT_GT(n.copy_time(tib), 0);
+}
+
+TEST(ParamsIo, SetParamRejectsValuesItsFieldCannotHold) {
+  Params p;
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(set_param(p, "alpha_inter", 1e300), std::invalid_argument);
+  EXPECT_THROW(set_param(p, "o_send", inf), std::invalid_argument);
+  EXPECT_THROW(set_param(p, "o_send", std::nan("")), std::invalid_argument);
+  EXPECT_THROW(set_param(p, "ranks_per_node", 3e9), std::invalid_argument);
+  EXPECT_THROW(set_param(p, "o_send", 1.5), std::invalid_argument);
+  EXPECT_EQ(p.alpha_inter, Params{}.alpha_inter);
+  // The domain is the Network's: set_param stores a negative rate, and
+  // the first pass that prices with it refuses it.
+  set_param(p, "beta_inter", -1.0);
+  EXPECT_EQ(p.beta_inter, -1.0);
   EXPECT_THROW(Network(4, p), std::invalid_argument);
 }
 

@@ -8,7 +8,10 @@
 #   * --algo, and the model, --root and match-only flags BFS and coloring
 #     get, are checked the same way,
 #   * --matrix writes the comm matrix for every algorithm, and an
-#     unwritable --matrix path is a usage error.
+#     unwritable --matrix path is a usage error,
+#   * --intra-node-params values outside the cost model's domain and a
+#     graph file declaring more than graph::kMaxFileVertices vertices are
+#     rejected by name.
 # Invoked with -DMELSIM=<path-to-binary>.
 if(NOT DEFINED MELSIM)
   message(FATAL_ERROR "pass -DMELSIM=<melsim binary>")
@@ -122,6 +125,11 @@ expect_crash_rejected("intra zero latency" "must be positive"
                       --intra-node-params 0,5,0.1)
 expect_crash_rejected("intra negative bandwidth" "G \\(ns/byte\\) must be"
                       --intra-node-params 100,5,-0.1)
+# A rate that would overflow virtual time is outside the cost model's
+# domain, checked by the Network before any graph work.
+expect_crash_rejected("intra overflowing bandwidth"
+                      "beta_intra must be at most net::kMaxRateNs"
+                      --intra-node-params 600,400,1e300)
 
 # --sample-interval validation: the gauge period must be a strictly
 # positive integer, rejected at parse time before any graph work.
@@ -280,3 +288,23 @@ foreach(algo match bfs color)
     message(FATAL_ERROR "${algo} --matrix: every entry is zero")
   endif()
 endforeach()
+
+# A Matrix Market header declaring 2^40 vertices is refused by name, with
+# the count and the limit, before the reader allocates anything for it.
+set(huge_mtx ${workdir}/huge.mtx)
+file(WRITE ${huge_mtx}
+  "%%MatrixMarket matrix coordinate real general\n1099511627776 1099511627776 1\n1 2 1.0\n")
+execute_process(
+  COMMAND ${MELSIM} --model NSR --ranks 4 --mtx ${huge_mtx}
+  RESULT_VARIABLE huge_code
+  OUTPUT_VARIABLE huge_out
+  ERROR_VARIABLE huge_err)
+if(NOT huge_code EQUAL 2)
+  message(FATAL_ERROR "2^40-vertex mtx: expected exit 2, got ${huge_code}: ${huge_err}")
+endif()
+if(NOT huge_err MATCHES "1099511627776 vertices, above the limit of 2147483648")
+  message(FATAL_ERROR "2^40-vertex mtx: missing count and limit: ${huge_err}")
+endif()
+if(huge_out MATCHES "input:")
+  message(FATAL_ERROR "2^40-vertex mtx: a graph was built")
+endif()

@@ -9,7 +9,10 @@
 #     "fidelity exact") for NSR, RMA, and NCL traces, and for BFS and
 #     coloring traces,
 #   * `replay --set` rejects unknown parameters (exit 2) and accepts
-#     LogGP aliases (net.L_intra).
+#     LogGP aliases (net.L_intra),
+#   * `replay --set` rejects values outside the cost model's domain
+#     (non-finite, or a rate that would overflow virtual time) and names
+#     a malformed value (exit 2).
 # Invoked with -DMELSIM=<path> -DMELTRACE=<path>.
 if(NOT DEFINED MELSIM OR NOT DEFINED MELTRACE)
   message(FATAL_ERROR "pass -DMELSIM=<melsim binary> -DMELTRACE=<meltrace binary>")
@@ -129,6 +132,17 @@ run_rejected("replay unknown param" replay ${nsr} --set net.bogus=1)
 run_rejected("replay malformed set" replay ${nsr} --set alpha_intra)
 run_rejected("replay bad value" replay ${nsr} --set alpha_intra=abc)
 run_rejected("replay fractional int field" replay ${nsr} --set o_send=1.5)
+foreach(value 1e300 nan inf 1e12)
+  run_rejected("replay G_intra=${value}" replay ${nsr}
+               --set net.G_intra=${value})
+endforeach()
+run_rejected("replay overflowing latency" replay ${nsr}
+             --set net.L_inter=1e300)
+execute_process(COMMAND ${MELTRACE} replay ${nsr} --set net.L_inter=abc
+                ERROR_VARIABLE err OUTPUT_QUIET)
+if(NOT err MATCHES "bad value 'abc' for L_inter")
+  message(FATAL_ERROR "--set with a malformed value is not named: ${err}")
+endif()
 run_rejected("replay missing trace" replay)
 run_rejected("critical unknown flag" critical ${nsr} --bogus)
 run_rejected("critical missing trace" critical)

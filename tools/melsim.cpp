@@ -98,7 +98,6 @@ constexpr Flag kFlags[] = {
      "intra-node LogGP overrides: latency ns, send/recv overhead ns, "
      "inverse bandwidth ns/byte (defaults equal the inter-node values)"},
     {"watchdog-horizon", "NS", "abort if virtual time exceeds NS (0=off)"},
-    {"no-audit", "", "disable finalize-time invariant audits"},
     {"host-profile", "",
      "measure host wall time per substrate subsystem; print a table"},
     {"host-profile-json", "FILE",
@@ -274,7 +273,6 @@ ft::Recovery parse_recovery(const std::string& name) {
 match::RunConfig parse_config(const util::Cli& cli, int ranks) {
   match::RunConfig cfg;
   cfg.collect_matrix = cli.has("matrix");
-  cfg.audit = !cli.get_bool("no-audit", false);
   const auto threads = cli.get_int("threads", 1);
   if (threads < 1 || threads > 1024) {
     throw std::invalid_argument("--threads: must be between 1 and 1024, got " +
@@ -312,6 +310,9 @@ match::RunConfig parse_config(const util::Cli& cli, int ranks) {
   if (cli.has("ft-recovery")) {
     cfg.ft.recovery = parse_recovery(cli.get("ft-recovery", ""));
   }
+  // The cost model's domain check (finite, in range, no overflowing
+  // rates) is the Network's own; run it now rather than after the graph.
+  (void)net::Network(ranks, cfg.net);
   return cfg;
 }
 

@@ -21,8 +21,8 @@
 // from the run end and attributes every nanosecond of the makespan to a
 // cost class (compute, software overhead, wire latency/bandwidth, copy,
 // ack-wait, barrier-wait).
-#include <charconv>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -31,6 +31,7 @@
 #include "mel/obs/analysis.hpp"
 #include "mel/obs/critical.hpp"
 #include "mel/obs/replay.hpp"
+#include "mel/util/cli.hpp"
 
 using namespace mel;
 
@@ -61,14 +62,12 @@ void print_usage(std::FILE* out) {
 
 /// --top K: a positive integer, else a usage error (exit 2).
 int parse_top(const std::string& value) {
-  int k = 0;
-  const char* end = value.data() + value.size();
-  const auto res = std::from_chars(value.data(), end, k);
-  if (res.ec != std::errc() || res.ptr != end || k <= 0) {
+  const auto k = util::parse_int(value);
+  if (!k || *k <= 0 || *k > std::numeric_limits<int>::max()) {
     throw std::invalid_argument("--top expects a positive integer, got '" +
                                 value + "' (run `meltrace --help`)");
   }
-  return k;
+  return static_cast<int>(*k);
 }
 
 int cmd_validate(const std::vector<std::string>& args) {
@@ -154,11 +153,12 @@ void parse_set(const std::string& spec, std::string& name, double& value) {
     throw std::invalid_argument("--set: unknown parameter '" + key + "'");
   }
   const std::string val = spec.substr(eq + 1);
-  std::size_t pos = 0;
-  value = std::stod(val, &pos);
-  if (pos != val.size()) {
-    throw std::invalid_argument("--set: bad value '" + val + "' for " + key);
+  const auto parsed = util::parse_double(val);
+  if (!parsed) {
+    throw std::invalid_argument("--set: bad value '" + val + "' for " + key +
+                                " (expected a finite number)");
   }
+  value = *parsed;
 }
 
 std::string replay_json(const obs::ReplayTrace& trace, bool whatif,
