@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mel/graph/csr.hpp"
@@ -63,10 +64,11 @@ struct LocalGraph {
   VertexId vbegin = 0;
   VertexId vend = 0;
 
-  /// offsets.size() == (vend - vbegin) + 1; adjacency entries hold global
-  /// vertex ids (owned or ghost).
+  /// offsets.size() == (vend - vbegin) + 1, rebased to start at 0. `adj`
+  /// views the owned rows in the global Csr (see DistGraph); its entries
+  /// hold global vertex ids (owned or ghost).
   std::vector<EdgeId> offsets;
-  std::vector<Adj> adj;
+  std::span<const Adj> adj;
 
   /// Sorted ranks this rank shares at least one cross edge with.
   std::vector<Rank> neighbor_ranks;
@@ -89,18 +91,23 @@ struct LocalGraph {
   /// Index of `r` in neighbor_ranks (-1 if absent).
   int neighbor_index(Rank r) const;
 
-  /// Bytes used by the local CSR arrays + ghost tables (memory model).
+  /// Bytes of the local CSR arrays + ghost tables, charging the rank for
+  /// its own copy of its rows as on a real machine (memory model).
   std::size_t byte_size() const;
 };
 
 /// Host-side container of all ranks' local graphs plus the distribution.
 /// (On a real machine each rank would build only its own LocalGraph; the
 /// simulator's driver builds all of them before spawning rank coroutines.)
+/// It borrows `global`: every LocalGraph::adj views global.adjacency(), so
+/// the Csr must outlive the DistGraph, and a temporary Csr does not compile.
 class DistGraph {
  public:
   DistGraph(const Csr& global, int nranks);
   /// Distribute with explicit boundaries (e.g. edge_balanced_partition).
   DistGraph(const Csr& global, Distribution dist);
+  DistGraph(const Csr&& global, int nranks) = delete;
+  DistGraph(const Csr&& global, Distribution dist) = delete;
 
   const Distribution& dist() const { return dist_; }
   int nranks() const { return dist_.nranks(); }

@@ -108,11 +108,13 @@ DistGraph::DistGraph(const Csr& global, Distribution dist)
     lg.rank = r;
     lg.vbegin = dist_.begin(r);
     lg.vend = dist_.end(r);
-    // The owned rows are one contiguous slice of the global arrays.
+    // The owned rows are one contiguous slice of the global arrays: view
+    // the adjacency in place and rebase a copy of the offsets.
     const EdgeId first = offsets[lg.vbegin];
     lg.offsets.assign(offsets.begin() + lg.vbegin, offsets.begin() + lg.vend + 1);
     for (EdgeId& o : lg.offsets) o -= first;
-    lg.adj.assign(adj.begin() + first, adj.begin() + offsets[lg.vend]);
+    lg.adj = adj.subspan(static_cast<std::size_t>(first),
+                         static_cast<std::size_t>(offsets[lg.vend] - first));
 
     for (const Adj& a : lg.adj) {
       if (lg.owns(a.to)) continue;

@@ -105,8 +105,9 @@ class LocalMatcher {
 
   // Per lg_.adj entry, as uint32 indices into lg_.adj (the constructor
   // throws std::length_error past 2^32 - 1 entries). order_ lists each
-  // row's entries in descending EdgeKey; mirror_ holds the reverse entry
-  // (y, x) of an owned-owned entry (x, y) and is unused for ghost entries.
+  // row's entries in descending EdgeKey (rows_by_edge_key); mirror_ holds
+  // the reverse entry (y, x) of an owned-owned entry (x, y) and is unused
+  // for ghost entries.
   std::vector<std::uint32_t> order_;
   std::vector<std::uint32_t> mirror_;
   std::vector<EdgeId> cursor_;              // per local vertex: next in order_

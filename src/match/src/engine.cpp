@@ -1,7 +1,6 @@
 #include "mel/match/engine.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -10,30 +9,13 @@ namespace mel::match {
 
 LocalMatcher::LocalMatcher(mpi::Comm& comm, const graph::LocalGraph& lg,
                            const graph::Distribution& dist, Push push)
-    : comm_(comm), lg_(lg), dist_(dist), push_(std::move(push)) {
-  if (lg.adj.size() > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::length_error(
-        "LocalMatcher: rank " + std::to_string(lg.rank) + " holds " +
-        std::to_string(lg.adj.size()) +
-        " adjacency entries, more than its uint32 edge indices address");
-  }
+    : comm_(comm),
+      lg_(lg),
+      dist_(dist),
+      order_(rows_by_edge_key(lg.vbegin, lg.offsets, lg.adj,
+                              "LocalMatcher: rank " + std::to_string(lg.rank))),
+      push_(std::move(push)) {
   const VertexId n = lg.nlocal();
-  // Sort each row once, on keys computed once per entry.
-  order_.resize(lg.adj.size());
-  std::vector<EdgeKey> keys;
-  for (VertexId lv = 0; lv < n; ++lv) {
-    const VertexId v = lg.vbegin + lv;
-    const EdgeId row = lg.offsets[lv];
-    keys.clear();
-    for (EdgeId i = row; i < lg.offsets[lv + 1]; ++i) {
-      keys.push_back(edge_key(v, lg.adj[i].to, lg.adj[i].w));
-      order_[i] = static_cast<std::uint32_t>(i);
-    }
-    std::sort(order_.begin() + row, order_.begin() + lg.offsets[lv + 1],
-              [&keys, row](std::uint32_t a, std::uint32_t b) {
-                return keys[b - row] < keys[a - row];
-              });
-  }
   // Rows are sorted by `to` and visited in ascending x, so the reverse
   // entries a row y is asked for come in ascending order too: one pointer
   // per row, advancing only, finds them all.

@@ -8,34 +8,26 @@ namespace mel::match {
 
 namespace {
 
-/// Weight-sorted adjacency with monotone "next live candidate" pointers.
-struct SortedAdj {
-  std::vector<EdgeId> offsets;
-  std::vector<graph::Adj> adj;      // each row sorted by descending EdgeKey
-  std::vector<EdgeId> cursor;       // per-vertex scan position
+/// Each row's entries in descending edge order, as indices into the
+/// graph's own adjacency array, with monotone "next live candidate"
+/// pointers.
+struct SortedRows {
+  std::span<const EdgeId> offsets;
+  std::span<const graph::Adj> adj;
+  std::vector<std::uint32_t> order;  // rows_by_edge_key of g
+  std::vector<EdgeId> cursor;        // per-vertex scan position in order
 
-  explicit SortedAdj(const Csr& g) {
-    const VertexId n = g.nverts();
-    offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-    adj.reserve(static_cast<std::size_t>(g.nentries()));
-    for (VertexId v = 0; v < n; ++v) {
-      const auto nbrs = g.neighbors(v);
-      const std::size_t row = adj.size();
-      adj.insert(adj.end(), nbrs.begin(), nbrs.end());
-      std::sort(adj.begin() + row, adj.end(),
-                [v](const graph::Adj& a, const graph::Adj& b) {
-                  return edge_key(v, b.to, b.w) < edge_key(v, a.to, a.w);
-                });
-      offsets[v + 1] = static_cast<EdgeId>(adj.size());
-    }
-    cursor.assign(offsets.begin(), offsets.end() - 1);
-  }
+  explicit SortedRows(const Csr& g)
+      : offsets(g.offsets()),
+        adj(g.adjacency()),
+        order(rows_by_edge_key(0, offsets, adj, "serial_half_approx")),
+        cursor(offsets.begin(), offsets.end() - 1) {}
 
   /// Heaviest still-unmatched neighbor of v with positive weight, or null.
   VertexId next_candidate(VertexId v, const std::vector<VertexId>& mate) {
     EdgeId& c = cursor[v];
     while (c < offsets[v + 1]) {
-      const graph::Adj& a = adj[c];
+      const graph::Adj& a = adj[order[c]];
       if (a.w <= 0) return kNullVertex;  // sorted: the rest are no better
       if (mate[a.to] == kNullVertex) return a.to;
       ++c;  // permanently matched: skip forever
@@ -67,7 +59,7 @@ Matching serial_half_approx(const Csr& g) {
   const VertexId n = g.nverts();
   Matching m;
   m.mate.assign(static_cast<std::size_t>(n), kNullVertex);
-  SortedAdj sorted(g);
+  SortedRows sorted(g);
   std::vector<VertexId> cand(static_cast<std::size_t>(n), kNullVertex);
 
   std::vector<VertexId> matched_stack;

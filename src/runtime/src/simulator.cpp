@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <barrier>
-#include <cassert>
 #include <sstream>
 #include <thread>
 
@@ -421,7 +420,17 @@ void Simulator::merge_window() {
           break;
         }
         case Shard::Action::Kind::kPush:
-          assert(shard_of(act.rank) == s.id || act.t >= s.w_end);
+          // Same-shard pushes inside the window never get here (they run
+          // under a provisional sequence), so an early one crossed shards:
+          // its destination may already have run past act.t.
+          if (act.t < s.w_end) {
+            std::ostringstream os;
+            os << "Simulator: a cross-shard event for rank " << act.rank
+               << " at t=" << act.t << "ns lands before the window end t="
+               << s.w_end << "ns; the lookahead of " << lookahead_
+               << "ns exceeds the shortest cross-shard delay";
+            throw std::logic_error(os.str());
+          }
           e.incoming.push_back(Engine::Incoming{act.rank, act.t,
                                                 global_seq_++,
                                                 std::move(act.fn)});

@@ -1,5 +1,5 @@
-// Minimal leveled logging. The simulator is single-threaded by design, so
-// no locking is needed; if that ever changes, route through a sink.
+// Minimal leveled logging. The threshold is a compile-time constant, so
+// logging reads no shared state; each line is one stdio call.
 #pragma once
 
 #include <sstream>
@@ -9,9 +9,8 @@ namespace mel::util {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Global log threshold; messages below it are discarded.
-void set_log_level(LogLevel level);
-LogLevel log_level();
+/// Log threshold; messages below it are discarded.
+inline constexpr LogLevel kLogLevel = LogLevel::kWarn;
 
 /// Emit one log line (used by the MEL_LOG macro below).
 void log_line(LogLevel level, const std::string& msg);
@@ -38,9 +37,9 @@ class LogStream {
 
 }  // namespace mel::util
 
-#define MEL_LOG(level)                                        \
-  if (static_cast<int>(level) < static_cast<int>(::mel::util::log_level())) { \
-  } else                                                      \
+#define MEL_LOG(level)                                                    \
+  if (static_cast<int>(level) < static_cast<int>(::mel::util::kLogLevel)) { \
+  } else                                                                  \
     ::mel::util::detail::LogStream(level)
 
 #define MEL_DEBUG MEL_LOG(::mel::util::LogLevel::kDebug)

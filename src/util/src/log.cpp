@@ -5,11 +5,6 @@
 namespace mel::util {
 
 namespace {
-// mellint: allow(global-cache) — process-wide log threshold, written once
-// at startup (melsim flag parsing) and only read afterwards; needs to
-// become atomic<LogLevel> before the threaded DES lands.
-LogLevel g_level = LogLevel::kWarn;
-
 const char* level_name(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug: return "DEBUG";
@@ -22,11 +17,8 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level = level; }
-LogLevel log_level() { return g_level; }
-
 void log_line(LogLevel level, const std::string& msg) {
-  if (static_cast<int>(level) < static_cast<int>(g_level)) return;
+  if (static_cast<int>(level) < static_cast<int>(kLogLevel)) return;
   std::fprintf(stderr, "[mel %-5s] %s\n", level_name(level), msg.c_str());
 }
 

@@ -4,6 +4,8 @@
 
 #include <bit>
 #include <map>
+#include <type_traits>
+#include <vector>
 
 #include "mel/gen/generators.hpp"
 #include "mel/graph/stats.hpp"
@@ -70,7 +72,8 @@ TEST(DistGraph, LocalAdjacencyMatchesGlobal) {
 }
 
 TEST(DistGraph, GhostCounts) {
-  const DistGraph dg(two_rank_graph(), 2);
+  const Csr g = two_rank_graph();
+  const DistGraph dg(g, 2);
   const LocalGraph& l0 = dg.local(0);
   ASSERT_EQ(l0.neighbor_ranks.size(), 1u);
   EXPECT_EQ(l0.neighbor_ranks[0], 1);
@@ -120,10 +123,42 @@ TEST(DistGraph, AllEdgesCoveredOnce) {
   EXPECT_EQ(entries, g.nentries());
 }
 
+// A DistGraph views its Csr, so binding one to a temporary must not compile.
+static_assert(!std::is_constructible_v<DistGraph, Csr&&, int>);
+static_assert(!std::is_constructible_v<DistGraph, Csr&&, Distribution>);
+static_assert(!std::is_constructible_v<DistGraph, const Csr&&, int>);
+static_assert(std::is_constructible_v<DistGraph, const Csr&, int>);
+
+TEST(DistGraph, LocalAdjacencyViewsTheGlobalCsr) {
+  const auto g = gen::erdos_renyi(500, 3000, 9);
+  for (const int p : {1, 3, 8}) {
+    const DistGraph dg(g, p);
+    for (Rank r = 0; r < p; ++r) {
+      const LocalGraph& lg = dg.local(r);
+      const EdgeId first = g.offsets()[lg.vbegin];
+      const EdgeId entries = g.offsets()[lg.vend] - first;
+      EXPECT_EQ(lg.adj.data(), g.adjacency().data() + first) << "rank " << r;
+      EXPECT_EQ(static_cast<EdgeId>(lg.adj.size()), entries) << "rank " << r;
+      // The memory model charges the rank for its own slice all the same.
+      const std::size_t modelled =
+          static_cast<std::size_t>(lg.nlocal() + 1) * sizeof(EdgeId) +
+          static_cast<std::size_t>(entries) * sizeof(Adj) +
+          lg.neighbor_ranks.size() * sizeof(Rank) +
+          lg.ghost_counts.size() * sizeof(std::int64_t);
+      EXPECT_EQ(lg.byte_size(), modelled) << "rank " << r;
+    }
+  }
+}
+
 /// Reference rank-local build: copy each owned vertex's row entry by entry
-/// and count ghosts per owner in an ordered map.
-LocalGraph reference_local(const Csr& global, const Distribution& dist, Rank r) {
-  LocalGraph lg;
+/// into storage of its own and count ghosts per owner in an ordered map.
+struct ReferenceLocal : LocalGraph {
+  std::vector<Adj> rows;  // what `adj` views
+};
+
+ReferenceLocal reference_local(const Csr& global, const Distribution& dist,
+                               Rank r) {
+  ReferenceLocal lg;
   lg.rank = r;
   lg.vbegin = dist.begin(r);
   lg.vend = dist.end(r);
@@ -131,12 +166,13 @@ LocalGraph reference_local(const Csr& global, const Distribution& dist, Rank r) 
   std::map<Rank, std::int64_t> ghosts;
   for (VertexId v = lg.vbegin; v < lg.vend; ++v) {
     for (const Adj& a : global.neighbors(v)) {
-      lg.adj.push_back(a);
+      lg.rows.push_back(a);
       const Rank o = dist.owner(a.to);
       if (o != r) ++ghosts[o];
     }
-    lg.offsets.push_back(static_cast<EdgeId>(lg.adj.size()));
+    lg.offsets.push_back(static_cast<EdgeId>(lg.rows.size()));
   }
+  lg.adj = lg.rows;
   for (const auto& [nbr, cnt] : ghosts) {
     lg.neighbor_ranks.push_back(nbr);
     lg.ghost_counts.push_back(cnt);
@@ -150,7 +186,7 @@ void expect_matches_reference(const Csr& g, const DistGraph& dg,
   EXPECT_EQ(dg.nverts(), g.nverts()) << label;
   EXPECT_EQ(dg.nedges(), g.nedges()) << label;
   for (Rank r = 0; r < dg.nranks(); ++r) {
-    const LocalGraph want = reference_local(g, dg.dist(), r);
+    const ReferenceLocal want = reference_local(g, dg.dist(), r);
     const LocalGraph& got = dg.local(r);
     EXPECT_EQ(got.rank, want.rank) << label << " rank " << r;
     EXPECT_EQ(got.vbegin, want.vbegin) << label << " rank " << r;

@@ -68,12 +68,21 @@ TEST(Serial, NonPositiveEdgesNeverMatched) {
 
 TEST(Serial, EqualsGreedyOnRandomGraphs) {
   // With a strict total edge order, locally-dominant == greedy, exactly.
+  // The second graph per seed reweights the first from a few values:
+  // equal weights, both signed zeros and a negative weight.
+  constexpr double kFew[] = {2.0, 2.0, 1.0, 0.0, -0.0, -1.0};
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const auto g = erdos_renyi(200, 800, seed);
-    const auto a = serial_half_approx(g);
-    const auto b = greedy_matching(g);
-    EXPECT_EQ(a.mate, b.mate) << "seed " << seed;
-    EXPECT_DOUBLE_EQ(a.weight, b.weight);
+    auto edges = g.to_edges();
+    util::Xoshiro256 rng(seed);
+    for (Edge& e : edges) e.w = kFew[rng.next_below(std::size(kFew))];
+    const Csr few = Csr::from_edges(g.nverts(), edges);
+    for (const Csr* input : {&g, &few}) {
+      const auto a = serial_half_approx(*input);
+      const auto b = greedy_matching(*input);
+      EXPECT_EQ(a.mate, b.mate) << "seed " << seed;
+      EXPECT_DOUBLE_EQ(a.weight, b.weight);
+    }
   }
 }
 

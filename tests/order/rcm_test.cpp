@@ -60,8 +60,9 @@ TEST(Rcm, IncreasesProcessNeighborhoodOnBalancedGraphs) {
   // process-graph average degree under 1D partitioning (the paper's
   // counter-intuitive finding). We only check RCM changes the topology.
   const auto g = gen::banded(4000, 12, 100, 3);
+  const auto permuted = g.permuted(rcm(g));
   const graph::DistGraph orig(g, 16);
-  const graph::DistGraph reord(g.permuted(rcm(g)), 16);
+  const graph::DistGraph reord(permuted, 16);
   const auto s0 = graph::process_graph_stats(orig);
   const auto s1 = graph::process_graph_stats(reord);
   EXPECT_GT(s0.ep_edges, 0);

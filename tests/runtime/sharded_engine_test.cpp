@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -142,6 +143,29 @@ TEST(ShardedEngine, CrossShardEventOnExactWindowBoundary) {
   // {0,100} (same-time events sequence in schedule order) then {0,200} —
   // bit-identically across engines.
   EXPECT_EQ(sharded.second, base.second);
+}
+
+// A lookahead larger than a real cross-shard delay breaks the engine's
+// promise: rank 1's shard runs its t=50 event in the [0, 100) window before
+// the merge hands it the t=10 push from rank 0. The merge must refuse that
+// push instead of letting the run finish out of order.
+TEST(ShardedEngine, CrossShardPushInsideTheWindowThrows) {
+  Simulator s(2);
+  s.set_threads(2);
+  s.limit_lookahead(100);
+  s.spawn(0, noop_rank());
+  s.spawn(1, noop_rank());
+  s.schedule_for(1, 50, [] {});
+  s.schedule_for(0, 0, [&s] { s.schedule_for(1, 10, [] {}); });
+  try {
+    s.run();
+    FAIL() << "an early cross-shard push ran to completion";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("t=10ns"), std::string::npos) << what;
+    EXPECT_NE(what.find("t=100ns"), std::string::npos) << what;
+    EXPECT_NE(what.find("lookahead of 100ns"), std::string::npos) << what;
+  }
 }
 
 TEST(ShardedEngine, SetThreadsValidation) {
