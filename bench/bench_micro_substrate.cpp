@@ -34,7 +34,7 @@ void BM_EventLoop(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));
     int sink = 0;
     for (int i = 0; i < n; ++i) {
-      s.schedule(i, [&sink] { ++sink; });
+      s.schedule_for(0, i, [&sink] { ++sink; });
     }
     struct Noop {
       static sim::RankTask make() { co_return; }
@@ -168,7 +168,7 @@ sim::RankTask ring_exchange(mpi::Comm& c, int rounds) {
 }
 
 /// Pure event-queue throughput: one rank, a large batch of pre-scheduled
-/// closure events (the shape Simulator::schedule sees from every wake).
+/// closure events (the shape Simulator::schedule_for sees from every wake).
 SuiteRow suite_event_loop() {
   constexpr int kEvents = 1 << 18;
   SuiteRow row;
@@ -176,7 +176,8 @@ SuiteRow suite_event_loop() {
   sim::Simulator s(1);
   std::uint64_t sink = 0;
   for (int i = 0; i < kEvents; ++i) {
-    s.schedule(i / 4, [&sink] { ++sink; });  // 4-way same-timestamp batches
+    // 4-way same-timestamp batches
+    s.schedule_for(0, i / 4, [&sink] { ++sink; });
   }
   struct Noop {
     static sim::RankTask make() { co_return; }

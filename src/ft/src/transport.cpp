@@ -100,7 +100,8 @@ Transport::SegmentFate Transport::send_segment(Rank src, Rank dst, int tag,
     }
     ++copies;
     const bool retransmit = n > 0;
-    sim_.schedule(t, [this, src, dst, wire_bytes, flow, retransmit, t] {
+    sim_.schedule_for(src, t, [this, src, dst, wire_bytes, flow, retransmit,
+                               t] {
       if (retransmit) {
         host_.ft_count(src, Stat::kRetransmit, flow, t);
         host_.ft_price(src, net_.params().o_send);
@@ -108,7 +109,7 @@ Transport::SegmentFate Transport::send_segment(Rank src, Rank dst, int tag,
       host_.ft_record_wire(src, dst, wire_bytes);
     });
     if (chaos_ != nullptr && chaos_->wire_lost(src, dst, tag, seq, n)) {
-      sim_.schedule(t, [this, src, flow, t] {
+      sim_.schedule_for(src, t, [this, src, flow, t] {
         host_.ft_count(src, Stat::kDropped, flow, t);
       });
     } else {
@@ -127,7 +128,7 @@ Transport::SegmentFate Transport::send_segment(Rank src, Rank dst, int tag,
         if (corrupt) {
           // The CRC catches the flip at the target's window layer; no
           // ack, so the sender's timer repairs it.
-          sim_.schedule(arrive_at, [this, dst, flow, arrive_at] {
+          sim_.schedule_for(dst, arrive_at, [this, dst, flow, arrive_at] {
             host_.ft_count(dst, Stat::kCorruptDetected, flow, arrive_at);
           });
           continue;
@@ -137,8 +138,8 @@ Transport::SegmentFate Transport::send_segment(Rank src, Rank dst, int tag,
         // The target's window layer acks every intact copy; duplicates
         // are filtered but re-acked (a lost ack must not stall the
         // sender's timer forever).
-        sim_.schedule(arrive_at, [this, src, dst, flow, arrive_at,
-                                  first_good] {
+        sim_.schedule_for(dst, arrive_at, [this, src, dst, flow, arrive_at,
+                                           first_good] {
           if (!first_good) {
             host_.ft_count(dst, Stat::kDupFiltered, flow, arrive_at);
           }
@@ -149,7 +150,7 @@ Transport::SegmentFate Transport::send_segment(Rank src, Rank dst, int tag,
         const std::uint64_t ack_no = ch.acks_sent++;
         if (chaos_ != nullptr &&
             chaos_->ack_lost(src, dst, tag, seq, ack_no)) {
-          sim_.schedule(arrive_at, [this, dst, flow, arrive_at] {
+          sim_.schedule_for(dst, arrive_at, [this, dst, flow, arrive_at] {
             host_.ft_count(dst, Stat::kDropped, flow, arrive_at);
           });
         } else {
@@ -229,9 +230,10 @@ void Transport::attempt(Channel& ch, std::uint64_t seq, Time t) {
     }
     const Time at = t + wire;
     auto deliver_copy = [this, &ch, seq, corrupt](Time when, const Pending& p) {
-      sim_.schedule(when, [this, &ch, seq, corrupt, when, payload = p.payload,
-                           crc = p.crc, sent_at = p.first_posted,
-                           flow = p.flow]() mutable {
+      sim_.schedule_for(ch.dst, when, [this, &ch, seq, corrupt, when,
+                                       payload = p.payload, crc = p.crc,
+                                       sent_at = p.first_posted,
+                                       flow = p.flow]() mutable {
         arrive(ch, seq, std::move(payload), crc, corrupt, when, sent_at, flow);
       });
     };
@@ -248,7 +250,7 @@ void Transport::attempt(Channel& ch, std::uint64_t seq, Time t) {
     // Out of retries: when this timer fires with the segment still
     // unacknowledged, a dead peer means abandonment, a live one a bug or
     // an absurd loss rate — surface it by name either way.
-    sim_.schedule(deadline, [this, &ch, seq, n] {
+    sim_.schedule_for(ch.src, deadline, [this, &ch, seq, n] {
       if (ch.pending.find(seq) == ch.pending.end()) return;
       if (host_.ft_rank_failed(ch.dst) || host_.ft_rank_failed(ch.src)) {
         abandon(ch, seq);
@@ -262,8 +264,9 @@ void Transport::attempt(Channel& ch, std::uint64_t seq, Time t) {
       throw TransportError(os.str());
     });
   } else {
-    sim_.schedule(deadline,
-                  [this, &ch, seq, deadline] { attempt(ch, seq, deadline); });
+    sim_.schedule_for(ch.src, deadline, [this, &ch, seq, deadline] {
+      attempt(ch, seq, deadline);
+    });
   }
 }
 
@@ -325,7 +328,8 @@ void Transport::send_ack(Channel& ch, std::uint64_t seq, Time t, FlowId flow) {
     return;  // the sender retransmits; the receiver dedups
   }
   const Time wire = net_.transfer_time(ch.dst, ch.src, kAckBytes);
-  sim_.schedule(t + wire, [this, &ch, seq] { ch.pending.erase(seq); });
+  sim_.schedule_for(ch.src, t + wire,
+                    [this, &ch, seq] { ch.pending.erase(seq); });
 }
 
 void Transport::on_rank_failed(Rank rank) {

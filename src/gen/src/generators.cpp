@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "mel/util/rng.hpp"
@@ -29,6 +30,16 @@ void shuffle_ids(std::vector<Edge>& edges, VertexId n, Xoshiro256& rng) {
   for (Edge& e : edges) {
     e.u = perm[e.u];
     e.v = perm[e.v];
+  }
+}
+
+/// The edge-count generators reserve `edges` slots up front; a negative
+/// count must fail by name, not inside std::vector::reserve.
+void check_edge_count(const char* generator, EdgeId edges) {
+  if (edges < 0) {
+    throw std::invalid_argument(std::string(generator) +
+                                ": edge count must be >= 0, got " +
+                                std::to_string(edges));
   }
 }
 
@@ -151,8 +162,12 @@ Csr stochastic_block(VertexId n, EdgeId edges, int blocks, double overlap,
   if (blocks <= 0 || n < blocks) {
     throw std::invalid_argument("stochastic_block: bad block count");
   }
+  check_edge_count("stochastic_block", edges);
   Xoshiro256 rng(seed);
   const VertexId block_size = (n + blocks - 1) / blocks;
+  // Rounding the block size up can leave trailing blocks empty (n = 100,
+  // 32 blocks: 25 blocks of 4); draw only among the non-empty ones.
+  const VertexId filled = (n + block_size - 1) / block_size;
   std::vector<Edge> out;
   out.reserve(static_cast<std::size_t>(edges));
   for (EdgeId e = 0; e < edges; ++e) {
@@ -163,7 +178,7 @@ Csr stochastic_block(VertexId n, EdgeId edges, int blocks, double overlap,
       v = static_cast<VertexId>(rng.next_below(static_cast<std::uint64_t>(n)));
     } else {
       const auto blk = static_cast<VertexId>(
-          rng.next_below(static_cast<std::uint64_t>(blocks)));
+          rng.next_below(static_cast<std::uint64_t>(filled)));
       const VertexId lo = blk * block_size;
       const VertexId hi = std::min<VertexId>(n, lo + block_size);
       u = lo + static_cast<VertexId>(
@@ -179,6 +194,7 @@ Csr stochastic_block(VertexId n, EdgeId edges, int blocks, double overlap,
 
 Csr chung_lu(VertexId n, EdgeId edges, double gamma, std::uint64_t seed) {
   if (gamma <= 1.0) throw std::invalid_argument("chung_lu: gamma must be > 1");
+  check_edge_count("chung_lu", edges);
   Xoshiro256 rng(seed);
   // Expected-degree weights w_i ~ (i+1)^(-1/(gamma-1)); cumulative table
   // for endpoint sampling by binary search.
@@ -307,6 +323,7 @@ Csr stencil3d(VertexId nx, VertexId ny, VertexId nz, double keep,
 }
 
 Csr erdos_renyi(VertexId n, EdgeId edges, std::uint64_t seed) {
+  check_edge_count("erdos_renyi", edges);
   Xoshiro256 rng(seed);
   std::vector<Edge> out;
   out.reserve(static_cast<std::size_t>(edges));

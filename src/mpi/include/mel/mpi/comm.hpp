@@ -215,29 +215,6 @@ class FenceAwaiter {
   Time entry_clock_;
 };
 
-/// co_await win.get(...): one-sided read of a remote window region
-/// (MPI_Get + flush of just that op). Returns the bytes read.
-class GetAwaiter {
- public:
-  GetAwaiter(Machine& m, int win, Rank rank, Rank target, std::size_t offset,
-             std::size_t nbytes);
-  GetAwaiter(GetAwaiter&&) = delete;
-
-  bool await_ready() { return false; }
-  void await_suspend(std::coroutine_handle<> h);
-  std::vector<std::byte> await_resume();
-
- private:
-  Machine& m_;
-  int win_;
-  Rank rank_;
-  Rank target_;
-  std::size_t offset_;
-  std::size_t nbytes_;
-  Time entry_clock_;
-  std::vector<std::byte> data_;
-};
-
 /// Split-phase neighborhood collective handle (MPI_Ineighbor_alltoallv):
 ///
 ///   mpi::NeighborRequest req;
@@ -352,10 +329,6 @@ class Window {
 
   /// Active-target epoch boundary: window-wide barrier draining all puts.
   [[nodiscard]] FenceAwaiter fence();
-
-  /// One-sided read of `nbytes` at `offset` in `target`'s window.
-  [[nodiscard]] GetAwaiter get(Rank target, std::size_t offset,
-                               std::size_t nbytes);
 
   /// This rank's own exposed memory (direct load/store, like a real
   /// MPI_Win_allocate'd buffer).

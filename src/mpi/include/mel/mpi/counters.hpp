@@ -16,7 +16,6 @@ struct CommCounters {
   std::uint64_t recvs = 0;
   std::uint64_t iprobes = 0;
   std::uint64_t puts = 0;
-  std::uint64_t gets = 0;
   std::uint64_t flushes = 0;
   std::uint64_t fences = 0;
   std::uint64_t neighbor_colls = 0;

@@ -112,7 +112,9 @@ class Machine : public ft::Host {
   /// config destroys messages (wire faults) or strands them (scheduled
   /// crashes). With either one on, the engine runs sequential, because
   /// both keep per-channel state that every rank's shard would write;
-  /// otherwise a sharded engine gets the network's lookahead bound.
+  /// otherwise a sharded engine gets the network's lookahead bound. So the
+  /// Machine is built before anything is spawned on `simulator`, while the
+  /// engine can still be chosen.
   Machine(sim::Simulator& simulator, net::Network network,
           const ft::Params& ft = {});
   Machine(const Machine&) = delete;

@@ -211,34 +211,6 @@ void FenceAwaiter::await_resume() {
   m_.trace_op(rank_, "fence", entry_clock_);
 }
 
-GetAwaiter::GetAwaiter(Machine& m, int win, Rank rank, Rank target,
-                       std::size_t offset, std::size_t nbytes)
-    : m_(m), win_(win), rank_(rank), target_(target), offset_(offset),
-      nbytes_(nbytes), entry_clock_(m.simulator().rank_now(rank)) {}
-
-void GetAwaiter::await_suspend(std::coroutine_handle<> h) {
-  auto& sim = m_.simulator();
-  const auto& net = m_.network();
-  m_.counters_mut(rank_).gets += 1;
-  sim.charge(rank_, net.params().o_get);
-  // Round trip: a small request to the target plus the data coming back.
-  const Time complete = sim.rank_now(rank_) +
-                        net.transfer_time(rank_, target_, kHeaderBytes) +
-                        net.transfer_time(target_, rank_, nbytes_ + kHeaderBytes);
-  sim.schedule(complete, [this] {
-    const auto mem = m_.window_memory(win_, target_);
-    data_.assign(mem.begin() + static_cast<std::ptrdiff_t>(offset_),
-                 mem.begin() + static_cast<std::ptrdiff_t>(offset_ + nbytes_));
-  });
-  sim.wake({rank_, h}, complete);
-}
-
-std::vector<std::byte> GetAwaiter::await_resume() {
-  m_.add_comm_time(rank_, m_.simulator().rank_now(rank_) - entry_clock_);
-  m_.trace_op(rank_, "get", entry_clock_);
-  return std::move(data_);
-}
-
 NeighborWaitAwaiter::NeighborWaitAwaiter(Machine& m, Rank rank)
     : m_(m), rank_(rank), entry_clock_(m.simulator().rank_now(rank)) {}
 
@@ -271,21 +243,6 @@ void Window::put_ordered(Rank target, std::size_t offset,
 FlushAwaiter Window::flush_all() { return FlushAwaiter(*m_, id_, rank_); }
 
 FenceAwaiter Window::fence() { return FenceAwaiter(*m_, id_, rank_); }
-
-GetAwaiter Window::get(Rank target, std::size_t offset, std::size_t nbytes) {
-  if (m_->simulator().threaded()) {
-    // A get reads the *target's* window bytes when it completes, which
-    // under the sharded engine would race the target shard's own puts.
-    // No backend uses get on a hot path; run gets with --threads 1.
-    throw std::logic_error(
-        "Window::get is unsupported with --threads > 1; use the sequential "
-        "engine for one-sided reads");
-  }
-  if (offset + nbytes > m_->window_size(id_, target)) {
-    throw std::out_of_range("Window::get past end of target window");
-  }
-  return GetAwaiter(*m_, id_, rank_, target, offset, nbytes);
-}
 
 std::span<std::byte> Window::local() { return m_->window_memory(id_, rank_); }
 

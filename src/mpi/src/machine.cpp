@@ -131,7 +131,6 @@ CommCounters& CommCounters::operator+=(const CommCounters& o) {
   recvs += o.recvs;
   iprobes += o.iprobes;
   puts += o.puts;
-  gets += o.gets;
   flushes += o.flushes;
   fences += o.fences;
   neighbor_colls += o.neighbor_colls;
@@ -234,7 +233,8 @@ Machine::Machine(sim::Simulator& simulator, net::Network network,
   // killed and the failure surfaced ULFM-style. A crash landing after the
   // rank already returned is a no-op (handled inside handle_rank_failure).
   for (const auto& crash : chaos.crashes) {
-    sim_.schedule(crash.at, [this, r = crash.rank] { handle_rank_failure(r); });
+    sim_.schedule_for(crash.rank, crash.at,
+                      [this, r = crash.rank] { handle_rank_failure(r); });
   }
   sim_.set_stall_reporter([this](Rank r) { return rank_diagnostics(r); });
 }

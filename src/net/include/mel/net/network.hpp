@@ -62,7 +62,7 @@ struct Params {
 
   /// One-sided overheads per call, ns.
   Time o_put = 160;        // MPI_Put: RDMA descriptor post, no target software
-  Time o_get = 220;
+  Time o_get = 220;        // no MPI_Get is simulated; kept in trace headers
   Time o_flush = 700;      // MPI_Win_flush_all fixed cost
 
   /// Collective overheads. The per-neighbor term models the pairwise

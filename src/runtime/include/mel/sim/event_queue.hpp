@@ -201,8 +201,8 @@ class EventQueue {
   /// of the internal counter. The sharded engine uses this to (a) replay
   /// merged cross-shard events into a destination shard's queue under
   /// their globally assigned sequence and (b) tag intra-window pushes with
-  /// provisional sequences above kProvisionalSeqBase. The caller owns the
-  /// ordering contract: keys must stay unique.
+  /// provisional sequences from the simulator's kProvBase up. The caller
+  /// owns the ordering contract: keys must stay unique.
   template <class F>
   void push_keyed(Time t, std::uint64_t seq, F&& fn) {
     ++size_;
@@ -212,14 +212,6 @@ class EventQueue {
   bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
   std::uint64_t seqs_issued() const noexcept { return next_seq_; }
-
-  /// Raise the internal sequence counter to at least `next`. Used by the
-  /// sharded-mode downgrade (Simulator::require_sequential), which flushes
-  /// staged events that already consumed sequences 0..next-1 through
-  /// push_keyed and must keep later push() sequences disjoint from them.
-  void reserve_seqs(std::uint64_t next) noexcept {
-    next_seq_ = std::max(next_seq_, next);
-  }
 
   /// Key of the next event. Callers that only need "what pops next" (the
   /// simulator's horizon check and trace hash) never touch the closure.

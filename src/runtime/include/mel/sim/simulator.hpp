@@ -20,18 +20,20 @@
 // windows [W, W + lookahead). The lookahead is the minimum cross-shard
 // scheduling delay (for the MPI machine: the minimum LogGP network
 // latency, see net::Network::min_remote_delay), so no event executed
-// inside a window can schedule into another shard's past. Within a
-// window a shard executes only its own ranks' events; every side effect
-// that crosses shards — a delivery into another rank's mailbox, shared
-// collective bookkeeping, trace emission — is recorded in a per-event
-// action log and replayed single-threaded at the window barrier, merged
-// across shards in exactly the global (time, sequence) order the
-// sequential engine uses. Sequence numbers are assigned during that
-// merge in global call order, so trace_hash(), events_executed() and
-// every rank-visible timestamp are bit-identical to the sequential
-// engine at any thread count. Periodic hooks, the horizon watchdog and
-// deadlock detection all fire at window barriers, which the window
-// bounds align with the exact sequential boundaries.
+// inside a window can schedule into another shard's past. Every event
+// names the rank whose state it touches (schedule_for), and that rank's
+// shard runs it. Every side effect that crosses shards — a delivery into
+// another rank's mailbox, shared collective bookkeeping, trace emission —
+// is recorded in a per-event action log (an EventFn for defer()) and
+// replayed single-threaded at the window barrier, merged across shards
+// in exactly the global (time, sequence) order the sequential engine
+// uses. Sequence numbers are assigned during that merge in global call
+// order, so trace_hash(), events_executed() and every rank-visible
+// timestamp are bit-identical to the sequential engine at any thread
+// count. Periodic hooks, the horizon watchdog and deadlock detection all
+// fire at window barriers, which the window bounds align with the exact
+// sequential boundaries. The engine is chosen before anything is
+// spawned or scheduled (set_threads, require_sequential).
 #pragma once
 
 #include <coroutine>
@@ -109,32 +111,19 @@ class Simulator {
     ranks_[rank].clock += dt;
   }
 
-  /// Schedule a raw event at absolute virtual time t. Events at equal time
-  /// run in scheduling order. The callable may take the event's virtual
-  /// time as a parameter (`void(Time)`) or nothing; it must fit the
-  /// EventFn small buffer to stay off the heap (larger closures still
-  /// work, they just allocate).
+  /// Schedule an event at absolute virtual time t that logically belongs
+  /// to `rank`: a delivery into its mailbox, a wake of its coroutine, a
+  /// completion writing its output. The event may touch only that rank's
+  /// state; anything shared goes through defer(). Events at equal time run
+  /// in scheduling order. The callable may take the event's virtual time
+  /// as a parameter (`void(Time)`) or nothing; it must fit the EventFn
+  /// small buffer to stay off the heap (larger closures still work, they
+  /// just allocate).
   ///
-  /// In sharded mode an event scheduled through this overload has no
-  /// destination-rank hint: before run() it lands on shard 0, inside a
-  /// window it stays on the scheduling shard. Subsystems that know which
-  /// rank an event belongs to must use schedule_for so the event executes
-  /// on (and only touches state owned by) that rank's shard.
-  template <class F>
-  void schedule(Time t, F&& fn) {
-    if (!sharded_) {
-      queue_.push(t, std::forward<F>(fn));
-      return;
-    }
-    sharded_schedule(-1, t, EventFn(std::forward<F>(fn)));
-  }
-
-  /// Schedule an event that logically belongs to `rank` (a delivery into
-  /// its mailbox, a wake of its coroutine, a completion writing its
-  /// output). Identical to schedule() in sequential mode; in sharded mode
-  /// it routes the event to the owning shard's queue — directly when the
-  /// scheduling shard owns the rank and the time falls inside the current
-  /// window, via the merge-ordered action log otherwise.
+  /// In sharded mode the event runs on the rank's shard: pushed straight
+  /// into its queue when the scheduling shard owns the rank and the time
+  /// falls inside the current window, via the merge-ordered action log
+  /// otherwise.
   template <class F>
   void schedule_for(Rank rank, Time t, F&& fn) {
     if (!sharded_) {
@@ -151,13 +140,13 @@ class Simulator {
   /// single-threaded, in exact merged event order — the mechanism the MPI
   /// machine uses for state shared across shards (collective instance
   /// maps, global gauges, trace emission). Deferred bodies may call
-  /// schedule_for/wake/charge/defer themselves. The template avoids the
-  /// type-erasure allocation entirely on the sequential path, where the
-  /// body runs before this call returns.
+  /// schedule_for/wake/charge/defer themselves. The body is held as an
+  /// EventFn, so a closure that fits its inline buffer never allocates;
+  /// on the sequential path it runs before this call returns.
   template <typename F>
   void defer(F&& fn) {
     if (sharded_ && in_window_phase()) {
-      defer_window(std::function<void()>(std::forward<F>(fn)));
+      defer_window(EventFn(std::forward<F>(fn)));
       return;
     }
     // Sequential mode, merge phase, or pre-run: the call site is already
@@ -183,9 +172,9 @@ class Simulator {
 
   /// Fall back to the sequential engine (e.g. the MPI machine with chaos
   /// or the reliable transport on, whose per-channel state every shard
-  /// would write). Only valid before run(); already-staged events keep
-  /// their sequence numbers, so the run is bit-identical to one
-  /// configured sequential from the start.
+  /// would write): warns and calls set_threads(1), so it has the same
+  /// precondition — nothing spawned or scheduled yet. A no-op when the
+  /// engine is already sequential.
   void require_sequential(const char* why);
 
   /// True when the sharded engine is selected (threads > 1 over > 1 rank).
@@ -307,8 +296,9 @@ class Simulator {
   struct Shard;   // per-shard queue + window execution / action records
   struct Engine;  // worker threads, window control block, merge state
 
-  /// Pre-run event staged under its final (already assigned) sequence
-  /// number, waiting to be distributed to the owning shard at run start.
+  /// An event for `rank` under its final sequence number, scheduled
+  /// outside the window phase (before the run, or at merge) or pushed
+  /// across shards, waiting for its shard's queue.
   struct Staged {
     Rank rank;
     Time t;
@@ -318,8 +308,11 @@ class Simulator {
 
   int shard_of(Rank rank) const;
   void sharded_schedule(Rank rank, Time t, EventFn fn);
+  /// Push every staged event into its shard's queue (run start, and after
+  /// each merge).
+  void distribute_staged();
   /// Slow path of defer(): append to the executing window's action log.
-  void defer_window(std::function<void()> fn);
+  void defer_window(EventFn fn);
   void run_sequential();
   void run_sharded();
   void run_window(Shard& shard);

@@ -45,11 +45,10 @@ struct Simulator::Shard {
   struct Action {
     enum class Kind : std::uint8_t { kLocalProv, kPush, kDefer };
     Kind kind;
-    Rank rank = -1;                  // kPush: destination rank
-    Time t = 0;                      // kPush: event time
-    std::uint64_t prov = 0;          // kLocalProv: provisional sequence
-    EventFn fn;                      // kPush: payload
-    std::function<void()> deferred;  // kDefer: payload
+    Rank rank = -1;          // kPush: destination rank
+    Time t = 0;              // kPush: event time
+    std::uint64_t prov = 0;  // kLocalProv: provisional sequence
+    EventFn fn;              // kPush, kDefer: payload
   };
 
   /// One executed event: its queue key plus its slice of the action log.
@@ -68,8 +67,7 @@ struct Simulator::Shard {
   std::vector<std::uint64_t> prov_final;
   std::uint64_t prov_next = 0;  // provisionals handed out this window
   int id = 0;
-  Rank first_rank = 0;  // any rank this shard owns (schedule() fallback)
-  Time w_end = 0;       // exclusive bound of the window being executed
+  Time w_end = 0;  // exclusive bound of the window being executed
   std::exception_ptr failure;
   Simulator* sim = nullptr;
 };
@@ -83,17 +81,10 @@ struct Simulator::Engine {
   int ranks_per_shard = 1;
   Time w_end = 0;
   bool done = false;
-  bool merging = false;  // main thread inside merge/prepare (single-threaded)
 
-  /// Cross-shard events with their final sequences, collected during
-  /// merge and pushed into destination queues before the next window.
-  struct Incoming {
-    Rank rank;
-    Time t;
-    std::uint64_t seq;
-    EventFn fn;
-  };
-  std::vector<Incoming> incoming;
+  /// Per-shard cursor of the K-way merge, reused so a window allocates
+  /// nothing.
+  std::vector<std::size_t> head;
 
   /// Shards 1..nshards-1 (the main thread drives shard 0). Joined before
   /// the engine is destroyed.
@@ -212,13 +203,10 @@ void Simulator::set_threads(int threads) {
   if (threads < 1) {
     throw std::invalid_argument("Simulator::set_threads: threads must be >= 1");
   }
-  if (engine_ != nullptr) {
-    throw std::logic_error("Simulator::set_threads: run() is active");
-  }
-  if (queue_.seqs_issued() > 0 || global_seq_ > 0 || !staged_.empty()) {
+  if (engine_ != nullptr || queue_.seqs_issued() > 0 || global_seq_ > 0) {
     throw std::logic_error(
-        "Simulator::set_threads: must be called before anything is "
-        "spawned or scheduled");
+        "Simulator: the engine (set_threads, require_sequential) is fixed "
+        "once anything is spawned or scheduled");
   }
   threads_ = threads;
   sharded_ = threads_ > 1 && nranks() > 1;
@@ -234,19 +222,8 @@ void Simulator::limit_lookahead(Time d) {
 
 void Simulator::require_sequential(const char* why) {
   if (!sharded_) return;
-  if (engine_ != nullptr) {
-    throw std::logic_error(
-        "Simulator::require_sequential: cannot downgrade mid-run");
-  }
+  set_threads(1);
   MEL_WARN << "sharded engine disabled (" << why << "): running sequential";
-  // Flush staged events into the sequential queue under their already
-  // assigned sequences; the sequential counter continues after them, so
-  // the run is bit-identical to one configured with threads=1.
-  for (auto& st : staged_) queue_.push_keyed(st.t, st.seq, std::move(st.fn));
-  staged_.clear();
-  queue_.reserve_seqs(global_seq_);
-  sharded_ = false;
-  threads_ = 1;
 }
 
 bool Simulator::in_window_phase() const {
@@ -268,8 +245,7 @@ std::size_t Simulator::pending_events() const {
 void Simulator::sharded_schedule(Rank rank, Time t, EventFn fn) {
   Shard* ctx = tls_window_;
   if (ctx != nullptr && ctx->sim == this) {
-    const Rank dest = rank >= 0 ? rank : ctx->first_rank;
-    if (shard_of(dest) == ctx->id && t < ctx->w_end) {
+    if (shard_of(rank) == ctx->id && t < ctx->w_end) {
       // Same shard, inside the window: execute it this window under a
       // provisional sequence (same-time wake chains depend on this); the
       // merge maps it back to the sequence the sequential engine would
@@ -286,32 +262,31 @@ void Simulator::sharded_schedule(Rank rank, Time t, EventFn fn) {
     // beyond this window: hold it for sequence assignment at merge.
     Shard::Action a;
     a.kind = Shard::Action::Kind::kPush;
-    a.rank = dest;
+    a.rank = rank;
     a.t = t;
     a.fn = std::move(fn);
     ctx->actions.push_back(std::move(a));
     return;
   }
-  if (engine_ != nullptr && engine_->merging) {
-    // Push issued by a deferred action replayed at merge: globally
-    // ordered already, assign the final sequence directly.
-    engine_->incoming.push_back(
-        Engine::Incoming{rank >= 0 ? rank : 0, t, global_seq_++,
-                         std::move(fn)});
-    return;
-  }
-  // Pre-run staging: sequences are final (call order), distribution to
-  // shard queues happens at run start.
-  staged_.push_back(Staged{rank >= 0 ? rank : 0, t, global_seq_++,
-                           std::move(fn)});
+  // Before the run, or from a deferred action replayed at merge: the call
+  // is globally ordered already, so the sequence is final. The event
+  // reaches its shard's queue before the next window.
+  staged_.push_back(Staged{rank, t, global_seq_++, std::move(fn)});
 }
 
-void Simulator::defer_window(std::function<void()> fn) {
-  Shard* ctx = tls_window_;
+void Simulator::distribute_staged() {
+  for (auto& st : staged_) {
+    engine_->shards[shard_of(st.rank)]->queue.push_keyed(st.t, st.seq,
+                                                         std::move(st.fn));
+  }
+  staged_.clear();
+}
+
+void Simulator::defer_window(EventFn fn) {
   Shard::Action a;
   a.kind = Shard::Action::Kind::kDefer;
-  a.deferred = std::move(fn);
-  ctx->actions.push_back(std::move(a));
+  a.fn = std::move(fn);
+  tls_window_->actions.push_back(std::move(a));
 }
 
 // -- Run loops ---------------------------------------------------------------
@@ -377,12 +352,12 @@ void Simulator::run_window(Shard& s) {
 
 void Simulator::merge_window() {
   auto& e = *engine_;
-  e.merging = true;
   // K-way merge of the shard execution streams by (time, final sequence).
   // A provisional key's final sequence is always resolvable when its event
   // reaches the head: the push that created it is an earlier entry of the
   // same shard's stream, so its kLocalProv action has already run.
-  std::vector<std::size_t> head(e.shards.size(), 0);
+  auto& head = e.head;
+  head.assign(e.shards.size(), 0);
   auto resolved = [](const Shard& s, const Shard::Exec& ex) {
     return ex.key >= kProvBase
                ? s.prov_final[static_cast<std::size_t>(ex.key - kProvBase)]
@@ -431,12 +406,11 @@ void Simulator::merge_window() {
                << "ns exceeds the shortest cross-shard delay";
             throw std::logic_error(os.str());
           }
-          e.incoming.push_back(Engine::Incoming{act.rank, act.t,
-                                                global_seq_++,
-                                                std::move(act.fn)});
+          staged_.push_back(
+              Staged{act.rank, act.t, global_seq_++, std::move(act.fn)});
           break;
         case Shard::Action::Kind::kDefer:
-          act.deferred();
+          act.fn(ex.t);
           break;
       }
     }
@@ -446,12 +420,7 @@ void Simulator::merge_window() {
     sp->actions.clear();
     sp->prov_next = 0;
   }
-  e.merging = false;
-  for (auto& in : e.incoming) {
-    e.shards[shard_of(in.rank)]->queue.push_keyed(in.t, in.seq,
-                                                  std::move(in.fn));
-  }
-  e.incoming.clear();
+  distribute_staged();
 }
 
 void Simulator::prepare_window(bool first) {
@@ -520,15 +489,10 @@ void Simulator::run_sharded() {
   for (int i = 0; i < e.nshards; ++i) {
     auto s = std::make_unique<Shard>();
     s->id = i;
-    s->first_rank = static_cast<Rank>(i * e.ranks_per_shard);
     s->sim = this;
     e.shards.push_back(std::move(s));
   }
-  for (auto& st : staged_) {
-    e.shards[shard_of(st.rank)]->queue.push_keyed(st.t, st.seq,
-                                                  std::move(st.fn));
-  }
-  staged_.clear();
+  distribute_staged();
   // Message buffers are allocated on one shard and released on another;
   // gate the shared pool behind its mutex for the duration of the run.
   const util::BufferPoolThreadGuard pool_guard;

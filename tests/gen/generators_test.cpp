@@ -70,6 +70,14 @@ TEST(Gen, StochasticBlockDense) {
   EXPECT_GT(g.nedges(), 15000);
   const auto s = graph::degree_stats(g);
   EXPECT_GT(s.davg, 20.0);
+  // 32 blocks rounded up to 4 (n = 100) or 7 (n = 200) vertices each
+  // leave trailing blocks empty; intra-block draws must skip them.
+  for (const VertexId n : {100, 200}) {
+    const auto small = stochastic_block(n, n * 24, 32, 0.6, 5);
+    EXPECT_EQ(small.nverts(), n);
+    EXPECT_GT(small.nedges(), n * 4);
+  }
+  EXPECT_THROW(stochastic_block(1000, -3, 10, 0.6, 5), std::invalid_argument);
 }
 
 TEST(Gen, ChungLuPowerLawSkew) {
@@ -77,6 +85,7 @@ TEST(Gen, ChungLuPowerLawSkew) {
   const auto s = graph::degree_stats(g);
   EXPECT_GT(static_cast<double>(s.dmax), 10.0 * s.davg);
   EXPECT_GT(g.nedges(), 50000);
+  EXPECT_THROW(chung_lu(10000, -3, 2.3, 11), std::invalid_argument);
 }
 
 TEST(Gen, GridOfGridsStructure) {
@@ -111,6 +120,7 @@ TEST(Gen, Stencil3dKeepReducesEdges) {
 TEST(Gen, ErdosRenyiApproxEdgeCount) {
   const auto g = erdos_renyi(5000, 30000, 13);
   EXPECT_NEAR(static_cast<double>(g.nedges()), 30000.0, 1500.0);
+  EXPECT_THROW(erdos_renyi(5000, -3, 13), std::invalid_argument);
 }
 
 TEST(Gen, PathStructure) {

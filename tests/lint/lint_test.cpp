@@ -1,9 +1,8 @@
 // mellint rule fixtures: one test per rule (R1–R5) asserting exact
 // file:line findings against known-good/known-bad snippets, plus
-// suppression- and baseline-mechanics tests. The fixture tree mirrors the
-// repo layout (src/app, src/mpi, src/prof) because two rules are
-// dir-scoped: R3 only inside the determinism core, R2 allowlists
-// src/prof.
+// suppression-mechanics tests. The fixture tree mirrors the repo layout
+// (src/app, src/mpi, src/prof) because two rules are dir-scoped: R3 only
+// inside the determinism core, R2 allowlists src/prof.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -207,57 +206,6 @@ TEST(MellintTokenizer, BraceInitializedStaticFires) {
   EXPECT_EQ(sketch(fs), (std::vector<std::string>{"global-cache@1"}));
 }
 
-// -- Baseline mechanics ------------------------------------------------------
-
-TEST(MellintBaseline, GrandfathersEarliestFindingsPerFileAndRule) {
-  auto fs = lint_fixture("src/app/r5_cache.cpp");
-  lint::Baseline b;
-  b.counts[{"src/app/r5_cache.cpp", "global-cache"}] = 2;
-  EXPECT_EQ(lint::apply_baseline(fs, b), 2);
-  std::vector<std::string> reported;
-  for (const auto& f : fs) {
-    if (!f.baselined) reported.push_back(f.rule + "@" + std::to_string(f.line));
-  }
-  // The two earliest global-cache findings (lines 9, 18) are baselined;
-  // bad-suppression findings are never grandfathered.
-  EXPECT_EQ(reported, (std::vector<std::string>{
-                          "bad-suppression@17",
-                          "bad-suppression@20",
-                          "global-cache@21",
-                      }));
-}
-
-TEST(MellintBaseline, JsonRoundTrip) {
-  const auto fs = lint_fixture("src/app/r5_cache.cpp");
-  const lint::Baseline b = lint::baseline_from_findings(fs);
-  // 3 global-cache findings collapse to one counted entry; the two
-  // bad-suppression findings must not be grandfatherable.
-  ASSERT_EQ(b.counts.size(), 1u);
-  EXPECT_EQ((b.counts.at({"src/app/r5_cache.cpp", "global-cache"})), 3);
-
-  const lint::Baseline back = lint::baseline_from_json(baseline_to_json(b));
-  EXPECT_EQ(back.counts, b.counts);
-
-  // Applying the self-derived baseline silences every non-suppression
-  // finding — the "turn the gate on before the tree is clean" workflow.
-  auto fs2 = lint_fixture("src/app/r5_cache.cpp");
-  lint::apply_baseline(fs2, back);
-  for (const auto& f : fs2) {
-    EXPECT_EQ(f.baselined, f.rule != "bad-suppression") << f.rule;
-  }
-}
-
-TEST(MellintBaseline, MalformedJsonThrows) {
-  EXPECT_THROW(lint::baseline_from_json("[]"), std::runtime_error);
-  EXPECT_THROW(lint::baseline_from_json("{\"entries\": 3}"),
-               std::runtime_error);
-  EXPECT_THROW(
-      lint::baseline_from_json(
-          "{\"entries\": [{\"file\": \"a\", \"rule\": \"nope\", "
-          "\"count\": 1}]}"),
-      std::runtime_error);
-}
-
 // -- File collection and report output --------------------------------------
 
 TEST(MellintFiles, CollectsSortedLintableSources) {
@@ -279,16 +227,16 @@ TEST(MellintFiles, MissingPathReportsError) {
 }
 
 TEST(MellintReport, JsonEscapesAndCounts) {
-  std::vector<lint::Finding> fs = {
-      {"src/a \"b\".cpp", 3, "wallclock", "uses \"clock\"", false},
-      {"src/c.cpp", 9, "global-cache", "cache", true},
+  const std::vector<lint::Finding> fs = {
+      {"src/a \"b\".cpp", 3, "wallclock", "uses \"clock\""},
+      {"src/c.cpp", 9, "global-cache", "cache"},
   };
   const std::string json = lint::findings_to_json(fs, 2);
-  EXPECT_NE(json.find("\"reported\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"baselined\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"files_scanned\": 2"), std::string::npos);
+  EXPECT_NE(json.find("\"reported\": 2"), std::string::npos);
   EXPECT_NE(json.find("src/a \\\"b\\\".cpp"), std::string::npos);
-  // Baselined findings stay out of the findings array.
-  EXPECT_EQ(json.find("src/c.cpp"), std::string::npos);
+  EXPECT_NE(json.find("uses \\\"clock\\\""), std::string::npos);
+  EXPECT_NE(json.find("src/c.cpp"), std::string::npos);
 }
 
 }  // namespace

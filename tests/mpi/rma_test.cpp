@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstring>
-
 #include "world_fixture.hpp"
 
 namespace mel::test {
@@ -271,44 +269,6 @@ TEST(Rma, FenceCountsTracked) {
   w.spawn_all(body);
   w.run();
   EXPECT_EQ(w.machine.counters(0).fences, 2u);
-}
-
-TEST(Rma, GetReadsRemoteMemory) {
-  World w(2);
-  const int win = w.machine.allocate_window({32, 32});
-  std::int64_t got = 0;
-  auto body = [&, win](Comm& c) -> RankTask {
-    auto window = c.window(win);
-    if (c.rank() == 1) {
-      // Target publishes a value in its own window, then both fence.
-      const std::int64_t v = 4242;
-      std::memcpy(window.local().data() + 8, &v, sizeof v);
-    }
-    co_await c.barrier();
-    if (c.rank() == 0) {
-      const auto bytes = co_await window.get(1, 8, 8);
-      got = mpi::from_bytes<std::int64_t>(bytes);
-    }
-    co_return;
-  };
-  w.spawn_all(body);
-  w.run();
-  EXPECT_EQ(got, 4242);
-  EXPECT_EQ(w.machine.counters(0).gets, 1u);
-}
-
-TEST(Rma, GetPastEndThrows) {
-  World w(2);
-  const int win = w.machine.allocate_window({8, 8});
-  auto body = [&, win](Comm& c) -> RankTask {
-    if (c.rank() == 0) {
-      auto window = c.window(win);
-      (void)co_await window.get(1, 4, 8);
-    }
-    co_return;
-  };
-  w.spawn_all(body);
-  EXPECT_THROW(w.run(), std::out_of_range);
 }
 
 }  // namespace

@@ -173,7 +173,7 @@ TEST(ShardedEngine, SetThreadsValidation) {
   EXPECT_THROW(s.set_threads(0), std::invalid_argument);
   EXPECT_THROW(s.set_threads(-2), std::invalid_argument);
   s.set_threads(2);  // fine before anything is scheduled
-  s.schedule(10, [] {});
+  s.schedule_for(0, 10, [] {});
   EXPECT_THROW(s.set_threads(4), std::logic_error);
 }
 
@@ -190,17 +190,25 @@ TEST(ShardedEngine, RequireSequentialFallbackKeepsTraceIdentical) {
     if (downgrade) {
       s.set_threads(4);
       s.limit_lookahead(100);
+      s.require_sequential("test downgrade");
+      EXPECT_FALSE(s.threaded());
     }
     auto order = std::make_shared<std::vector<int>>();
     for (int i = 0; i < 8; ++i) {
       s.schedule_for(i % 4, 10 * i, [order, i] { order->push_back(i); });
     }
-    if (downgrade) s.require_sequential("test downgrade");
     for (Rank r = 0; r < 4; ++r) s.spawn(r, noop_rank());
     s.run();
     return std::pair{s.trace_hash(), *order};
   };
   EXPECT_EQ(run(false), run(true));
+
+  // The engine is fixed once anything is scheduled, so a late downgrade
+  // is a caller bug.
+  Simulator late(4);
+  late.set_threads(4);
+  late.schedule_for(1, 10, [] {});
+  EXPECT_THROW(late.require_sequential("too late"), std::logic_error);
 }
 
 // Deadlock/stuck-rank detection must survive sharding: a parked rank with

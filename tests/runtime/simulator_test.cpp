@@ -37,9 +37,9 @@ TEST(Simulator, RejectsOutOfRangeRank) {
 TEST(Simulator, EventsRunInTimeOrder) {
   Simulator s(1);
   std::vector<int> order;
-  s.schedule(300, [&] { order.push_back(3); });
-  s.schedule(100, [&] { order.push_back(1); });
-  s.schedule(200, [&] { order.push_back(2); });
+  s.schedule_for(0, 300, [&] { order.push_back(3); });
+  s.schedule_for(0, 100, [&] { order.push_back(1); });
+  s.schedule_for(0, 200, [&] { order.push_back(2); });
   s.spawn(0, noop_rank());
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
@@ -49,7 +49,7 @@ TEST(Simulator, EqualTimeEventsRunInScheduleOrder) {
   Simulator s(1);
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    s.schedule(50, [&, i] { order.push_back(i); });
+    s.schedule_for(0, 50, [&, i] { order.push_back(i); });
   }
   s.spawn(0, noop_rank());
   s.run();
@@ -96,7 +96,7 @@ TEST(Simulator, WakeResumesParkedRankAtRequestedTime) {
   Simulator s(1);
   WakeLatch latch{&s, 0, {}, false};
   s.spawn(0, parking_rank(latch));
-  s.schedule(10, [&] { s.wake(latch.parked, 777); });
+  s.schedule_for(0, 10, [&] { s.wake(latch.parked, 777); });
   s.run();
   EXPECT_TRUE(latch.resumed);
   EXPECT_TRUE(s.rank_done(0));
@@ -107,7 +107,7 @@ TEST(Simulator, WakeInThePastClampsToRankClock) {
   Simulator s(1);
   WakeLatch latch{&s, 0, {}, false};
   s.spawn(0, parking_rank(latch));
-  s.schedule(0, [&] {
+  s.schedule_for(0, 0, [&] {
     s.charge(0, 1000);  // rank clock moved ahead while parked
     s.wake(latch.parked, 5);
   });
@@ -208,7 +208,7 @@ TEST(Task, NestedTaskSuspendsAndResumesItsAwaiter) {
   WakeLatch latch{&s, 0, {}, false};
   int steps = 0;
   s.spawn(0, nesting_rank(latch, steps));
-  s.schedule(10, [&] { s.wake(latch.parked, 500); });
+  s.schedule_for(0, 10, [&] { s.wake(latch.parked, 500); });
   s.run();
   EXPECT_EQ(steps, 4);
   EXPECT_TRUE(latch.resumed);

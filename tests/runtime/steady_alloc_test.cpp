@@ -6,9 +6,11 @@
 // (3x the events) must allocate exactly the same number of times.
 //
 // This test lives in its own binary because it replaces the global
-// allocation functions.
+// allocation functions. The counter is atomic because the sharded
+// engine's worker threads allocate too.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <new>
 
@@ -16,7 +18,7 @@
 #include "mel/mpi/machine.hpp"
 
 namespace {
-std::uint64_t g_news = 0;
+std::atomic<std::uint64_t> g_news{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
@@ -56,12 +58,14 @@ sim::RankTask ring_rank(mpi::Comm& c, int rounds) {
   co_return;
 }
 
+constexpr int kRanks = 64;
+
 /// Allocation count of one full ring simulation (setup + run).
-std::uint64_t allocs_for(int rounds) {
-  constexpr int kRanks = 64;
+std::uint64_t allocs_for(int rounds, int threads = 1) {
   const std::uint64_t before = g_news;
   {
     sim::Simulator s(kRanks);
+    s.set_threads(threads);
     mpi::Machine m(s, net::Network(kRanks, net::Params{}));
     for (sim::Rank r = 0; r < kRanks; ++r) {
       s.spawn(r, ring_rank(m.comm(r), rounds));
@@ -85,6 +89,23 @@ TEST(SteadyAlloc, EventCountDoesNotDriveAllocations) {
       << "steady-state allocations grew with event count - a hot-path "
          "closure outgrew the EventFn inline buffer or a payload fell "
          "out of the pool";
+}
+
+TEST(SteadyAlloc, ShardedEventCountDoesNotDriveAllocations) {
+  // The sharded engine adds per-window action logs, deferred closures and
+  // the merge's bookkeeping; all of it must reuse storage too. The budget
+  // is one allocation per 64 extra messages: first touches of timing-wheel
+  // slots and other high-water growth stay far below it, one allocation
+  // per message or per window does not.
+  constexpr int kThreads = 4;
+  (void)allocs_for(1728, kThreads);
+  const std::uint64_t base = allocs_for(1728, kThreads);
+  const std::uint64_t tripled = allocs_for(5184, kThreads);
+  constexpr std::uint64_t kExtraMessages =
+      static_cast<std::uint64_t>(kRanks) * (5184 - 1728);
+  EXPECT_LE(tripled, base + kExtraMessages / 64)
+      << "sharded allocations grew with event count - a deferred closure "
+         "or a merge-time buffer allocates per message or per window";
 }
 
 }  // namespace

@@ -5,10 +5,11 @@
 #   * a small clean sweep exits 0 and reports every schedule clean,
 #   * the same sweep run twice is bit-identical (JSONL diffed),
 #   * a planted bug flips the exit to 1 and prints a minimized schedule as
-#     a melsim-compatible command line (the self-test of the checker).
-# Invoked with -DMELCHECK=<path-to-binary>.
-if(NOT DEFINED MELCHECK)
-  message(FATAL_ERROR "pass -DMELCHECK=<melcheck binary>")
+#     a melsim-compatible command line (the self-test of the checker), and
+#     melsim run on that line rebuilds melcheck's graph.
+# Invoked with -DMELCHECK=<path-to-binary> -DMELSIM=<path-to-binary>.
+if(NOT DEFINED MELCHECK OR NOT DEFINED MELSIM)
+  message(FATAL_ERROR "pass -DMELCHECK=<melcheck binary> -DMELSIM=<melsim binary>")
 endif()
 
 execute_process(
@@ -47,6 +48,18 @@ execute_process(
 if(NOT ranks_code EQUAL 2 OR NOT ranks_err MATCHES "fault space")
   message(FATAL_ERROR "--ranks 1: expected exit 2, got ${ranks_code}: "
                       "${ranks_err}")
+endif()
+
+# 2^32 + 2 does not fit an int; it must not wrap to a 2-rank sweep.
+execute_process(
+  COMMAND ${MELCHECK} --ranks 4294967298 --schedules 1
+  RESULT_VARIABLE wide_code
+  OUTPUT_VARIABLE wide_out
+  ERROR_VARIABLE wide_err)
+if(NOT wide_code EQUAL 2 OR wide_out MATCHES "schedules clean"
+   OR NOT wide_err MATCHES "4294967298")
+  message(FATAL_ERROR "--ranks 4294967298: expected exit 2, got ${wide_code}: "
+                      "${wide_err}")
 endif()
 
 # A malformed number is a usage error, not the readable prefix of it
@@ -115,4 +128,24 @@ endif()
 if(NOT bug_err MATCHES "melsim --algo match --model")
   message(FATAL_ERROR "planted bug: reproduction line must be melsim flags: "
                       "${bug_err}")
+endif()
+
+# The reproduction line must rebuild melcheck's graph: melsim's input line
+# reports the same |V| and |E| as melcheck's header.
+string(REGEX MATCH "\\|V\\|=[0-9]+ \\|E\\|=[0-9]+" check_graph "${bug_out}")
+if(NOT check_graph)
+  message(FATAL_ERROR "planted bug: no |V|/|E| in melcheck's header: ${bug_out}")
+endif()
+string(REGEX MATCH "melsim (--algo match[^\n]*)" repro_line "${bug_err}")
+separate_arguments(repro_args UNIX_COMMAND "${CMAKE_MATCH_1}")
+execute_process(
+  COMMAND ${MELSIM} ${repro_args}
+  RESULT_VARIABLE repro_code
+  OUTPUT_VARIABLE repro_out
+  ERROR_VARIABLE repro_err)
+string(REGEX MATCH "\\|V\\|=[0-9]+ \\|E\\|=[0-9]+" sim_graph "${repro_out}")
+if(NOT repro_code EQUAL 0 OR NOT sim_graph STREQUAL check_graph)
+  message(FATAL_ERROR "reproduction line: melsim exited ${repro_code} with "
+                      "'${sim_graph}', melcheck had '${check_graph}': "
+                      "${repro_line} ${repro_err}")
 endif()

@@ -308,3 +308,23 @@ endif()
 if(huge_out MATCHES "input:")
   message(FATAL_ERROR "2^40-vertex mtx: a graph was built")
 endif()
+
+# Generator inputs: 32 SBP blocks over 100 vertices leave trailing blocks
+# empty and must still build, and a negative edge count is refused by the
+# generator's name instead of failing inside std::vector::reserve.
+execute_process(
+  COMMAND ${MELSIM} --model NSR --ranks 4 --gen sbp --verts 100
+  RESULT_VARIABLE sbp_code
+  OUTPUT_VARIABLE sbp_out
+  ERROR_VARIABLE sbp_err)
+if(NOT sbp_code EQUAL 0 OR NOT sbp_out MATCHES "input: \\|V\\|=100 ")
+  message(FATAL_ERROR "--gen sbp --verts 100: expected exit 0, got ${sbp_code}: ${sbp_err}")
+endif()
+execute_process(
+  COMMAND ${MELSIM} --model NSR --ranks 4 --gen er --verts 50 --edges -3
+  RESULT_VARIABLE neg_code
+  OUTPUT_VARIABLE neg_out
+  ERROR_VARIABLE neg_err)
+if(NOT neg_code EQUAL 2 OR NOT neg_err MATCHES "erdos_renyi")
+  message(FATAL_ERROR "--edges -3: expected exit 2 naming erdos_renyi, got ${neg_code}: ${neg_err}")
+endif()

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -113,16 +114,21 @@ struct Schedule {
   bool has_wire() const { return loss != 0.0 || dup != 0.0 || corrupt != 0.0; }
 
   /// Render as flags melsim accepts verbatim (the reproduction recipe
-  /// printed with a violation).
-  std::string melsim_flags(int ranks, VertexId verts,
-                           mel::graph::EdgeId edges) const {
+  /// printed with a violation). `verts`, `edges` and `seed` are the
+  /// generator's requested inputs, not the built graph's deduplicated
+  /// counts, so melsim rebuilds the very same graph.
+  std::string melsim_flags(int ranks, VertexId verts, mel::graph::EdgeId edges,
+                           std::uint64_t seed) const {
     char buf[512];
     int n = std::snprintf(buf, sizeof buf,
                           "--algo match --model %s --ranks %d --gen er "
-                          "--verts %lld --edges %lld --chaos-seed %llu",
+                          "--verts %lld --edges %lld --seed %lld "
+                          "--chaos-seed %llu",
                           mel::match::model_name(model), ranks,
                           static_cast<long long>(verts),
                           static_cast<long long>(edges),
+                          // melsim reads --seed as a signed integer
+                          static_cast<long long>(seed),
                           static_cast<unsigned long long>(chaos_seed));
     std::string out(buf, static_cast<std::size_t>(n));
     auto add = [&out, &buf](const char* fmt, auto... args) {
@@ -328,7 +334,7 @@ Schedule minimize(Schedule s, const mel::graph::Csr& g,
 int run(const mel::util::Cli& cli) {
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const auto schedules_arg = cli.get_int("schedules", 64);
-  const int ranks = static_cast<int>(cli.get_int("ranks", 6));
+  const auto ranks_arg = cli.get_int("ranks", 6);
   const auto verts = static_cast<VertexId>(cli.get_int("verts", 240));
   const auto edges = static_cast<mel::graph::EdgeId>(
       cli.get_int("edges", 1200));
@@ -341,10 +347,14 @@ int run(const mel::util::Cli& cli) {
                                 std::to_string(schedules_arg));
   }
   const auto schedules = static_cast<std::size_t>(schedules_arg);
-  if (ranks < 2) {
+  if (ranks_arg < 2 || ranks_arg > std::numeric_limits<int>::max()) {
     throw std::invalid_argument(
-        "--ranks must be >= 2 (a one-rank job has no fault space)");
+        "--ranks must be between 2 and " +
+        std::to_string(std::numeric_limits<int>::max()) +
+        " (a one-rank job has no fault space), got " +
+        std::to_string(ranks_arg));
   }
+  const int ranks = static_cast<int>(ranks_arg);
   std::vector<mel::match::Model> models;
   if (cli.has("models")) {
     const std::string text = cli.get("models", "");
@@ -430,7 +440,7 @@ int run(const mel::util::Cli& cli) {
                  mv.ok ? "minimization raced — reporting original"
                        : mv.violated.c_str(),
                  (mv.ok ? *first_bad : m)
-                     .melsim_flags(ranks, g.nverts(), g.nedges())
+                     .melsim_flags(ranks, verts, edges, seed)
                      .c_str());
     return 1;
   }

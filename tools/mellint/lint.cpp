@@ -4,6 +4,7 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -1004,100 +1005,14 @@ std::vector<std::string> collect_files(const std::vector<std::string>& paths,
   return {out.begin(), out.end()};
 }
 
-// ---------------------------------------------------------------------------
-// Baseline.
-// ---------------------------------------------------------------------------
-
-Baseline baseline_from_findings(const std::vector<Finding>& findings) {
-  Baseline b;
-  for (const Finding& f : findings) {
-    if (f.rule == kRuleBadSuppression) continue;  // never grandfather these
-    ++b.counts[{f.file, f.rule}];
-  }
-  return b;
-}
-
-std::string baseline_to_json(const Baseline& b) {
-  std::ostringstream out;
-  out << "{\n  \"version\": 1,\n  \"entries\": [";
-  bool first = true;
-  for (const auto& [key, count] : b.counts) {
-    out << (first ? "\n" : ",\n");
-    first = false;
-    out << "    {\"file\": \"" << obs::json_escape(key.first)
-        << "\", \"rule\": \"" << obs::json_escape(key.second)
-        << "\", \"count\": " << count << "}";
-  }
-  out << (first ? "]\n}\n" : "\n  ]\n}\n");
-  return out.str();
-}
-
-Baseline baseline_from_json(std::string_view text) {
-  const obs::json::Value root = obs::json::parse(text);
-  if (root.kind != obs::json::Value::Kind::kObject) {
-    throw std::runtime_error("baseline: top level must be an object");
-  }
-  const obs::json::Value* entries = root.find("entries");
-  if (entries == nullptr ||
-      entries->kind != obs::json::Value::Kind::kArray) {
-    throw std::runtime_error("baseline: missing \"entries\" array");
-  }
-  Baseline b;
-  for (const obs::json::Value& e : entries->array) {
-    if (e.kind != obs::json::Value::Kind::kObject) {
-      throw std::runtime_error("baseline: entry is not an object");
-    }
-    const obs::json::Value* file = e.find("file");
-    const obs::json::Value* rule = e.find("rule");
-    const obs::json::Value* count = e.find("count");
-    if (file == nullptr || rule == nullptr || count == nullptr ||
-        file->kind != obs::json::Value::Kind::kString ||
-        rule->kind != obs::json::Value::Kind::kString ||
-        count->kind != obs::json::Value::Kind::kNumber) {
-      throw std::runtime_error(
-          "baseline: entry needs string \"file\", string \"rule\", "
-          "number \"count\"");
-    }
-    if (canonical_rule(rule->string).empty()) {
-      throw std::runtime_error("baseline: unknown rule '" + rule->string +
-                               "'");
-    }
-    b.counts[{file->string, canonical_rule(rule->string)}] +=
-        static_cast<int>(count->as_int());
-  }
-  return b;
-}
-
-int apply_baseline(std::vector<Finding>& findings, const Baseline& b) {
-  std::map<std::pair<std::string, std::string>, int> budget = b.counts;
-  // Findings within a file are already line-sorted by lint_source; walk
-  // in order so the *earliest* findings are the grandfathered ones.
-  int marked = 0;
-  for (Finding& f : findings) {
-    if (f.rule == kRuleBadSuppression) continue;
-    const auto it = budget.find({f.file, f.rule});
-    if (it == budget.end() || it->second <= 0) continue;
-    --it->second;
-    f.baselined = true;
-    ++marked;
-  }
-  return marked;
-}
-
 std::string findings_to_json(const std::vector<Finding>& findings,
                              int files_scanned) {
-  int reported = 0, baselined = 0;
-  for (const Finding& f : findings) {
-    (f.baselined ? baselined : reported) += 1;
-  }
   std::ostringstream out;
   out << "{\n  \"tool\": \"mellint\",\n  \"version\": 1,\n"
       << "  \"files_scanned\": " << files_scanned << ",\n"
-      << "  \"reported\": " << reported << ",\n"
-      << "  \"baselined\": " << baselined << ",\n  \"findings\": [";
+      << "  \"reported\": " << findings.size() << ",\n  \"findings\": [";
   bool first = true;
   for (const Finding& f : findings) {
-    if (f.baselined) continue;
     out << (first ? "\n" : ",\n");
     first = false;
     out << "    {\"file\": \"" << obs::json_escape(f.file)

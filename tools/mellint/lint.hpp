@@ -39,10 +39,8 @@
 // lint.cpp) and buys a tool that builds anywhere the tree builds.
 #pragma once
 
-#include <map>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace mel::lint {
@@ -73,7 +71,6 @@ struct Finding {
   int line = 0;         ///< 1-based
   std::string rule;     ///< canonical rule id
   std::string message;  ///< human diagnostic (no file:line prefix)
-  bool baselined = false;  ///< grandfathered by the baseline, not reported
 };
 
 struct Options {
@@ -106,26 +103,6 @@ std::vector<Finding> lint_files(const std::vector<std::string>& files,
 /// Nonexistent paths produce a diagnostic in `errors`.
 std::vector<std::string> collect_files(const std::vector<std::string>& paths,
                                        std::vector<std::string>* errors);
-
-// -- Baseline ----------------------------------------------------------------
-//
-// The baseline grandfathers pre-existing findings so the gate can be
-// turned on before the tree is fully clean. It stores per-(file, rule)
-// allowance *counts* rather than line numbers, so unrelated edits that
-// shift lines do not churn it; regenerate with `mellint --write-baseline`.
-
-struct Baseline {
-  std::map<std::pair<std::string, std::string>, int> counts;
-};
-
-Baseline baseline_from_findings(const std::vector<Finding>& findings);
-std::string baseline_to_json(const Baseline& b);
-/// Throws std::runtime_error on malformed input.
-Baseline baseline_from_json(std::string_view text);
-
-/// Mark up to `count` findings per (file, rule) as baselined, lowest
-/// lines first. Returns the number of findings marked.
-int apply_baseline(std::vector<Finding>& findings, const Baseline& b);
 
 // -- Output ------------------------------------------------------------------
 

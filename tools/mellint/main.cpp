@@ -1,10 +1,9 @@
 // mellint CLI — see lint.hpp for the rule set and suppression syntax.
 //
-// Exit codes: 0 clean (or every finding baselined), 1 findings reported,
-// 2 usage / IO error. CI runs `mellint --json src tools bench` as a gate.
+// Exit codes: 0 clean, 1 findings reported, 2 usage / IO error. CI runs
+// `mellint --json src tools bench` as a gate.
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,12 +24,6 @@ int usage(std::FILE* to) {
       "options:\n"
       "  --json                 machine-readable report on stdout\n"
       "  --rules <r1,r2,...>    run only these rules (ids or R1..R5)\n"
-      "  --baseline <file>      grandfather findings listed in <file>\n"
-      "                         (default: tools/mellint/baseline.json\n"
-      "                         when it exists under the current dir)\n"
-      "  --no-baseline          ignore any baseline\n"
-      "  --write-baseline <f>   write current findings as the new baseline\n"
-      "                         and exit 0\n"
       "  --list-rules           print the rule table and exit\n"
       "  --help                 this text\n"
       "\n"
@@ -48,9 +41,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> paths;
   lint::Options opts;
   bool json = false;
-  bool no_baseline = false;
-  std::string baseline_path;
-  std::string write_baseline_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -64,12 +54,6 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") return usage(stdout);
     if (arg == "--json") {
       json = true;
-    } else if (arg == "--no-baseline") {
-      no_baseline = true;
-    } else if (arg == "--baseline") {
-      baseline_path = value("--baseline");
-    } else if (arg == "--write-baseline") {
-      write_baseline_path = value("--write-baseline");
     } else if (arg == "--rules") {
       std::stringstream ss(value("--rules"));
       std::string name;
@@ -101,54 +85,12 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> errors;
   const std::vector<std::string> files = lint::collect_files(paths, &errors);
-  std::vector<lint::Finding> findings = lint::lint_files(files, opts, &errors);
+  const std::vector<lint::Finding> findings =
+      lint::lint_files(files, opts, &errors);
   for (const std::string& e : errors) {
     std::fprintf(stderr, "mellint: %s\n", e.c_str());
   }
   if (!errors.empty()) return 2;
-
-  if (!write_baseline_path.empty()) {
-    const lint::Baseline b = lint::baseline_from_findings(findings);
-    std::ofstream out(write_baseline_path, std::ios::binary);
-    out << lint::baseline_to_json(b);
-    if (!out) {
-      std::fprintf(stderr, "mellint: cannot write %s\n",
-                   write_baseline_path.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "mellint: wrote %zu baseline entries to %s\n",
-                 b.counts.size(), write_baseline_path.c_str());
-    return 0;
-  }
-
-  if (!no_baseline) {
-    if (baseline_path.empty()) {
-      const char* kDefault = "tools/mellint/baseline.json";
-      if (std::filesystem::exists(kDefault)) baseline_path = kDefault;
-    }
-    if (!baseline_path.empty()) {
-      std::ifstream in(baseline_path, std::ios::binary);
-      if (!in) {
-        std::fprintf(stderr, "mellint: cannot read baseline %s\n",
-                     baseline_path.c_str());
-        return 2;
-      }
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      try {
-        lint::apply_baseline(findings, lint::baseline_from_json(ss.str()));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "mellint: bad baseline %s: %s\n",
-                     baseline_path.c_str(), e.what());
-        return 2;
-      }
-    }
-  }
-
-  int reported = 0, baselined = 0;
-  for (const lint::Finding& f : findings) {
-    (f.baselined ? baselined : reported) += 1;
-  }
 
   if (json) {
     std::fputs(
@@ -157,13 +99,11 @@ int main(int argc, char** argv) {
         stdout);
   } else {
     for (const lint::Finding& f : findings) {
-      if (f.baselined) continue;
       std::printf("%s:%d: [%s] %s\n", f.file.c_str(), f.line, f.rule.c_str(),
                   f.message.c_str());
     }
-    std::printf(
-        "mellint: %zu files, %d finding%s reported, %d baselined\n",
-        files.size(), reported, reported == 1 ? "" : "s", baselined);
+    std::printf("mellint: %zu files, %zu finding%s reported\n", files.size(),
+                findings.size(), findings.size() == 1 ? "" : "s");
   }
-  return reported == 0 ? 0 : 1;
+  return findings.empty() ? 0 : 1;
 }
