@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "mel/prof/prof.hpp"
-#include "mel/util/buffer.hpp"
 #include "mel/util/log.hpp"
 #include "mel/util/rng.hpp"
 
@@ -270,7 +269,15 @@ void Simulator::sharded_schedule(Rank rank, Time t, EventFn fn) {
   }
   // Before the run, or from a deferred action replayed at merge: the call
   // is globally ordered already, so the sequence is final. The event
-  // reaches its shard's queue before the next window.
+  // reaches its shard's queue before the next window, so one placed inside
+  // the window just merged would run after later-timed events.
+  if (engine_ != nullptr && t < engine_->w_end) {
+    std::ostringstream os;
+    os << "Simulator: a merge-time event for rank " << rank << " at t=" << t
+       << "ns lands before the end t=" << engine_->w_end
+       << "ns of the window it was scheduled from";
+    throw std::logic_error(os.str());
+  }
   staged_.push_back(Staged{rank, t, global_seq_++, std::move(fn)});
 }
 
@@ -493,9 +500,6 @@ void Simulator::run_sharded() {
     e.shards.push_back(std::move(s));
   }
   distribute_staged();
-  // Message buffers are allocated on one shard and released on another;
-  // gate the shared pool behind its mutex for the duration of the run.
-  const util::BufferPoolThreadGuard pool_guard;
 
   std::barrier start_bar(e.nshards);
   std::barrier end_bar(e.nshards);

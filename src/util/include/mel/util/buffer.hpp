@@ -11,13 +11,20 @@
 // slices. Writers that need to mutate a shared payload (the fault
 // injector's byte flip) clone first: copy-on-write, never in-place.
 //
-// The pool is process-global. The refcount is atomic (a Buffer handed to a
-// cross-shard delivery closure is released on a different worker thread in
-// the simulator's sharded mode), but the free lists stay unlocked in the
-// default single-threaded configuration: the sharded run loop brackets
-// itself with a BufferPoolThreadGuard, and only while such a guard is live
-// do alloc/release take the pool mutex. Sequential runs pay one relaxed
-// atomic load per pool operation and nothing else.
+// Free blocks live in a cache per thread, backed by one shared pool. alloc
+// pops from the calling thread's cache and the final release pushes onto
+// it, with no lock and no shared atomic: the block's refcount is the only
+// atomic, because the sharded simulator releases a payload on another
+// worker thread than the one that allocated it. Caches trade whole batches
+// with the shared pool under its mutex: an empty cache takes one batch
+// before it calls operator new, and a cache holding two batches of a size
+// class hands the older one back. A batch is at most 64 blocks and 64 KiB,
+// and at least one block, so one thread parks little memory, and blocks
+// that one thread frees and another allocates travel back through the
+// shared pool. A thread's cache is flushed to the shared pool when the
+// thread exits, and a release after that goes to the shared pool directly.
+// The shared pool is never destroyed, so it outlives every Buffer. There
+// is no gate: the pool is safe from any thread at any time.
 #pragma once
 
 #include <atomic>
@@ -90,18 +97,20 @@ class Buffer {
     return __builtin_memcmp(a.data(), b.data(), a.size()) == 0;
   }
 
-  // -- Pool introspection (tests, --host-profile) ---------------------------
+  // -- Pool introspection -----------------------------------------------------
+  /// Counters of the calling thread, plus the free blocks parked in its
+  /// cache and in the shared pool.
   struct PoolStats {
-    std::uint64_t allocs = 0;      // blocks handed out
-    std::uint64_t pool_hits = 0;   // ... of which came from a free list
-    std::uint64_t oversized = 0;   // > max size class, malloc'd directly
-    std::uint64_t live_blocks = 0; // handed out and not yet released
-    std::uint64_t free_blocks = 0; // parked on free lists
+    std::uint64_t allocs = 0;       // blocks handed out
+    std::uint64_t pool_hits = 0;    // ... of which came from a free list
+    std::uint64_t oversized = 0;    // > max size class, malloc'd directly
+    std::uint64_t free_blocks = 0;  // parked in this cache + the shared pool
   };
   static PoolStats pool_stats();
 
-  /// Release every block parked on the free lists back to the allocator
-  /// (test hygiene; live blocks are unaffected).
+  /// Return every block parked in the calling thread's cache and in the
+  /// shared pool to the allocator. Live blocks and other threads' caches
+  /// are unaffected.
   static void trim_pool();
 
  private:
@@ -132,18 +141,6 @@ class Buffer {
   explicit Buffer(Block* b) noexcept : block_(b) {}
 
   Block* block_ = nullptr;
-};
-
-/// RAII gate making the buffer pool's free lists safe for concurrent
-/// alloc/release. The sharded simulator holds one for the duration of a
-/// multi-threaded run; while any guard is live, pool operations take an
-/// internal mutex. Guards nest (the gate is a counter).
-class BufferPoolThreadGuard {
- public:
-  BufferPoolThreadGuard();
-  ~BufferPoolThreadGuard();
-  BufferPoolThreadGuard(const BufferPoolThreadGuard&) = delete;
-  BufferPoolThreadGuard& operator=(const BufferPoolThreadGuard&) = delete;
 };
 
 }  // namespace mel::util

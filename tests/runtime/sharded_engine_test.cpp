@@ -168,6 +168,37 @@ TEST(ShardedEngine, CrossShardPushInsideTheWindowThrows) {
   }
 }
 
+// A deferred body replayed at the merge is globally ordered, so it may
+// schedule for any rank, but not inside the window just merged: rank 1 has
+// already run its t=50 event, and an event at t=10 would run a window late.
+// The merge must refuse it on either shard.
+TEST(ShardedEngine, MergeTimeScheduleInsideTheWindowThrows) {
+  for (const Rank target : {0, 1}) {
+    Simulator s(2);
+    s.set_threads(2);
+    s.limit_lookahead(100);
+    s.spawn(0, noop_rank());
+    s.spawn(1, noop_rank());
+    s.schedule_for(1, 50, [] {});
+    s.schedule_for(0, 0, [&s, target] {
+      s.defer([&s, target] { s.schedule_for(target, 10, [] {}); });
+    });
+    try {
+      s.run();
+      ADD_FAILURE() << "a merge-time event inside the window ran to "
+                       "completion, target rank "
+                    << target;
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("rank " + std::to_string(target)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("t=10ns"), std::string::npos) << what;
+      EXPECT_NE(what.find("t=100ns"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(ShardedEngine, SetThreadsValidation) {
   Simulator s(4);
   EXPECT_THROW(s.set_threads(0), std::invalid_argument);

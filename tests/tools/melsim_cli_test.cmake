@@ -4,7 +4,8 @@
 #   * --fault-crash rejects out-of-range ranks, non-positive times, and
 #     malformed R@NS pairs at parse time (exit 2, --help pointer),
 #   * --ft-recovery rejects unknown strategies the same way,
-#   * malformed numbers and --ranks 0 are rejected the same way,
+#   * malformed numbers, --ranks 0, integers too wide for their field and a
+#     negative --watchdog-horizon are rejected the same way,
 #   * --algo, and the model, --root and match-only flags BFS and coloring
 #     get, are checked the same way,
 #   * --matrix writes the comm matrix for every algorithm, and an
@@ -150,8 +151,28 @@ expect_crash_rejected("exponent edge count" "--edges: expected an integer"
                       --edges 1e4)
 expect_crash_rejected("non-numeric verts" "--verts: expected an integer"
                       --verts abc)
-expect_crash_rejected("zero ranks" "--ranks: expected a positive rank count"
+expect_crash_rejected("zero ranks" "--ranks: must be between 1 and 2147483647"
                       --ranks 0)
+
+# Integer flags are range-checked before they are narrowed: each of these
+# used to wrap silently (4294967298 retries ran as 2, 4294967297
+# stragglers as 1, rmat scale 4294967306 as 10, dataset scale 4294967294
+# as -2), and a negative horizon quietly turned the watchdog off.
+expect_crash_rejected("wrapping retry max"
+                      "--ft-retry-max: must be between 0 and 2147483647"
+                      --ft-retry-max 4294967298)
+expect_crash_rejected("wrapping stragglers"
+                      "--chaos-stragglers: must be between 0 and 2147483647"
+                      --chaos-stragglers 4294967297)
+expect_crash_rejected("wrapping rmat scale"
+                      "--gen-scale: must be between 1 and 2147483647"
+                      --gen rmat --gen-scale 4294967306)
+expect_crash_rejected("wrapping dataset scale"
+                      "--scale: must be between -2147483648 and 2147483647"
+                      --dataset HILO-1 --scale 4294967294)
+expect_crash_rejected("negative watchdog horizon"
+                      "--watchdog-horizon: must be between 0 and"
+                      --watchdog-horizon -5)
 
 # Observability output paths are probed for writability up front: an
 # unwritable --trace/--metrics-jsonl destination is a usage error, not a

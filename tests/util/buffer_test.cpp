@@ -1,11 +1,12 @@
-// Buffer / pool semantics: aliasing, refcounting, copy-on-write and
-// free-list reuse. Runs under ASan in CI, which is the real teeth of the
-// aliasing checks — a double free or use-after-release in the pool shows
-// up here first.
+// Buffer / pool semantics: aliasing, refcounting, copy-on-write, free-list
+// reuse and blocks that change threads. Runs under ASan and TSan in CI,
+// which are the real teeth of these checks — a double free, a
+// use-after-release or a race in the pool shows up here first.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "mel/util/buffer.hpp"
@@ -126,6 +127,34 @@ TEST(Buffer, OversizedBypassesPool) {
   const auto after = Buffer::pool_stats();
   EXPECT_EQ(after.oversized - before.oversized, 1u);
   EXPECT_EQ(after.free_blocks, 0u);  // went straight back to the heap
+}
+
+// A thread's cache is flushed to the shared pool when the thread exits,
+// and blocks released on another thread get back to allocating threads
+// through it. Of 1000 blocks freed here, this thread's cache keeps fewer
+// than two batches (at most 64 blocks each); a new thread reuses the rest.
+// Once both threads have exited, every block either allocated is parked
+// in this thread's cache or the shared pool.
+TEST(Buffer, BlocksOutliveTheThreadThatAllocatedThem) {
+  constexpr int kBlocks = 1000;
+  constexpr int kMaxBatchBlocks = 64;
+  Buffer::trim_pool();
+  std::vector<Buffer> blocks;
+  std::thread([&blocks] {
+    for (int i = 0; i < kBlocks; ++i) blocks.push_back(Buffer::alloc(8));
+  }).join();
+  blocks.clear();
+  std::uint64_t hits = 0;
+  std::thread([&hits] {
+    const auto before = Buffer::pool_stats();
+    std::vector<Buffer> again;
+    for (int i = 0; i < kBlocks; ++i) again.push_back(Buffer::alloc(8));
+    hits = Buffer::pool_stats().pool_hits - before.pool_hits;
+  }).join();
+  EXPECT_GE(hits, static_cast<std::uint64_t>(kBlocks - 2 * kMaxBatchBlocks));
+  EXPECT_EQ(Buffer::pool_stats().free_blocks, 2 * kBlocks - hits);
+  Buffer::trim_pool();
+  EXPECT_EQ(Buffer::pool_stats().free_blocks, 0u);
 }
 
 TEST(Buffer, RefcountSurvivesManyAliases) {

@@ -145,6 +145,23 @@ void check_algo(const std::string& algo, match::Model model,
   }
 }
 
+/// Integer flag `name` (or `fallback` when absent), required to lie in
+/// [lo, hi], which defaults to the range of T: an out-of-range value is a
+/// usage error naming the flag, never one silently narrowed to fit.
+template <class T = int>
+T int_flag(const util::Cli& cli, const char* name, std::int64_t fallback,
+           std::int64_t lo = std::numeric_limits<T>::min(),
+           std::int64_t hi = std::numeric_limits<T>::max()) {
+  const std::int64_t v = cli.get_int(name, fallback);
+  if (v < lo || v > hi) {
+    throw std::invalid_argument(std::string("--") + name +
+                                ": must be between " + std::to_string(lo) +
+                                " and " + std::to_string(hi) + ", got " +
+                                std::to_string(v));
+  }
+  return static_cast<T>(v);
+}
+
 /// Parse --root: a vertex id, checked against |V| once the graph is
 /// loaded. An out-of-range root would leave every vertex unreachable and
 /// still compare equal to the serial BFS.
@@ -273,12 +290,7 @@ ft::Recovery parse_recovery(const std::string& name) {
 match::RunConfig parse_config(const util::Cli& cli, int ranks) {
   match::RunConfig cfg;
   cfg.collect_matrix = cli.has("matrix");
-  const auto threads = cli.get_int("threads", 1);
-  if (threads < 1 || threads > 1024) {
-    throw std::invalid_argument("--threads: must be between 1 and 1024, got " +
-                                std::to_string(threads));
-  }
-  cfg.threads = static_cast<int>(threads);
+  cfg.threads = int_flag(cli, "threads", 1, 1, 1024);
   cfg.sample_interval_ns = cli.get_int("sample-interval", 100000);
   if (cfg.sample_interval_ns < 1) {
     // A zero or negative period would make the sampler spin forever (or
@@ -287,14 +299,14 @@ match::RunConfig parse_config(const util::Cli& cli, int ranks) {
         "--sample-interval: must be a positive ns period, got " +
         std::to_string(cfg.sample_interval_ns));
   }
-  cfg.watchdog_horizon = cli.get_int("watchdog-horizon", 0);
+  cfg.watchdog_horizon = int_flag<sim::Time>(cli, "watchdog-horizon", 0, 0);
   if (cli.has("intra-node-params")) {
     parse_intra_node(cli.get("intra-node-params", ""), cfg.net);
   }
   chaos::Config& chaos = cfg.net.chaos;
   chaos.seed = static_cast<std::uint64_t>(cli.get_int("chaos-seed", 1));
   chaos.latency_jitter = cli.get_double("chaos-jitter", 0.0);
-  chaos.stragglers = static_cast<int>(cli.get_int("chaos-stragglers", 0));
+  chaos.stragglers = int_flag(cli, "chaos-stragglers", 0, 0);
   chaos.straggler_slowdown = cli.get_double("chaos-straggler-slow", 1.0);
   chaos.collective_skew = cli.get_int("chaos-coll-skew", 0);
   chaos.loss = cli.get_double("fault-loss", 0.0);
@@ -304,8 +316,7 @@ match::RunConfig parse_config(const util::Cli& cli, int ranks) {
     chaos.crashes = parse_crashes(cli.get("fault-crash", ""), ranks);
   }
   cfg.ft.enabled = cli.get_bool("ft", false);
-  cfg.ft.retry_max =
-      static_cast<int>(cli.get_int("ft-retry-max", cfg.ft.retry_max));
+  cfg.ft.retry_max = int_flag(cli, "ft-retry-max", cfg.ft.retry_max, 0);
   cfg.ft.checkpoint_ns = cli.get_int("ft-checkpoint-ns", cfg.ft.checkpoint_ns);
   if (cli.has("ft-recovery")) {
     cfg.ft.recovery = parse_recovery(cli.get("ft-recovery", ""));
@@ -320,8 +331,7 @@ graph::Csr load_graph(const util::Cli& cli) {
   if (cli.has("mtx")) return graph::read_matrix_market_file(cli.get("mtx", ""));
   if (cli.has("bin")) return graph::read_binary_file(cli.get("bin", ""));
   if (cli.has("dataset")) {
-    return gen::find_dataset(cli.get("dataset", ""),
-                             static_cast<int>(cli.get_int("scale", 0)),
+    return gen::find_dataset(cli.get("dataset", ""), int_flag(cli, "scale", 0),
                              static_cast<std::uint64_t>(cli.get_int("seed", 1)))
         .build();
   }
@@ -329,7 +339,7 @@ graph::Csr load_graph(const util::Cli& cli) {
   const auto n = cli.get_int("verts", 1 << 15);
   const auto m = cli.get_int("edges", n * 16);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const int gscale = static_cast<int>(cli.get_int("gen-scale", 14));
+  const int gscale = int_flag(cli, "gen-scale", 14, 1);
   if (kind == "rmat") return gen::rmat(gscale, 16, seed);
   if (kind == "rgg") {
     return gen::random_geometric(n, gen::rgg_radius_for_degree(n, 24.0), seed);
@@ -347,13 +357,7 @@ int run(const util::Cli& cli) {
   const auto model = match::parse_model(cli.get("model", "NCL"));
   check_algo(algo, model, cli);
   const graph::VertexId root = parse_root(cli.get("root", "0"));
-  const auto nranks = cli.get_int("ranks", 64);
-  if (nranks < 1 || nranks > std::numeric_limits<int>::max()) {
-    throw std::invalid_argument(
-        "--ranks: expected a positive rank count, got " +
-        std::to_string(nranks));
-  }
-  const int ranks = static_cast<int>(nranks);
+  const int ranks = int_flag(cli, "ranks", 64, 1);
   const bool csv = cli.get_bool("csv", false);
   match::RunConfig cfg = parse_config(cli, ranks);
   for (const char* flag : {"trace", "metrics-jsonl", "matrix"}) {
