@@ -86,13 +86,13 @@ void BM_NeighborAlltoall(benchmark::State& state) {
     sim::Simulator s(p);
     net::Params np;
     mpi::Machine m(s, net::Network(p, np));
+    std::vector<std::vector<sim::Rank>> topo(p);
     for (sim::Rank r = 0; r < p; ++r) {
-      std::vector<sim::Rank> nbrs;
       for (sim::Rank x = 0; x < p; ++x) {
-        if (x != r) nbrs.push_back(x);
+        if (x != r) topo[r].push_back(x);
       }
-      m.set_topology(r, std::move(nbrs));
     }
+    m.set_topology(std::move(topo));
     for (sim::Rank r = 0; r < p; ++r) s.spawn(r, ncl_rounds(m.comm(r), 32));
     s.run();
   }
@@ -220,9 +220,11 @@ SuiteRow suite_neighbor_1k() {
   row.name = "neighbor_1k";
   sim::Simulator s(kRanks);
   mpi::Machine m(s, net::Network(kRanks, net::Params{}));
+  std::vector<std::vector<sim::Rank>> topo(kRanks);
   for (sim::Rank r = 0; r < kRanks; ++r) {
-    m.set_topology(r, {(r + 1) % kRanks, (r + kRanks - 1) % kRanks});
+    topo[r] = {(r + 1) % kRanks, (r + kRanks - 1) % kRanks};
   }
+  m.set_topology(std::move(topo));
   for (sim::Rank r = 0; r < kRanks; ++r) {
     s.spawn(r, ncl_rounds(m.comm(r), kRounds));
   }

@@ -85,6 +85,16 @@ struct Config {
   }
 };
 
+/// Pack a (src, dst, tag) channel id into one key, 21 bits each. Chaos
+/// fates and the reliable transport's timers hash it, so the packing is
+/// part of every seeded schedule. Ranks are bounded by the machine size;
+/// send tags by mpi::kTagUb, and the transport's synthetic tags by 2^21.
+inline std::uint64_t channel_key(Rank src, Rank dst, int tag) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 42) |
+         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 21) |
+         static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag) & 0x1fffff);
+}
+
 /// Stateful but deterministic perturbation source. One per Machine.
 class Engine {
  public:

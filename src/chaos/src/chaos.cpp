@@ -9,19 +9,6 @@
 
 namespace mel::chaos {
 
-namespace {
-
-/// Pack a (src, dst, tag) channel id into one map key. Ranks are bounded
-/// by the machine size and tags are small non-negative ints, so 21 bits
-/// each is far more than enough.
-std::uint64_t channel_key(Rank src, Rank dst, int tag) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 42) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 21) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag) & 0x1fffff);
-}
-
-}  // namespace
-
 Engine::Engine(const Config& config, int nranks)
     : cfg_(config), nranks_(nranks), straggler_(static_cast<std::size_t>(nranks), 0) {
   if (nranks <= 0) throw std::invalid_argument("chaos::Engine: nranks must be > 0");

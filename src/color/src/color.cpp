@@ -6,6 +6,7 @@
 #include <set>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "mel/match/exchange.hpp"
 #include "mel/util/rng.hpp"
@@ -101,14 +102,16 @@ struct JpState {
   /// the row's vertex, else -1 (the row never waits for it).
   std::vector<std::int32_t> slot;
   std::vector<graph::EdgeId> cursor;  // per local vertex: next unsettled entry
-  std::vector<VertexId> told;         // per rank: last vertex that pushed to it
+  /// Per neighbor rank (as in lg.neighbor_ranks): the last vertex that
+  /// pushed to it.
+  std::vector<VertexId> told;
   std::int64_t uncolored;
 
-  JpState(const LocalGraph& local, const Distribution& dist)
+  explicit JpState(const LocalGraph& local)
       : lg(local),
         nlocal(local.nlocal()),
         cursor(local.offsets.begin(), local.offsets.end() - 1),
-        told(static_cast<std::size_t>(dist.nranks()), -1),
+        told(local.neighbor_ranks.size(), -1),
         uncolored(local.nlocal()) {
     for (const graph::Adj& a : lg.adj) {
       if (!lg.owns(a.to)) ghosts.push_back(a.to);
@@ -170,8 +173,7 @@ struct JpState {
           const VertexId u = lg.adj[i].to;
           if (lg.owns(u)) continue;
           const Rank owner = dist.owner(u);
-          if (told[owner] == v) continue;
-          told[owner] = v;
+          if (std::exchange(told[lg.neighbor_index(owner)], v) == v) continue;
           ex.push(owner, ColorMsg{v, colors[lv]});
         }
       }
@@ -190,7 +192,7 @@ sim::RankTask jp_rank(Model model, mpi::Comm& comm, const LocalGraph& lg,
   // Send-Recv sends every count first, then the updates in sweep order.
   const auto ex =
       match::make_level_exchange<ColorMsg>(model, comm, lg, /*grouped=*/false);
-  JpState st(lg, dist);
+  JpState st(lg);
   match::Sink<ColorMsg> sink{[&st](const ColorMsg& m) { st.apply(m); }};
   std::int64_t rounds = 0;
   for (;;) {

@@ -94,11 +94,11 @@ class Transport {
   static constexpr std::size_t kAckBytes = kEnvelopeBytes + 8;
 
   /// Synthetic tag spaces for one-sided traffic routed through the
-  /// transport. channel_key packs tags into 21 bits and application p2p
-  /// tags are small, so the high bits keep RMA windows and neighborhood
-  /// collective slices on channels (and chaos fate streams) of their own:
-  /// kRmaTagBase + window id for puts, kCollTag for every collective slice
-  /// on a given (src, dst) pair.
+  /// transport. chaos::channel_key packs tags into 21 bits and the MPI
+  /// layer rejects send tags above mpi::kTagUb (2^20 - 1), so the high
+  /// bits keep RMA windows and neighborhood collective slices on channels
+  /// (and chaos fate streams) of their own: kRmaTagBase + window id for
+  /// puts, kCollTag for every collective slice on a given (src, dst) pair.
   static constexpr int kRmaTagBase = 1 << 20;
   static constexpr int kCollTag = (1 << 20) | (1 << 19);
 

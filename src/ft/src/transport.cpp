@@ -12,13 +12,6 @@ namespace mel::ft {
 
 namespace {
 
-/// Same packing as the chaos engine's channel key: 21 bits each.
-std::uint64_t channel_key(Rank src, Rank dst, int tag) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 42) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 21) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag) & 0x1fffff);
-}
-
 double unit(std::uint64_t h) {
   return static_cast<double>(util::hash64(h) >> 11) * 0x1.0p-53;
 }
@@ -32,7 +25,7 @@ Transport::Transport(Host& host, sim::Simulator& sim, const net::Network& net,
 }
 
 Transport::Channel& Transport::channel(Rank src, Rank dst, int tag) {
-  auto& ch = channels_[channel_key(src, dst, tag)];
+  auto& ch = channels_[chaos::channel_key(src, dst, tag)];
   if (ch.src < 0) {
     ch.src = src;
     ch.dst = dst;
@@ -183,7 +176,7 @@ Time Transport::rto(const Channel& ch, std::uint64_t seq, int attempt) const {
   double v = static_cast<double>(params_.rto_base) *
              std::pow(params_.rto_backoff, static_cast<double>(e));
   const std::uint64_t h = util::hash_combine(
-      channel_key(ch.src, ch.dst, ch.tag) ^ 0x5bf03635ull,
+      chaos::channel_key(ch.src, ch.dst, ch.tag) ^ 0x5bf03635ull,
       util::hash_combine(seq, static_cast<std::uint64_t>(attempt)));
   v *= 1.0 + params_.rto_jitter * unit(h);
   return static_cast<Time>(v);

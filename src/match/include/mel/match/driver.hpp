@@ -23,7 +23,8 @@ namespace mel::match {
 
 struct RunConfig {
   net::Params net{};
-  /// Keep a copy of the (src, dst) communication matrix (O(p^2) memory).
+  /// Record the (src, dst) communication matrix into RunStats::matrix.
+  /// The Machine allocates it (O(p^2) memory) only when this asks for it.
   bool collect_matrix = false;
   /// Optional per-operation timeline sink (see obs::Recorder).
   mpi::Tracer* tracer = nullptr;
@@ -120,9 +121,6 @@ struct Job {
 
   sim::Simulator simulator;
   mpi::Machine machine;
-
- private:
-  bool collect_matrix_;
 };
 
 /// True for the models the level-synchronous algorithms (BFS, coloring)

@@ -162,13 +162,11 @@ sim::Simulator& configured(sim::Simulator& simulator, const RunConfig& cfg) {
 Job::Job(const graph::DistGraph& dg, const RunConfig& cfg)
     : simulator(dg.nranks()),
       machine(configured(simulator, cfg), net::Network(dg.nranks(), cfg.net),
-              cfg.ft),
-      collect_matrix_(cfg.collect_matrix) {
-  // Distributed-graph process topology from the ghost structure; the
-  // machine validates symmetry before the first neighborhood collective.
-  for (Rank r = 0; r < dg.nranks(); ++r) {
-    machine.set_topology(r, dg.local(r).neighbor_ranks);
-  }
+              cfg.ft) {
+  // Distributed-graph process topology from the ghost structure, checked
+  // and indexed here, before anything runs.
+  machine.set_topology(dg.process_topology());
+  if (cfg.collect_matrix) machine.collect_matrix();
   if (cfg.tracer != nullptr) {
     machine.set_tracer(cfg.tracer);
     if (cfg.sample_interval_ns > 0) {
@@ -193,9 +191,7 @@ void Job::run(const Program& program, RunStats& stats) {
   stats.sim_events = simulator.events_executed();
   stats.trace_hash = simulator.trace_hash();
   stats.totals = machine.total_counters();
-  if (collect_matrix_) {
-    stats.matrix = std::make_unique<mpi::CommMatrix>(machine.matrix());
-  }
+  stats.matrix = machine.take_matrix();
 }
 
 bool supports_levels(Model m) { return m == Model::kNsr || m == Model::kNcl; }

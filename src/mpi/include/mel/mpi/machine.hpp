@@ -6,9 +6,7 @@
 // (comm.hpp), whose awaiters call the "internal" sections below.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -128,17 +126,14 @@ class Machine : public ft::Host {
   /// The per-rank communicator view handed to rank coroutines.
   Comm& comm(Rank rank);
 
-  /// Define the distributed-graph process topology for one rank
-  /// (MPI_Dist_graph_create_adjacent). Must be set before neighborhood
-  /// collectives run, and must be symmetric across ranks; symmetry is
-  /// checked automatically before the first neighborhood collective.
-  void set_topology(Rank rank, std::vector<Rank> neighbors);
+  /// Define the distributed-graph process topology of every rank at once
+  /// (MPI_Dist_graph_create_adjacent), before the run: one neighbor list
+  /// per rank. The call checks it and indexes it: a wrong list count, an
+  /// out-of-range neighbor or a self-loop throws std::invalid_argument; a
+  /// duplicate neighbor or an edge without its reverse throws
+  /// std::logic_error.
+  void set_topology(std::vector<std::vector<Rank>> topology);
   const std::vector<Rank>& topology(Rank rank) const;
-
-  /// Validate topology symmetry (throws std::logic_error on violation).
-  /// Called lazily by the first neighborhood collective after any
-  /// set_topology; callers may still invoke it eagerly to fail early.
-  void validate_topology() const;
 
   /// Allocate an RMA window with the given per-rank sizes in bytes.
   /// Returns the window id used with Comm::window(). Host-side setup;
@@ -148,7 +143,11 @@ class Machine : public ft::Host {
   // -- Accounting ----------------------------------------------------------
   const CommCounters& counters(Rank rank) const { return counters_[rank]; }
   CommCounters total_counters() const;
-  const CommMatrix& matrix() const { return matrix_; }
+  /// Record the (src, dst) communication matrix, before the run: O(p^2)
+  /// memory, so it is off unless asked for.
+  void collect_matrix();
+  /// Hand the recorded matrix over (null unless collect_matrix() ran).
+  std::unique_ptr<CommMatrix> take_matrix() { return std::move(matrix_); }
 
   /// Explicitly registered communication-buffer bytes per rank (windows,
   /// staging buffers, ...), for the memory model.
@@ -239,7 +238,8 @@ class Machine : public ft::Host {
   // (Conceptually private; public so the awaiter types stay simple.)
 
   /// Post a nonblocking send: charges sender overhead, prices the wire
-  /// transfer, enforces per-(src,dst) non-overtaking, schedules delivery.
+  /// transfer, enforces non-overtaking per channel, schedules delivery.
+  /// A tag outside [0, kTagUb] throws std::invalid_argument.
   void isend(Rank src, Rank dst, int tag, std::span<const std::byte> data);
 
   /// Nonblocking probe: charges the probe cost and peeks the mailbox for a
@@ -318,9 +318,9 @@ class Machine : public ft::Host {
                       bool persistent_start = false);
 
   /// Build a persistent neighborhood-alltoallv schedule for `rank`
-  /// (MPI_Neighbor_alltoallv_init): validates the topology and pays the
-  /// full collective-entry cost once, so subsequent persistent
-  /// neighbor_begin calls only pay the cheap per-start overhead.
+  /// (MPI_Neighbor_alltoallv_init): pays the full collective-entry cost
+  /// once, so subsequent persistent neighbor_begin calls only pay the
+  /// cheap per-start overhead.
   void persistent_neighbor_init(Rank rank);
   /// Park until the outstanding split-phase collective completes; if it
   /// already completed, advances the clock to its completion time and
@@ -386,20 +386,7 @@ class Machine : public ft::Host {
   /// cannot perturb the event trace. No-op when interval_ns <= 0.
   void enable_sampling(Time interval_ns);
 
-  /// Current (not peak) mailbox depth, for sampling and tests.
-  std::uint64_t mailbox_depth_msgs(Rank rank) const {
-    return mailbox_msgs_[rank];
-  }
-  std::size_t mailbox_depth_bytes(Rank rank) const {
-    return mailbox_bytes_[rank];
-  }
-  /// Payload bytes this rank has posted that are still in flight.
-  std::size_t inflight_bytes(Rank rank) const { return inflight_bytes_[rank]; }
-
   void add_comm_time(Rank rank, Time dt) { counters_[rank].comm_ns += dt; }
-  void add_compute_time(Rank rank, Time dt) {
-    counters_[rank].compute_ns += dt;
-  }
   CommCounters& counters_mut(Rank rank) { return counters_[rank]; }
 
  private:
@@ -410,7 +397,8 @@ class Machine : public ft::Host {
   /// destination's shard; the sender's in-flight gauges settle at the
   /// merge point.
   void schedule_delivery(Message msg);
-  void ensure_topology_validated();
+  /// The non-overtaking floor of `src`'s channel to `dst` (see floors_).
+  Time& arrival_floor(Rank src, Rank dst, int tag);
   void put_impl(int win, Rank origin, Rank target, std::size_t offset,
                 std::span<const std::byte> data, bool ordered);
 
@@ -429,11 +417,10 @@ class Machine : public ft::Host {
   std::vector<std::unique_ptr<Comm>> comms_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::vector<Rank>> topology_;
-  /// Cleared by set_topology, set by the first neighborhood collective
-  /// after validation. Atomic because in sharded mode several shards can
-  /// race to re-validate; validation itself is pure (reads only), so the
-  /// worst case is redundant validation, never a torn flag.
-  std::atomic<bool> topology_validated_{true};
+  /// reverse_[r][i]: r's position in the list of its i-th neighbor, so a
+  /// neighborhood collective picks the slice meant for r without a search.
+  /// Built by set_topology, before any shard runs.
+  std::vector<std::vector<std::uint32_t>> reverse_;
 
   std::vector<std::unique_ptr<WindowState>> windows_;
   std::unique_ptr<NeighborState> neighbor_;
@@ -446,12 +433,15 @@ class Machine : public ft::Host {
 
   Tracer* tracer_ = nullptr;
   std::vector<CommCounters> counters_;
-  CommMatrix matrix_;
-  std::vector<Time> last_arrival_;  // per (src,dst), non-overtaking floor
-  /// Per (src,dst,tag) floors used instead of last_arrival_ under chaos
-  /// jitter: ordering is preserved within a tag channel while messages
-  /// with different tags may legally overtake each other.
-  std::map<std::uint64_t, Time> last_arrival_tagged_;
+  std::unique_ptr<CommMatrix> matrix_;  // null unless collect_matrix()
+  /// Non-overtaking floors, one row per source rank: the last arrival on
+  /// each channel the source has sent on, sorted by channel. A channel is
+  /// the destination, or (destination, tag) under chaos latency jitter,
+  /// where messages with different tags may legally overtake each other.
+  /// Rows hold only the channels in use, and only the source's own events
+  /// write its row, so shards never share one.
+  struct Floor { std::uint64_t channel; Time at; };
+  std::vector<std::vector<Floor>> floors_;
   std::vector<std::size_t> buffer_bytes_;
   std::vector<std::size_t> window_bytes_;  // subset of buffer_bytes_
   std::vector<std::size_t> mailbox_bytes_;

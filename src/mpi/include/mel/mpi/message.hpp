@@ -22,6 +22,10 @@ using sim::Time;
 inline constexpr Rank kAnySource = -1;
 /// Wildcard tag for recv/iprobe matching (MPI_ANY_TAG).
 inline constexpr int kAnyTag = -1;
+/// Largest tag a send may carry (MPI_TAG_UB); send tags lie in
+/// [0, kTagUb]. Above it sit the reliable transport's RMA and collective
+/// channels, and past 2^21 a tag would alias in the 21-bit channel key.
+inline constexpr int kTagUb = (1 << 20) - 1;
 
 /// Per-message wire header bytes added to the payload when pricing and
 /// accounting transfers (envelope: src, tag, size).

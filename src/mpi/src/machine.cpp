@@ -5,7 +5,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -175,9 +174,9 @@ Machine::Machine(sim::Simulator& simulator, net::Network network,
     : sim_(simulator),
       net_(std::move(network)),
       topology_(net_.nranks()),
+      reverse_(net_.nranks()),
       counters_(net_.nranks()),
-      matrix_(net_.nranks()),
-      last_arrival_(static_cast<std::size_t>(net_.nranks()) * net_.nranks(), 0),
+      floors_(net_.nranks()),
       buffer_bytes_(net_.nranks(), 0),
       window_bytes_(net_.nranks(), 0),
       mailbox_bytes_(net_.nranks(), 0),
@@ -208,8 +207,8 @@ Machine::Machine(sim::Simulator& simulator, net::Network network,
   if (chaos_ || transport_) {
     // Jitter never pulls a wire time below the LogGP floor, so the
     // lookahead still holds. What the shards cannot split is per-channel
-    // state written from both ends: the chaos draw counters and tagged
-    // delivery floors, and the transport's sequence and reorder state.
+    // state in one shared map: the chaos draw counters, and the
+    // transport's sequence and reorder state.
     sim_.require_sequential(
         "chaos and the reliable transport keep per-channel state that "
         "every shard writes");
@@ -243,57 +242,71 @@ Machine::~Machine() { sim_.set_stall_reporter(nullptr); }
 
 Comm& Machine::comm(Rank rank) { return *comms_.at(rank); }
 
-void Machine::set_topology(Rank rank, std::vector<Rank> neighbors) {
-  for (Rank n : neighbors) {
-    if (n < 0 || n >= nranks()) {
-      std::ostringstream os;
-      os << "set_topology: rank " << rank << " lists neighbor " << n
-         << ", outside the valid range [0, " << nranks() << ")";
-      throw std::invalid_argument(os.str());
-    }
-    if (n == rank) {
-      std::ostringstream os;
-      os << "set_topology: rank " << rank
-         << " lists itself as a neighbor (self-loops are not a valid "
-            "dist-graph edge)";
-      throw std::invalid_argument(os.str());
+void Machine::set_topology(std::vector<std::vector<Rank>> topology) {
+  const int p = nranks();
+  if (topology.size() != static_cast<std::size_t>(p)) {
+    std::ostringstream os;
+    os << "set_topology: got " << topology.size() << " neighbor list(s) for "
+       << p << " ranks";
+    throw std::invalid_argument(os.str());
+  }
+  // incoming[m]: (n, j) for every rank n whose j-th neighbor is m, in rank
+  // order, so one binary search per edge finds its reverse: O(sum d log d).
+  // Sized for a symmetric topology, whose in-degrees equal its out-degrees.
+  std::vector<std::vector<std::pair<Rank, std::uint32_t>>> incoming(p);
+  for (Rank r = 0; r < p; ++r) incoming[r].reserve(topology[r].size());
+  for (Rank n = 0; n < p; ++n) {
+    for (std::uint32_t j = 0; j < topology[n].size(); ++j) {
+      const Rank m = topology[n][j];
+      if (m < 0 || m >= p || m == n) {
+        std::ostringstream os;
+        os << "set_topology: rank " << n << " lists neighbor " << m;
+        if (m == n) {
+          os << ", itself (self-loops are not a valid dist-graph edge)";
+        } else {
+          os << ", outside the valid range [0, " << p << ")";
+        }
+        throw std::invalid_argument(os.str());
+      }
+      incoming[m].emplace_back(n, j);
     }
   }
-  topology_.at(rank) = std::move(neighbors);
-  topology_validated_ = false;
+  std::vector<std::vector<std::uint32_t>> reverse(p);
+  for (Rank r = 0; r < p; ++r) {
+    reverse[r].reserve(topology[r].size());
+    const auto& in = incoming[r];
+    const auto dup = std::adjacent_find(
+        in.begin(), in.end(),
+        [](const auto& a, const auto& b) { return a.first == b.first; });
+    if (dup != in.end()) {
+      std::ostringstream os;
+      os << "duplicate neighbor in process topology: rank " << dup->first
+         << " lists " << r << " more than once";
+      throw std::logic_error(os.str());
+    }
+    for (const Rank n : topology[r]) {
+      const auto it = std::lower_bound(in.begin(), in.end(),
+                                       std::pair<Rank, std::uint32_t>{n, 0});
+      if (it == in.end() || it->first != n) {
+        std::ostringstream os;
+        os << "asymmetric process topology: rank " << r << " lists " << n
+           << " as a neighbor, but rank " << n << " (" << topology[n].size()
+           << " neighbor(s)) has no reverse edge to " << r;
+        throw std::logic_error(os.str());
+      }
+      reverse[r].push_back(it->second);
+    }
+  }
+  topology_ = std::move(topology);
+  reverse_ = std::move(reverse);
 }
 
 const std::vector<Rank>& Machine::topology(Rank rank) const {
   return topology_.at(rank);
 }
 
-void Machine::validate_topology() const {
-  for (Rank r = 0; r < nranks(); ++r) {
-    for (Rank n : topology_[r]) {
-      const auto& back = topology_[n];
-      if (std::find(back.begin(), back.end(), r) == back.end()) {
-        std::ostringstream os;
-        os << "asymmetric process topology: rank " << r << " lists " << n
-           << " as a neighbor, but rank " << n << " ("
-           << back.size() << " neighbor(s)) has no reverse edge to " << r;
-        throw std::logic_error(os.str());
-      }
-    }
-    std::set<Rank> uniq(topology_[r].begin(), topology_[r].end());
-    if (uniq.size() != topology_[r].size()) {
-      std::ostringstream os;
-      os << "duplicate neighbor in process topology: rank " << r << " lists "
-         << topology_[r].size() << " neighbors but only " << uniq.size()
-         << " are distinct";
-      throw std::logic_error(os.str());
-    }
-  }
-}
-
-void Machine::ensure_topology_validated() {
-  if (topology_validated_.load(std::memory_order_relaxed)) return;
-  validate_topology();  // pure: reads only, so a racing re-check is safe
-  topology_validated_.store(true, std::memory_order_relaxed);
+void Machine::collect_matrix() {
+  matrix_ = std::make_unique<CommMatrix>(nranks());
 }
 
 int Machine::allocate_window(const std::vector<std::size_t>& bytes_per_rank) {
@@ -328,10 +341,18 @@ void Machine::account_buffer(Rank rank, std::size_t bytes) {
 // Point-to-point
 // ---------------------------------------------------------------------------
 
+// Send tags stay below the transport's synthetic channels.
+static_assert(kTagUb < ft::Transport::kRmaTagBase);
+
 void Machine::isend(Rank src, Rank dst, int tag,
                     std::span<const std::byte> data) {
   if (dst < 0 || dst >= nranks()) {
     throw std::invalid_argument("isend: bad destination rank");
+  }
+  if (tag < 0 || tag > kTagUb) {
+    throw std::invalid_argument("isend: tag " + std::to_string(tag) +
+                                " outside [0, kTagUb = " +
+                                std::to_string(kTagUb) + "]");
   }
   if (failed_[dst] != 0) {
     // ULFM fail-fast (MPI_ERR_PROC_FAILED): the sender learns of the
@@ -388,26 +409,11 @@ void Machine::isend(Rank src, Rank dst, int tag,
 
   Time wire = net_.transfer_time(src, dst, wire_bytes);
   if (chaos_) wire += chaos_->transfer_jitter(src, dst, tag, wire);
-  Time arrival = sim_.rank_now(src) + wire;
-  if (chaos_ && net_.params().chaos.latency_jitter > 0.0) {
-    // Under jitter, enforce non-overtaking per (src, dst, tag) channel:
-    // same-tag messages keep their send order, while messages with
-    // different tags may overtake — the MPI-legal reordering the chaos
-    // sweep exercises.
-    Time& floor =
-        last_arrival_tagged_[(static_cast<std::uint64_t>(
-                                 static_cast<std::size_t>(src) * nranks() + dst)
-                             << 21) |
-                            (static_cast<std::uint64_t>(tag) & 0x1fffff)];
-    arrival = std::max(arrival, floor + 1);
-    floor = arrival;
-  } else {
-    // MPI non-overtaking: messages on the same (src, dst) channel are
-    // delivered in send order regardless of size.
-    Time& floor = last_arrival_[static_cast<std::size_t>(src) * nranks() + dst];
-    arrival = std::max(arrival, floor + 1);
-    floor = arrival;
-  }
+  // MPI non-overtaking: messages on one channel are delivered in send
+  // order regardless of size.
+  Time& floor = arrival_floor(src, dst, tag);
+  const Time arrival = std::max(sim_.rank_now(src) + wire, floor + 1);
+  floor = arrival;
 
   Message msg;
   msg.src = src;
@@ -434,8 +440,23 @@ void Machine::schedule_delivery(Message msg) {
   });
 }
 
+Time& Machine::arrival_floor(Rank src, Rank dst, int tag) {
+  // Under jitter different tags may overtake — the MPI-legal reordering
+  // the chaos sweep exercises — so the channel is (dst, tag).
+  const bool per_tag = chaos_ && net_.params().chaos.latency_jitter > 0.0;
+  const std::uint64_t channel = chaos::channel_key(src, dst, per_tag ? tag : 0);
+  auto& row = floors_[src];
+  auto it = std::lower_bound(
+      row.begin(), row.end(), channel,
+      [](const Floor& f, std::uint64_t c) { return f.channel < c; });
+  if (it == row.end() || it->channel != channel) {
+    it = row.insert(it, Floor{channel, 0});
+  }
+  return it->at;
+}
+
 void Machine::record_wire(Rank src, Rank dst, std::size_t bytes, Time t) {
-  matrix_.record(src, dst, bytes);
+  if (matrix_) matrix_->record(src, dst, bytes);
   with_trace([=](Tracer& tr) { tr.wire(src, dst, bytes, t); });
 }
 
@@ -709,7 +730,6 @@ std::size_t Machine::window_size(int win, Rank rank) const {
 
 void Machine::persistent_neighbor_init(Rank rank) {
   const prof::ScopedTimer pt(prof::Section::kNeighbor);
-  ensure_topology_validated();
   auto& st = *neighbor_;
   // Building the schedule (peer list, slice offsets, matching state) costs
   // one full collective entry; every persistent start after this re-arms
@@ -725,7 +745,6 @@ void Machine::neighbor_begin(Rank rank, std::vector<util::Buffer> slices,
                              std::vector<util::Buffer>* recv_out,
                              bool persistent_start) {
   const prof::ScopedTimer pt(prof::Section::kNeighbor);
-  ensure_topology_validated();
   auto& st = *neighbor_;
   const auto& topo = topology_[rank];
   if (slices.size() != topo.size()) {
@@ -892,6 +911,7 @@ void Machine::complete_neighbor_op(Rank rank, std::uint64_t seq) {
   const prof::ScopedTimer pt(prof::Section::kNeighbor);
   auto& st = *neighbor_;
   const auto& topo = topology_[rank];
+  const auto& reverse = reverse_[rank];
   auto& pend = st.pending[rank];
 
   // Use the pending record's own arrival time: this rank's *call* record
@@ -907,10 +927,8 @@ void Machine::complete_neighbor_op(Rank rank, std::uint64_t seq) {
     auto it = st.calls[n].find(seq);
     auto& call = it->second;
     ready = std::max(ready, call.arrive);
-    // Find my position in n's neighbor list to pick the slice meant for me.
-    const auto& ntopo = topology_[n];
-    const auto pos = static_cast<std::size_t>(
-        std::find(ntopo.begin(), ntopo.end(), rank) - ntopo.begin());
+    // My position in n's neighbor list picks the slice meant for me.
+    const std::size_t pos = reverse[i];
     data[i] = call.slices.at(pos);  // refcount bump, no byte copy
     if (tracer_ != nullptr) consumed_flows.push_back(call.slice_flows.at(pos));
     recv_bytes += data[i].size();

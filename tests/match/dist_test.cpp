@@ -221,6 +221,13 @@ TEST(DistMatch, MatrixCollectedOnDemand) {
   for (int r = 0; r < 4; ++r) EXPECT_EQ(run.matrix->msgs(r, r), 0u);
 }
 
+TEST(DistMatch, NoMatrixUnlessRequested) {
+  const auto g = erdos_renyi(300, 2000, 9);
+  const auto run = run_match(g, 4, Model::kNsr);
+  EXPECT_EQ(run.matrix, nullptr);
+  EXPECT_GT(run.totals.isends, 0u);
+}
+
 TEST(DistMatch, RmaWindowSizedByGhosts) {
   const auto g = erdos_renyi(300, 2000, 9);
   const graph::DistGraph dg(g, 4);

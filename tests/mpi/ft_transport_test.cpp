@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "mel/ft/params.hpp"
@@ -269,6 +270,27 @@ TEST(FtTransport, SendToFailedRankFailsFast) {
   EXPECT_TRUE(caught);
   EXPECT_EQ(w.machine.failed_ranks(), std::vector<sim::Rank>{1});
   EXPECT_GT(w.machine.total_counters().sends_failed, 0u);
+}
+
+TEST(FtTransport, HighTagIsRejectedNotAliased) {
+  // The transport's channel key keeps 21 tag bits, so a tag of 2^21 + 5
+  // would ride tag 5's channel and arrive as tag 5. isend rejects it.
+  World w(2, test_params(), ft_on());
+  ASSERT_TRUE(w.machine.ft_enabled());
+  constexpr int kHigh = (1 << 21) + 5;
+  auto body = [&](Comm& c) -> RankTask {
+    if (c.rank() == 0) c.isend_pod<int>(1, kHigh, 2);
+    co_return;
+  };
+  w.spawn_all(body);
+  try {
+    w.run();
+    FAIL() << "tag " << kHigh << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(kHigh)),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

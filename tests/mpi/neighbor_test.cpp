@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "world_fixture.hpp"
@@ -13,7 +15,6 @@ using sim::RankTask;
 TEST(Neighbor, RingExchangeI64) {
   World w(4);
   w.ring_topology();
-  w.machine.validate_topology();
   std::vector<std::vector<std::int64_t>> got(4);
   auto body = [&](Comm& c) -> RankTask {
     // Send my rank to each neighbor.
@@ -117,11 +118,7 @@ TEST(Neighbor, NonNeighborsDoNotSynchronize) {
   // Line topology 0-1, 2-3 (two disjoint pairs): the pair {0,1} completes
   // without waiting for the slow pair {2,3}.
   World w(4);
-  w.machine.set_topology(0, {1});
-  w.machine.set_topology(1, {0});
-  w.machine.set_topology(2, {3});
-  w.machine.set_topology(3, {2});
-  w.machine.validate_topology();
+  w.machine.set_topology({{1}, {0}, {3}, {2}});
   sim::Time done_at_0 = 0;
   auto body = [&](Comm& c) -> RankTask {
     if (c.rank() >= 2) c.compute(1 * sim::kSecond);
@@ -137,22 +134,72 @@ TEST(Neighbor, NonNeighborsDoNotSynchronize) {
 
 TEST(Neighbor, AsymmetricTopologyRejected) {
   World w(2);
-  w.machine.set_topology(0, {1});
-  w.machine.set_topology(1, {});
-  EXPECT_THROW(w.machine.validate_topology(), std::logic_error);
+  EXPECT_THROW(w.machine.set_topology({{1}, {}}), std::logic_error);
 }
 
 TEST(Neighbor, DuplicateNeighborRejected) {
   World w(3);
-  w.machine.set_topology(0, {1, 1});
-  w.machine.set_topology(1, {0});
-  w.machine.set_topology(2, {});
-  EXPECT_THROW(w.machine.validate_topology(), std::logic_error);
+  EXPECT_THROW(w.machine.set_topology({{1, 1}, {0}, {}}), std::logic_error);
 }
 
 TEST(Neighbor, SelfNeighborRejected) {
   World w(2);
-  EXPECT_THROW(w.machine.set_topology(0, {0}), std::invalid_argument);
+  EXPECT_THROW(w.machine.set_topology({{0}, {}}), std::invalid_argument);
+}
+
+TEST(Neighbor, WrongNumberOfListsRejected) {
+  World w(3);
+  EXPECT_THROW(w.machine.set_topology({{1}, {0}}), std::invalid_argument);
+  EXPECT_THROW(w.machine.set_topology({{1}, {0}, {}, {}}),
+               std::invalid_argument);
+}
+
+TEST(Neighbor, ShuffledCompleteTopologyDeliversEachSliceToItsOwner) {
+  // Every rank lists all others, each in its own order, so a slice's
+  // position in the sender's list differs from the receiver's position
+  // in it: a receiver gets the right slice only through the reverse
+  // index. Every slice carries its sender and its intended receiver.
+  constexpr int kRanks = 12;
+  World w(kRanks);
+  std::vector<std::vector<sim::Rank>> topo(kRanks);
+  for (sim::Rank r = 0; r < kRanks; ++r) {
+    for (sim::Rank n = 0; n < kRanks; ++n) {
+      if (n != r) topo[r].push_back(n);
+    }
+    // A distinct permutation per rank: 13 is prime and r + 1 is a unit
+    // modulo 13, so the keys are distinct.
+    const auto key = [r](sim::Rank n) { return (n + 1) * (r + 1) % 13; };
+    std::sort(topo[r].begin(), topo[r].end(),
+              [&key](sim::Rank a, sim::Rank b) { return key(a) < key(b); });
+  }
+  ASSERT_NE(topo[1], topo[2]);
+  w.machine.set_topology(topo);
+  std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>> got(kRanks);
+  auto body = [&](Comm& c) -> RankTask {
+    std::vector<std::vector<std::byte>> slices;
+    for (const sim::Rank n : c.neighbors()) {
+      auto slice = mpi::to_bytes<std::int64_t>(c.rank());
+      const auto to = mpi::to_bytes<std::int64_t>(n);
+      slice.insert(slice.end(), to.begin(), to.end());
+      slices.push_back(std::move(slice));
+    }
+    const auto recv = co_await c.neighbor_alltoallv(std::move(slices));
+    for (const auto& slice : recv) {
+      got[c.rank()].emplace_back(mpi::nth_record<std::int64_t>(slice, 0),
+                                 mpi::nth_record<std::int64_t>(slice, 1));
+    }
+    co_return;
+  };
+  w.spawn_all(body);
+  w.run();
+  for (sim::Rank r = 0; r < kRanks; ++r) {
+    ASSERT_EQ(got[r].size(), topo[r].size()) << "rank " << r;
+    for (std::size_t k = 0; k < topo[r].size(); ++k) {
+      EXPECT_EQ(got[r][k].first, w.machine.topology(r)[k])
+          << "rank " << r << " slice " << k;
+      EXPECT_EQ(got[r][k].second, r) << "rank " << r << " slice " << k;
+    }
+  }
 }
 
 TEST(Neighbor, WrongSliceCountThrows) {
@@ -169,9 +216,7 @@ TEST(Neighbor, WrongSliceCountThrows) {
 
 TEST(Neighbor, IsolatedRankCompletesImmediately) {
   World w(3);
-  w.machine.set_topology(0, {1});
-  w.machine.set_topology(1, {0});
-  w.machine.set_topology(2, {});
+  w.machine.set_topology({{1}, {0}, {}});
   bool isolated_done = false;
   auto body = [&](Comm& c) -> RankTask {
     std::vector<std::int64_t> vals(c.neighbors().size(), 0);
@@ -196,8 +241,9 @@ TEST(Neighbor, CountersAndMatrix) {
   w.run();
   EXPECT_EQ(w.machine.counters(0).neighbor_colls, 1u);
   EXPECT_EQ(w.machine.counters(0).bytes_coll, 8u);
-  EXPECT_EQ(w.machine.matrix().msgs(0, 1), 1u);
-  EXPECT_EQ(w.machine.matrix().msgs(1, 0), 1u);
+  const auto matrix = w.machine.take_matrix();
+  EXPECT_EQ(matrix->msgs(0, 1), 1u);
+  EXPECT_EQ(matrix->msgs(1, 0), 1u);
 }
 
 TEST(Neighbor, SplitPhaseMatchesBlocking) {

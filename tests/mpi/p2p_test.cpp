@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "world_fixture.hpp"
@@ -201,8 +202,9 @@ TEST(P2P, CountersTrackTraffic) {
   EXPECT_EQ(w.machine.counters(0).isends, 2u);
   EXPECT_EQ(w.machine.counters(0).bytes_sent, 16u);
   EXPECT_EQ(w.machine.counters(1).recvs, 2u);
-  EXPECT_EQ(w.machine.matrix().msgs(0, 1), 2u);
-  EXPECT_EQ(w.machine.matrix().msgs(1, 0), 0u);
+  const auto matrix = w.machine.take_matrix();
+  EXPECT_EQ(matrix->msgs(0, 1), 2u);
+  EXPECT_EQ(matrix->msgs(1, 0), 0u);
 }
 
 TEST(P2P, CommTimeAccounted) {
@@ -242,6 +244,72 @@ TEST(P2P, BadDestinationThrows) {
   };
   w.spawn_all(body);
   EXPECT_THROW(w.run(), std::invalid_argument);
+}
+
+TEST(P2P, TagOutsideTheValidRangeThrows) {
+  for (const int tag : {-1, -7, mpi::kTagUb + 1}) {
+    World w(2);
+    auto body = [&](Comm& c) -> RankTask {
+      if (c.rank() == 0) c.isend_pod<int>(1, tag, 1);
+      co_return;
+    };
+    w.spawn_all(body);
+    try {
+      w.run();
+      ADD_FAILURE() << "tag " << tag << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("tag " + std::to_string(tag)), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(std::to_string(mpi::kTagUb)), std::string::npos)
+          << what;
+    }
+  }
+  // The bound itself is a valid tag.
+  World w(2);
+  int got = 0;
+  auto body = [&](Comm& c) -> RankTask {
+    if (c.rank() == 0) {
+      c.isend_pod<int>(1, mpi::kTagUb, 7);
+    } else {
+      got = mpi::from_bytes<int>((co_await c.recv(0, mpi::kTagUb)).data);
+    }
+    co_return;
+  };
+  w.spawn_all(body);
+  w.run();
+  EXPECT_EQ(got, 7);
+}
+
+TEST(P2P, FloorKeyIsThePairWithoutJitterAndTheTagWithIt) {
+  // A 1 MiB message on tag 1, then 4 B on tag 2. Without jitter the
+  // non-overtaking floor is per (src, dst): the small message lands after
+  // the big one. Under latency jitter it is per (src, dst, tag), so the
+  // small message may overtake, and on this wire it does.
+  for (const double jitter : {0.0, 0.01}) {
+    net::Params params = test_params();
+    params.chaos.latency_jitter = jitter;
+    World w(2, params);
+    sim::Time big_at = 0;
+    sim::Time small_at = 0;
+    auto body = [&](Comm& c) -> RankTask {
+      if (c.rank() == 0) {
+        c.isend(1, 1, std::vector<std::byte>(1 << 20));
+        c.isend_pod<int>(1, 2, 5);
+      } else {
+        small_at = (co_await c.recv(0, 2)).arrived_at;
+        big_at = (co_await c.recv(0, 1)).arrived_at;
+      }
+      co_return;
+    };
+    w.spawn_all(body);
+    w.run();
+    if (jitter == 0.0) {
+      EXPECT_GT(small_at, big_at);
+    } else {
+      EXPECT_LT(small_at, big_at);
+    }
+  }
 }
 
 }  // namespace

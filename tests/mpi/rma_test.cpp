@@ -182,7 +182,8 @@ TEST(Rma, CountersTrackPuts) {
   EXPECT_EQ(w.machine.counters(0).puts, 2u);
   EXPECT_EQ(w.machine.counters(0).bytes_put, 16u);
   EXPECT_EQ(w.machine.counters(0).flushes, 1u);
-  EXPECT_EQ(w.machine.matrix().msgs(0, 1), 2u);
+  const auto matrix = w.machine.take_matrix();
+  EXPECT_EQ(matrix->msgs(0, 1), 2u);
 }
 
 TEST(Rma, OriginPollsItsOwnWindow) {

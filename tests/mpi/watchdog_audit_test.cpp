@@ -95,7 +95,7 @@ TEST(Watchdog, HorizonOffByDefault) {
 TEST(Topology, SetTopologyErrorsNameTheOffendingValues) {
   World w(4);
   try {
-    w.machine.set_topology(2, {1, 9});
+    w.machine.set_topology({{}, {}, {1, 9}, {}});
     FAIL() << "expected out-of-range error";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -103,29 +103,19 @@ TEST(Topology, SetTopologyErrorsNameTheOffendingValues) {
     EXPECT_NE(what.find('9'), std::string::npos) << what;
   }
   try {
-    w.machine.set_topology(3, {3});
+    w.machine.set_topology({{}, {}, {}, {3}});
     FAIL() << "expected self-loop error";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("rank 3"), std::string::npos);
   }
 }
 
-TEST(Topology, AsymmetryValidatedBeforeFirstNeighborCollective) {
+TEST(Topology, AsymmetryRejectedWhenTheTopologyIsSet) {
   // Rank 0 lists rank 1 as a neighbor but not vice versa; the machine
-  // must reject the first neighborhood collective with both ranks named.
+  // must reject the topology when it is set, with both ranks named.
   World w(2);
-  w.machine.set_topology(0, {1});
-  w.machine.set_topology(1, {});
-  auto body = [&](Comm& c) -> RankTask {
-    if (c.rank() == 0) {
-      std::vector<std::int64_t> counts(1, 1);
-      (void)co_await c.neighbor_alltoall_i64(std::move(counts));
-    }
-    co_return;
-  };
-  w.spawn_all(body);
   try {
-    w.run();
+    w.machine.set_topology({{1}, {}});
     FAIL() << "expected asymmetry error";
   } catch (const std::logic_error& e) {
     const std::string what = e.what();

@@ -21,9 +21,12 @@ struct World {
   sim::Simulator sim;
   mpi::Machine machine;
 
+  /// The worlds are small, so every one records the comm matrix.
   explicit World(int p, net::Params params = test_params(),
                  const ft::Params& ft = {})
-      : sim(p), machine(sim, net::Network(p, params), ft) {}
+      : sim(p), machine(sim, net::Network(p, params), ft) {
+    machine.collect_matrix();
+  }
 
   /// Spawn the same coroutine body on every rank.
   template <class F>
@@ -35,29 +38,28 @@ struct World {
 
   /// Fully-connected process topology (everyone neighbors everyone).
   void full_topology() {
+    std::vector<std::vector<sim::Rank>> topo(sim.nranks());
     for (sim::Rank r = 0; r < sim.nranks(); ++r) {
-      std::vector<sim::Rank> nbrs;
       for (sim::Rank n = 0; n < sim.nranks(); ++n) {
-        if (n != r) nbrs.push_back(n);
+        if (n != r) topo[r].push_back(n);
       }
-      machine.set_topology(r, std::move(nbrs));
     }
+    machine.set_topology(std::move(topo));
   }
 
   /// Ring topology: rank r neighbors r-1 and r+1 (mod p).
   void ring_topology() {
     const int p = sim.nranks();
+    std::vector<std::vector<sim::Rank>> topo(p);
     for (sim::Rank r = 0; r < p; ++r) {
-      if (p == 1) {
-        machine.set_topology(r, {});
-      } else if (p == 2) {
-        machine.set_topology(r, {static_cast<sim::Rank>(1 - r)});
-      } else {
-        machine.set_topology(
-            r, {static_cast<sim::Rank>((r + p - 1) % p),
-                static_cast<sim::Rank>((r + 1) % p)});
+      if (p == 2) {
+        topo[r] = {static_cast<sim::Rank>(1 - r)};
+      } else if (p > 2) {
+        topo[r] = {static_cast<sim::Rank>((r + p - 1) % p),
+                   static_cast<sim::Rank>((r + 1) % p)};
       }
     }
+    machine.set_topology(std::move(topo));
   }
 
   void run() { sim.run(); }
