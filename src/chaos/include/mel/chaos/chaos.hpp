@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "mel/sim/time.hpp"
@@ -95,16 +94,19 @@ inline std::uint64_t channel_key(Rank src, Rank dst, int tag) {
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag) & 0x1fffff);
 }
 
-/// Stateful but deterministic perturbation source. One per Machine.
+/// Deterministic perturbation source. One per Machine. Every draw is a pure
+/// function of the seed and its arguments, so shards may share the engine;
+/// the per-channel draw counters live with the callers' per-channel state.
 class Engine {
  public:
   Engine(const Config& config, int nranks);
 
   const Config& config() const { return cfg_; }
 
-  /// Extra wire time for the next message on (src, dst, tag), given its
-  /// unperturbed wire time. Advances the per-channel message counter.
-  Time transfer_jitter(Rank src, Rank dst, int tag, Time wire);
+  /// Extra wire time for the `n`-th jittered message on (src, dst, tag),
+  /// given its unperturbed wire time. The caller counts `n` per channel.
+  Time transfer_jitter(Rank src, Rank dst, int tag, std::uint64_t n,
+                       Time wire) const;
 
   /// Compute charge after straggler scaling (identity for healthy ranks).
   Time perturb_compute(Rank rank, Time dt) const;
@@ -146,11 +148,6 @@ class Engine {
   Config cfg_;
   int nranks_;
   std::vector<char> straggler_;  // per rank
-  /// Per (src, dst, tag) message counters, so each message's jitter is a
-  /// stable function of its position in its channel. Keyed lookups only
-  /// today, but ordered (mellint R1) so any future draw that *walks*
-  /// channels — e.g. a per-channel fault report — stays deterministic.
-  std::map<std::uint64_t, std::uint64_t> channel_counts_;
 };
 
 }  // namespace mel::chaos

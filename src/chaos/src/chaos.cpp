@@ -83,10 +83,10 @@ double Engine::unit(std::uint64_t h) {
   return static_cast<double>(util::hash64(h) >> 11) * 0x1.0p-53;
 }
 
-Time Engine::transfer_jitter(Rank src, Rank dst, int tag, Time wire) {
+Time Engine::transfer_jitter(Rank src, Rank dst, int tag, std::uint64_t n,
+                             Time wire) const {
   if (cfg_.latency_jitter <= 0.0) return 0;
   const std::uint64_t key = channel_key(src, dst, tag);
-  const std::uint64_t n = channel_counts_[key]++;
   const double u = unit(util::hash_combine(cfg_.seed ^ key, n));
   return static_cast<Time>(static_cast<double>(wire) * cfg_.latency_jitter * u);
 }

@@ -187,6 +187,7 @@ class Transport {
     std::uint64_t next_seq = 0;      // sender side
     std::uint64_t next_deliver = 0;  // receiver side
     std::uint64_t acks_sent = 0;
+    std::uint64_t jitter_draws = 0;  // chaos jitter draws on this channel
     Time last_deliver = -1;
     std::map<std::uint64_t, Pending> pending;  // sender: unacked segments
     std::map<std::uint64_t, HeldSeg> held;     // receiver: reorder buffer

@@ -110,7 +110,8 @@ Transport::SegmentFate Transport::send_segment(Rank src, Rank dst, int tag,
           chaos_ != nullptr && chaos_->wire_corrupted(src, dst, tag, seq, n);
       Time wire = net_.transfer_time(src, dst, wire_bytes);
       if (chaos_ != nullptr) {
-        wire += chaos_->transfer_jitter(src, dst, tag, wire);
+        wire +=
+            chaos_->transfer_jitter(src, dst, tag, ch.jitter_draws++, wire);
       }
       const Time at = t + wire;
       const bool dup = chaos_ != nullptr &&
@@ -219,7 +220,8 @@ void Transport::attempt(Channel& ch, std::uint64_t seq, Time t) {
                          chaos_->wire_corrupted(ch.src, ch.dst, ch.tag, seq, n);
     Time wire = net_.transfer_time(ch.src, ch.dst, wire_bytes);
     if (chaos_ != nullptr) {
-      wire += chaos_->transfer_jitter(ch.src, ch.dst, ch.tag, wire);
+      wire += chaos_->transfer_jitter(ch.src, ch.dst, ch.tag,
+                                      ch.jitter_draws++, wire);
     }
     const Time at = t + wire;
     auto deliver_copy = [this, &ch, seq, corrupt](Time when, const Pending& p) {

@@ -25,13 +25,11 @@ Csr read_matrix_market_file(const std::string& path);
 
 /// Write in `matrix coordinate real symmetric` form (lower triangle).
 void write_matrix_market(const Csr& g, std::ostream& out);
-void write_matrix_market_file(const Csr& g, const std::string& path);
 
 /// Binary format: magic "MELG", u64 nverts, u64 nedges, then nedges
 /// records of (i64 u, i64 v, f64 w). Little-endian, host order.
 Csr read_binary(std::istream& in);
 Csr read_binary_file(const std::string& path);
 void write_binary(const Csr& g, std::ostream& out);
-void write_binary_file(const Csr& g, const std::string& path);
 
 }  // namespace mel::graph

@@ -101,12 +101,6 @@ void write_matrix_market(const Csr& g, std::ostream& out) {
   }
 }
 
-void write_matrix_market_file(const Csr& g, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  write_matrix_market(g, out);
-}
-
 namespace {
 constexpr char kMagic[4] = {'M', 'E', 'L', 'G'};
 }
@@ -152,12 +146,6 @@ void write_binary(const Csr& g, std::ostream& out) {
   out.write(reinterpret_cast<const char*>(&nedges), sizeof nedges);
   out.write(reinterpret_cast<const char*>(edges.data()),
             static_cast<std::streamsize>(edges.size() * sizeof(Edge)));
-}
-
-void write_binary_file(const Csr& g, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  write_binary(g, out);
 }
 
 }  // namespace mel::graph

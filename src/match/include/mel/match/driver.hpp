@@ -43,8 +43,9 @@ struct RunConfig {
   /// Host threads for the sharded discrete-event engine: ranks are
   /// partitioned into that many shards, each advancing in conservative
   /// LogGP-lookahead windows. Results — trace_hash, matching, counters,
-  /// metrics — are bit-identical at any thread count. Runs with any chaos
-  /// knob or the reliable transport on fall back to the sequential engine
+  /// metrics — are bit-identical at any thread count. Runs with the
+  /// reliable transport on (ft.enabled, wire faults or crashes) fall back
+  /// to the sequential engine; chaos timing knobs keep the sharded one
   /// (see mpi::Machine's constructor). 1 = sequential.
   int threads = 1;
 };

@@ -108,11 +108,13 @@ class Machine : public ft::Host {
   /// the network params turn any chaos knob on. The reliable transport
   /// (mel::ft) is built when `ft.enabled` asks for it, or when the chaos
   /// config destroys messages (wire faults) or strands them (scheduled
-  /// crashes). With either one on, the engine runs sequential, because
-  /// both keep per-channel state that every rank's shard would write;
-  /// otherwise a sharded engine gets the network's lookahead bound. So the
-  /// Machine is built before anything is spawned on `simulator`, while the
-  /// engine can still be chosen.
+  /// crashes). With the transport on, the engine runs sequential, because
+  /// the transport keeps per-channel state that every rank's shard would
+  /// write; otherwise a sharded engine gets the network's lookahead bound,
+  /// chaos timing knobs included (their draws are pure, and the jitter
+  /// counters sit in the sender's floor row). So the Machine is built
+  /// before anything is spawned on `simulator`, while the engine can still
+  /// be chosen.
   Machine(sim::Simulator& simulator, net::Network network,
           const ft::Params& ft = {});
   Machine(const Machine&) = delete;
@@ -397,8 +399,9 @@ class Machine : public ft::Host {
   /// destination's shard; the sender's in-flight gauges settle at the
   /// merge point.
   void schedule_delivery(Message msg);
+  struct Floor;
   /// The non-overtaking floor of `src`'s channel to `dst` (see floors_).
-  Time& arrival_floor(Rank src, Rank dst, int tag);
+  Floor& arrival_floor(Rank src, Rank dst, int tag);
   void put_impl(int win, Rank origin, Rank target, std::size_t offset,
                 std::span<const std::byte> data, bool ordered);
 
@@ -439,8 +442,14 @@ class Machine : public ft::Host {
   /// the destination, or (destination, tag) under chaos latency jitter,
   /// where messages with different tags may legally overtake each other.
   /// Rows hold only the channels in use, and only the source's own events
-  /// write its row, so shards never share one.
-  struct Floor { std::uint64_t channel; Time at; };
+  /// write its row, so shards never share one. `draws` counts the
+  /// channel's chaos jitter draws; under jitter the channel is exactly the
+  /// engine's (src, dst, tag).
+  struct Floor {
+    std::uint64_t channel;
+    Time at;
+    std::uint64_t draws;
+  };
   std::vector<std::vector<Floor>> floors_;
   std::vector<std::size_t> buffer_bytes_;
   std::vector<std::size_t> window_bytes_;  // subset of buffer_bytes_

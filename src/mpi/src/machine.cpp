@@ -204,15 +204,16 @@ Machine::Machine(sim::Simulator& simulator, net::Network network,
     transport_ =
         std::make_unique<ft::Transport>(*this, sim_, net_, chaos_.get(), ft);
   }
-  if (chaos_ || transport_) {
-    // Jitter never pulls a wire time below the LogGP floor, so the
-    // lookahead still holds. What the shards cannot split is per-channel
-    // state in one shared map: the chaos draw counters, and the
-    // transport's sequence and reorder state.
+  if (transport_) {
+    // What the shards cannot split is the transport's per-channel state in
+    // one shared map: each channel's sender and receiver halves.
     sim_.require_sequential(
-        "chaos and the reliable transport keep per-channel state that "
-        "every shard writes");
+        "the reliable transport keeps per-channel state that every shard "
+        "writes");
   } else if (sim_.threaded()) {
+    // Chaos timing knobs only ever add time (jitter never pulls a wire
+    // time below the LogGP floor), so the lookahead holds under them, and
+    // their draws are pure: the jitter counter lives in the source's floor.
     sim_.limit_lookahead(net_.min_remote_delay());
   }
   comms_.reserve(p);
@@ -407,13 +408,15 @@ void Machine::isend(Rank src, Rank dst, int tag,
     return;
   }
 
-  Time wire = net_.transfer_time(src, dst, wire_bytes);
-  if (chaos_) wire += chaos_->transfer_jitter(src, dst, tag, wire);
   // MPI non-overtaking: messages on one channel are delivered in send
   // order regardless of size.
-  Time& floor = arrival_floor(src, dst, tag);
-  const Time arrival = std::max(sim_.rank_now(src) + wire, floor + 1);
-  floor = arrival;
+  Floor& floor = arrival_floor(src, dst, tag);
+  Time wire = net_.transfer_time(src, dst, wire_bytes);
+  if (chaos_) {
+    wire += chaos_->transfer_jitter(src, dst, tag, floor.draws++, wire);
+  }
+  const Time arrival = std::max(sim_.rank_now(src) + wire, floor.at + 1);
+  floor.at = arrival;
 
   Message msg;
   msg.src = src;
@@ -440,7 +443,7 @@ void Machine::schedule_delivery(Message msg) {
   });
 }
 
-Time& Machine::arrival_floor(Rank src, Rank dst, int tag) {
+Machine::Floor& Machine::arrival_floor(Rank src, Rank dst, int tag) {
   // Under jitter different tags may overtake — the MPI-legal reordering
   // the chaos sweep exercises — so the channel is (dst, tag).
   const bool per_tag = chaos_ && net_.params().chaos.latency_jitter > 0.0;
@@ -450,9 +453,9 @@ Time& Machine::arrival_floor(Rank src, Rank dst, int tag) {
       row.begin(), row.end(), channel,
       [](const Floor& f, std::uint64_t c) { return f.channel < c; });
   if (it == row.end() || it->channel != channel) {
-    it = row.insert(it, Floor{channel, 0});
+    it = row.insert(it, Floor{channel, 0, 0});
   }
-  return it->at;
+  return *it;
 }
 
 void Machine::record_wire(Rank src, Rank dst, std::size_t bytes, Time t) {

@@ -42,7 +42,6 @@ struct Value {
   std::vector<std::pair<std::string, Value>> object;  // insertion order
 
   bool is_null() const { return kind == Kind::kNull; }
-  bool is_bool() const { return kind == Kind::kBool; }
   bool is_number() const { return kind == Kind::kNumber; }
   bool is_string() const { return kind == Kind::kString; }
   bool is_array() const { return kind == Kind::kArray; }

@@ -117,14 +117,10 @@ class Recorder final : public mpi::Tracer {
   // -- Serialization --------------------------------------------------------
   std::string to_chrome_json() const;
   std::string metrics_jsonl() const;
-  void write_chrome_file(const std::string& path) const;
-  void write_metrics_file(const std::string& path) const;
 
   // -- Introspection (tests, analysis) --------------------------------------
   const std::vector<Span>& spans() const { return spans_; }
   const std::vector<Flow>& flows() const { return flows_; }
-  const std::vector<Instant>& instants() const { return instants_; }
-  const std::vector<Wire>& wires() const { return wires_; }
   const std::vector<Sample>& samples() const { return samples_; }
   const std::vector<Iteration>& iterations() const { return iterations_; }
 

@@ -1,9 +1,7 @@
 #include "mel/obs/recorder.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 
 #include "mel/net/params_io.hpp"
 #include "mel/obs/json.hpp"
@@ -325,23 +323,6 @@ std::string Recorder::metrics_jsonl() const {
            "\",\"events\":" + std::to_string(run_events_) + "}\n";
   }
   return out;
-}
-
-namespace {
-void write_or_throw(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  out << content;
-  if (!out) throw std::runtime_error("short write: " + path);
-}
-}  // namespace
-
-void Recorder::write_chrome_file(const std::string& path) const {
-  write_or_throw(path, to_chrome_json());
-}
-
-void Recorder::write_metrics_file(const std::string& path) const {
-  write_or_throw(path, metrics_jsonl());
 }
 
 }  // namespace mel::obs

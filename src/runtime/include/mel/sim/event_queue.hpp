@@ -1,40 +1,24 @@
-// Indexed event queue for the discrete-event simulator hot path.
-//
-// Replaces the binary-heap priority_queue<Event> + std::function pair that
-// dominated host time. Two ideas:
+// Event queue for the discrete-event simulator hot path. Two parts:
 //
 //   1. EventFn: a move-only callable with a 64-byte small-buffer so every
 //      closure the substrate schedules (delivery, wake, put-landing,
 //      collective completion) lives inline in the queue's storage — no
 //      per-event heap allocation, no std::function type-erasure overhead.
 //
-//   2. EventQueue: a two-level calendar. The *run* is a sorted vector of
-//      the earliest epoch's events drained with a cursor (O(1) pop, O(1)
-//      append for the dominant in-order pattern, including same-timestamp
-//      FIFO batches). Pushes that land *before* the run's tail — wakes and
-//      deliveries stamped with per-rank clocks inside the current epoch —
-//      go to a second *overlay* lane, a binary min-heap, instead of being
-//      inserted mid-run (which would memmove O(run) per push); pop takes
-//      the (time, seq)-min of the two lane heads. Behind both sits a
-//      1024-slot timing wheel of 1024 ns epochs indexed by a non-empty
-//      bitmap, and a spill heap for events beyond the wheel horizon.
-//      Refill moves one epoch into the run and sorts it once. Every
-//      structure holds 24-byte (time, seq, slab index) keys; the closures
-//      themselves sit still in a free-listed slab, so sorts and heap
-//      sifts shuffle PODs, never EventFn payloads.
+//   2. EventQueue: one binary min-heap of 24-byte (time, seq, slab index)
+//      keys over a free-listed slab of EventFn closures. The closures sit
+//      still while the heap sifts; push and pop are O(log n) key moves.
 //
-// Ordering contract (bit-identical to the old heap): events pop in strict
-// ascending (time, sequence), where sequence is assigned at push in call
-// order. The determinism pin test freezes the full (time, sequence) trace
-// hash across this swap.
+// Ordering contract: events pop in strict ascending (time, sequence),
+// where sequence is assigned at push in call order (or chosen by the
+// caller through push_keyed). The determinism pin test freezes the full
+// (time, sequence) trace hash.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -164,13 +148,12 @@ class EventFn {
   const Ops* ops_ = nullptr;
 };
 
-/// Two-level indexed queue popping in strict ascending (time, sequence).
+/// Binary min-heap of events popping in strict ascending (time, sequence).
 ///
 /// Every closure is stored exactly once, in a slab recycled through a
-/// free list; the run, wheel, overlay and overflow structures hold only
-/// 24-byte (time, seq, slab index) keys. Sorting, heap sifts and refills
-/// shuffle PODs — an EventFn moves twice in its life: into the slab at
-/// push, out at pop.
+/// free list; the heap holds only 24-byte (time, seq, slab index) keys.
+/// Sifts shuffle PODs — an EventFn moves twice in its life: into the slab
+/// at push, out at pop.
 class EventQueue {
  public:
   struct Event {
@@ -192,9 +175,7 @@ class EventQueue {
   /// EventFn temporaries on the hot path.
   template <class F>
   void push(Time t, F&& fn) {
-    const std::uint64_t seq = next_seq_++;
-    ++size_;
-    route(Key{t, seq, store(std::forward<F>(fn))});
+    push_keyed(t, next_seq_++, std::forward<F>(fn));
   }
 
   /// Queue `fn` at time `t` under a caller-chosen sequence number instead
@@ -205,54 +186,30 @@ class EventQueue {
   /// owns the ordering contract: keys must stay unique.
   template <class F>
   void push_keyed(Time t, std::uint64_t seq, F&& fn) {
-    ++size_;
-    route(Key{t, seq, store(std::forward<F>(fn))});
+    heap_.push_back(Key{t, seq, store(std::forward<F>(fn))});
+    std::push_heap(heap_.begin(), heap_.end(), key_after);
   }
 
-  bool empty() const noexcept { return size_ == 0; }
-  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return heap_.empty(); }
+  std::size_t size() const noexcept { return heap_.size(); }
   std::uint64_t seqs_issued() const noexcept { return next_seq_; }
 
   /// Key of the next event. Callers that only need "what pops next" (the
   /// simulator's horizon check and trace hash) never touch the closure.
   /// Requires !empty().
-  Key peek() {
-    if (run_head_ == run_.size() && ovl_heap_.empty()) refill();
-    return next_is_overlay() ? ovl_heap_.front() : run_[run_head_];
-  }
+  Key peek() const noexcept { return heap_.front(); }
 
   /// Remove and return the next event. Requires !empty().
   Event pop() {
-    if (run_head_ == run_.size() && ovl_heap_.empty()) refill();
-    Key k;
-    if (next_is_overlay()) {
-      k = ovl_heap_.front();
-      std::pop_heap(ovl_heap_.begin(), ovl_heap_.end(), key_after);
-      ovl_heap_.pop_back();
-    } else {
-      k = run_[run_head_];
-      ++run_head_;
-      if (run_head_ == run_.size()) {
-        run_.clear();  // keeps capacity: the steady state never reallocates
-        run_head_ = 0;
-      }
-    }
+    std::pop_heap(heap_.begin(), heap_.end(), key_after);
+    const Key k = heap_.back();
+    heap_.pop_back();
     Event ev{k.t, k.seq, std::move(fns_[k.idx])};
     free_.push_back(k.idx);
-    --size_;
     return ev;
   }
 
  private:
-  // 1024 ns epochs x 1024 slots = ~1 ms of wheel horizon, a comfortable
-  // multiple of the network model's per-message latencies.
-  static constexpr int kSlotShift = 10;
-  static constexpr std::size_t kSlots = 1024;
-  static constexpr std::size_t kWords = kSlots / 64;
-  static constexpr Time kNoFloor = std::numeric_limits<Time>::max();
-
-  static std::int64_t epoch_of(Time t) noexcept { return t >> kSlotShift; }
-
   /// Park the closure in the slab, reusing a freed slot when one exists.
   template <class F>
   std::uint32_t store(F&& fn) {
@@ -266,25 +223,10 @@ class EventQueue {
     return static_cast<std::uint32_t>(fns_.size() - 1);
   }
 
-  void route(Key k);
-  void place_indexed(Key k);
-  void refill();
-  std::int64_t next_wheel_epoch() const noexcept;
-
-  /// True when the global (time, seq)-min of the two lanes is the
-  /// overlay's root. Requires at least one lane non-drained.
-  bool next_is_overlay() const noexcept {
-    if (ovl_heap_.empty()) return false;
-    if (run_head_ == run_.size()) return true;
-    return key_less(ovl_heap_.front(), run_[run_head_]);
-  }
-
-  static bool key_less(const Key& a, const Key& b) noexcept {
-    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
-  }
-  // Min-heap comparator for overlay/overflow (std::*_heap are max-heaps).
+  // Min-heap comparator on (time, seq): std::*_heap build max-heaps, so
+  // "a after b" puts the earliest key at the front.
   static bool key_after(const Key& a, const Key& b) noexcept {
-    return key_less(b, a);
+    return a.t != b.t ? a.t > b.t : a.seq > b.seq;
   }
 
   // Closure slab + free list. Indices are stable for an event's lifetime;
@@ -293,28 +235,8 @@ class EventQueue {
   std::vector<EventFn> fns_;
   std::vector<std::uint32_t> free_;
 
-  // Current epoch's keys, ascending (time, seq), consumed via cursor.
-  std::vector<Key> run_;
-  std::size_t run_head_ = 0;
-
-  // Overlay lane: pushes earlier than the run's tail, as a binary
-  // min-heap. Pop merges the two lanes by head-min.
-  std::vector<Key> ovl_heap_;
-
-  std::array<std::vector<Key>, kSlots> wheel_;
-  std::uint64_t bitmap_[kWords] = {};
-  std::size_t wheel_count_ = 0;
-  std::vector<Key> overflow_;  // min-heap on (time, seq)
-
-  // All wheel/overflow events have epoch > cur_epoch_ (invariant A); the
-  // run holds only events at epochs <= cur_epoch_ plus in-order appends.
-  std::int64_t cur_epoch_ = -1;
-  // Conservative lower bound on the earliest time in wheel + overflow; a
-  // too-low value only disables the O(1) append fast path, never ordering.
-  Time floor_lb_ = kNoFloor;
-
+  std::vector<Key> heap_;  // min-heap on (time, seq) via key_after
   std::uint64_t next_seq_ = 0;
-  std::size_t size_ = 0;
 };
 
 }  // namespace mel::sim

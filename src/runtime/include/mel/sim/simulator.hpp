@@ -170,9 +170,9 @@ class Simulator {
   void limit_lookahead(Time d);
   Time lookahead() const { return lookahead_; }
 
-  /// Fall back to the sequential engine (e.g. the MPI machine with chaos
-  /// or the reliable transport on, whose per-channel state every shard
-  /// would write): warns and calls set_threads(1), so it has the same
+  /// Fall back to the sequential engine (e.g. the MPI machine with the
+  /// reliable transport on, whose per-channel state every shard would
+  /// write): warns and calls set_threads(1), so it has the same
   /// precondition — nothing spawned or scheduled yet. A no-op when the
   /// engine is already sequential.
   void require_sequential(const char* why);
@@ -220,10 +220,6 @@ class Simulator {
   /// Machine layers ULFM-style failure notification on top.
   void kill(Rank rank);
 
-  /// True if the rank was killed (fail-stop), as opposed to done.
-  bool rank_crashed(Rank rank) const { return ranks_[rank].crashed; }
-  int crashed_count() const { return crashed_; }
-
   // -- Periodic run-loop hooks (checkpointing, telemetry sampling) ----------
 
   /// Invoke `hook(k * interval)` from the run loop just before executing
@@ -260,9 +256,6 @@ class Simulator {
   void set_stall_reporter(StallReporter reporter) {
     reporter_ = std::move(reporter);
   }
-
-  /// Virtual time at which the rank's coroutine last resumed (or started).
-  Time last_resume(Rank rank) const { return ranks_[rank].last_resume; }
 
   /// Human-readable per-rank progress dump for every unfinished rank:
   /// clock, last resume time, and the stall reporter's diagnostics.

@@ -22,9 +22,4 @@ constexpr double to_seconds(Time t) noexcept {
   return static_cast<double>(t) * 1e-9;
 }
 
-/// Convert seconds to virtual time (rounding to nearest nanosecond).
-constexpr Time from_seconds(double s) noexcept {
-  return static_cast<Time>(s * 1e9 + (s >= 0 ? 0.5 : -0.5));
-}
-
 }  // namespace mel::sim

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 
+#include "mel/chaos/chaos.hpp"
 #include "mel/gen/generators.hpp"
 #include "mel/match/driver.hpp"
 #include "mel/obs/recorder.hpp"
@@ -29,38 +30,53 @@ constexpr match::Model kModels[] = {
     match::Model::kNclPersist, match::Model::kRmaPart,
 };
 
-match::RunResult run_one(match::Model model, std::uint64_t seed, int threads) {
+match::RunResult run_one(match::Model model, std::uint64_t seed, int threads,
+                         const chaos::Config& chaos = {}) {
   const auto g = gen::rmat(kScale, kEdgeFactor, seed);
   match::RunConfig cfg;
   cfg.threads = threads;
+  cfg.net.chaos = chaos;
   return match::run_match(g, kRanks, model, cfg);
 }
 
-TEST(ThreadInvariance, EveryBackendEverySeedBitIdentical) {
+/// Every backend on seeds 1-3 at T in {2, 3, 4, 8} against T=1: same
+/// trace hash, weight, virtual time, event count and communication time.
+void expect_every_backend_bit_identical(const chaos::Config& chaos) {
   for (const match::Model model : kModels) {
     for (const std::uint64_t seed : {1, 2, 3}) {
-      const auto base = run_one(model, seed, 1);
+      chaos::Config c = chaos;
+      c.seed = seed;
+      const auto base = run_one(model, seed, 1, c);
       // T=3 gives uneven shards over the 8 ranks.
       for (const int threads : {2, 3, 4, 8}) {
-        const auto r = run_one(model, seed, threads);
-        EXPECT_EQ(r.trace_hash, base.trace_hash)
-            << match::model_name(model) << " seed " << seed << " threads "
-            << threads;
-        EXPECT_EQ(r.matching.weight, base.matching.weight)
-            << match::model_name(model) << " seed " << seed << " threads "
-            << threads;
-        EXPECT_EQ(r.time, base.time)
-            << match::model_name(model) << " seed " << seed << " threads "
-            << threads;
-        EXPECT_EQ(r.sim_events, base.sim_events)
-            << match::model_name(model) << " seed " << seed << " threads "
-            << threads;
-        EXPECT_EQ(r.totals.comm_ns, base.totals.comm_ns)
-            << match::model_name(model) << " seed " << seed << " threads "
-            << threads;
+        const auto r = run_one(model, seed, threads, c);
+        const auto where = ::testing::Message()
+                           << match::model_name(model) << " seed " << seed
+                           << " threads " << threads;
+        EXPECT_EQ(r.trace_hash, base.trace_hash) << where;
+        EXPECT_EQ(r.matching.weight, base.matching.weight) << where;
+        EXPECT_EQ(r.time, base.time) << where;
+        EXPECT_EQ(r.sim_events, base.sim_events) << where;
+        EXPECT_EQ(r.totals.comm_ns, base.totals.comm_ns) << where;
       }
     }
   }
+}
+
+TEST(ThreadInvariance, EveryBackendEverySeedBitIdentical) {
+  expect_every_backend_bit_identical({});
+}
+
+// Chaos timing knobs keep the sharded engine (only the reliable transport
+// forces one thread): the jitter draws count per channel in the sending
+// rank's own floor row, and stragglers and collective skew are pure.
+TEST(ThreadInvariance, ChaosTimingRunsShardBitIdentical) {
+  chaos::Config timing;
+  timing.latency_jitter = 0.3;
+  timing.stragglers = 2;
+  timing.straggler_slowdown = 2.5;
+  timing.collective_skew = 3000;
+  expect_every_backend_bit_identical(timing);
 }
 
 // The observability artifacts must be byte-identical too: tracer calls are

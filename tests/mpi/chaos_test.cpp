@@ -1,6 +1,7 @@
 // Unit tests for the deterministic fault-injection engine, plus its
 // integration with the Machine: jitter may reorder messages across tags
-// but never within a (src, dst, tag) channel.
+// but never within a (src, dst, tag) channel, and timing knobs keep the
+// sharded engine.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -61,11 +62,12 @@ TEST(ChaosConfig, NegativeKnobsAreRejectedNotSilentlyIgnored) {
 }
 
 TEST(ChaosEngine, SameSeedSameDraws) {
-  Engine a(jittery(), 8);
-  Engine b(jittery(), 8);
+  const Engine a(jittery(), 8);
+  const Engine b(jittery(), 8);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(a.transfer_jitter(0, 1, i % 3, 1000),
-              b.transfer_jitter(0, 1, i % 3, 1000));
+    const auto n = static_cast<std::uint64_t>(i / 3);
+    EXPECT_EQ(a.transfer_jitter(0, 1, i % 3, n, 1000),
+              b.transfer_jitter(0, 1, i % 3, n, 1000));
   }
   for (sim::Rank r = 0; r < 8; ++r) {
     EXPECT_EQ(a.is_straggler(r), b.is_straggler(r));
@@ -76,12 +78,12 @@ TEST(ChaosEngine, SameSeedSameDraws) {
 TEST(ChaosEngine, DifferentSeedsDiverge) {
   Config other = jittery();
   other.seed = 43;
-  Engine a(jittery(), 8);
-  Engine b(other, 8);
+  const Engine a(jittery(), 8);
+  const Engine b(other, 8);
   bool any_diff = false;
-  for (int i = 0; i < 64; ++i) {
-    if (a.transfer_jitter(0, 1, 0, 100000) !=
-        b.transfer_jitter(0, 1, 0, 100000)) {
+  for (std::uint64_t n = 0; n < 64; ++n) {
+    if (a.transfer_jitter(0, 1, 0, n, 100000) !=
+        b.transfer_jitter(0, 1, 0, n, 100000)) {
       any_diff = true;
     }
   }
@@ -89,9 +91,9 @@ TEST(ChaosEngine, DifferentSeedsDiverge) {
 }
 
 TEST(ChaosEngine, JitterStaysWithinConfiguredFraction) {
-  Engine e(jittery(), 4);
-  for (int i = 0; i < 200; ++i) {
-    const sim::Time j = e.transfer_jitter(1, 2, 0, 1000);
+  const Engine e(jittery(), 4);
+  for (std::uint64_t n = 0; n < 200; ++n) {
+    const sim::Time j = e.transfer_jitter(1, 2, 0, n, 1000);
     EXPECT_GE(j, 0);
     EXPECT_LE(j, 500);  // wire * latency_jitter
   }
@@ -200,6 +202,31 @@ TEST(ChaosMachine, IdenticalSeedsGiveIdenticalSchedules) {
   };
   EXPECT_EQ(run_once(3), run_once(3));
   EXPECT_NE(run_once(3), run_once(4));
+}
+
+TEST(ChaosMachine, TimingKnobsKeepTheShardedEngine) {
+  // Jitter, stragglers and collective skew only add time, and their draws
+  // are pure, so the Machine keeps the engine sharded under them; whatever
+  // builds the reliable transport still runs it sequential.
+  auto threaded_with = [](const net::Params& p, const ft::Params& ft) {
+    sim::Simulator s(8);
+    s.set_threads(4);
+    const mpi::Machine m(s, net::Network(8, p), ft);
+    return s.threaded();
+  };
+  net::Params timing = test_params();
+  timing.chaos = jittery();
+  EXPECT_TRUE(threaded_with(timing, {}));
+
+  ft::Params ft_on;
+  ft_on.enabled = true;
+  EXPECT_FALSE(threaded_with(timing, ft_on));
+  net::Params lossy = timing;
+  lossy.chaos.loss = 0.1;
+  EXPECT_FALSE(threaded_with(lossy, {}));
+  net::Params crash = timing;
+  crash.chaos.crashes.push_back({/*rank=*/1, /*at=*/10 * sim::kMicrosecond});
+  EXPECT_FALSE(threaded_with(crash, {}));
 }
 
 }  // namespace

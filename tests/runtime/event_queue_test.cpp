@@ -1,9 +1,11 @@
-// Property tests for the indexed event queue: every workload is run
-// against a reference binary heap and must pop the exact same (time,
-// sequence) order — the same contract the determinism pin test freezes at
-// the application level.
+// Property tests for the event queue: every workload is run against a
+// reference priority_queue and must pop the exact same (time, sequence)
+// order — the same contract the determinism pin test freezes at the
+// application level.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -31,6 +33,7 @@ struct Key {
 class RefQueue {
  public:
   void push(Time t) { heap_.push(Key{t, next_seq_++}); }
+  void push_keyed(Time t, std::uint64_t seq) { heap_.push(Key{t, seq}); }
   bool empty() const { return heap_.empty(); }
   Key pop() {
     Key k = heap_.top();
@@ -51,6 +54,10 @@ struct Pair {
   void push(Time t) {
     q.push(t, [] {});
     ref.push(t);
+  }
+  void push_keyed(Time t, std::uint64_t seq) {
+    q.push_keyed(t, seq, [] {});
+    ref.push_keyed(t, seq);
   }
   void pop_and_check() {
     ASSERT_FALSE(q.empty());
@@ -93,15 +100,15 @@ TEST(EventQueue, PastTimePushesDuringDrain) {
   p.drain();
 }
 
-TEST(EventQueue, FarFutureGoesThroughOverflowCorrectly) {
+TEST(EventQueue, FarFutureTimesPopInOrder) {
   Pair p;
-  // Beyond the 1024-slot x 1024 ns wheel horizon.
+  // Times far apart: 2^30 and 2^40 ns beside near ones.
   p.push(1);
   p.push(Time{1} << 40);
   p.push(Time{1} << 30);
   p.push(2);
   p.drain();
-  // Window advanced a long way; keep going.
+  // Time advanced a long way; keep going.
   p.push((Time{1} << 40) + 3);
   p.push((Time{1} << 40) + 1);
   p.drain();
@@ -123,9 +130,9 @@ TEST(EventQueue, RandomizedInterleavedAgainstReferenceHeap) {
         Time t;
         switch ((r >> 2) & 7) {
           case 0: t = watermark; break;                          // now
-          case 1: t = watermark + ((r >> 8) & 1023); break;      // in-epoch
-          case 2: t = watermark + ((r >> 8) & 0xfffff); break;   // in-wheel
-          case 3: t = watermark + ((r >> 8) & 0xffffffff); break;  // spill
+          case 1: t = watermark + ((r >> 8) & 1023); break;        // ~1 us
+          case 2: t = watermark + ((r >> 8) & 0xfffff); break;     // ~1 ms
+          case 3: t = watermark + ((r >> 8) & 0xffffffff); break;  // ~4 s
           case 4: t = watermark > 100 ? watermark - 50 : 0; break; // past
           default: t = watermark + ((r >> 8) & 4095); break;
         }
@@ -142,6 +149,50 @@ TEST(EventQueue, RandomizedInterleavedAgainstReferenceHeap) {
     p.drain();
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST(EventQueue, KeyedPushesInterleaveWithCountedOnes) {
+  // The sharded engine pushes merged events under their global sequence
+  // and intra-window events under provisional ones from 2^63 (the
+  // simulator's kProvBase), beside the queue's own counted pushes. Keys
+  // stay unique; pops follow (time, seq) across all three, including
+  // ties in time between them.
+  constexpr std::uint64_t kProvBase = std::uint64_t{1} << 63;
+  util::Xoshiro256 rng(0xc0ffeeULL);
+  Pair p;
+  p.push_keyed(0, std::numeric_limits<std::uint64_t>::max());
+  p.push_keyed(0, kProvBase);
+  std::uint64_t global = std::uint64_t{1} << 32;  // above every counted seq
+  std::uint64_t prov = kProvBase + 1;
+  std::uint64_t counted = 0;
+  Time watermark = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t r = rng();
+    if (p.q.empty() || (r & 3) != 0) {
+      // 64 distinct times ahead of the watermark: most pushes tie with
+      // others from another source.
+      const Time t = watermark + static_cast<Time>((r >> 4) & 63);
+      switch ((r >> 2) & 3) {
+        case 0:
+          p.push_keyed(t, global);
+          global += 3;
+          break;
+        case 1:
+          p.push_keyed(t, prov++);
+          break;
+        default:
+          p.push(t);
+          ++counted;
+          break;
+      }
+    } else {
+      watermark = p.q.peek().t;
+      p.pop_and_check();
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(p.q.seqs_issued(), counted);
+  p.drain();
 }
 
 TEST(EventQueue, EventFnSmallBufferAndHeapFallback) {

@@ -10,6 +10,9 @@
 #     get, are checked the same way,
 #   * --matrix writes the comm matrix for every algorithm, and an
 #     unwritable --matrix path is a usage error,
+#   * an output file the device refuses to take (/dev/full) exits 2
+#     naming the path, for --metrics-jsonl, --matrix and
+#     --host-profile-json,
 #   * --intra-node-params values outside the cost model's domain and a
 #     graph file declaring more than graph::kMaxFileVertices vertices are
 #     rejected by name.
@@ -174,13 +177,16 @@ expect_crash_rejected("negative watchdog horizon"
                       "--watchdog-horizon: must be between 0 and"
                       --watchdog-horizon -5)
 
-# Observability output paths are probed for writability up front: an
-# unwritable --trace/--metrics-jsonl destination is a usage error, not a
-# failure after the whole simulation ran.
+# Output paths are probed for writability up front: an unwritable
+# --trace/--metrics-jsonl/--host-profile-json destination is a usage error,
+# not a failure after the whole simulation ran.
 expect_crash_rejected("unwritable trace path" "--trace: cannot write"
                       --trace /no-such-dir/out.trace.json)
 expect_crash_rejected("unwritable metrics path" "--metrics-jsonl: cannot write"
                       --metrics-jsonl /no-such-dir/out.metrics.jsonl)
+expect_crash_rejected("unwritable host profile path"
+                      "--host-profile-json: cannot write"
+                      --host-profile-json /no-such-dir/profile.json)
 
 # --threads 2 is accepted and the machine-readable summary is identical to
 # the sequential run — the CLI-level face of the bit-identical guarantee.
@@ -309,6 +315,31 @@ foreach(algo match bfs color)
     message(FATAL_ERROR "${algo} --matrix: every entry is zero")
   endif()
 endforeach()
+
+# A destination that opens but cannot take the bytes fails the run: the
+# write and the close are checked, so a lost output file never exits 0.
+# The metrics file here is smaller than the stream buffer, so only the
+# close sees the full device.
+if(EXISTS /dev/full)
+  foreach(flag metrics-jsonl matrix host-profile-json)
+    set(extra)
+    if(flag STREQUAL "metrics-jsonl")
+      set(extra --sample-interval 100000000)
+    endif()
+    execute_process(
+      COMMAND ${MELSIM} --algo match --model NCL --ranks 2 --gen er --verts 8
+              --edges 4 ${extra} --${flag} /dev/full
+      RESULT_VARIABLE full_code
+      OUTPUT_VARIABLE full_out
+      ERROR_VARIABLE full_err)
+    if(NOT full_code EQUAL 2)
+      message(FATAL_ERROR "--${flag} /dev/full: expected exit 2, got ${full_code}: ${full_out}${full_err}")
+    endif()
+    if(NOT full_err MATCHES "--${flag}: cannot write \"/dev/full\"")
+      message(FATAL_ERROR "--${flag} /dev/full: error must name the path: ${full_err}")
+    endif()
+  endforeach()
+endif()
 
 # A Matrix Market header declaring 2^40 vertices is refused by name, with
 # the count and the limit, before the reader allocates anything for it.

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -244,11 +243,11 @@ void parse_intra_node(const std::string& text, net::Params& net) {
   net.beta_intra = *g;
 }
 
-/// Probe an output path for writability before the simulation runs: a
-/// bad --trace/--metrics-jsonl/--matrix destination is a usage error, not
-/// something to discover after minutes of simulated work. The probe opens
-/// in append mode (leaving an existing file's bytes alone) and removes the
-/// file again if the probe itself created it.
+/// Probe an output path for writability before the simulation runs: a bad
+/// --trace/--metrics-jsonl/--matrix/--host-profile-json destination is a
+/// usage error, not something to discover after minutes of simulated work.
+/// The probe opens in append mode (leaving an existing file's bytes alone)
+/// and removes the file again if the probe itself created it.
 void require_writable(const char* flag, const std::string& path) {
   std::FILE* probe = std::fopen(path.c_str(), "rb");
   const bool existed = probe != nullptr;
@@ -262,19 +261,21 @@ void require_writable(const char* flag, const std::string& path) {
   if (!existed) std::remove(path.c_str());
 }
 
-/// Write the --matrix CSV (bytes per rank pair), if one was asked for.
-void write_matrix(const util::Cli& cli,
-                  const std::unique_ptr<mpi::CommMatrix>& matrix) {
-  if (!cli.has("matrix")) return;
-  const std::string path = cli.get("matrix", "");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    throw std::runtime_error("--matrix: cannot write \"" + path +
-                             "\": " + std::strerror(errno));
+/// Write the output file of `--flag` whole. Open, write and close are each
+/// checked: a full device often takes the buffered bytes and refuses only
+/// the flush at close, and a run whose output was lost must not exit 0.
+void write_output(const char* flag, const std::string& path,
+                  const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  bool ok = f != nullptr;
+  if (ok) {
+    ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    ok = std::fclose(f) == 0 && ok;
   }
-  const auto text = perf::matrix_csv(*matrix, true);
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
+  if (!ok) {
+    throw std::runtime_error(std::string("--") + flag + ": cannot write \"" +
+                             path + "\": " + std::strerror(errno));
+  }
 }
 
 ft::Recovery parse_recovery(const std::string& name) {
@@ -360,7 +361,8 @@ int run(const util::Cli& cli) {
   const int ranks = int_flag(cli, "ranks", 64, 1);
   const bool csv = cli.get_bool("csv", false);
   match::RunConfig cfg = parse_config(cli, ranks);
-  for (const char* flag : {"trace", "metrics-jsonl", "matrix"}) {
+  for (const char* flag :
+       {"trace", "metrics-jsonl", "matrix", "host-profile-json"}) {
     if (cli.has(flag)) require_writable(flag, cli.get(flag, ""));
   }
 
@@ -463,11 +465,15 @@ int run(const util::Cli& cli) {
   if (want_obs) {
     recorder.set_run_result(stats.time, stats.trace_hash, stats.sim_events);
   }
-  write_matrix(cli, stats.matrix);
+  if (cli.has("matrix")) {
+    write_output("matrix", cli.get("matrix", ""),
+                 perf::matrix_csv(*stats.matrix, true));
+  }
   if (!ok) return 1;
 
   if (cli.has("trace")) {
-    recorder.write_chrome_file(cli.get("trace", "trace.json"));
+    write_output("trace", cli.get("trace", "trace.json"),
+                 recorder.to_chrome_json());
     if (!csv) {
       std::printf("trace: %zu spans, %zu flows, %zu samples -> %s\n",
                   recorder.spans().size(), recorder.flows().size(),
@@ -476,7 +482,8 @@ int run(const util::Cli& cli) {
     }
   }
   if (cli.has("metrics-jsonl")) {
-    recorder.write_metrics_file(cli.get("metrics-jsonl", "metrics.jsonl"));
+    write_output("metrics-jsonl", cli.get("metrics-jsonl", "metrics.jsonl"),
+                 recorder.metrics_jsonl());
     if (!csv) {
       std::printf("metrics: %zu samples, %zu iterations -> %s\n",
                   recorder.samples().size(), recorder.iterations().size(),
@@ -486,15 +493,7 @@ int run(const util::Cli& cli) {
   if (host_profile) {
     if (cli.has("host-profile-json")) {
       const std::string path = cli.get("host-profile-json", "");
-      std::FILE* f = std::fopen(path.c_str(), "w");
-      if (f == nullptr) {
-        std::fprintf(stderr, "melsim: cannot write --host-profile-json %s\n",
-                     path.c_str());
-        return 2;
-      }
-      const auto text = prof::report_json();
-      std::fwrite(text.data(), 1, text.size(), f);
-      std::fclose(f);
+      write_output("host-profile-json", path, prof::report_json());
       if (!csv) std::printf("host profile -> %s\n", path.c_str());
     }
     if (cli.get_bool("host-profile", false)) {
