@@ -173,7 +173,7 @@ class NclExchange final : public Exchange<R> {
 
  private:
   Start start_;
-  mpi::PersistentNeighborRequest persistent_;
+  mpi::NeighborRequest persistent_;
 };
 
 /// Level-synchronous Send-Recv (BFS, coloring): every round sends each

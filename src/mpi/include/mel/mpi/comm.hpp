@@ -13,15 +13,20 @@
 //   auto total = co_await comm.allreduce_sum(x);  // MPI_Allreduce
 //   co_await comm.barrier();
 //
-// Every operation charges realistic software overheads and advances the
-// rank's virtual clock; blocking ones suspend the coroutine until the
-// simulated completion time.
+// Comm and Window are the only way rank code reaches the Machine. Every
+// operation charges realistic software overheads and advances the rank's
+// virtual clock, and that advance is the rank's communication time;
+// blocking ones suspend the coroutine until the simulated completion time.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <optional>
 #include <span>
+#include <stdexcept>
+#include <variant>
 #include <vector>
 
 #include "mel/mpi/machine.hpp"
@@ -30,29 +35,23 @@
 
 namespace mel::mpi {
 
-namespace detail {
-/// Stage caller-built byte vectors into pooled buffers — the one copy a
-/// neighborhood slice pays end-to-end (receivers alias by refcount).
-inline std::vector<util::Buffer> to_buffers(
-    const std::vector<std::vector<std::byte>>& slices) {
-  std::vector<util::Buffer> out;
-  out.reserve(slices.size());
-  for (const auto& s : slices) out.push_back(util::Buffer::copy_of(s));
-  return out;
-}
-}  // namespace detail
-
 // ---------------------------------------------------------------------------
 // Awaiters
 // ---------------------------------------------------------------------------
 
-/// co_await comm.recv(src, tag) -> Message. Blocks until a matching message
-/// has arrived (wildcards kAnySource / kAnyTag supported).
+/// co_await comm.recv(src, tag) -> Message: blocks until a matching message
+/// has arrived (wildcards kAnySource / kAnyTag supported). With `peek`
+/// (co_await comm.wait_message()) it blocks until *some* message is in the
+/// mailbox and leaves it there; the idle path of Send-Recv loops.
+///
+/// The destructor is deliberately passive: a parked awaiter is only
+/// destroyed with its suspended coroutine frame, in ~Simulator, after the
+/// Machine may be gone; its ticket pointer is never read once the event
+/// loop has stopped.
 class RecvAwaiter {
  public:
-  RecvAwaiter(Machine& m, Rank rank, Rank src, int tag);
+  RecvAwaiter(Machine& m, Rank rank, Rank src, int tag, bool peek);
   RecvAwaiter(RecvAwaiter&&) = delete;
-  ~RecvAwaiter();
 
   bool await_ready();
   void await_suspend(std::coroutine_handle<> h);
@@ -60,125 +59,63 @@ class RecvAwaiter {
 
  private:
   Machine& m_;
-  Rank rank_;
-  Rank src_;
-  int tag_;
-  Time entry_clock_;
+  Time entry_;
   bool registered_ = false;
-  Machine::RecvTicket ticket_;
+  Machine::RecvTicket ticket_;  // rank, src, tag and peek from the start
   Message msg_;
 };
 
-/// co_await comm.wait_message() -> void. Blocks until *some* message is in
-/// the mailbox (does not dequeue it); the idle path of Send-Recv loops.
-class WaitMessageAwaiter {
+/// The one awaiter of every blocking collective: neighborhood, global,
+/// fence and the split-phase waits. `park(machine, rank, raw, parked)`
+/// hands the parked rank to the Machine, which fills `raw` before the wake;
+/// `finish(raw)` turns it into what co_await returns.
+template <class Raw, class Park, class Finish>
+class Blocking {
  public:
-  WaitMessageAwaiter(Machine& m, Rank rank);
-  WaitMessageAwaiter(WaitMessageAwaiter&&) = delete;
-  ~WaitMessageAwaiter();
+  Blocking(Machine& m, Rank rank, const char* op, Park park, Finish finish)
+      : m_(m),
+        rank_(rank),
+        op_(op),
+        entry_(m.simulator().rank_now(rank)),
+        park_(std::move(park)),
+        finish_(std::move(finish)) {}
+  Blocking(Blocking&&) = delete;
 
-  bool await_ready();
-  void await_suspend(std::coroutine_handle<> h);
-  void await_resume();
+  bool await_ready() const { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    park_(m_, rank_, raw_, sim::Simulator::Parked{rank_, h});
+  }
+  auto await_resume() {
+    m_.end_call(rank_, op_, entry_);
+    return finish_(std::move(raw_));
+  }
 
  private:
   Machine& m_;
   Rank rank_;
-  Time entry_clock_;
-  bool registered_ = false;
-  Machine::RecvTicket ticket_;
+  const char* op_;
+  Time entry_;
+  Park park_;
+  Finish finish_;
+  Raw raw_{};
 };
 
-/// co_await comm.neighbor_alltoallv(slices) -> received slices, one per
-/// topology neighbor (same order as comm.neighbors()).
-class NeighborAwaiter {
- public:
-  NeighborAwaiter(Machine& m, Rank rank, std::vector<util::Buffer> slices);
-  NeighborAwaiter(NeighborAwaiter&&) = delete;
-
-  bool await_ready() { return false; }
-  void await_suspend(std::coroutine_handle<> h);
-  std::vector<util::Buffer> await_resume();
-
- private:
-  Machine& m_;
-  Rank rank_;
-  Time entry_clock_;
-  std::vector<util::Buffer> send_;
-  std::vector<util::Buffer> recv_;
+namespace detail {
+/// The finish of a call that returns nothing.
+struct Nothing {
+  void operator()(std::monostate) const {}
 };
 
-/// co_await comm.neighbor_alltoall_i64(values) -> one int64 from each
-/// neighbor. The fixed-size count exchange used before an alltoallv.
-class NeighborI64Awaiter {
- public:
-  NeighborI64Awaiter(Machine& m, Rank rank, std::vector<std::int64_t> values);
-  NeighborI64Awaiter(NeighborI64Awaiter&&) = delete;
+/// A Blocking awaiter, deduced from its park and finish callables.
+template <class Raw = std::monostate, class Park, class Finish = Nothing>
+Blocking<Raw, Park, Finish> blocking(Machine& m, Rank rank, const char* op,
+                                     Park park, Finish finish = {}) {
+  return {m, rank, op, std::move(park), std::move(finish)};
+}
+}  // namespace detail
 
-  bool await_ready() { return false; }
-  void await_suspend(std::coroutine_handle<> h);
-  std::vector<std::int64_t> await_resume();
-
- private:
-  Machine& m_;
-  Rank rank_;
-  Time entry_clock_;
-  std::vector<std::int64_t> values_;
-  std::vector<util::Buffer> recv_;
-};
-
-/// co_await comm.allreduce(values, op) -> elementwise-reduced vector.
-class AllreduceAwaiter {
- public:
-  AllreduceAwaiter(Machine& m, Rank rank, std::vector<std::int64_t> values,
-                   ReduceOp op);
-  AllreduceAwaiter(AllreduceAwaiter&&) = delete;
-
-  bool await_ready() { return false; }
-  void await_suspend(std::coroutine_handle<> h);
-  std::vector<std::int64_t> await_resume();
-
- private:
-  Machine& m_;
-  Rank rank_;
-  Time entry_clock_;
-  ReduceOp op_;
-  std::vector<std::int64_t> values_;
-  std::vector<std::int64_t> result_;
-};
-
-/// co_await comm.allreduce_sum(x) -> int64 (scalar convenience).
-class AllreduceScalarAwaiter {
- public:
-  AllreduceScalarAwaiter(Machine& m, Rank rank, std::int64_t value,
-                         ReduceOp op)
-      : inner_(m, rank, {value}, op) {}
-
-  bool await_ready() { return inner_.await_ready(); }
-  void await_suspend(std::coroutine_handle<> h) { inner_.await_suspend(h); }
-  std::int64_t await_resume() { return inner_.await_resume().at(0); }
-
- private:
-  AllreduceAwaiter inner_;
-};
-
-/// co_await comm.barrier().
-class BarrierAwaiter {
- public:
-  BarrierAwaiter(Machine& m, Rank rank);
-  BarrierAwaiter(BarrierAwaiter&&) = delete;
-
-  bool await_ready() { return false; }
-  void await_suspend(std::coroutine_handle<> h);
-  void await_resume();
-
- private:
-  Machine& m_;
-  Rank rank_;
-  Time entry_clock_;
-};
-
-/// co_await win.flush_all(): completes this origin's outstanding puts.
+/// co_await win.flush_all(): completes this origin's outstanding puts, and
+/// completes inline when none is outstanding beyond the local clock.
 class FlushAwaiter {
  public:
   FlushAwaiter(Machine& m, int win, Rank rank);
@@ -192,86 +129,8 @@ class FlushAwaiter {
   Machine& m_;
   int win_;
   Rank rank_;
-  Time entry_clock_;
+  Time entry_;
   Time complete_at_ = 0;
-};
-
-/// co_await win.fence(): active-target epoch synchronization
-/// (MPI_Win_fence) — a window-wide barrier that also drains every
-/// outstanding put on the window.
-class FenceAwaiter {
- public:
-  FenceAwaiter(Machine& m, int win, Rank rank);
-  FenceAwaiter(FenceAwaiter&&) = delete;
-
-  bool await_ready() { return false; }
-  void await_suspend(std::coroutine_handle<> h);
-  void await_resume();
-
- private:
-  Machine& m_;
-  int win_;
-  Rank rank_;
-  Time entry_clock_;
-};
-
-/// Split-phase neighborhood collective handle (MPI_Ineighbor_alltoallv):
-///
-///   mpi::NeighborRequest req;
-///   comm.ineighbor_alltoallv(std::move(slices), req);
-///   ... overlap local computation ...
-///   co_await comm.ineighbor_wait(req);
-///   use(req.recv);
-///
-/// Non-movable: the machine holds a pointer to `recv` until completion.
-class NeighborRequest {
- public:
-  NeighborRequest() = default;
-  NeighborRequest(const NeighborRequest&) = delete;
-  NeighborRequest& operator=(const NeighborRequest&) = delete;
-
-  std::vector<util::Buffer> recv;  // valid after ineighbor_wait
-};
-
-/// Persistent neighborhood alltoallv (MPI_Neighbor_alltoallv_init /
-/// MPI_Start / MPI_Wait flavored):
-///
-///   mpi::PersistentNeighborRequest req;
-///   comm.neighbor_alltoallv_init(req);      // schedule built once (full
-///                                           // collective-entry cost)
-///   for (;;) {
-///     comm.neighbor_alltoallv_start(req, std::move(slices));  // cheap
-///     co_await comm.neighbor_alltoallv_wait(req);
-///     use(req.recv);
-///   }
-///
-/// The exchange schedule (neighbor list, slice-offset table, matching
-/// state) is registered at init and reused by every start, which is
-/// charged o_coll_persistent_start instead of the per-call entry.
-/// Non-movable for the same reason as NeighborRequest.
-class PersistentNeighborRequest {
- public:
-  PersistentNeighborRequest() = default;
-  PersistentNeighborRequest(const PersistentNeighborRequest&) = delete;
-  PersistentNeighborRequest& operator=(const PersistentNeighborRequest&) =
-      delete;
-
-  std::vector<util::Buffer> recv;  // valid after neighbor_alltoallv_wait
-};
-
-class NeighborWaitAwaiter {
- public:
-  NeighborWaitAwaiter(Machine& m, Rank rank);
-  NeighborWaitAwaiter(NeighborWaitAwaiter&&) = delete;
-
-  bool await_ready() { return false; }
-  void await_suspend(std::coroutine_handle<> h);
-  void await_resume();
-
- private:
-  Machine& m_;
-  Rank rank_;
-  Time entry_clock_;
 };
 
 /// co_await comm.sleep(dt): pure virtual-time delay (testing / pacing).
@@ -290,6 +149,36 @@ class SleepAwaiter {
   Time dt_;
 };
 
+/// Neighborhood collective request, split-phase (MPI_Ineighbor_alltoallv)
+/// or persistent (MPI_Neighbor_alltoallv_init / MPI_Start / MPI_Wait):
+///
+///   mpi::NeighborRequest req;
+///   comm.ineighbor_alltoallv(std::move(slices), req);
+///   ... overlap local computation ...
+///   co_await comm.ineighbor_wait(req);
+///   use(req.recv);
+///
+///   comm.neighbor_alltoallv_init(req);  // schedule built once (full
+///                                       // collective-entry cost)
+///   for (;;) {
+///     comm.neighbor_alltoallv_start(req, std::move(slices));  // cheap
+///     co_await comm.neighbor_alltoallv_wait(req);
+///     use(req.recv);
+///   }
+///
+/// A persistent schedule (neighbor list, slice-offset table, matching
+/// state) is registered at init and reused by every start, which is charged
+/// o_coll_persistent_start instead of the per-call entry. Non-movable: the
+/// machine holds a pointer to `recv` until completion.
+class NeighborRequest {
+ public:
+  NeighborRequest() = default;
+  NeighborRequest(const NeighborRequest&) = delete;
+  NeighborRequest& operator=(const NeighborRequest&) = delete;
+
+  std::vector<util::Buffer> recv;  // valid after the wait
+};
+
 // ---------------------------------------------------------------------------
 // Window: per-rank handle for one-sided (RMA) access
 // ---------------------------------------------------------------------------
@@ -299,15 +188,18 @@ class Window {
   Window() = default;
   Window(Machine* m, int id, Rank rank) : m_(m), id_(id), rank_(rank) {}
 
-  /// Nonblocking one-sided put into `target`'s window memory.
-  void put(Rank target, std::size_t offset, std::span<const std::byte> data);
+  /// Nonblocking one-sided put into `target`'s window memory. A put that
+  /// does not fit inside the target's window throws std::out_of_range.
+  void put(Rank target, std::size_t offset, std::span<const std::byte> data) {
+    m_->put(id_, rank_, target, offset, data, /*ordered=*/false);
+  }
 
   /// Put a packed array of trivially-copyable records at a record offset.
   template <class T>
     requires std::is_trivially_copyable_v<T>
   void put_records(Rank target, std::size_t record_offset,
                    std::span<const T> records) {
-    put(target, record_offset * sizeof(T), std::as_bytes(records));
+    put(target, byte_offset<T>(record_offset), std::as_bytes(records));
   }
 
   /// Ordered (partitioned) put: like put, but guaranteed to land no
@@ -315,30 +207,52 @@ class Window {
   /// target. The partitioned backend uses it so a partition-boundary
   /// marker (the MPI_Pready analogue) trails its partition's data.
   void put_ordered(Rank target, std::size_t offset,
-                   std::span<const std::byte> data);
+                   std::span<const std::byte> data) {
+    m_->put(id_, rank_, target, offset, data, /*ordered=*/true);
+  }
 
   template <class T>
     requires std::is_trivially_copyable_v<T>
   void put_records_ordered(Rank target, std::size_t record_offset,
                            std::span<const T> records) {
-    put_ordered(target, record_offset * sizeof(T), std::as_bytes(records));
+    put_ordered(target, byte_offset<T>(record_offset), std::as_bytes(records));
   }
 
   /// Complete all outstanding puts issued by this rank (passive target).
-  [[nodiscard]] FlushAwaiter flush_all();
+  [[nodiscard]] FlushAwaiter flush_all() {
+    return FlushAwaiter(*m_, id_, rank_);
+  }
 
-  /// Active-target epoch boundary: window-wide barrier draining all puts.
-  [[nodiscard]] FenceAwaiter fence();
+  /// Active-target epoch boundary (MPI_Win_fence): a window-wide barrier
+  /// that also drains every outstanding put on the window.
+  [[nodiscard]] auto fence() {
+    return detail::blocking(*m_, rank_, "fence",
+                            [win = id_](Machine& m, Rank r, auto&, auto p) {
+                              m.fence_arrive(win, r, p);
+                            });
+  }
 
   /// This rank's own exposed memory (direct load/store, like a real
   /// MPI_Win_allocate'd buffer).
-  std::span<std::byte> local();
-  std::span<const std::byte> local() const;
+  std::span<std::byte> local() { return m_->window_memory(id_, rank_); }
+  std::span<const std::byte> local() const {
+    return m_->window_memory(id_, rank_);
+  }
 
-  std::size_t size() const;
+  std::size_t size() const { return m_->window_size(id_, rank_); }
   bool valid() const { return m_ != nullptr; }
 
  private:
+  /// A record offset in bytes; one whose byte offset does not fit in
+  /// size_t lies past the end of every window.
+  template <class T>
+  static std::size_t byte_offset(std::size_t record_offset) {
+    if (record_offset > std::numeric_limits<std::size_t>::max() / sizeof(T)) {
+      throw std::out_of_range("Window::put past end of target window");
+    }
+    return record_offset * sizeof(T);
+  }
+
   Machine* m_ = nullptr;
   int id_ = -1;
   Rank rank_ = -1;
@@ -349,6 +263,46 @@ class Window {
 // ---------------------------------------------------------------------------
 
 class Comm {
+  // The shapes the collectives below share come first: their callers
+  // deduce return types from them.
+  static std::int64_t first(std::vector<std::int64_t> result) {
+    return result.at(0);
+  }
+
+  /// The blocking neighborhood alltoallv: begin and wait in one call.
+  template <class Finish>
+  auto neighbor(std::vector<util::Buffer> slices, Finish finish) {
+    return detail::blocking<std::vector<util::Buffer>>(
+        m_, rank_, "ncoll",
+        [s = std::move(slices)](Machine& m, Rank r, auto& recv,
+                                auto p) mutable {
+          m.neighbor_begin(r, std::move(s), &recv);
+          m.neighbor_wait(r, p);
+        },
+        std::move(finish));
+  }
+
+  /// A split-phase or persistent begin does not park, so it counts its own
+  /// clock advance (collective entry or persistent start, chaos skew and
+  /// the staging copy) as communication time, with no span.
+  void neighbor_start(std::vector<util::Buffer> slices, NeighborRequest& req,
+                      bool persistent) {
+    const Time entry = now();
+    m_.neighbor_begin(rank_, std::move(slices), &req.recv, persistent);
+    m_.counters_mut(rank_).comm_ns += now() - entry;
+  }
+
+  template <class Finish>
+  auto reduce(std::vector<std::int64_t> values, ReduceOp op, Finish finish) {
+    return detail::blocking<std::vector<std::int64_t>>(
+        m_, rank_, "allreduce",
+        [v = std::move(values), op](Machine& m, Rank r, auto& out,
+                                    auto p) mutable {
+          m.global_arrive(r, std::move(v), op, &out, p);
+        },
+        std::move(finish));
+  }
+
  public:
   Comm(Machine& m, Rank rank) : m_(m), rank_(rank) {}
   Comm(const Comm&) = delete;
@@ -371,70 +325,79 @@ class Comm {
     return m_.iprobe(rank_, src, tag);
   }
   [[nodiscard]] RecvAwaiter recv(Rank src = kAnySource, int tag = kAnyTag) {
-    return RecvAwaiter(m_, rank_, src, tag);
+    return RecvAwaiter(m_, rank_, src, tag, /*peek=*/false);
   }
-  [[nodiscard]] WaitMessageAwaiter wait_message() {
-    return WaitMessageAwaiter(m_, rank_);
+  /// Blocks until some message is queued; returns an empty Message.
+  [[nodiscard]] RecvAwaiter wait_message() {
+    return RecvAwaiter(m_, rank_, kAnySource, kAnyTag, /*peek=*/true);
   }
 
   // -- Process topology and neighborhood collectives -----------------------
   const std::vector<Rank>& neighbors() const { return m_.topology(rank_); }
-  [[nodiscard]] NeighborAwaiter neighbor_alltoallv(
-      std::vector<util::Buffer> slices) {
-    return NeighborAwaiter(m_, rank_, std::move(slices));
+  /// co_await -> received slices, one per topology neighbor (same order as
+  /// neighbors()).
+  [[nodiscard]] auto neighbor_alltoallv(std::vector<util::Buffer> slices) {
+    return neighbor(std::move(slices), std::identity{});
   }
-  /// Convenience overload: stages caller-built byte vectors into pooled
-  /// buffers (one copy; prefer the Buffer overload on hot paths that can
-  /// fill slices directly).
-  [[nodiscard]] NeighborAwaiter neighbor_alltoallv(
-      const std::vector<std::vector<std::byte>>& slices) {
-    return NeighborAwaiter(m_, rank_, detail::to_buffers(slices));
-  }
-  [[nodiscard]] NeighborI64Awaiter neighbor_alltoall_i64(
-      std::vector<std::int64_t> values) {
-    return NeighborI64Awaiter(m_, rank_, std::move(values));
+  /// co_await -> one int64 from each neighbor. The fixed-size count
+  /// exchange used before an alltoallv.
+  [[nodiscard]] auto neighbor_alltoall_i64(std::vector<std::int64_t> values) {
+    std::vector<util::Buffer> slices;
+    slices.reserve(values.size());
+    for (const std::int64_t v : values) {
+      slices.push_back(util::Buffer::copy_of(bytes_of(v)));
+    }
+    return neighbor(std::move(slices), [](std::vector<util::Buffer> recv) {
+      std::vector<std::int64_t> out;
+      out.reserve(recv.size());
+      for (const auto& slice : recv) {
+        out.push_back(from_bytes<std::int64_t>(slice));
+      }
+      return out;
+    });
   }
   /// Split-phase (nonblocking) neighborhood collective; complete with
   /// ineighbor_wait. At most one outstanding per rank.
   void ineighbor_alltoallv(std::vector<util::Buffer> slices,
                            NeighborRequest& req) {
-    m_.neighbor_begin(rank_, std::move(slices), &req.recv);
+    neighbor_start(std::move(slices), req, /*persistent=*/false);
   }
-  void ineighbor_alltoallv(const std::vector<std::vector<std::byte>>& slices,
-                           NeighborRequest& req) {
-    m_.neighbor_begin(rank_, detail::to_buffers(slices), &req.recv);
-  }
-  [[nodiscard]] NeighborWaitAwaiter ineighbor_wait(NeighborRequest&) {
-    return NeighborWaitAwaiter(m_, rank_);
+  [[nodiscard]] auto ineighbor_wait(NeighborRequest&) {
+    return detail::blocking(
+        m_, rank_, "ncoll",
+        [](Machine& m, Rank r, auto&, auto p) { m.neighbor_wait(r, p); });
   }
   /// Persistent neighborhood alltoallv: build the exchange schedule once,
-  /// then start/wait it every round (see PersistentNeighborRequest).
-  void neighbor_alltoallv_init(PersistentNeighborRequest& req) {
-    (void)req;  // the schedule is per rank; req just receives the data
+  /// then start/wait it every round (see NeighborRequest).
+  void neighbor_alltoallv_init(NeighborRequest&) {
     m_.persistent_neighbor_init(rank_);
   }
-  void neighbor_alltoallv_start(PersistentNeighborRequest& req,
+  void neighbor_alltoallv_start(NeighborRequest& req,
                                 std::vector<util::Buffer> slices) {
-    m_.neighbor_begin(rank_, std::move(slices), &req.recv,
-                      /*persistent_start=*/true);
+    neighbor_start(std::move(slices), req, /*persistent=*/true);
   }
-  [[nodiscard]] NeighborWaitAwaiter neighbor_alltoallv_wait(
-      PersistentNeighborRequest&) {
-    return NeighborWaitAwaiter(m_, rank_);
+  [[nodiscard]] auto neighbor_alltoallv_wait(NeighborRequest& req) {
+    return ineighbor_wait(req);
   }
 
   // -- Global collectives --------------------------------------------------
-  [[nodiscard]] AllreduceAwaiter allreduce(std::vector<std::int64_t> values,
-                                           ReduceOp op = ReduceOp::kSum) {
-    return AllreduceAwaiter(m_, rank_, std::move(values), op);
+  /// co_await -> the elementwise-reduced vector.
+  [[nodiscard]] auto allreduce(std::vector<std::int64_t> values,
+                               ReduceOp op = ReduceOp::kSum) {
+    return reduce(std::move(values), op, std::identity{});
   }
-  [[nodiscard]] AllreduceScalarAwaiter allreduce_sum(std::int64_t value) {
-    return AllreduceScalarAwaiter(m_, rank_, value, ReduceOp::kSum);
+  [[nodiscard]] auto allreduce_sum(std::int64_t value) {
+    return reduce(std::vector<std::int64_t>{value}, ReduceOp::kSum, first);
   }
-  [[nodiscard]] AllreduceScalarAwaiter allreduce_max(std::int64_t value) {
-    return AllreduceScalarAwaiter(m_, rank_, value, ReduceOp::kMax);
+  [[nodiscard]] auto allreduce_max(std::int64_t value) {
+    return reduce(std::vector<std::int64_t>{value}, ReduceOp::kMax, first);
   }
-  [[nodiscard]] BarrierAwaiter barrier() { return BarrierAwaiter(m_, rank_); }
+  [[nodiscard]] auto barrier() {
+    return detail::blocking(
+        m_, rank_, "barrier", [](Machine& m, Rank r, auto&, auto p) {
+          m.global_arrive(r, {}, ReduceOp::kSum, nullptr, p);
+        });
+  }
 
   // -- Fault tolerance (ULFM flavored) -------------------------------------
   bool rank_failed(Rank r) const { return m_.rank_failed(r); }

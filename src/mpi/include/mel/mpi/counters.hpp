@@ -38,6 +38,8 @@ struct CommCounters {
 
   /// Virtual time this rank spent inside communication calls vs in
   /// explicitly charged local computation (drives the paper's Comp%/MPI%).
+  /// comm_ns is every clock advance an MPI call causes, a split-phase or
+  /// persistent neighborhood begin included, plus reliable-transport work.
   sim::Time comm_ns = 0;
   sim::Time compute_ns = 0;
 

@@ -2,8 +2,15 @@
 //
 // One Machine spans all simulated ranks of a run. It owns mailboxes,
 // windows, topology and collective state, plus all accounting. Rank code
-// never touches Machine directly; it goes through its per-rank Comm view
-// (comm.hpp), whose awaiters call the "internal" sections below.
+// reaches it only through its per-rank Comm and Window views (comm.hpp):
+// every MPI call is private here, and Comm, Window and their awaiters are
+// friends. The public surface is what host code needs: set-up, accounting,
+// the audit, the fault model, the ft::Host callbacks and tracing.
+//
+// The accounting rule: every MPI call adds the clock advance it causes to
+// the rank's comm_ns. Nonblocking calls add their own charge, a split-phase
+// neighborhood begin included; blocking calls end with end_call(), which
+// adds [entry, resume] and traces that interval under the call's name.
 #pragma once
 
 #include <cstdint>
@@ -112,7 +119,7 @@ class Machine : public ft::Host {
   /// the transport keeps per-channel state that every rank's shard would
   /// write; otherwise a sharded engine gets the network's lookahead bound,
   /// chaos timing knobs included (their draws are pure, and the jitter
-  /// counters sit in the sender's floor row). So the Machine is built
+  /// counters sit in the sender's row of draws_). So the Machine is built
   /// before anything is spawned on `simulator`, while the engine can still
   /// be chosen.
   Machine(sim::Simulator& simulator, net::Network network,
@@ -232,12 +239,31 @@ class Machine : public ft::Host {
   bool ft_rank_failed(Rank rank) const override { return failed_[rank] != 0; }
   void ft_record_wire(Rank src, Rank dst, std::size_t bytes) override;
 
-  /// Charge `ns` of explicitly modelled local computation to the rank,
-  /// after any chaos straggler scaling. Returns the charged amount.
-  Time charge_compute(Rank rank, Time ns);
+  /// Install (or clear, with nullptr) the operation tracer.
+  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
-  // -- Internal API used by Comm and its awaiters ---------------------------
-  // (Conceptually private; public so the awaiter types stay simple.)
+  /// Emit a point event on the tracer (rank -1 = machine-wide). The match
+  /// layer marks checkpoints and recoveries with it, so it needs no obs
+  /// dependency.
+  void trace_instant(Rank rank, const char* name, Time t, FlowId flow = 0) {
+    with_trace([=](Tracer& tr) { tr.instant(rank, name, t, flow); });
+  }
+
+  /// Sample per-rank gauges (mailbox depth/bytes, in-flight bytes, FT
+  /// retransmit-queue length) and the global event-queue size into the
+  /// tracer every `interval_ns` of virtual time. The hook only reads
+  /// state — it schedules no events and advances no clocks, so enabling it
+  /// cannot perturb the event trace. No-op when interval_ns <= 0.
+  void enable_sampling(Time interval_ns);
+
+ private:
+  // -- Rank-facing calls: reached only through Comm, Window and awaiters ----
+  friend class Comm;
+  friend class Window;
+  friend class RecvAwaiter;
+  friend class FlushAwaiter;
+  template <class Raw, class Park, class Finish>
+  friend class Blocking;
 
   /// Post a nonblocking send: charges sender overhead, prices the wire
   /// transfer, enforces non-overtaking per channel, schedules delivery.
@@ -259,8 +285,7 @@ class Machine : public ft::Host {
   /// Park a rank until a matching message arrives. If `peek_only`, the
   /// message is left in the mailbox (used by wait_message()). The ticket is
   /// owned by the awaiter (it lives in the suspended coroutine frame); the
-  /// machine holds only a pointer, which is dropped when the waiter fires
-  /// or is cancelled.
+  /// machine holds only a pointer, which is dropped when the waiter fires.
   struct RecvTicket {
     Rank rank = -1;
     Rank src = kAnySource;
@@ -272,18 +297,16 @@ class Machine : public ft::Host {
     Message msg;  // filled on fire when !peek_only
   };
   void park_recv(RecvTicket* ticket);
-  void cancel_recv(RecvTicket* ticket);
 
-  /// One-sided put into window `win` of rank `target` at byte offset.
-  void put(int win, Rank origin, Rank target, std::size_t offset,
-           std::span<const std::byte> data);
-  /// Like put, but completion is additionally floored by every earlier
-  /// *ordered* put from the same origin to the same target — the landing
+  /// One-sided put into window `win` of rank `target` at byte offset. An
+  /// `ordered` put's completion is additionally floored by every earlier
+  /// ordered put from the same origin to the same target — the landing
   /// order the partitioned (MPI_Pready flavored) protocol needs so a
   /// partition-boundary marker can never overtake its partition's data.
-  /// Plain puts keep their independent completion times.
-  void put_ordered(int win, Rank origin, Rank target, std::size_t offset,
-                   std::span<const std::byte> data);
+  /// Plain puts keep their independent completion times. A put that does
+  /// not fit inside the target's window throws std::out_of_range.
+  void put(int win, Rank origin, Rank target, std::size_t offset,
+           std::span<const std::byte> data, bool ordered);
   /// Time at which all puts issued so far by `origin` on `win` complete.
   Time put_completion_time(int win, Rank origin) const;
   /// Time at which all puts issued so far by *any* rank on `win` complete
@@ -298,23 +321,16 @@ class Machine : public ft::Host {
   /// window. Every rank wakes at the epoch completion time.
   void fence_arrive(int win, Rank rank, sim::Simulator::Parked parked);
 
-  /// Neighborhood collective: rank arrives with one buffer slice per
-  /// topology neighbor (ordered as topology(rank)). Parks the rank; the
-  /// machine completes it once all neighbors arrive at the same sequence
-  /// number, depositing received slices into `recv_out`. Received slices
-  /// alias the sender's buffers (refcounted) — the per-receiver deep copy
-  /// the old vector<vector<byte>> interface paid is gone, its cost is
-  /// still *priced* into virtual time via copy_time.
-  void neighbor_arrive(Rank rank, std::vector<util::Buffer> slices,
-                       std::vector<util::Buffer>* recv_out,
-                       sim::Simulator::Parked parked);
-
-  /// Split-phase (nonblocking) neighborhood collective: posts the
-  /// contribution without parking (MPI_Ineighbor_alltoallv). Complete it
-  /// later with neighbor_wait. At most one outstanding per rank. With
-  /// `persistent_start` the call re-arms a schedule registered earlier by
+  /// Neighborhood collective, first half (MPI_Ineighbor_alltoallv): the
+  /// rank posts one buffer slice per topology neighbor (ordered as
+  /// topology(rank)) without parking; neighbor_wait completes it. At most
+  /// one outstanding per rank. Received slices land in `recv_out` and
+  /// alias the sender's buffers (refcounted); the per-receiver copy is
+  /// still priced into virtual time via copy_time. With `persistent_start`
+  /// the call re-arms a schedule registered earlier by
   /// persistent_neighbor_init and is charged o_coll_persistent_start
-  /// instead of the full collective entry.
+  /// instead of the full collective entry. The clock advance is not added
+  /// to comm_ns here: the caller's accounting covers it.
   void neighbor_begin(Rank rank, std::vector<util::Buffer> slices,
                       std::vector<util::Buffer>* recv_out,
                       bool persistent_start = false);
@@ -324,21 +340,24 @@ class Machine : public ft::Host {
   /// once, so subsequent persistent neighbor_begin calls only pay the
   /// cheap per-start overhead.
   void persistent_neighbor_init(Rank rank);
-  /// Park until the outstanding split-phase collective completes; if it
-  /// already completed, advances the clock to its completion time and
-  /// returns true (no parking needed).
-  bool neighbor_wait(Rank rank, sim::Simulator::Parked parked);
+  /// Park until the outstanding split-phase collective completes, once all
+  /// neighbors arrived at the same sequence number; if it already
+  /// completed, the wake lands at its completion time.
+  void neighbor_wait(Rank rank, sim::Simulator::Parked parked);
 
   /// Global collectives (allreduce on int64 vectors / barrier): rank
   /// arrives with its contribution; completes when all ranks arrive at the
-  /// same sequence number. `result_out` may be null (barrier). All ranks
-  /// must pass the same `op` for a given instance.
+  /// same sequence number. `result_out` is null for a barrier. Every rank
+  /// must make the same call for a given instance: a barrier, or an
+  /// allreduce with the same `op` and contribution length; a mismatch
+  /// throws std::logic_error.
   void global_arrive(Rank rank, std::vector<std::int64_t> contribution,
                      ReduceOp op, std::vector<std::int64_t>* result_out,
                      sim::Simulator::Parked parked);
 
-  /// Install (or clear, with nullptr) the operation tracer.
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
+  /// Charge `ns` of explicitly modelled local computation to the rank,
+  /// after any chaos straggler scaling. Returns the charged amount.
+  Time charge_compute(Rank rank, Time ns);
 
   /// Run a tracer callback at the current call site's position in the
   /// global event order. The tracer is shared across all ranks, so inside a
@@ -364,12 +383,6 @@ class Machine : public ft::Host {
     with_trace([=](Tracer& t) { t.record(rank, category, start, end); });
   }
 
-  /// Emit a point event on the tracer (rank -1 = machine-wide). Used by the
-  /// driver for checkpoints/recovery marks so it needs no obs dependency.
-  void trace_instant(Rank rank, const char* name, Time t, FlowId flow = 0) {
-    with_trace([=](Tracer& tr) { tr.instant(rank, name, t, flow); });
-  }
-
   /// Emit one per-backend-iteration metrics record for `rank` at its
   /// current local clock (called via Comm::obs_iteration; purely
   /// observational — charges nothing, schedules nothing).
@@ -381,17 +394,16 @@ class Machine : public ft::Host {
     });
   }
 
-  /// Sample per-rank gauges (mailbox depth/bytes, in-flight bytes, FT
-  /// retransmit-queue length) and the global event-queue size into the
-  /// tracer every `interval_ns` of virtual time. The hook only reads
-  /// state — it schedules no events and advances no clocks, so enabling it
-  /// cannot perturb the event trace. No-op when interval_ns <= 0.
-  void enable_sampling(Time interval_ns);
+  /// The end of every blocking MPI call: the rank's clock advance since
+  /// `entry` is communication time, traced as the interval [entry, now]
+  /// under `op`.
+  void end_call(Rank rank, const char* op, Time entry) {
+    counters_[rank].comm_ns += sim_.rank_now(rank) - entry;
+    trace_op(rank, op, entry);
+  }
 
-  void add_comm_time(Rank rank, Time dt) { counters_[rank].comm_ns += dt; }
   CommCounters& counters_mut(Rank rank) { return counters_[rank]; }
 
- private:
   void enqueue_accounting(Rank dst, std::size_t bytes);
   /// Record one wire copy sent at `t` in the matrix and the tracer.
   void record_wire(Rank src, Rank dst, std::size_t bytes, Time t);
@@ -399,11 +411,9 @@ class Machine : public ft::Host {
   /// destination's shard; the sender's in-flight gauges settle at the
   /// merge point.
   void schedule_delivery(Message msg);
-  struct Floor;
-  /// The non-overtaking floor of `src`'s channel to `dst` (see floors_).
-  Floor& arrival_floor(Rank src, Rank dst, int tag);
-  void put_impl(int win, Rank origin, Rank target, std::size_t offset,
-                std::span<const std::byte> data, bool ordered);
+  /// The slot of `src`'s channel to `dst` in floors_[src], and in
+  /// draws_[src] under jitter; a new channel is inserted on first use.
+  std::size_t channel_slot(Rank src, Rank dst, int tag);
 
   struct Mailbox;
   struct WindowState;
@@ -442,15 +452,16 @@ class Machine : public ft::Host {
   /// the destination, or (destination, tag) under chaos latency jitter,
   /// where messages with different tags may legally overtake each other.
   /// Rows hold only the channels in use, and only the source's own events
-  /// write its row, so shards never share one. `draws` counts the
-  /// channel's chaos jitter draws; under jitter the channel is exactly the
-  /// engine's (src, dst, tag).
+  /// write its row, so shards never share one.
   struct Floor {
     std::uint64_t channel;
     Time at;
-    std::uint64_t draws;
   };
   std::vector<std::vector<Floor>> floors_;
+  /// Empty unless chaos latency jitter is on. Then draws_[src][i] counts
+  /// the jitter draws on floors_[src][i]'s channel, which is exactly the
+  /// engine's (src, dst, tag); written only by the source, like its floors.
+  std::vector<std::vector<std::uint64_t>> draws_;
   std::vector<std::size_t> buffer_bytes_;
   std::vector<std::size_t> window_bytes_;  // subset of buffer_bytes_
   std::vector<std::size_t> mailbox_bytes_;

@@ -115,8 +115,11 @@ struct Machine::GlobalCollState {
     int arrived = 0;
     Time max_arrive = 0;
     std::vector<std::int64_t> acc;
+    /// The first arrival's call, which every later arrival must repeat: a
+    /// barrier, or an allreduce with this op and acc.size() values.
+    Rank first = -1;
+    bool barrier = false;
     ReduceOp op = ReduceOp::kSum;
-    bool op_set = false;
     std::vector<Waiter> waiters;
   };
   std::vector<std::uint64_t> next_seq;  // per rank
@@ -197,6 +200,7 @@ Machine::Machine(sim::Simulator& simulator, net::Network network,
   const int p = net_.nranks();
   const chaos::Config& chaos = net_.params().chaos;
   if (chaos.enabled()) chaos_ = std::make_unique<chaos::Engine>(chaos, p);
+  if (chaos.latency_jitter > 0.0) draws_.resize(p);
   ft.validate();
   if (ft.enabled || chaos.wire_faults() || !chaos.crashes.empty()) {
     // Wire faults destroy messages and crashes strand them: both need the
@@ -213,7 +217,7 @@ Machine::Machine(sim::Simulator& simulator, net::Network network,
   } else if (sim_.threaded()) {
     // Chaos timing knobs only ever add time (jitter never pulls a wire
     // time below the LogGP floor), so the lookahead holds under them, and
-    // their draws are pure: the jitter counter lives in the source's floor.
+    // their draws are pure: the jitter counters live in the source's row.
     sim_.limit_lookahead(net_.min_remote_delay());
   }
   comms_.reserve(p);
@@ -410,13 +414,14 @@ void Machine::isend(Rank src, Rank dst, int tag,
 
   // MPI non-overtaking: messages on one channel are delivered in send
   // order regardless of size.
-  Floor& floor = arrival_floor(src, dst, tag);
+  const std::size_t slot = channel_slot(src, dst, tag);
   Time wire = net_.transfer_time(src, dst, wire_bytes);
-  if (chaos_) {
-    wire += chaos_->transfer_jitter(src, dst, tag, floor.draws++, wire);
+  if (!draws_.empty()) {
+    wire += chaos_->transfer_jitter(src, dst, tag, draws_[src][slot]++, wire);
   }
-  const Time arrival = std::max(sim_.rank_now(src) + wire, floor.at + 1);
-  floor.at = arrival;
+  Time& floor = floors_[src][slot].at;
+  const Time arrival = std::max(sim_.rank_now(src) + wire, floor + 1);
+  floor = arrival;
 
   Message msg;
   msg.src = src;
@@ -443,19 +448,21 @@ void Machine::schedule_delivery(Message msg) {
   });
 }
 
-Machine::Floor& Machine::arrival_floor(Rank src, Rank dst, int tag) {
+std::size_t Machine::channel_slot(Rank src, Rank dst, int tag) {
   // Under jitter different tags may overtake — the MPI-legal reordering
   // the chaos sweep exercises — so the channel is (dst, tag).
-  const bool per_tag = chaos_ && net_.params().chaos.latency_jitter > 0.0;
-  const std::uint64_t channel = chaos::channel_key(src, dst, per_tag ? tag : 0);
+  const bool jitter = !draws_.empty();
+  const std::uint64_t channel = chaos::channel_key(src, dst, jitter ? tag : 0);
   auto& row = floors_[src];
-  auto it = std::lower_bound(
+  const auto it = std::lower_bound(
       row.begin(), row.end(), channel,
       [](const Floor& f, std::uint64_t c) { return f.channel < c; });
+  const auto slot = it - row.begin();
   if (it == row.end() || it->channel != channel) {
-    it = row.insert(it, Floor{channel, 0, 0});
+    row.insert(it, Floor{channel, 0});
+    if (jitter) draws_[src].insert(draws_[src].begin() + slot, 0);
   }
-  return *it;
+  return static_cast<std::size_t>(slot);
 }
 
 void Machine::record_wire(Rank src, Rank dst, std::size_t bytes, Time t) {
@@ -587,32 +594,17 @@ void Machine::park_recv(RecvTicket* ticket) {
   mailboxes_[ticket->rank]->waiters.push_back(ticket);
 }
 
-void Machine::cancel_recv(RecvTicket* ticket) {
-  auto& waiters = mailboxes_[ticket->rank]->waiters;
-  waiters.erase(std::remove(waiters.begin(), waiters.end(), ticket),
-                waiters.end());
-}
-
 // ---------------------------------------------------------------------------
 // RMA
 // ---------------------------------------------------------------------------
 
 void Machine::put(int win, Rank origin, Rank target, std::size_t offset,
-                  std::span<const std::byte> data) {
-  put_impl(win, origin, target, offset, data, /*ordered=*/false);
-}
-
-void Machine::put_ordered(int win, Rank origin, Rank target,
-                          std::size_t offset,
-                          std::span<const std::byte> data) {
-  put_impl(win, origin, target, offset, data, /*ordered=*/true);
-}
-
-void Machine::put_impl(int win, Rank origin, Rank target, std::size_t offset,
-                       std::span<const std::byte> data, bool ordered) {
+                  std::span<const std::byte> data, bool ordered) {
   const prof::ScopedTimer pt(prof::Section::kRma);
   auto& ws = *windows_.at(win);
-  if (offset + data.size() > ws.mem.at(target).size()) {
+  // Written so that no sum can wrap past the window's end.
+  const std::size_t size = ws.mem.at(target).size();
+  if (offset > size || data.size() > size - offset) {
     throw std::out_of_range("Window::put past end of target window");
   }
   const auto& p = net_.params();
@@ -863,7 +855,7 @@ void Machine::neighbor_begin(Rank rank, std::vector<util::Buffer> slices,
   });
 }
 
-bool Machine::neighbor_wait(Rank rank, sim::Simulator::Parked parked) {
+void Machine::neighbor_wait(Rank rank, sim::Simulator::Parked parked) {
   auto& pend = neighbor_->pending[rank];
   if (!pend.active) {
     throw std::logic_error("neighbor_wait without an outstanding collective");
@@ -876,7 +868,7 @@ bool Machine::neighbor_wait(Rank rank, sim::Simulator::Parked parked) {
     // scheduled) data-fill event has run.
     pend.active = false;
     sim_.wake(parked, std::max(sim_.rank_now(rank), pend.complete_at));
-    return true;
+    return;
   }
   if (sim_.in_window_phase()) {
     // The completion may be sitting in this window's deferred actions (a
@@ -896,18 +888,10 @@ bool Machine::neighbor_wait(Rank rank, sim::Simulator::Parked parked) {
       pend.parked = parked;
       pend.has_waiter = true;
     });
-    return false;
+    return;
   }
   pend.parked = parked;
   pend.has_waiter = true;
-  return false;
-}
-
-void Machine::neighbor_arrive(Rank rank, std::vector<util::Buffer> slices,
-                              std::vector<util::Buffer>* recv_out,
-                              sim::Simulator::Parked parked) {
-  neighbor_begin(rank, std::move(slices), recv_out);
-  (void)neighbor_wait(rank, parked);
 }
 
 void Machine::complete_neighbor_op(Rank rank, std::uint64_t seq) {
@@ -980,6 +964,16 @@ void Machine::complete_neighbor_op(Rank rank, std::uint64_t seq) {
 // Global collectives
 // ---------------------------------------------------------------------------
 
+namespace {
+std::string describe_global_call(bool barrier, ReduceOp op, std::size_t n) {
+  if (barrier) return "barrier()";
+  const char* name = op == ReduceOp::kSum ? "sum"
+                     : op == ReduceOp::kMax ? "max"
+                                            : "min";
+  return "allreduce(" + std::to_string(n) + " value(s), " + name + ")";
+}
+}  // namespace
+
 void Machine::global_arrive(Rank rank, std::vector<std::int64_t> contribution,
                             ReduceOp op, std::vector<std::int64_t>* result_out,
                             sim::Simulator::Parked parked) {
@@ -1006,18 +1000,26 @@ void Machine::global_arrive(Rank rank, std::vector<std::int64_t> contribution,
 
     const std::uint64_t seq = st.next_seq[rank]++;
     auto& inst = st.insts[seq];
-    if (!inst.op_set) {
+    // A barrier passes kSum and no values, so these three fields tell
+    // every pair of calls apart.
+    const bool barrier = result_out == nullptr;
+    if (inst.arrived == 0) {
+      inst.first = rank;
+      inst.barrier = barrier;
       inst.op = op;
-      inst.op_set = true;
-    } else if (inst.op != op) {
-      throw std::logic_error("allreduce: mismatched ReduceOp across ranks");
-    }
-    if (inst.acc.size() < contribution.size()) {
       const std::int64_t identity =
           op == ReduceOp::kSum ? 0
           : op == ReduceOp::kMax ? std::numeric_limits<std::int64_t>::min()
                                  : std::numeric_limits<std::int64_t>::max();
-      inst.acc.resize(contribution.size(), identity);
+      inst.acc.assign(contribution.size(), identity);
+    } else if (barrier != inst.barrier || op != inst.op ||
+               contribution.size() != inst.acc.size()) {
+      std::ostringstream os;
+      os << "global collective #" << seq << ": rank " << rank << " calls "
+         << describe_global_call(barrier, op, contribution.size())
+         << " but rank " << inst.first << " called "
+         << describe_global_call(inst.barrier, inst.op, inst.acc.size());
+      throw std::logic_error(os.str());
     }
     for (std::size_t i = 0; i < contribution.size(); ++i) {
       switch (op) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "world_fixture.hpp"
@@ -96,18 +98,51 @@ TEST(Collective, RepeatedAllreducesSequenceCorrectly) {
 }
 
 TEST(Collective, MismatchedOpThrows) {
-  World w(2);
-  auto body = [&](Comm& c) -> RankTask {
-    std::vector<std::int64_t> one{1};
-    if (c.rank() == 0) {
-      (void)co_await c.allreduce(std::move(one), ReduceOp::kSum);
-    } else {
-      (void)co_await c.allreduce(std::move(one), ReduceOp::kMax);
-    }
-    co_return;
+  // Every rank must make the same call: an allreduce with the same op and
+  // length, or a barrier. A mismatch fails the run with a logic_error
+  // naming the instance and both calls.
+  struct Case {
+    std::function<RankTask(Comm&)> body;
+    std::vector<std::string> named;
   };
-  w.spawn_all(body);
-  EXPECT_THROW(w.run(), std::logic_error);
+  const std::vector<Case> cases = {
+      {[](Comm& c) -> RankTask {
+         std::vector<std::int64_t> one{1};
+         (void)co_await c.allreduce(
+             std::move(one), c.rank() == 0 ? ReduceOp::kSum : ReduceOp::kMax);
+       },
+       {"allreduce(1 value(s), sum)", "allreduce(1 value(s), max)"}},
+      {[](Comm& c) -> RankTask {
+         if (c.rank() == 0) {
+           co_await c.barrier();
+         } else {
+           (void)co_await c.allreduce_sum(7);
+         }
+       },
+       {"barrier()", "allreduce(1 value(s), sum)"}},
+      {[](Comm& c) -> RankTask {
+         std::vector<std::int64_t> two{1, 2};
+         std::vector<std::int64_t> one{5};
+         (void)co_await c.allreduce(c.rank() == 0 ? std::move(two)
+                                                  : std::move(one));
+       },
+       {"allreduce(2 value(s), sum)", "allreduce(1 value(s), sum)"}},
+  };
+  for (const Case& test : cases) {
+    World w(2);
+    w.spawn_all(test.body);
+    try {
+      w.run();
+      ADD_FAILURE() << "no error for " << test.named[0] << " against "
+                    << test.named[1];
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("global collective #0"), std::string::npos) << what;
+      for (const std::string& call : test.named) {
+        EXPECT_NE(what.find(call), std::string::npos) << what;
+      }
+    }
+  }
 }
 
 TEST(Collective, MissingParticipantDeadlocks) {

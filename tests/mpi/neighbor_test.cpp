@@ -12,6 +12,15 @@ namespace {
 using mpi::Comm;
 using sim::RankTask;
 
+/// Stage caller-built byte vectors into pooled buffers, one per neighbor.
+std::vector<util::Buffer> staged(
+    const std::vector<std::vector<std::byte>>& slices) {
+  std::vector<util::Buffer> out;
+  out.reserve(slices.size());
+  for (const auto& s : slices) out.push_back(util::Buffer::copy_of(s));
+  return out;
+}
+
 TEST(Neighbor, RingExchangeI64) {
   World w(4);
   w.ring_topology();
@@ -44,7 +53,7 @@ TEST(Neighbor, AlltoallvVariableSizes) {
       }
       slices.push_back(std::move(slice));
     }
-    const auto recv = co_await c.neighbor_alltoallv(std::move(slices));
+    const auto recv = co_await c.neighbor_alltoallv(staged(slices));
     for (const auto& slice : recv) {
       const auto n = mpi::record_count<std::int64_t>(slice);
       for (std::size_t i = 0; i < n; ++i) {
@@ -66,7 +75,7 @@ TEST(Neighbor, EmptySlicesAllowed) {
   bool done = false;
   auto body = [&](Comm& c) -> RankTask {
     std::vector<std::vector<std::byte>> empty(c.neighbors().size());
-    (void)co_await c.neighbor_alltoallv(std::move(empty));
+    (void)co_await c.neighbor_alltoallv(staged(empty));
     if (c.rank() == 0) done = true;
     co_return;
   };
@@ -183,7 +192,7 @@ TEST(Neighbor, ShuffledCompleteTopologyDeliversEachSliceToItsOwner) {
       slice.insert(slice.end(), to.begin(), to.end());
       slices.push_back(std::move(slice));
     }
-    const auto recv = co_await c.neighbor_alltoallv(std::move(slices));
+    const auto recv = co_await c.neighbor_alltoallv(staged(slices));
     for (const auto& slice : recv) {
       got[c.rank()].emplace_back(mpi::nth_record<std::int64_t>(slice, 0),
                                  mpi::nth_record<std::int64_t>(slice, 1));
@@ -207,7 +216,7 @@ TEST(Neighbor, WrongSliceCountThrows) {
   w.ring_topology();
   auto body = [&](Comm& c) -> RankTask {
     std::vector<std::vector<std::byte>> slices(5);  // degree is 1
-    (void)co_await c.neighbor_alltoallv(std::move(slices));
+    (void)co_await c.neighbor_alltoallv(staged(slices));
     co_return;
   };
   w.spawn_all(body);
@@ -256,7 +265,7 @@ TEST(Neighbor, SplitPhaseMatchesBlocking) {
       slices.push_back(mpi::to_bytes<std::int64_t>(c.rank() * 100));
     }
     mpi::NeighborRequest req;
-    c.ineighbor_alltoallv(std::move(slices), req);
+    c.ineighbor_alltoallv(staged(slices), req);
     c.compute(5 * sim::kMicrosecond);  // overlapped work
     co_await c.ineighbor_wait(req);
     for (const auto& slice : req.recv) {
@@ -281,7 +290,7 @@ TEST(Neighbor, SplitPhaseOverlapHidesLatency) {
     wb.ring_topology();
     auto blocking = [&](Comm& c) -> RankTask {
       std::vector<std::vector<std::byte>> slices(c.neighbors().size());
-      (void)co_await c.neighbor_alltoallv(std::move(slices));
+      (void)co_await c.neighbor_alltoallv(staged(slices));
       c.compute(100 * sim::kMicrosecond);
       if (c.rank() == 0) blocking_time = c.now();
       co_return;
@@ -292,7 +301,7 @@ TEST(Neighbor, SplitPhaseOverlapHidesLatency) {
   auto split = [&](Comm& c) -> RankTask {
     std::vector<std::vector<std::byte>> slices(c.neighbors().size());
     mpi::NeighborRequest req;
-    c.ineighbor_alltoallv(std::move(slices), req);
+    c.ineighbor_alltoallv(staged(slices), req);
     c.compute(100 * sim::kMicrosecond);
     co_await c.ineighbor_wait(req);
     if (c.rank() == 0) split_time = c.now();
@@ -310,8 +319,8 @@ TEST(Neighbor, DoubleBeginThrows) {
     mpi::NeighborRequest a, b;
     std::vector<std::vector<std::byte>> s1(c.neighbors().size());
     std::vector<std::vector<std::byte>> s2(c.neighbors().size());
-    c.ineighbor_alltoallv(std::move(s1), a);
-    c.ineighbor_alltoallv(std::move(s2), b);  // second outstanding: error
+    c.ineighbor_alltoallv(staged(s1), a);
+    c.ineighbor_alltoallv(staged(s2), b);  // second outstanding: error
     co_return;
   };
   w.spawn_all(body);

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <span>
+#include <vector>
+
 #include "world_fixture.hpp"
 
 namespace mel::test {
@@ -117,17 +122,35 @@ TEST(Rma, FlushWithNoPutsIsCheap) {
 }
 
 TEST(Rma, PutPastEndThrows) {
-  World w(2);
-  const int win = w.machine.allocate_window({8, 8});
-  auto body = [&, win](Comm& c) -> RankTask {
-    if (c.rank() == 0) {
-      auto window = c.window(win);
-      window.put(1, 4, mpi::bytes_of<std::int64_t>(1));  // 4+8 > 8
-    }
-    co_return;
+  // Each put lands outside the 8-byte window: past its end, at a byte
+  // offset whose sum with the length wraps, and at a record offset whose
+  // byte offset wraps to 0.
+  const std::vector<std::function<void(mpi::Window&)>> puts = {
+      [](mpi::Window& win) {
+        win.put(1, 4, mpi::bytes_of<std::int64_t>(1));  // 4+8 > 8
+      },
+      [](mpi::Window& win) {
+        win.put(1, SIZE_MAX - 3, mpi::bytes_of<std::int64_t>(1));
+      },
+      [](mpi::Window& win) {
+        const std::int64_t one = 1;
+        win.put_records(1, std::size_t{1} << 61,
+                        std::span<const std::int64_t>(&one, 1));
+      },
   };
-  w.spawn_all(body);
-  EXPECT_THROW(w.run(), std::out_of_range);
+  for (std::size_t i = 0; i < puts.size(); ++i) {
+    World w(2);
+    const int win = w.machine.allocate_window({8, 8});
+    auto body = [&, win](Comm& c) -> RankTask {
+      if (c.rank() == 0) {
+        auto window = c.window(win);
+        puts[i](window);
+      }
+      co_return;
+    };
+    w.spawn_all(body);
+    EXPECT_THROW(w.run(), std::out_of_range) << "put " << i;
+  }
 }
 
 TEST(Rma, WindowMemoryAccounted) {
