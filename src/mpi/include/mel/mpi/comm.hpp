@@ -276,7 +276,7 @@ class Comm {
         m_, rank_, "ncoll",
         [s = std::move(slices)](Machine& m, Rank r, auto& recv,
                                 auto p) mutable {
-          m.neighbor_begin(r, std::move(s), &recv);
+          m.neighbor_begin(r, std::move(s), &recv, NeighborCall::kBlocking);
           m.neighbor_wait(r, p);
         },
         std::move(finish));
@@ -286,9 +286,9 @@ class Comm {
   /// clock advance (collective entry or persistent start, chaos skew and
   /// the staging copy) as communication time, with no span.
   void neighbor_start(std::vector<util::Buffer> slices, NeighborRequest& req,
-                      bool persistent) {
+                      NeighborCall kind) {
     const Time entry = now();
-    m_.neighbor_begin(rank_, std::move(slices), &req.recv, persistent);
+    m_.neighbor_begin(rank_, std::move(slices), &req.recv, kind);
     m_.counters_mut(rank_).comm_ns += now() - entry;
   }
 
@@ -360,7 +360,7 @@ class Comm {
   /// ineighbor_wait. At most one outstanding per rank.
   void ineighbor_alltoallv(std::vector<util::Buffer> slices,
                            NeighborRequest& req) {
-    neighbor_start(std::move(slices), req, /*persistent=*/false);
+    neighbor_start(std::move(slices), req, NeighborCall::kSplitPhase);
   }
   [[nodiscard]] auto ineighbor_wait(NeighborRequest&) {
     return detail::blocking(
@@ -374,7 +374,7 @@ class Comm {
   }
   void neighbor_alltoallv_start(NeighborRequest& req,
                                 std::vector<util::Buffer> slices) {
-    neighbor_start(std::move(slices), req, /*persistent=*/true);
+    neighbor_start(std::move(slices), req, NeighborCall::kPersistentStart);
   }
   [[nodiscard]] auto neighbor_alltoallv_wait(NeighborRequest& req) {
     return ineighbor_wait(req);

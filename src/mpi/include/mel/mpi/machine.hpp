@@ -54,6 +54,16 @@ enum class Channel : std::uint8_t {
   kFt,        // p2p routed through the reliable (ack/retransmit) transport
 };
 
+/// How a rank entered a neighborhood collective. MPI matches a call only
+/// with the same kind of call on every neighbor: a blocking alltoallv never
+/// completes against a split-phase one, nor either against a persistent
+/// start.
+enum class NeighborCall : std::uint8_t {
+  kBlocking,         // neighbor_alltoallv
+  kSplitPhase,       // ineighbor_alltoallv
+  kPersistentStart,  // neighbor_alltoallv_start
+};
+
 /// Unique per-message flow id, assigned at injection (isend/put/slice).
 /// 0 means "no flow" (message predates tracer-relevant instrumentation).
 using FlowId = std::uint32_t;
@@ -326,14 +336,14 @@ class Machine : public ft::Host {
   /// topology(rank)) without parking; neighbor_wait completes it. At most
   /// one outstanding per rank. Received slices land in `recv_out` and
   /// alias the sender's buffers (refcounted); the per-receiver copy is
-  /// still priced into virtual time via copy_time. With `persistent_start`
-  /// the call re-arms a schedule registered earlier by
-  /// persistent_neighbor_init and is charged o_coll_persistent_start
-  /// instead of the full collective entry. The clock advance is not added
-  /// to comm_ns here: the caller's accounting covers it.
+  /// still priced into virtual time via copy_time. A persistent start
+  /// re-arms a schedule registered earlier by persistent_neighbor_init and
+  /// is charged o_coll_persistent_start instead of the full collective
+  /// entry. A neighbor that made another kind of call at the same sequence
+  /// number fails the run with a std::logic_error. The clock advance is
+  /// not added to comm_ns here: the caller's accounting covers it.
   void neighbor_begin(Rank rank, std::vector<util::Buffer> slices,
-                      std::vector<util::Buffer>* recv_out,
-                      bool persistent_start = false);
+                      std::vector<util::Buffer>* recv_out, NeighborCall kind);
 
   /// Build a persistent neighborhood-alltoallv schedule for `rank`
   /// (MPI_Neighbor_alltoallv_init): pays the full collective-entry cost

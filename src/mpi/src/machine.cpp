@@ -78,6 +78,7 @@ struct Machine::WindowState {
 
 struct Machine::NeighborState {
   struct Call {
+    NeighborCall kind = NeighborCall::kBlocking;
     Time arrive = 0;
     std::vector<util::Buffer> slices;  // per neighbor of caller
     int consumers_left = 0;
@@ -736,9 +737,21 @@ void Machine::persistent_neighbor_init(Rank rank) {
   st.persistent_ready[rank] = 1;
 }
 
+namespace {
+const char* describe_neighbor_call(NeighborCall kind) {
+  switch (kind) {
+    case NeighborCall::kBlocking: return "neighbor_alltoallv()";
+    case NeighborCall::kSplitPhase: return "ineighbor_alltoallv()";
+    case NeighborCall::kPersistentStart: return "neighbor_alltoallv_start()";
+  }
+  return "?";
+}
+}  // namespace
+
 void Machine::neighbor_begin(Rank rank, std::vector<util::Buffer> slices,
                              std::vector<util::Buffer>* recv_out,
-                             bool persistent_start) {
+                             NeighborCall kind) {
+  const bool persistent_start = kind == NeighborCall::kPersistentStart;
   const prof::ScopedTimer pt(prof::Section::kNeighbor);
   auto& st = *neighbor_;
   const auto& topo = topology_[rank];
@@ -820,7 +833,7 @@ void Machine::neighbor_begin(Rank rank, std::vector<util::Buffer> slices,
     // record, and the completion wake must stay in this window (it lands
     // at `arrive`), so the whole thing runs inline.
     st.calls[rank].emplace(
-        seq, NeighborState::Call{arrive, std::move(slices), 0,
+        seq, NeighborState::Call{kind, arrive, std::move(slices), 0,
                                  std::move(slice_flows),
                                  std::move(slice_deliver)});
     pend.waiting_on = 0;
@@ -828,21 +841,33 @@ void Machine::neighbor_begin(Rank rank, std::vector<util::Buffer> slices,
     return;
   }
 
-  sim_.defer([this, rank, seq, arrive, slices = std::move(slices),
+  sim_.defer([this, rank, kind, seq, arrive, slices = std::move(slices),
               slice_flows = std::move(slice_flows),
               slice_deliver = std::move(slice_deliver)]() mutable {
     auto& st = *neighbor_;
     const auto& topo = topology_[rank];
+    int waiting = 0;
+    for (Rank n : topo) {
+      // A neighbor's call at this sequence number stays until this rank
+      // consumes it, so whichever of two neighbors arrives second sees the
+      // other's call here.
+      const auto it = st.calls[n].find(seq);
+      if (it == st.calls[n].end()) {
+        ++waiting;
+      } else if (it->second.kind != kind) {
+        std::ostringstream os;
+        os << "neighborhood collective #" << seq << ": rank " << rank
+           << " calls " << describe_neighbor_call(kind) << " but rank " << n
+           << " called " << describe_neighbor_call(it->second.kind);
+        throw std::logic_error(os.str());
+      }
+    }
     st.calls[rank].emplace(
-        seq, NeighborState::Call{arrive, std::move(slices),
+        seq, NeighborState::Call{kind, arrive, std::move(slices),
                                  static_cast<int>(topo.size()),
                                  std::move(slice_flows),
                                  std::move(slice_deliver)});
     auto& pend = st.pending[rank];
-    int waiting = 0;
-    for (Rank n : topo) {
-      if (st.calls[n].find(seq) == st.calls[n].end()) ++waiting;
-    }
     pend.waiting_on = waiting;
     if (waiting == 0) complete_neighbor_op(rank, seq);
     // This arrival may unblock neighbors stuck at the same sequence number.

@@ -29,6 +29,8 @@ using sim::Time;
 
 const char* channel_name(Channel ch);
 
+class Emitter;
+
 class Recorder final : public mpi::Tracer {
  public:
   /// Versioned schema tag carried by the metrics JSONL header record.
@@ -115,6 +117,11 @@ class Recorder final : public mpi::Tracer {
   void set_net_params(const net::Params& params);
 
   // -- Serialization --------------------------------------------------------
+  /// Stream the Chrome trace / the metrics JSONL into `out`. The caller
+  /// flushes `out` and checks it.
+  void write_chrome(Emitter& out) const;
+  void write_metrics(Emitter& out) const;
+  /// The same bytes, as one string.
   std::string to_chrome_json() const;
   std::string metrics_jsonl() const;
 

@@ -1,10 +1,10 @@
 #include "mel/obs/recorder.hpp"
 
 #include <cstdio>
-#include <sstream>
+#include <string_view>
 
 #include "mel/net/params_io.hpp"
-#include "mel/obs/json.hpp"
+#include "mel/obs/emit.hpp"
 
 namespace mel::obs {
 
@@ -123,128 +123,121 @@ void Recorder::set_net_params(const net::Params& params) {
 
 namespace {
 
-/// Virtual nanoseconds -> the microsecond floats Chrome/Perfetto expect.
-/// %.3f of an integer-derived value is deterministic across runs.
-void append_ts(std::string& out, const char* key, Time ns) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "\"%s\":%.3f", key,
-                static_cast<double>(ns) / 1e3);
-  out += buf;
+constexpr std::string_view kOpen = "{\"name\":\"";
+
+/// The fields every Chrome event has after its name.
+void event_fields(Emitter& out, const char* cat, char ph, Time ts, Rank tid) {
+  out << "\",\"cat\":\"" << cat << "\",\"ph\":\"" << ph
+      << "\",\"ts\":" << Micros{ts} << ",\"pid\":0,\"tid\":" << tid;
 }
 
-void append_common(std::string& out, const char* name, const char* cat,
-                   char ph, Time ts, Rank tid) {
-  out += "{\"name\":\"";
-  out += json_escape(name);
-  out += "\",\"cat\":\"";
-  out += cat;
-  out += "\",\"ph\":\"";
-  out += ph;
-  out += "\",";
-  append_ts(out, "ts", ts);
-  out += ",\"pid\":0,\"tid\":" + std::to_string(tid);
+void event(Emitter& out, const char* name, const char* cat, char ph, Time ts,
+           Rank tid) {
+  out << kOpen << JsonText{name};
+  event_fields(out, cat, ph, ts, tid);
+}
+
+/// `"0x%016llx"`, the form both writers give the trace hash and digest.
+std::string hex64(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
 }
 
 }  // namespace
 
-std::string Recorder::to_chrome_json() const {
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  auto sep = [&first, &out] {
-    if (!first) out += ",\n";
-    first = false;
+void Recorder::write_chrome(Emitter& out) const {
+  out << "{\"traceEvents\":[";
+  std::string_view sep;
+  auto next = [&] {
+    out << sep;
+    sep = ",\n";
   };
 
   if (has_run_info_) {
-    sep();
-    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":"
-           "{\"name\":\"melsim " +
-           json_escape(algo_) + " " + json_escape(model_) + "\"}}";
+    next();
+    out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":"
+           "{\"name\":\"melsim "
+        << JsonText{algo_} << ' ' << JsonText{model_} << "\"}}";
   }
 
   for (const Span& s : spans_) {
-    sep();
+    next();
     if (s.end > s.start) {
-      append_common(out, s.category, "op", 'X', s.start, s.rank);
-      out += ",";
-      append_ts(out, "dur", s.end - s.start);
-      out += "}";
+      event(out, s.category, "op", 'X', s.start, s.rank);
+      out << ",\"dur\":" << Micros{s.end - s.start} << '}';
     } else {
       // Zero-duration operation: visible as a thin instant marker.
-      append_common(out, s.category, "op", 'i', s.start, s.rank);
-      out += ",\"s\":\"t\"}";
+      event(out, s.category, "op", 'i', s.start, s.rank);
+      out << ",\"s\":\"t\"}";
     }
   }
 
   for (const Flow& f : flows_) {
     if (f.id == 0) continue;  // dead padding slot
     const char* name = channel_name(f.channel);
-    sep();
-    append_common(out, name, "flow", 's', f.begin_t, f.src);
-    out += ",\"id\":" + std::to_string(f.id);
-    out += ",\"args\":{\"src\":" + std::to_string(f.src) +
-           ",\"dst\":" + std::to_string(f.dst) +
-           ",\"tag\":" + std::to_string(f.tag) +
-           ",\"bytes\":" + std::to_string(f.bytes) + "}}";
+    next();
+    event(out, name, "flow", 's', f.begin_t, f.src);
+    out << ",\"id\":" << f.id << ",\"args\":{\"src\":" << f.src
+        << ",\"dst\":" << f.dst << ",\"tag\":" << f.tag
+        << ",\"bytes\":" << f.bytes << "}}";
     if (f.has_step) {
-      sep();
-      append_common(out, name, "flow", 't', f.step_t, f.dst);
-      out += ",\"id\":" + std::to_string(f.id) + "}";
+      next();
+      event(out, name, "flow", 't', f.step_t, f.dst);
+      out << ",\"id\":" << f.id << '}';
     }
     if (f.ended) {
-      sep();
-      append_common(out, name, "flow", 'f', f.end_t, f.end_rank);
-      out += ",\"bp\":\"e\",\"id\":" + std::to_string(f.id) + "}";
+      next();
+      event(out, name, "flow", 'f', f.end_t, f.end_rank);
+      out << ",\"bp\":\"e\",\"id\":" << f.id << '}';
     }
   }
 
   for (const Instant& i : instants_) {
-    sep();
-    append_common(out, i.name, "instant", 'i', i.t, i.rank);
-    out += ",\"s\":\"t\"";
-    if (i.flow != 0) {
-      out += ",\"args\":{\"flow\":" + std::to_string(i.flow) + "}";
-    }
-    out += "}";
+    next();
+    event(out, i.name, "instant", 'i', i.t, i.rank);
+    out << ",\"s\":\"t\"";
+    if (i.flow != 0) out << ",\"args\":{\"flow\":" << i.flow << '}';
+    out << '}';
   }
 
   for (const Wire& w : wires_) {
-    sep();
-    append_common(out, "wire", "wire", 'i', w.t, w.src);
-    out += ",\"s\":\"t\",\"args\":{\"src\":" + std::to_string(w.src) +
-           ",\"dst\":" + std::to_string(w.dst) +
-           ",\"bytes\":" + std::to_string(w.bytes) + "}}";
+    next();
+    event(out, "wire", "wire", 'i', w.t, w.src);
+    out << ",\"s\":\"t\",\"args\":{\"src\":" << w.src << ",\"dst\":" << w.dst
+        << ",\"bytes\":" << w.bytes << "}}";
   }
 
   for (const Sample& s : samples_) {
     // One counter track per (rank, gauge): "r<rank>/<name>"; machine-wide
     // gauges (rank -1) live under "sim/".
-    std::string track = s.rank < 0 ? std::string("sim/")
-                                   : "r" + std::to_string(s.rank) + "/";
-    track += s.name;
-    sep();
-    append_common(out, track.c_str(), "counter", 'C', s.t,
-                  s.rank < 0 ? 0 : s.rank);
-    out += ",\"args\":{\"value\":" + std::to_string(s.value) + "}}";
+    next();
+    out << kOpen;
+    if (s.rank < 0) {
+      out << "sim/";
+    } else {
+      out << 'r' << s.rank << '/';
+    }
+    out << JsonText{s.name};
+    event_fields(out, "counter", 'C', s.t, s.rank < 0 ? 0 : s.rank);
+    out << ",\"args\":{\"value\":" << s.value << "}}";
   }
 
   for (const Iteration& it : iterations_) {
-    sep();
-    append_common(out, "iteration", "iter", 'i', it.t, it.rank);
-    out += ",\"s\":\"t\",\"args\":{\"iter\":" + std::to_string(it.iter) +
-           ",\"active\":" + std::to_string(it.active) + "}}";
+    next();
+    event(out, "iteration", "iter", 'i', it.t, it.rank);
+    out << ",\"s\":\"t\",\"args\":{\"iter\":" << it.iter
+        << ",\"active\":" << it.active << "}}";
   }
 
-  out += "],\"displayTimeUnit\":\"ns\"";
+  out << "],\"displayTimeUnit\":\"ns\"";
   if (has_run_info_) {
-    out += ",\"otherData\":{\"schema\":\"";
-    out += kTraceSchema;
-    out += "\",\"algo\":\"" + json_escape(algo_) + "\",\"model\":\"" +
-           json_escape(model_) + "\",\"ranks\":" + std::to_string(nranks_) +
-           ",\"seed\":" + std::to_string(seed_);
+    out << ",\"otherData\":{\"schema\":\"" << kTraceSchema << "\",\"algo\":\""
+        << JsonText{algo_} << "\",\"model\":\"" << JsonText{model_}
+        << "\",\"ranks\":" << nranks_ << ",\"seed\":" << seed_;
     if (has_net_params_) {
       const std::string net_json = net::params_to_json(net_params_);
-      out += ",\"net\":" + net_json;
       // Run-configuration digest: FNV-1a over everything that shaped the
       // pricing, so two traces with equal digests were priced under an
       // identical configuration (the replay fidelity gate keys on this).
@@ -262,67 +255,73 @@ std::string Recorder::to_chrome_json() const {
       mix(std::to_string(nranks_));
       mix(std::to_string(seed_));
       mix(net_json);
-      char digest[32];
-      std::snprintf(digest, sizeof digest, "0x%016llx",
-                    static_cast<unsigned long long>(h));
-      out += ",\"config_digest\":\"";
-      out += digest;
-      out += "\"";
+      out << ",\"net\":" << net_json << ",\"config_digest\":\"" << hex64(h)
+          << '"';
     }
     if (has_run_result_) {
-      char hash[32];
-      std::snprintf(hash, sizeof hash, "0x%016llx",
-                    static_cast<unsigned long long>(run_trace_hash_));
-      out += ",\"run\":{\"time_ns\":" + std::to_string(run_time_ns_) +
-             ",\"trace_hash\":\"" + hash +
-             "\",\"events\":" + std::to_string(run_events_) + "}";
+      out << ",\"run\":{\"time_ns\":" << run_time_ns_ << ",\"trace_hash\":\""
+          << hex64(run_trace_hash_) << "\",\"events\":" << run_events_ << '}';
     }
-    out += "}";
+    out << '}';
   }
-  out += "}";
-  return out;
+  out << '}';
+}
+
+void Recorder::write_metrics(Emitter& out) const {
+  out << "{\"type\":\"header\",\"schema\":\"" << kMetricsSchema
+      << "\",\"algo\":\"" << JsonText{algo_} << "\",\"model\":\""
+      << JsonText{model_} << "\",\"ranks\":" << nranks_ << ",\"seed\":" << seed_
+      << "}\n";
+  for (const Sample& s : samples_) {
+    out << "{\"type\":\"sample\",\"t\":" << s.t << ",\"rank\":" << s.rank
+        << ",\"name\":\"" << JsonText{s.name} << "\",\"value\":" << s.value
+        << "}\n";
+  }
+  for (const Iteration& it : iterations_) {
+    out << "{\"type\":\"iteration\",\"t\":" << it.t << ",\"rank\":" << it.rank
+        << ",\"iter\":" << it.iter << ",\"active\":" << it.active
+        << ",\"dt\":" << it.dt << ",\"d_bytes_p2p\":" << it.d_bytes_p2p
+        << ",\"d_bytes_rma\":" << it.d_bytes_rma
+        << ",\"d_bytes_coll\":" << it.d_bytes_coll
+        << ",\"d_comm_ns\":" << it.d_comm_ns
+        << ",\"d_compute_ns\":" << it.d_compute_ns << "}\n";
+  }
+  for (const Instant& i : instants_) {
+    out << "{\"type\":\"instant\",\"t\":" << i.t << ",\"rank\":" << i.rank
+        << ",\"name\":\"" << JsonText{i.name} << "\",\"flow\":" << i.flow
+        << "}\n";
+  }
+  if (has_run_result_) {
+    out << "{\"type\":\"run\",\"time_ns\":" << run_time_ns_
+        << ",\"trace_hash\":\"" << hex64(run_trace_hash_)
+        << "\",\"events\":" << run_events_ << "}\n";
+  }
+}
+
+std::string Recorder::to_chrome_json() const {
+  // One reserve just above the final size, from the bytes each record
+  // kind takes in a 512-rank NSR trace (rounded up), so the string need
+  // not grow by copying.
+  std::size_t bytes = 4096 + 90 * spans_.size() +
+                      120 * (instants_.size() + wires_.size() +
+                             samples_.size() + iterations_.size());
+  for (const Flow& f : flows_) {
+    if (f.id != 0) bytes += 135 + (f.has_step ? 85 : 0) + (f.ended ? 95 : 0);
+  }
+  std::string text;
+  text.reserve(bytes);
+  Emitter out(text);
+  write_chrome(out);
+  out.flush();
+  return text;
 }
 
 std::string Recorder::metrics_jsonl() const {
-  std::string out;
-  out += "{\"type\":\"header\",\"schema\":\"";
-  out += kMetricsSchema;
-  out += "\",\"algo\":\"" + json_escape(algo_) + "\",\"model\":\"" +
-         json_escape(model_) + "\",\"ranks\":" + std::to_string(nranks_) +
-         ",\"seed\":" + std::to_string(seed_) + "}\n";
-  for (const Sample& s : samples_) {
-    out += "{\"type\":\"sample\",\"t\":" + std::to_string(s.t) +
-           ",\"rank\":" + std::to_string(s.rank) + ",\"name\":\"" +
-           json_escape(s.name) + "\",\"value\":" + std::to_string(s.value) +
-           "}\n";
-  }
-  for (const Iteration& it : iterations_) {
-    out += "{\"type\":\"iteration\",\"t\":" + std::to_string(it.t) +
-           ",\"rank\":" + std::to_string(it.rank) +
-           ",\"iter\":" + std::to_string(it.iter) +
-           ",\"active\":" + std::to_string(it.active) +
-           ",\"dt\":" + std::to_string(it.dt) +
-           ",\"d_bytes_p2p\":" + std::to_string(it.d_bytes_p2p) +
-           ",\"d_bytes_rma\":" + std::to_string(it.d_bytes_rma) +
-           ",\"d_bytes_coll\":" + std::to_string(it.d_bytes_coll) +
-           ",\"d_comm_ns\":" + std::to_string(it.d_comm_ns) +
-           ",\"d_compute_ns\":" + std::to_string(it.d_compute_ns) + "}\n";
-  }
-  for (const Instant& i : instants_) {
-    out += "{\"type\":\"instant\",\"t\":" + std::to_string(i.t) +
-           ",\"rank\":" + std::to_string(i.rank) + ",\"name\":\"" +
-           json_escape(i.name) + "\",\"flow\":" + std::to_string(i.flow) +
-           "}\n";
-  }
-  if (has_run_result_) {
-    char hash[32];
-    std::snprintf(hash, sizeof hash, "0x%016llx",
-                  static_cast<unsigned long long>(run_trace_hash_));
-    out += "{\"type\":\"run\",\"time_ns\":" + std::to_string(run_time_ns_) +
-           ",\"trace_hash\":\"" + hash +
-           "\",\"events\":" + std::to_string(run_events_) + "}\n";
-  }
-  return out;
+  std::string text;
+  Emitter out(text);
+  write_metrics(out);
+  out.flush();
+  return text;
 }
 
 }  // namespace mel::obs

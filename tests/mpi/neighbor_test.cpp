@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -337,6 +340,65 @@ TEST(Neighbor, WaitWithoutBeginThrows) {
   };
   w.spawn_all(body);
   EXPECT_THROW(w.run(), std::logic_error);
+}
+
+/// The one slice a rank on a 2-rank ring sends, empty.
+std::vector<util::Buffer> empty_slice() {
+  return staged(std::vector<std::vector<std::byte>>(1));
+}
+
+TEST(Neighbor, MismatchedCallKindThrows) {
+  // MPI matches a neighborhood collective only with the same kind of call
+  // on each neighbor: blocking, split-phase or persistent start. A
+  // mismatch fails the run with a logic_error naming the instance, both
+  // ranks and both calls.
+  using Start = std::function<void(Comm&, mpi::NeighborRequest&)>;
+  const Start split = [](Comm& c, mpi::NeighborRequest& req) {
+    c.ineighbor_alltoallv(empty_slice(), req);
+  };
+  const Start persistent = [](Comm& c, mpi::NeighborRequest& req) {
+    c.neighbor_alltoallv_init(req);
+    c.neighbor_alltoallv_start(req, empty_slice());
+  };
+  struct Case {
+    Start rank1;  // rank 0 makes a blocking call when empty
+    Start rank0;
+    std::vector<std::string> named;
+  };
+  const std::vector<Case> cases = {
+      {split, {}, {"neighbor_alltoallv()", "ineighbor_alltoallv()"}},
+      {persistent, split,
+       {"ineighbor_alltoallv()", "neighbor_alltoallv_start()"}},
+  };
+  for (const Case& test : cases) {
+    World w(2);
+    w.ring_topology();
+    auto body = [&test](Comm& c) -> RankTask {
+      const Start& start = c.rank() == 0 ? test.rank0 : test.rank1;
+      if (!start) {
+        (void)co_await c.neighbor_alltoallv(empty_slice());
+        co_return;
+      }
+      mpi::NeighborRequest req;
+      start(c, req);
+      co_await c.ineighbor_wait(req);
+    };
+    w.spawn_all(body);
+    try {
+      w.run();
+      ADD_FAILURE() << "no error for " << test.named[0] << " against "
+                    << test.named[1];
+    } catch (const std::logic_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("neighborhood collective #0"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+      EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+      for (const std::string& call : test.named) {
+        EXPECT_NE(what.find(call), std::string::npos) << what;
+      }
+    }
+  }
 }
 
 TEST(Neighbor, DeadlockWhenNeighborNeverArrives) {

@@ -13,6 +13,9 @@
 #   * an output file the device refuses to take (/dev/full) exits 2
 #     naming the path, for --metrics-jsonl, --matrix and
 #     --host-profile-json,
+#   * a regular output file is written whole or not at all: a write cut
+#     short by the file-size limit leaves no file, no temporary and an
+#     existing file's bytes unchanged,
 #   * --intra-node-params values outside the cost model's domain and a
 #     graph file declaring more than graph::kMaxFileVertices vertices are
 #     rejected by name.
@@ -339,6 +342,47 @@ if(EXISTS /dev/full)
       message(FATAL_ERROR "--${flag} /dev/full: error must name the path: ${full_err}")
     endif()
   endforeach()
+endif()
+
+# Output files are written whole or not at all. Under a file-size limit
+# below the trace's size (SIGXFSZ ignored, so the write fails with EFBIG),
+# melsim exits 2 naming the path, creates no file at a new path, leaves an
+# existing file's bytes as they were, and leaves no temporary behind.
+find_program(SH_PROGRAM sh)
+if(SH_PROGRAM)
+  set(partial_dir ${workdir}/partial)
+  file(REMOVE_RECURSE ${partial_dir})
+  file(MAKE_DIRECTORY ${partial_dir})
+  set(old_bytes "the bytes of an earlier run\n")
+  file(WRITE ${partial_dir}/old.json "${old_bytes}")
+  foreach(name new.json old.json)
+    set(path ${partial_dir}/${name})
+    execute_process(
+      COMMAND ${SH_PROGRAM} -c "trap '' XFSZ; ulimit -f 64; exec \"$0\" \"$@\""
+              ${MELSIM} --algo match --model NSR --ranks 16 --gen rgg
+              --verts 2048 --trace ${path}
+      RESULT_VARIABLE cut_code
+      OUTPUT_VARIABLE cut_out
+      ERROR_VARIABLE cut_err)
+    if(NOT cut_code EQUAL 2)
+      message(FATAL_ERROR "--trace ${name} over the size limit: expected exit 2, got ${cut_code}: ${cut_out}${cut_err}")
+    endif()
+    if(NOT cut_err MATCHES "--trace: cannot write \"${path}\"")
+      message(FATAL_ERROR "--trace ${name} over the size limit: error must name the path: ${cut_err}")
+    endif()
+  endforeach()
+  if(EXISTS ${partial_dir}/new.json)
+    file(SIZE ${partial_dir}/new.json new_size)
+    message(FATAL_ERROR "a failed --trace left a ${new_size}-byte partial file")
+  endif()
+  file(READ ${partial_dir}/old.json now_bytes)
+  if(NOT now_bytes STREQUAL old_bytes)
+    message(FATAL_ERROR "a failed --trace changed the existing file: '${now_bytes}'")
+  endif()
+  file(GLOB left RELATIVE ${partial_dir} ${partial_dir}/*)
+  if(NOT left STREQUAL "old.json")
+    message(FATAL_ERROR "a failed --trace left files behind: ${left}")
+  endif()
 endif()
 
 # A Matrix Market header declaring 2^40 vertices is refused by name, with

@@ -8,8 +8,12 @@
 //
 // Run `melsim --help` for the full option list. Unknown options and
 // malformed values are rejected (exit 2) instead of silently ignored.
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -24,6 +28,7 @@
 #include "mel/graph/stats.hpp"
 #include "mel/match/driver.hpp"
 #include "mel/match/verify.hpp"
+#include "mel/obs/emit.hpp"
 #include "mel/obs/recorder.hpp"
 #include "mel/order/rcm.hpp"
 #include "mel/perf/energy.hpp"
@@ -243,39 +248,101 @@ void parse_intra_node(const std::string& text, net::Params& net) {
   net.beta_intra = *g;
 }
 
+/// Where the bytes of an output file go. A regular file, new or existing,
+/// is written whole or not at all: into a temporary sibling first, renamed
+/// over the path only after a checked close. Anything else (/dev/null,
+/// /dev/full, a FIFO) is written in place, and never renamed over.
+struct Destination {
+  std::string path;  // symlinks resolved, so the rename replaces the file
+  std::string temp;  // empty: written in place
+  mode_t mode = 0;   // an existing file's permission bits, for the new one
+};
+
+Destination destination(const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) {
+    return {path, path + ".tmp" + std::to_string(::getpid())};
+  }
+  if (!S_ISREG(st.st_mode)) return {path, ""};
+  std::string real = path;
+  if (char* resolved = ::realpath(path.c_str(), nullptr)) {
+    real = resolved;
+    std::free(resolved);
+  }
+  return {real, real + ".tmp" + std::to_string(::getpid()),
+          st.st_mode & 07777};
+}
+
+[[noreturn]] void cannot_write(const char* flag, const std::string& path,
+                               int err) {
+  throw std::runtime_error(std::string("--") + flag + ": cannot write \"" +
+                           path + "\": " + std::strerror(err));
+}
+
 /// Probe an output path for writability before the simulation runs: a bad
 /// --trace/--metrics-jsonl/--matrix/--host-profile-json destination is a
 /// usage error, not something to discover after minutes of simulated work.
-/// The probe opens in append mode (leaving an existing file's bytes alone)
-/// and removes the file again if the probe itself created it.
+/// The probe opens the path in append mode (leaving an existing file's
+/// bytes alone) and removes the file again if the probe itself created it;
+/// for a regular file it also creates and removes the temporary sibling.
 void require_writable(const char* flag, const std::string& path) {
-  std::FILE* probe = std::fopen(path.c_str(), "rb");
-  const bool existed = probe != nullptr;
-  if (probe) std::fclose(probe);
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (!f) {
-    throw std::invalid_argument(std::string("--") + flag + ": cannot write \"" +
-                                path + "\": " + std::strerror(errno));
+  const Destination dest = destination(path);
+  for (const std::string& file : {path, dest.temp}) {
+    if (file.empty()) continue;
+    std::FILE* probe = std::fopen(file.c_str(), "rb");
+    const bool existed = probe != nullptr;
+    if (probe) std::fclose(probe);
+    std::FILE* f = std::fopen(file.c_str(), "ab");
+    if (!f) {
+      throw std::invalid_argument(std::string("--") + flag +
+                                  ": cannot write \"" + path +
+                                  "\": " + std::strerror(errno));
+    }
+    std::fclose(f);
+    if (!existed) std::remove(file.c_str());
   }
-  std::fclose(f);
-  if (!existed) std::remove(path.c_str());
 }
 
-/// Write the output file of `--flag` whole. Open, write and close are each
-/// checked: a full device often takes the buffered bytes and refuses only
-/// the flush at close, and a run whose output was lost must not exit 0.
-void write_output(const char* flag, const std::string& path,
-                  const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  bool ok = f != nullptr;
-  if (ok) {
-    ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-    ok = std::fclose(f) == 0 && ok;
+/// Write the output file of `--flag` whole: `write` streams the bytes into
+/// an obs::Emitter. Open, every write and close are checked: a full device
+/// often takes the buffered bytes and refuses only the flush at close, and
+/// a run whose output was lost must not exit 0. On failure the temporary
+/// is removed and the path is left as it was.
+template <class Write>
+void write_output(const char* flag, const std::string& path, Write write) {
+  const Destination dest = destination(path);
+  const std::string& file = dest.temp.empty() ? dest.path : dest.temp;
+  std::FILE* f = std::fopen(file.c_str(), dest.temp.empty() ? "wb" : "wbx");
+  if (f == nullptr) cannot_write(flag, path, errno);
+  bool ok = false;
+  try {
+    obs::Emitter out(f);
+    write(out);
+    ok = out.flush();
+  } catch (...) {
+    std::fclose(f);
+    if (!dest.temp.empty()) std::remove(file.c_str());
+    throw;
+  }
+  int err = errno;
+  if (std::fclose(f) != 0 && ok) {
+    ok = false;
+    err = errno;
+  }
+  if (ok && !dest.temp.empty()) {
+    ok = (dest.mode == 0 || ::chmod(file.c_str(), dest.mode) == 0) &&
+         std::rename(file.c_str(), dest.path.c_str()) == 0;
+    err = errno;
   }
   if (!ok) {
-    throw std::runtime_error(std::string("--") + flag + ": cannot write \"" +
-                             path + "\": " + std::strerror(errno));
+    if (!dest.temp.empty()) std::remove(file.c_str());
+    cannot_write(flag, path, err);
   }
+}
+
+void write_output(const char* flag, const std::string& path,
+                  const std::string& text) {
+  write_output(flag, path, [&text](obs::Emitter& out) { out << text; });
 }
 
 ft::Recovery parse_recovery(const std::string& name) {
@@ -473,7 +540,7 @@ int run(const util::Cli& cli) {
 
   if (cli.has("trace")) {
     write_output("trace", cli.get("trace", "trace.json"),
-                 recorder.to_chrome_json());
+                 [&](obs::Emitter& out) { recorder.write_chrome(out); });
     if (!csv) {
       std::printf("trace: %zu spans, %zu flows, %zu samples -> %s\n",
                   recorder.spans().size(), recorder.flows().size(),
@@ -483,7 +550,7 @@ int run(const util::Cli& cli) {
   }
   if (cli.has("metrics-jsonl")) {
     write_output("metrics-jsonl", cli.get("metrics-jsonl", "metrics.jsonl"),
-                 recorder.metrics_jsonl());
+                 [&](obs::Emitter& out) { recorder.write_metrics(out); });
     if (!csv) {
       std::printf("metrics: %zu samples, %zu iterations -> %s\n",
                   recorder.samples().size(), recorder.iterations().size(),
