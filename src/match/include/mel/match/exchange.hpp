@@ -18,6 +18,7 @@
 // backends.cpp; the two that BFS and coloring also use are here.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -30,7 +31,6 @@
 #include "mel/match/backends.hpp"
 #include "mel/mpi/comm.hpp"
 #include "mel/sim/task.hpp"
-#include "mel/util/buffer.hpp"
 
 namespace mel::match {
 
@@ -85,22 +85,19 @@ class Exchange {
     return static_cast<std::size_t>(k);
   }
 
-  /// The staged records packed into one pooled buffer per neighbor, in push
-  /// order. Each slice is written exactly once; receivers alias it by
-  /// refcount.
-  std::vector<util::Buffer> pack() const {
+  /// The staged records packed into one block, one slice per neighbor in
+  /// push order. Each record is written exactly once; receivers view the
+  /// block by refcount.
+  mpi::PackedSlices pack() const {
     std::vector<std::size_t> fill(lg_.neighbor_ranks.size(), 0);
     for (const auto& staged : staged_) fill[staged.first] += sizeof(R);
-    std::vector<util::Buffer> slices(fill.size());
-    for (std::size_t k = 0; k < fill.size(); ++k) {
-      slices[k] = util::Buffer::alloc(fill[k]);
-      fill[k] = 0;
-    }
+    mpi::PackedSlices packed(fill);
+    std::fill(fill.begin(), fill.end(), 0);
     for (const auto& [k, rec] : staged_) {
-      std::memcpy(slices[k].mutable_data() + fill[k], &rec, sizeof(R));
+      std::memcpy(packed.writable(k).data() + fill[k], &rec, sizeof(R));
       fill[k] += sizeof(R);
     }
-    return slices;
+    return packed;
   }
 
   mpi::Comm& comm_;
@@ -134,9 +131,9 @@ class NclExchange final : public Exchange<R> {
 
   sim::Task round(Sink<R>& sink) override {
     mpi::Comm& comm = this->comm_;
-    std::vector<util::Buffer> slices = this->pack();
+    mpi::PackedSlices slices = this->pack();
     this->staged_.clear();
-    const auto process = [&sink](const std::vector<util::Buffer>& incoming) {
+    const auto process = [&sink](const std::vector<mpi::SliceView>& incoming) {
       for (const auto& slice : incoming) {
         const std::size_t n = mpi::record_count<R>(slice);
         for (std::size_t i = 0; i < n; ++i) {
@@ -146,12 +143,12 @@ class NclExchange final : public Exchange<R> {
     };
     switch (start_) {
       case Start::kBlocking: {
-        std::vector<std::int64_t> counts(slices.size());
-        for (std::size_t k = 0; k < slices.size(); ++k) {
-          counts[k] = static_cast<std::int64_t>(slices[k].size() / sizeof(R));
+        std::vector<std::int64_t> counts(slices.count());
+        for (std::size_t k = 0; k < slices.count(); ++k) {
+          counts[k] = static_cast<std::int64_t>(slices.size(k) / sizeof(R));
         }
         (void)co_await comm.neighbor_alltoall_i64(std::move(counts));
-        const std::vector<util::Buffer> incoming =
+        const std::vector<mpi::SliceView> incoming =
             co_await comm.neighbor_alltoallv(std::move(slices));
         process(incoming);
         break;
@@ -194,15 +191,15 @@ class CountedNsrExchange final : public Exchange<R> {
     constexpr int kRecordTag = 101;
     mpi::Comm& comm = this->comm_;
     const std::vector<Rank>& nbrs = this->lg_.neighbor_ranks;
-    const std::vector<util::Buffer> slices = this->pack();
+    const mpi::PackedSlices slices = this->pack();
     for (std::size_t k = 0; k < nbrs.size(); ++k) {
-      const std::size_t n = mpi::record_count<R>(slices[k]);
+      const mpi::SliceView slice = slices.view(k);
+      const std::size_t n = mpi::record_count<R>(slice);
       comm.isend_pod<std::int64_t>(nbrs[k], kCountTag,
                                    static_cast<std::int64_t>(n));
       if (!grouped_) continue;
       for (std::size_t i = 0; i < n; ++i) {
-        comm.isend_pod<R>(nbrs[k], kRecordTag,
-                          mpi::nth_record<R>(slices[k], i));
+        comm.isend_pod<R>(nbrs[k], kRecordTag, mpi::nth_record<R>(slice, i));
       }
     }
     if (!grouped_) {

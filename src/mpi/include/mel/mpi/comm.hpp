@@ -7,7 +7,9 @@
 //   Message m = co_await comm.recv(src, tag);     // MPI_Recv
 //   co_await comm.wait_message();                 // progress-idle wait
 //   auto counts = co_await comm.neighbor_alltoall_i64(my_counts);
-//   auto slices = co_await comm.neighbor_alltoallv(my_slices);
+//   PackedSlices out(bytes_per_neighbor);         // one send block
+//   ... fill out.writable(k) for each neighbor k ...
+//   auto in = co_await comm.neighbor_alltoallv(std::move(out));  // views
 //   win.put(target, offset, bytes);               // MPI_Put
 //   co_await win.flush_all();                     // MPI_Win_flush_all
 //   auto total = co_await comm.allreduce_sum(x);  // MPI_Allreduce
@@ -17,8 +19,17 @@
 // operation charges realistic software overheads and advances the rank's
 // virtual clock, and that advance is the rank's communication time;
 // blocking ones suspend the coroutine until the simulated completion time.
+//
+// A Comm stands for two communicators: the world, on which allreduce and
+// barrier are ordered, and the process topology, which
+// MPI_Dist_graph_create_adjacent returns as a communicator of its own, on
+// which the neighborhood collectives are ordered. Each keeps its own
+// collective sequence, so a rank may start a neighborhood collective and a
+// global one in either order, while every rank still starts the
+// collectives of one communicator in one order.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -31,7 +42,6 @@
 
 #include "mel/mpi/machine.hpp"
 #include "mel/mpi/message.hpp"
-#include "mel/util/buffer.hpp"
 
 namespace mel::mpi {
 
@@ -153,7 +163,7 @@ class SleepAwaiter {
 /// or persistent (MPI_Neighbor_alltoallv_init / MPI_Start / MPI_Wait):
 ///
 ///   mpi::NeighborRequest req;
-///   comm.ineighbor_alltoallv(std::move(slices), req);
+///   comm.ineighbor_alltoallv(std::move(packed), req);
 ///   ... overlap local computation ...
 ///   co_await comm.ineighbor_wait(req);
 ///   use(req.recv);
@@ -161,22 +171,30 @@ class SleepAwaiter {
 ///   comm.neighbor_alltoallv_init(req);  // schedule built once (full
 ///                                       // collective-entry cost)
 ///   for (;;) {
-///     comm.neighbor_alltoallv_start(req, std::move(slices));  // cheap
+///     comm.neighbor_alltoallv_start(req, std::move(packed));  // cheap
 ///     co_await comm.neighbor_alltoallv_wait(req);
 ///     use(req.recv);
 ///   }
 ///
 /// A persistent schedule (neighbor list, slice-offset table, matching
-/// state) is registered at init and reused by every start, which is charged
-/// o_coll_persistent_start instead of the per-call entry. Non-movable: the
-/// machine holds a pointer to `recv` until completion.
+/// state) is built by init on this request and reused by each of its
+/// starts, which are charged o_coll_persistent_start instead of the
+/// per-call entry; a start on a request that init never saw throws
+/// std::logic_error. The wait names the request, and waiting on one that
+/// is not the rank's outstanding call throws std::logic_error too.
+/// Non-movable: the machine holds a pointer to `recv` until completion.
 class NeighborRequest {
  public:
   NeighborRequest() = default;
   NeighborRequest(const NeighborRequest&) = delete;
   NeighborRequest& operator=(const NeighborRequest&) = delete;
 
-  std::vector<util::Buffer> recv;  // valid after the wait
+  /// One view per neighbor into its sender's block, valid after the wait.
+  std::vector<SliceView> recv;
+
+ private:
+  friend class Comm;
+  bool persistent_ = false;  // neighbor_alltoallv_init ran on it
 };
 
 // ---------------------------------------------------------------------------
@@ -271,13 +289,13 @@ class Comm {
 
   /// The blocking neighborhood alltoallv: begin and wait in one call.
   template <class Finish>
-  auto neighbor(std::vector<util::Buffer> slices, Finish finish) {
-    return detail::blocking<std::vector<util::Buffer>>(
+  auto neighbor(PackedSlices slices, Finish finish) {
+    return detail::blocking<std::vector<SliceView>>(
         m_, rank_, "ncoll",
         [s = std::move(slices)](Machine& m, Rank r, auto& recv,
                                 auto p) mutable {
           m.neighbor_begin(r, std::move(s), &recv, NeighborCall::kBlocking);
-          m.neighbor_wait(r, p);
+          m.neighbor_wait(r, &recv, p);
         },
         std::move(finish));
   }
@@ -285,7 +303,7 @@ class Comm {
   /// A split-phase or persistent begin does not park, so it counts its own
   /// clock advance (collective entry or persistent start, chaos skew and
   /// the staging copy) as communication time, with no span.
-  void neighbor_start(std::vector<util::Buffer> slices, NeighborRequest& req,
+  void neighbor_start(PackedSlices slices, NeighborRequest& req,
                       NeighborCall kind) {
     const Time entry = now();
     m_.neighbor_begin(rank_, std::move(slices), &req.recv, kind);
@@ -334,46 +352,50 @@ class Comm {
 
   // -- Process topology and neighborhood collectives -----------------------
   const std::vector<Rank>& neighbors() const { return m_.topology(rank_); }
-  /// co_await -> received slices, one per topology neighbor (same order as
-  /// neighbors()).
-  [[nodiscard]] auto neighbor_alltoallv(std::vector<util::Buffer> slices) {
+  /// co_await -> received slices, one view per topology neighbor (same
+  /// order as neighbors()).
+  [[nodiscard]] auto neighbor_alltoallv(PackedSlices slices) {
     return neighbor(std::move(slices), std::identity{});
   }
   /// co_await -> one int64 from each neighbor. The fixed-size count
   /// exchange used before an alltoallv.
   [[nodiscard]] auto neighbor_alltoall_i64(std::vector<std::int64_t> values) {
-    std::vector<util::Buffer> slices;
-    slices.reserve(values.size());
-    for (const std::int64_t v : values) {
-      slices.push_back(util::Buffer::copy_of(bytes_of(v)));
-    }
-    return neighbor(std::move(slices), [](std::vector<util::Buffer> recv) {
-      std::vector<std::int64_t> out;
-      out.reserve(recv.size());
-      for (const auto& slice : recv) {
-        out.push_back(from_bytes<std::int64_t>(slice));
-      }
-      return out;
-    });
+    return neighbor(PackedSlices::of_records<std::int64_t>(values),
+                    [](std::vector<SliceView> recv) {
+                      std::vector<std::int64_t> out(recv.size());
+                      std::ranges::transform(recv, out.begin(),
+                                             from_bytes<std::int64_t>);
+                      return out;
+                    });
   }
   /// Split-phase (nonblocking) neighborhood collective; complete with
   /// ineighbor_wait. At most one outstanding per rank.
-  void ineighbor_alltoallv(std::vector<util::Buffer> slices,
-                           NeighborRequest& req) {
+  void ineighbor_alltoallv(PackedSlices slices, NeighborRequest& req) {
     neighbor_start(std::move(slices), req, NeighborCall::kSplitPhase);
   }
-  [[nodiscard]] auto ineighbor_wait(NeighborRequest&) {
-    return detail::blocking(
-        m_, rank_, "ncoll",
-        [](Machine& m, Rank r, auto&, auto p) { m.neighbor_wait(r, p); });
+  [[nodiscard]] auto ineighbor_wait(NeighborRequest& req) {
+    return detail::blocking(m_, rank_, "ncoll",
+                            [recv = &req.recv](Machine& m, Rank r, auto&,
+                                               auto p) {
+                              m.neighbor_wait(r, recv, p);
+                            });
   }
   /// Persistent neighborhood alltoallv: build the exchange schedule once,
-  /// then start/wait it every round (see NeighborRequest).
-  void neighbor_alltoallv_init(NeighborRequest&) {
-    m_.persistent_neighbor_init(rank_);
+  /// paying one full collective entry as communication time, then
+  /// start/wait it every round (see NeighborRequest).
+  void neighbor_alltoallv_init(NeighborRequest& req) {
+    const Time entry = m_.network().collective_entry(
+        static_cast<int>(neighbors().size()));
+    m_.simulator().charge(rank_, entry);
+    m_.counters_mut(rank_).comm_ns += entry;
+    req.persistent_ = true;
   }
-  void neighbor_alltoallv_start(NeighborRequest& req,
-                                std::vector<util::Buffer> slices) {
+  void neighbor_alltoallv_start(NeighborRequest& req, PackedSlices slices) {
+    if (!req.persistent_) {
+      throw std::logic_error(
+          "neighbor_alltoallv_start on a request that "
+          "neighbor_alltoallv_init did not build");
+    }
     neighbor_start(std::move(slices), req, NeighborCall::kPersistentStart);
   }
   [[nodiscard]] auto neighbor_alltoallv_wait(NeighborRequest& req) {

@@ -332,28 +332,26 @@ class Machine : public ft::Host {
   void fence_arrive(int win, Rank rank, sim::Simulator::Parked parked);
 
   /// Neighborhood collective, first half (MPI_Ineighbor_alltoallv): the
-  /// rank posts one buffer slice per topology neighbor (ordered as
-  /// topology(rank)) without parking; neighbor_wait completes it. At most
-  /// one outstanding per rank. Received slices land in `recv_out` and
-  /// alias the sender's buffers (refcounted); the per-receiver copy is
-  /// still priced into virtual time via copy_time. A persistent start
-  /// re-arms a schedule registered earlier by persistent_neighbor_init and
-  /// is charged o_coll_persistent_start instead of the full collective
-  /// entry. A neighbor that made another kind of call at the same sequence
-  /// number fails the run with a std::logic_error. The clock advance is
-  /// not added to comm_ns here: the caller's accounting covers it.
-  void neighbor_begin(Rank rank, std::vector<util::Buffer> slices,
-                      std::vector<util::Buffer>* recv_out, NeighborCall kind);
+  /// rank posts one packed block with a slice per topology neighbor
+  /// (ordered as topology(rank)) without parking; neighbor_wait completes
+  /// it. At most one outstanding per rank. `recv_out` receives one view
+  /// per neighbor into that neighbor's block (refcounted); the
+  /// per-receiver copy is still priced into virtual time via copy_time. A
+  /// slice count other than the degree throws std::invalid_argument. A
+  /// persistent start is charged o_coll_persistent_start instead of the
+  /// full collective entry. A neighbor that made another kind of call at
+  /// the same sequence number fails the run with a std::logic_error. The
+  /// clock advance is not added to comm_ns here: the caller's accounting
+  /// covers it.
+  void neighbor_begin(Rank rank, PackedSlices slices,
+                      std::vector<SliceView>* recv_out, NeighborCall kind);
 
-  /// Build a persistent neighborhood-alltoallv schedule for `rank`
-  /// (MPI_Neighbor_alltoallv_init): pays the full collective-entry cost
-  /// once, so subsequent persistent neighbor_begin calls only pay the
-  /// cheap per-start overhead.
-  void persistent_neighbor_init(Rank rank);
-  /// Park until the outstanding split-phase collective completes, once all
-  /// neighbors arrived at the same sequence number; if it already
-  /// completed, the wake lands at its completion time.
-  void neighbor_wait(Rank rank, sim::Simulator::Parked parked);
+  /// Park until the outstanding collective completes, once all neighbors
+  /// arrived at the same sequence number; if it already completed, the
+  /// wake lands at its completion time. `recv` names the request: one
+  /// that is not the outstanding call's throws std::logic_error.
+  void neighbor_wait(Rank rank, const std::vector<SliceView>* recv,
+                     sim::Simulator::Parked parked);
 
   /// Global collectives (allreduce on int64 vectors / barrier): rank
   /// arrives with its contribution; completes when all ranks arrive at the
@@ -504,10 +502,17 @@ class Machine : public ft::Host {
   /// counter between shards — and identical at every thread count.
   std::vector<FlowId> next_flow_;
 
-  /// Next flow id for a message injected by `rank` (isend / put / slice).
-  FlowId new_flow(Rank rank) {
-    return next_flow_[rank]++ * static_cast<FlowId>(nranks()) +
-           static_cast<FlowId>(rank) + 1;
+  /// The next `count` flow ids of messages injected by `rank` (isend /
+  /// put / slices); the first is returned, and id i is flow_at(first, i).
+  FlowId new_flow(Rank rank, FlowId count = 1) {
+    const FlowId first = next_flow_[rank] * static_cast<FlowId>(nranks()) +
+                         static_cast<FlowId>(rank) + 1;
+    next_flow_[rank] += count;
+    return first;
+  }
+  /// The id a rank's counter gives i ids after `first`, wrapping as they do.
+  FlowId flow_at(FlowId first, std::size_t i) const {
+    return first + static_cast<FlowId>(i) * static_cast<FlowId>(nranks());
   }
 };
 

@@ -4,10 +4,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "mel/sim/time.hpp"
@@ -54,6 +56,96 @@ struct Envelope {
   Rank src = -1;
   int tag = 0;
   std::size_t bytes = 0;
+};
+
+/// One received neighborhood-collective slice: a view into the sender's
+/// block, which it holds by refcount, so receiving copies no bytes.
+class SliceView {
+ public:
+  SliceView() = default;
+
+  std::size_t size() const { return size_; }
+  operator std::span<const std::byte>() const {
+    return block_.span().subspan(offset_, size_);
+  }
+
+ private:
+  friend class PackedSlices;
+  SliceView(util::Buffer block, std::uint32_t offset, std::uint32_t size)
+      : block_(std::move(block)), offset_(offset), size_(size) {}
+
+  util::Buffer block_;
+  std::uint32_t offset_ = 0;
+  std::uint32_t size_ = 0;
+};
+
+/// The payload of one neighborhood-collective call, in MPI's (sendbuf,
+/// sdispls) shape: slice k, meant for the caller's k-th topology neighbor,
+/// is bytes [offset(k), offset(k) + size(k)) of one pooled block. The
+/// offsets are prefix sums of per-slice byte counts, so the slices tile
+/// the block. They are 32-bit, which keeps a received view at 16 bytes, so
+/// a call carries at most kMaxBytes; more throws std::length_error before
+/// anything is allocated.
+class PackedSlices {
+ public:
+  static constexpr std::size_t kMaxBytes =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// No slices: the payload of a rank without neighbors.
+  PackedSlices() = default;
+
+  /// Slice k holds `bytes[k]` bytes, in one fresh block that the caller
+  /// fills through writable() before the call.
+  explicit PackedSlices(std::span<const std::size_t> bytes)
+      : ends_(bytes.size()) {
+    std::size_t end = 0;
+    for (std::size_t k = 0; k < bytes.size(); ++k) {
+      if (bytes[k] > kMaxBytes - end) throw too_large();
+      ends_[k] = static_cast<std::uint32_t>(end += bytes[k]);
+    }
+    block_ = util::Buffer::alloc(end);
+  }
+
+  /// One record per slice: slice k holds values[k].
+  template <class T>
+    requires std::is_trivially_copyable_v<T>
+  static PackedSlices of_records(std::span<const T> values) {
+    if (values.size() > kMaxBytes / sizeof(T)) throw too_large();
+    PackedSlices packed;
+    packed.ends_.resize(values.size());
+    for (std::size_t k = 0; k < values.size(); ++k) {
+      packed.ends_[k] = static_cast<std::uint32_t>((k + 1) * sizeof(T));
+    }
+    packed.block_ = util::Buffer::copy_of(std::as_bytes(values));
+    return packed;
+  }
+
+  std::size_t count() const { return ends_.size(); }
+  std::size_t offset(std::size_t k) const { return k ? ends_[k - 1] : 0; }
+  std::size_t size(std::size_t k) const { return ends_[k] - offset(k); }
+  /// Payload bytes over every slice.
+  std::size_t bytes() const { return block_.size(); }
+
+  /// Slice k, writable while this is the block's only holder.
+  std::span<std::byte> writable(std::size_t k) {
+    return std::span(block_.mutable_data(), block_.size())
+        .subspan(offset(k), size(k));
+  }
+  /// Slice k as a view that shares the block.
+  SliceView view(std::size_t k) const {
+    return SliceView(block_, static_cast<std::uint32_t>(offset(k)),
+                     static_cast<std::uint32_t>(size(k)));
+  }
+
+ private:
+  static std::length_error too_large() {
+    return std::length_error("PackedSlices: one neighborhood call carries "
+                             "more than " + std::to_string(kMaxBytes) +
+                             " bytes");
+  }
+
+  util::Buffer block_;
+  std::vector<std::uint32_t> ends_;  // ends_[k]: one past slice k's last byte
 };
 
 /// Serialize a trivially-copyable record into a fresh byte vector.

@@ -1,6 +1,7 @@
 #include "mel/mpi/machine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -77,20 +78,23 @@ struct Machine::WindowState {
 };
 
 struct Machine::NeighborState {
+  static constexpr std::uint64_t kNoCall = ~std::uint64_t{0};
+  /// One rank's call, from its begin until the last neighbor consumed it.
   struct Call {
+    std::uint64_t seq = kNoCall;
     NeighborCall kind = NeighborCall::kBlocking;
     Time arrive = 0;
-    std::vector<util::Buffer> slices;  // per neighbor of caller
+    PackedSlices slices;  // slice i is meant for the caller's i-th neighbor
+    FlowId first_flow = 0;  // slice i's flow is flow_at(first_flow, i)
     int consumers_left = 0;
-    std::vector<FlowId> slice_flows;  // parallel to slices
-    /// Reliable-transport landing time of each slice at its receiver
-    /// (parallel to slices); empty on the perfect-wire path.
+    /// Reliable-transport landing time of each slice at its receiver;
+    /// empty on the perfect-wire path.
     std::vector<Time> slice_deliver;
   };
   struct Pending {
     std::uint64_t seq = 0;
     Time arrive = 0;
-    std::vector<util::Buffer>* recv_out = nullptr;
+    std::vector<SliceView>* recv_out = nullptr;  // names the request
     sim::Simulator::Parked parked;
     int waiting_on = 0;
     bool active = false;   // an op is outstanding
@@ -99,11 +103,12 @@ struct Machine::NeighborState {
     Time complete_at = 0;
   };
   std::vector<std::uint64_t> next_seq;
-  std::vector<std::map<std::uint64_t, Call>> calls;  // rank -> seq -> call
-  std::vector<Pending> pending;                      // at most one per rank
-  /// Ranks that registered a persistent alltoallv schedule
-  /// (persistent_neighbor_init); required before a persistent start.
-  std::vector<char> persistent_ready;
+  /// calls[r][s & 1] holds rank r's call at sequence s. Two slots suffice:
+  /// every neighbor consumes r's call at s before r begins s + 2, because r
+  /// completes s + 1 only once each neighbor arrived at s + 1, which a
+  /// neighbor does only after its wait for s returned.
+  std::vector<std::array<Call, 2>> calls;
+  std::vector<Pending> pending;  // at most one per rank
 };
 
 struct Machine::GlobalCollState {
@@ -231,7 +236,6 @@ Machine::Machine(sim::Simulator& simulator, net::Network network,
   neighbor_->next_seq.assign(p, 0);
   neighbor_->calls.resize(p);
   neighbor_->pending.resize(p);
-  neighbor_->persistent_ready.assign(p, 0);
   global_ = std::make_unique<GlobalCollState>();
   global_->next_seq.assign(p, 0);
   // Scheduled fail-stop crashes: at the configured virtual time the rank is
@@ -724,19 +728,6 @@ std::size_t Machine::window_size(int win, Rank rank) const {
 // Neighborhood collectives
 // ---------------------------------------------------------------------------
 
-void Machine::persistent_neighbor_init(Rank rank) {
-  const prof::ScopedTimer pt(prof::Section::kNeighbor);
-  auto& st = *neighbor_;
-  // Building the schedule (peer list, slice offsets, matching state) costs
-  // one full collective entry; every persistent start after this re-arms
-  // it for o_coll_persistent_start only.
-  const auto& topo = topology_[rank];
-  const Time entry = net_.collective_entry(static_cast<int>(topo.size()));
-  sim_.charge(rank, entry);
-  counters_[rank].comm_ns += entry;
-  st.persistent_ready[rank] = 1;
-}
-
 namespace {
 const char* describe_neighbor_call(NeighborCall kind) {
   switch (kind) {
@@ -748,27 +739,22 @@ const char* describe_neighbor_call(NeighborCall kind) {
 }
 }  // namespace
 
-void Machine::neighbor_begin(Rank rank, std::vector<util::Buffer> slices,
-                             std::vector<util::Buffer>* recv_out,
+void Machine::neighbor_begin(Rank rank, PackedSlices slices,
+                             std::vector<SliceView>* recv_out,
                              NeighborCall kind) {
-  const bool persistent_start = kind == NeighborCall::kPersistentStart;
   const prof::ScopedTimer pt(prof::Section::kNeighbor);
   auto& st = *neighbor_;
   const auto& topo = topology_[rank];
-  if (slices.size() != topo.size()) {
+  if (slices.count() != topo.size()) {
     std::ostringstream os;
-    os << "neighbor collective: rank " << rank << " passed " << slices.size()
+    os << "neighbor collective: rank " << rank << " passed " << slices.count()
        << " slice(s) but its topology has " << topo.size() << " neighbor(s)";
     throw std::invalid_argument(os.str());
-  }
-  if (persistent_start && st.persistent_ready[rank] == 0) {
-    throw std::logic_error(
-        "persistent neighbor start without persistent_neighbor_init");
   }
   if (st.pending[rank].active) {
     throw std::logic_error("rank already in neighbor collective");
   }
-  const Time entry = persistent_start
+  const Time entry = kind == NeighborCall::kPersistentStart
                          ? net_.params().o_coll_persistent_start
                          : net_.collective_entry(static_cast<int>(topo.size()));
   sim_.charge(rank, entry);
@@ -776,28 +762,25 @@ void Machine::neighbor_begin(Rank rank, std::vector<util::Buffer> slices,
     sim_.charge(rank, chaos_->collective_skew(rank, 0, st.next_seq[rank]));
   }
 
-  std::size_t total_bytes = 0;
-  std::vector<FlowId> slice_flows(topo.size(), 0);
+  const FlowId first_flow = new_flow(rank, static_cast<FlowId>(topo.size()));
   const Time tnow = sim_.rank_now(rank);
   for (std::size_t i = 0; i < topo.size(); ++i) {
-    total_bytes += slices[i].size();
     const Rank peer = topo[i];
-    const std::size_t wire_bytes = slices[i].size() + kHeaderBytes;
+    const std::size_t wire_bytes = slices.size(i) + kHeaderBytes;
     // Under the reliable transport each slice's wire copies are recorded
     // by the transport itself (ft_record_wire), like every other channel.
     if (transport_ == nullptr) record_wire(rank, peer, wire_bytes, tnow);
-    const FlowId f = new_flow(rank);
-    slice_flows[i] = f;
+    const FlowId f = flow_at(first_flow, i);
     with_trace([=](Tracer& t) {
       t.flow_begin(f, Channel::kNeighbor, rank, peer, /*tag=*/-1, wire_bytes,
                    tnow);
     });
   }
   // Staging copy into the collective's send buffer.
-  sim_.charge(rank, net_.copy_time(total_bytes));
+  sim_.charge(rank, net_.copy_time(slices.bytes()));
   auto& c = counters_[rank];
   c.neighbor_colls += 1;
-  c.bytes_coll += total_bytes;
+  c.bytes_coll += slices.bytes();
 
   const std::uint64_t seq = st.next_seq[rank]++;
   const Time arrive = sim_.rank_now(rank);
@@ -812,14 +795,14 @@ void Machine::neighbor_begin(Rank rank, std::vector<util::Buffer> slices,
       slice_deliver[i] =
           transport_
               ->send_segment(rank, topo[i], ft::Transport::kCollTag,
-                             slices[i].size(), slice_flows[i], arrive)
+                             slices.size(i), flow_at(first_flow, i), arrive)
               .deliver_at;
     }
   }
 
   // The rank-owned half of the pending record is set inline so this rank's
   // own neighbor_wait — possibly later in the same window — sees an active
-  // op. The shared half (the calls map and the neighbors' pending records)
+  // op. The shared half (the call slots and the neighbors' pending records)
   // runs at the merge point, in exact sequential order.
   auto& pend = st.pending[rank];
   pend = NeighborState::Pending{};
@@ -829,44 +812,46 @@ void Machine::neighbor_begin(Rank rank, std::vector<util::Buffer> slices,
   pend.active = true;
 
   if (topo.empty()) {
-    // Rank-local completion: no other shard ever touches this rank's call
-    // record, and the completion wake must stay in this window (it lands
-    // at `arrive`), so the whole thing runs inline.
-    st.calls[rank].emplace(
-        seq, NeighborState::Call{kind, arrive, std::move(slices), 0,
-                                 std::move(slice_flows),
-                                 std::move(slice_deliver)});
-    pend.waiting_on = 0;
+    // Rank-local completion: no neighbor reads this rank's call, and the
+    // completion wake must stay in this window (it lands at `arrive`), so
+    // it runs inline.
     complete_neighbor_op(rank, seq);
     return;
   }
 
-  sim_.defer([this, rank, kind, seq, arrive, slices = std::move(slices),
-              slice_flows = std::move(slice_flows),
-              slice_deliver = std::move(slice_deliver)]() mutable {
+  sim_.defer([this, rank,
+              call = NeighborState::Call{
+                  seq, kind, arrive, std::move(slices), first_flow,
+                  static_cast<int>(topo.size()),
+                  std::move(slice_deliver)}]() mutable {
     auto& st = *neighbor_;
     const auto& topo = topology_[rank];
+    const std::uint64_t seq = call.seq;
     int waiting = 0;
     for (Rank n : topo) {
-      // A neighbor's call at this sequence number stays until this rank
-      // consumes it, so whichever of two neighbors arrives second sees the
-      // other's call here.
-      const auto it = st.calls[n].find(seq);
-      if (it == st.calls[n].end()) {
+      // A neighbor's call at this sequence number stays in its slot until
+      // this rank consumes it, so whichever of two neighbors arrives second
+      // sees the other's call there.
+      const auto& theirs = st.calls[n][seq & 1];
+      if (theirs.seq != seq) {
         ++waiting;
-      } else if (it->second.kind != kind) {
+      } else if (theirs.kind != call.kind) {
         std::ostringstream os;
         os << "neighborhood collective #" << seq << ": rank " << rank
-           << " calls " << describe_neighbor_call(kind) << " but rank " << n
-           << " called " << describe_neighbor_call(it->second.kind);
+           << " calls " << describe_neighbor_call(call.kind) << " but rank "
+           << n << " called " << describe_neighbor_call(theirs.kind);
         throw std::logic_error(os.str());
       }
     }
-    st.calls[rank].emplace(
-        seq, NeighborState::Call{kind, arrive, std::move(slices),
-                                 static_cast<int>(topo.size()),
-                                 std::move(slice_flows),
-                                 std::move(slice_deliver)});
+    auto& slot = st.calls[rank][seq & 1];
+    if (slot.consumers_left > 0) {
+      std::ostringstream os;
+      os << "neighborhood collective #" << seq << ": rank " << rank
+         << " begins while " << slot.consumers_left
+         << " neighbor(s) have not consumed its call #" << slot.seq;
+      throw std::logic_error(os.str());
+    }
+    slot = std::move(call);
     auto& pend = st.pending[rank];
     pend.waiting_on = waiting;
     if (waiting == 0) complete_neighbor_op(rank, seq);
@@ -880,10 +865,16 @@ void Machine::neighbor_begin(Rank rank, std::vector<util::Buffer> slices,
   });
 }
 
-void Machine::neighbor_wait(Rank rank, sim::Simulator::Parked parked) {
+void Machine::neighbor_wait(Rank rank, const std::vector<SliceView>* recv,
+                            sim::Simulator::Parked parked) {
   auto& pend = neighbor_->pending[rank];
   if (!pend.active) {
     throw std::logic_error("neighbor_wait without an outstanding collective");
+  }
+  if (pend.recv_out != recv) {
+    throw std::logic_error(
+        "neighbor_wait on a request that is not the outstanding collective "
+        "of rank " + std::to_string(rank));
   }
   if (pend.has_waiter) {
     throw std::logic_error("neighbor collective already has a waiter");
@@ -926,24 +917,21 @@ void Machine::complete_neighbor_op(Rank rank, std::uint64_t seq) {
   const auto& reverse = reverse_[rank];
   auto& pend = st.pending[rank];
 
-  // Use the pending record's own arrival time: this rank's *call* record
-  // may already have been consumed and erased by faster neighbors.
+  // Use the pending record's own arrival time: this rank's own call may
+  // already have been consumed and released by faster neighbors.
   Time ready = pend.arrive;
   Time wire = 0;
   std::size_t recv_bytes = 0;
-  std::vector<util::Buffer> data(topo.size());
-  std::vector<FlowId> consumed_flows;
-  if (tracer_ != nullptr) consumed_flows.reserve(topo.size());
+  std::vector<SliceView> data;
+  data.reserve(topo.size());
   for (std::size_t i = 0; i < topo.size(); ++i) {
     const Rank n = topo[i];
-    auto it = st.calls[n].find(seq);
-    auto& call = it->second;
+    const auto& call = st.calls[n][seq & 1];
     ready = std::max(ready, call.arrive);
     // My position in n's neighbor list picks the slice meant for me.
     const std::size_t pos = reverse[i];
-    data[i] = call.slices.at(pos);  // refcount bump, no byte copy
-    if (tracer_ != nullptr) consumed_flows.push_back(call.slice_flows.at(pos));
-    recv_bytes += data[i].size();
+    data.push_back(call.slices.view(pos));  // refcount bump, no byte copy
+    recv_bytes += data.back().size();
     // Pairwise-exchange cost model: a neighborhood collective on k
     // neighbors degenerates into ~k sequential point-to-point exchanges
     // (this is how MPI implementations realize Neighbor_alltoall(v) on
@@ -955,23 +943,19 @@ void Machine::complete_neighbor_op(Rank rank, std::uint64_t seq) {
     // actual (possibly retransmitted) landing delay, which also keeps the
     // completion at or past every slice's landing time.
     if (!call.slice_deliver.empty()) {
-      wire += call.slice_deliver.at(pos) - call.arrive;
+      wire += call.slice_deliver[pos] - call.arrive;
     } else {
-      wire += net_.transfer_time(n, rank, data[i].size() + kHeaderBytes);
+      wire += net_.transfer_time(n, rank, data.back().size() + kHeaderBytes);
     }
-    if (--call.consumers_left == 0) st.calls[n].erase(it);
   }
-  // A rank with no neighbors completes instantly; its own call has no
-  // consumers, so drop it now.
-  if (topo.empty()) st.calls[rank].erase(seq);
 
   const Time complete = ready + wire + net_.copy_time(recv_bytes);
-  if (tracer_ != nullptr) {
-    with_trace([rank, complete, flows = std::move(consumed_flows)](Tracer& t) {
-      for (const FlowId f : flows) {
-        if (f != 0) t.flow_end(f, rank, complete);
-      }
-    });
+  for (std::size_t i = 0; i < topo.size(); ++i) {
+    auto& call = st.calls[topo[i]][seq & 1];
+    const FlowId f = flow_at(call.first_flow, reverse[i]);
+    if (f != 0) with_trace([=](Tracer& t) { t.flow_end(f, rank, complete); });
+    // The last consumer releases the call and its block.
+    if (--call.consumers_left == 0) call = NeighborState::Call{};
   }
   auto* out = pend.recv_out;
   pend.done = true;

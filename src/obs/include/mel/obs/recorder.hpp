@@ -128,6 +128,9 @@ class Recorder final : public mpi::Tracer {
   // -- Introspection (tests, analysis) --------------------------------------
   const std::vector<Span>& spans() const { return spans_; }
   const std::vector<Flow>& flows() const { return flows_; }
+  /// The flows recorded: flows() also holds the dead padding slots of ids
+  /// that no message took.
+  std::size_t flow_count() const;
   const std::vector<Sample>& samples() const { return samples_; }
   const std::vector<Iteration>& iterations() const { return iterations_; }
 

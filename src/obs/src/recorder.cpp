@@ -1,5 +1,6 @@
 #include "mel/obs/recorder.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <string_view>
 
@@ -49,6 +50,11 @@ void Recorder::flow_begin(FlowId flow, Channel channel, Rank src, Rank dst,
   f.bytes = bytes;
   f.begin_t = t;
   flows_[flow - 1] = f;
+}
+
+std::size_t Recorder::flow_count() const {
+  return static_cast<std::size_t>(std::count_if(
+      flows_.begin(), flows_.end(), [](const Flow& f) { return f.id != 0; }));
 }
 
 void Recorder::flow_step(FlowId flow, Rank rank, Time t) {

@@ -98,6 +98,45 @@ TEST(Exchange, NeighborhoodCollectivesDeliverEveryRecordInItsRound) {
   }
 }
 
+TEST(Exchange, NeighborhoodRoundDrawsOnePooledBlockPerCall) {
+  // pack() writes a round's records into one block, so each neighborhood
+  // call of a round draws one pooled block per rank whatever the degree;
+  // a blocking round makes two calls (counts, then records). The
+  // sequential engine runs every rank on this thread, whose pool counters
+  // these are.
+  using Ncl = NclExchange<Rec>;
+  constexpr int kRounds = 4;
+  for (const auto start : {Ncl::Start::kBlocking, Ncl::Start::kNonblocking,
+                           Ncl::Start::kPersistent}) {
+    for (const int p : {16, 64}) {
+      test::World w(p);
+      w.full_topology();
+      std::vector<graph::LocalGraph> lgs(p);
+      for (sim::Rank r = 0; r < p; ++r) {
+        lgs[r].neighbor_ranks = w.machine.topology(r);
+      }
+      auto body = [&](mpi::Comm& c) -> sim::RankTask {
+        Ncl ex(c, lgs[c.rank()], start);
+        Sink<Rec> sink{[](const Rec&) {}};
+        co_await ex.setup();
+        for (int round = 0; round < kRounds; ++round) {
+          for (const sim::Rank nbr : c.neighbors()) {
+            ex.push(nbr, Rec{c.rank(), nbr, round, 0});
+          }
+          co_await ex.round(sink);
+        }
+      };
+      const std::uint64_t before = util::Buffer::pool_stats().allocs;
+      w.spawn_all(body);
+      w.run();
+      const int calls = start == Ncl::Start::kBlocking ? 2 : 1;
+      EXPECT_LE(util::Buffer::pool_stats().allocs - before,
+                static_cast<std::uint64_t>(calls) * kRounds * p)
+          << "start " << static_cast<int>(start) << " p " << p;
+    }
+  }
+}
+
 TEST(Exchange, CountedSendRecvDeliversEveryRecordInItsRound) {
   for (const bool grouped : {true, false}) {
     for (const int p : {1, 2, 5}) {

@@ -55,13 +55,9 @@ struct Call {
   Time comm;
 };
 
-std::vector<util::Buffer> one_slice_per_neighbor(const Comm& c,
-                                                 std::int64_t v) {
-  std::vector<util::Buffer> slices;
-  for (std::size_t i = 0; i < c.neighbors().size(); ++i) {
-    slices.push_back(util::Buffer::copy_of(mpi::bytes_of(v)));
-  }
-  return slices;
+mpi::PackedSlices one_slice_per_neighbor(const Comm& c, std::int64_t v) {
+  return mpi::PackedSlices::of_records<std::int64_t>(
+      std::vector<std::int64_t>(c.neighbors().size(), v));
 }
 
 TEST(CommAccounting, EveryCallCountsItsClockAdvance) {

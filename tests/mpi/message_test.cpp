@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "mel/mpi/message.hpp"
@@ -57,6 +59,29 @@ TEST(MessageCodec, RecordCountRejectsRaggedBuffer) {
   EXPECT_EQ(record_count<std::int32_t>(bytes), 3u);
   bytes.push_back(std::byte{0});  // one trailing byte
   EXPECT_THROW(record_count<std::int32_t>(bytes), DeserializeError);
+}
+
+TEST(MessageCodec, SliceViewsKeepTheSizeChecks) {
+  // The slices tile one block, and a view decodes its own slice only.
+  const std::vector<std::size_t> bytes = {2 * sizeof(std::int32_t),
+                                          sizeof(std::int32_t) + 1, 0};
+  PackedSlices packed(bytes);
+  ASSERT_EQ(packed.count(), 3u);
+  EXPECT_EQ(packed.bytes(), 13u);
+  EXPECT_EQ(packed.offset(1), 8u);
+  EXPECT_EQ(packed.offset(2), 13u);
+  const std::int32_t records[2] = {7, 8};
+  std::memcpy(packed.writable(0).data(), records, sizeof records);
+  const SliceView first = packed.view(0);
+  EXPECT_EQ(record_count<std::int32_t>(first), 2u);
+  EXPECT_EQ(nth_record<std::int32_t>(first, 1), 8);
+  EXPECT_THROW(nth_record<std::int32_t>(first, 2), DeserializeError);
+  EXPECT_THROW(record_count<std::int32_t>(packed.view(1)), DeserializeError);
+  EXPECT_EQ(packed.view(2).size(), 0u);
+  // Offsets are 32-bit: a call past kMaxBytes is refused before any
+  // allocation.
+  const std::vector<std::size_t> too_many = {PackedSlices::kMaxBytes, 1};
+  EXPECT_THROW(PackedSlices{too_many}, std::length_error);
 }
 
 }  // namespace

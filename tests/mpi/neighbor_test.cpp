@@ -15,13 +15,15 @@ namespace {
 using mpi::Comm;
 using sim::RankTask;
 
-/// Stage caller-built byte vectors into pooled buffers, one per neighbor.
-std::vector<util::Buffer> staged(
-    const std::vector<std::vector<std::byte>>& slices) {
-  std::vector<util::Buffer> out;
-  out.reserve(slices.size());
-  for (const auto& s : slices) out.push_back(util::Buffer::copy_of(s));
-  return out;
+/// Pack caller-built byte vectors into one block, one slice per neighbor.
+mpi::PackedSlices staged(const std::vector<std::vector<std::byte>>& slices) {
+  std::vector<std::size_t> bytes;
+  for (const auto& s : slices) bytes.push_back(s.size());
+  mpi::PackedSlices packed(bytes);
+  for (std::size_t k = 0; k < slices.size(); ++k) {
+    std::copy(slices[k].begin(), slices[k].end(), packed.writable(k).begin());
+  }
+  return packed;
 }
 
 TEST(Neighbor, RingExchangeI64) {
@@ -343,7 +345,7 @@ TEST(Neighbor, WaitWithoutBeginThrows) {
 }
 
 /// The one slice a rank on a 2-rank ring sends, empty.
-std::vector<util::Buffer> empty_slice() {
+mpi::PackedSlices empty_slice() {
   return staged(std::vector<std::vector<std::byte>>(1));
 }
 
@@ -398,6 +400,115 @@ TEST(Neighbor, MismatchedCallKindThrows) {
         EXPECT_NE(what.find(call), std::string::npos) << what;
       }
     }
+  }
+}
+
+TEST(Neighbor, PersistentStartNeedsItsOwnInit) {
+  // The persistent schedule belongs to the request init built it on, so a
+  // start on another request is an error even after the rank ran an init.
+  World w(2);
+  w.ring_topology();
+  auto body = [&](Comm& c) -> RankTask {
+    mpi::NeighborRequest built, other;
+    c.neighbor_alltoallv_init(built);
+    c.neighbor_alltoallv_start(other, empty_slice());
+    co_await c.neighbor_alltoallv_wait(other);
+  };
+  w.spawn_all(body);
+  EXPECT_THROW(w.run(), std::logic_error);
+}
+
+TEST(Neighbor, WaitNamesTheOutstandingRequest) {
+  // Completing the outstanding call through another request would leave
+  // that request's recv empty and the caller reading nothing.
+  World w(2);
+  w.ring_topology();
+  auto body = [&](Comm& c) -> RankTask {
+    mpi::NeighborRequest started, other;
+    c.ineighbor_alltoallv(staged({mpi::to_bytes<std::int64_t>(c.rank())}),
+                          started);
+    co_await c.ineighbor_wait(other);
+  };
+  w.spawn_all(body);
+  try {
+    w.run();
+    ADD_FAILURE() << "a wait on a request never started completed";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("not the outstanding"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Neighbor, TopologyCollectivesOrderApartFromGlobalOnes) {
+  // The process topology is a communicator of its own, as
+  // MPI_Dist_graph_create_adjacent returns one, so its collectives keep
+  // their own sequence: a rank may start a neighborhood collective before
+  // a global one while its neighbor starts it after.
+  for (const sim::Rank neighborhood_first : {0, 1}) {
+    World w(2);
+    w.ring_topology();
+    std::vector<std::int64_t> sums(2, 0);
+    std::vector<std::int64_t> slices(2, 0);
+    auto body = [&](Comm& c) -> RankTask {
+      mpi::NeighborRequest req;
+      const auto begin = [&] {
+        c.ineighbor_alltoallv(
+            staged({mpi::to_bytes<std::int64_t>(10 + c.rank())}), req);
+      };
+      if (c.rank() == neighborhood_first) begin();
+      sums[c.rank()] = co_await c.allreduce_sum(c.rank() + 1);
+      if (c.rank() != neighborhood_first) begin();
+      co_await c.ineighbor_wait(req);
+      slices[c.rank()] = mpi::from_bytes<std::int64_t>(req.recv.at(0));
+    };
+    w.spawn_all(body);
+    w.run();
+    EXPECT_EQ(sums, (std::vector<std::int64_t>{3, 3}))
+        << "rank " << neighborhood_first << " first";
+    EXPECT_EQ(slices, (std::vector<std::int64_t>{11, 10}))
+        << "rank " << neighborhood_first << " first";
+  }
+}
+
+/// Pooled blocks drawn while every rank of a complete topology on `p`
+/// ranks makes `calls` calls of `call`. The sequential engine runs every
+/// rank on this thread, whose pool counters these are.
+template <class Call>
+std::uint64_t pooled_blocks(int p, int calls, Call call) {
+  World w(p);
+  w.full_topology();
+  auto body = [&](Comm& c) -> RankTask {
+    for (int i = 0; i < calls; ++i) (void)co_await call(c);
+  };
+  const std::uint64_t before = util::Buffer::pool_stats().allocs;
+  w.spawn_all(body);
+  w.run();
+  return util::Buffer::pool_stats().allocs - before;
+}
+
+TEST(Neighbor, PooledBlocksPerCallDoNotGrowWithDegree) {
+  // A call packs its slices into one block, whatever the degree.
+  constexpr int kCalls = 4;
+  for (const int p : {16, 64}) {
+    const auto per_rank = static_cast<std::uint64_t>(kCalls) * p;
+    EXPECT_LE(pooled_blocks(p, kCalls,
+                            [](Comm& c) {
+                              return c.neighbor_alltoall_i64(
+                                  std::vector<std::int64_t>(
+                                      c.neighbors().size(), c.rank()));
+                            }),
+              per_rank)
+        << "neighbor_alltoall_i64 at p=" << p;
+    EXPECT_LE(pooled_blocks(p, kCalls,
+                            [](Comm& c) {
+                              return c.neighbor_alltoallv(staged(
+                                  std::vector<std::vector<std::byte>>(
+                                      c.neighbors().size(),
+                                      std::vector<std::byte>(24))));
+                            }),
+              per_rank)
+        << "neighbor_alltoallv at p=" << p;
   }
 }
 

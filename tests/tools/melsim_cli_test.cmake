@@ -16,6 +16,7 @@
 #   * a regular output file is written whole or not at all: a write cut
 #     short by the file-size limit leaves no file, no temporary and an
 #     existing file's bytes unchanged,
+#   * the trace line's flow count equals the flows the trace holds,
 #   * --intra-node-params values outside the cost model's domain and a
 #     graph file declaring more than graph::kMaxFileVertices vertices are
 #     rejected by name.
@@ -384,6 +385,29 @@ if(SH_PROGRAM)
     message(FATAL_ERROR "a failed --trace left files behind: ${left}")
   endif()
 endif()
+
+# The trace line counts the flows the trace holds, one "ph":"s" record
+# each. Flow ids are strided per rank, so ranks that send unevenly leave
+# ids that no message took, and those are not flows.
+set(flows_trace ${workdir}/flows.trace.json)
+execute_process(
+  COMMAND ${MELSIM} --algo match --model NSR --ranks 8 --gen er --verts 200
+          --edges 800 --trace ${flows_trace}
+  RESULT_VARIABLE flows_code
+  OUTPUT_VARIABLE flows_out
+  ERROR_VARIABLE flows_err)
+if(NOT flows_code EQUAL 0 OR
+   NOT flows_out MATCHES "trace: [0-9]+ spans, ([0-9]+) flows")
+  message(FATAL_ERROR "--trace: expected exit 0 and a trace line, got ${flows_code}: ${flows_out}${flows_err}")
+endif()
+set(printed_flows ${CMAKE_MATCH_1})
+file(READ ${flows_trace} flows_json)
+string(REGEX MATCHALL "\"ph\":\"s\"" flow_starts "${flows_json}")
+list(LENGTH flow_starts written_flows)
+if(NOT printed_flows EQUAL written_flows)
+  message(FATAL_ERROR "the trace line counts ${printed_flows} flows, the trace holds ${written_flows}")
+endif()
+file(REMOVE ${flows_trace})
 
 # A Matrix Market header declaring 2^40 vertices is refused by name, with
 # the count and the limit, before the reader allocates anything for it.
