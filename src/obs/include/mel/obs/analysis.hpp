@@ -16,6 +16,8 @@ namespace mel::obs {
 
 using sim::Time;
 
+class Emitter;
+
 /// Canonical JSON serialization of a communication matrix. Both
 /// `bench_fig02_comm_matrix --json` and `meltrace matrix` emit exactly
 /// this, so "the reconstruction agrees with the bench" is byte equality.
@@ -73,11 +75,18 @@ struct TraceStats {
     std::uint64_t bytes = 0;
   };
   std::map<std::pair<int, int>, Cell> wire_matrix;
-
-  /// Wire matrix as a dense CommMatrix. Dimension is the metadata rank
-  /// count when present, else max observed (src, dst) + 1.
-  mpi::CommMatrix to_comm_matrix() const;
+  /// The violation of the first wire event kept out of wire_matrix: a
+  /// src/dst outside [0, nranks), or [0, 2^31) without a rank count, or a
+  /// number no int64 holds. Empty when every wire event is in it.
+  std::string wire_error;
 };
+
+/// The trace's wire matrix in matrix_json's form, written row by row from
+/// the sparse cells. Its dimension is the larger of the metadata rank
+/// count and the largest (src, dst) + 1. Throws std::runtime_error,
+/// writing nothing, when s.wire_error says a wire event is missing from
+/// the matrix.
+void write_matrix_json(Emitter& out, const TraceStats& s);
 
 /// Parse + validate + roll up one Chrome trace document in one streaming
 /// pass; the file variant reads through a fixed-size buffer, so memory

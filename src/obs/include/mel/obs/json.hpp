@@ -28,7 +28,8 @@ class ParseError : public std::runtime_error {
 /// A parsed JSON value. Numbers keep both a double and, when the source
 /// text was integral, an exact int64 (virtual-time stamps exceed the
 /// 2^53 double mantissa only after ~104 days of simulated time, but the
-/// exactness matters for byte-equality checks).
+/// exactness matters for byte-equality checks); integral text in
+/// [2^63, 2^64) is kept exactly in `above_int64` instead.
 struct Value {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
@@ -37,6 +38,7 @@ struct Value {
   double number = 0.0;
   std::int64_t integer = 0;
   bool is_integer = false;
+  std::uint64_t above_int64 = 0;  // 0 unless the text was in [2^63, 2^64)
   std::string string;
   std::vector<Value> array;
   std::vector<std::pair<std::string, Value>> object;  // insertion order
@@ -56,9 +58,42 @@ struct Value {
     return nullptr;
   }
 
-  /// Integer accessor: exact when the source was integral, else truncated.
+  /// The number as an int64: exact when the source was integral, else
+  /// truncated toward zero. False, leaving `out` alone, when no int64
+  /// holds it (non-finite, or out of range after truncation).
+  bool to_int64(std::int64_t& out) const {
+    if (is_integer) {
+      out = integer;
+      return true;
+    }
+    if (!(number >= -0x1p63 && number < 0x1p63)) return false;
+    out = static_cast<std::int64_t>(number);
+    return true;
+  }
+
+  /// The number as a uint64: exact when the source was integral, else
+  /// truncated toward zero. False, leaving `out` alone, when no uint64
+  /// holds it.
+  bool to_uint64(std::uint64_t& out) const {
+    if (is_integer) {
+      if (integer < 0) return false;
+      out = static_cast<std::uint64_t>(integer);
+      return true;
+    }
+    if (above_int64 != 0) {
+      out = above_int64;
+      return true;
+    }
+    if (!(number > -1.0 && number < 0x1p64)) return false;
+    out = static_cast<std::uint64_t>(number);
+    return true;
+  }
+
+  /// Integer accessor: to_int64's value, or 0 when there is none.
   std::int64_t as_int() const {
-    return is_integer ? integer : static_cast<std::int64_t>(number);
+    std::int64_t v = 0;
+    to_int64(v);
+    return v;
   }
 };
 

@@ -19,6 +19,7 @@
 
 #include "mel/mpi/machine.hpp"
 #include "mel/net/network.hpp"
+#include "mel/obs/key_index.hpp"
 
 namespace mel::obs {
 
@@ -127,18 +128,15 @@ class Recorder final : public mpi::Tracer {
 
   // -- Introspection (tests, analysis) --------------------------------------
   const std::vector<Span>& spans() const { return spans_; }
+  /// One entry per begun flow, in the order they began.
   const std::vector<Flow>& flows() const { return flows_; }
-  /// The flows recorded: flows() also holds the dead padding slots of ids
-  /// that no message took.
-  std::size_t flow_count() const;
   const std::vector<Sample>& samples() const { return samples_; }
   const std::vector<Iteration>& iterations() const { return iterations_; }
 
  private:
-  Flow* find_flow(FlowId id);
-
   std::vector<Span> spans_;
-  std::vector<Flow> flows_;  // flows_[id - 1]: ids are assigned sequentially
+  std::vector<Flow> flows_;
+  KeyIndex<FlowId> flow_ids_;  // flow id -> index into flows_
   std::vector<Instant> instants_;
   std::vector<Wire> wires_;
   std::vector<Sample> samples_;

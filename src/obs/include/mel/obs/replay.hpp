@@ -45,7 +45,7 @@ namespace mel::obs {
 
 /// One flow reconstructed from the trace's s/t/f events.
 struct ReplayFlow {
-  FlowId id = 0;
+  std::uint64_t id = 0;  // as the trace spells it: 64 bits, not FlowId's 32
   Channel channel = Channel::kP2P;
   Rank src = -1;
   Rank dst = -1;
@@ -81,12 +81,12 @@ struct ReplayTrace {
   /// the attribution distinguishes.
   enum class SpanClass : std::uint8_t { kCompute, kBarrier };
   struct Span {
-    Rank rank = -1;
     Time start = 0;
     Time end = 0;
+    Rank rank = -1;
     SpanClass cls = SpanClass::kCompute;
   };
-  std::vector<Span> spans;  // sorted by (rank, start)
+  std::vector<Span> spans;  // sorted by (rank, start, end)
 };
 
 /// Parse a mel.trace/2 document into replay form (the file variant
@@ -102,7 +102,7 @@ struct ReplayResult {
   Time total_ns = 0;  // replayed total virtual time
 
   /// Replayed completion time per ended flow, ascending id.
-  std::vector<std::pair<FlowId, Time>> flow_end;
+  std::vector<std::pair<std::uint64_t, Time>> flow_end;
 
   struct ClassRoll {
     std::uint64_t count = 0;
@@ -137,10 +137,9 @@ class Replayer {
   // -- DAG introspection (critical-path analysis, tests) --------------------
   struct Anchor {
     enum class Kind : std::uint8_t { kBegin = 0, kDeliver = 1, kEnd = 2 };
-    Kind kind = Kind::kBegin;
+    Time t = 0;  // recorded time
     std::uint32_t flow = 0;  // index into trace().flows
     Rank rank = -1;
-    Time t = 0;  // recorded time
     // Edge bookkeeping (filled at construction). Deliveries are mailbox
     // events driven by the wire, not by the destination rank's progress,
     // so they are excluded from the rank chains on both sides.
@@ -149,11 +148,10 @@ class Replayer {
     std::int32_t order_prev = -1;   // previous delivery on the same channel
     std::int32_t group = -1;        // neighbor completion group id
     std::int32_t begin_peers = 0;   // neighbor begin-group size (head only)
-    bool begin_head = false;        // first begin of a neighbor call
-    // Send-side staging-copy bytes charged immediately after this anchor
-    // (last begin of a neighbor call): re-priced in the chain gap that
-    // *follows* this anchor.
-    std::uint64_t send_copy_bytes = 0;
+    Kind kind = Kind::kBegin;
+    Channel channel = Channel::kP2P;  // the flow's
+    bool begin_head = false;          // first begin of a neighbor call
+    bool copy_after = false;          // send_copy_bytes(this anchor) > 0
   };
 
   const std::vector<Anchor>& anchors() const { return anchors_; }
@@ -167,20 +165,41 @@ class Replayer {
   }
   /// Per-flow begin anchor index (every flow has one).
   const std::vector<std::int32_t>& begin_anchor() const { return b_idx_; }
+  /// Send-side staging-copy bytes charged immediately after anchor `i`
+  /// (the last begin of a neighbor call), re-priced in the chain gap that
+  /// *follows* it; 0 for every other anchor. Kept beside the anchors:
+  /// few have such a copy, and a field would add 8 bytes to every Anchor.
+  std::uint64_t send_copy_bytes(std::int32_t i) const;
 
  private:
-  /// One evaluation pass: the replayed time per anchor into `out` (same
-  /// order as anchors_); returns the replayed total.
-  Time evaluate(const net::Params& params, std::vector<Time>& out) const;
+  /// A flow's model terms under one parameter set: the wire time of its
+  /// bytes from src to dst, and the two-sided send and receive overheads.
+  struct FlowTerms {
+    Time transfer = 0;
+    Time send = 0;
+    Time recv = 0;
+  };
+  /// Every flow's terms, priced once through `net`, indexed as
+  /// trace().flows.
+  std::vector<FlowTerms> flow_terms(const net::Network& net) const;
+
+  /// One evaluation pass under `params`, whose flow terms are `terms`: the
+  /// replayed time per anchor into `out` (same order as anchors_); returns
+  /// the replayed total.
+  Time evaluate(const net::Params& params, const std::vector<FlowTerms>& terms,
+                std::vector<Time>& out) const;
 
   ReplayTrace trace_;
   std::vector<Anchor> anchors_;  // topologically sorted (recorded time)
   std::vector<std::vector<std::uint32_t>> groups_;
+  /// (anchor, bytes) for every anchor with copy_after, ascending anchor.
+  std::vector<std::pair<std::int32_t, std::uint64_t>> send_copies_;
   std::vector<std::int32_t> last_anchor_of_rank_;
   /// Per-flow anchor indexes (-1 when absent: no delivery / never ended).
   std::vector<std::int32_t> b_idx_;
   std::vector<std::int32_t> d_idx_;
   std::vector<std::int32_t> e_idx_;
+  std::vector<FlowTerms> terms_old_;  // under the recorded parameters
 };
 
 }  // namespace mel::obs

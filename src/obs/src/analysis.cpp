@@ -1,11 +1,12 @@
 #include "mel/obs/analysis.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "mel/obs/emit.hpp"
+#include "mel/obs/key_index.hpp"
 #include "trace_scan.hpp"
 
 namespace mel::obs {
@@ -40,27 +41,64 @@ std::string matrix_json(const mpi::CommMatrix& m) {
   return out;
 }
 
-mpi::CommMatrix TraceStats::to_comm_matrix() const {
-  int n = nranks;
-  for (const auto& [pair, cell] : wire_matrix) {
-    n = std::max(n, std::max(pair.first, pair.second) + 1);
+void write_matrix_json(Emitter& out, const TraceStats& s) {
+  if (!s.wire_error.empty()) {
+    throw std::runtime_error("no comm matrix: " + s.wire_error);
   }
-  mpi::CommMatrix m(std::max(n, 1));
-  for (const auto& [pair, cell] : wire_matrix) {
-    // record() adds one message at a time; rebuild counts exactly.
-    for (std::uint64_t i = 1; i < cell.msgs; ++i) {
-      m.record(pair.first, pair.second, 0);
+  // 64-bit: a cell at rank 2^31 - 1 makes the dimension 2^31.
+  std::int64_t n = std::max(s.nranks, 1);
+  std::uint64_t msgs = 0;
+  std::uint64_t bytes = 0;
+  for (const auto& [pair, cell] : s.wire_matrix) {
+    const std::int64_t top = std::max(pair.first, pair.second);
+    n = std::max(n, top + 1);
+    msgs += cell.msgs;
+    bytes += cell.bytes;
+  }
+  // Row by row from the sorted cells: a zero wherever no cell is.
+  const auto rows = [&](std::uint64_t TraceStats::Cell::*field) {
+    auto it = s.wire_matrix.begin();
+    for (std::int64_t src = 0; src < n; ++src) {
+      out << (src > 0 ? ",[" : "[");
+      for (std::int64_t dst = 0; dst < n; ++dst) {
+        if (dst > 0) out << ',';
+        if (it != s.wire_matrix.end() && it->first.first == src &&
+            it->first.second == dst) {
+          out << it->second.*field;
+          ++it;
+        } else {
+          out << '0';
+        }
+      }
+      out << ']';
     }
-    if (cell.msgs > 0) m.record(pair.first, pair.second, cell.bytes);
-  }
-  return m;
+  };
+  out << "{\"nranks\":" << n << ",\"total_msgs\":" << msgs
+      << ",\"total_bytes\":" << bytes << ",\"msgs\":[";
+  rows(&TraceStats::Cell::msgs);
+  out << "],\"bytes\":[";
+  rows(&TraceStats::Cell::bytes);
+  out << "]}";
 }
 
 namespace {
 
-Time ts_to_ns(double ts_us) {
-  return static_cast<Time>(std::llround(ts_us * 1000.0));
-}
+/// Ranks a wire event may name without a metadata rank count.
+constexpr std::int64_t kMaxRanks = std::int64_t{1} << 31;
+
+/// Rows of T keyed through a KeyIndex: row i belongs to key i.
+template <class Key, class T>
+struct Table {
+  KeyIndex<Key> keys;
+  std::vector<T> rows;
+
+  template <class K>
+  T& operator[](const K& key) {
+    const std::uint32_t i = keys.find_or_add(key);
+    if (i == rows.size()) rows.emplace_back();
+    return rows[i];
+  }
+};
 
 /// Per-flow-id aggregation while walking the event array.
 struct FlowAgg {
@@ -69,7 +107,14 @@ struct FlowAgg {
   Time s_ts = 0;
   Time f_ts = 0;
   std::uint64_t bytes = 0;
-  std::string cls;
+  std::uint32_t cls = 0;  // interned name of the latest s
+};
+
+/// Messages and bytes of one (src, dst) pair of wire events.
+struct WireCell {
+  std::uint64_t msgs = 0;
+  std::uint64_t bytes = 0;
+  std::size_t first_event = 0;
 };
 
 TraceStats only_error(std::string what) {
@@ -78,16 +123,27 @@ TraceStats only_error(std::string what) {
   return out;
 }
 
-/// Validate and roll up one trace as the scanner streams it. Memory is
-/// bounded by the rollups, the per-flow table and top_k spans.
+/// Validate and roll up one trace as the scanner streams it. The rollups
+/// are flat tables over interned names, ranks, flow ids and rank pairs,
+/// so memory is bounded by the events and top_k spans; TraceStats' maps
+/// are filled from them once at the end.
 TraceStats analyze(json::Reader& in, int top_k) {
+  using Field = TraceEvent::Field;
   TraceStats out;
   auto err = [&out](std::string text) {
     if (out.errors.size() < 64) out.errors.push_back(std::move(text));
   };
 
-  std::map<std::uint64_t, FlowAgg> flows;
+  KeyIndex<std::string> names;  // span categories and flow classes
+  std::vector<TraceStats::CategoryRoll> by_category;  // by name id
+  Table<std::uint64_t, TraceStats::CategoryRoll> by_rank;
+  Table<std::uint64_t, FlowAgg> flows;
+  Table<std::string, std::uint64_t> instants;
+  Table<std::string, std::uint64_t> counters;
+  Table<std::pair<std::uint64_t, std::uint64_t>, WireCell> wires;
   std::vector<std::pair<std::uint64_t, Time>> flow_refs;  // instants -> flows
+  // Wire events kept out of the matrix: (event index, violation).
+  std::vector<std::pair<std::size_t, std::string>> bad_wires;
   bool first_ts = true;
 
   // Bounded top-k: a heap whose front is the span to drop next (shortest,
@@ -95,90 +151,100 @@ TraceStats analyze(json::Reader& in, int top_k) {
   // equal a stable sort by duration cut to top_k.
   struct Ranked {
     std::uint64_t seq = 0;
-    TraceStats::TopSpan span;
+    std::uint32_t name = 0;
+    int rank = -1;
+    Time start_ns = 0;
+    Time dur_ns = 0;
   };
   const auto ranks_before = [](const Ranked& a, const Ranked& b) {
-    return a.span.dur_ns != b.span.dur_ns ? a.span.dur_ns > b.span.dur_ns
-                                          : a.seq < b.seq;
+    return a.dur_ns != b.dur_ns ? a.dur_ns > b.dur_ns : a.seq < b.seq;
   };
   const std::size_t keep = top_k > 0 ? static_cast<std::size_t>(top_k) : 0;
   std::vector<Ranked> top;
   std::uint64_t spans_seen = 0;
 
-  static const std::string kKnown = "XistfCM";
+  static constexpr std::string_view kKnown = "XistfCM";
   const auto on_event = [&](const TraceEvent& e) {
     auto where = [&e] { return " (event " + std::to_string(e.index) + ")"; };
     if (!e.is_object) {
       err("traceEvents entry is not an object" + where());
       return;
     }
-    if (!e.name.is_string() || !e.ph.is_string() || e.ph.string.size() != 1) {
+    if (!e.is_string(Field::kName) || !e.is_string(Field::kPh) ||
+        e.ph.size() != 1) {
       err("event without a string name/ph" + where());
       return;
     }
-    const std::string& name = e.name.string;
-    const char p = e.ph.string[0];
-    if (kKnown.find(p) == std::string::npos) {
-      err("unknown phase '" + e.ph.string + "'" + where());
+    const std::string_view name = e.name;
+    const char p = e.ph[0];
+    if (kKnown.find(p) == std::string_view::npos) {
+      err("unknown phase '" + std::string(e.ph) + "'" + where());
       return;
     }
     out.events += 1;
     if (p == 'M') return;  // metadata: no timestamp requirements
 
-    if (!e.ts.is_number() || !e.pid.is_number() || !e.tid.is_number()) {
+    if (!e.is_number(Field::kTs) || !e.is_number(Field::kPid) ||
+        !e.is_number(Field::kTid)) {
       err("event missing numeric ts/pid/tid" + where());
       return;
     }
-    const Time t = ts_to_ns(e.ts.number);
-    const int rank = static_cast<int>(e.tid.as_int());
+    const std::string_view category =
+        e.is_string(Field::kCat) ? e.cat : std::string_view();
+    if (e.not_int64 != 0) {
+      std::string what = std::string(e.first_not_int64()) +
+                         " outside the int64 range" + where();
+      if (p == 'i' && category == "wire") bad_wires.emplace_back(e.index, what);
+      err(std::move(what));
+      return;
+    }
+    const Time t = e.ts;
+    const int rank = static_cast<int>(e.tid);
     out.max_rank = std::max(out.max_rank, rank);
     if (first_ts || t < out.ts_min_ns) out.ts_min_ns = t;
     if (first_ts || t > out.ts_max_ns) out.ts_max_ns = t;
     first_ts = false;
 
-    const std::string empty;
-    const std::string& category = e.cat.is_string() ? e.cat.string : empty;
-
     if (p == 'X' || (p == 'i' && category == "op")) {
       Time dur = 0;
       if (p == 'X') {
-        if (!e.dur.is_number() || e.dur.number < 0) {
+        if (!e.is_number(Field::kDur) || e.dur_negative) {
           err("X event without a non-negative dur" + where());
           return;
         }
-        dur = ts_to_ns(e.dur.number);
+        dur = e.dur;
       }
-      auto& roll = out.spans_by_category[name];
-      roll.count += 1;
-      roll.total_ns += dur;
-      roll.max_ns = std::max(roll.max_ns, dur);
-      auto& rroll = out.spans_by_rank[rank];
-      rroll.count += 1;
-      rroll.total_ns += dur;
-      rroll.max_ns = std::max(rroll.max_ns, dur);
+      const std::uint32_t name_id = names.find_or_add(name);
+      if (name_id >= by_category.size()) by_category.resize(name_id + 1);
+      for (auto* roll : {&by_category[name_id],
+                         &by_rank[static_cast<std::uint64_t>(rank)]}) {
+        roll->count += 1;
+        roll->total_ns += dur;
+        roll->max_ns = std::max(roll->max_ns, dur);
+      }
       const std::uint64_t seq = spans_seen++;
       if (top.size() == keep) {
-        if (keep == 0 || dur <= top.front().span.dur_ns) return;
+        if (keep == 0 || dur <= top.front().dur_ns) return;
         std::pop_heap(top.begin(), top.end(), ranks_before);
         top.pop_back();
       }
-      top.push_back({seq, {name, rank, t, dur}});
+      top.push_back({seq, name_id, rank, t, dur});
       std::push_heap(top.begin(), top.end(), ranks_before);
       return;
     }
 
     if (p == 's' || p == 't' || p == 'f') {
-      if (!e.id.is_number()) {
+      if (!e.is_number(Field::kId)) {
         err("flow event without an id" + where());
         return;
       }
-      auto& agg = flows[static_cast<std::uint64_t>(e.id.as_int())];
+      FlowAgg& agg = flows[static_cast<std::uint64_t>(e.id)];
       if (p == 's') {
         agg.s_count += 1;
         agg.s_ts = t;
-        agg.cls = name;
-        if (e.bytes.is_number()) {
-          agg.bytes = static_cast<std::uint64_t>(e.bytes.as_int());
+        agg.cls = names.find_or_add(name);
+        if (e.is_number(Field::kBytes)) {
+          agg.bytes = static_cast<std::uint64_t>(e.bytes);
         }
       } else if (p == 'f') {
         agg.f_count += 1;
@@ -188,29 +254,31 @@ TraceStats analyze(json::Reader& in, int top_k) {
     }
 
     if (p == 'C') {
-      if (!e.args.is_object() || !e.args_first_is_number) {
+      if (!e.args_is_object || !e.args_first_is_number) {
         err("C event without a numeric args value" + where());
         return;
       }
-      out.counter_samples[name] += 1;
+      counters[name] += 1;
       return;
     }
 
     // Instants (non-"op"): faults, crashes, checkpoints, wire transfers.
     if (category == "wire") {
-      if (!e.src.is_number() || !e.dst.is_number() || !e.bytes.is_number()) {
+      if (!e.is_number(Field::kSrc) || !e.is_number(Field::kDst) ||
+          !e.is_number(Field::kBytes)) {
         err("wire event without numeric args src/dst/bytes" + where());
         return;
       }
-      auto& cell = out.wire_matrix[{static_cast<int>(e.src.as_int()),
-                                    static_cast<int>(e.dst.as_int())}];
+      WireCell& cell = wires[std::make_pair(static_cast<std::uint64_t>(e.src),
+                                            static_cast<std::uint64_t>(e.dst))];
+      if (cell.msgs == 0) cell.first_event = e.index;
       cell.msgs += 1;
-      cell.bytes += static_cast<std::uint64_t>(e.bytes.as_int());
+      cell.bytes += static_cast<std::uint64_t>(e.bytes);
       return;
     }
-    out.instants_by_name[name] += 1;
-    if (e.flow.is_number()) {
-      flow_refs.emplace_back(static_cast<std::uint64_t>(e.flow.as_int()), t);
+    instants[name] += 1;
+    if (e.is_number(Field::kFlow)) {
+      flow_refs.emplace_back(static_cast<std::uint64_t>(e.flow), t);
     }
   };
 
@@ -228,8 +296,48 @@ TraceStats analyze(json::Reader& in, int top_k) {
     }
   }
 
-  // Flow-graph validation + per-class rollup.
-  for (const auto& [id, agg] : flows) {
+  // Wire cells: a rank outside the run's range keeps the cell out of the
+  // matrix, reported at the pair's first event.
+  const std::int64_t rank_bound = out.nranks > 0 ? out.nranks : kMaxRanks;
+  std::vector<std::pair<std::size_t, std::string>> bad_ranks;
+  for (std::uint32_t i = 0; i < wires.rows.size(); ++i) {
+    const auto src = static_cast<std::int64_t>(wires.keys.key(i).first);
+    const auto dst = static_cast<std::int64_t>(wires.keys.key(i).second);
+    const WireCell& cell = wires.rows[i];
+    const bool src_ok = src >= 0 && src < rank_bound;
+    if (src_ok && dst >= 0 && dst < rank_bound) {
+      out.wire_matrix[{static_cast<int>(src), static_cast<int>(dst)}] = {
+          cell.msgs, cell.bytes};
+      continue;
+    }
+    bad_ranks.emplace_back(
+        cell.first_event,
+        std::string("wire ") + (src_ok ? "dst " : "src ") +
+            std::to_string(src_ok ? dst : src) + " outside [0, " +
+            std::to_string(rank_bound) + ") (event " +
+            std::to_string(cell.first_event) + ")");
+  }
+  std::sort(bad_ranks.begin(), bad_ranks.end());
+  for (auto& bad : bad_ranks) {
+    err(bad.second);
+    bad_wires.push_back(std::move(bad));
+  }
+  if (!bad_wires.empty()) {
+    out.wire_error =
+        std::min_element(bad_wires.begin(), bad_wires.end())->second;
+  }
+
+  // Flow-graph validation + per-class rollup, in ascending id order.
+  std::vector<std::uint32_t> by_id(flows.rows.size());
+  for (std::uint32_t i = 0; i < by_id.size(); ++i) by_id[i] = i;
+  std::sort(by_id.begin(), by_id.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return flows.keys.key(a) < flows.keys.key(b);
+  });
+  std::vector<TraceStats::FlowRoll> by_class(names.size());
+  std::vector<bool> has_class(names.size(), false);
+  for (const std::uint32_t i : by_id) {
+    const std::uint64_t id = flows.keys.key(i);
+    const FlowAgg& agg = flows.rows[i];
     if (agg.s_count == 0) {
       err("flow " + std::to_string(id) + " has steps/finish but no start");
       continue;
@@ -242,7 +350,8 @@ TraceStats analyze(json::Reader& in, int top_k) {
       err("flow " + std::to_string(id) + " has " +
           std::to_string(agg.f_count) + " finish events");
     }
-    auto& roll = out.flows_by_class[agg.cls];
+    has_class[agg.cls] = true;
+    TraceStats::FlowRoll& roll = by_class[agg.cls];
     roll.count += 1;
     roll.bytes += agg.bytes;
     if (agg.f_count >= 1) {
@@ -262,14 +371,35 @@ TraceStats analyze(json::Reader& in, int top_k) {
         " dangling flow id(s): started but never finished");
   }
   for (const auto& [id, t] : flow_refs) {
-    auto it = flows.find(id);
-    if (id == 0 || it == flows.end() || it->second.s_count == 0) {
+    const std::uint32_t i = flows.keys.find(id);
+    if (id == 0 || i == KeyIndex<std::uint64_t>::kNone ||
+        flows.rows[i].s_count == 0) {
       err("instant references unknown flow id " + std::to_string(id));
     }
   }
 
+  for (std::uint32_t i = 0; i < by_category.size(); ++i) {
+    if (by_category[i].count > 0) {
+      out.spans_by_category.emplace(names.key(i), by_category[i]);
+    }
+  }
+  for (std::uint32_t i = 0; i < by_rank.rows.size(); ++i) {
+    out.spans_by_rank.emplace(static_cast<int>(by_rank.keys.key(i)),
+                              by_rank.rows[i]);
+  }
+  for (std::uint32_t c = 0; c < names.size(); ++c) {
+    if (has_class[c]) out.flows_by_class.emplace(names.key(c), by_class[c]);
+  }
+  for (std::uint32_t i = 0; i < instants.rows.size(); ++i) {
+    out.instants_by_name.emplace(instants.keys.key(i), instants.rows[i]);
+  }
+  for (std::uint32_t i = 0; i < counters.rows.size(); ++i) {
+    out.counter_samples.emplace(counters.keys.key(i), counters.rows[i]);
+  }
   std::sort_heap(top.begin(), top.end(), ranks_before);
-  for (Ranked& r : top) out.top_spans.push_back(std::move(r.span));
+  for (const Ranked& r : top) {
+    out.top_spans.push_back({names.key(r.name), r.rank, r.start_ns, r.dur_ns});
+  }
   return out;
 }
 
@@ -289,6 +419,12 @@ std::vector<std::string> validate_metrics(std::istream& in) {
     if (f == nullptr || !f->is_number()) {
       err("line " + std::to_string(lineno) + ": missing numeric '" +
           std::string(key) + "'");
+      return false;
+    }
+    std::int64_t value = 0;
+    if (!f->to_int64(value)) {
+      err("line " + std::to_string(lineno) + ": '" + std::string(key) +
+          "' outside the int64 range");
       return false;
     }
     return true;

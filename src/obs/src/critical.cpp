@@ -133,7 +133,7 @@ CriticalPath critical_path(const Replayer& rp) {
     }
     if (a.chain_prev >= 0) {
       const auto& p = anchors[static_cast<std::size_t>(a.chain_prev)];
-      if (p.send_copy_bytes > 0) copy = net.copy_time(p.send_copy_bytes);
+      if (p.copy_after) copy = net.copy_time(rp.send_copy_bytes(a.chain_prev));
     }
   };
 

@@ -221,6 +221,7 @@ void Reader::number(Value* out) {
   const char* end = tok.data() + tok.size();
   out->kind = Value::Kind::kNumber;
   out->is_integer = false;
+  out->above_int64 = 0;
   if (integral) {
     std::int64_t v = 0;
     const auto res = std::from_chars(tok.data(), end, v);
@@ -228,6 +229,13 @@ void Reader::number(Value* out) {
       out->integer = v;
       out->is_integer = true;
       out->number = static_cast<double>(v);
+      return;
+    }
+    std::uint64_t u = 0;
+    const auto ures = std::from_chars(tok.data(), end, u);
+    if (ures.ec == std::errc{} && ures.ptr == end) {
+      out->above_int64 = u;
+      out->number = static_cast<double>(u);
       return;
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 #include <string_view>
 
 #include "mel/net/params_io.hpp"
@@ -27,21 +28,16 @@ void Recorder::instant(Rank rank, const char* name, Time t, FlowId flow) {
   instants_.push_back(Instant{rank, name, t, flow});
 }
 
-Recorder::Flow* Recorder::find_flow(FlowId id) {
-  if (id == 0 || id > flows_.size()) return nullptr;
-  Flow& f = flows_[id - 1];
-  return f.id == id ? &f : nullptr;
-}
-
 void Recorder::flow_begin(FlowId flow, Channel channel, Rank src, Rank dst,
                           int tag, std::size_t bytes, Time t) {
   // The machine assigns each rank its own arithmetic progression of ids
-  // (counter * nranks + rank + 1), so ids are dense overall but begins do
-  // not arrive in id order; size to the slot and pad the gaps with dead
-  // entries to keep the id -> index mapping trivial.
+  // (counter * nranks + rank + 1), so begins do not arrive in id order and
+  // the ids in use leave gaps; index them instead of sizing by the id.
   if (flow == 0) return;
-  if (flow > flows_.size()) flows_.resize(flow);
-  Flow f;
+  const std::uint32_t i = flow_ids_.find_or_add(flow);
+  if (i == flows_.size()) flows_.emplace_back();
+  Flow& f = flows_[i];
+  f = Flow{};
   f.id = flow;
   f.channel = channel;
   f.src = src;
@@ -49,29 +45,24 @@ void Recorder::flow_begin(FlowId flow, Channel channel, Rank src, Rank dst,
   f.tag = tag;
   f.bytes = bytes;
   f.begin_t = t;
-  flows_[flow - 1] = f;
-}
-
-std::size_t Recorder::flow_count() const {
-  return static_cast<std::size_t>(std::count_if(
-      flows_.begin(), flows_.end(), [](const Flow& f) { return f.id != 0; }));
 }
 
 void Recorder::flow_step(FlowId flow, Rank rank, Time t) {
-  if (Flow* f = find_flow(flow)) {
-    (void)rank;
-    f->step_t = t;
-    f->has_step = true;
-  }
+  (void)rank;
+  const std::uint32_t i = flow_ids_.find(flow);
+  if (i == KeyIndex<FlowId>::kNone) return;
+  flows_[i].step_t = t;
+  flows_[i].has_step = true;
 }
 
 void Recorder::flow_end(FlowId flow, Rank rank, Time t) {
-  if (Flow* f = find_flow(flow)) {
-    if (f->ended) return;  // keep the first end (e.g. crash-path races)
-    f->ended = true;
-    f->end_t = t;
-    f->end_rank = rank;
-  }
+  const std::uint32_t i = flow_ids_.find(flow);
+  if (i == KeyIndex<FlowId>::kNone) return;
+  Flow& f = flows_[i];
+  if (f.ended) return;  // keep the first end (e.g. crash-path races)
+  f.ended = true;
+  f.end_t = t;
+  f.end_rank = rank;
 }
 
 void Recorder::wire(Rank src, Rank dst, std::size_t bytes, Time t) {
@@ -180,8 +171,14 @@ void Recorder::write_chrome(Emitter& out) const {
     }
   }
 
-  for (const Flow& f : flows_) {
-    if (f.id == 0) continue;  // dead padding slot
+  std::vector<std::uint32_t> by_id(flows_.size());
+  std::iota(by_id.begin(), by_id.end(), 0u);
+  std::sort(by_id.begin(), by_id.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return flows_[a].id < flows_[b].id;
+            });
+  for (const std::uint32_t i : by_id) {
+    const Flow& f = flows_[i];
     const char* name = channel_name(f.channel);
     next();
     event(out, name, "flow", 's', f.begin_t, f.src);
@@ -312,7 +309,7 @@ std::string Recorder::to_chrome_json() const {
                       120 * (instants_.size() + wires_.size() +
                              samples_.size() + iterations_.size());
   for (const Flow& f : flows_) {
-    if (f.id != 0) bytes += 135 + (f.has_step ? 85 : 0) + (f.ended ? 95 : 0);
+    bytes += 135 + (f.has_step ? 85 : 0) + (f.ended ? 95 : 0);
   }
   std::string text;
   text.reserve(bytes);

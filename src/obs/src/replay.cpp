@@ -1,10 +1,12 @@
 #include "mel/obs/replay.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cassert>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -12,18 +14,12 @@
 
 #include "mel/mpi/message.hpp"
 #include "mel/net/params_io.hpp"
+#include "mel/obs/key_index.hpp"
 #include "trace_scan.hpp"
 
 namespace mel::obs {
 
 namespace {
-
-/// Chrome trace timestamps are microsecond floats printed with three
-/// decimals from integer nanoseconds, so this round trip is exact (the
-/// same conversion obs::analyze_trace_text uses).
-Time ts_to_ns(double ts_us) {
-  return static_cast<Time>(std::llround(ts_us * 1000.0));
-}
 
 bool parse_channel(std::string_view name, Channel& out) {
   if (name == "p2p") out = Channel::kP2P;
@@ -32,6 +28,16 @@ bool parse_channel(std::string_view name, Channel& out) {
   else if (name == "ft") out = Channel::kFt;
   else return false;
   return true;
+}
+
+/// The event categories the loader reads.
+enum class Category { kOther, kFlow, kOp, kInstant };
+
+Category category_of(std::string_view cat) {
+  if (cat == "flow") return Category::kFlow;
+  if (cat == "op") return Category::kOp;
+  if (cat == "instant") return Category::kInstant;
+  return Category::kOther;
 }
 
 bool is_p2p_like(Channel ch) {
@@ -69,111 +75,105 @@ bool is_ft_repair_instant(std::string_view n) {
          n == "ft-dup";
 }
 
-/// Accumulates raw trace events in stream order and applies the
-/// consolidation rules in finish(): first s/t/f wins per flow id (id
-/// reuse across crash recovery), step/finish events attach only to a
-/// begin seen earlier in the stream, structurally inconsistent flows are
-/// dropped, repaired flows marked, spans ordered.
+/// Takes trace events in stream order. The first s per flow id wins (id
+/// reuse across crash recovery), and the first t and f after it attach
+/// to it; finish() drops structurally inconsistent flows, marks repaired
+/// ones and orders flows and spans.
 struct EventSink {
-  struct Start {
-    std::int64_t id = 0;
-    std::uint64_t seq = 0;
-    ReplayFlow f;
-  };
-  struct Phase {  // a "t" (deliver) or "f" (finish) flow event
-    std::int64_t id = 0;
-    std::uint64_t seq = 0;
-    Time at = 0;
-    Rank rank = -1;
-  };
-  std::vector<Start> starts;
-  std::vector<Phase> steps;
-  std::vector<Phase> finishes;
+  KeyIndex<std::uint64_t> ids;  // flow id -> index into flows
+  std::vector<ReplayFlow> flows;  // first-begin order
   std::vector<ReplayTrace::Span> spans;
-  std::vector<std::int64_t> repaired_ids;
-  std::uint64_t seq = 0;
+  std::vector<std::uint64_t> repaired_ids;
 
-  void flow_start(std::int64_t id, Channel ch, Rank src, Time at, Rank dst,
+  void flow_start(std::uint64_t id, Channel ch, Rank src, Time at, Rank dst,
                   int tag, std::uint64_t bytes) {
-    Start s;
-    s.id = id;
-    s.seq = seq++;
-    s.f.id = static_cast<FlowId>(id);
-    s.f.channel = ch;
-    s.f.begin = at;
-    s.f.src = src;
-    s.f.dst = dst;
-    s.f.tag = tag;
-    s.f.bytes = bytes;
-    starts.push_back(s);
+    if (ids.find_or_add(id) < flows.size()) return;  // first s wins
+    ReplayFlow& f = flows.emplace_back();
+    f.id = id;
+    f.channel = ch;
+    f.begin = at;
+    f.src = src;
+    f.dst = dst;
+    f.tag = tag;
+    f.bytes = bytes;
   }
-  void flow_step(std::int64_t id, Time at) {
-    steps.push_back(Phase{id, seq++, at, -1});
+  /// The flow a t or f event attaches to: begun earlier in the stream.
+  ReplayFlow* begun(std::uint64_t id) {
+    const std::uint32_t i = ids.find(id);
+    return i == KeyIndex<std::uint64_t>::kNone ? nullptr : &flows[i];
   }
-  void flow_finish(std::int64_t id, Rank rank, Time at) {
-    finishes.push_back(Phase{id, seq++, at, rank});
+  void flow_step(std::uint64_t id, Time at) {
+    ReplayFlow* f = begun(id);
+    if (f == nullptr || f->has_step) return;
+    f->has_step = true;
+    f->step = at;
   }
-  void span(Rank rank, Time at, Time dur, ReplayTrace::SpanClass cls) {
-    ++seq;
-    spans.push_back(ReplayTrace::Span{rank, at, at + dur, cls});
-  }
-  void repaired(std::int64_t flow) {
-    ++seq;
-    repaired_ids.push_back(flow);
+  void flow_finish(std::uint64_t id, Rank rank, Time at) {
+    ReplayFlow* f = begun(id);
+    if (f == nullptr || f->ended) return;
+    f->ended = true;
+    f->end = at;
+    f->end_rank = rank;
   }
 
   void finish(ReplayTrace& t) {
-    const auto by_id = [](const auto& a, const auto& b) { return a.id < b.id; };
-    // stable_sort keeps stream order within one id, so "first event wins"
-    // falls out of taking the first entry of each id run.
-    std::stable_sort(starts.begin(), starts.end(), by_id);
-    std::stable_sort(steps.begin(), steps.end(), by_id);
-    std::stable_sort(finishes.begin(), finishes.end(), by_id);
+    ids = {};
     std::sort(repaired_ids.begin(), repaired_ids.end());
-
-    t.flows.reserve(starts.size());
-    std::size_t si = 0;
-    std::size_t fi = 0;
-    for (std::size_t i = 0; i < starts.size(); ++i) {
-      if (i > 0 && starts[i].id == starts[i - 1].id) continue;  // first s wins
-      const std::int64_t id = starts[i].id;
-      ReplayFlow f = starts[i].f;
-      while (si < steps.size() && steps[si].id < id) ++si;
-      for (std::size_t k = si; k < steps.size() && steps[k].id == id; ++k) {
-        if (steps[k].seq < starts[i].seq) continue;  // "t" before its begin
-        f.has_step = true;
-        f.step = steps[k].at;
-        break;
-      }
-      while (fi < finishes.size() && finishes[fi].id < id) ++fi;
-      for (std::size_t k = fi; k < finishes.size() && finishes[k].id == id;
-           ++k) {
-        if (finishes[k].seq < starts[i].seq) continue;
-        f.ended = true;
-        f.end = finishes[k].at;
-        f.end_rank = finishes[k].rank;
-        break;
-      }
-      // Drop structurally inconsistent flows (crash-recovery id reuse can
-      // pair a later begin with an earlier end); pinned fidelity covers
-      // fault-free runs, where none of these fire.
-      if (f.has_step && f.step < f.begin) continue;
-      if (f.ended && f.end < f.begin) continue;
-      if (f.ended && f.has_step && f.end < f.step) continue;
-      if (f.src < 0 || f.src >= t.nranks || f.dst < 0 || f.dst >= t.nranks) {
-        continue;
-      }
-      if (f.ended && (f.end_rank < 0 || f.end_rank >= t.nranks)) continue;
-      f.repaired =
-          std::binary_search(repaired_ids.begin(), repaired_ids.end(), id);
-      t.flows.push_back(f);
-    }
-    t.spans = std::move(spans);
-    std::sort(t.spans.begin(), t.spans.end(),
-              [](const ReplayTrace::Span& a, const ReplayTrace::Span& b) {
-                return std::tie(a.rank, a.start, a.end) <
-                       std::tie(b.rank, b.start, b.end);
+    std::sort(flows.begin(), flows.end(),
+              [](const ReplayFlow& a, const ReplayFlow& b) {
+                return a.id < b.id;
               });
+    // Drop structurally inconsistent flows (crash-recovery id reuse can
+    // pair a later begin with an earlier end); pinned fidelity covers
+    // fault-free runs, where none of these fire.
+    const auto inconsistent = [&t](const ReplayFlow& f) {
+      return (f.has_step && f.step < f.begin) ||
+             (f.ended && f.end < f.begin) ||
+             (f.ended && f.has_step && f.end < f.step) || f.src < 0 ||
+             f.src >= t.nranks || f.dst < 0 || f.dst >= t.nranks ||
+             (f.ended && (f.end_rank < 0 || f.end_rank >= t.nranks));
+    };
+    flows.erase(std::remove_if(flows.begin(), flows.end(), inconsistent),
+                flows.end());
+    flows.shrink_to_fit();  // the Replayer keeps them for its lifetime
+    for (ReplayFlow& f : flows) {
+      f.repaired =
+          std::binary_search(repaired_ids.begin(), repaired_ids.end(), f.id);
+    }
+    t.flows = std::move(flows);
+    t.spans = by_rank(spans, t.nranks);
+  }
+
+  /// `spans` in (rank, start, end) order, exactly sized: a counting sort
+  /// by rank, then a sort of each rank's run only where the trace did not
+  /// already list that rank's spans in time order. Ranks below 0 share a
+  /// run, and so do ranks from min(nranks, spans) on, so the runs are
+  /// never more than the spans.
+  static std::vector<ReplayTrace::Span> by_rank(
+      const std::vector<ReplayTrace::Span>& spans, int nranks) {
+    const auto runs = static_cast<Rank>(
+        std::min(static_cast<std::size_t>(nranks), spans.size()));
+    const auto run_of = [runs](Rank r) -> std::size_t {
+      return r < 0 ? 0 : r < runs ? static_cast<std::size_t>(r) + 1
+                                  : static_cast<std::size_t>(runs) + 1;
+    };
+    std::vector<std::size_t> next(static_cast<std::size_t>(runs) + 3, 0);
+    for (const ReplayTrace::Span& sp : spans) ++next[run_of(sp.rank) + 1];
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    const std::vector<std::size_t> first = next;
+    std::vector<ReplayTrace::Span> out(spans.size());
+    for (const ReplayTrace::Span& sp : spans) out[next[run_of(sp.rank)]++] = sp;
+    const auto before = [](const ReplayTrace::Span& a,
+                           const ReplayTrace::Span& b) {
+      return std::tie(a.rank, a.start, a.end) <
+             std::tie(b.rank, b.start, b.end);
+    };
+    for (std::size_t r = 0; r + 1 < first.size(); ++r) {
+      const auto lo = out.begin() + static_cast<std::ptrdiff_t>(first[r]);
+      const auto hi = out.begin() + static_cast<std::ptrdiff_t>(first[r + 1]);
+      if (!std::is_sorted(lo, hi, before)) std::sort(lo, hi, before);
+    }
+    return out;
   }
 };
 
@@ -200,10 +200,11 @@ void parse_header(const json::Value* od, ReplayTrace& t) {
     t.model = v->string;
   }
   if (const json::Value* v = od->find("ranks"); v && v->is_number()) {
-    t.nranks = static_cast<int>(v->as_int());
+    const std::int64_t n = v->as_int();
+    t.nranks = n <= std::numeric_limits<int>::max() ? static_cast<int>(n) : 0;
   }
   if (const json::Value* v = od->find("seed"); v && v->is_number()) {
-    t.seed = static_cast<std::uint64_t>(v->as_int());
+    if (!v->to_uint64(t.seed)) fail("metadata header seed is not a uint64");
   }
   if (const json::Value* v = od->find("config_digest"); v && v->is_string()) {
     t.config_digest = v->string;
@@ -230,7 +231,7 @@ void parse_header(const json::Value* od, ReplayTrace& t) {
          "completed run)");
   }
   if (const json::Value* v = run->find("time_ns"); v && v->is_number()) {
-    t.run_time_ns = v->as_int();
+    if (!v->to_int64(t.run_time_ns)) fail("run result time_ns is not an int64");
   } else {
     fail("run result has no time_ns");
   }
@@ -238,56 +239,60 @@ void parse_header(const json::Value* od, ReplayTrace& t) {
     t.trace_hash = parse_hex_u64(v->string);
   }
   if (const json::Value* v = run->find("events"); v && v->is_number()) {
-    t.run_events = static_cast<std::uint64_t>(v->as_int());
+    if (!v->to_uint64(t.run_events)) fail("run result events is not a uint64");
   }
 }
 
 /// One traceEvents element into the sink. Malformed or foreign events
 /// are skipped rather than rejected: validation is meltrace validate's job.
 void add_event(const TraceEvent& ev, EventSink& sink) {
-  if (!ev.is_object || !ev.ph.is_string() || !ev.cat.is_string()) {
+  using Field = TraceEvent::Field;
+  if (!ev.is_object || !ev.is_string(Field::kPh) ||
+      !ev.is_string(Field::kCat)) {
     return;  // metadata records ("M") and friends
   }
-  if (!ev.ts.is_number()) return;
-  const Time at = ts_to_ns(ev.ts.number);
-  const Rank rank =
-      ev.tid.is_number() ? static_cast<Rank>(ev.tid.as_int()) : -1;
-  const std::string& ph = ev.ph.string;
-  const std::string& cat = ev.cat.string;
-  if (cat == "flow") {
-    if (!ev.id.is_number()) return;
-    const std::int64_t id = ev.id.as_int();
-    if (id <= 0) return;
-    if (ph == "s") {
+  if (!ev.is_number(Field::kTs) || ev.not_int64 != 0) return;
+  const Time at = ev.ts;
+  const Rank rank = ev.is_number(Field::kTid) ? static_cast<Rank>(ev.tid) : -1;
+  const char ph = ev.ph.size() == 1 ? ev.ph[0] : '\0';
+  const Category cat = category_of(ev.cat);
+  if (cat == Category::kFlow) {
+    if (!ev.is_number(Field::kId) || ev.id <= 0) return;
+    const auto id = static_cast<std::uint64_t>(ev.id);
+    if (ph == 's') {
       Channel ch;
-      if (!ev.name.is_string() || !parse_channel(ev.name.string, ch)) return;
+      if (!ev.is_string(Field::kName) || !parse_channel(ev.name, ch)) return;
       const Rank dst =
-          ev.dst.is_number() ? static_cast<Rank>(ev.dst.as_int()) : -1;
-      const int tag = ev.tag.is_number() ? static_cast<int>(ev.tag.as_int()) : 0;
+          ev.is_number(Field::kDst) ? static_cast<Rank>(ev.dst) : -1;
+      const int tag = ev.is_number(Field::kTag) ? static_cast<int>(ev.tag) : 0;
       const std::uint64_t bytes =
-          ev.bytes.is_number() ? static_cast<std::uint64_t>(ev.bytes.as_int())
-                               : 0;
+          ev.is_number(Field::kBytes) ? static_cast<std::uint64_t>(ev.bytes)
+                                      : 0;
       sink.flow_start(id, ch, rank, at, dst, tag, bytes);
-    } else if (ph == "t") {
+    } else if (ph == 't') {
       sink.flow_step(id, at);
-    } else if (ph == "f") {
+    } else if (ph == 'f') {
       sink.flow_finish(id, rank, at);
     }
-  } else if (cat == "op") {
-    if (ph != "X" || !ev.name.is_string() || !ev.dur.is_number()) return;
+  } else if (cat == Category::kOp) {
+    if (ph != 'X' || !ev.is_string(Field::kName) ||
+        !ev.is_number(Field::kDur)) {
+      return;
+    }
     ReplayTrace::SpanClass cls;
-    if (ev.name.string == "compute") {
+    if (ev.name == "compute") {
       cls = ReplayTrace::SpanClass::kCompute;
-    } else if (is_barrier_span(ev.name.string)) {
+    } else if (is_barrier_span(ev.name)) {
       cls = ReplayTrace::SpanClass::kBarrier;
     } else {
       return;
     }
-    sink.span(rank, at, ts_to_ns(ev.dur.number), cls);
-  } else if (cat == "instant") {
-    if (ev.name.is_string() && is_ft_repair_instant(ev.name.string) &&
-        ev.flow.is_number()) {
-      sink.repaired(ev.flow.as_int());
+    sink.spans.push_back({.start = at, .end = at + ev.dur, .rank = rank,
+                          .cls = cls});
+  } else if (cat == Category::kInstant) {
+    if (ev.is_string(Field::kName) && is_ft_repair_instant(ev.name) &&
+        ev.is_number(Field::kFlow)) {
+      sink.repaired_ids.push_back(static_cast<std::uint64_t>(ev.flow));
     }
   }
 }
@@ -322,20 +327,32 @@ Replayer::Replayer(ReplayTrace trace) : trace_(std::move(trace)) {
   using Kind = Anchor::Kind;
   const auto& flows = trace_.flows;
   const auto nflows = static_cast<std::uint32_t>(flows.size());
+  // Flow indexes order the anchors as flow ids do.
+  assert(std::adjacent_find(flows.begin(), flows.end(),
+                            [](const ReplayFlow& a, const ReplayFlow& b) {
+                              return a.id >= b.id;
+                            }) == flows.end());
   anchors_.reserve(flows.size() * 3);
   for (std::uint32_t i = 0; i < nflows; ++i) {
     const ReplayFlow& f = flows[i];
-    anchors_.push_back(Anchor{Kind::kBegin, i, f.src, f.begin});
-    if (f.has_step) anchors_.push_back(Anchor{Kind::kDeliver, i, f.dst, f.step});
-    if (f.ended) anchors_.push_back(Anchor{Kind::kEnd, i, f.end_rank, f.end});
+    anchors_.push_back({.t = f.begin, .flow = i, .rank = f.src,
+                        .kind = Kind::kBegin, .channel = f.channel});
+    if (f.has_step) {
+      anchors_.push_back({.t = f.step, .flow = i, .rank = f.dst,
+                          .kind = Kind::kDeliver, .channel = f.channel});
+    }
+    if (f.ended) {
+      anchors_.push_back({.t = f.end, .flow = i, .rank = f.end_rank,
+                          .kind = Kind::kEnd, .channel = f.channel});
+    }
   }
   // Topological order: every edge points strictly forward in recorded
   // time except same-time chain neighbors, whose relative order this very
   // sort defines — so processing anchors in sorted order is valid.
   std::sort(anchors_.begin(), anchors_.end(),
-            [&flows](const Anchor& a, const Anchor& b) {
-              return std::tie(a.t, a.rank, flows[a.flow].id, a.kind) <
-                     std::tie(b.t, b.rank, flows[b.flow].id, b.kind);
+            [](const Anchor& a, const Anchor& b) {
+              return std::tie(a.t, a.rank, a.flow, a.kind) <
+                     std::tie(b.t, b.rank, b.flow, b.kind);
             });
 
   b_idx_.assign(flows.size(), -1);
@@ -352,23 +369,36 @@ Replayer::Replayer(ReplayTrace trace) : trace_(std::move(trace)) {
   last_anchor_of_rank_.assign(static_cast<std::size_t>(trace_.nranks), -1);
   std::vector<std::int32_t> chain_last(
       static_cast<std::size_t>(trace_.nranks), -1);
+  // Flows have src, dst and end rank in [0, nranks), so a rank pair packs
+  // into one 64-bit key.
+  const auto pair_key = [](Rank a, Rank b) {
+    return static_cast<std::uint64_t>(a) << 32 | static_cast<std::uint32_t>(b);
+  };
   // Non-overtaking deliveries: per (channel, src, dst, tag) for two-sided
   // mailbox arrivals (strict +1 floors in the machine), per (src, dst)
   // completion order for one-sided puts (ordered-put floors allow ties).
-  std::map<std::tuple<int, Rank, Rank, int>, std::int32_t> last_deliver;
-  std::map<std::pair<Rank, Rank>, std::int32_t> last_put_end;
+  KeyIndex<std::pair<std::uint64_t, std::uint64_t>> deliver_keys;
+  KeyIndex<std::uint64_t> put_keys;
+  std::vector<std::int32_t> last_deliver;
+  std::vector<std::int32_t> last_put_end;
   // Neighbor groups: completions keyed by (rank, time) — one collective
   // call's consumed slices all end at the same instant — and begins keyed
   // the same way to find the call head (collective entry) and tail
   // (send-side staging copy).
-  std::map<std::pair<Rank, Time>, std::int32_t> end_group;
+  using RankTime = std::pair<std::uint64_t, std::uint64_t>;
+  const auto rank_time = [](const Anchor& a) {
+    return RankTime(static_cast<std::uint64_t>(a.rank),
+                    static_cast<std::uint64_t>(a.t));
+  };
+  KeyIndex<RankTime> end_group;  // index = group id
   struct BeginGroup {
     std::int32_t head = -1;
     std::int32_t tail = -1;
     std::int32_t count = 0;
     std::uint64_t payload = 0;
   };
-  std::map<std::pair<Rank, Time>, BeginGroup> begin_group;
+  KeyIndex<RankTime> begin_keys;
+  std::vector<BeginGroup> begin_group;
 
   for (std::size_t i = 0; i < anchors_.size(); ++i) {
     Anchor& a = anchors_[i];
@@ -382,7 +412,9 @@ Replayer::Replayer(ReplayTrace trace) : trace_(std::move(trace)) {
     switch (a.kind) {
       case Kind::kBegin:
         if (f.channel == Channel::kNeighbor) {
-          BeginGroup& g = begin_group[{a.rank, a.t}];
+          const std::uint32_t k = begin_keys.find_or_add(rank_time(a));
+          if (k == begin_group.size()) begin_group.emplace_back();
+          BeginGroup& g = begin_group[k];
           if (g.head < 0) {
             g.head = idx;
             anchors_[static_cast<std::size_t>(g.head)].begin_head = true;
@@ -396,43 +428,67 @@ Replayer::Replayer(ReplayTrace trace) : trace_(std::move(trace)) {
       case Kind::kDeliver: {
         a.wire_from = b_idx_[a.flow];
         if (is_p2p_like(f.channel)) {
-          auto key = std::make_tuple(static_cast<int>(f.channel), f.src, f.dst,
-                                     f.tag);
-          auto it = last_deliver.find(key);
-          if (it != last_deliver.end()) a.order_prev = it->second;
-          last_deliver[key] = idx;
+          const std::uint32_t k = deliver_keys.find_or_add(RankTime(
+              pair_key(f.src, f.dst),
+              static_cast<std::uint64_t>(static_cast<std::uint32_t>(f.tag))
+                      << 8 |
+                  static_cast<std::uint64_t>(f.channel)));
+          if (k == last_deliver.size()) last_deliver.push_back(-1);
+          a.order_prev = last_deliver[k];
+          last_deliver[k] = idx;
         }
         break;
       }
       case Kind::kEnd: {
         a.wire_from = f.has_step ? d_idx_[a.flow] : b_idx_[a.flow];
         if (f.channel == Channel::kRma) {
-          auto key = std::make_pair(f.src, f.dst);
-          auto it = last_put_end.find(key);
-          if (it != last_put_end.end()) a.order_prev = it->second;
-          last_put_end[key] = idx;
+          const std::uint32_t k = put_keys.find_or_add(pair_key(f.src, f.dst));
+          if (k == last_put_end.size()) last_put_end.push_back(-1);
+          a.order_prev = last_put_end[k];
+          last_put_end[k] = idx;
         } else if (f.channel == Channel::kNeighbor) {
-          auto it = end_group.find({a.rank, a.t});
-          if (it == end_group.end()) {
-            it = end_group.emplace(std::make_pair(a.rank, a.t),
-                                   static_cast<std::int32_t>(groups_.size()))
-                     .first;
-            groups_.emplace_back();
-          }
-          a.group = it->second;
-          groups_[static_cast<std::size_t>(it->second)].push_back(a.flow);
+          const std::uint32_t g = end_group.find_or_add(rank_time(a));
+          if (g == groups_.size()) groups_.emplace_back();
+          a.group = static_cast<std::int32_t>(g);
+          groups_[g].push_back(a.flow);
         }
         break;
       }
     }
   }
-  for (const auto& [key, g] : begin_group) {
-    anchors_[static_cast<std::size_t>(g.tail)].send_copy_bytes = g.payload;
+  for (const BeginGroup& g : begin_group) {
     anchors_[static_cast<std::size_t>(g.head)].begin_peers = g.count;
+    if (g.payload == 0) continue;
+    anchors_[static_cast<std::size_t>(g.tail)].copy_after = true;
+    send_copies_.emplace_back(g.tail, g.payload);
   }
+  std::sort(send_copies_.begin(), send_copies_.end());
+  terms_old_ = flow_terms(net::Network(trace_.nranks, trace_.net));
+}
+
+std::uint64_t Replayer::send_copy_bytes(std::int32_t i) const {
+  const auto it = std::lower_bound(
+      send_copies_.begin(), send_copies_.end(), i,
+      [](const std::pair<std::int32_t, std::uint64_t>& c, std::int32_t at) {
+        return c.first < at;
+      });
+  return it != send_copies_.end() && it->first == i ? it->second : 0;
+}
+
+std::vector<Replayer::FlowTerms> Replayer::flow_terms(
+    const net::Network& net) const {
+  std::vector<FlowTerms> terms(trace_.flows.size());
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    const ReplayFlow& f = trace_.flows[i];
+    terms[i] = {net.transfer_time(f.src, f.dst, f.bytes),
+                net.send_overhead(f.src, f.dst),
+                net.recv_overhead(f.src, f.dst)};
+  }
+  return terms;
 }
 
 Time Replayer::evaluate(const net::Params& params,
+                        const std::vector<FlowTerms>& terms,
                         std::vector<Time>& out) const {
   using Kind = Anchor::Kind;
   const auto& flows = trace_.flows;
@@ -470,10 +526,11 @@ Time Replayer::evaluate(const net::Params& params,
 
   for (std::size_t i = 0; i < anchors_.size(); ++i) {
     const Anchor& a = anchors_[i];
-    const ReplayFlow& f = flows[a.flow];
+    const FlowTerms& old_t = terms_old_[a.flow];
+    const FlowTerms& new_t = terms[a.flow];
     Time best = std::numeric_limits<Time>::min();
 
-    if (in_chain(a.kind, f.channel)) {
+    if (in_chain(a.kind, a.channel)) {
       Time prev_rec = 0;
       Time prev_new = 0;
       Time model_old = 0;
@@ -482,27 +539,28 @@ Time Replayer::evaluate(const net::Params& params,
         const Anchor& p = anchors_[static_cast<std::size_t>(a.chain_prev)];
         prev_rec = p.t;
         prev_new = out[static_cast<std::size_t>(a.chain_prev)];
-        if (p.send_copy_bytes > 0) {
-          model_old += net_old.copy_time(p.send_copy_bytes);
-          model_new += net_new.copy_time(p.send_copy_bytes);
+        if (p.copy_after) {
+          const std::uint64_t bytes = send_copy_bytes(a.chain_prev);
+          model_old += net_old.copy_time(bytes);
+          model_new += net_new.copy_time(bytes);
         }
       }
       if (a.kind == Kind::kBegin) {
-        if (is_p2p_like(f.channel)) {
-          model_old += net_old.send_overhead(f.src, f.dst);
-          model_new += net_new.send_overhead(f.src, f.dst);
-        } else if (f.channel == Channel::kRma) {
+        if (is_p2p_like(a.channel)) {
+          model_old += old_t.send;
+          model_new += new_t.send;
+        } else if (a.channel == Channel::kRma) {
           model_old += trace_.net.o_put;
           model_new += params.o_put;
-        } else if (f.channel == Channel::kNeighbor && a.begin_head) {
+        } else if (a.channel == Channel::kNeighbor && a.begin_head) {
           model_old += persistent ? trace_.net.o_coll_persistent_start
                                   : net_old.collective_entry(a.begin_peers);
           model_new += persistent ? params.o_coll_persistent_start
                                   : net_new.collective_entry(a.begin_peers);
         }
-      } else if (is_p2p_like(f.channel)) {  // kEnd: receive completion
-        model_old += net_old.recv_overhead(f.src, f.dst);
-        model_new += net_new.recv_overhead(f.src, f.dst);
+      } else if (is_p2p_like(a.channel)) {  // kEnd: receive completion
+        model_old += old_t.recv;
+        model_new += new_t.recv;
       }
       best = prev_new + reprice(a.t - prev_rec, model_old, model_new);
     }
@@ -532,17 +590,15 @@ Time Replayer::evaluate(const net::Params& params,
         const Anchor& w = anchors_[static_cast<std::size_t>(a.wire_from)];
         Time model_old = 0;
         Time model_new = 0;
-        if (a.kind == Kind::kDeliver || f.channel == Channel::kRma) {
-          model_old = net_old.transfer_time(f.src, f.dst, f.bytes);
-          model_new = net_new.transfer_time(f.src, f.dst, f.bytes);
-        } else if (f.has_step) {  // delivery -> receive completion
-          model_old = net_old.recv_overhead(f.src, f.dst);
-          model_new = net_new.recv_overhead(f.src, f.dst);
+        if (a.kind == Kind::kDeliver || a.channel == Channel::kRma) {
+          model_old = old_t.transfer;
+          model_new = new_t.transfer;
+        } else if (w.kind == Kind::kDeliver) {  // delivery -> completion
+          model_old = old_t.recv;
+          model_new = new_t.recv;
         } else {  // parked-waiter receive: wire + recv overhead in one hop
-          model_old = net_old.transfer_time(f.src, f.dst, f.bytes) +
-                      net_old.recv_overhead(f.src, f.dst);
-          model_new = net_new.transfer_time(f.src, f.dst, f.bytes) +
-                      net_new.recv_overhead(f.src, f.dst);
+          model_old = old_t.transfer + old_t.recv;
+          model_new = new_t.transfer + new_t.recv;
         }
         best = std::max(best, out[static_cast<std::size_t>(a.wire_from)] +
                                   reprice(a.t - w.t, model_old, model_new));
@@ -568,7 +624,9 @@ Time Replayer::evaluate(const net::Params& params,
 ReplayResult Replayer::replay(const net::Params& params) const {
   ReplayResult res;
   std::vector<Time> at;
-  res.total_ns = evaluate(params, at);
+  // The pass's terms are freed before the roll-up allocates.
+  res.total_ns = evaluate(
+      params, flow_terms(net::Network(trace_.nranks, params)), at);
 
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
@@ -579,10 +637,13 @@ ReplayResult Replayer::replay(const net::Params& params) const {
   };
   mix(static_cast<std::uint64_t>(res.total_ns));
 
+  constexpr Channel kChannels[] = {Channel::kP2P, Channel::kRma,
+                                   Channel::kNeighbor, Channel::kFt};
+  ReplayResult::ClassRoll by_channel[std::size(kChannels)];
   res.flow_end.reserve(trace_.flows.size());
   for (std::size_t i = 0; i < trace_.flows.size(); ++i) {
     const ReplayFlow& f = trace_.flows[i];
-    auto& roll = res.by_class[channel_name(f.channel)];
+    auto& roll = by_channel[static_cast<std::size_t>(f.channel)];
     roll.count += 1;
     roll.bytes += f.bytes;
     if (!f.ended) continue;
@@ -594,6 +655,10 @@ ReplayResult Replayer::replay(const net::Params& params) const {
     mix(f.id);
     mix(static_cast<std::uint64_t>(end));
   }
+  for (const Channel ch : kChannels) {
+    const auto& roll = by_channel[static_cast<std::size_t>(ch)];
+    if (roll.count > 0) res.by_class.emplace(channel_name(ch), roll);
+  }
   res.digest = h;
   return res;
 }
@@ -602,7 +667,7 @@ std::vector<std::string> Replayer::fidelity_errors() const {
   constexpr std::size_t kMaxReports = 16;
   std::vector<std::string> errors;
   std::vector<Time> at;
-  const Time total = evaluate(trace_.net, at);
+  const Time total = evaluate(trace_.net, terms_old_, at);
   if (total != trace_.run_time_ns) {
     std::ostringstream os;
     os << "total virtual time: recorded " << trace_.run_time_ns

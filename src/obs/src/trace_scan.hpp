@@ -5,10 +5,14 @@
 // through a fixed kChunkBytes buffer, so reading a trace file costs the
 // same memory at any file size. json::parse builds its DOM with this same
 // reader, so the scanner accepts and rejects exactly what json::parse does,
-// with the same error text and byte offsets.
+// with the same error text and byte offsets. The scanner hands each event
+// over as one flat record; events in obs::Recorder's own spelling are read
+// into it by a fast path that gives the same record.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <istream>
 #include <optional>
@@ -16,6 +20,7 @@
 #include <string_view>
 
 #include "mel/obs/json.hpp"
+#include "mel/sim/time.hpp"
 
 namespace mel::obs {
 namespace json {
@@ -55,6 +60,15 @@ class Reader {
   void value(Value* out);
   /// Throws unless only whitespace follows the document.
   void finish();
+
+  /// The unread bytes of the window, refilled first when fewer than `want`
+  /// are left and the input holds more. Valid until the reader next moves.
+  std::string_view window(std::size_t want) {
+    if (size_ - pos_ < want) ensure(want);
+    return {data_ + pos_, size_ - pos_};
+  }
+  /// Move past `n` bytes of window().
+  void consume(std::size_t n) { pos_ += n; }
 
   /// `{ "key": value, ... }`: on_member(key) must read the member's value.
   /// `key` may point into the buffer: it is valid only until the reader
@@ -174,27 +188,86 @@ class Reader {
 }  // namespace json
 
 /// One traceEvents element, flattened to the fields trace consumers read.
-/// A field absent from the event has kind kNull; no consumer tells the two
-/// apart. Duplicate keys keep their first value, as json::Value::find.
+/// A field absent from the event, or of another kind, has its bit clear;
+/// no consumer tells the two apart. Duplicate keys keep their first value,
+/// as json::Value::find. Strings are views valid until the scan moves on
+/// to the next event, so consumers copy or intern what they keep.
 struct TraceEvent {
+  enum Field : unsigned {
+    kName, kCat, kPh, kTs, kDur, kPid, kTid, kId, kArgs,
+    kSrc, kDst, kTag, kBytes, kFlow,  // members of args
+  };
+
   std::size_t index = 0;  // position in traceEvents
   bool is_object = false;
-  json::Value name, cat, ph, ts, dur, pid, tid, id;
-  json::Value args;  // kind only; its members below when it is an object
-  json::Value src, dst, tag, bytes, flow;
+  bool args_is_object = false;
   bool args_first_is_number = false;
+  bool dur_negative = false;  // dur's number is below zero
+  std::uint16_t strings = 0;  // bit per Field: holds a string
+  std::uint16_t numbers = 0;  // bit per Field: holds a number
+  /// Bit per integer Field: holds a number no int64 holds, so its value
+  /// below is 0.
+  std::uint16_t not_int64 = 0;
+  std::string_view name{}, cat{}, ph{};
+  /// ts and dur in ns, as ts_to_ns reads their microseconds.
+  sim::Time ts = 0, dur = 0;
+  /// The integer fields, truncated toward zero as json::Value::to_int64.
+  std::int64_t pid = 0, tid = 0, id = 0;
+  std::int64_t src = 0, dst = 0, tag = 0, bytes = 0, flow = 0;
+
+  bool is_string(Field f) const { return (strings >> f & 1u) != 0; }
+  bool is_number(Field f) const { return (numbers >> f & 1u) != 0; }
+  /// The first integer field that holds a number outside int64, as the
+  /// trace spells its key ("tid", "args.src"); null when there is none.
+  const char* first_not_int64() const;
 };
+
+/// Microseconds as the trace writes them, to integer ns.
+inline sim::Time ts_to_ns(double ts_us) {
+  return static_cast<sim::Time>(std::llround(ts_us * 1000.0));
+}
+
+/// Stamps from 2^41 microseconds on go to the generic reader.
+inline constexpr std::int64_t kFastStampMicros = std::int64_t{1} << 41;
+
+/// The fast path's reading of a stamp at [p, end): W.FFF with 1 to 13
+/// digits of W < kFastStampMicros, as W * 1000 + FFF ns. Returns the end
+/// of the stamp, or null for any other text. There the nearest double to
+/// W + FFF / 1000 lies within 2^-13 of it, and multiplying by 1000 rounds
+/// by at most 2^-2 more, so ts_to_ns of the parsed double gives the same.
+inline const char* read_stamp(const char* p, const char* end, sim::Time& ns) {
+  const auto digit = [](char c) { return static_cast<unsigned>(c - '0') < 10; };
+  const char* q = p;
+  std::int64_t w = 0;
+  while (q < end && q - p < 13 && digit(*q)) w = 10 * w + (*q++ - '0');
+  if (q == p || end - q < 4 || q[0] != '.' || !digit(q[1]) || !digit(q[2]) ||
+      !digit(q[3]) || w >= kFastStampMicros) {
+    return nullptr;
+  }
+  ns = 1000 * w + 100 * (q[1] - '0') + 10 * (q[2] - '0') + (q[3] - '0');
+  return q + 4;
+}
 
 /// What the scan found besides the events.
 struct TraceDoc {
   bool is_object = false;   // the root is an object
   bool has_events = false;  // its first traceEvents member is an array
   std::optional<json::Value> other_data;  // its first otherData member
+  /// Events read by the fast path for the writer's own shapes; the rest
+  /// went through the generic reader.
+  std::size_t fast_events = 0;
 };
 
 /// Walk one whole trace document, handing every element of the first
 /// traceEvents array to on_event in order. Throws json::ParseError where
 /// json::parse would, possibly after some events were handed out.
+///
+/// An event in obs::Recorder's exact spelling, wholly inside the reader's
+/// window, takes a fast path straight into the record: its key order, no
+/// whitespace, strings without escapes, integers of at most 18 digits,
+/// and ts/dur as read_stamp reads them. Any other event goes through the
+/// generic reader, which fills the same record, so errors keep their text
+/// and offsets.
 TraceDoc scan_trace(json::Reader& in,
                     const std::function<void(const TraceEvent&)>& on_event);
 

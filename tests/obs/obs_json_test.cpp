@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "mel/obs/json.hpp"
 
 namespace mel::obs {
@@ -37,6 +39,27 @@ TEST(JsonParse, LargeIntegersStayExact) {
   const auto v = json::parse("9007199254740995");
   ASSERT_TRUE(v.is_integer);
   EXPECT_EQ(v.integer, 9007199254740995LL);
+}
+
+TEST(JsonParse, Uint64sAboveInt64StayExact) {
+  std::uint64_t u = 0;
+  EXPECT_TRUE(json::parse("18446744073709551615").to_uint64(u));
+  EXPECT_EQ(u, 18446744073709551615ull);
+  EXPECT_TRUE(json::parse("9223372036854775808").to_uint64(u));
+  EXPECT_EQ(u, 9223372036854775808ull);
+  EXPECT_TRUE(json::parse("42").to_uint64(u));
+  EXPECT_EQ(u, 42u);
+  EXPECT_TRUE(json::parse("2.5").to_uint64(u));
+  EXPECT_EQ(u, 2u);
+  std::int64_t i = 0;
+  EXPECT_FALSE(json::parse("9223372036854775808").to_int64(i));
+  // No uint64 holds these, and `out` is left alone.
+  u = 7;
+  for (const char* text :
+       {"-1", "18446744073709551616", "1e20", "1e400", "-1e400"}) {
+    EXPECT_FALSE(json::parse(text).to_uint64(u)) << text;
+    EXPECT_EQ(u, 7u) << text;
+  }
 }
 
 TEST(JsonParse, NestedStructure) {

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "mel/gen/generators.hpp"
 #include "mel/match/driver.hpp"
@@ -187,6 +189,26 @@ TEST(ObsReplay, WhatIfPerturbationMovesTheTotal) {
   EXPECT_LT(rp.replay(faster).total_ns, base.total_ns);
 }
 
+TEST(ObsReplay, SpansSortByRankWhateverTheRanks) {
+  // Out of time order within a rank, ranks below 0 and from the rank count
+  // on, and more ranks than spans: the order is (rank, start, end) always.
+  const std::vector<std::pair<Rank, Time>> spans = {
+      {3, 900}, {-1, 50}, {0, 700}, {1, 10}, {0, 200}, {7, 5}, {-4, 80}};
+  for (const int nranks : {2, 1000}) {
+    std::string events;
+    for (const auto& [rank, at] : spans) {
+      events += (events.empty() ? "" : ",") + op_span("compute", rank, at, 10);
+    }
+    const ReplayTrace t =
+        load_replay_trace_text(mini_trace(events, 2000, nranks));
+    std::string order;
+    for (const auto& sp : t.spans) {
+      order += std::to_string(sp.rank) + "@" + std::to_string(sp.start) + " ";
+    }
+    EXPECT_EQ(order, "-4@80 -1@50 0@200 0@700 1@10 3@900 7@5 ") << nranks;
+  }
+}
+
 TEST(ObsReplay, LoaderRejectsTracesWithoutMetadata) {
   EXPECT_THROW(load_replay_trace_text("{\"traceEvents\":[]}"),
                std::runtime_error);
@@ -195,6 +217,42 @@ TEST(ObsReplay, LoaderRejectsTracesWithoutMetadata) {
           "{\"traceEvents\":[],\"otherData\":{\"schema\":\"mel.trace/1\"}}"),
       std::runtime_error);
   EXPECT_THROW(load_replay_trace_text("[1,2]"), std::runtime_error);
+}
+
+/// mini_trace's document with the header's `key` spelled `value`.
+std::string with_header(const std::string& key, const std::string& value) {
+  std::string doc = mini_trace("", 0, 2);
+  const std::string at = "\"" + key + "\":";
+  const std::size_t from = doc.find(at) + at.size();
+  return doc.replace(from, doc.find_first_of(",}", from) - from, value);
+}
+
+TEST(ObsReplay, HeaderNumbersAreReadWholeOrRejected) {
+  // `melsim --seed -1` records the seed as 2^64 - 1.
+  EXPECT_EQ(load_replay_trace_text(with_header("seed", "18446744073709551615"))
+                .seed,
+            18446744073709551615ull);
+  EXPECT_EQ(load_replay_trace_text(with_header("events", "9223372036854775808"))
+                .run_events,
+            9223372036854775808ull);
+  const struct {
+    const char* key;
+    const char* value;
+    const char* error;
+  } bad[] = {
+      {"seed", "-1", "metadata header seed is not a uint64"},
+      {"seed", "1e400", "metadata header seed is not a uint64"},
+      {"events", "18446744073709551616", "run result events is not a uint64"},
+      {"time_ns", "9223372036854775808", "run result time_ns is not an int64"},
+  };
+  for (const auto& b : bad) {
+    try {
+      load_replay_trace_text(with_header(b.key, b.value));
+      ADD_FAILURE() << b.key << " " << b.value << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(e.what(), std::string("replay: ") + b.error);
+    }
+  }
 }
 
 // -- miniature critical-path traces ----------------------------------------

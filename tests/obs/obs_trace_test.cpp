@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "mel/gen/generators.hpp"
 #include "mel/match/driver.hpp"
 #include "mel/net/network.hpp"
 #include "mel/obs/analysis.hpp"
+#include "mel/obs/emit.hpp"
 #include "mel/obs/recorder.hpp"
 
 namespace mel::obs {
@@ -58,6 +62,25 @@ TEST(ObsTrace, EveryBackendProducesAValidFlowGraph) {
     // Iteration records from Comm::obs_iteration reach the trace.
     ASSERT_FALSE(rec.iterations().empty()) << match::model_name(model);
   }
+}
+
+TEST(ObsTrace, FlowTableHoldsOneEntryPerBegunFlow) {
+  // Flow ids stride by rank (counter * nranks + rank + 1), so the largest
+  // id exceeds the flow count; the table still holds only begun flows.
+  const auto g = small_graph();
+  const Traced t = traced_run(match::Model::kNsr, g);
+  const std::string text = t.recorder.to_chrome_json();
+  std::size_t begins = 0;
+  for (std::size_t at = 0;
+       (at = text.find("\"ph\":\"s\"", at)) != std::string::npos; ++at) {
+    ++begins;
+  }
+  FlowId largest = 0;
+  for (const Recorder::Flow& f : t.recorder.flows()) {
+    largest = std::max(largest, f.id);
+  }
+  EXPECT_GT(largest, t.recorder.flows().size());
+  EXPECT_EQ(t.recorder.flows().size(), begins);
 }
 
 TEST(ObsTrace, ChannelClassesMatchTheBackend) {
@@ -126,8 +149,11 @@ TEST(ObsTrace, WireMatrixReconstructionIsByteExact) {
     ASSERT_NE(t.run.matrix, nullptr);
     const TraceStats stats =
         analyze_trace_text(t.recorder.to_chrome_json());
-    EXPECT_EQ(matrix_json(stats.to_comm_matrix()), matrix_json(*t.run.matrix))
-        << match::model_name(model);
+    std::string text;
+    Emitter out(text);
+    write_matrix_json(out, stats);
+    out.flush();
+    EXPECT_EQ(text, matrix_json(*t.run.matrix)) << match::model_name(model);
   }
 }
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,8 +18,10 @@
 #include "mel/match/driver.hpp"
 #include "mel/net/params_io.hpp"
 #include "mel/obs/analysis.hpp"
+#include "mel/obs/emit.hpp"
 #include "mel/obs/recorder.hpp"
 #include "mel/obs/replay.hpp"
+#include "trace_scan.hpp"
 
 namespace mel::obs {
 namespace {
@@ -38,6 +41,15 @@ std::string joined(const std::vector<std::string>& errors) {
   std::string out;
   for (const auto& e : errors) out += e + "\n";
   return out;
+}
+
+/// What `meltrace matrix` prints for `s`, without the newline.
+std::string matrix_text(const TraceStats& s) {
+  std::string text;
+  Emitter out(text);
+  write_matrix_json(out, s);
+  out.flush();
+  return text;
 }
 
 enum class Scenario { kClean, kLossy, kShrink };
@@ -69,7 +81,7 @@ struct Pin {
   match::Model model;
   Scenario scenario;
   const char* summary;  // fnv of summarize_json
-  const char* matrix;   // fnv of matrix_json(to_comm_matrix())
+  const char* matrix;   // fnv of matrix_text
   const char* errors;   // fnv of the newline-joined error list
   std::size_t nerrors;
   const char* digest;   // replay digest under the recorded parameters
@@ -101,8 +113,7 @@ TEST(TraceIngestGolden, RecordedRunsMatchTheirPins) {
     std::snprintf(digest, sizeof digest, "%016llx",
                   static_cast<unsigned long long>(rp.replay().digest));
     EXPECT_EQ(fnv_hex(summarize_json(stats)), pin.summary) << pin.label;
-    EXPECT_EQ(fnv_hex(matrix_json(stats.to_comm_matrix())), pin.matrix)
-        << pin.label;
+    EXPECT_EQ(fnv_hex(matrix_text(stats)), pin.matrix) << pin.label;
     EXPECT_EQ(fnv_hex(joined(stats.errors)), pin.errors)
         << pin.label << ":\n" << joined(stats.errors);
     EXPECT_EQ(stats.errors.size(), pin.nerrors) << pin.label;
@@ -180,7 +191,7 @@ TEST(TraceIngestGolden, FirstDuplicateKeyWinsAtEveryLevel) {
             R"("start_ns":1000,"dur_ns":2000}],"instants":{},)"
             R"("counter_tracks":{"c":1},"wire":{"pairs":1,"msgs":1,)"
             R"("bytes":10}})");
-  EXPECT_EQ(matrix_json(s.to_comm_matrix()),
+  EXPECT_EQ(matrix_text(s),
             R"({"nranks":4,"total_msgs":1,"total_bytes":10,)"
             R"("msgs":[[0,0,0,0],[1,0,0,0],[0,0,0,0],[0,0,0,0]],)"
             R"("bytes":[[0,0,0,0],[10,0,0,0],[0,0,0,0],[0,0,0,0]]})");
@@ -286,6 +297,106 @@ TEST(TraceIngestGolden, FlowIdsAbove2To53StayDistinct) {
   EXPECT_EQ(load_replay_trace_text(doc).flows.size(), 2u);
 }
 
+// -- numbers outside the ranges the trace's fields take --------------------
+
+/// One wire event in the writer's spelling.
+std::string wire(const std::string& src, const std::string& dst) {
+  return R"({"name":"wire","cat":"wire","ph":"i","ts":1.000,"pid":0,)"
+         R"("tid":0,"s":"t","args":{"src":)" +
+         src + R"(,"dst":)" + dst + R"(,"bytes":8}})";
+}
+
+/// The error write_matrix_json throws for `s`, or "" when it writes.
+std::string matrix_refusal(const TraceStats& s) {
+  try {
+    matrix_text(s);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TraceIngestGolden, WireRanksOutsideTheRunAreViolations) {
+  const std::pair<std::string, std::string> cases[] = {
+      {R"({"traceEvents":[)" + wire("-1", "0") + "]}",
+       "wire src -1 outside [0, 2147483648) (event 0)"},
+      {R"({"traceEvents":[)" + wire("-5000000", "0") + "]}",
+       "wire src -5000000 outside [0, 2147483648) (event 0)"},
+      {R"({"traceEvents":[)" + wire("3000000000", "0") + "]}",
+       "wire src 3000000000 outside [0, 2147483648) (event 0)"},
+      {R"({"traceEvents":[)" + wire("1", "0") + "," + wire("2", "4") + "," +
+           wire("2", "4") + R"(],"otherData":{"ranks":4}})",
+       "wire dst 4 outside [0, 4) (event 1)"},
+  };
+  for (const auto& [doc, want] : cases) {
+    const TraceStats s = analyze_trace_text(doc);
+    ASSERT_EQ(s.errors.size(), 1u) << doc << "\n" << joined(s.errors);
+    EXPECT_EQ(s.errors.front(), want);
+    EXPECT_EQ(s.wire_error, want);
+    EXPECT_EQ(matrix_refusal(s), "no comm matrix: " + want);
+  }
+  // The in-range cell stays in the matrix.
+  const TraceStats s = analyze_trace_text(R"({"traceEvents":[)" +
+                                          wire("1", "0") + "," +
+                                          wire("2", "4") +
+                                          R"(],"otherData":{"ranks":4}})");
+  ASSERT_EQ(s.wire_matrix.size(), 1u);
+  const auto& [pair, cell] = *s.wire_matrix.begin();
+  EXPECT_EQ(pair, std::make_pair(1, 0));
+  EXPECT_EQ(cell.msgs, 1u);
+  EXPECT_EQ(cell.bytes, 8u);
+}
+
+TEST(TraceIngestGolden, NumbersNoInt64HoldsAreViolations) {
+  const std::pair<std::string, std::string> cases[] = {
+      {R"({"traceEvents":[{"name":"x","ph":"X","ts":1.0,"pid":0,)"
+       R"("tid":1e400,"dur":1.0}]})",
+       "tid outside the int64 range (event 0)"},
+      {R"({"traceEvents":[{"name":"p2p","cat":"flow","ph":"s","ts":1.0,)"
+       R"("pid":0,"tid":0,"id":9223372036854775808}]})",
+       "id outside the int64 range (event 0)"},
+      {R"({"traceEvents":[{"name":"w","cat":"wire","ph":"i","ts":1.0,)"
+       R"("pid":-1e300,"tid":0,"args":{"src":0,"dst":0,"bytes":8}}]})",
+       "pid outside the int64 range (event 0)"},
+  };
+  for (const auto& [doc, want] : cases) {
+    const TraceStats s = analyze_trace_text(doc);
+    ASSERT_EQ(s.errors.size(), 1u) << doc << "\n" << joined(s.errors);
+    EXPECT_EQ(s.errors.front(), want);
+  }
+  // A wire event dropped for its number keeps the matrix from printing.
+  const TraceStats bad_bytes = analyze_trace_text(
+      R"({"traceEvents":[)" + wire("1", "0") + "," +
+      R"({"name":"wire","cat":"wire","ph":"i","ts":1.0,"pid":0,"tid":0,)"
+      R"("args":{"src":0,"dst":1,"bytes":-1e19}}]})");
+  ASSERT_EQ(bad_bytes.errors.size(), 1u) << joined(bad_bytes.errors);
+  EXPECT_EQ(bad_bytes.errors.front(),
+            "args.bytes outside the int64 range (event 1)");
+  EXPECT_EQ(matrix_refusal(bad_bytes),
+            "no comm matrix: args.bytes outside the int64 range (event 1)");
+  // Fractions in range still truncate toward zero.
+  const TraceStats fraction = analyze_trace_text(
+      R"({"traceEvents":[{"name":"x","ph":"X","ts":1.0,"pid":0,)"
+      R"("tid":2.7,"dur":1.0}]})");
+  EXPECT_TRUE(fraction.errors.empty()) << joined(fraction.errors);
+  EXPECT_EQ(fraction.max_rank, 2);
+
+  // The replay loader skips such an event: here the begin, so the finish
+  // has nothing to attach to.
+  const std::string begin =
+      R"({"name":"p2p","cat":"flow","ph":"s","ts":1.000,"pid":0,"tid":0,)"
+      R"("id":5,"args":{"src":0,"dst":1,"tag":TAG,"bytes":116}},)"
+      R"({"name":"p2p","cat":"flow","ph":"f","ts":2.000,"pid":0,"tid":1,)"
+      R"("bp":"e","id":5})";
+  const auto flows_with_tag = [&begin](const std::string& tag) {
+    std::string events = begin;
+    events.replace(events.find("TAG"), 3, tag);
+    return load_replay_trace_text(mini_trace(events, 2)).flows.size();
+  };
+  EXPECT_EQ(flows_with_tag("7"), 1u);
+  EXPECT_EQ(flows_with_tag("1e400"), 0u);
+}
+
 // -- chunked file ingest ----------------------------------------------------
 
 std::string write_temp(const std::string& name, const std::string& text) {
@@ -314,8 +425,7 @@ TEST(TraceIngestGolden, FileAndTextIngestAgreeAcrossChunkBoundaries) {
   EXPECT_TRUE(from_file.errors.empty()) << joined(from_file.errors);
   EXPECT_EQ(summarize_json(from_file), summarize_json(from_text));
   EXPECT_EQ(summarize(from_file), summarize(from_text));
-  EXPECT_EQ(matrix_json(from_file.to_comm_matrix()),
-            matrix_json(from_text.to_comm_matrix()));
+  EXPECT_EQ(matrix_text(from_file), matrix_text(from_text));
 
   const Replayer a(load_replay_trace_text(text));
   const Replayer b(load_replay_trace_file(path));
@@ -327,11 +437,15 @@ TEST(TraceIngestGolden, FileAndTextIngestAgreeAcrossChunkBoundaries) {
 }
 
 TEST(TraceIngestGolden, EveryTokenSurvivesAChunkBoundary) {
-  // Over 2 MiB of one repeated event that holds every token kind, so the
-  // refill at the first buffer boundary overwrites the whole buffer.
-  // Leading whitespace shifts the document by 0..event-length bytes, so
-  // that boundary lands at each byte offset of the event in turn.
+  // Over 2 MiB of one repeated pair of events: one in the writer's own
+  // spelling, which the fast path takes, and one holding every token kind,
+  // which the generic reader takes. So the refill at the first buffer
+  // boundary overwrites the whole buffer. Leading whitespace shifts the
+  // document by 0..pair-length bytes, so that boundary lands at each byte
+  // offset of both events in turn.
   const std::string event =
+      R"({"name":"wire","cat":"wire","ph":"i","ts":12.500,"pid":0,"tid":3,)"
+      R"("s":"t","args":{"src":31,"dst":1,"bytes":1024}},)"
       R"({"name":"wire","cat":"wire","ph":"i","ts":12.5e0,"pid":0,)"
       R"("tid":3,"args":{"src":31,"dst":1,"bytes":1024,"t":true,)"
       R"("f":false,"n":null,"s":"a\"b"}})";
@@ -343,6 +457,11 @@ TEST(TraceIngestGolden, EveryTokenSurvivesAChunkBoundary) {
   const std::string doc = R"({"traceEvents":[)" + events + "]}";
   const std::string want = summarize_json(analyze_trace_text(doc));
   EXPECT_NE(want.find(R"("bytes":)"), std::string::npos);
+  json::Reader in(doc);
+  std::size_t scanned = 0;
+  const TraceDoc d =
+      scan_trace(in, [&scanned](const TraceEvent&) { ++scanned; });
+  EXPECT_EQ(2 * d.fast_events, scanned);  // both paths, event for event
   for (std::size_t pad = 0; pad <= event.size(); ++pad) {
     const std::string path =
         write_temp("golden_shift.trace.json", std::string(pad, ' ') + doc);

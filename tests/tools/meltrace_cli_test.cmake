@@ -12,7 +12,11 @@
 #     LogGP aliases (net.L_intra),
 #   * `replay --set` rejects values outside the cost model's domain
 #     (non-finite, or a rate that would overflow virtual time) and names
-#     a malformed value (exit 2).
+#     a malformed value (exit 2),
+#   * a wire rank outside the run fails validate (exit 1) and matrix
+#     (exit 2) naming the event,
+#   * a seed above 2^63 (`melsim --seed -1` records 2^64 - 1) replays
+#     and prints exactly.
 # Invoked with -DMELSIM=<path> -DMELTRACE=<path>.
 if(NOT DEFINED MELSIM OR NOT DEFINED MELTRACE)
   message(FATAL_ERROR "pass -DMELSIM=<melsim binary> -DMELTRACE=<meltrace binary>")
@@ -156,6 +160,42 @@ if(NOT err MATCHES "positive integer.*meltrace --help")
   message(FATAL_ERROR "bad --top lacks a --help pointer: ${err}")
 endif()
 run_rejected("replay nonexistent file" replay ${workdir}/no-such.json)
+
+# A wire event naming a rank outside the run is a violation (validate
+# exits 1), and matrix refuses the trace naming the event (exit 2, no
+# output) instead of indexing a dense matrix with the rank.
+foreach(src -1 -5000000 3000000000)
+  set(trace ${workdir}/wire${src}.json)
+  file(WRITE ${trace} "{\"traceEvents\":[{\"name\":\"wire\",\"cat\":\"wire\","
+                      "\"ph\":\"i\",\"ts\":1.000,\"pid\":0,\"tid\":0,\"s\":\"t\","
+                      "\"args\":{\"src\":${src},\"dst\":0,\"bytes\":8}}]}")
+  set(violation "wire src ${src} outside \\[0, 2147483648\\) \\(event 0\\)")
+  execute_process(COMMAND ${MELTRACE} validate ${trace}
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 1 OR NOT out MATCHES "${violation}")
+    message(FATAL_ERROR "validate, wire src ${src}: exit ${code}: ${out}${err}")
+  endif()
+  execute_process(COMMAND ${MELTRACE} matrix ${trace}
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 2 OR NOT out STREQUAL "" OR
+     NOT err MATCHES "no comm matrix: ${violation}")
+    message(FATAL_ERROR "matrix, wire src ${src}: exit ${code}: ${out}${err}")
+  endif()
+endforeach()
+
+# melsim takes the seed as a uint64, so --seed -1 records 2^64 - 1, which
+# no int64 holds; replay and critical print it whole.
+execute_process(
+  COMMAND ${MELSIM} --model NSR --ranks 8 --gen er --verts 120 --edges 700
+          --seed -1 --trace ${workdir}/seed.trace.json
+  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 0)
+  message(FATAL_ERROR "recording the --seed -1 trace failed (${code}): ${err}")
+endif()
+run_ok("replay, seed 2^64 - 1" "fidelity exact .*seed 18446744073709551615\\)"
+       replay ${workdir}/seed.trace.json)
+run_ok("critical, seed 2^64 - 1" "seed 18446744073709551615\n"
+       critical ${workdir}/seed.trace.json)
 
 # A schema-less trace (plain Chrome JSON) is rejected with a pointer at
 # re-recording, not a crash.

@@ -543,7 +543,7 @@ int run(const util::Cli& cli) {
                  [&](obs::Emitter& out) { recorder.write_chrome(out); });
     if (!csv) {
       std::printf("trace: %zu spans, %zu flows, %zu samples -> %s\n",
-                  recorder.spans().size(), recorder.flow_count(),
+                  recorder.spans().size(), recorder.flows().size(),
                   recorder.samples().size(),
                   cli.get("trace", "trace.json").c_str());
     }

@@ -30,6 +30,7 @@
 #include "mel/net/params_io.hpp"
 #include "mel/obs/analysis.hpp"
 #include "mel/obs/critical.hpp"
+#include "mel/obs/emit.hpp"
 #include "mel/obs/replay.hpp"
 #include "mel/util/cli.hpp"
 
@@ -324,7 +325,10 @@ int cmd_matrix(const std::vector<std::string>& args) {
     return 2;
   }
   const obs::TraceStats stats = obs::analyze_trace_file(args[0]);
-  std::printf("%s\n", obs::matrix_json(stats.to_comm_matrix()).c_str());
+  obs::Emitter out(stdout);
+  obs::write_matrix_json(out, stats);
+  out << '\n';
+  if (!out.flush()) throw std::runtime_error("cannot write the matrix");
   return 0;
 }
 
