@@ -34,7 +34,7 @@ inline constexpr int kTagUb = (1 << 20) - 1;
 inline constexpr std::size_t kHeaderBytes = 16;
 
 /// A point-to-point message in flight or in a mailbox. The payload is a
-/// ref-counted pooled buffer: moving a Message between the wire, the
+/// ref-counted buffer: moving a Message between the wire, the
 /// retransmit queue and a mailbox never copies bytes (copying the payload
 /// happens exactly once, at isend).
 struct Message {
@@ -81,7 +81,7 @@ class SliceView {
 
 /// The payload of one neighborhood-collective call, in MPI's (sendbuf,
 /// sdispls) shape: slice k, meant for the caller's k-th topology neighbor,
-/// is bytes [offset(k), offset(k) + size(k)) of one pooled block. The
+/// is bytes [offset(k), offset(k) + size(k)) of one refcounted block. The
 /// offsets are prefix sums of per-slice byte counts, so the slices tile
 /// the block. They are 32-bit, which keeps a received view at 16 bytes, so
 /// a call carries at most kMaxBytes; more throws std::length_error before

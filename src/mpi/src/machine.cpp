@@ -432,7 +432,7 @@ void Machine::isend(Rank src, Rank dst, int tag,
   msg.src = src;
   msg.dst = dst;
   msg.tag = tag;
-  // The payload's one and only copy: into a pooled refcounted buffer that
+  // The payload's one and only copy: into a refcounted buffer that
   // travels through delivery and the mailbox by reference.
   msg.data = util::Buffer::copy_of(data);
   msg.sent_at = sim_.rank_now(src);
@@ -662,8 +662,8 @@ void Machine::put(int win, Rank origin, Rank target, std::size_t offset,
   }
   ws.last_completion[origin] = std::max(ws.last_completion[origin], completion);
   sim_.defer([this] { puts_scheduled_ += 1; });
-  // Pooled staging copy (the payload's only copy; the old path copied
-  // into a fresh vector and the closure moved it — two allocations).
+  // Refcounted staging copy (the payload's only copy and its one
+  // allocation; the closure holds it by handle).
   sim_.schedule_for(
       target, completion,
       [this, &ws, target, offset, flow,

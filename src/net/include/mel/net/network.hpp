@@ -100,8 +100,13 @@ struct Params {
 /// The largest per-byte rate (beta_intra, beta_inter, copy_per_byte) or
 /// per-KiB rate (copy_per_kib) a Network accepts, in ns: a millisecond,
 /// ten million times the calibrated beta_inter. At this cap the rate term
-/// of one transfer of up to 1 TiB stays below 2^60 ns, so it fits in Time.
+/// of one transfer of up to kMaxTransferBytes stays below 2^60 ns, so it
+/// fits in Time.
 inline constexpr double kMaxRateNs = 1e6;
+
+/// The largest transfer, in bytes, priceable under kMaxRateNs: 1 TiB.
+/// Trace replay drops a recorded flow that claims more.
+inline constexpr std::uint64_t kMaxTransferBytes = std::uint64_t{1} << 40;
 
 /// Maps ranks to nodes and prices individual transfers. Stateless aside
 /// from the parameter set; all methods are pure.

@@ -35,7 +35,8 @@ struct TraceStats {
   std::uint64_t dangling_flows = 0;
 
   std::uint64_t events = 0;
-  /// Rank count from the trace's otherData metadata (0 when absent).
+  /// Rank count from the trace's otherData metadata (0 when absent, or
+  /// when outside [1, 2^31 - 1], which is also a violation).
   int nranks = 0;
   int max_rank = -1;
   Time ts_min_ns = 0;
@@ -76,8 +77,9 @@ struct TraceStats {
   };
   std::map<std::pair<int, int>, Cell> wire_matrix;
   /// The violation of the first wire event kept out of wire_matrix: a
-  /// src/dst outside [0, nranks), or [0, 2^31) without a rank count, or a
-  /// number no int64 holds. Empty when every wire event is in it.
+  /// src/dst outside [0, nranks), or [0, 2^31) without a rank count, a
+  /// number no int64 holds, or negative bytes. Empty when every wire event
+  /// is in it.
   std::string wire_error;
 };
 

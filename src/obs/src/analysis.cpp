@@ -244,7 +244,12 @@ TraceStats analyze(json::Reader& in, int top_k) {
         agg.s_ts = t;
         agg.cls = names.find_or_add(name);
         if (e.is_number(Field::kBytes)) {
-          agg.bytes = static_cast<std::uint64_t>(e.bytes);
+          if (e.bytes < 0) {
+            err("flow " + std::to_string(e.id) + " with negative args.bytes" +
+                where());
+          } else {
+            agg.bytes = static_cast<std::uint64_t>(e.bytes);
+          }
         }
       } else if (p == 'f') {
         agg.f_count += 1;
@@ -269,6 +274,12 @@ TraceStats analyze(json::Reader& in, int top_k) {
         err("wire event without numeric args src/dst/bytes" + where());
         return;
       }
+      if (e.bytes < 0) {
+        std::string what = "wire event with negative args.bytes" + where();
+        bad_wires.emplace_back(e.index, what);
+        err(std::move(what));
+        return;
+      }
       WireCell& cell = wires[std::make_pair(static_cast<std::uint64_t>(e.src),
                                             static_cast<std::uint64_t>(e.dst))];
       if (cell.msgs == 0) cell.first_event = e.index;
@@ -291,8 +302,16 @@ TraceStats analyze(json::Reader& in, int top_k) {
   if (!doc.is_object) return only_error("root is not a JSON object");
   if (!doc.has_events) return only_error("missing or non-array traceEvents");
   if (doc.other_data) {
-    if (const json::Value* ranks = doc.other_data->find("ranks")) {
-      if (ranks->is_number()) out.nranks = static_cast<int>(ranks->as_int());
+    // A count outside [1, 2^31 - 1] is reported and then read as absent.
+    const json::Value* ranks = doc.other_data->find("ranks");
+    std::int64_t n = 0;
+    if (ranks != nullptr && ranks->is_number()) {
+      if (ranks->to_int64(n) && n >= 1 && n < kMaxRanks) {
+        out.nranks = static_cast<int>(n);
+      } else {
+        err("otherData.ranks outside [1, " + std::to_string(kMaxRanks - 1) +
+            "]");
+      }
     }
   }
 

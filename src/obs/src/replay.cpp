@@ -124,10 +124,12 @@ struct EventSink {
                 return a.id < b.id;
               });
     // Drop structurally inconsistent flows (crash-recovery id reuse can
-    // pair a later begin with an earlier end); pinned fidelity covers
-    // fault-free runs, where none of these fire.
+    // pair a later begin with an earlier end) and flows no Network can
+    // price (a negative byte count reads as above the bound); pinned
+    // fidelity covers fault-free runs, where none of these fire.
     const auto inconsistent = [&t](const ReplayFlow& f) {
-      return (f.has_step && f.step < f.begin) ||
+      return f.bytes > net::kMaxTransferBytes ||
+             (f.has_step && f.step < f.begin) ||
              (f.ended && f.end < f.begin) ||
              (f.ended && f.has_step && f.end < f.step) || f.src < 0 ||
              f.src >= t.nranks || f.dst < 0 || f.dst >= t.nranks ||

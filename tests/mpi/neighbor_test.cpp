@@ -471,47 +471,6 @@ TEST(Neighbor, TopologyCollectivesOrderApartFromGlobalOnes) {
   }
 }
 
-/// Pooled blocks drawn while every rank of a complete topology on `p`
-/// ranks makes `calls` calls of `call`. The sequential engine runs every
-/// rank on this thread, whose pool counters these are.
-template <class Call>
-std::uint64_t pooled_blocks(int p, int calls, Call call) {
-  World w(p);
-  w.full_topology();
-  auto body = [&](Comm& c) -> RankTask {
-    for (int i = 0; i < calls; ++i) (void)co_await call(c);
-  };
-  const std::uint64_t before = util::Buffer::pool_stats().allocs;
-  w.spawn_all(body);
-  w.run();
-  return util::Buffer::pool_stats().allocs - before;
-}
-
-TEST(Neighbor, PooledBlocksPerCallDoNotGrowWithDegree) {
-  // A call packs its slices into one block, whatever the degree.
-  constexpr int kCalls = 4;
-  for (const int p : {16, 64}) {
-    const auto per_rank = static_cast<std::uint64_t>(kCalls) * p;
-    EXPECT_LE(pooled_blocks(p, kCalls,
-                            [](Comm& c) {
-                              return c.neighbor_alltoall_i64(
-                                  std::vector<std::int64_t>(
-                                      c.neighbors().size(), c.rank()));
-                            }),
-              per_rank)
-        << "neighbor_alltoall_i64 at p=" << p;
-    EXPECT_LE(pooled_blocks(p, kCalls,
-                            [](Comm& c) {
-                              return c.neighbor_alltoallv(staged(
-                                  std::vector<std::vector<std::byte>>(
-                                      c.neighbors().size(),
-                                      std::vector<std::byte>(24))));
-                            }),
-              per_rank)
-        << "neighbor_alltoallv at p=" << p;
-  }
-}
-
 TEST(Neighbor, DeadlockWhenNeighborNeverArrives) {
   World w(2);
   w.ring_topology();

@@ -397,6 +397,71 @@ TEST(TraceIngestGolden, NumbersNoInt64HoldsAreViolations) {
   EXPECT_EQ(flows_with_tag("1e400"), 0u);
 }
 
+TEST(TraceIngestGolden, RankCountsBelowOneOrAboveIntMaxAreViolations) {
+  // A count outside [1, 2^31 - 1] is reported and then read as absent, so
+  // the wire ranks are checked against [0, 2^31) and the matrix is sized
+  // by the events, not by the count wrapped to an int.
+  for (const char* ranks : {"4294967300", "0", "-3", "2147483648", "1e300"}) {
+    const TraceStats s = analyze_trace_text(
+        R"({"traceEvents":[)" + wire("1", "0") +
+        R"(],"otherData":{"ranks":)" + ranks + "}}");
+    ASSERT_EQ(s.errors.size(), 1u) << ranks << "\n" << joined(s.errors);
+    EXPECT_EQ(s.errors.front(), "otherData.ranks outside [1, 2147483647]")
+        << ranks;
+    EXPECT_EQ(s.nranks, 0) << ranks;
+    EXPECT_EQ(matrix_text(s),
+              R"({"nranks":2,"total_msgs":1,"total_bytes":8,)"
+              R"("msgs":[[0,0],[1,0]],"bytes":[[0,0],[8,0]]})")
+        << ranks;
+  }
+  const TraceStats top = analyze_trace_text(
+      R"({"traceEvents":[)" + wire("1", "0") +
+      R"(],"otherData":{"ranks":2147483647}})");
+  EXPECT_TRUE(top.errors.empty()) << joined(top.errors);
+  EXPECT_EQ(top.nranks, 2147483647);
+}
+
+TEST(TraceIngestGolden, NegativeByteCountsAreViolations) {
+  const std::string begin =
+      R"({"name":"p2p","cat":"flow","ph":"s","ts":1.000,"pid":0,"tid":0,)"
+      R"("id":5,"args":{"src":0,"dst":1,"tag":0,"bytes":BYTES}},)"
+      R"({"name":"p2p","cat":"flow","ph":"f","ts":2.000,"pid":0,"tid":1,)"
+      R"("bp":"e","id":5})";
+  const auto with_bytes = [&begin](const std::string& bytes) {
+    std::string events = begin;
+    events.replace(events.find("BYTES"), 5, bytes);
+    return mini_trace(events, 2);
+  };
+  // A flow begin: the flow still counts, without bytes.
+  const TraceStats flow = analyze_trace_text(with_bytes("-1"));
+  ASSERT_EQ(flow.errors.size(), 1u) << joined(flow.errors);
+  EXPECT_EQ(flow.errors.front(), "flow 5 with negative args.bytes (event 0)");
+  ASSERT_TRUE(flow.flows_by_class.count("p2p"));
+  EXPECT_EQ(flow.flows_by_class.at("p2p").count, 1u);
+  EXPECT_EQ(flow.flows_by_class.at("p2p").bytes, 0u);
+
+  // A wire event: kept out of the matrix, which then refuses the trace.
+  const TraceStats w = analyze_trace_text(
+      R"({"traceEvents":[)" + wire("1", "0") + "," +
+      R"({"name":"wire","cat":"wire","ph":"i","ts":1.000,"pid":0,"tid":0,)"
+      R"("s":"t","args":{"src":0,"dst":1,"bytes":-8}}]})");
+  ASSERT_EQ(w.errors.size(), 1u) << joined(w.errors);
+  EXPECT_EQ(w.errors.front(), "wire event with negative args.bytes (event 1)");
+  EXPECT_EQ(w.wire_error, w.errors.front());
+  EXPECT_EQ(matrix_refusal(w),
+            "no comm matrix: wire event with negative args.bytes (event 1)");
+
+  // The replay loader drops a flow no Network can price: negative, or
+  // above net::kMaxTransferBytes (2^40).
+  const auto flows = [&with_bytes](const std::string& bytes) {
+    return load_replay_trace_text(with_bytes(bytes)).flows.size();
+  };
+  EXPECT_EQ(flows("116"), 1u);
+  EXPECT_EQ(flows("1099511627776"), 1u);
+  EXPECT_EQ(flows("1099511627777"), 0u);
+  EXPECT_EQ(flows("-1"), 0u);
+}
+
 // -- chunked file ingest ----------------------------------------------------
 
 std::string write_temp(const std::string& name, const std::string& text) {

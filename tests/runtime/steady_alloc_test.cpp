@@ -1,10 +1,10 @@
-// Zero per-event steady-state allocation: with the pooled buffers, inline
-// event closures and recycled queue storage, the number of heap
-// allocations during a simulation run must not depend on how many events
-// execute — only on the topology/rank setup. Verified with a counting
-// global operator new: two runs of a workload differing only in round
-// count (3x the events) must allocate the same number of times, up to a
-// small budget on the sharded engine.
+// Steady-state allocation: inline event closures and recycled queue
+// storage keep the number of heap allocations during a simulation run
+// independent of how many events execute. What remains is one block per
+// message, its payload, and a few allocations per neighborhood call
+// whatever the degree. Verified with a counting global operator new: two
+// runs of a workload differing only in round count must differ by exactly
+// those, up to a small budget.
 //
 // This test lives in its own binary because it replaces the global
 // allocation functions. The counter is atomic because the sharded
@@ -16,6 +16,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "../mpi/world_fixture.hpp"
+#include "mel/match/exchange.hpp"
 #include "mel/mpi/comm.hpp"
 #include "mel/mpi/machine.hpp"
 
@@ -103,26 +105,26 @@ std::uint64_t allocs_for(int rounds, int threads = 1) {
 }
 
 TEST(SteadyAlloc, EventCountDoesNotDriveAllocations) {
-  // Warm the buffer pool, free lists and internal vector capacities.
+  // Warm the free lists and internal vector capacities.
   (void)allocs_for(64);
   const std::uint64_t base = allocs_for(64);
   const std::uint64_t tripled = allocs_for(192);
-  // 64 ranks x 128 extra rounds x (send + deliver + wake) events: any
-  // per-event allocation would add tens of thousands here. A handful of
-  // extra reallocations are tolerated: the event queue's run buffer grows
-  // to a new high-water mark O(log events) times as batches occasionally
-  // straddle epochs (amortized-constant, not per-event).
-  EXPECT_LE(tripled, base + 8)
-      << "steady-state allocations grew with event count - a hot-path "
-         "closure outgrew the EventFn inline buffer or a payload fell "
-         "out of the pool";
+  // 64 ranks x 128 extra rounds, one message each: one payload block per
+  // message, and none per event (send, deliver, wake). A handful of extra
+  // reallocations are tolerated: storage grows to a new high-water mark
+  // O(log events) times (amortized-constant, not per-event).
+  constexpr std::uint64_t kExtraMessages =
+      static_cast<std::uint64_t>(kRanks) * (192 - 64);
+  EXPECT_LE(tripled, base + kExtraMessages + 8)
+      << "steady-state allocations grew faster than one payload per "
+         "message - a hot-path closure outgrew the EventFn inline buffer";
 }
 
 TEST(SteadyAlloc, ShardedEventCountDoesNotDriveAllocations) {
   // The sharded engine adds per-window action logs, deferred closures and
-  // the merge's bookkeeping; all of it must reuse storage too. The budget
-  // is one allocation per 64 extra messages: first touches of timing-wheel
-  // slots and other high-water growth stay far below it, one allocation
+  // the merge's bookkeeping; all of it must reuse storage too. Beyond one
+  // payload block per extra message, the budget is one allocation per 64
+  // extra messages: high-water growth stays far below it, one allocation
   // per message or per window does not.
   constexpr int kThreads = 4;
   (void)allocs_for(1728, kThreads);
@@ -130,26 +132,115 @@ TEST(SteadyAlloc, ShardedEventCountDoesNotDriveAllocations) {
   const std::uint64_t tripled = allocs_for(5184, kThreads);
   constexpr std::uint64_t kExtraMessages =
       static_cast<std::uint64_t>(kRanks) * (5184 - 1728);
-  EXPECT_LE(tripled, base + kExtraMessages / 64)
-      << "sharded allocations grew with event count - a deferred closure "
-         "or a merge-time buffer allocates per message or per window";
+  EXPECT_LE(tripled, base + kExtraMessages + kExtraMessages / 64)
+      << "sharded allocations grew faster than one payload per message - "
+         "a deferred closure or a merge-time buffer allocates per message "
+         "or per window";
 }
 
 TEST(SteadyAlloc, OneWayCrossShardTrafficDoesNotDriveAllocations) {
-  // Every thread caches free message blocks. Here the 1 KiB requests of
-  // the ranks on shards 1..3 are all freed on shard 0, and the replies go
-  // the other way, so a cache with no way back to the allocating threads
-  // would call operator new for every such request. The budget is one
-  // allocation per 32 extra requests.
+  // The 1 KiB requests of the ranks on shards 1..3 are all freed on shard
+  // 0, and the replies go the other way. Beyond one payload block per
+  // extra request and reply, the budget is one allocation per 32 extra
+  // requests.
   constexpr int kThreads = 4;
   (void)allocs_for(one_way_rank, 200, kThreads);
   const std::uint64_t base = allocs_for(one_way_rank, 200, kThreads);
   const std::uint64_t tripled = allocs_for(one_way_rank, 600, kThreads);
   constexpr std::uint64_t kExtraRequests =
       static_cast<std::uint64_t>(kRanks - 1) * (600 - 200);
-  EXPECT_LE(tripled, base + kExtraRequests / 32)
-      << "one-way cross-shard traffic grew allocations - blocks freed on "
-         "one thread do not get back to the threads that allocate";
+  EXPECT_LE(tripled, base + 2 * kExtraRequests + kExtraRequests / 32)
+      << "one-way cross-shard traffic grew allocations faster than one "
+         "payload per message - a closure or buffer on the cross-shard "
+         "path allocates per message";
+}
+
+// -- neighborhood collectives ------------------------------------------------
+
+/// Allocations per rank per call that a neighborhood call may make,
+/// whatever the degree: the send block and its slice ends, the received
+/// views, the caller's value vectors and a coroutine frame. One block per
+/// slice would add the degree, 15 or 63 here.
+constexpr std::uint64_t kAllocsPerCall = 8;
+
+/// Allocations made while every rank of a complete topology on `p` ranks
+/// runs `calls` rounds of `body_round`, in a fresh world.
+template <class Round>
+std::uint64_t world_allocs(int p, int calls, Round body_round) {
+  const std::uint64_t before = g_news;
+  {
+    test::World w(p);
+    w.full_topology();
+    w.spawn_all([&](mpi::Comm& c) { return body_round(c, calls); });
+    w.run();
+  }
+  return g_news - before;
+}
+
+/// Allocations per rank per call: the difference between worlds that make
+/// 2 * kCalls and kCalls calls, so set-up cancels.
+template <class Round>
+double allocs_per_call(int p, int calls_per_round, Round body_round) {
+  constexpr int kCalls = 4;
+  (void)world_allocs(p, kCalls, body_round);
+  const std::uint64_t base = world_allocs(p, kCalls, body_round);
+  const std::uint64_t doubled = world_allocs(p, 2 * kCalls, body_round);
+  return static_cast<double>(doubled - base) /
+         (static_cast<double>(kCalls) * calls_per_round * p);
+}
+
+TEST(SteadyAlloc, NeighborhoodCallAllocationsDoNotGrowWithDegree) {
+  // A call packs its slices into one block, whatever the degree.
+  for (const int p : {16, 64}) {
+    const double i64 = allocs_per_call(
+        p, 1, [](mpi::Comm& c, int calls) -> sim::RankTask {
+          for (int i = 0; i < calls; ++i) {
+            (void)co_await c.neighbor_alltoall_i64(
+                std::vector<std::int64_t>(c.neighbors().size(), c.rank()));
+          }
+        });
+    EXPECT_LE(i64, kAllocsPerCall) << "neighbor_alltoall_i64 at p=" << p;
+    const double v = allocs_per_call(
+        p, 1, [](mpi::Comm& c, int calls) -> sim::RankTask {
+          const std::vector<std::size_t> bytes(c.neighbors().size(), 24);
+          for (int i = 0; i < calls; ++i) {
+            (void)co_await c.neighbor_alltoallv(mpi::PackedSlices(bytes));
+          }
+        });
+    EXPECT_LE(v, kAllocsPerCall) << "neighbor_alltoallv at p=" << p;
+  }
+}
+
+TEST(SteadyAlloc, NeighborhoodRoundAllocationsDoNotGrowWithDegree) {
+  // pack() writes a round's records into one block, so each neighborhood
+  // call of a round allocates the same whatever the degree; a blocking
+  // round makes two calls (counts, then records).
+  struct Rec {
+    std::int64_t src, dst, round;
+  };
+  using Ncl = match::NclExchange<Rec>;
+  for (const auto start : {Ncl::Start::kBlocking, Ncl::Start::kNonblocking,
+                           Ncl::Start::kPersistent}) {
+    for (const int p : {16, 64}) {
+      std::vector<graph::LocalGraph> lgs(p);
+      const auto round = [&](mpi::Comm& c, int rounds) -> sim::RankTask {
+        graph::LocalGraph& lg = lgs[c.rank()];
+        lg.neighbor_ranks = c.neighbors();
+        Ncl ex(c, lg, start);
+        match::Sink<Rec> sink{[](const Rec&) {}};
+        co_await ex.setup();
+        for (std::int64_t i = 0; i < rounds; ++i) {
+          for (const sim::Rank nbr : c.neighbors()) {
+            ex.push(nbr, Rec{c.rank(), nbr, i});
+          }
+          co_await ex.round(sink);
+        }
+      };
+      const int calls = start == Ncl::Start::kBlocking ? 2 : 1;
+      EXPECT_LE(allocs_per_call(p, calls, round), kAllocsPerCall)
+          << "start " << static_cast<int>(start) << " p " << p;
+    }
+  }
 }
 
 }  // namespace

@@ -15,6 +15,10 @@
 #     a malformed value (exit 2),
 #   * a wire rank outside the run fails validate (exit 1) and matrix
 #     (exit 2) naming the event,
+#   * a header rank count outside [1, 2^31 - 1] fails validate and is
+#     read as absent, so summarize and matrix never see it wrapped,
+#   * a negative byte count fails validate, and replay drops that flow
+#     instead of pricing 2^64 - 1 bytes,
 #   * a seed above 2^63 (`melsim --seed -1` records 2^64 - 1) replays
 #     and prints exactly.
 # Invoked with -DMELSIM=<path> -DMELTRACE=<path>.
@@ -182,6 +186,43 @@ foreach(src -1 -5000000 3000000000)
     message(FATAL_ERROR "matrix, wire src ${src}: exit ${code}: ${out}${err}")
   endif()
 endforeach()
+
+# A header rank count outside [1, 2^31 - 1] is a violation and then reads
+# as absent: 4294967300 does not wrap to 4.
+set(trace ${workdir}/ranks-wrap.json)
+file(WRITE ${trace} "{\"traceEvents\":[{\"name\":\"wire\",\"cat\":\"wire\","
+                    "\"ph\":\"i\",\"ts\":1.000,\"pid\":0,\"tid\":0,\"s\":\"t\","
+                    "\"args\":{\"src\":1,\"dst\":0,\"bytes\":8}}],"
+                    "\"otherData\":{\"ranks\":4294967300}}")
+execute_process(COMMAND ${MELTRACE} validate ${trace}
+                RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 1 OR
+   NOT out MATCHES "otherData.ranks outside \\[1, 2147483647\\]")
+  message(FATAL_ERROR "validate, ranks 4294967300: exit ${code}: ${out}${err}")
+endif()
+run_ok("summarize, ranks 4294967300" "\"nranks\":0," summarize ${trace} --json)
+run_ok("matrix, ranks 4294967300" "^{\"nranks\":2," matrix ${trace})
+
+# A flow begin with a negative byte count fails validate, and a what-if
+# replay drops the flow rather than pricing it as 2^64 - 1 bytes.
+file(READ ${nsr} text)
+string(FIND "${text}" "\"otherData\":" at)
+string(SUBSTRING "${text}" ${at} -1 header)
+set(trace ${workdir}/bytes-negative.json)
+file(WRITE ${trace} "{\"traceEvents\":[{\"name\":\"p2p\",\"cat\":\"flow\","
+                    "\"ph\":\"s\",\"ts\":1.000,\"pid\":0,\"tid\":0,\"id\":1,"
+                    "\"args\":{\"src\":0,\"dst\":1,\"tag\":0,\"bytes\":-1}},"
+                    "{\"name\":\"p2p\",\"cat\":\"flow\",\"ph\":\"f\","
+                    "\"ts\":2.000,\"pid\":0,\"tid\":1,\"bp\":\"e\",\"id\":1}],"
+                    "${header}")
+execute_process(COMMAND ${MELTRACE} validate ${trace}
+                RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT code EQUAL 1 OR
+   NOT out MATCHES "flow 1 with negative args.bytes \\(event 0\\)")
+  message(FATAL_ERROR "validate, bytes -1: exit ${code}: ${out}${err}")
+endif()
+run_ok("replay, bytes -1" "what-if replay" replay ${trace}
+       --set net.beta_intra=1000000)
 
 # melsim takes the seed as a uint64, so --seed -1 records 2^64 - 1, which
 # no int64 holds; replay and critical print it whole.

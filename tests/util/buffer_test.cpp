@@ -1,12 +1,10 @@
-// Buffer / pool semantics: aliasing, refcounting, copy-on-write, free-list
-// reuse and blocks that change threads. Runs under ASan and TSan in CI,
-// which are the real teeth of these checks — a double free, a
-// use-after-release or a race in the pool shows up here first.
+// Buffer semantics: aliasing, refcounting, moves, copy-on-write and
+// equality. Runs under ASan and TSan in CI, which are the real teeth of
+// these checks — a double free or a use-after-release shows up here first.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "mel/util/buffer.hpp"
@@ -102,59 +100,6 @@ TEST(Buffer, SpanConversionSeesPayload) {
   std::span<const std::byte> s = a;
   ASSERT_EQ(s.size(), 3u);
   EXPECT_EQ(s[2], std::byte{7});
-}
-
-TEST(Buffer, PoolRecyclesBlocks) {
-  Buffer::trim_pool();
-  const auto before = Buffer::pool_stats();
-  const std::byte* first;
-  {
-    Buffer a = Buffer::alloc(100);
-    first = a.data();
-  }
-  // Same size class (100 -> 128B class): the freed block must come back.
-  Buffer b = Buffer::alloc(120);
-  EXPECT_EQ(b.data(), first);
-  const auto after = Buffer::pool_stats();
-  EXPECT_EQ(after.allocs - before.allocs, 2u);
-  EXPECT_EQ(after.pool_hits - before.pool_hits, 1u);
-}
-
-TEST(Buffer, OversizedBypassesPool) {
-  Buffer::trim_pool();
-  const auto before = Buffer::pool_stats();
-  { Buffer big = Buffer::alloc(2u << 20); }  // 2 MiB > largest class
-  const auto after = Buffer::pool_stats();
-  EXPECT_EQ(after.oversized - before.oversized, 1u);
-  EXPECT_EQ(after.free_blocks, 0u);  // went straight back to the heap
-}
-
-// A thread's cache is flushed to the shared pool when the thread exits,
-// and blocks released on another thread get back to allocating threads
-// through it. Of 1000 blocks freed here, this thread's cache keeps fewer
-// than two batches (at most 64 blocks each); a new thread reuses the rest.
-// Once both threads have exited, every block either allocated is parked
-// in this thread's cache or the shared pool.
-TEST(Buffer, BlocksOutliveTheThreadThatAllocatedThem) {
-  constexpr int kBlocks = 1000;
-  constexpr int kMaxBatchBlocks = 64;
-  Buffer::trim_pool();
-  std::vector<Buffer> blocks;
-  std::thread([&blocks] {
-    for (int i = 0; i < kBlocks; ++i) blocks.push_back(Buffer::alloc(8));
-  }).join();
-  blocks.clear();
-  std::uint64_t hits = 0;
-  std::thread([&hits] {
-    const auto before = Buffer::pool_stats();
-    std::vector<Buffer> again;
-    for (int i = 0; i < kBlocks; ++i) again.push_back(Buffer::alloc(8));
-    hits = Buffer::pool_stats().pool_hits - before.pool_hits;
-  }).join();
-  EXPECT_GE(hits, static_cast<std::uint64_t>(kBlocks - 2 * kMaxBatchBlocks));
-  EXPECT_EQ(Buffer::pool_stats().free_blocks, 2 * kBlocks - hits);
-  Buffer::trim_pool();
-  EXPECT_EQ(Buffer::pool_stats().free_blocks, 0u);
 }
 
 TEST(Buffer, RefcountSurvivesManyAliases) {
