@@ -488,13 +488,21 @@ class Machine : public ft::Host {
   std::vector<Rank> failed_ranks_;  // in failure order
   std::vector<StateProbe> state_probes_;  // per rank, may be null
 
-  std::uint64_t sent_payload_bytes_ = 0;
-  std::uint64_t delivered_payload_bytes_ = 0;
+  /// The finalize audit's conservation totals, one row per rank. Each is
+  /// written inline by the rank whose event it is: the sender in isend,
+  /// the receiver in deliver, the origin in put and the target where the
+  /// put lands. Sums do not depend on event order, so audit() adds the
+  /// rows up and no shard writes another's row.
+  struct Conservation {
+    std::uint64_t sent_payload_bytes = 0;
+    std::uint64_t delivered_payload_bytes = 0;
+    std::uint64_t puts_scheduled = 0;
+    std::uint64_t puts_landed = 0;
+  };
+  std::vector<Conservation> conservation_;
   /// Payload bytes whose delivery the transport abandoned because an
   /// endpoint failed; conservation becomes sent == delivered + abandoned.
   std::uint64_t abandoned_payload_bytes_ = 0;
-  std::uint64_t puts_scheduled_ = 0;
-  std::uint64_t puts_landed_ = 0;
   /// Per-rank message-flow counters; assigned unconditionally (cheap) so
   /// flows stay identical whether or not a tracer is installed mid-run.
   /// Striped per injecting rank (flow = count * nranks + rank + 1) instead

@@ -199,6 +199,7 @@ Machine::Machine(sim::Simulator& simulator, net::Network network,
       dead_letter_bytes_(net_.nranks(), 0),
       failed_(net_.nranks(), 0),
       state_probes_(net_.nranks()),
+      conservation_(net_.nranks()),
       next_flow_(net_.nranks(), 0) {
   if (net_.nranks() != sim_.nranks()) {
     throw std::invalid_argument("Machine: simulator/network rank mismatch");
@@ -398,13 +399,13 @@ void Machine::isend(Rank src, Rank dst, int tag,
   if (transport_ == nullptr) {
     record_wire(src, dst, wire_bytes, sim_.rank_now(src));
   }
-  // Global byte/in-flight gauges are shared across ranks: the increment
-  // runs at the merge point (same global order as the sequential engine,
-  // so the recorded peaks are identical), as does the decrement in
+  // The in-flight gauge's peak depends on the global event order, so the
+  // increment runs at the merge point (same global order as the sequential
+  // engine, so the recorded peaks are identical), as does the decrement in
   // schedule_delivery.
   const std::size_t payload_bytes = data.size();
+  conservation_[src].sent_payload_bytes += payload_bytes;
   sim_.defer([this, src, payload_bytes] {
-    sent_payload_bytes_ += payload_bytes;
     inflight_sends_[src] += 1;
     peak_inflight_sends_[src] =
         std::max(peak_inflight_sends_[src], inflight_sends_[src]);
@@ -485,9 +486,7 @@ void Machine::deliver(Message msg) {
   const prof::ScopedTimer pt(prof::Section::kP2P);
   auto& box = *mailboxes_[msg.dst];
   const Rank dst = msg.dst;
-  sim_.defer([this, nbytes = msg.data.size()] {
-    delivered_payload_bytes_ += nbytes;
-  });
+  conservation_[dst].delivered_payload_bytes += msg.data.size();
   if (sim_.rank_done(dst)) {
     // The recipient already returned: nothing can consume this message.
     // Track it so the finalize audit can tell unavoidable late traffic
@@ -661,7 +660,7 @@ void Machine::put(int win, Rank origin, Rank target, std::size_t offset,
     floor = completion;
   }
   ws.last_completion[origin] = std::max(ws.last_completion[origin], completion);
-  sim_.defer([this] { puts_scheduled_ += 1; });
+  conservation_[origin].puts_scheduled += 1;
   // Refcounted staging copy (the payload's only copy and its one
   // allocation; the closure holds it by handle).
   sim_.schedule_for(
@@ -670,7 +669,7 @@ void Machine::put(int win, Rank origin, Rank target, std::size_t offset,
        payload = util::Buffer::copy_of(data)](Time at) {
         std::memcpy(ws.mem[target].data() + offset, payload.data(),
                     payload.size());
-        sim_.defer([this] { puts_landed_ += 1; });
+        conservation_[target].puts_landed += 1;
         if (tracer_ != nullptr && flow != 0) {
           with_trace([=](Tracer& t) { t.flow_end(flow, target, at); });
         }
@@ -1200,10 +1199,18 @@ std::vector<std::string> Machine::audit() const {
   // Conservation: every payload byte posted by an isend was handed to a
   // mailbox or a parked receiver (or provably abandoned to a failed rank),
   // and no send is still in flight.
-  if (sent_payload_bytes_ != delivered_payload_bytes_ + abandoned_payload_bytes_) {
+  Conservation total;
+  for (const Conservation& c : conservation_) {
+    total.sent_payload_bytes += c.sent_payload_bytes;
+    total.delivered_payload_bytes += c.delivered_payload_bytes;
+    total.puts_scheduled += c.puts_scheduled;
+    total.puts_landed += c.puts_landed;
+  }
+  if (total.sent_payload_bytes !=
+      total.delivered_payload_bytes + abandoned_payload_bytes_) {
     std::ostringstream os;
-    os << "p2p byte conservation: " << sent_payload_bytes_
-       << " payload bytes sent but " << delivered_payload_bytes_
+    os << "p2p byte conservation: " << total.sent_payload_bytes
+       << " payload bytes sent but " << total.delivered_payload_bytes
        << " delivered + " << abandoned_payload_bytes_ << " abandoned";
     violate(os.str());
   }
@@ -1213,18 +1220,18 @@ std::vector<std::string> Machine::audit() const {
        << " unacknowledged segment(s) or non-empty reorder buffers";
     violate(os.str());
   }
-  if (puts_scheduled_ != puts_landed_) {
+  if (total.puts_scheduled != total.puts_landed) {
     std::ostringstream os;
-    os << "RMA put conservation: " << puts_scheduled_
-       << " puts scheduled but " << puts_landed_ << " landed";
+    os << "RMA put conservation: " << total.puts_scheduled
+       << " puts scheduled but " << total.puts_landed << " landed";
     violate(os.str());
   }
   std::uint64_t counted = 0;
   for (const auto& c : counters_) counted += c.bytes_sent;
-  if (counted != sent_payload_bytes_) {
+  if (counted != total.sent_payload_bytes) {
     std::ostringstream os;
     os << "counter consistency: per-rank bytes_sent sums to " << counted
-       << " but the machine posted " << sent_payload_bytes_;
+       << " but the machine posted " << total.sent_payload_bytes;
     violate(os.str());
   }
 

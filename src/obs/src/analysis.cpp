@@ -198,6 +198,14 @@ TraceStats analyze(json::Reader& in, int top_k) {
       err(std::move(what));
       return;
     }
+    // A rank or -1, melsim's tid for run-wide instants (checkpoints).
+    if (e.tid < -1 || e.tid >= kMaxRanks) {
+      std::string what = "tid " + std::to_string(e.tid) + " outside [-1, " +
+                         std::to_string(kMaxRanks) + ")" + where();
+      if (p == 'i' && category == "wire") bad_wires.emplace_back(e.index, what);
+      err(std::move(what));
+      return;
+    }
     const Time t = e.ts;
     const int rank = static_cast<int>(e.tid);
     out.max_rank = std::max(out.max_rank, rank);

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string_view>
 #include <tuple>
+#include <utility>
 
 #include "mel/mpi/message.hpp"
 #include "mel/net/params_io.hpp"
@@ -254,6 +255,7 @@ void add_event(const TraceEvent& ev, EventSink& sink) {
     return;  // metadata records ("M") and friends
   }
   if (!ev.is_number(Field::kTs) || ev.not_int64 != 0) return;
+  if (!std::in_range<Rank>(ev.tid)) return;
   const Time at = ev.ts;
   const Rank rank = ev.is_number(Field::kTid) ? static_cast<Rank>(ev.tid) : -1;
   const char ph = ev.ph.size() == 1 ? ev.ph[0] : '\0';
@@ -264,6 +266,8 @@ void add_event(const TraceEvent& ev, EventSink& sink) {
     if (ph == 's') {
       Channel ch;
       if (!ev.is_string(Field::kName) || !parse_channel(ev.name, ch)) return;
+      // A dst or tag no int holds would wrap into another flow's values.
+      if (!std::in_range<Rank>(ev.dst) || !std::in_range<int>(ev.tag)) return;
       const Rank dst =
           ev.is_number(Field::kDst) ? static_cast<Rank>(ev.dst) : -1;
       const int tag = ev.is_number(Field::kTag) ? static_cast<int>(ev.tag) : 0;

@@ -30,10 +30,15 @@
 // uses. Sequence numbers are assigned during that merge in global call
 // order, so trace_hash(), events_executed() and every rank-visible
 // timestamp are bit-identical to the sequential engine at any thread
-// count. Periodic hooks, the horizon watchdog and deadlock detection all
+// count. The merge pushes a cross-shard event straight into its
+// destination shard's queue under that final sequence, so the event is
+// stored once: in the log until the merge, then in the queue. A log that
+// a burst grew far past what steady windows use is handed back after its
+// merge. Periodic hooks, the horizon watchdog and deadlock detection all
 // fire at window barriers, which the window bounds align with the exact
 // sequential boundaries. The engine is chosen before anything is
-// spawned or scheduled (set_threads, require_sequential).
+// spawned or scheduled (set_threads, require_sequential); the shard
+// queues exist from set_threads on.
 #pragma once
 
 #include <coroutine>
@@ -289,30 +294,20 @@ class Simulator {
   struct Shard;   // per-shard queue + window execution / action records
   struct Engine;  // worker threads, window control block, merge state
 
-  /// An event for `rank` under its final sequence number, scheduled
-  /// outside the window phase (before the run, or at merge) or pushed
-  /// across shards, waiting for its shard's queue.
-  struct Staged {
-    Rank rank;
-    Time t;
-    std::uint64_t seq;
-    EventFn fn;
-  };
-
   int shard_of(Rank rank) const;
   void sharded_schedule(Rank rank, Time t, EventFn fn);
-  /// Push every staged event into its shard's queue (run start, and after
-  /// each merge).
-  void distribute_staged();
+  /// Queue an event for `rank` on its shard under the next final sequence
+  /// (before the run, or at merge, when the call is globally ordered).
+  void push_final(Rank rank, Time t, EventFn fn);
   /// Slow path of defer(): append to the executing window's action log.
   void defer_window(EventFn fn);
   void run_sequential();
   void run_sharded();
   void run_window(Shard& shard);
   void merge_window();
-  /// Merge the finished window (unless `first`), distribute cross-shard
-  /// pushes, fire due hooks, and publish the next window's bound into the
-  /// control block — or mark the run done / failed.
+  /// Merge the finished window (unless `first`), fire due hooks, and
+  /// publish the next window's bound into the control block — or mark the
+  /// run done / failed.
   void prepare_window(bool first);
   void throw_if_stuck();
 
@@ -339,7 +334,10 @@ class Simulator {
   bool sharded_ = false;  // threads_ > 1 over > 1 rank, not downgraded
   Time lookahead_ = 0;
   std::uint64_t global_seq_ = 0;  // sharded mode's sequence counter
-  std::vector<Staged> staged_;
+  /// The shards, set by set_threads when sharded; ranks are split into
+  /// blocks of ranks_per_shard_.
+  std::vector<std::unique_ptr<Shard>> shards_;
+  int ranks_per_shard_ = 1;
   std::unique_ptr<Engine> engine_;        // live during run_sharded only
   std::exception_ptr pending_throw_;      // watchdog / rank error to rethrow
 };

@@ -22,6 +22,20 @@ std::size_t checked_nranks(int nranks) {
 /// queued before the window, exactly where the sequential engine's counter
 /// would have placed them. They are resolved to final sequences at merge.
 constexpr std::uint64_t kProvBase = 1ULL << 63;
+
+/// A shard's action log keeps its storage from window to window, unless a
+/// window grew it past this many entries (112 B each, so 7 MiB): then the
+/// log is handed back after that window's merge. On NSR matching of a
+/// 512-rank RGG (|V|=120,000) at 4 threads, the first window runs every
+/// rank from its spawn to its first wait and logs 580,624 entries, up to
+/// 146,808 on one shard (two per isend: the in-flight gauge update and the
+/// delivery). Kept, those logs would hold 117 MB for the rest of the run.
+/// The 10,048 windows after it log at most 16,086 entries on one shard,
+/// and half of them fewer than 100 over all four, so steady windows reuse
+/// their storage. Bursts past the bound are rare (6 of the 23,074 windows
+/// of NSR on a 512-rank sbp graph), and regrowing a log after one costs a
+/// few allocations.
+constexpr std::size_t kMaxKeptActions = std::size_t{1} << 16;
 }  // namespace
 
 // -- Sharded engine data structures ------------------------------------------
@@ -37,8 +51,8 @@ struct Simulator::Shard {
   ///       already enqueued under a provisional sequence; merge assigns
   ///       the final sequence so the trace hash sees the real one.
   ///   kPush — a push for another shard (or beyond this window); the
-  ///       closure waits here, gets its final sequence at merge, and is
-  ///       distributed into the destination queue before the next window.
+  ///       closure waits here until the merge moves it into the
+  ///       destination shard's queue under its final sequence.
   ///   kDefer — a globally-ordered callback (shared MPI-machine state,
   ///       trace emission), run single-threaded at merge.
   struct Action {
@@ -75,9 +89,6 @@ struct Simulator::Shard {
 /// strictly between the window barriers; workers read it strictly after
 /// the start barrier — the barriers are the synchronization.
 struct Simulator::Engine {
-  std::vector<std::unique_ptr<Shard>> shards;
-  int nshards = 1;
-  int ranks_per_shard = 1;
   Time w_end = 0;
   bool done = false;
 
@@ -209,6 +220,16 @@ void Simulator::set_threads(int threads) {
   }
   threads_ = threads;
   sharded_ = threads_ > 1 && nranks() > 1;
+  shards_.clear();
+  if (!sharded_) return;
+  const int nshards = std::min(threads_, nranks());
+  ranks_per_shard_ = (nranks() + nshards - 1) / nshards;
+  for (int i = 0; i < nshards; ++i) {
+    auto s = std::make_unique<Shard>();
+    s->id = i;
+    s->sim = this;
+    shards_.push_back(std::move(s));
+  }
 }
 
 void Simulator::limit_lookahead(Time d) {
@@ -230,14 +251,11 @@ bool Simulator::in_window_phase() const {
   return ctx != nullptr && ctx->sim == this;
 }
 
-int Simulator::shard_of(Rank rank) const {
-  return rank / engine_->ranks_per_shard;
-}
+int Simulator::shard_of(Rank rank) const { return rank / ranks_per_shard_; }
 
 std::size_t Simulator::pending_events() const {
-  if (engine_ == nullptr) return queue_.size();
-  std::size_t n = 0;
-  for (const auto& s : engine_->shards) n += s->queue.size();
+  std::size_t n = queue_.size();
+  for (const auto& s : shards_) n += s->queue.size();
   return n;
 }
 
@@ -268,8 +286,8 @@ void Simulator::sharded_schedule(Rank rank, Time t, EventFn fn) {
     return;
   }
   // Before the run, or from a deferred action replayed at merge: the call
-  // is globally ordered already, so the sequence is final. The event
-  // reaches its shard's queue before the next window, so one placed inside
+  // is globally ordered already, so the sequence is final. After a window
+  // every queue holds only events at or past its end, so one placed inside
   // the window just merged would run after later-timed events.
   if (engine_ != nullptr && t < engine_->w_end) {
     std::ostringstream os;
@@ -278,15 +296,11 @@ void Simulator::sharded_schedule(Rank rank, Time t, EventFn fn) {
        << "ns of the window it was scheduled from";
     throw std::logic_error(os.str());
   }
-  staged_.push_back(Staged{rank, t, global_seq_++, std::move(fn)});
+  push_final(rank, t, std::move(fn));
 }
 
-void Simulator::distribute_staged() {
-  for (auto& st : staged_) {
-    engine_->shards[shard_of(st.rank)]->queue.push_keyed(st.t, st.seq,
-                                                         std::move(st.fn));
-  }
-  staged_.clear();
+void Simulator::push_final(Rank rank, Time t, EventFn fn) {
+  shards_[shard_of(rank)]->queue.push_keyed(t, global_seq_++, std::move(fn));
 }
 
 void Simulator::defer_window(EventFn fn) {
@@ -358,13 +372,14 @@ void Simulator::run_window(Shard& s) {
 }
 
 void Simulator::merge_window() {
-  auto& e = *engine_;
   // K-way merge of the shard execution streams by (time, final sequence).
   // A provisional key's final sequence is always resolvable when its event
   // reaches the head: the push that created it is an earlier entry of the
-  // same shard's stream, so its kLocalProv action has already run.
-  auto& head = e.head;
-  head.assign(e.shards.size(), 0);
+  // same shard's stream, so its kLocalProv action has already run. The
+  // workers wait at the start barrier, so the merge may push into any
+  // shard's queue.
+  auto& head = engine_->head;
+  head.assign(shards_.size(), 0);
   auto resolved = [](const Shard& s, const Shard::Exec& ex) {
     return ex.key >= kProvBase
                ? s.prov_final[static_cast<std::size_t>(ex.key - kProvBase)]
@@ -374,8 +389,8 @@ void Simulator::merge_window() {
     int best = -1;
     Time bt = 0;
     std::uint64_t bs = 0;
-    for (std::size_t i = 0; i < e.shards.size(); ++i) {
-      const Shard& s = *e.shards[i];
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      const Shard& s = *shards_[i];
       if (head[i] == s.execs.size()) continue;
       const Shard::Exec& ex = s.execs[head[i]];
       const std::uint64_t fs = resolved(s, ex);
@@ -386,7 +401,7 @@ void Simulator::merge_window() {
       }
     }
     if (best < 0) break;
-    Shard& s = *e.shards[best];
+    Shard& s = *shards_[best];
     const Shard::Exec& ex = s.execs[head[best]++];
     now_ = std::max(now_, ex.t);
     trace_hash_ = util::hash_combine(
@@ -413,8 +428,7 @@ void Simulator::merge_window() {
                << "ns exceeds the shortest cross-shard delay";
             throw std::logic_error(os.str());
           }
-          staged_.push_back(
-              Staged{act.rank, act.t, global_seq_++, std::move(act.fn)});
+          push_final(act.rank, act.t, std::move(act.fn));
           break;
         case Shard::Action::Kind::kDefer:
           act.fn(ex.t);
@@ -422,18 +436,21 @@ void Simulator::merge_window() {
       }
     }
   }
-  for (auto& sp : e.shards) {
+  for (auto& sp : shards_) {
     sp->execs.clear();
-    sp->actions.clear();
     sp->prov_next = 0;
+    if (sp->actions.capacity() > kMaxKeptActions) {
+      std::vector<Shard::Action>().swap(sp->actions);
+    } else {
+      sp->actions.clear();
+    }
   }
-  distribute_staged();
 }
 
 void Simulator::prepare_window(bool first) {
   auto& e = *engine_;
   if (!first) {
-    for (const auto& s : e.shards) {
+    for (const auto& s : shards_) {
       if (s->failure) {
         // Skip the merge: the window is torn anyway and the exception
         // preempts every observable result.
@@ -446,7 +463,7 @@ void Simulator::prepare_window(bool first) {
   }
   Time w = 0;
   bool have = false;
-  for (const auto& s : e.shards) {
+  for (const auto& s : shards_) {
     if (s->queue.empty()) continue;
     const Time t = s->queue.peek().t;
     if (!have || t < w) w = t;
@@ -479,7 +496,7 @@ void Simulator::prepare_window(bool first) {
   }
   if (horizon_ > 0 && horizon_ + 1 < w_end) w_end = horizon_ + 1;
   e.w_end = w_end;
-  for (auto& s : e.shards) s->w_end = w_end;
+  for (auto& s : shards_) s->w_end = w_end;
 }
 
 void Simulator::run_sharded() {
@@ -491,18 +508,9 @@ void Simulator::run_sharded() {
   }
   engine_ = std::make_unique<Engine>();
   auto& e = *engine_;
-  e.nshards = std::min<int>(threads_, nranks());
-  e.ranks_per_shard = (nranks() + e.nshards - 1) / e.nshards;
-  for (int i = 0; i < e.nshards; ++i) {
-    auto s = std::make_unique<Shard>();
-    s->id = i;
-    s->sim = this;
-    e.shards.push_back(std::move(s));
-  }
-  distribute_staged();
-
-  std::barrier start_bar(e.nshards);
-  std::barrier end_bar(e.nshards);
+  const int nshards = static_cast<int>(shards_.size());
+  std::barrier start_bar(nshards);
+  std::barrier end_bar(nshards);
   // A throw out of window preparation (a merged deferred action can throw,
   // e.g. a collective misuse error) must not escape while workers wait at
   // the start barrier — park it and let the loop wind down first.
@@ -512,13 +520,13 @@ void Simulator::run_sharded() {
     pending_throw_ = std::current_exception();
     e.done = true;
   }
-  e.workers.reserve(static_cast<std::size_t>(e.nshards) - 1);
-  for (int i = 1; i < e.nshards; ++i) {
+  e.workers.reserve(static_cast<std::size_t>(nshards) - 1);
+  for (int i = 1; i < nshards; ++i) {
     e.workers.emplace_back([this, i, &start_bar, &end_bar] {
       for (;;) {
         start_bar.arrive_and_wait();
         if (engine_->done) return;
-        run_window(*engine_->shards[i]);
+        run_window(*shards_[i]);
         end_bar.arrive_and_wait();
       }
     });
@@ -526,7 +534,7 @@ void Simulator::run_sharded() {
   for (;;) {
     start_bar.arrive_and_wait();
     if (e.done) break;
-    run_window(*e.shards[0]);
+    run_window(*shards_[0]);
     end_bar.arrive_and_wait();
     try {
       prepare_window(false);

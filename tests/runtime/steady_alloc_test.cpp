@@ -4,17 +4,21 @@
 // message, its payload, and a few allocations per neighborhood call
 // whatever the degree. Verified with a counting global operator new: two
 // runs of a workload differing only in round count must differ by exactly
-// those, up to a small budget.
+// those, up to a small budget. The same allocator tracks the bytes live
+// through it, so a burst of cross-shard traffic can be shown not to stay
+// resident for the rest of a sharded run.
 //
 // This test lives in its own binary because it replaces the global
-// allocation functions. The counter is atomic because the sharded
+// allocation functions. The counters are atomic because the sharded
 // engine's worker threads allocate too.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "../mpi/world_fixture.hpp"
 #include "mel/match/exchange.hpp"
@@ -23,29 +27,56 @@
 
 namespace {
 std::atomic<std::uint64_t> g_news{0};
-}  // namespace
+/// Bytes held through the replaced operator new (by malloc_usable_size),
+/// and their high-water mark since a caller last reset it.
+std::atomic<std::int64_t> g_live{0};
+std::atomic<std::int64_t> g_peak{0};
 
-void* operator new(std::size_t n) {
+void* counted_malloc(std::size_t n) noexcept {
   ++g_news;
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
+  void* p = std::malloc(n);
+  if (p == nullptr) return nullptr;
+  const auto bytes = static_cast<std::int64_t>(malloc_usable_size(p));
+  const std::int64_t live = g_live.fetch_add(bytes) + bytes;
+  std::int64_t peak = g_peak.load();
+  while (live > peak && !g_peak.compare_exchange_weak(peak, live)) {
+  }
+  return p;
 }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  ++g_news;
-  return std::malloc(n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live -= static_cast<std::int64_t>(malloc_usable_size(p));
   std::free(p);
 }
-void* operator new[](std::size_t n) {
-  ++g_news;
-  if (void* p = std::malloc(n)) return p;
+}  // namespace
+
+// Out of line, so GCC never sees a free() on memory from operator new at
+// a call site (-Wmismatched-new-delete once these inline into callers).
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (void* p = counted_malloc(n)) return p;
   throw std::bad_alloc();
 }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new(std::size_t n,
+                                     const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { counted_free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  counted_free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  if (void* p = counted_malloc(n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { counted_free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  counted_free(p);
+}
 
 namespace {
 
@@ -82,22 +113,75 @@ sim::RankTask one_way_rank(mpi::Comm& c, int rounds) {
   co_return;
 }
 
+/// Messages each sender of burst_rank isends at t=0, before any wait.
+constexpr int kBurst = 8500;
+/// Messages each sender isends per round after the burst.
+constexpr int kPerRound = 50;
+/// Ranks of the burst_rank runs: two shards of four at two threads.
+constexpr int kBurstRanks = 8;
+
+/// The lower half of the ranks (shard 0 at two threads) each isend kBurst
+/// 8-byte messages to a partner in the upper half at t=0. On 8 ranks that
+/// is 34,000 isends in one window, which log 68,000 entries on shard 0:
+/// past the 65,536 the sharded engine keeps after a merge. Then each
+/// sender isends kPerRound messages of `bytes` per round for `rounds`
+/// rounds, a short sleep apart, and a last tag-2 message. With `hold` the
+/// partner takes the rounds' messages only after that last one, so they
+/// pile up in its mailbox; otherwise it takes them as they come.
+sim::RankTask burst_rank(mpi::Comm& c, int rounds, std::size_t bytes,
+                         bool hold) {
+  const int half = c.size() / 2;
+  if (c.rank() < half) {
+    const sim::Rank to = c.rank() + half;
+    const std::vector<std::byte> payload(bytes);
+    for (int i = 0; i < kBurst; ++i) c.isend_pod<std::int64_t>(to, 0, i);
+    for (int r = 0; r < rounds; ++r) {
+      co_await c.sleep(1000);
+      for (int i = 0; i < kPerRound; ++i) c.isend(to, 1, payload);
+    }
+    c.isend_pod<std::int64_t>(to, 2, 0);
+    co_return;
+  }
+  const sim::Rank from = c.rank() - half;
+  for (int i = 0; i < kBurst; ++i) (void)co_await c.recv(from, 0);
+  if (hold) (void)co_await c.recv(from, 2);
+  for (int i = 0; i < rounds * kPerRound; ++i) {
+    (void)co_await c.recv(from, 1);
+  }
+  if (!hold) (void)co_await c.recv(from, 2);
+}
+
 constexpr int kRanks = 64;
 
-/// Allocation count of one full simulation (setup + run) of `rank_fn`.
-template <class RankFn>
-std::uint64_t allocs_for(RankFn rank_fn, int rounds, int threads) {
-  const std::uint64_t before = g_news;
+/// What one full simulation (setup + run) allocates: the number of
+/// allocations, and the peak of live bytes above what was live before it.
+struct Footprint {
+  std::uint64_t allocs = 0;
+  std::int64_t peak_bytes = 0;
+};
+
+/// The footprint of a simulation that runs `body(comm)` on every rank.
+template <class Body>
+Footprint footprint(int ranks, int threads, Body body) {
+  const std::uint64_t news = g_news;
+  const std::int64_t live = g_live;
+  g_peak = live;
   {
-    sim::Simulator s(kRanks);
+    sim::Simulator s(ranks);
     s.set_threads(threads);
-    mpi::Machine m(s, net::Network(kRanks, net::Params{}));
-    for (sim::Rank r = 0; r < kRanks; ++r) {
-      s.spawn(r, rank_fn(m.comm(r), rounds));
-    }
+    mpi::Machine m(s, net::Network(ranks, net::Params{}));
+    for (sim::Rank r = 0; r < ranks; ++r) s.spawn(r, body(m.comm(r)));
     s.run();
   }
-  return g_news - before;
+  return {g_news - news, g_peak - live};
+}
+
+/// Allocation count of one full simulation of `rank_fn` on kRanks ranks.
+template <class RankFn>
+std::uint64_t allocs_for(RankFn rank_fn, int rounds, int threads) {
+  return footprint(kRanks, threads,
+                   [&](mpi::Comm& c) { return rank_fn(c, rounds); })
+      .allocs;
 }
 
 std::uint64_t allocs_for(int rounds, int threads = 1) {
@@ -153,6 +237,54 @@ TEST(SteadyAlloc, OneWayCrossShardTrafficDoesNotDriveAllocations) {
       << "one-way cross-shard traffic grew allocations faster than one "
          "payload per message - a closure or buffer on the cross-shard "
          "path allocates per message";
+}
+
+TEST(SteadyAlloc, ShardedBurstIsNotKeptForTheRun) {
+  // A t=0 burst, then a 40 MiB backlog of 4 KiB messages in the upper
+  // half's mailboxes, which is the run's peak. At two threads the merge
+  // moves each burst delivery into its queue once, and the burst's action
+  // log is handed back after it, so the backlog peaks as at one thread.
+  // Kept, the log (131,072 entries of 112 B) and one staged copy per
+  // burst message would add about 22 MB to that peak.
+  constexpr int kRounds = 50;
+  constexpr std::size_t kBytes = 4096;
+  constexpr std::int64_t kBacklogBytes =
+      std::int64_t{kBurstRanks / 2} * kRounds * kPerRound * kBytes;
+  const auto body = [](mpi::Comm& c) {
+    return burst_rank(c, kRounds, kBytes, true);
+  };
+  const std::int64_t one = footprint(kBurstRanks, 1, body).peak_bytes;
+  const std::int64_t two = footprint(kBurstRanks, 2, body).peak_bytes;
+  ASSERT_GE(one, kBacklogBytes) << "the backlog is not the run's peak";
+  // The shards' own storage (the other queue, small windows' logs and
+  // execution records, the workers) fits in 2 MiB.
+  EXPECT_LE(two, one + (std::int64_t{2} << 20))
+      << "at two threads the run peaked " << (two - one)
+      << " bytes above one thread: the burst's log or a second copy of its "
+         "deliveries stayed resident";
+}
+
+TEST(SteadyAlloc, ShardedBurstThenSteadyRoundsReuseTheLog) {
+  // After the same burst, the log of every window is far below the bound,
+  // so it keeps its storage: beyond one payload block per extra message,
+  // tripling the rounds stays within the sharded budget of one allocation
+  // per 64 extra messages. A log handed back and regrown every window
+  // would allocate several times per window.
+  constexpr int kThreads = 2;
+  const auto run = [](int rounds) {
+    return footprint(kBurstRanks, kThreads, [rounds](mpi::Comm& c) {
+             return burst_rank(c, rounds, 8, false);
+           })
+        .allocs;
+  };
+  (void)run(100);
+  const std::uint64_t base = run(100);
+  const std::uint64_t tripled = run(300);
+  constexpr std::uint64_t kExtraMessages =
+      std::uint64_t{kBurstRanks / 2} * (300 - 100) * kPerRound;
+  EXPECT_LE(tripled, base + kExtraMessages + kExtraMessages / 64)
+      << "after a burst, steady windows allocated more than one payload per "
+         "message - the action log is released and regrown per window";
 }
 
 // -- neighborhood collectives ------------------------------------------------

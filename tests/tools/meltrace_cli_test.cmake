@@ -17,6 +17,9 @@
 #     (exit 2) naming the event,
 #   * a header rank count outside [1, 2^31 - 1] fails validate and is
 #     read as absent, so summarize and matrix never see it wrapped,
+#   * a tid outside [-1, 2^31) fails validate naming the event, and
+#     summarize never sees it wrapped; replay skips an event whose tid no
+#     int holds and drops a flow whose dst or tag no int holds,
 #   * a negative byte count fails validate, and replay drops that flow
 #     instead of pricing 2^64 - 1 bytes,
 #   * a seed above 2^63 (`melsim --seed -1` records 2^64 - 1) replays
@@ -185,6 +188,52 @@ foreach(src -1 -5000000 3000000000)
      NOT err MATCHES "no comm matrix: ${violation}")
     message(FATAL_ERROR "matrix, wire src ${src}: exit ${code}: ${out}${err}")
   endif()
+endforeach()
+
+# A tid outside [-1, 2^31) is a violation naming the event (-1 is the tid
+# melsim gives run-wide instants), and summarize leaves the event out:
+# 4294967297 does not wrap to rank 1.
+foreach(tid -2 2147483648 4294967297)
+  set(trace ${workdir}/tid${tid}.json)
+  file(WRITE ${trace} "{\"traceEvents\":[{\"name\":\"compute\",\"cat\":\"op\","
+                      "\"ph\":\"X\",\"ts\":1.000,\"pid\":0,\"tid\":${tid},"
+                      "\"dur\":1.000}]}")
+  execute_process(COMMAND ${MELTRACE} validate ${trace}
+                  RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT code EQUAL 1 OR
+     NOT out MATCHES "tid ${tid} outside \\[-1, 2147483648\\) \\(event 0\\)")
+    message(FATAL_ERROR "validate, tid ${tid}: exit ${code}: ${out}${err}")
+  endif()
+  run_ok("summarize, tid ${tid}" "\"max_rank\":-1,.*\"spans_by_rank\":{}"
+         summarize ${trace} --json)
+endforeach()
+set(trace ${workdir}/tid-1.json)
+file(WRITE ${trace} "{\"traceEvents\":[{\"name\":\"checkpoint\",\"cat\":\"instant\","
+                    "\"ph\":\"i\",\"ts\":1.000,\"pid\":0,\"tid\":-1,"
+                    "\"s\":\"t\"}]}")
+run_ok("validate, tid -1" "OK" validate ${trace})
+
+# Replay keeps a flow on an 8-rank trace only when its tid, dst and tag
+# fit an int: none of them wraps into the run's range.
+file(READ ${nsr} text)
+string(FIND "${text}" "\"otherData\":" at)
+string(SUBSTRING "${text}" ${at} -1 header)
+foreach(case "0;1;0;1" "4294967296;1;0;0" "0;4294967297;0;0" "0;9;0;0"
+             "0;1;4294967296;0")
+  list(GET case 0 tid)
+  list(GET case 1 dst)
+  list(GET case 2 tag)
+  list(GET case 3 replayed)
+  set(trace ${workdir}/flow-${tid}-${dst}-${tag}.json)
+  file(WRITE ${trace} "{\"traceEvents\":[{\"name\":\"p2p\",\"cat\":\"flow\","
+                      "\"ph\":\"s\",\"ts\":1.000,\"pid\":0,\"tid\":${tid},"
+                      "\"id\":1,\"args\":{\"src\":0,\"dst\":${dst},"
+                      "\"tag\":${tag},\"bytes\":8}},"
+                      "{\"name\":\"p2p\",\"cat\":\"flow\",\"ph\":\"f\","
+                      "\"ts\":2.000,\"pid\":0,\"tid\":1,\"bp\":\"e\",\"id\":1}],"
+                      "${header}")
+  run_ok("replay, tid ${tid} dst ${dst} tag ${tag}"
+         "flows replayed: ${replayed}\n" replay ${trace})
 endforeach()
 
 # A header rank count outside [1, 2^31 - 1] is a violation and then reads
