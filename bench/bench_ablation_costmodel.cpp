@@ -8,7 +8,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const int ranks = static_cast<int>(cli.get_int("ranks", 64));
@@ -75,4 +75,6 @@ int main(int argc, char** argv) {
               "the model ordering and the matched weight both hold, so the "
               "paper's rankings survive MPI-legal timing noise.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

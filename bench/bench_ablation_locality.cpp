@@ -9,7 +9,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const int ranks = static_cast<int>(cli.get_int("ranks", 64));
@@ -43,4 +43,6 @@ int main(int argc, char** argv) {
               "neighborhood and with it the collective advantage; RCM "
               "recovers most of both.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

@@ -23,7 +23,7 @@ double run_with(const graph::Csr& g, const graph::Distribution& dist,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const int ranks = static_cast<int>(cli.get_int("ranks", 64));
@@ -70,4 +70,6 @@ int main(int argc, char** argv) {
               "removes the straggler rank that a 1D split of reordered or "
               "hub-heavy inputs creates.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

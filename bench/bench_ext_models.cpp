@@ -12,7 +12,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const int ranks = static_cast<int>(cli.get_int("ranks", 64));
@@ -75,4 +75,6 @@ int main(int argc, char** argv) {
       "NSR-HIER trades total time for inter-node volume (see\n"
       "bench_fig09_comm_volume for the byte split).\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

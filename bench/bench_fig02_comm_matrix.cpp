@@ -11,7 +11,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const int ranks = static_cast<int>(cli.get_int("ranks", 64));
@@ -58,4 +58,6 @@ int main(int argc, char** argv) {
                 obs::matrix_json(*bfs_run.matrix).c_str());
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

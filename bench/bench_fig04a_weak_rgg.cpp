@@ -7,7 +7,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const auto ranks_list = cli.get_int_list("ranks", "16,32,64,128");
@@ -39,4 +39,6 @@ int main(int argc, char** argv) {
   bench::emit(cli, table);
   std::printf("\npaper shape: NCL/RMA 2-3.5x over NSR, process dmax <= 2.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

@@ -4,7 +4,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const auto ranks_list = cli.get_int_list("ranks", "16,32,64,128");
@@ -33,4 +33,6 @@ int main(int argc, char** argv) {
   bench::emit(cli, table);
   std::printf("\npaper shape: RMA/NCL 1.2-3x over NSR across the sweep.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

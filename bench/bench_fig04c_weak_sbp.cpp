@@ -8,7 +8,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const auto ranks_list = cli.get_int_list("ranks", "64,128,256,512");
@@ -45,4 +45,6 @@ int main(int argc, char** argv) {
   std::printf("\npaper shape: dmax = davg = p-1; the NSR/NCL ratio decays "
               "toward (and past) 1 as p grows.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

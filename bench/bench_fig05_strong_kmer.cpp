@@ -7,7 +7,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const auto ranks_list = cli.get_int_list("ranks", "16,32,64");
@@ -55,4 +55,6 @@ int main(int argc, char** argv) {
   std::printf("paper shape: RMA ahead of both NSR and NCL (25-35%%, up to "
               "2-3x over NSR).\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

@@ -8,7 +8,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
 
@@ -57,4 +57,6 @@ int main(int argc, char** argv) {
   std::printf("\npaper shape: 2-5x at moderate p; the advantage shrinks as p "
               "grows and davg approaches p-1.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

@@ -8,7 +8,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const int cells = static_cast<int>(cli.get_int("cells", 36));
@@ -44,4 +44,6 @@ int main(int argc, char** argv) {
   }
   std::printf("paper shape: RCM concentrates nonzeros near the diagonal.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

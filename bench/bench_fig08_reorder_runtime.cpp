@@ -8,7 +8,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const auto ranks_list = cli.get_int_list("ranks", "64,128");
@@ -56,4 +56,6 @@ int main(int argc, char** argv) {
   std::printf("paper shape: NCL 2-5x over NSR after RCM; NSR 1.2-2x over "
               "MBP; NCL/RMA 2.5-7x over MBP.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

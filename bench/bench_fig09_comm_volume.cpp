@@ -30,7 +30,7 @@ std::pair<std::uint64_t, std::uint64_t> node_split(const mpi::CommMatrix& m) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const int ranks = static_cast<int>(cli.get_int("ranks", 64));
@@ -92,4 +92,6 @@ int main(int argc, char** argv) {
       "RMA-PART trades RMA's per-round count collective for ordered\n"
       "partition publishes inside the data stream.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

@@ -8,7 +8,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", -3));
   const auto ranks_list = cli.get_int_list("ranks", "16,32,64");
@@ -39,4 +39,6 @@ int main(int argc, char** argv) {
               "NSR reaches 1.0 only at large tau, competitive on ~10%% of "
               "instances at tau=1.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

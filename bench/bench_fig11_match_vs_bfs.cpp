@@ -9,7 +9,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const int ranks = static_cast<int>(cli.get_int("ranks", 64));
@@ -41,4 +41,6 @@ int main(int argc, char** argv) {
                   static_cast<double>(bfs_run.matrix->total_bytes()),
               static_cast<long long>(bfs_run.levels));
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

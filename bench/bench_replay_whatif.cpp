@@ -215,7 +215,7 @@ int run_crossover(const util::Cli& cli) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const std::string mode = cli.get("mode", "speedup");
   if (mode == "crossover") return run_crossover(cli);
@@ -225,4 +225,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   return run_speedup(cli);
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

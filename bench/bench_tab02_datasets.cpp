@@ -6,7 +6,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", -2));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
@@ -24,4 +24,6 @@ int main(int argc, char** argv) {
   }
   bench::emit(cli, table);
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

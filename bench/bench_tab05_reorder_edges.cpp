@@ -9,7 +9,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
 
@@ -47,4 +47,6 @@ int main(int argc, char** argv) {
   std::printf("\npaper shape: RCM lowers sigma|E'| (30-40%% in the paper) at "
               "a small cost in total |E'|.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

@@ -9,7 +9,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
 
@@ -49,4 +49,6 @@ int main(int argc, char** argv) {
               "yields far fewer, denser neighborhoods than the scrambled "
               "placement.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

@@ -4,7 +4,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", -2));
   const auto ranks_list = cli.get_int_list("ranks", "32,64");
@@ -37,4 +37,6 @@ int main(int argc, char** argv) {
               "neighborhoods (RGG, DNA, CFD), RMA on k-mer and several "
               "R-MAT/social inputs.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

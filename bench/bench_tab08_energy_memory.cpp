@@ -7,7 +7,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const int ranks = static_cast<int>(cli.get_int("ranks", 128));
@@ -57,4 +57,6 @@ int main(int argc, char** argv) {
               "social input; RMA/NCL spend a larger share in MPI (global "
               "exit reduction); NCL has the best EDP overall.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

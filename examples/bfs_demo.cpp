@@ -10,7 +10,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const int scale = static_cast<int>(cli.get_int("scale", 12));
   const int ranks = static_cast<int>(cli.get_int("ranks", 32));
@@ -47,4 +47,6 @@ int main(int argc, char** argv) {
     if (!ok) return 1;
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

@@ -10,7 +10,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const auto nverts = cli.get_int("verts", 20000);
   const auto nedges = cli.get_int("edges", 120000);
@@ -39,4 +39,6 @@ int main(int argc, char** argv) {
     if (!proper || !identical) return 1;
   }
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

@@ -15,7 +15,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const std::string id = cli.get("dataset", "Orkut-like");
   const int scale = static_cast<int>(cli.get_int("scale", -2));
@@ -59,4 +59,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\nspeedup is relative to the nonblocking Send-Recv baseline (NSR).\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

@@ -11,7 +11,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const auto nverts = cli.get_int("verts", 4000);
   const auto nedges = cli.get_int("edges", 24000);
@@ -44,4 +44,6 @@ int main(int argc, char** argv) {
               valid ? "yes" : "no", maximal ? "yes" : "no",
               identical ? "yes" : "no");
   return (valid && maximal && identical) ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

@@ -14,7 +14,7 @@
 
 using namespace mel;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const auto nverts = cli.get_int("verts", 40000);
   const int ranks = static_cast<int>(cli.get_int("ranks", 64));
@@ -51,4 +51,6 @@ int main(int argc, char** argv) {
   std::printf("\nspy plot of the RCM-recovered matrix:\n%s",
               graph::render_spy(recovered, 40).c_str());
   return 0;
+} catch (const std::invalid_argument& e) {
+  return util::usage_error(argv[0], e);
 }

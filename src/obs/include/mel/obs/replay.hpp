@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mel/net/network.hpp"
@@ -72,7 +73,6 @@ struct ReplayTrace {
   net::Params net{};  // the parameter set the run was priced under
 
   Time run_time_ns = 0;  // recorded total virtual time
-  std::uint64_t trace_hash = 0;
   std::uint64_t run_events = 0;
 
   std::vector<ReplayFlow> flows;  // ascending id
@@ -165,11 +165,34 @@ class Replayer {
   }
   /// Per-flow begin anchor index (every flow has one).
   const std::vector<std::int32_t>& begin_anchor() const { return b_idx_; }
-  /// Send-side staging-copy bytes charged immediately after anchor `i`
-  /// (the last begin of a neighbor call), re-priced in the chain gap that
-  /// *follows* it; 0 for every other anchor. Kept beside the anchors:
-  /// few have such a copy, and a field would add 8 bytes to every Anchor.
-  std::uint64_t send_copy_bytes(std::int32_t i) const;
+
+  // -- The LogGP terms on the DAG's edges, each defined once: replay()
+  // re-prices them, critical_path splits the recorded ones into classes.
+  /// The chain gap ending at an anchor: the anchor's own overhead (o_send,
+  /// o_put or collective entry at a begin, o_recv at a two-sided end), and
+  /// the staging copy charged after its chain predecessor.
+  struct ChainTerms {
+    Time overhead = 0;
+    Time copy = 0;
+  };
+  /// The wire edge into an anchor outside a neighbor group: the flow's
+  /// wire time and its two-sided receive overhead.
+  struct HopTerms {
+    Time wire = 0;
+    Time recv = 0;
+  };
+  /// A neighbor completion group: every consumed slice's wire time,
+  /// summed, and the staging copy of their payload.
+  struct GroupTerms {
+    Time wire = 0;
+    Time copy = 0;
+  };
+  /// Under the recorded parameters, of anchor `i` or group `g`.
+  ChainTerms chain_terms(std::size_t i) const;
+  HopTerms hop_terms(std::size_t i) const;
+  GroupTerms group_terms(std::size_t g) const;
+  /// The network the recorded run was priced by.
+  const net::Network& network() const { return recorded_.net; }
 
  private:
   /// A flow's model terms under one parameter set: the wire time of its
@@ -179,17 +202,40 @@ class Replayer {
     Time send = 0;
     Time recv = 0;
   };
-  /// Every flow's terms, priced once through `net`, indexed as
-  /// trace().flows.
-  std::vector<FlowTerms> flow_terms(const net::Network& net) const;
+  /// One parameter set's network, and every flow's terms under it priced
+  /// once, indexed as trace().flows.
+  struct Prices {
+    net::Network net;
+    std::vector<FlowTerms> flows;
+  };
+  Prices prices(const net::Params& params) const;
 
-  /// One evaluation pass under `params`, whose flow terms are `terms`: the
-  /// replayed time per anchor into `out` (same order as anchors_); returns
-  /// the replayed total.
-  Time evaluate(const net::Params& params, const std::vector<FlowTerms>& terms,
-                std::vector<Time>& out) const;
+  /// Send-side staging-copy bytes charged right after anchor `i` (the
+  /// last begin of a neighbor call); 0 for every other anchor. Kept beside
+  /// the anchors: few have such a copy, and a field would add 8 bytes to
+  /// every Anchor.
+  std::uint64_t send_copy_bytes(std::int32_t i) const;
+
+  /// An anchor's chain gap and its wire edge outside a neighbor group.
+  struct EdgeTerms {
+    ChainTerms chain;
+    HopTerms hop;
+  };
+  // The terms under the recorded parameters and under `now`, those a
+  // pass re-prices to, read in one walk of the anchor's cases. Inline:
+  // evaluate() calls it for every anchor.
+  inline std::pair<EdgeTerms, EdgeTerms> edge_terms(std::size_t i,
+                                                    const Prices& now) const;
+  std::pair<GroupTerms, GroupTerms> group_terms(std::size_t g,
+                                                const Prices& now) const;
+
+  /// One evaluation pass under `now`: the replayed time per anchor into
+  /// `out` (same order as anchors_); returns the replayed total.
+  Time evaluate(const Prices& now, std::vector<Time>& out) const;
 
   ReplayTrace trace_;
+  bool persistent_;  // persistent neighborhood collectives (NCL-PERSIST)
+  Prices recorded_;  // under the recorded parameters
   std::vector<Anchor> anchors_;  // topologically sorted (recorded time)
   std::vector<std::vector<std::uint32_t>> groups_;
   /// (anchor, bytes) for every anchor with copy_after, ascending anchor.
@@ -199,7 +245,6 @@ class Replayer {
   std::vector<std::int32_t> b_idx_;
   std::vector<std::int32_t> d_idx_;
   std::vector<std::int32_t> e_idx_;
-  std::vector<FlowTerms> terms_old_;  // under the recorded parameters
 };
 
 }  // namespace mel::obs

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "mel/obs/emit.hpp"
 #include "mel/obs/key_index.hpp"
@@ -13,78 +14,40 @@ namespace mel::obs {
 
 using sim::Time;
 
-std::string matrix_json(const mpi::CommMatrix& m) {
-  std::string out = "{\"nranks\":" + std::to_string(m.nranks()) +
-                    ",\"total_msgs\":" + std::to_string(m.total_msgs()) +
-                    ",\"total_bytes\":" + std::to_string(m.total_bytes()) +
-                    ",\"msgs\":[";
-  for (int s = 0; s < m.nranks(); ++s) {
-    if (s > 0) out += ",";
-    out += "[";
-    for (int d = 0; d < m.nranks(); ++d) {
-      if (d > 0) out += ",";
-      out += std::to_string(m.msgs(s, d));
-    }
-    out += "]";
-  }
-  out += "],\"bytes\":[";
-  for (int s = 0; s < m.nranks(); ++s) {
-    if (s > 0) out += ",";
-    out += "[";
-    for (int d = 0; d < m.nranks(); ++d) {
-      if (d > 0) out += ",";
-      out += std::to_string(m.bytes(s, d));
-    }
-    out += "]";
-  }
-  out += "]}";
-  return out;
-}
-
-void write_matrix_json(Emitter& out, const TraceStats& s) {
-  if (!s.wire_error.empty()) {
-    throw std::runtime_error("no comm matrix: " + s.wire_error);
-  }
-  // 64-bit: a cell at rank 2^31 - 1 makes the dimension 2^31.
-  std::int64_t n = std::max(s.nranks, 1);
-  std::uint64_t msgs = 0;
-  std::uint64_t bytes = 0;
-  for (const auto& [pair, cell] : s.wire_matrix) {
-    const std::int64_t top = std::max(pair.first, pair.second);
-    n = std::max(n, top + 1);
-    msgs += cell.msgs;
-    bytes += cell.bytes;
-  }
-  // Row by row from the sorted cells: a zero wherever no cell is.
-  const auto rows = [&](std::uint64_t TraceStats::Cell::*field) {
-    auto it = s.wire_matrix.begin();
-    for (std::int64_t src = 0; src < n; ++src) {
-      out << (src > 0 ? ",[" : "[");
-      for (std::int64_t dst = 0; dst < n; ++dst) {
-        if (dst > 0) out << ',';
-        if (it != s.wire_matrix.end() && it->first.first == src &&
-            it->first.second == dst) {
-          out << it->second.*field;
-          ++it;
-        } else {
-          out << '0';
-        }
-      }
-      out << ']';
-    }
-  };
-  out << "{\"nranks\":" << n << ",\"total_msgs\":" << msgs
-      << ",\"total_bytes\":" << bytes << ",\"msgs\":[";
-  rows(&TraceStats::Cell::msgs);
-  out << "],\"bytes\":[";
-  rows(&TraceStats::Cell::bytes);
-  out << "]}";
-}
-
 namespace {
 
-/// Ranks a wire event may name without a metadata rank count.
-constexpr std::int64_t kMaxRanks = std::int64_t{1} << 31;
+/// Virtual ns as milliseconds, three decimals.
+std::string ms(Time ns) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.3f", static_cast<double>(ns) / 1e6);
+  return buf;
+}
+
+/// A JSON object key: names escaped, ranks as they print.
+std::string json_key(const std::string& name) { return json_escape(name); }
+std::string json_key(int rank) { return std::to_string(rank); }
+
+/// "a -> b (+d)", or "(-d)" when b is smaller.
+std::string delta(std::uint64_t a, std::uint64_t b) {
+  std::ostringstream os;
+  os << a << " -> " << b;
+  if (b >= a) {
+    os << " (+" << (b - a) << ")";
+  } else {
+    os << " (-" << (a - b) << ")";
+  }
+  return os.str();
+}
+
+/// Messages and bytes over every wire cell.
+TraceStats::Cell wire_totals(const TraceStats& s) {
+  TraceStats::Cell sum;
+  for (const auto& [pair, cell] : s.wire_matrix) {
+    sum.msgs += cell.msgs;
+    sum.bytes += cell.bytes;
+  }
+  return sum;
+}
 
 /// Rows of T keyed through a KeyIndex: row i belongs to key i.
 template <class Key, class T>
@@ -141,7 +104,7 @@ TraceStats analyze(json::Reader& in, int top_k) {
   Table<std::string, std::uint64_t> instants;
   Table<std::string, std::uint64_t> counters;
   Table<std::pair<std::uint64_t, std::uint64_t>, WireCell> wires;
-  std::vector<std::pair<std::uint64_t, Time>> flow_refs;  // instants -> flows
+  std::vector<std::uint64_t> flow_refs;  // flow ids instants name
   // Wire events kept out of the matrix: (event index, violation).
   std::vector<std::pair<std::size_t, std::string>> bad_wires;
   bool first_ts = true;
@@ -163,65 +126,40 @@ TraceStats analyze(json::Reader& in, int top_k) {
   std::vector<Ranked> top;
   std::uint64_t spans_seen = 0;
 
-  static constexpr std::string_view kKnown = "XistfCM";
   const auto on_event = [&](const TraceEvent& e) {
-    auto where = [&e] { return " (event " + std::to_string(e.index) + ")"; };
-    if (!e.is_object) {
-      err("traceEvents entry is not an object" + where());
-      return;
-    }
-    if (!e.is_string(Field::kName) || !e.is_string(Field::kPh) ||
-        e.ph.size() != 1) {
-      err("event without a string name/ph" + where());
-      return;
-    }
-    const std::string_view name = e.name;
-    const char p = e.ph[0];
-    if (kKnown.find(p) == std::string_view::npos) {
-      err("unknown phase '" + std::string(e.ph) + "'" + where());
-      return;
-    }
-    out.events += 1;
-    if (p == 'M') return;  // metadata: no timestamp requirements
-
-    if (!e.is_number(Field::kTs) || !e.is_number(Field::kPid) ||
-        !e.is_number(Field::kTid)) {
-      err("event missing numeric ts/pid/tid" + where());
-      return;
-    }
+    std::string what;
+    const Refusal r = gate(e, &what);
     const std::string_view category =
         e.is_string(Field::kCat) ? e.cat : std::string_view();
-    if (e.not_int64 != 0) {
-      std::string what = std::string(e.first_not_int64()) +
-                         " outside the int64 range" + where();
-      if (p == 'i' && category == "wire") bad_wires.emplace_back(e.index, what);
+    if (r != Refusal::kNone) {
+      const bool wire_kept_out = r == Refusal::kNotInt64 ||
+                                 r == Refusal::kTidOutside ||
+                                 r == Refusal::kNegativeWireBytes;
+      if (wire_kept_out && e.ph == "i" && category == "wire") {
+        bad_wires.emplace_back(e.index, what);
+      }
       err(std::move(what));
-      return;
     }
-    // A rank or -1, melsim's tid for run-wide instants (checkpoints).
-    if (e.tid < -1 || e.tid >= kMaxRanks) {
-      std::string what = "tid " + std::to_string(e.tid) + " outside [-1, " +
-                         std::to_string(kMaxRanks) + ")" + where();
-      if (p == 'i' && category == "wire") bad_wires.emplace_back(e.index, what);
-      err(std::move(what));
-      return;
-    }
+    if (r < Refusal::kNoTsPidTid) return;
+    out.events += 1;
+    if (r < Refusal::kNoDur || e.ph == "M") return;
+
+    const std::string_view name = e.name;
+    const char p = e.ph[0];
     const Time t = e.ts;
     const int rank = static_cast<int>(e.tid);
     out.max_rank = std::max(out.max_rank, rank);
     if (first_ts || t < out.ts_min_ns) out.ts_min_ns = t;
     if (first_ts || t > out.ts_max_ns) out.ts_max_ns = t;
     first_ts = false;
+    // A flow begin refused for its args still starts its flow, without
+    // bytes; any other refused event ends here.
+    const bool begins_flow =
+        r == Refusal::kNegativeFlowBytes || r == Refusal::kWideDstTag;
+    if (r != Refusal::kNone && !begins_flow) return;
 
     if (p == 'X' || (p == 'i' && category == "op")) {
-      Time dur = 0;
-      if (p == 'X') {
-        if (!e.is_number(Field::kDur) || e.dur_negative) {
-          err("X event without a non-negative dur" + where());
-          return;
-        }
-        dur = e.dur;
-      }
+      const Time dur = p == 'X' ? e.dur : 0;
       const std::uint32_t name_id = names.find_or_add(name);
       if (name_id >= by_category.size()) by_category.resize(name_id + 1);
       for (auto* roll : {&by_category[name_id],
@@ -242,22 +180,13 @@ TraceStats analyze(json::Reader& in, int top_k) {
     }
 
     if (p == 's' || p == 't' || p == 'f') {
-      if (!e.is_number(Field::kId)) {
-        err("flow event without an id" + where());
-        return;
-      }
       FlowAgg& agg = flows[static_cast<std::uint64_t>(e.id)];
       if (p == 's') {
         agg.s_count += 1;
         agg.s_ts = t;
         agg.cls = names.find_or_add(name);
-        if (e.is_number(Field::kBytes)) {
-          if (e.bytes < 0) {
-            err("flow " + std::to_string(e.id) + " with negative args.bytes" +
-                where());
-          } else {
-            agg.bytes = static_cast<std::uint64_t>(e.bytes);
-          }
+        if (!begins_flow && e.is_number(Field::kBytes)) {
+          agg.bytes = static_cast<std::uint64_t>(e.bytes);
         }
       } else if (p == 'f') {
         agg.f_count += 1;
@@ -267,27 +196,12 @@ TraceStats analyze(json::Reader& in, int top_k) {
     }
 
     if (p == 'C') {
-      if (!e.args_is_object || !e.args_first_is_number) {
-        err("C event without a numeric args value" + where());
-        return;
-      }
       counters[name] += 1;
       return;
     }
 
     // Instants (non-"op"): faults, crashes, checkpoints, wire transfers.
     if (category == "wire") {
-      if (!e.is_number(Field::kSrc) || !e.is_number(Field::kDst) ||
-          !e.is_number(Field::kBytes)) {
-        err("wire event without numeric args src/dst/bytes" + where());
-        return;
-      }
-      if (e.bytes < 0) {
-        std::string what = "wire event with negative args.bytes" + where();
-        bad_wires.emplace_back(e.index, what);
-        err(std::move(what));
-        return;
-      }
       WireCell& cell = wires[std::make_pair(static_cast<std::uint64_t>(e.src),
                                             static_cast<std::uint64_t>(e.dst))];
       if (cell.msgs == 0) cell.first_event = e.index;
@@ -297,7 +211,7 @@ TraceStats analyze(json::Reader& in, int top_k) {
     }
     instants[name] += 1;
     if (e.is_number(Field::kFlow)) {
-      flow_refs.emplace_back(static_cast<std::uint64_t>(e.flow), t);
+      flow_refs.push_back(static_cast<std::uint64_t>(e.flow));
     }
   };
 
@@ -309,19 +223,13 @@ TraceStats analyze(json::Reader& in, int top_k) {
   }
   if (!doc.is_object) return only_error("root is not a JSON object");
   if (!doc.has_events) return only_error("missing or non-array traceEvents");
-  if (doc.other_data) {
-    // A count outside [1, 2^31 - 1] is reported and then read as absent.
-    const json::Value* ranks = doc.other_data->find("ranks");
-    std::int64_t n = 0;
-    if (ranks != nullptr && ranks->is_number()) {
-      if (ranks->to_int64(n) && n >= 1 && n < kMaxRanks) {
-        out.nranks = static_cast<int>(n);
-      } else {
-        err("otherData.ranks outside [1, " + std::to_string(kMaxRanks - 1) +
-            "]");
-      }
-    }
+  // A count outside its range is reported and then read as absent.
+  const TraceHeader header =
+      read_header(doc.other_data ? &*doc.other_data : nullptr);
+  if (header.ranks.got == TraceHeader::Got::kOutside) {
+    err(std::string(kRanksOutside));
   }
+  out.nranks = static_cast<int>(header.ranks.value);
 
   // Wire cells: a rank outside the run's range keeps the cell out of the
   // matrix, reported at the pair's first event.
@@ -397,10 +305,10 @@ TraceStats analyze(json::Reader& in, int top_k) {
     err(std::to_string(out.dangling_flows) +
         " dangling flow id(s): started but never finished");
   }
-  for (const auto& [id, t] : flow_refs) {
+  for (const std::uint64_t id : flow_refs) {
+    // Flow id 0 never starts a flow: the gate refuses it.
     const std::uint32_t i = flows.keys.find(id);
-    if (id == 0 || i == KeyIndex<std::uint64_t>::kNone ||
-        flows.rows[i].s_count == 0) {
+    if (i == KeyIndex<std::uint64_t>::kNone || flows.rows[i].s_count == 0) {
       err("instant references unknown flow id " + std::to_string(id));
     }
   }
@@ -544,6 +452,59 @@ std::ifstream open_or_throw(const std::string& path) {
 
 }  // namespace
 
+std::string matrix_json(const mpi::CommMatrix& m) {
+  TraceStats s;
+  s.nranks = m.nranks();
+  for (int src = 0; src < m.nranks(); ++src) {
+    for (int dst = 0; dst < m.nranks(); ++dst) {
+      if (m.msgs(src, dst) > 0) {
+        s.wire_matrix[{src, dst}] = {m.msgs(src, dst), m.bytes(src, dst)};
+      }
+    }
+  }
+  std::string text;
+  Emitter out(text);
+  write_matrix_json(out, s);
+  out.flush();
+  return text;
+}
+
+void write_matrix_json(Emitter& out, const TraceStats& s) {
+  if (!s.wire_error.empty()) {
+    throw std::runtime_error("no comm matrix: " + s.wire_error);
+  }
+  // 64-bit: a cell at rank 2^31 - 1 makes the dimension 2^31.
+  std::int64_t n = std::max(s.nranks, 1);
+  for (const auto& [pair, cell] : s.wire_matrix) {
+    n = std::max<std::int64_t>(n, std::max(pair.first, pair.second) + 1);
+  }
+  const TraceStats::Cell total = wire_totals(s);
+  // Row by row from the sorted cells: a zero wherever no cell is.
+  const auto rows = [&](std::uint64_t TraceStats::Cell::*field) {
+    auto it = s.wire_matrix.begin();
+    for (std::int64_t src = 0; src < n; ++src) {
+      out << (src > 0 ? ",[" : "[");
+      for (std::int64_t dst = 0; dst < n; ++dst) {
+        if (dst > 0) out << ',';
+        if (it != s.wire_matrix.end() && it->first.first == src &&
+            it->first.second == dst) {
+          out << it->second.*field;
+          ++it;
+        } else {
+          out << '0';
+        }
+      }
+      out << ']';
+    }
+  };
+  out << "{\"nranks\":" << n << ",\"total_msgs\":" << total.msgs
+      << ",\"total_bytes\":" << total.bytes << ",\"msgs\":[";
+  rows(&TraceStats::Cell::msgs);
+  out << "],\"bytes\":[";
+  rows(&TraceStats::Cell::bytes);
+  out << "]}";
+}
+
 TraceStats analyze_trace_text(const std::string& text, int top_k) {
   json::Reader in(text);
   return analyze(in, top_k);
@@ -564,14 +525,6 @@ std::vector<std::string> validate_metrics_file(const std::string& path) {
   std::ifstream in = open_or_throw(path);
   return validate_metrics(in);
 }
-
-namespace {
-std::string ms(Time ns) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.3f", static_cast<double>(ns) / 1e6);
-  return buf;
-}
-}  // namespace
 
 std::string summarize(const TraceStats& s) {
   std::ostringstream os;
@@ -614,13 +567,10 @@ std::string summarize(const TraceStats& s) {
     }
   }
   if (!s.wire_matrix.empty()) {
-    std::uint64_t msgs = 0, bytes = 0;
-    for (const auto& [pair, cell] : s.wire_matrix) {
-      msgs += cell.msgs;
-      bytes += cell.bytes;
-    }
+    const TraceStats::Cell total = wire_totals(s);
     os << "comm matrix (from wire events): " << s.wire_matrix.size()
-       << " pair(s), " << msgs << " msg(s), " << bytes << " byte(s)\n";
+       << " pair(s), " << total.msgs << " msg(s), " << total.bytes
+       << " byte(s)\n";
   }
   if (!s.instants_by_name.empty()) {
     os << "instants:\n";
@@ -639,6 +589,20 @@ std::string summarize(const TraceStats& s) {
 
 std::string summarize_json(const TraceStats& s) {
   std::ostringstream os;
+  // The members of one map, each key's value written by `value`.
+  const auto members = [&os](const auto& map, const auto& value) {
+    const char* sep = "";
+    for (const auto& [key, v] : map) {
+      os << sep << "\"" << json_key(key) << "\":";
+      value(v);
+      sep = ",";
+    }
+  };
+  const auto span_roll = [&os](const TraceStats::CategoryRoll& roll) {
+    os << "{\"count\":" << roll.count << ",\"total_ns\":" << roll.total_ns
+       << ",\"max_ns\":" << roll.max_ns << "}";
+  };
+  const auto count = [&os](std::uint64_t n) { os << n; };
   os << "{\"schema\":\"mel.summary/1\"";
   os << ",\"events\":" << s.events;
   os << ",\"nranks\":" << s.nranks;
@@ -652,32 +616,15 @@ std::string summarize_json(const TraceStats& s) {
   }
   os << "],\"dangling_flows\":" << s.dangling_flows;
   os << ",\"spans_by_category\":{";
-  bool first = true;
-  for (const auto& [cat, roll] : s.spans_by_category) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << json_escape(cat) << "\":{\"count\":" << roll.count
-       << ",\"total_ns\":" << roll.total_ns << ",\"max_ns\":" << roll.max_ns
-       << "}";
-  }
+  members(s.spans_by_category, span_roll);
   os << "},\"spans_by_rank\":{";
-  first = true;
-  for (const auto& [rank, roll] : s.spans_by_rank) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << rank << "\":{\"count\":" << roll.count
-       << ",\"total_ns\":" << roll.total_ns << ",\"max_ns\":" << roll.max_ns
-       << "}";
-  }
+  members(s.spans_by_rank, span_roll);
   os << "},\"flows_by_class\":{";
-  first = true;
-  for (const auto& [cls, roll] : s.flows_by_class) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << json_escape(cls) << "\":{\"count\":" << roll.count
-       << ",\"ended\":" << roll.ended << ",\"bytes\":" << roll.bytes
+  members(s.flows_by_class, [&os](const TraceStats::FlowRoll& roll) {
+    os << "{\"count\":" << roll.count << ",\"ended\":" << roll.ended
+       << ",\"bytes\":" << roll.bytes
        << ",\"total_latency_ns\":" << roll.total_latency_ns << "}";
-  }
+  });
   os << "},\"top_spans\":[";
   for (std::size_t i = 0; i < s.top_spans.size(); ++i) {
     const auto& t = s.top_spans[i];
@@ -687,42 +634,15 @@ std::string summarize_json(const TraceStats& s) {
        << ",\"dur_ns\":" << t.dur_ns << "}";
   }
   os << "],\"instants\":{";
-  first = true;
-  for (const auto& [name, count] : s.instants_by_name) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << json_escape(name) << "\":" << count;
-  }
+  members(s.instants_by_name, count);
   os << "},\"counter_tracks\":{";
-  first = true;
-  for (const auto& [track, n] : s.counter_samples) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << json_escape(track) << "\":" << n;
-  }
-  std::uint64_t msgs = 0, bytes = 0;
-  for (const auto& [pair, cell] : s.wire_matrix) {
-    msgs += cell.msgs;
-    bytes += cell.bytes;
-  }
+  members(s.counter_samples, count);
+  const TraceStats::Cell total = wire_totals(s);
   os << "},\"wire\":{\"pairs\":" << s.wire_matrix.size()
-     << ",\"msgs\":" << msgs << ",\"bytes\":" << bytes << "}";
+     << ",\"msgs\":" << total.msgs << ",\"bytes\":" << total.bytes << "}";
   os << "}";
   return os.str();
 }
-
-namespace {
-std::string delta(std::uint64_t a, std::uint64_t b) {
-  std::ostringstream os;
-  os << a << " -> " << b;
-  if (b >= a) {
-    os << " (+" << (b - a) << ")";
-  } else {
-    os << " (-" << (a - b) << ")";
-  }
-  return os.str();
-}
-}  // namespace
 
 std::string diff(const TraceStats& a, const TraceStats& b,
                  const std::string& label_a, const std::string& label_b) {
@@ -758,19 +678,12 @@ std::string diff(const TraceStats& a, const TraceStats& b,
     }
   }
 
-  std::uint64_t amsgs = 0, abytes = 0, bmsgs = 0, bbytes = 0;
-  for (const auto& [pair, cell] : a.wire_matrix) {
-    amsgs += cell.msgs;
-    abytes += cell.bytes;
-  }
-  for (const auto& [pair, cell] : b.wire_matrix) {
-    bmsgs += cell.msgs;
-    bbytes += cell.bytes;
-  }
+  const TraceStats::Cell wa = wire_totals(a);
+  const TraceStats::Cell wb = wire_totals(b);
   os << "wire matrix: pairs " << delta(a.wire_matrix.size(),
                                        b.wire_matrix.size())
-     << ", msgs " << delta(amsgs, bmsgs) << ", bytes "
-     << delta(abytes, bbytes) << "\n";
+     << ", msgs " << delta(wa.msgs, wb.msgs) << ", bytes "
+     << delta(wa.bytes, wb.bytes) << "\n";
   os << "dangling flows: " << delta(a.dangling_flows, b.dangling_flows)
      << "\n";
   os << "validation: " << a.errors.size() << " vs " << b.errors.size()

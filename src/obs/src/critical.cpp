@@ -3,57 +3,88 @@
 #include <algorithm>
 #include <sstream>
 
-#include "mel/mpi/message.hpp"
-
 namespace mel::obs {
 
 namespace {
 
 using Kind = Replayer::Anchor::Kind;
 
-/// Per-rank span windows for overlap queries. Spans of one rank are
-/// sequential (the machine records one op at a time per rank), so each
-/// per-class list is sorted and non-overlapping.
-struct SpanIndex {
-  std::vector<std::vector<std::pair<Time, Time>>> compute;
-  std::vector<std::vector<std::pair<Time, Time>>> barrier;
-
-  explicit SpanIndex(const ReplayTrace& t)
-      : compute(static_cast<std::size_t>(t.nranks)),
-        barrier(static_cast<std::size_t>(t.nranks)) {
-    for (const ReplayTrace::Span& s : t.spans) {
-      if (s.rank < 0 || s.rank >= t.nranks || s.end <= s.start) continue;
-      auto& dst = s.cls == ReplayTrace::SpanClass::kCompute
-                      ? compute[static_cast<std::size_t>(s.rank)]
-                      : barrier[static_cast<std::size_t>(s.rank)];
-      dst.emplace_back(s.start, s.end);
+/// Time in [s, e) that rank `r`'s spans of class `cls` cover, read from
+/// the loader's (rank, start, end) order. A rank's spans of one class do
+/// not overlap (the machine records one op at a time per rank), so only
+/// the last of them to start before `s` can reach past it.
+Time overlap(const ReplayTrace& t, Rank r, ReplayTrace::SpanClass cls, Time s,
+             Time e) {
+  if (e <= s) return 0;
+  using Span = ReplayTrace::Span;
+  const auto first = std::partition_point(
+      t.spans.begin(), t.spans.end(),
+      [r](const Span& sp) { return sp.rank < r; });
+  const auto last = std::partition_point(
+      first, t.spans.end(), [r](const Span& sp) { return sp.rank == r; });
+  const auto in_class = [cls](const Span& sp) {
+    return sp.cls == cls && sp.end > sp.start;
+  };
+  auto it = std::partition_point(first, last,
+                                 [s](const Span& sp) { return sp.start < s; });
+  for (auto back = it; back != first;) {
+    if (in_class(*--back)) {
+      it = back;  // the span straddling `s`, if any
+      break;
     }
   }
-
-  static Time overlap(const std::vector<std::pair<Time, Time>>& v, Time s,
-                      Time e) {
-    if (e <= s || v.empty()) return 0;
-    auto it = std::lower_bound(
-        v.begin(), v.end(), s,
-        [](const std::pair<Time, Time>& sp, Time at) { return sp.first < at; });
-    if (it != v.begin()) --it;  // the span straddling `s`, if any
-    Time sum = 0;
-    for (; it != v.end() && it->first < e; ++it) {
-      const Time lo = std::max(it->first, s);
-      const Time hi = std::min(it->second, e);
-      if (hi > lo) sum += hi - lo;
-    }
-    return sum;
+  Time sum = 0;
+  for (; it != last && it->start < e; ++it) {
+    if (!in_class(*it)) continue;
+    const Time lo = std::max(it->start, s);
+    const Time hi = std::min(it->end, e);
+    if (hi > lo) sum += hi - lo;
   }
+  return sum;
+}
+
+/// One path segment being split into cost classes: take() books up to
+/// `want` of what is left of its duration into class `cls`.
+struct Split {
+  CriticalPath::Segment seg;
+  Time rem;
+
+  Split(Rank rank, Time start, Time end, std::string what)
+      : seg{.rank = rank, .start = start, .end = end, .what = std::move(what)},
+        rem(end - start) {}
+  Split& take(Time want, int cls) {
+    const Time got = std::min(want, rem);
+    if (got > 0) {
+      seg.parts[static_cast<std::size_t>(cls)] += got;
+      rem -= got;
+    }
+    return *this;
+  }
+  /// Book whatever is left into `cls`.
+  void rest(int cls) { take(rem, cls); }
 };
 
-/// Consume up to `want` from `rem` into part `cls`.
-void take(CriticalPath::Segment& seg, Time& rem, Time want, int cls) {
-  const Time got = std::min(want, rem);
-  if (got > 0) {
-    seg.parts[static_cast<std::size_t>(cls)] += got;
-    rem -= got;
+/// "12.3%" from integers, deterministically (one decimal, half-up).
+std::string pct(Time part, Time total) {
+  if (total <= 0) return "0.0%";
+  const long long permille =
+      (static_cast<long long>(part) * 1000 + total / 2) / total;
+  return std::to_string(permille / 10) + "." + std::to_string(permille % 10) +
+         "%";
+}
+
+std::vector<std::size_t> top_segments(const CriticalPath& cp, int top_k) {
+  std::vector<std::size_t> order(cp.segments.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&cp](std::size_t a, std::size_t b) {
+                     return cp.segments[a].duration() >
+                            cp.segments[b].duration();
+                   });
+  if (top_k >= 0 && order.size() > static_cast<std::size_t>(top_k)) {
+    order.resize(static_cast<std::size_t>(top_k));
   }
+  return order;
 }
 
 }  // namespace
@@ -86,141 +117,93 @@ int CriticalPath::Segment::dominant() const {
 }
 
 CriticalPath critical_path(const Replayer& rp) {
+  using SpanClass = ReplayTrace::SpanClass;
+  using C = CriticalPath;
   const ReplayTrace& tr = rp.trace();
   const auto& anchors = rp.anchors();
+  const auto at = [&anchors](std::int32_t i) -> const Replayer::Anchor& {
+    return anchors[static_cast<std::size_t>(i)];
+  };
   const auto& flows = tr.flows;
-  const net::Network net(tr.nranks, tr.net);
-  const SpanIndex spans(tr);
-  const bool persistent = tr.model == "NCL-PERSIST";
+  const net::Network& net = rp.network();
 
   CriticalPath cp;
   cp.total_ns = tr.run_time_ns;
 
-  const auto add = [&cp](CriticalPath::Segment&& seg) {
-    auto& rank_row = cp.by_rank[seg.rank];
-    for (int c = 0; c < CriticalPath::kClassCount; ++c) {
-      cp.by_class[static_cast<std::size_t>(c)] +=
-          seg.parts[static_cast<std::size_t>(c)];
-      rank_row[static_cast<std::size_t>(c)] +=
-          seg.parts[static_cast<std::size_t>(c)];
+  const auto add = [&cp](Split&& split) {
+    auto& rank_row = cp.by_rank[split.seg.rank];
+    for (std::size_t c = 0; c < C::kClassCount; ++c) {
+      cp.by_class[c] += split.seg.parts[c];
+      rank_row[c] += split.seg.parts[c];
     }
-    cp.segments.push_back(std::move(seg));
+    cp.segments.push_back(std::move(split.seg));
   };
-
-  /// Owned (modeled) software overhead carried by the chain gap ending at
-  /// anchor `i`, plus any staging copy charged right after its chain
-  /// predecessor.
-  const auto chain_models = [&](std::size_t i, Time& owned, int& owned_cls,
-                                Time& copy) {
-    const Replayer::Anchor& a = anchors[i];
-    const ReplayFlow& f = flows[a.flow];
-    owned = 0;
-    owned_cls = CriticalPath::kOSend;
-    copy = 0;
-    if (a.kind == Kind::kBegin) {
-      if (f.channel == Channel::kP2P || f.channel == Channel::kFt) {
-        owned = net.send_overhead(f.src, f.dst);
-      } else if (f.channel == Channel::kRma) {
-        owned = tr.net.o_put;
-      } else if (f.channel == Channel::kNeighbor && a.begin_head) {
-        owned = persistent ? tr.net.o_coll_persistent_start
-                           : net.collective_entry(a.begin_peers);
-      }
-    } else if (a.kind == Kind::kEnd &&
-               (f.channel == Channel::kP2P || f.channel == Channel::kFt)) {
-      owned = net.recv_overhead(f.src, f.dst);
-      owned_cls = CriticalPath::kORecv;
-    }
-    if (a.chain_prev >= 0) {
-      const auto& p = anchors[static_cast<std::size_t>(a.chain_prev)];
-      if (p.copy_after) copy = net.copy_time(rp.send_copy_bytes(a.chain_prev));
-    }
-  };
-
   const auto local_segment = [&](Rank rank, Time s, Time e, Time owned,
                                  int owned_cls, Time copy, std::string what) {
-    CriticalPath::Segment seg;
-    seg.rank = rank;
-    seg.start = s;
-    seg.end = e;
-    seg.what = std::move(what);
-    Time rem = e - s;
-    take(seg, rem, owned, owned_cls);
-    take(seg, rem, copy, CriticalPath::kCopy);
-    take(seg, rem,
-         SpanIndex::overlap(spans.compute[static_cast<std::size_t>(rank)], s, e),
-         CriticalPath::kCompute);
-    take(seg, rem,
-         SpanIndex::overlap(spans.barrier[static_cast<std::size_t>(rank)], s, e),
-         CriticalPath::kBarrierWait);
-    take(seg, rem, rem, CriticalPath::kOther);
-    add(std::move(seg));
+    Split split(rank, s, e, std::move(what));
+    split.take(owned, owned_cls)
+        .take(copy, C::kCopy)
+        .take(overlap(tr, rank, SpanClass::kCompute, s, e), C::kCompute)
+        .take(overlap(tr, rank, SpanClass::kBarrier, s, e), C::kBarrierWait)
+        .rest(C::kOther);
+    add(std::move(split));
+  };
+  // A wire hop into `a`: its alpha is latency and the rest of its wire
+  // time bandwidth, then the receive overhead; what the model leaves is
+  // ack-wait on a repaired flow.
+  const auto wire_segment = [&](const Replayer::Anchor& a, Time from,
+                                const std::string& peer,
+                                Replayer::HopTerms hop) {
+    const ReplayFlow& f = flows[a.flow];
+    const Time alpha = net.transfer_time(f.src, f.dst, 0);
+    Split split(a.rank, from, a.t,
+                "wire " + peer + " " + std::to_string(f.bytes) + " B");
+    split.take(alpha, C::kLatency)
+        .take(hop.wire - alpha, C::kBandwidth)
+        .take(hop.recv, C::kORecv)
+        .rest(f.repaired ? C::kAckWait : C::kOther);
+    add(std::move(split));
   };
 
   // Start at the rank whose activity reaches furthest into the run; the
   // remainder of the run (final barrier rounds, teardown) is its tail.
   std::int32_t cur = -1;
-  for (Rank r = 0; r < tr.nranks; ++r) {
-    const std::int32_t last =
-        rp.last_anchor_of_rank()[static_cast<std::size_t>(r)];
-    if (last < 0) continue;
-    if (cur < 0 || anchors[static_cast<std::size_t>(last)].t >
-                       anchors[static_cast<std::size_t>(cur)].t) {
-      cur = last;
-    }
+  for (const std::int32_t last : rp.last_anchor_of_rank()) {
+    if (last >= 0 && (cur < 0 || at(last).t > at(cur).t)) cur = last;
   }
   if (cur < 0) {
     // No flows at all (e.g. a one-rank run): the whole run is local.
     if (tr.nranks > 0 && tr.run_time_ns > 0) {
-      local_segment(0, 0, tr.run_time_ns, 0, CriticalPath::kOther, 0, "local");
+      local_segment(0, 0, tr.run_time_ns, 0, C::kOther, 0, "local");
     }
     return cp;
   }
-  if (tr.run_time_ns > anchors[static_cast<std::size_t>(cur)].t) {
-    local_segment(anchors[static_cast<std::size_t>(cur)].rank,
-                  anchors[static_cast<std::size_t>(cur)].t, tr.run_time_ns, 0,
-                  CriticalPath::kOther, 0, "tail");
+  if (tr.run_time_ns > at(cur).t) {
+    local_segment(at(cur).rank, at(cur).t, tr.run_time_ns, 0, C::kOther, 0,
+                  "tail");
   }
 
   while (cur >= 0) {
-    const Replayer::Anchor& a = anchors[static_cast<std::size_t>(cur)];
+    const auto i = static_cast<std::size_t>(cur);
+    const Replayer::Anchor& a = anchors[i];
     const ReplayFlow& f = flows[a.flow];
-    const char* ch = channel_name(f.channel);
-    const std::string peer =
-        std::string(ch) + " " + std::to_string(f.src) + "->" +
-        std::to_string(f.dst);
+    const std::string peer = std::string(channel_name(f.channel)) + " " +
+                             std::to_string(f.src) + "->" +
+                             std::to_string(f.dst);
 
     if (a.kind == Kind::kDeliver) {
       // A delivery is gated by the wire, or by the in-order floor when
       // the recorded arrival sits right on it with slack over the wire.
-      const Replayer::Anchor& b = anchors[static_cast<std::size_t>(a.wire_from)];
-      const Time raw = a.t - b.t;
-      const Time model = net.transfer_time(f.src, f.dst, f.bytes);
-      if (a.order_prev >= 0 &&
-          anchors[static_cast<std::size_t>(a.order_prev)].t + 1 == a.t &&
-          raw > model) {
-        CriticalPath::Segment seg;
-        seg.rank = a.rank;
-        seg.start = anchors[static_cast<std::size_t>(a.order_prev)].t;
-        seg.end = a.t;
-        seg.what = "in-order floor " + peer;
-        Time rem = seg.duration();
-        take(seg, rem, rem, CriticalPath::kOther);
-        add(std::move(seg));
+      const Replayer::HopTerms hop = rp.hop_terms(i);
+      const Time from = at(a.wire_from).t;
+      if (a.order_prev >= 0 && at(a.order_prev).t + 1 == a.t &&
+          a.t - from > hop.wire) {
+        Split floor(a.rank, at(a.order_prev).t, a.t, "in-order floor " + peer);
+        floor.rest(C::kOther);
+        add(std::move(floor));
         cur = a.order_prev;
       } else {
-        CriticalPath::Segment seg;
-        seg.rank = a.rank;
-        seg.start = b.t;
-        seg.end = a.t;
-        seg.what = "wire " + peer + " " + std::to_string(f.bytes) + " B";
-        Time rem = raw;
-        const Time alpha = net.transfer_time(f.src, f.dst, 0);
-        take(seg, rem, alpha, CriticalPath::kLatency);
-        take(seg, rem, model - alpha, CriticalPath::kBandwidth);
-        take(seg, rem, rem,
-             f.repaired ? CriticalPath::kAckWait : CriticalPath::kOther);
-        add(std::move(seg));
+        wire_segment(a, from, peer, hop);
         cur = a.wire_from;
       }
       continue;
@@ -236,136 +219,76 @@ CriticalPath critical_path(const Replayer& rp) {
     //   * parked receives and collective completions are remote when the
     //     chain gap holds idle time the rank's own recorded activity
     //     cannot explain.
-    Time owned = 0;
-    int owned_cls = CriticalPath::kOSend;
-    Time copy = 0;
-    chain_models(static_cast<std::size_t>(cur), owned, owned_cls, copy);
-    const Time chain_start =
-        a.chain_prev >= 0 ? anchors[static_cast<std::size_t>(a.chain_prev)].t
-                          : 0;
+    const Replayer::ChainTerms chain = rp.chain_terms(i);
+    const Time chain_start = a.chain_prev >= 0 ? at(a.chain_prev).t : 0;
     bool remote = false;
     if (a.kind == Kind::kEnd && a.wire_from >= 0) {
       if (f.channel == Channel::kRma) {
         remote = true;
       } else if (f.has_step && f.channel != Channel::kNeighbor) {
-        remote = a.t - anchors[static_cast<std::size_t>(a.wire_from)].t ==
-                 net.recv_overhead(f.src, f.dst);
+        remote = a.t - at(a.wire_from).t == rp.hop_terms(i).recv;
       } else {
-        const Time gap = a.t - chain_start;
-        const Time busy =
-            owned + copy +
-            SpanIndex::overlap(spans.compute[static_cast<std::size_t>(a.rank)],
-                               chain_start, a.t) +
-            SpanIndex::overlap(spans.barrier[static_cast<std::size_t>(a.rank)],
-                               chain_start, a.t);
-        remote = gap > busy;
+        const auto busy = [&](SpanClass cls) {
+          return overlap(tr, a.rank, cls, chain_start, a.t);
+        };
+        remote = a.t - chain_start > chain.overhead + chain.copy +
+                                         busy(SpanClass::kCompute) +
+                                         busy(SpanClass::kBarrier);
       }
     }
 
     if (!remote) {
-      const char* role = a.kind == Kind::kBegin ? "send-side " : "recv-side ";
-      local_segment(a.rank, chain_start, a.t, owned, owned_cls, copy,
-                    a.kind == Kind::kEnd && f.channel == Channel::kNeighbor
-                        ? "local before ncoll " + peer
-                        : role + peer);
+      const bool end = a.kind == Kind::kEnd;
+      const char* what = !end ? "send-side "
+                         : f.channel == Channel::kNeighbor
+                             ? "local before ncoll "
+                             : "recv-side ";
+      local_segment(a.rank, chain_start, a.t, chain.overhead,
+                    end ? C::kORecv : C::kOSend, chain.copy, what + peer);
       cur = a.chain_prev;
       continue;
     }
 
-    std::int32_t from = a.wire_from;
-    if (a.group >= 0) {
-      // The exchange starts once the slowest consumed slice was sent:
-      // walk toward the member with the latest begin.
-      for (const std::uint32_t fi :
-           rp.groups()[static_cast<std::size_t>(a.group)]) {
-        const std::int32_t bi = rp.begin_anchor()[fi];
-        if (anchors[static_cast<std::size_t>(bi)].t >
-            anchors[static_cast<std::size_t>(from)].t) {
-          from = bi;
-        }
-      }
-    }
-    const Replayer::Anchor& w = anchors[static_cast<std::size_t>(from)];
-    CriticalPath::Segment seg;
-    seg.rank = a.rank;
-    seg.start = w.t;
-    seg.end = a.t;
-    Time rem = a.t - w.t;
     if (a.group >= 0) {
       // Neighbor collective completion: the pairwise-exchange sum over
-      // every consumed slice plus the receive staging copy.
+      // every consumed slice plus the receive staging copy. The exchange
+      // starts once the slowest consumed slice was sent: walk toward the
+      // member with the latest begin.
+      const auto& members = rp.groups()[static_cast<std::size_t>(a.group)];
+      std::int32_t from = a.wire_from;
       Time alpha_sum = 0;
-      Time gsum = 0;
-      std::uint64_t payload = 0;
-      for (const std::uint32_t fi :
-           rp.groups()[static_cast<std::size_t>(a.group)]) {
-        const ReplayFlow& m = flows[fi];
-        const Time al = net.transfer_time(m.src, m.end_rank, 0);
-        alpha_sum += al;
-        gsum += net.transfer_time(m.src, m.end_rank, m.bytes) - al;
-        payload +=
-            m.bytes > mpi::kHeaderBytes ? m.bytes - mpi::kHeaderBytes : 0;
+      for (const std::uint32_t fi : members) {
+        const std::int32_t bi = rp.begin_anchor()[fi];
+        if (at(bi).t > at(from).t) from = bi;
+        alpha_sum += net.transfer_time(flows[fi].src, flows[fi].end_rank, 0);
       }
-      seg.what =
-          "ncoll exchange ->r" + std::to_string(a.rank) + " (k=" +
-          std::to_string(rp.groups()[static_cast<std::size_t>(a.group)].size()) +
-          ")";
-      take(seg, rem, alpha_sum, CriticalPath::kLatency);
-      take(seg, rem, gsum, CriticalPath::kBandwidth);
-      take(seg, rem, net.copy_time(payload), CriticalPath::kCopy);
-      take(seg, rem, rem, CriticalPath::kOther);
+      const Replayer::GroupTerms group =
+          rp.group_terms(static_cast<std::size_t>(a.group));
+      Split split(a.rank, at(from).t, a.t,
+                  "ncoll exchange ->r" + std::to_string(a.rank) +
+                      " (k=" + std::to_string(members.size()) + ")");
+      split.take(alpha_sum, C::kLatency)
+          .take(group.wire - alpha_sum, C::kBandwidth)
+          .take(group.copy, C::kCopy)
+          .rest(C::kOther);
+      add(std::move(split));
+      cur = from;
     } else if (f.has_step) {
       // Delivery -> receive completion.
-      seg.what = "deliver->recv " + peer;
-      take(seg, rem, net.recv_overhead(f.src, f.dst), CriticalPath::kORecv);
-      take(seg, rem, rem, CriticalPath::kOther);
+      Split split(a.rank, at(a.wire_from).t, a.t, "deliver->recv " + peer);
+      split.take(rp.hop_terms(i).recv, C::kORecv).rest(C::kOther);
+      add(std::move(split));
+      cur = a.wire_from;
     } else {
       // Parked-waiter receive (p2p/ft) or put landing (rma): wire plus,
       // for two-sided, the receive overhead — one hop from the begin.
-      seg.what = "wire " + peer + " " + std::to_string(f.bytes) + " B";
-      const Time alpha = net.transfer_time(f.src, f.dst, 0);
-      const Time model = net.transfer_time(f.src, f.dst, f.bytes);
-      take(seg, rem, alpha, CriticalPath::kLatency);
-      take(seg, rem, model - alpha, CriticalPath::kBandwidth);
-      if (f.channel != Channel::kRma) {
-        take(seg, rem, net.recv_overhead(f.src, f.dst), CriticalPath::kORecv);
-      }
-      take(seg, rem, rem,
-           f.repaired ? CriticalPath::kAckWait : CriticalPath::kOther);
+      wire_segment(a, at(a.wire_from).t, peer, rp.hop_terms(i));
+      cur = a.wire_from;
     }
-    add(std::move(seg));
-    cur = from;
   }
 
   return cp;
 }
-
-namespace {
-
-/// "12.3%" from integers, deterministically (one decimal, half-up).
-std::string pct(Time part, Time total) {
-  if (total <= 0) return "0.0%";
-  const long long permille =
-      (static_cast<long long>(part) * 1000 + total / 2) / total;
-  return std::to_string(permille / 10) + "." + std::to_string(permille % 10) +
-         "%";
-}
-
-std::vector<std::size_t> top_segments(const CriticalPath& cp, int top_k) {
-  std::vector<std::size_t> order(cp.segments.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&cp](std::size_t a, std::size_t b) {
-                     return cp.segments[a].duration() >
-                            cp.segments[b].duration();
-                   });
-  if (top_k >= 0 && order.size() > static_cast<std::size_t>(top_k)) {
-    order.resize(static_cast<std::size_t>(top_k));
-  }
-  return order;
-}
-
-}  // namespace
 
 std::string critical_text(const CriticalPath& cp, const ReplayTrace& trace,
                           int top_k) {
@@ -378,12 +301,10 @@ std::string critical_text(const CriticalPath& cp, const ReplayTrace& trace,
   for (int c = 0; c < CriticalPath::kClassCount; ++c) {
     const Time v = cp.by_class[static_cast<std::size_t>(c)];
     if (v == 0) continue;
-    os << "  " << CriticalPath::class_name(c);
-    for (std::size_t pad = std::string(CriticalPath::class_name(c)).size();
-         pad < 14; ++pad) {
-      os << ' ';
-    }
-    os << v << " ns  " << pct(v, cp.total_ns) << "\n";
+    const std::string name = CriticalPath::class_name(c);
+    const std::size_t pad = 14 - std::min<std::size_t>(14, name.size());
+    os << "  " << name << std::string(pad, ' ') << v << " ns  "
+       << pct(v, cp.total_ns) << "\n";
   }
   // Ranks carrying the most path time.
   std::vector<std::pair<Time, Rank>> ranks;

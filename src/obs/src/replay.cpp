@@ -31,16 +31,6 @@ bool parse_channel(std::string_view name, Channel& out) {
   return true;
 }
 
-/// The event categories the loader reads.
-enum class Category { kOther, kFlow, kOp, kInstant };
-
-Category category_of(std::string_view cat) {
-  if (cat == "flow") return Category::kFlow;
-  if (cat == "op") return Category::kOp;
-  if (cat == "instant") return Category::kInstant;
-  return Category::kOther;
-}
-
 bool is_p2p_like(Channel ch) {
   return ch == Channel::kP2P || ch == Channel::kFt;
 }
@@ -50,19 +40,17 @@ bool is_p2p_like(Channel ch) {
 /// regardless of the rank's local progress, so they get wire/order edges
 /// only.
 bool in_chain(Replayer::Anchor::Kind kind, Channel ch) {
-  if (kind == Replayer::Anchor::Kind::kDeliver) return false;
-  if (kind == Replayer::Anchor::Kind::kEnd && ch == Channel::kRma) {
-    return false;
-  }
-  return true;
+  using Kind = Replayer::Anchor::Kind;
+  return kind == Kind::kBegin || (kind == Kind::kEnd && ch != Channel::kRma);
+}
+
+/// The payload of a message of `bytes` wire bytes.
+std::uint64_t payload_bytes(std::uint64_t bytes) {
+  return bytes > mpi::kHeaderBytes ? bytes - mpi::kHeaderBytes : 0;
 }
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("replay: " + what);
-}
-
-std::uint64_t parse_hex_u64(const std::string& s) {
-  return std::stoull(s, nullptr, 16);
 }
 
 /// Span names that classify as barrier-family waits (same set the
@@ -86,17 +74,9 @@ struct EventSink {
   std::vector<ReplayTrace::Span> spans;
   std::vector<std::uint64_t> repaired_ids;
 
-  void flow_start(std::uint64_t id, Channel ch, Rank src, Time at, Rank dst,
-                  int tag, std::uint64_t bytes) {
-    if (ids.find_or_add(id) < flows.size()) return;  // first s wins
-    ReplayFlow& f = flows.emplace_back();
-    f.id = id;
-    f.channel = ch;
-    f.begin = at;
-    f.src = src;
-    f.dst = dst;
-    f.tag = tag;
-    f.bytes = bytes;
+  void flow_start(const ReplayFlow& f) {
+    if (ids.find_or_add(f.id) < flows.size()) return;  // first s wins
+    flows.push_back(f);
   }
   /// The flow a t or f event attaches to: begun earlier in the stream.
   ReplayFlow* begun(std::uint64_t id) {
@@ -124,9 +104,9 @@ struct EventSink {
               [](const ReplayFlow& a, const ReplayFlow& b) {
                 return a.id < b.id;
               });
-    // Drop structurally inconsistent flows (crash-recovery id reuse can
-    // pair a later begin with an earlier end) and flows no Network can
-    // price (a negative byte count reads as above the bound); pinned
+    // Drop structurally inconsistent flows and flows no Network can price.
+    // A crash run ends the flows it abandons at the crash instant, which
+    // can precede a begin the sender's clock had already run past; pinned
     // fidelity covers fault-free runs, where none of these fire.
     const auto inconsistent = [&t](const ReplayFlow& f) {
       return f.bytes > net::kMaxTransferBytes ||
@@ -149,9 +129,9 @@ struct EventSink {
 
   /// `spans` in (rank, start, end) order, exactly sized: a counting sort
   /// by rank, then a sort of each rank's run only where the trace did not
-  /// already list that rank's spans in time order. Ranks below 0 share a
-  /// run, and so do ranks from min(nranks, spans) on, so the runs are
-  /// never more than the spans.
+  /// already list that rank's spans in time order. Rank -1 has a run, and
+  /// ranks from min(nranks, spans) on share one, so the runs are never
+  /// more than the spans.
   static std::vector<ReplayTrace::Span> by_rank(
       const std::vector<ReplayTrace::Span>& spans, int nranks) {
     const auto runs = static_cast<Rank>(
@@ -180,46 +160,34 @@ struct EventSink {
   }
 };
 
-/// Validate and extract the otherData metadata header (pass nullptr when
-/// the trace has none to get the standard diagnostic).
-void parse_header(const json::Value* od, ReplayTrace& t) {
-  if (od == nullptr || !od->is_object()) {
+/// Take the otherData header into `t`, failing on anything replay cannot
+/// use.
+void take_header(const TraceHeader& h, ReplayTrace& t) {
+  using Got = TraceHeader::Got;
+  if (!h.is_object) {
     fail("trace has no otherData metadata header (re-record with melsim "
          "--trace; replay needs schema " +
          std::string(Recorder::kTraceSchema) + ")");
   }
-  const json::Value* schema = od->find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->string != Recorder::kTraceSchema) {
+  if (h.schema != Recorder::kTraceSchema) {
     fail("unsupported trace schema (want " +
          std::string(Recorder::kTraceSchema) +
          "; older traces lack the embedded net params and run result)");
   }
+  if (h.seed.got == Got::kOutside) fail("metadata header seed is not a uint64");
+  if (h.ranks.got == Got::kOutside) fail(std::string(kRanksOutside));
+  if (h.ranks.got == Got::kAbsent) {
+    fail("metadata header has no positive rank count");
+  }
+  t.algo = h.algo;
+  t.model = h.model;
+  t.nranks = static_cast<int>(h.ranks.value);
+  t.seed = h.seed.value;
+  t.config_digest = h.config_digest;
 
-  if (const json::Value* v = od->find("algo"); v && v->is_string()) {
-    t.algo = v->string;
-  }
-  if (const json::Value* v = od->find("model"); v && v->is_string()) {
-    t.model = v->string;
-  }
-  if (const json::Value* v = od->find("ranks"); v && v->is_number()) {
-    const std::int64_t n = v->as_int();
-    t.nranks = n <= std::numeric_limits<int>::max() ? static_cast<int>(n) : 0;
-  }
-  if (const json::Value* v = od->find("seed"); v && v->is_number()) {
-    if (!v->to_uint64(t.seed)) fail("metadata header seed is not a uint64");
-  }
-  if (const json::Value* v = od->find("config_digest"); v && v->is_string()) {
-    t.config_digest = v->string;
-  }
-  if (t.nranks <= 0) fail("metadata header has no positive rank count");
-
-  const json::Value* net = od->find("net");
-  if (net == nullptr || !net->is_object()) {
-    fail("metadata header has no embedded net params");
-  }
+  if (h.net == nullptr) fail("metadata header has no embedded net params");
   for (const net::ParamField& f : net::param_fields()) {
-    const json::Value* v = net->find(f.name);
+    const json::Value* v = h.net->find(f.name);
     if (v == nullptr) fail(std::string("net params missing field ") + f.name);
     if (!v->is_number()) {
       fail(std::string("net params field ") + f.name + " is not a number");
@@ -228,63 +196,46 @@ void parse_header(const json::Value* od, ReplayTrace& t) {
                    v->is_integer ? static_cast<double>(v->integer) : v->number);
   }
 
-  const json::Value* run = od->find("run");
-  if (run == nullptr || !run->is_object()) {
+  if (h.run == nullptr) {
     fail("metadata header has no run result (trace recorded without a "
          "completed run)");
   }
-  if (const json::Value* v = run->find("time_ns"); v && v->is_number()) {
-    if (!v->to_int64(t.run_time_ns)) fail("run result time_ns is not an int64");
-  } else {
-    fail("run result has no time_ns");
+  if (h.time_ns.got == Got::kAbsent) fail("run result has no time_ns");
+  if (h.time_ns.got == Got::kOutside) {
+    fail("run result time_ns is not an int64");
   }
-  if (const json::Value* v = run->find("trace_hash"); v && v->is_string()) {
-    t.trace_hash = parse_hex_u64(v->string);
-  }
-  if (const json::Value* v = run->find("events"); v && v->is_number()) {
-    if (!v->to_uint64(t.run_events)) fail("run result events is not a uint64");
-  }
+  t.run_time_ns = h.time_ns.value;
+  if (h.events.got == Got::kOutside) fail("run result events is not a uint64");
+  t.run_events = h.events.value;
 }
 
-/// One traceEvents element into the sink. Malformed or foreign events
-/// are skipped rather than rejected: validation is meltrace validate's job.
+/// One traceEvents element into the sink. An event the gate refuses is
+/// skipped, as are the ones replay has no use for.
 void add_event(const TraceEvent& ev, EventSink& sink) {
   using Field = TraceEvent::Field;
-  if (!ev.is_object || !ev.is_string(Field::kPh) ||
-      !ev.is_string(Field::kCat)) {
-    return;  // metadata records ("M") and friends
-  }
-  if (!ev.is_number(Field::kTs) || ev.not_int64 != 0) return;
-  if (!std::in_range<Rank>(ev.tid)) return;
+  if (gate(ev) != Refusal::kNone) return;
   const Time at = ev.ts;
-  const Rank rank = ev.is_number(Field::kTid) ? static_cast<Rank>(ev.tid) : -1;
-  const char ph = ev.ph.size() == 1 ? ev.ph[0] : '\0';
-  const Category cat = category_of(ev.cat);
-  if (cat == Category::kFlow) {
-    if (!ev.is_number(Field::kId) || ev.id <= 0) return;
+  const auto rank = static_cast<Rank>(ev.tid);
+  const char ph = ev.ph[0];
+  if (ev.cat == "flow") {
     const auto id = static_cast<std::uint64_t>(ev.id);
     if (ph == 's') {
-      Channel ch;
-      if (!ev.is_string(Field::kName) || !parse_channel(ev.name, ch)) return;
-      // A dst or tag no int holds would wrap into another flow's values.
-      if (!std::in_range<Rank>(ev.dst) || !std::in_range<int>(ev.tag)) return;
-      const Rank dst =
-          ev.is_number(Field::kDst) ? static_cast<Rank>(ev.dst) : -1;
-      const int tag = ev.is_number(Field::kTag) ? static_cast<int>(ev.tag) : 0;
-      const std::uint64_t bytes =
-          ev.is_number(Field::kBytes) ? static_cast<std::uint64_t>(ev.bytes)
-                                      : 0;
-      sink.flow_start(id, ch, rank, at, dst, tag, bytes);
+      // A tag or byte count the event lacks reads as 0.
+      ReplayFlow f{.id = id,
+                   .src = rank,
+                   .dst = ev.is_number(Field::kDst) ? static_cast<Rank>(ev.dst)
+                                                    : -1,
+                   .tag = static_cast<int>(ev.tag),
+                   .bytes = static_cast<std::uint64_t>(ev.bytes),
+                   .begin = at};
+      if (parse_channel(ev.name, f.channel)) sink.flow_start(f);
     } else if (ph == 't') {
       sink.flow_step(id, at);
     } else if (ph == 'f') {
       sink.flow_finish(id, rank, at);
     }
-  } else if (cat == Category::kOp) {
-    if (ph != 'X' || !ev.is_string(Field::kName) ||
-        !ev.is_number(Field::kDur)) {
-      return;
-    }
+  } else if (ev.cat == "op") {
+    if (ph != 'X') return;
     ReplayTrace::SpanClass cls;
     if (ev.name == "compute") {
       cls = ReplayTrace::SpanClass::kCompute;
@@ -295,9 +246,8 @@ void add_event(const TraceEvent& ev, EventSink& sink) {
     }
     sink.spans.push_back({.start = at, .end = at + ev.dur, .rank = rank,
                           .cls = cls});
-  } else if (cat == Category::kInstant) {
-    if (ev.is_string(Field::kName) && is_ft_repair_instant(ev.name) &&
-        ev.is_number(Field::kFlow)) {
+  } else if (ev.cat == "instant" && ph == 'i') {
+    if (is_ft_repair_instant(ev.name) && ev.is_number(Field::kFlow)) {
       sink.repaired_ids.push_back(static_cast<std::uint64_t>(ev.flow));
     }
   }
@@ -310,7 +260,7 @@ ReplayTrace load(json::Reader& in) {
   if (!doc.is_object) fail("trace root is not a JSON object");
   if (!doc.has_events) fail("trace has no traceEvents array");
   ReplayTrace t;
-  parse_header(doc.other_data ? &*doc.other_data : nullptr, t);
+  take_header(read_header(doc.other_data ? &*doc.other_data : nullptr), t);
   sink.finish(t);
   return t;
 }
@@ -329,7 +279,10 @@ ReplayTrace load_replay_trace_file(const std::string& path) {
   return load(in);
 }
 
-Replayer::Replayer(ReplayTrace trace) : trace_(std::move(trace)) {
+Replayer::Replayer(ReplayTrace trace)
+    : trace_(std::move(trace)),
+      persistent_(trace_.model == "NCL-PERSIST"),
+      recorded_(prices(trace_.net)) {
   using Kind = Anchor::Kind;
   const auto& flows = trace_.flows;
   const auto nflows = static_cast<std::uint32_t>(flows.size());
@@ -427,8 +380,7 @@ Replayer::Replayer(ReplayTrace trace) : trace_(std::move(trace)) {
           }
           g.tail = idx;
           g.count += 1;
-          g.payload +=
-              f.bytes > mpi::kHeaderBytes ? f.bytes - mpi::kHeaderBytes : 0;
+          g.payload += payload_bytes(f.bytes);
         }
         break;
       case Kind::kDeliver: {
@@ -469,7 +421,6 @@ Replayer::Replayer(ReplayTrace trace) : trace_(std::move(trace)) {
     send_copies_.emplace_back(g.tail, g.payload);
   }
   std::sort(send_copies_.begin(), send_copies_.end());
-  terms_old_ = flow_terms(net::Network(trace_.nranks, trace_.net));
 }
 
 std::uint64_t Replayer::send_copy_bytes(std::int32_t i) const {
@@ -481,42 +432,104 @@ std::uint64_t Replayer::send_copy_bytes(std::int32_t i) const {
   return it != send_copies_.end() && it->first == i ? it->second : 0;
 }
 
-std::vector<Replayer::FlowTerms> Replayer::flow_terms(
-    const net::Network& net) const {
-  std::vector<FlowTerms> terms(trace_.flows.size());
-  for (std::size_t i = 0; i < terms.size(); ++i) {
+Replayer::Prices Replayer::prices(const net::Params& params) const {
+  Prices p{net::Network(trace_.nranks, params),
+           std::vector<FlowTerms>(trace_.flows.size())};
+  for (std::size_t i = 0; i < p.flows.size(); ++i) {
     const ReplayFlow& f = trace_.flows[i];
-    terms[i] = {net.transfer_time(f.src, f.dst, f.bytes),
-                net.send_overhead(f.src, f.dst),
-                net.recv_overhead(f.src, f.dst)};
+    p.flows[i] = {p.net.transfer_time(f.src, f.dst, f.bytes),
+                  p.net.send_overhead(f.src, f.dst),
+                  p.net.recv_overhead(f.src, f.dst)};
   }
-  return terms;
+  return p;
 }
 
-Time Replayer::evaluate(const net::Params& params,
-                        const std::vector<FlowTerms>& terms,
-                        std::vector<Time>& out) const {
+inline std::pair<Replayer::EdgeTerms, Replayer::EdgeTerms>
+Replayer::edge_terms(std::size_t i, const Prices& now) const {
   using Kind = Anchor::Kind;
-  const auto& flows = trace_.flows;
-  const net::Network net_old(trace_.nranks, trace_.net);
-  const net::Network net_new(trace_.nranks, params);
-  const bool persistent = trace_.model == "NCL-PERSIST";
+  const Anchor& a = anchors_[i];
+  const FlowTerms& f_was = recorded_.flows[a.flow];
+  const FlowTerms& f_is = now.flows[a.flow];
+  std::pair<EdgeTerms, EdgeTerms> t;
+  auto& [was, is] = t;
+  // The chain gap: the anchor's own overhead, then the staging copy
+  // charged after its chain predecessor.
+  if (is_p2p_like(a.channel) && a.kind != Kind::kDeliver) {
+    const bool begin = a.kind == Kind::kBegin;  // o_send, else o_recv
+    was.chain.overhead = begin ? f_was.send : f_was.recv;
+    is.chain.overhead = begin ? f_is.send : f_is.recv;
+  } else if (a.kind == Kind::kBegin && a.channel == Channel::kRma) {
+    was.chain.overhead = recorded_.net.params().o_put;
+    is.chain.overhead = now.net.params().o_put;
+  } else if (a.kind == Kind::kBegin && a.channel == Channel::kNeighbor &&
+             a.begin_head) {
+    const auto entry = [&](const Prices& p) {
+      return persistent_ ? p.net.params().o_coll_persistent_start
+                         : p.net.collective_entry(a.begin_peers);
+    };
+    was.chain.overhead = entry(recorded_);
+    is.chain.overhead = entry(now);
+  }
+  if (a.chain_prev >= 0 &&
+      anchors_[static_cast<std::size_t>(a.chain_prev)].copy_after) {
+    const std::uint64_t bytes = send_copy_bytes(a.chain_prev);
+    was.chain.copy = recorded_.net.copy_time(bytes);
+    is.chain.copy = now.net.copy_time(bytes);
+  }
+  // The wire edge: the wire alone into a delivery or a put landing, the
+  // receive overhead from a delivery to its completion, both in one hop
+  // for a parked-waiter receive.
+  if (a.kind == Kind::kDeliver || a.channel == Channel::kRma) {
+    was.hop = {f_was.transfer, 0};
+    is.hop = {f_is.transfer, 0};
+  } else if (a.wire_from >= 0 &&
+             anchors_[static_cast<std::size_t>(a.wire_from)].kind ==
+                 Kind::kDeliver) {
+    was.hop = {0, f_was.recv};
+    is.hop = {0, f_is.recv};
+  } else {
+    was.hop = {f_was.transfer, f_was.recv};
+    is.hop = {f_is.transfer, f_is.recv};
+  }
+  return t;
+}
 
+std::pair<Replayer::GroupTerms, Replayer::GroupTerms> Replayer::group_terms(
+    std::size_t g, const Prices& now) const {
+  std::pair<GroupTerms, GroupTerms> t;
+  std::uint64_t payload = 0;
+  for (const std::uint32_t fi : groups_[g]) {
+    const ReplayFlow& f = trace_.flows[fi];
+    t.first.wire += recorded_.net.transfer_time(f.src, f.end_rank, f.bytes);
+    t.second.wire += now.net.transfer_time(f.src, f.end_rank, f.bytes);
+    payload += payload_bytes(f.bytes);
+  }
+  t.first.copy = recorded_.net.copy_time(payload);
+  t.second.copy = now.net.copy_time(payload);
+  return t;
+}
+
+Replayer::ChainTerms Replayer::chain_terms(std::size_t i) const {
+  return edge_terms(i, recorded_).first.chain;
+}
+
+Replayer::HopTerms Replayer::hop_terms(std::size_t i) const {
+  return edge_terms(i, recorded_).first.hop;
+}
+
+Replayer::GroupTerms Replayer::group_terms(std::size_t g) const {
+  return group_terms(g, recorded_).first;
+}
+
+Time Replayer::evaluate(const Prices& now, std::vector<Time>& out) const {
+  using Kind = Anchor::Kind;
   // Per-group re-pricing delta: the completion formula sums every
   // consumed slice's wire plus one staging copy of the received payload,
-  // so the group moves by the sum of the members' model deltas.
+  // so the group moves by the change of that sum.
   std::vector<Time> group_delta(groups_.size(), 0);
   for (std::size_t g = 0; g < groups_.size(); ++g) {
-    Time delta = 0;
-    std::uint64_t payload = 0;
-    for (const std::uint32_t fi : groups_[g]) {
-      const ReplayFlow& f = flows[fi];
-      delta += net_new.transfer_time(f.src, f.end_rank, f.bytes) -
-               net_old.transfer_time(f.src, f.end_rank, f.bytes);
-      payload += f.bytes > mpi::kHeaderBytes ? f.bytes - mpi::kHeaderBytes : 0;
-    }
-    delta += net_new.copy_time(payload) - net_old.copy_time(payload);
-    group_delta[g] = delta;
+    const auto [was, is] = group_terms(g, now);
+    group_delta[g] = (is.wire + is.copy) - (was.wire + was.copy);
   }
 
   // recorded = effective-model + residual; replayed = residual + new
@@ -532,43 +545,19 @@ Time Replayer::evaluate(const net::Params& params,
 
   for (std::size_t i = 0; i < anchors_.size(); ++i) {
     const Anchor& a = anchors_[i];
-    const FlowTerms& old_t = terms_old_[a.flow];
-    const FlowTerms& new_t = terms[a.flow];
+    const auto [was, is] = edge_terms(i, now);
     Time best = std::numeric_limits<Time>::min();
 
     if (in_chain(a.kind, a.channel)) {
       Time prev_rec = 0;
       Time prev_new = 0;
-      Time model_old = 0;
-      Time model_new = 0;
       if (a.chain_prev >= 0) {
-        const Anchor& p = anchors_[static_cast<std::size_t>(a.chain_prev)];
-        prev_rec = p.t;
+        prev_rec = anchors_[static_cast<std::size_t>(a.chain_prev)].t;
         prev_new = out[static_cast<std::size_t>(a.chain_prev)];
-        if (p.copy_after) {
-          const std::uint64_t bytes = send_copy_bytes(a.chain_prev);
-          model_old += net_old.copy_time(bytes);
-          model_new += net_new.copy_time(bytes);
-        }
       }
-      if (a.kind == Kind::kBegin) {
-        if (is_p2p_like(a.channel)) {
-          model_old += old_t.send;
-          model_new += new_t.send;
-        } else if (a.channel == Channel::kRma) {
-          model_old += trace_.net.o_put;
-          model_new += params.o_put;
-        } else if (a.channel == Channel::kNeighbor && a.begin_head) {
-          model_old += persistent ? trace_.net.o_coll_persistent_start
-                                  : net_old.collective_entry(a.begin_peers);
-          model_new += persistent ? params.o_coll_persistent_start
-                                  : net_new.collective_entry(a.begin_peers);
-        }
-      } else if (is_p2p_like(a.channel)) {  // kEnd: receive completion
-        model_old += old_t.recv;
-        model_new += new_t.recv;
-      }
-      best = prev_new + reprice(a.t - prev_rec, model_old, model_new);
+      best = prev_new + reprice(a.t - prev_rec,
+                                was.chain.overhead + was.chain.copy,
+                                is.chain.overhead + is.chain.copy);
     }
 
     if (a.order_prev >= 0) {
@@ -593,21 +582,10 @@ Time Replayer::evaluate(const net::Params& params,
                                     (moved > 0 ? moved : 0));
         }
       } else {
-        const Anchor& w = anchors_[static_cast<std::size_t>(a.wire_from)];
-        Time model_old = 0;
-        Time model_new = 0;
-        if (a.kind == Kind::kDeliver || a.channel == Channel::kRma) {
-          model_old = old_t.transfer;
-          model_new = new_t.transfer;
-        } else if (w.kind == Kind::kDeliver) {  // delivery -> completion
-          model_old = old_t.recv;
-          model_new = new_t.recv;
-        } else {  // parked-waiter receive: wire + recv overhead in one hop
-          model_old = old_t.transfer + old_t.recv;
-          model_new = new_t.transfer + new_t.recv;
-        }
-        best = std::max(best, out[static_cast<std::size_t>(a.wire_from)] +
-                                  reprice(a.t - w.t, model_old, model_new));
+        const auto w = static_cast<std::size_t>(a.wire_from);
+        best = std::max(best, out[w] + reprice(a.t - anchors_[w].t,
+                                               was.hop.wire + was.hop.recv,
+                                               is.hop.wire + is.hop.recv));
       }
     }
 
@@ -631,8 +609,7 @@ ReplayResult Replayer::replay(const net::Params& params) const {
   ReplayResult res;
   std::vector<Time> at;
   // The pass's terms are freed before the roll-up allocates.
-  res.total_ns = evaluate(
-      params, flow_terms(net::Network(trace_.nranks, params)), at);
+  res.total_ns = evaluate(prices(params), at);
 
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
@@ -673,7 +650,7 @@ std::vector<std::string> Replayer::fidelity_errors() const {
   constexpr std::size_t kMaxReports = 16;
   std::vector<std::string> errors;
   std::vector<Time> at;
-  const Time total = evaluate(trace_.net, terms_old_, at);
+  const Time total = evaluate(recorded_, at);
   if (total != trace_.run_time_ns) {
     std::ostringstream os;
     os << "total virtual time: recorded " << trace_.run_time_ns

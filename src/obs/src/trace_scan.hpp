@@ -1,5 +1,6 @@
-// Private to mel_obs: the one JSON reader behind json::parse, and the
-// streaming trace scanner every meltrace subcommand ingests through.
+// Private to mel_obs: the one JSON reader behind json::parse, the
+// streaming trace scanner every meltrace subcommand ingests through, and
+// the rules every trace consumer reads a trace by.
 //
 // The reader pulls one document either from memory or from a stream
 // through a fixed kChunkBytes buffer, so reading a trace file costs the
@@ -8,6 +9,11 @@
 // with the same error text and byte offsets. The scanner hands each event
 // over as one flat record; events in obs::Recorder's own spelling are read
 // into it by a fast path that gives the same record.
+//
+// validate (analysis.cpp) and the replay loader (replay.cpp) read the
+// otherData header through read_header and pass every event through
+// gate, so both take the same header values and use the same events:
+// validate reports each refusal, the loader skips the refused event.
 #pragma once
 
 #include <cmath>
@@ -270,5 +276,59 @@ struct TraceDoc {
 /// and offsets.
 TraceDoc scan_trace(json::Reader& in,
                     const std::function<void(const TraceEvent&)>& on_event);
+
+/// A trace's ranks lie below kMaxRanks, so it has at most kMaxRanks - 1.
+inline constexpr std::int64_t kMaxRanks = std::int64_t{1} << 31;
+
+/// The otherData header as every trace consumer reads it: strings as they
+/// stand ("" when absent or not strings), each number by its checked
+/// rule.
+struct TraceHeader {
+  /// How a number read: absent or not a number, within its field's
+  /// range, or a number outside it (then `value` keeps its default).
+  enum class Got : std::uint8_t { kAbsent, kRead, kOutside };
+  template <class T>
+  struct Number {
+    Got got = Got::kAbsent;
+    T value = 0;
+  };
+
+  bool is_object = false;
+  std::string_view schema, algo, model, config_digest;
+  Number<std::int64_t> ranks;  // [1, kMaxRanks - 1]
+  Number<std::uint64_t> seed;
+  const json::Value* net = nullptr;  // the embedded params, an object
+  const json::Value* run = nullptr;  // the run result, an object
+  Number<sim::Time> time_ns;         // run.time_ns, an int64
+  Number<std::uint64_t> events;      // run.events
+};
+
+/// Read the header; `other_data` is null when the document has none. The
+/// views and pointers point into `other_data`.
+TraceHeader read_header(const json::Value* other_data);
+
+/// What a rank count outside [1, kMaxRanks - 1] is reported as.
+inline constexpr std::string_view kRanksOutside =
+    "otherData.ranks outside [1, 2147483647]";
+
+/// Why an event may not be used: the first rule it breaks, in the order
+/// gate checks them. Later rules come after earlier ones, so an event
+/// keeps the violation it was first reported with.
+enum class Refusal : std::uint8_t {
+  // Not counted as an event.
+  kNotObject, kNoNamePh, kUnknownPhase,
+  // Counted; ts and tid not usable.
+  kNoTsPidTid, kNotInt64, kTidOutside,
+  // Counted, with a usable ts and tid.
+  kNoDur, kNoFlowId, kNegativeFlowBytes, kFlowIdBelowOne, kWideDstTag,
+  kNoCounterValue, kNoWireArgs, kNegativeWireBytes,
+  kNone,  // the event may be used
+};
+
+/// The one gate every trace consumer passes events through: the rule the
+/// event breaks, with validate's violation text for it in `why` (naming
+/// the event), or kNone. An "M" event passes once its phase is read, as
+/// metadata carries no timestamp.
+Refusal gate(const TraceEvent& e, std::string* why = nullptr);
 
 }  // namespace mel::obs

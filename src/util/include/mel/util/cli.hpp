@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,6 +19,11 @@ std::optional<std::int64_t> parse_int(std::string_view text);
 
 /// As parse_int, for one finite number ("0.05", "1e-3").
 std::optional<double> parse_double(std::string_view text);
+
+/// What a bench or example main returns on bad input, such as a malformed
+/// flag value: prints "PROGRAM: MESSAGE" on stderr, PROGRAM being the file
+/// name of `argv0`, and returns exit code 2.
+int usage_error(const char* argv0, const std::exception& e);
 
 class Cli {
  public:

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 namespace mel::util {
@@ -26,6 +27,14 @@ std::optional<T> parse_whole(std::string_view text) {
 }
 
 }  // namespace
+
+int usage_error(const char* argv0, const std::exception& e) {
+  const std::string_view path(argv0);
+  const std::string_view program = path.substr(path.rfind('/') + 1);
+  std::fprintf(stderr, "%.*s: %s\n", static_cast<int>(program.size()),
+               program.data(), e.what());
+  return 2;
+}
 
 std::optional<std::int64_t> parse_int(std::string_view text) {
   return parse_whole<std::int64_t>(text);

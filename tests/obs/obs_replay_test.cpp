@@ -190,14 +190,16 @@ TEST(ObsReplay, WhatIfPerturbationMovesTheTotal) {
 }
 
 TEST(ObsReplay, SpansSortByRankWhateverTheRanks) {
-  // Out of time order within a rank, ranks below 0 and from the rank count
-  // on, and more ranks than spans: the order is (rank, start, end) always.
+  // Out of time order within a rank, rank -1 (the only rank below 0 a
+  // trace may name) and ranks from the rank count on, and more ranks than
+  // spans: the order is (rank, start, end) always.
   const std::vector<std::pair<Rank, Time>> spans = {
-      {3, 900}, {-1, 50}, {0, 700}, {1, 10}, {0, 200}, {7, 5}, {-4, 80}};
+      {3, 900}, {-1, 50}, {0, 700}, {1, 10}, {0, 200}, {7, 5}, {-1, 30}};
   for (const int nranks : {2, 1000}) {
     std::string events;
     for (const auto& [rank, at] : spans) {
-      events += (events.empty() ? "" : ",") + op_span("compute", rank, at, 10);
+      if (!events.empty()) events += ",";
+      events += op_span("compute", rank, at, 10);
     }
     const ReplayTrace t =
         load_replay_trace_text(mini_trace(events, 2000, nranks));
@@ -205,7 +207,7 @@ TEST(ObsReplay, SpansSortByRankWhateverTheRanks) {
     for (const auto& sp : t.spans) {
       order += std::to_string(sp.rank) + "@" + std::to_string(sp.start) + " ";
     }
-    EXPECT_EQ(order, "-4@80 -1@50 0@200 0@700 1@10 3@900 7@5 ") << nranks;
+    EXPECT_EQ(order, "-1@30 -1@50 0@200 0@700 1@10 3@900 7@5 ") << nranks;
   }
 }
 

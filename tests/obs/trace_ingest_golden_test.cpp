@@ -10,8 +10,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mel/gen/generators.hpp"
@@ -460,6 +462,83 @@ TEST(TraceIngestGolden, NegativeByteCountsAreViolations) {
   EXPECT_EQ(flows("1099511627776"), 1u);
   EXPECT_EQ(flows("1099511627777"), 0u);
   EXPECT_EQ(flows("-1"), 0u);
+}
+
+// -- one gate for validate and replay ---------------------------------------
+
+/// Everything a ReplayTrace holds of its events, one line per flow or span.
+std::string replayed(const ReplayTrace& t) {
+  std::string out;
+  for (const ReplayFlow& f : t.flows) {
+    out += "flow " + std::to_string(f.id) + " " + channel_name(f.channel) +
+           " " + std::to_string(f.src) + "->" + std::to_string(f.dst) +
+           " tag " + std::to_string(f.tag) + " " + std::to_string(f.bytes) +
+           " B [" + std::to_string(f.begin) + ", " + std::to_string(f.step) +
+           ", " + std::to_string(f.end) + "] on " + std::to_string(f.end_rank) +
+           "\n";
+  }
+  for (const ReplayTrace::Span& sp : t.spans) {
+    out += "span r" + std::to_string(sp.rank) + " [" +
+           std::to_string(sp.start) + ", " + std::to_string(sp.end) +
+           ") class " + std::to_string(static_cast<int>(sp.cls)) + "\n";
+  }
+  return out;
+}
+
+TEST(TraceIngestGolden, ValidateReportsExactlyTheEventsReplaySkips) {
+  // Events the two readers once judged apart, among events both use: a
+  // span on tid -5 (validate refused it, replay kept it), a flow begin
+  // whose dst no int holds and a flow with id 0 (validate passed them,
+  // replay dropped them).
+  const std::pair<std::string, bool> events[] = {  // (event, refused)
+      {span("compute", 0, 1, 2), false},
+      {span("compute", -5, 1, 2), true},
+      {R"({"name":"p2p","cat":"flow","ph":"s","ts":4.000,"pid":0,"tid":0,)"
+       R"("id":1,"args":{"src":0,"dst":1,"tag":0,"bytes":116}})",
+       false},
+      {R"({"name":"p2p","cat":"flow","ph":"f","ts":5.000,"pid":0,"tid":1,)"
+       R"("bp":"e","id":1})",
+       false},
+      {R"({"name":"p2p","cat":"flow","ph":"s","ts":6.000,"pid":0,"tid":0,)"
+       R"("id":2,"args":{"src":0,"dst":4294967297,"tag":0,"bytes":116}})",
+       true},
+      {R"({"name":"p2p","cat":"flow","ph":"f","ts":7.000,"pid":0,"tid":1,)"
+       R"("bp":"e","id":2})",
+       false},
+      {R"({"name":"p2p","cat":"flow","ph":"s","ts":8.000,"pid":0,"tid":0,)"
+       R"("id":0,"args":{"src":0,"dst":1,"tag":0,"bytes":116}})",
+       true},
+      {R"({"name":"p2p","cat":"flow","ph":"f","ts":9.000,"pid":0,"tid":1,)"
+       R"("bp":"e","id":0})",
+       true},
+  };
+  std::string all;
+  std::string used;
+  std::vector<std::string> refused;
+  for (std::size_t i = 0; i < std::size(events); ++i) {
+    const auto& [event, bad] = events[i];
+    for (std::string* doc : {&all, &used}) {
+      if (doc == &used && bad) continue;
+      if (!doc->empty()) *doc += ",";
+      *doc += event;
+    }
+    if (bad) refused.push_back("(event " + std::to_string(i) + ")");
+  }
+  const TraceStats s = analyze_trace_text(mini_trace(all, 2));
+  ASSERT_EQ(s.errors.size(), refused.size()) << joined(s.errors);
+  for (std::size_t i = 0; i < refused.size(); ++i) {
+    EXPECT_TRUE(s.errors[i].ends_with(refused[i])) << s.errors[i];
+  }
+  EXPECT_EQ(s.errors[0], "tid -5 outside [-1, 2147483648) (event 1)");
+  EXPECT_EQ(s.errors[1],
+            "flow 2 with args.dst 4294967297 outside the int range (event 4)");
+  EXPECT_EQ(s.errors[2], "flow event with id 0 below 1 (event 6)");
+  // Replay reads the trace as if the refused events were not in it.
+  const ReplayTrace kept = load_replay_trace_text(mini_trace(all, 2));
+  EXPECT_EQ(replayed(kept),
+            replayed(load_replay_trace_text(mini_trace(used, 2))));
+  EXPECT_EQ(kept.flows.size(), 1u);
+  EXPECT_EQ(kept.spans.size(), 1u);
 }
 
 // -- chunked file ingest ----------------------------------------------------

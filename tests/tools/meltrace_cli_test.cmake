@@ -16,7 +16,8 @@
 #   * a wire rank outside the run fails validate (exit 1) and matrix
 #     (exit 2) naming the event,
 #   * a header rank count outside [1, 2^31 - 1] fails validate and is
-#     read as absent, so summarize and matrix never see it wrapped,
+#     read as absent, so summarize and matrix never see it wrapped, and
+#     replay and critical exit 2 naming the range,
 #   * a tid outside [-1, 2^31) fails validate naming the event, and
 #     summarize never sees it wrapped; replay skips an event whose tid no
 #     int holds and drops a flow whose dst or tag no int holds,
@@ -251,6 +252,28 @@ if(NOT code EQUAL 1 OR
 endif()
 run_ok("summarize, ranks 4294967300" "\"nranks\":0," summarize ${trace} --json)
 run_ok("matrix, ranks 4294967300" "^{\"nranks\":2," matrix ${trace})
+
+# On a real 8-rank trace, a header rank count outside [1, 2^31 - 1] makes
+# replay and critical exit 2 with validate's message: -4294967291 does not
+# wrap to 5 ranks, and 4294967301 is not read as a missing count.
+file(READ ${nsr} text)
+foreach(ranks -4294967291 4294967301)
+  string(REPLACE "\"ranks\":8," "\"ranks\":${ranks}," edited "${text}")
+  set(trace ${workdir}/header-ranks${ranks}.json)
+  file(WRITE ${trace} "${edited}")
+  foreach(cmd validate replay critical)
+    execute_process(COMMAND ${MELTRACE} ${cmd} ${trace}
+                    RESULT_VARIABLE code OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    set(want 2)
+    if(cmd STREQUAL "validate")
+      set(want 1)
+    endif()
+    if(NOT code EQUAL want OR
+       NOT "${out}${err}" MATCHES "otherData.ranks outside \\[1, 2147483647\\]")
+      message(FATAL_ERROR "${cmd}, header ranks ${ranks}: exit ${code}: ${out}${err}")
+    endif()
+  endforeach()
+endforeach()
 
 # A flow begin with a negative byte count fails validate, and a what-if
 # replay drops the flow rather than pricing it as 2^64 - 1 bytes.

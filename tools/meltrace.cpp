@@ -21,10 +21,14 @@
 // from the run end and attributes every nanosecond of the makespan to a
 // cost class (compute, software overhead, wire latency/bandwidth, copy,
 // ack-wait, barrier-wait).
+#include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "mel/net/params_io.hpp"
@@ -61,84 +65,6 @@ void print_usage(std::FILE* out) {
                "ack-wait / barrier-wait per rank)\n");
 }
 
-/// --top K: a positive integer, else a usage error (exit 2).
-int parse_top(const std::string& value) {
-  const auto k = util::parse_int(value);
-  if (!k || *k <= 0 || *k > std::numeric_limits<int>::max()) {
-    throw std::invalid_argument("--top expects a positive integer, got '" +
-                                value + "' (run `meltrace --help`)");
-  }
-  return static_cast<int>(*k);
-}
-
-int cmd_validate(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    std::fprintf(stderr, "meltrace validate: missing TRACE\n");
-    return 2;
-  }
-  std::string metrics_path;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--metrics" && i + 1 < args.size()) {
-      metrics_path = args[++i];
-    } else {
-      std::fprintf(stderr, "meltrace validate: unknown argument %s\n",
-                   args[i].c_str());
-      return 2;
-    }
-  }
-  const obs::TraceStats stats = obs::analyze_trace_file(args[0]);
-  int bad = 0;
-  if (stats.errors.empty()) {
-    std::printf("%s: OK (%llu events, %llu flow classes)\n", args[0].c_str(),
-                static_cast<unsigned long long>(stats.events),
-                static_cast<unsigned long long>(stats.flows_by_class.size()));
-  } else {
-    bad = 1;
-    std::printf("%s: %zu violation(s)\n", args[0].c_str(),
-                stats.errors.size());
-    for (const auto& e : stats.errors) std::printf("  ! %s\n", e.c_str());
-  }
-  if (!metrics_path.empty()) {
-    const auto errors = obs::validate_metrics_file(metrics_path);
-    if (errors.empty()) {
-      std::printf("%s: OK\n", metrics_path.c_str());
-    } else {
-      bad = 1;
-      std::printf("%s: %zu violation(s)\n", metrics_path.c_str(),
-                  errors.size());
-      for (const auto& e : errors) std::printf("  ! %s\n", e.c_str());
-    }
-  }
-  return bad;
-}
-
-int cmd_summarize(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    std::fprintf(stderr, "meltrace summarize: missing TRACE\n");
-    return 2;
-  }
-  int top_k = 10;
-  bool as_json = false;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--top" && i + 1 < args.size()) {
-      top_k = parse_top(args[++i]);
-    } else if (args[i] == "--json") {
-      as_json = true;
-    } else {
-      std::fprintf(stderr, "meltrace summarize: unknown argument %s\n",
-                   args[i].c_str());
-      return 2;
-    }
-  }
-  const obs::TraceStats stats = obs::analyze_trace_file(args[0], top_k);
-  if (as_json) {
-    std::printf("%s\n", obs::summarize_json(stats).c_str());
-  } else {
-    std::printf("%s", obs::summarize(stats).c_str());
-  }
-  return 0;
-}
-
 /// Split "net.KEY=VALUE" (the "net." prefix optional) into a canonical
 /// field name + value; throws std::invalid_argument on malformed input
 /// or an unknown name, which main() maps to exit 2.
@@ -162,121 +88,173 @@ void parse_set(const std::string& spec, std::string& name, double& value) {
   value = *parsed;
 }
 
-std::string replay_json(const obs::ReplayTrace& trace, bool whatif,
-                        const std::vector<std::pair<std::string, double>>& sets,
-                        const net::Params& params, const obs::ReplayResult& r) {
-  std::string out = "{\"schema\":\"mel.replay/1\",\"mode\":\"";
-  out += whatif ? "whatif" : "fidelity";
-  out += "\",\"algo\":\"" + obs::json_escape(trace.algo) + "\"";
-  out += ",\"model\":\"" + obs::json_escape(trace.model) + "\"";
-  out += ",\"nranks\":" + std::to_string(trace.nranks);
-  out += ",\"seed\":" + std::to_string(trace.seed);
-  out += ",\"config_digest\":\"" + obs::json_escape(trace.config_digest) + "\"";
-  out += ",\"set\":{";
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    if (i) out += ",";
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", sets[i].second);
-    out += "\"" + sets[i].first + "\":" + buf;
+/// A subcommand's TRACE and the flags it takes after it.
+struct Options {
+  std::string trace;
+  int top = 10;
+  bool json = false;
+  std::string metrics;
+  std::vector<std::pair<std::string, double>> sets;  // --set, canonical
+};
+
+/// Read `args` as TRACE followed by flags `cmd` takes, out of --top K,
+/// --json, --metrics FILE and --set KEY=VALUE. Prints the usage error
+/// and returns false on anything else.
+bool parse_options(const char* cmd, const std::vector<std::string>& args,
+                   std::initializer_list<std::string_view> takes,
+                   Options& o) {
+  if (args.empty()) {
+    std::fprintf(stderr, "meltrace %s: missing TRACE\n", cmd);
+    return false;
   }
-  out += "},\"params\":" + net::params_to_json(params);
-  out += ",\"recorded_total_ns\":" + std::to_string(trace.run_time_ns);
-  out += ",\"replayed_total_ns\":" + std::to_string(r.total_ns);
-  out += ",\"digest\":" + std::to_string(r.digest);
-  out += ",\"flows\":{";
+  o.trace = args[0];
+  for (std::size_t i = 1; i < args.size(); ++i) {
+    const std::string& flag = args[i];
+    const bool known =
+        std::find(takes.begin(), takes.end(), flag) != takes.end();
+    const bool valued = i + 1 < args.size();
+    if (known && flag == "--json") {
+      o.json = true;
+    } else if (known && valued && flag == "--top") {
+      const auto k = util::parse_int(args[++i]);
+      if (!k || *k <= 0 || *k > std::numeric_limits<int>::max()) {
+        throw std::invalid_argument("--top expects a positive integer, got '" +
+                                    args[i] + "' (run `meltrace --help`)");
+      }
+      o.top = static_cast<int>(*k);
+    } else if (known && valued && flag == "--metrics") {
+      o.metrics = args[++i];
+    } else if (known && valued && flag == "--set") {
+      auto& [name, value] = o.sets.emplace_back();
+      parse_set(args[++i], name, value);
+    } else {
+      std::fprintf(stderr, "meltrace %s: unknown argument %s\n", cmd,
+                   flag.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+int cmd_validate(const std::vector<std::string>& args) {
+  Options o;
+  if (!parse_options("validate", args, {"--metrics"}, o)) return 2;
+  const obs::TraceStats stats = obs::analyze_trace_file(o.trace);
+  int bad = 0;
+  if (stats.errors.empty()) {
+    std::printf("%s: OK (%llu events, %llu flow classes)\n", o.trace.c_str(),
+                static_cast<unsigned long long>(stats.events),
+                static_cast<unsigned long long>(stats.flows_by_class.size()));
+  } else {
+    bad = 1;
+    std::printf("%s: %zu violation(s)\n", o.trace.c_str(),
+                stats.errors.size());
+    for (const auto& e : stats.errors) std::printf("  ! %s\n", e.c_str());
+  }
+  if (!o.metrics.empty()) {
+    const auto errors = obs::validate_metrics_file(o.metrics);
+    if (errors.empty()) {
+      std::printf("%s: OK\n", o.metrics.c_str());
+    } else {
+      bad = 1;
+      std::printf("%s: %zu violation(s)\n", o.metrics.c_str(),
+                  errors.size());
+      for (const auto& e : errors) std::printf("  ! %s\n", e.c_str());
+    }
+  }
+  return bad;
+}
+
+int cmd_summarize(const std::vector<std::string>& args) {
+  Options o;
+  if (!parse_options("summarize", args, {"--top", "--json"}, o)) return 2;
+  const obs::TraceStats stats = obs::analyze_trace_file(o.trace, o.top);
+  std::fputs((o.json ? obs::summarize_json(stats) + "\n"
+                     : obs::summarize(stats)).c_str(),
+             stdout);
+  return 0;
+}
+
+/// `replay --json`: the mel.replay/1 document, and a newline.
+void print_replay_json(const obs::ReplayTrace& trace, bool whatif,
+                       const std::vector<std::pair<std::string, double>>& sets,
+                       const net::Params& params, const obs::ReplayResult& r) {
+  obs::Emitter out(stdout);
+  out << "{\"schema\":\"mel.replay/1\",\"mode\":\""
+      << (whatif ? "whatif" : "fidelity") << "\",\"algo\":\""
+      << obs::JsonText{trace.algo} << "\",\"model\":\""
+      << obs::JsonText{trace.model} << "\",\"nranks\":" << trace.nranks
+      << ",\"seed\":" << trace.seed << ",\"config_digest\":\""
+      << obs::JsonText{trace.config_digest} << "\",\"set\":{";
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    char value[64];
+    std::snprintf(value, sizeof value, "%.17g", sets[i].second);
+    out << (i > 0 ? ",\"" : "\"") << sets[i].first << "\":" << value;
+  }
+  out << "},\"params\":" << net::params_to_json(params)
+      << ",\"recorded_total_ns\":" << trace.run_time_ns
+      << ",\"replayed_total_ns\":" << r.total_ns << ",\"digest\":" << r.digest
+      << ",\"flows\":{";
   bool first = true;
   for (const auto& [cls, roll] : r.by_class) {
-    if (!first) out += ",";
+    out << (first ? "\"" : ",\"") << obs::JsonText{cls} << "\":{\"count\":"
+        << roll.count << ",\"bytes\":" << roll.bytes
+        << ",\"recorded_latency_ns\":" << roll.rec_latency_ns
+        << ",\"replayed_latency_ns\":" << roll.new_latency_ns << '}';
     first = false;
-    out += "\"" + obs::json_escape(cls) + "\":{";
-    out += "\"count\":" + std::to_string(roll.count);
-    out += ",\"bytes\":" + std::to_string(roll.bytes);
-    out += ",\"recorded_latency_ns\":" + std::to_string(roll.rec_latency_ns);
-    out += ",\"replayed_latency_ns\":" + std::to_string(roll.new_latency_ns);
-    out += "}";
   }
-  out += "}}";
-  return out;
+  out << "}}\n";
+  if (!out.flush()) throw std::runtime_error("cannot write the replay");
 }
 
 int cmd_replay(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    std::fprintf(stderr, "meltrace replay: missing TRACE\n");
-    return 2;
-  }
-  std::vector<std::pair<std::string, double>> sets;
-  bool as_json = false;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--set" && i + 1 < args.size()) {
-      std::string name;
-      double value = 0;
-      parse_set(args[++i], name, value);
-      sets.emplace_back(name, value);
-    } else if (args[i] == "--json") {
-      as_json = true;
-    } else {
-      std::fprintf(stderr, "meltrace replay: unknown argument %s\n",
-                   args[i].c_str());
-      return 2;
-    }
-  }
-  const obs::Replayer replayer(obs::load_replay_trace_file(args[0]));
+  Options o;
+  if (!parse_options("replay", args, {"--set", "--json"}, o)) return 2;
+  const obs::Replayer replayer(obs::load_replay_trace_file(o.trace));
   const obs::ReplayTrace& trace = replayer.trace();
-
-  if (sets.empty()) {
-    // Fidelity self-check: replay under the recorded parameters must
-    // reproduce the recorded run bit-exactly.
+  // No --set: the fidelity self-check, where replay under the recorded
+  // parameters must reproduce the recorded run bit-exactly.
+  const bool whatif = !o.sets.empty();
+  if (!whatif) {
     const auto errors = replayer.fidelity_errors();
-    const obs::ReplayResult r = replayer.replay();
+    for (const auto& e : errors) {
+      std::fprintf(stderr, "meltrace replay: %s\n", e.c_str());
+    }
     if (!errors.empty()) {
-      for (const auto& e : errors) {
-        std::fprintf(stderr, "meltrace replay: %s\n", e.c_str());
-      }
       std::fprintf(stderr, "meltrace replay: %s: fidelity FAILED\n",
-                   args[0].c_str());
+                   o.trace.c_str());
       return 1;
     }
-    if (as_json) {
-      std::printf("%s\n", replay_json(trace, false, sets, trace.net, r).c_str());
-    } else {
-      std::printf("%s: fidelity exact (%s %s, %d ranks, seed %llu)\n",
-                  args[0].c_str(), trace.algo.c_str(), trace.model.c_str(),
-                  trace.nranks, static_cast<unsigned long long>(trace.seed));
-      std::printf("  recorded total: %lld ns\n",
-                  static_cast<long long>(trace.run_time_ns));
-      std::printf("  replayed total: %lld ns\n",
-                  static_cast<long long>(r.total_ns));
-      std::printf("  flows replayed: %zu\n", r.flow_end.size());
-    }
-    return 0;
   }
-
   net::Params params = trace.net;
-  for (const auto& [name, value] : sets) {
+  for (const auto& [name, value] : o.sets) {
     net::set_param(params, name, value);
   }
   const obs::ReplayResult r = replayer.replay(params);
-  if (as_json) {
-    std::printf("%s\n", replay_json(trace, true, sets, params, r).c_str());
+  if (o.json) {
+    print_replay_json(trace, whatif, o.sets, params, r);
     return 0;
   }
-  std::printf("%s: what-if replay (%s %s, %d ranks, seed %llu)\n",
-              args[0].c_str(), trace.algo.c_str(), trace.model.c_str(),
-              trace.nranks, static_cast<unsigned long long>(trace.seed));
-  for (const auto& [name, value] : sets) {
+  std::printf("%s: %s (%s %s, %d ranks, seed %llu)\n", o.trace.c_str(),
+              whatif ? "what-if replay" : "fidelity exact", trace.algo.c_str(),
+              trace.model.c_str(), trace.nranks,
+              static_cast<unsigned long long>(trace.seed));
+  for (const auto& [name, value] : o.sets) {
     std::printf("  set %s = %.17g\n", name.c_str(), value);
   }
   const long long rec = trace.run_time_ns;
   const long long rep = r.total_ns;
   std::printf("  recorded total: %lld ns\n", rec);
   std::printf("  replayed total: %lld ns", rep);
-  if (rec > 0) {
+  if (whatif && rec > 0) {
     std::printf(" (%+.2f%%)",
                 100.0 * static_cast<double>(rep - rec) /
                     static_cast<double>(rec));
   }
   std::printf("\n");
-  if (!r.by_class.empty()) {
+  if (!whatif) {
+    std::printf("  flows replayed: %zu\n", r.flow_end.size());
+  } else if (!r.by_class.empty()) {
     std::printf(
         "  flows (class, count, bytes, recorded->replayed latency ns):\n");
     for (const auto& [cls, roll] : r.by_class) {
@@ -291,31 +269,13 @@ int cmd_replay(const std::vector<std::string>& args) {
 }
 
 int cmd_critical(const std::vector<std::string>& args) {
-  if (args.empty()) {
-    std::fprintf(stderr, "meltrace critical: missing TRACE\n");
-    return 2;
-  }
-  int top_k = 10;
-  bool as_json = false;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i] == "--top" && i + 1 < args.size()) {
-      top_k = parse_top(args[++i]);
-    } else if (args[i] == "--json") {
-      as_json = true;
-    } else {
-      std::fprintf(stderr, "meltrace critical: unknown argument %s\n",
-                   args[i].c_str());
-      return 2;
-    }
-  }
-  const obs::Replayer replayer(obs::load_replay_trace_file(args[0]));
+  Options o;
+  if (!parse_options("critical", args, {"--top", "--json"}, o)) return 2;
+  const obs::Replayer replayer(obs::load_replay_trace_file(o.trace));
   const obs::CriticalPath cp = obs::critical_path(replayer);
-  if (as_json) {
-    std::printf("%s\n",
-                obs::critical_json(cp, replayer.trace(), top_k).c_str());
-  } else {
-    std::printf("%s", obs::critical_text(cp, replayer.trace(), top_k).c_str());
-  }
+  std::fputs((o.json ? obs::critical_json(cp, replayer.trace(), o.top) + "\n"
+                     : obs::critical_text(cp, replayer.trace(), o.top)).c_str(),
+             stdout);
   return 0;
 }
 
