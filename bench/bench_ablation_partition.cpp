@@ -24,7 +24,7 @@ double run_with(const graph::Csr& g, const graph::Distribution& dist,
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv, {"ranks", "scale", "csv"});
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const int ranks = static_cast<int>(cli.get_int("ranks", 64));
 

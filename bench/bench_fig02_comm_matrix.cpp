@@ -12,7 +12,7 @@
 using namespace mel;
 
 int main(int argc, char** argv) try {
-  const util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv, {"ranks", "scale", "json", "csv"});
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const int ranks = static_cast<int>(cli.get_int("ranks", 64));
   const int rmat_scale = 13 + scale;

@@ -9,7 +9,7 @@
 using namespace mel;
 
 int main(int argc, char** argv) try {
-  const util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv, {"scale", "ranks", "verts-per-rank", "csv"});
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const auto ranks_list = cli.get_int_list("ranks", "64,128,256,512");
   const auto verts_per_rank = cli.get_int("verts-per-rank", 256) << scale;

@@ -8,7 +8,7 @@
 using namespace mel;
 
 int main(int argc, char** argv) try {
-  const util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv, {"scale", "ranks", "csv"});
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const auto ranks_list = cli.get_int_list("ranks", "16,32,64");
 

@@ -9,7 +9,8 @@
 using namespace mel;
 
 int main(int argc, char** argv) try {
-  const util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv,
+                      {"scale", "ranks-orkut", "ranks-friendster", "csv"});
   const int scale = static_cast<int>(cli.get_int("scale", 0));
 
   const struct {

@@ -9,7 +9,7 @@
 using namespace mel;
 
 int main(int argc, char** argv) try {
-  const util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv, {"scale", "cells"});
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const int cells = static_cast<int>(cli.get_int("cells", 36));
 

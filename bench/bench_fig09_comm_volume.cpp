@@ -31,7 +31,7 @@ std::pair<std::uint64_t, std::uint64_t> node_split(const mpi::CommMatrix& m) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv, {"scale", "ranks", "cmp-ranks", "csv"});
   const int scale = static_cast<int>(cli.get_int("scale", 0));
   const int ranks = static_cast<int>(cli.get_int("ranks", 64));
   const graph::VertexId side = 24 << (scale > 0 ? scale / 3 : 0);

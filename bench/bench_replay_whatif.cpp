@@ -216,7 +216,10 @@ int run_crossover(const util::Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) try {
-  const util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv,
+                      {"mode", "gen", "scale", "verts-per-rank", "ranks",
+                       "ranks-per-node", "model", "model-a", "model-b", "param",
+                       "values", "csv"});
   const std::string mode = cli.get("mode", "speedup");
   if (mode == "crossover") return run_crossover(cli);
   if (mode != "speedup") {

@@ -7,7 +7,7 @@
 using namespace mel;
 
 int main(int argc, char** argv) try {
-  const util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv, {"scale", "seed", "csv"});
   const int scale = static_cast<int>(cli.get_int("scale", -2));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
 

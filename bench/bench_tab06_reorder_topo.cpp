@@ -10,7 +10,7 @@
 using namespace mel;
 
 int main(int argc, char** argv) try {
-  const util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv, {"scale", "csv"});
   const int scale = static_cast<int>(cli.get_int("scale", 0));
 
   struct Inst {

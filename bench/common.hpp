@@ -2,10 +2,12 @@
 //
 // Every bench prints the rows the corresponding paper table/figure
 // reports. Absolute times come from the simulator's Cori-like cost model;
-// EXPERIMENTS.md compares shapes against the paper. Common flags:
+// EXPERIMENTS.md compares shapes against the paper. Every bench reads
 //   --scale N    shift all input sizes by 2^N (default 0 = bench default)
-//   --seed S     generator seed
+// and every bench that prints through emit() reads
 //   --csv        emit CSV instead of an aligned table
+// Each bench names the options it reads when it builds its util::Cli, so
+// any other option exits 2.
 #pragma once
 
 #include <cstdio>

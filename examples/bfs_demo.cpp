@@ -11,7 +11,7 @@
 using namespace mel;
 
 int main(int argc, char** argv) try {
-  const util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv, {"scale", "ranks", "root"});
   const int scale = static_cast<int>(cli.get_int("scale", 12));
   const int ranks = static_cast<int>(cli.get_int("ranks", 32));
   const auto root = cli.get_int("root", 0);

@@ -11,7 +11,7 @@
 using namespace mel;
 
 int main(int argc, char** argv) try {
-  const util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv, {"verts", "edges", "ranks"});
   const auto nverts = cli.get_int("verts", 20000);
   const auto nedges = cli.get_int("edges", 120000);
   const int ranks = static_cast<int>(cli.get_int("ranks", 32));

@@ -16,7 +16,7 @@
 using namespace mel;
 
 int main(int argc, char** argv) try {
-  const util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv, {"dataset", "scale", "ranks"});
   const std::string id = cli.get("dataset", "Orkut-like");
   const int scale = static_cast<int>(cli.get_int("scale", -2));
   const int ranks = static_cast<int>(cli.get_int("ranks", 64));

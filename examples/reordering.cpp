@@ -15,7 +15,7 @@
 using namespace mel;
 
 int main(int argc, char** argv) try {
-  const util::Cli cli(argc, argv);
+  const util::Cli cli(argc, argv, {"verts", "ranks"});
   const auto nverts = cli.get_int("verts", 40000);
   const int ranks = static_cast<int>(cli.get_int("ranks", 64));
 

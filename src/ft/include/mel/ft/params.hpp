@@ -21,12 +21,12 @@ class TransportError : public std::runtime_error {
 
 /// How the match driver continues after a run loses ranks to crashes.
 enum class Recovery {
-  /// ULFM shrink-and-continue: probe the survivors' *live* state at abort
+  /// ULFM shrink-and-continue: read the survivors' *live* state at abort
   /// time, keep mutually-recorded matched pairs, and resume
   /// locally-dominant rounds on the induced surviving subgraph — no
   /// rollback to an earlier checkpoint. Falls back to kRollback when the
-  /// live frontier is unrecoverable (a surviving unfinished rank exposes
-  /// no state probe).
+  /// live frontier is unrecoverable (a surviving unfinished rank has no
+  /// live matcher).
   kShrink,
   /// Roll back to the last periodic checkpoint (the PR 2 path) and
   /// re-match from there.
@@ -43,14 +43,6 @@ struct Params {
   /// Exceeding it with a live destination is a TransportError; with a
   /// failed destination the segment is quietly abandoned.
   int retry_max = 16;
-
-  /// Retransmission timeout for the first copy, ns. Subsequent timeouts
-  /// back off exponentially (rto_base * rto_backoff^attempt) with a
-  /// deterministic per-segment jitter of up to +rto_jitter (fraction) so
-  /// competing retransmit timers decorrelate.
-  Time rto_base = 25'000;
-  double rto_backoff = 2.0;
-  double rto_jitter = 0.25;
 
   /// Virtual-time interval between driver-level checkpoints of per-rank
   /// matching state (0 = no checkpoints; shrink recovery still works off
@@ -69,15 +61,6 @@ struct Params {
       throw std::invalid_argument(
           "ft: retry_max must be in [0, 64] (got " +
           std::to_string(retry_max) + ")");
-    }
-    if (rto_base <= 0) {
-      throw std::invalid_argument("ft: rto_base must be > 0 ns");
-    }
-    if (rto_backoff < 1.0) {
-      throw std::invalid_argument("ft: rto_backoff must be >= 1.0");
-    }
-    if (rto_jitter < 0.0 || rto_jitter > 1.0) {
-      throw std::invalid_argument("ft: rto_jitter must be in [0, 1]");
     }
     if (checkpoint_ns < 0) {
       throw std::invalid_argument("ft: checkpoint_ns must be >= 0");

@@ -102,17 +102,17 @@ class Transport {
   static constexpr int kRmaTagBase = 1 << 20;
   static constexpr int kCollTag = (1 << 20) | (1 << 19);
 
-  /// Outcome of an eagerly simulated one-way segment (an RMA put or a
-  /// neighborhood-collective slice): when the repaired data lands at the
-  /// target, and how many wire copies the repair took.
-  struct SegmentFate {
-    Time deliver_at = 0;  // in-order landing time at the target
-    int copies = 0;       // data copies posted (1 = no retransmission)
-  };
+  /// Retransmission timeout of a segment's first copy, ns. Later timeouts
+  /// back off exponentially (kRtoBase * kRtoBackoff^attempt) with a
+  /// deterministic per-segment jitter of up to +kRtoJitter (a fraction),
+  /// so competing retransmit timers decorrelate.
+  static constexpr Time kRtoBase = 25'000;
+  static constexpr double kRtoBackoff = 2.0;
+  static constexpr double kRtoJitter = 0.25;
 
   /// `chaos` may be null (reliable wire: the transport still sequences,
-  /// acks, and prices, but nothing is ever lost). All references must
-  /// outlive the transport.
+  /// acks, and prices, but nothing is ever lost). `params` must already
+  /// pass Params::validate(). All references must outlive the transport.
   Transport(Host& host, sim::Simulator& sim, const net::Network& net,
             chaos::Engine* chaos, const Params& params);
   Transport(const Transport&) = delete;
@@ -139,8 +139,8 @@ class Transport {
   /// forward only by the per-channel in-order floor. Throws TransportError
   /// past retry_max with a live destination; a segment issued to (or
   /// from) an already-failed rank is abandoned with no wire activity.
-  SegmentFate send_segment(Rank src, Rank dst, int tag,
-                           std::size_t payload_bytes, FlowId flow, Time start);
+  Time send_segment(Rank src, Rank dst, int tag, std::size_t payload_bytes,
+                    FlowId flow, Time start);
 
   /// Failure notification: abandon unacknowledged segments to the dead
   /// rank and discard its reorder buffers; stops retransmission.
@@ -192,6 +192,31 @@ class Transport {
     std::map<std::uint64_t, Pending> pending;  // sender: unacked segments
     std::map<std::uint64_t, HeldSeg> held;     // receiver: reorder buffer
   };
+
+  /// Where copy `n` of a segment goes: lost, or landing at `at`, corrupted
+  /// or intact, plus a network duplicate at `dup_at` when that is >= 0.
+  struct CopyFate {
+    Time at = -1;
+    Time dup_at = -1;
+    bool corrupt = false;
+    bool lost() const { return at < 0; }
+  };
+
+  // Each wire copy and each ack is posted and decided here, for both
+  // timelines: send() acts on them as events run, send_segment up front.
+  /// Post copy `n` at `t`: a repeat counts a retransmit and prices another
+  /// o_send; every copy is a wire record.
+  void post_copy(const Channel& ch, int n, std::size_t wire_bytes,
+                 FlowId flow, Time t);
+  /// Copy `n` of segment `seq`, posted at `t`. Not lost, it takes the
+  /// channel's next jitter draw.
+  CopyFate copy_fate(Channel& ch, std::uint64_t seq, int n,
+                     std::size_t wire_bytes, Time t);
+  /// Post an ack from the receiver at `t`: count, o_ack price, wire record.
+  void post_ack(const Channel& ch, FlowId flow, Time t);
+  /// The channel's next ack of segment `seq`, sent at `t`: when it reaches
+  /// the sender, or -1 when it is lost.
+  Time ack_fate(Channel& ch, std::uint64_t seq, Time t);
 
   Channel& channel(Rank src, Rank dst, int tag);
   void attempt(Channel& ch, std::uint64_t seq, Time t);

@@ -20,9 +20,7 @@ double unit(std::uint64_t h) {
 
 Transport::Transport(Host& host, sim::Simulator& sim, const net::Network& net,
                      chaos::Engine* chaos, const Params& params)
-    : host_(host), sim_(sim), net_(net), chaos_(chaos), params_(params) {
-  params_.validate();
-}
+    : host_(host), sim_(sim), net_(net), chaos_(chaos), params_(params) {}
 
 Transport::Channel& Transport::channel(Rank src, Rank dst, int tag) {
   auto& ch = channels_[chaos::channel_key(src, dst, tag)];
@@ -50,9 +48,9 @@ void Transport::send(Rank src, Rank dst, int tag,
   attempt(ch, seq, sim_.rank_now(src));
 }
 
-Transport::SegmentFate Transport::send_segment(Rank src, Rank dst, int tag,
-                                               std::size_t payload_bytes,
-                                               FlowId flow, Time start) {
+Time Transport::send_segment(Rank src, Rank dst, int tag,
+                             std::size_t payload_bytes, FlowId flow,
+                             Time start) {
   const prof::ScopedTimer pt(prof::Section::kTransport);
   Channel& ch = channel(src, dst, tag);
   const std::uint64_t seq = ch.next_seq++;
@@ -67,8 +65,7 @@ Transport::SegmentFate Transport::send_segment(Rank src, Rank dst, int tag,
     // Abandoned at issue: no wire activity, and the dead target never
     // observes the landing; the nominal time only keeps completion math
     // monotone at the origin.
-    return SegmentFate{floored(start + net_.transfer_time(src, dst, wire_bytes)),
-                       0};
+    return floored(start + net_.transfer_time(src, dst, wire_bytes));
   }
 
   // Both endpoints are live: replay the full retransmit/ack timeline
@@ -79,7 +76,6 @@ Transport::SegmentFate Transport::send_segment(Rank src, Rank dst, int tag,
   // intact copy.
   Time raw_deliver = -1;
   Time acked_at = -1;
-  int copies = 0;
   Time t = start;
   for (int n = 0;; ++n) {
     if (acked_at >= 0 && t >= acked_at) break;  // timer finds the seq acked
@@ -91,35 +87,18 @@ Transport::SegmentFate Transport::send_segment(Rank src, Rank dst, int tag,
          << params_.retry_max << ") with a live destination";
       throw TransportError(os.str());
     }
-    ++copies;
-    const bool retransmit = n > 0;
-    sim_.schedule_for(src, t, [this, src, dst, wire_bytes, flow, retransmit,
-                               t] {
-      if (retransmit) {
-        host_.ft_count(src, Stat::kRetransmit, flow, t);
-        host_.ft_price(src, net_.params().o_send);
-      }
-      host_.ft_record_wire(src, dst, wire_bytes);
+    sim_.schedule_for(src, t, [this, &ch, n, wire_bytes, flow, t] {
+      post_copy(ch, n, wire_bytes, flow, t);
     });
-    if (chaos_ != nullptr && chaos_->wire_lost(src, dst, tag, seq, n)) {
+    const CopyFate fate = copy_fate(ch, seq, n, wire_bytes, t);
+    if (fate.lost()) {
       sim_.schedule_for(src, t, [this, src, flow, t] {
         host_.ft_count(src, Stat::kDropped, flow, t);
       });
     } else {
-      const bool corrupt =
-          chaos_ != nullptr && chaos_->wire_corrupted(src, dst, tag, seq, n);
-      Time wire = net_.transfer_time(src, dst, wire_bytes);
-      if (chaos_ != nullptr) {
-        wire +=
-            chaos_->transfer_jitter(src, dst, tag, ch.jitter_draws++, wire);
-      }
-      const Time at = t + wire;
-      const bool dup = chaos_ != nullptr &&
-                       chaos_->wire_duplicated(src, dst, tag, seq, n);
-      const Time arrivals[2] = {at, dup ? at + wire / 2 + 1 : Time{-1}};
-      for (const Time arrive_at : arrivals) {
+      for (const Time arrive_at : {fate.at, fate.dup_at}) {
         if (arrive_at < 0) continue;
-        if (corrupt) {
+        if (fate.corrupt) {
           // The CRC catches the flip at the target's window layer; no
           // ack, so the sender's timer repairs it.
           sim_.schedule_for(dst, arrive_at, [this, dst, flow, arrive_at] {
@@ -132,30 +111,26 @@ Transport::SegmentFate Transport::send_segment(Rank src, Rank dst, int tag,
         // The target's window layer acks every intact copy; duplicates
         // are filtered but re-acked (a lost ack must not stall the
         // sender's timer forever).
-        sim_.schedule_for(dst, arrive_at, [this, src, dst, flow, arrive_at,
-                                           first_good] {
-          if (!first_good) {
-            host_.ft_count(dst, Stat::kDupFiltered, flow, arrive_at);
-          }
-          host_.ft_count(dst, Stat::kAck, flow, arrive_at);
-          host_.ft_price(dst, net_.params().o_ack);
-          host_.ft_record_wire(dst, src, kAckBytes);
-        });
-        const std::uint64_t ack_no = ch.acks_sent++;
-        if (chaos_ != nullptr &&
-            chaos_->ack_lost(src, dst, tag, seq, ack_no)) {
+        sim_.schedule_for(
+            dst, arrive_at, [this, &ch, flow, arrive_at, first_good] {
+              if (!first_good) {
+                host_.ft_count(ch.dst, Stat::kDupFiltered, flow, arrive_at);
+              }
+              post_ack(ch, flow, arrive_at);
+            });
+        const Time back = ack_fate(ch, seq, arrive_at);
+        if (back < 0) {
           sim_.schedule_for(dst, arrive_at, [this, dst, flow, arrive_at] {
             host_.ft_count(dst, Stat::kDropped, flow, arrive_at);
           });
-        } else {
-          const Time back = arrive_at + net_.transfer_time(dst, src, kAckBytes);
-          if (acked_at < 0 || back < acked_at) acked_at = back;
+        } else if (acked_at < 0 || back < acked_at) {
+          acked_at = back;
         }
       }
     }
     t += rto(ch, seq, n);
   }
-  return SegmentFate{floored(raw_deliver), copies};
+  return floored(raw_deliver);
 }
 
 void Transport::preseed_channel_for_test(Rank src, Rank dst, int tag,
@@ -174,13 +149,63 @@ Time Transport::rto(const Channel& ch, std::uint64_t seq, int attempt) const {
   // Exponential backoff with a capped exponent (the cap only matters past
   // retry_max anyway) and deterministic decorrelating jitter.
   const int e = std::min(attempt, 16);
-  double v = static_cast<double>(params_.rto_base) *
-             std::pow(params_.rto_backoff, static_cast<double>(e));
+  double v = static_cast<double>(kRtoBase) *
+             std::pow(kRtoBackoff, static_cast<double>(e));
   const std::uint64_t h = util::hash_combine(
       chaos::channel_key(ch.src, ch.dst, ch.tag) ^ 0x5bf03635ull,
       util::hash_combine(seq, static_cast<std::uint64_t>(attempt)));
-  v *= 1.0 + params_.rto_jitter * unit(h);
+  v *= 1.0 + kRtoJitter * unit(h);
   return static_cast<Time>(v);
+}
+
+// -- One wire copy and one ack, on both timelines ----------------------------
+
+void Transport::post_copy(const Channel& ch, int n, std::size_t wire_bytes,
+                          FlowId flow, Time t) {
+  if (n > 0) {
+    // A retransmission costs another o_send of NIC work and another wire
+    // copy — this is where reliability shows up in the cost model.
+    host_.ft_count(ch.src, Stat::kRetransmit, flow, t);
+    host_.ft_price(ch.src, net_.params().o_send);
+  }
+  host_.ft_record_wire(ch.src, ch.dst, wire_bytes);
+}
+
+Transport::CopyFate Transport::copy_fate(Channel& ch, std::uint64_t seq, int n,
+                                         std::size_t wire_bytes, Time t) {
+  CopyFate fate;
+  if (chaos_ != nullptr && chaos_->wire_lost(ch.src, ch.dst, ch.tag, seq, n)) {
+    return fate;
+  }
+  fate.corrupt = chaos_ != nullptr &&
+                 chaos_->wire_corrupted(ch.src, ch.dst, ch.tag, seq, n);
+  Time wire = net_.transfer_time(ch.src, ch.dst, wire_bytes);
+  if (chaos_ != nullptr) {
+    wire += chaos_->transfer_jitter(ch.src, ch.dst, ch.tag, ch.jitter_draws++,
+                                    wire);
+  }
+  fate.at = t + wire;
+  if (chaos_ != nullptr &&
+      chaos_->wire_duplicated(ch.src, ch.dst, ch.tag, seq, n)) {
+    // The network delivers a second, bit-identical copy a little later.
+    fate.dup_at = fate.at + wire / 2 + 1;
+  }
+  return fate;
+}
+
+void Transport::post_ack(const Channel& ch, FlowId flow, Time t) {
+  host_.ft_count(ch.dst, Stat::kAck, flow, t);
+  host_.ft_price(ch.dst, net_.params().o_ack);
+  host_.ft_record_wire(ch.dst, ch.src, kAckBytes);
+}
+
+Time Transport::ack_fate(Channel& ch, std::uint64_t seq, Time t) {
+  const std::uint64_t ack_no = ch.acks_sent++;
+  if (chaos_ != nullptr &&
+      chaos_->ack_lost(ch.src, ch.dst, ch.tag, seq, ack_no)) {
+    return -1;
+  }
+  return t + net_.transfer_time(ch.dst, ch.src, kAckBytes);
 }
 
 void Transport::abandon(Channel& ch, std::uint64_t seq) {
@@ -203,40 +228,19 @@ void Transport::attempt(Channel& ch, std::uint64_t seq, Time t) {
   const int n = pe.attempts++;
   const std::size_t wire_bytes =
       pe.payload.size() + kEnvelopeBytes + kFtHeaderBytes;
-  if (n > 0) {
-    // A retransmission costs another o_send of NIC work and another wire
-    // copy — this is where reliability shows up in the cost model.
-    host_.ft_count(ch.src, Stat::kRetransmit, pe.flow, t);
-    host_.ft_price(ch.src, net_.params().o_send);
-  }
-  host_.ft_record_wire(ch.src, ch.dst, wire_bytes);
-
-  const bool lost =
-      chaos_ != nullptr && chaos_->wire_lost(ch.src, ch.dst, ch.tag, seq, n);
-  if (lost) {
+  post_copy(ch, n, wire_bytes, pe.flow, t);
+  const CopyFate fate = copy_fate(ch, seq, n, wire_bytes, t);
+  if (fate.lost()) {
     host_.ft_count(ch.src, Stat::kDropped, pe.flow, t);
   } else {
-    const bool corrupt = chaos_ != nullptr &&
-                         chaos_->wire_corrupted(ch.src, ch.dst, ch.tag, seq, n);
-    Time wire = net_.transfer_time(ch.src, ch.dst, wire_bytes);
-    if (chaos_ != nullptr) {
-      wire += chaos_->transfer_jitter(ch.src, ch.dst, ch.tag,
-                                      ch.jitter_draws++, wire);
-    }
-    const Time at = t + wire;
-    auto deliver_copy = [this, &ch, seq, corrupt](Time when, const Pending& p) {
-      sim_.schedule_for(ch.dst, when, [this, &ch, seq, corrupt, when,
-                                       payload = p.payload, crc = p.crc,
-                                       sent_at = p.first_posted,
-                                       flow = p.flow]() mutable {
+    for (const Time when : {fate.at, fate.dup_at}) {
+      if (when < 0) continue;
+      sim_.schedule_for(ch.dst, when, [this, &ch, seq, corrupt = fate.corrupt,
+                                       when, payload = pe.payload, crc = pe.crc,
+                                       sent_at = pe.first_posted,
+                                       flow = pe.flow]() mutable {
         arrive(ch, seq, std::move(payload), crc, corrupt, when, sent_at, flow);
       });
-    };
-    deliver_copy(at, pe);
-    if (chaos_ != nullptr &&
-        chaos_->wire_duplicated(ch.src, ch.dst, ch.tag, seq, n)) {
-      // The network delivers a second, bit-identical copy a little later.
-      deliver_copy(at + wire / 2 + 1, pe);
     }
   }
 
@@ -313,18 +317,13 @@ void Transport::arrive(Channel& ch, std::uint64_t seq, util::Buffer payload,
 }
 
 void Transport::send_ack(Channel& ch, std::uint64_t seq, Time t, FlowId flow) {
-  host_.ft_count(ch.dst, Stat::kAck, flow, t);
-  host_.ft_price(ch.dst, net_.params().o_ack);
-  host_.ft_record_wire(ch.dst, ch.src, kAckBytes);
-  const std::uint64_t ack_no = ch.acks_sent++;
-  if (chaos_ != nullptr &&
-      chaos_->ack_lost(ch.src, ch.dst, ch.tag, seq, ack_no)) {
+  post_ack(ch, flow, t);
+  const Time back = ack_fate(ch, seq, t);
+  if (back < 0) {
     host_.ft_count(ch.dst, Stat::kDropped, flow, t);
     return;  // the sender retransmits; the receiver dedups
   }
-  const Time wire = net_.transfer_time(ch.dst, ch.src, kAckBytes);
-  sim_.schedule_for(ch.src, t + wire,
-                    [this, &ch, seq] { ch.pending.erase(seq); });
+  sim_.schedule_for(ch.src, back, [this, &ch, seq] { ch.pending.erase(seq); });
 }
 
 void Transport::on_rank_failed(Rank rank) {

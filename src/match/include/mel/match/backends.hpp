@@ -88,10 +88,12 @@ std::size_t rma_fence_window_bytes(const graph::LocalGraph& lg);
 /// others). On completion `mate_out` holds one global partner id (or
 /// kNullVertex) per owned vertex, and `iterations_out` the number of
 /// exchange rounds (RMA/NCL families), processed messages (NSR/MBP) or sent
-/// batches (NSR-AGG/NSR-HIER).
+/// batches (NSR-AGG/NSR-HIER). While the rank runs, `*live` points at its
+/// LocalMatcher (see its constructor).
 sim::RankTask match_rank(Model m, mpi::Comm& comm, const graph::LocalGraph& lg,
                          const graph::Distribution& dist, int window_id,
                          std::span<VertexId> mate_out,
-                         std::uint64_t* iterations_out);
+                         std::uint64_t* iterations_out,
+                         const LocalMatcher** live);
 
 }  // namespace mel::match

@@ -63,9 +63,16 @@ class LocalMatcher {
   using Push = std::function<void(Rank dst, const WireMsg& msg)>;
 
   /// `comm` is used only to charge local-computation time to the rank's
-  /// virtual clock; all communication goes through `push`.
+  /// virtual clock; all communication goes through `push`. `*live` is
+  /// where the match driver reads this rank's state while it runs (crash
+  /// recovery): the matcher points it at itself and clears it when
+  /// destroyed, so the slot must outlive the matcher.
   LocalMatcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-               const graph::Distribution& dist, Push push);
+               const graph::Distribution& dist, Push push,
+               const LocalMatcher** live);
+  ~LocalMatcher();
+  LocalMatcher(const LocalMatcher&) = delete;
+  LocalMatcher& operator=(const LocalMatcher&) = delete;
 
   /// Phase 1: FINDMATE for every owned vertex, then drain local work.
   void start();
@@ -118,6 +125,7 @@ class LocalMatcher {
   std::vector<VertexId> matched_queue_;
   std::vector<VertexId> refind_queue_;
   Push push_;
+  const LocalMatcher** live_;
   std::int64_t active_cross_ = 0;
 };
 

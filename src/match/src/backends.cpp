@@ -472,11 +472,12 @@ std::size_t rma_fence_window_bytes(const graph::LocalGraph& lg) {
 sim::RankTask match_rank(Model m, mpi::Comm& comm, const graph::LocalGraph& lg,
                          const graph::Distribution& dist, int window_id,
                          std::span<VertexId> mate_out,
-                         std::uint64_t* iterations_out) {
+                         std::uint64_t* iterations_out,
+                         const LocalMatcher** live) {
   const std::unique_ptr<WireExchange> ex = make_exchange(m, comm, lg, window_id);
-  LocalMatcher eng(comm, lg, dist, [&ex](Rank dst, const WireMsg& msg) {
-    ex->push(dst, msg);
-  });
+  LocalMatcher eng(
+      comm, lg, dist,
+      [&ex](Rank dst, const WireMsg& msg) { ex->push(dst, msg); }, live);
   WireSink sink{[&eng](const WireMsg& msg) { eng.handle(msg); },
                 [&eng] { eng.drain_local(); }};
 

@@ -35,10 +35,10 @@ struct Checkpoint {
 /// and the survivors' live state at abort time for shrink-and-continue).
 struct Attempt {
   Checkpoint ckpt;
-  /// Survivor state probed at abort time (ULFM shrink-and-continue):
+  /// Survivor state read at abort time (ULFM shrink-and-continue):
   /// strictly fresher than any periodic checkpoint, valid even with
   /// checkpoint_ns = 0. Invalid when some surviving unfinished rank has no
-  /// state probe — the unrecoverable-frontier case that falls back to the
+  /// live matcher — the unrecoverable-frontier case that falls back to the
   /// checkpoint rollback path.
   Checkpoint live;
   RunResult result;  // after a failure, the matching holds finished ranks only
@@ -49,6 +49,10 @@ Attempt run_once(const graph::DistGraph& dg, Model model,
   const int p = dg.nranks();
   Attempt a;
   a.ckpt.state.resize(p);
+  // Each rank's LocalMatcher while it lives. Declared before the job: the
+  // simulator destroys parked coroutine frames, and with them matchers
+  // that clear their slot here.
+  std::vector<const LocalMatcher*> live(p, nullptr);
 
   Job job(dg, cfg);
   sim::Simulator& simulator = job.simulator;
@@ -77,16 +81,17 @@ Attempt run_once(const graph::DistGraph& dg, Model model,
   mate.assign(static_cast<std::size_t>(dg.nverts()), kNullVertex);
   const auto owned = [&](Rank r) { return owned_range(mate, dg.local(r)); };
   // A rank that finished wrote its mates; one that is still running is
-  // read through its registered state probe (frame guaranteed alive).
+  // read from its live matcher.
   const auto state_of = [&](Rank r, std::vector<std::int64_t>& state) {
+    std::span<const VertexId> mates;
     if (simulator.rank_done(r)) {
-      const auto done = owned(r);
-      state.assign(done.begin(), done.end());
-    } else if (machine.has_state_probe(r)) {
-      state = machine.probe_state(r);
+      mates = owned(r);
+    } else if (live[r] != nullptr) {
+      mates = live[r]->mates();
     } else {
       return false;
     }
+    state.assign(mates.begin(), mates.end());
     return true;
   };
 
@@ -108,7 +113,7 @@ Attempt run_once(const graph::DistGraph& dg, Model model,
   job.run(
       [&](Rank r) {
         return match_rank(model, machine.comm(r), dg.local(r), dg.dist(),
-                          window_id, owned(r), &iterations[r]);
+                          window_id, owned(r), &iterations[r], &live[r]);
       },
       result);
   result.failed_ranks = machine.failed_ranks();
@@ -119,11 +124,11 @@ Attempt run_once(const graph::DistGraph& dg, Model model,
     // pairs are final in the locally-dominant algorithm, so the state the
     // survivors hold *right now* is a checkpoint taken at the moment of
     // failure. Parked coroutine frames stay alive until the Simulator is
-    // destroyed, so probing them here is safe; a rank that already
-    // returned (cleanly or by unwinding on RankFailedError) reads from
-    // the output instead. A surviving, unfinished rank with no probe
-    // leaves a frontier that cannot be reconstructed, so shrink recovery
-    // is off the table.
+    // destroyed, so reading their matchers here is safe; a rank that
+    // already returned (cleanly or by unwinding on RankFailedError) reads
+    // from the output instead. A surviving, unfinished rank with no live
+    // matcher leaves a frontier that cannot be reconstructed, so shrink
+    // recovery is off the table.
     a.live.valid = true;
     a.live.at = simulator.max_rank_time();
     a.live.state.resize(p);
@@ -252,7 +257,7 @@ RunResult run_match(const graph::Csr& g, int nranks, Model model,
   // state), so any pair both endpoints recorded is durable — unless an
   // endpoint's owner died, which takes its vertices (and their matches)
   // out of the computation. The default (ft::Recovery::kShrink) sources
-  // those pairs from the survivors' live state probed at abort time and
+  // those pairs from the survivors' live state read at abort time and
   // resumes on the induced surviving subgraph with no rollback at all;
   // kRollback — or an unrecoverable live frontier — sources them from the
   // last periodic checkpoint instead. Either way, surviving vertices not

@@ -8,13 +8,15 @@
 namespace mel::match {
 
 LocalMatcher::LocalMatcher(mpi::Comm& comm, const graph::LocalGraph& lg,
-                           const graph::Distribution& dist, Push push)
+                           const graph::Distribution& dist, Push push,
+                           const LocalMatcher** live)
     : comm_(comm),
       lg_(lg),
       dist_(dist),
       order_(rows_by_edge_key(lg.vbegin, lg.offsets, lg.adj,
                               "LocalMatcher: rank " + std::to_string(lg.rank))),
-      push_(std::move(push)) {
+      push_(std::move(push)),
+      live_(live) {
   const VertexId n = lg.nlocal();
   // Rows are sorted by `to` and visited in ascending x, so the reverse
   // entries a row y is asked for come in ascending order too: one pointer
@@ -41,14 +43,10 @@ LocalMatcher::LocalMatcher(mpi::Comm& comm, const graph::LocalGraph& lg,
   mate_.assign(static_cast<std::size_t>(n), kNullVertex);
   cand_.assign(static_cast<std::size_t>(n), kNullVertex);
   active_cross_ = lg.total_ghost_edges;
-  // Checkpoint probe for crash recovery: the driver snapshots every rank's
-  // mate vector at virtual-time intervals. The machine invokes probes only
-  // for ranks that are neither done nor crashed, so `this` (which lives in
-  // the still-suspended coroutine frame) is guaranteed alive.
-  comm.machine().set_state_probe(comm.rank(), [this] {
-    return std::vector<std::int64_t>(mate_.begin(), mate_.end());
-  });
+  *live_ = this;
 }
+
+LocalMatcher::~LocalMatcher() { *live_ = nullptr; }
 
 EdgeId LocalMatcher::entry_index(VertexId x, VertexId y) const {
   const VertexId lx = local_index(x);

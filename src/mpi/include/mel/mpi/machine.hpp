@@ -231,15 +231,6 @@ class Machine : public ft::Host {
   /// crash landing after the rank already returned is a no-op.
   void handle_rank_failure(Rank rank);
 
-  /// Per-rank application-state probe for driver-level checkpointing: the
-  /// matching engine registers a callback returning its current state
-  /// vector. Probes are only invoked for ranks that are neither done nor
-  /// crashed (their coroutine frame — and thus the engine — is alive).
-  using StateProbe = std::function<std::vector<std::int64_t>()>;
-  void set_state_probe(Rank rank, StateProbe probe);
-  bool has_state_probe(Rank rank) const;
-  std::vector<std::int64_t> probe_state(Rank rank) const;
-
   // -- ft::Host (callbacks from the reliable transport) ---------------------
   void ft_deliver(Rank src, Rank dst, int tag, util::Buffer payload,
                   Time sent_at, Time arrive_at, FlowId flow) override;
@@ -367,24 +358,22 @@ class Machine : public ft::Host {
   /// after any chaos straggler scaling. Returns the charged amount.
   Time charge_compute(Rank rank, Time ns);
 
-  /// Run a tracer callback at the current call site's position in the
-  /// global event order. The tracer is shared across all ranks, so inside a
-  /// sharded window the call is deferred to the window barrier (where
-  /// deferred actions replay in exact merged order); everywhere else —
-  /// sequential engine, merge phase, pre/post-run — it runs inline. Every
-  /// value the callback needs must be captured eagerly: by the time a
-  /// deferred callback runs, rank clocks may have advanced.
+  /// The one way to the tracer: when one is installed, run `f` on it at
+  /// the current call site's position in the global event order. The
+  /// tracer is shared across all ranks, so the call goes through
+  /// Simulator::defer: replayed at the window barrier in exact merged
+  /// order inside a sharded window, inline everywhere else. Every value
+  /// the callback needs must be captured eagerly: by the time a deferred
+  /// callback runs, rank clocks may have advanced.
   template <class F>
   void with_trace(F&& f) {
     if (tracer_ == nullptr) return;
-    if (sim_.in_window_phase()) {
-      sim_.defer([this, f = std::forward<F>(f)]() mutable { f(*tracer_); });
-    } else {
-      f(*tracer_);
-    }
+    sim_.defer([this, f = std::forward<F>(f)]() mutable { f(*tracer_); });
   }
 
   /// Record one completed operation interval if a tracer is installed.
+  /// This and trace_iteration check for the tracer before the gate does, so
+  /// an untraced call also skips the clock read (and the counter copy).
   void trace_op(Rank rank, const char* category, Time start) {
     if (tracer_ == nullptr) return;
     const Time end = sim_.rank_now(rank);
@@ -415,6 +404,11 @@ class Machine : public ft::Host {
   void enqueue_accounting(Rank dst, std::size_t bytes);
   /// Record one wire copy sent at `t` in the matrix and the tracer.
   void record_wire(Rank src, Rank dst, std::size_t bytes, Time t);
+  /// Put a new message (an isend, a put or one neighborhood slice) of
+  /// `payload_bytes` on the wire at `t`: record its first wire copy, unless
+  /// the transport records its own copies, and begin its traced flow.
+  void inject(FlowId flow, Channel channel, Rank src, Rank dst, int tag,
+              std::size_t payload_bytes, Time t);
   /// Schedule `msg`'s mailbox delivery at its arrival time on its
   /// destination's shard; the sender's in-flight gauges settle at the
   /// merge point.
@@ -486,7 +480,6 @@ class Machine : public ft::Host {
   std::vector<std::size_t> dead_letter_bytes_;
   std::vector<char> failed_;        // per rank, 1 = failed
   std::vector<Rank> failed_ranks_;  // in failure order
-  std::vector<StateProbe> state_probes_;  // per rank, may be null
 
   /// The finalize audit's conservation totals, one row per rank. Each is
   /// written inline by the rank whose event it is: the sender in isend,

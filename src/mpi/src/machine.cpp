@@ -198,7 +198,6 @@ Machine::Machine(sim::Simulator& simulator, net::Network network,
       dead_letter_msgs_(net_.nranks(), 0),
       dead_letter_bytes_(net_.nranks(), 0),
       failed_(net_.nranks(), 0),
-      state_probes_(net_.nranks()),
       conservation_(net_.nranks()),
       next_flow_(net_.nranks(), 0) {
   if (net_.nranks() != sim_.nranks()) {
@@ -386,19 +385,9 @@ void Machine::isend(Rank src, Rank dst, int tag,
   sim_.charge(src, o_send);
   trace_op(src, "isend", isend_start);
   const FlowId flow = new_flow(src);
-  const std::size_t wire_bytes = data.size() + kHeaderBytes;
-  if (tracer_ != nullptr) {
-    const Channel ch = transport_ != nullptr ? Channel::kFt : Channel::kP2P;
-    const Time tnow = sim_.rank_now(src);
-    with_trace([=](Tracer& t) {
-      t.flow_begin(flow, ch, src, dst, tag, wire_bytes, tnow);
-    });
-  }
-  // The reliable transport records each of its wire copies itself
-  // (ft_record_wire), the first one included.
-  if (transport_ == nullptr) {
-    record_wire(src, dst, wire_bytes, sim_.rank_now(src));
-  }
+  const Time sent_at = sim_.rank_now(src);
+  inject(flow, transport_ != nullptr ? Channel::kFt : Channel::kP2P, src, dst,
+         tag, data.size(), sent_at);
   // The in-flight gauge's peak depends on the global event order, so the
   // increment runs at the merge point (same global order as the sequential
   // engine, so the recorded peaks are identical), as does the decrement in
@@ -421,12 +410,12 @@ void Machine::isend(Rank src, Rank dst, int tag,
   // MPI non-overtaking: messages on one channel are delivered in send
   // order regardless of size.
   const std::size_t slot = channel_slot(src, dst, tag);
-  Time wire = net_.transfer_time(src, dst, wire_bytes);
+  Time wire = net_.transfer_time(src, dst, data.size() + kHeaderBytes);
   if (!draws_.empty()) {
     wire += chaos_->transfer_jitter(src, dst, tag, draws_[src][slot]++, wire);
   }
   Time& floor = floors_[src][slot].at;
-  const Time arrival = std::max(sim_.rank_now(src) + wire, floor + 1);
+  const Time arrival = std::max(sent_at + wire, floor + 1);
   floor = arrival;
 
   Message msg;
@@ -436,7 +425,7 @@ void Machine::isend(Rank src, Rank dst, int tag,
   // The payload's one and only copy: into a refcounted buffer that
   // travels through delivery and the mailbox by reference.
   msg.data = util::Buffer::copy_of(data);
-  msg.sent_at = sim_.rank_now(src);
+  msg.sent_at = sent_at;
   msg.arrived_at = arrival;
   msg.flow = flow;
   schedule_delivery(std::move(msg));
@@ -476,6 +465,17 @@ void Machine::record_wire(Rank src, Rank dst, std::size_t bytes, Time t) {
   with_trace([=](Tracer& tr) { tr.wire(src, dst, bytes, t); });
 }
 
+void Machine::inject(FlowId flow, Channel channel, Rank src, Rank dst, int tag,
+                     std::size_t payload_bytes, Time t) {
+  const std::size_t wire_bytes = payload_bytes + kHeaderBytes;
+  // The reliable transport records each of its wire copies itself
+  // (ft_record_wire), the first one included.
+  if (transport_ == nullptr) record_wire(src, dst, wire_bytes, t);
+  with_trace([=](Tracer& tr) {
+    tr.flow_begin(flow, channel, src, dst, tag, wire_bytes, t);
+  });
+}
+
 namespace {
 bool matches(const Message& m, Rank src, int tag) {
   return (src == kAnySource || m.src == src) && (tag == kAnyTag || m.tag == tag);
@@ -493,7 +493,7 @@ void Machine::deliver(Message msg) {
     // from messages a backend abandoned while it could still read them.
     dead_letter_msgs_[dst] += 1;
     dead_letter_bytes_[dst] += msg.data.size();
-    if (tracer_ != nullptr && msg.flow != 0) {
+    if (msg.flow != 0) {
       // Close the flow here: nothing will ever recv it.
       const FlowId flow = msg.flow;
       const Time at = msg.arrived_at;
@@ -511,7 +511,7 @@ void Machine::deliver(Message msg) {
     t->fired = true;
     if (t->peek_only) {
       // Leave the message in the mailbox for a later recv.
-      if (tracer_ != nullptr && msg.flow != 0) {
+      if (msg.flow != 0) {
         const FlowId flow = msg.flow;
         const Time at = msg.arrived_at;
         with_trace([=](Tracer& tr) { tr.flow_step(flow, dst, at); });
@@ -523,7 +523,7 @@ void Machine::deliver(Message msg) {
     } else {
       const Time wake_at = std::max(t->parked_clock, msg.arrived_at) +
                            net_.recv_overhead(msg.src, dst);
-      if (tracer_ != nullptr && msg.flow != 0) {
+      if (msg.flow != 0) {
         const FlowId flow = msg.flow;
         with_trace([=](Tracer& tr) { tr.flow_end(flow, dst, wake_at); });
       }
@@ -533,7 +533,7 @@ void Machine::deliver(Message msg) {
     }
     return;
   }
-  if (tracer_ != nullptr && msg.flow != 0 && !sim_.rank_done(dst)) {
+  if (msg.flow != 0 && !sim_.rank_done(dst)) {
     const FlowId flow = msg.flow;
     const Time at = msg.arrived_at;
     with_trace([=](Tracer& tr) { tr.flow_step(flow, dst, at); });
@@ -579,7 +579,7 @@ bool Machine::try_recv(Rank rank, Rank src, int tag, Message& out) {
     mailbox_msgs_[rank] -= 1;
     box.erase(it);
     counters_[rank].recvs += 1;
-    if (tracer_ != nullptr && out.flow != 0) {
+    if (out.flow != 0) {
       const FlowId flow = out.flow;
       const Time tnow = sim_.rank_now(rank);
       with_trace([=](Tracer& t) { t.flow_end(flow, rank, tnow); });
@@ -620,19 +620,8 @@ void Machine::put(int win, Rank origin, Rank target, std::size_t offset,
   c.bytes_put += data.size();
   c.comm_ns += p.o_put;
   const FlowId flow = new_flow(origin);
-  const std::size_t wire_bytes = data.size() + kHeaderBytes;
-  // Under the reliable transport the wire record happens per copy in the
-  // transport itself (ft_record_wire), exactly as on the p2p path.
-  if (transport_ == nullptr) {
-    record_wire(origin, target, wire_bytes, sim_.rank_now(origin));
-  }
-  if (tracer_ != nullptr) {
-    const Time tnow = sim_.rank_now(origin);
-    with_trace([=](Tracer& t) {
-      t.flow_begin(flow, Channel::kRma, origin, target, /*tag=*/-1, wire_bytes,
-                   tnow);
-    });
-  }
+  inject(flow, Channel::kRma, origin, target, /*tag=*/-1, data.size(),
+         sim_.rank_now(origin));
 
   Time completion;
   if (transport_ != nullptr) {
@@ -640,12 +629,10 @@ void Machine::put(int win, Rank origin, Rank target, std::size_t offset,
     // channel: the completion time is the landing of the first intact
     // copy at the target's window layer, so a lossy wire shows up as a
     // later completion (and a later flush/fence), never as lost data.
-    completion = transport_
-                     ->send_segment(origin, target,
-                                    ft::Transport::kRmaTagBase + win,
-                                    data.size(), flow,
-                                    sim_.rank_now(origin))
-                     .deliver_at;
+    completion = transport_->send_segment(origin, target,
+                                          ft::Transport::kRmaTagBase + win,
+                                          data.size(), flow,
+                                          sim_.rank_now(origin));
   } else {
     completion = sim_.rank_now(origin) +
                  net_.transfer_time(origin, target, data.size() + kHeaderBytes);
@@ -670,7 +657,7 @@ void Machine::put(int win, Rank origin, Rank target, std::size_t offset,
         std::memcpy(ws.mem[target].data() + offset, payload.data(),
                     payload.size());
         conservation_[target].puts_landed += 1;
-        if (tracer_ != nullptr && flow != 0) {
+        if (flow != 0) {
           with_trace([=](Tracer& t) { t.flow_end(flow, target, at); });
         }
       });
@@ -764,16 +751,8 @@ void Machine::neighbor_begin(Rank rank, PackedSlices slices,
   const FlowId first_flow = new_flow(rank, static_cast<FlowId>(topo.size()));
   const Time tnow = sim_.rank_now(rank);
   for (std::size_t i = 0; i < topo.size(); ++i) {
-    const Rank peer = topo[i];
-    const std::size_t wire_bytes = slices.size(i) + kHeaderBytes;
-    // Under the reliable transport each slice's wire copies are recorded
-    // by the transport itself (ft_record_wire), like every other channel.
-    if (transport_ == nullptr) record_wire(rank, peer, wire_bytes, tnow);
-    const FlowId f = flow_at(first_flow, i);
-    with_trace([=](Tracer& t) {
-      t.flow_begin(f, Channel::kNeighbor, rank, peer, /*tag=*/-1, wire_bytes,
-                   tnow);
-    });
+    inject(flow_at(first_flow, i), Channel::kNeighbor, rank, topo[i],
+           /*tag=*/-1, slices.size(i), tnow);
   }
   // Staging copy into the collective's send buffer.
   sim_.charge(rank, net_.copy_time(slices.bytes()));
@@ -791,11 +770,9 @@ void Machine::neighbor_begin(Rank rank, PackedSlices slices,
     // repaired slice delays the collective rather than vanishing.
     slice_deliver.resize(topo.size(), 0);
     for (std::size_t i = 0; i < topo.size(); ++i) {
-      slice_deliver[i] =
-          transport_
-              ->send_segment(rank, topo[i], ft::Transport::kCollTag,
-                             slices.size(i), flow_at(first_flow, i), arrive)
-              .deliver_at;
+      slice_deliver[i] = transport_->send_segment(
+          rank, topo[i], ft::Transport::kCollTag, slices.size(i),
+          flow_at(first_flow, i), arrive);
     }
   }
 
@@ -1090,23 +1067,6 @@ void Machine::handle_rank_failure(Rank rank) {
   if (transport_ != nullptr) transport_->on_rank_failed(rank);
 }
 
-void Machine::set_state_probe(Rank rank, StateProbe probe) {
-  state_probes_.at(rank) = std::move(probe);
-}
-
-bool Machine::has_state_probe(Rank rank) const {
-  return static_cast<bool>(state_probes_.at(rank));
-}
-
-std::vector<std::int64_t> Machine::probe_state(Rank rank) const {
-  const auto& probe = state_probes_.at(rank);
-  if (!probe) {
-    throw std::logic_error("probe_state: no probe registered for rank " +
-                           std::to_string(rank));
-  }
-  return probe();
-}
-
 void Machine::ft_deliver(Rank src, Rank dst, int tag, util::Buffer payload,
                          Time sent_at, Time arrive_at, FlowId flow) {
   Message msg;
@@ -1137,9 +1097,7 @@ void Machine::ft_count(Rank rank, ft::Stat stat, FlowId flow, Time t) {
   // not flow phases: a retransmit can land *after* the flow already ended
   // (e.g. a duplicate racing the delivered copy), and Perfetto requires
   // flow steps to stay inside [s, f].
-  if (tracer_ != nullptr && name != nullptr) {
-    tracer_->instant(rank, name, t, flow);
-  }
+  trace_instant(rank, name, t, flow);
 }
 
 void Machine::ft_price(Rank rank, Time ns) {
@@ -1153,11 +1111,14 @@ void Machine::ft_abandoned(Rank src, std::size_t payload_bytes, FlowId flow) {
   inflight_sends_[src] -= 1;
   inflight_bytes_[src] -= payload_bytes;
   abandoned_payload_bytes_ += payload_bytes;
-  if (tracer_ != nullptr && flow != 0) {
+  if (flow != 0) {
     // Close the flow on the sender: the destination died and this message
     // will never be delivered.
-    tracer_->flow_end(flow, src, sim_.now());
-    tracer_->instant(src, "ft-abandoned", sim_.now(), flow);
+    const Time t = sim_.now();
+    with_trace([=](Tracer& tr) {
+      tr.flow_end(flow, src, t);
+      tr.instant(src, "ft-abandoned", t, flow);
+    });
   }
 }
 
@@ -1168,17 +1129,19 @@ void Machine::ft_record_wire(Rank src, Rank dst, std::size_t bytes) {
 void Machine::enable_sampling(Time interval_ns) {
   if (interval_ns <= 0) return;
   sim_.add_periodic_hook(interval_ns, [this](Time t) {
-    if (tracer_ == nullptr) return;
-    for (Rank r = 0; r < nranks(); ++r) {
-      tracer_->counter(r, "mailbox_msgs", t, mailbox_msgs_[r]);
-      tracer_->counter(r, "mailbox_bytes", t, mailbox_bytes_[r]);
-      tracer_->counter(r, "inflight_bytes", t, inflight_bytes_[r]);
-      if (transport_ != nullptr) {
-        tracer_->counter(r, "ft_pending", t,
-                         transport_->pending_segments_from(r));
+    // Hooks fire between events, never inside a shard's window, so the
+    // gate runs this inline and it reads the gauges as of t.
+    with_trace([this, t](Tracer& tr) {
+      for (Rank r = 0; r < nranks(); ++r) {
+        tr.counter(r, "mailbox_msgs", t, mailbox_msgs_[r]);
+        tr.counter(r, "mailbox_bytes", t, mailbox_bytes_[r]);
+        tr.counter(r, "inflight_bytes", t, inflight_bytes_[r]);
+        if (transport_ != nullptr) {
+          tr.counter(r, "ft_pending", t, transport_->pending_segments_from(r));
+        }
       }
-    }
-    tracer_->counter(-1, "event_queue", t, sim_.pending_events());
+      tr.counter(-1, "event_queue", t, sim_.pending_events());
+    });
   });
 }
 

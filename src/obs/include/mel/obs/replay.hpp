@@ -127,11 +127,14 @@ class Replayer {
   /// Re-price the recorded run under `params`.
   ReplayResult replay(const net::Params& params) const;
   /// Replay under the recorded parameters (the fidelity case).
-  ReplayResult replay() const { return replay(trace_.net); }
+  ReplayResult replay() const;
 
-  /// Compare replay() under the recorded parameters with the recorded
-  /// per-flow times and total. Empty = bit-exact fidelity; otherwise one
-  /// message per mismatch (capped).
+  /// Compare `r`, a replay of this trace under the recorded parameters,
+  /// with the recorded per-flow times and total. Empty = bit-exact
+  /// fidelity; otherwise one message per mismatch (capped). A result whose
+  /// flows are not this trace's throws std::invalid_argument.
+  std::vector<std::string> fidelity_errors(const ReplayResult& r) const;
+  /// fidelity_errors(replay()).
   std::vector<std::string> fidelity_errors() const;
 
   // -- DAG introspection (critical-path analysis, tests) --------------------
@@ -232,6 +235,8 @@ class Replayer {
   /// One evaluation pass under `now`: the replayed time per anchor into
   /// `out` (same order as anchors_); returns the replayed total.
   Time evaluate(const Prices& now, std::vector<Time>& out) const;
+  /// A pass's result from evaluate()'s total and per-anchor times.
+  ReplayResult roll_up(Time total, const std::vector<Time>& at) const;
 
   ReplayTrace trace_;
   bool persistent_;  // persistent neighborhood collectives (NCL-PERSIST)

@@ -127,11 +127,11 @@ TraceStats analyze(json::Reader& in, int top_k) {
   std::uint64_t spans_seen = 0;
 
   const auto on_event = [&](const TraceEvent& e) {
-    std::string what;
-    const Refusal r = gate(e, &what);
+    const Refusal r = gate(e);
     const std::string_view category =
         e.is_string(Field::kCat) ? e.cat : std::string_view();
     if (r != Refusal::kNone) {
+      std::string what = refusal_text(e);
       const bool wire_kept_out = r == Refusal::kNotInt64 ||
                                  r == Refusal::kTidOutside ||
                                  r == Refusal::kNegativeWireBytes;

@@ -606,11 +606,21 @@ Time Replayer::evaluate(const Prices& now, std::vector<Time>& out) const {
 }
 
 ReplayResult Replayer::replay(const net::Params& params) const {
-  ReplayResult res;
   std::vector<Time> at;
   // The pass's terms are freed before the roll-up allocates.
-  res.total_ns = evaluate(prices(params), at);
+  const Time total = evaluate(prices(params), at);
+  return roll_up(total, at);
+}
 
+ReplayResult Replayer::replay() const {
+  std::vector<Time> at;
+  const Time total = evaluate(recorded_, at);
+  return roll_up(total, at);
+}
+
+ReplayResult Replayer::roll_up(Time total, const std::vector<Time>& at) const {
+  ReplayResult res;
+  res.total_ns = total;
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -647,21 +657,30 @@ ReplayResult Replayer::replay(const net::Params& params) const {
 }
 
 std::vector<std::string> Replayer::fidelity_errors() const {
+  return fidelity_errors(replay());
+}
+
+std::vector<std::string> Replayer::fidelity_errors(
+    const ReplayResult& r) const {
   constexpr std::size_t kMaxReports = 16;
   std::vector<std::string> errors;
-  std::vector<Time> at;
-  const Time total = evaluate(recorded_, at);
-  if (total != trace_.run_time_ns) {
+  if (r.total_ns != trace_.run_time_ns) {
     std::ostringstream os;
     os << "total virtual time: recorded " << trace_.run_time_ns
-       << " ns, replayed " << total << " ns";
+       << " ns, replayed " << r.total_ns << " ns";
     errors.push_back(os.str());
   }
+  // A replay of this trace holds its ended flows in trace order.
   std::size_t mismatched = 0;
-  for (std::size_t i = 0; i < trace_.flows.size(); ++i) {
-    const ReplayFlow& f = trace_.flows[i];
+  auto replayed = r.flow_end.begin();
+  for (const ReplayFlow& f : trace_.flows) {
     if (!f.ended) continue;
-    const Time end = at[static_cast<std::size_t>(e_idx_[i])];
+    if (replayed == r.flow_end.end() || replayed->first != f.id) {
+      throw std::invalid_argument(
+          "Replayer::fidelity_errors: the result is not a replay of this "
+          "trace");
+    }
+    const Time end = (replayed++)->second;
     if (end == f.end) continue;
     if (++mismatched <= kMaxReports) {
       std::ostringstream os;

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <iterator>
+#include <sstream>
 #include <utility>
 
 namespace mel::obs {
@@ -368,87 +369,14 @@ TraceHeader read_header(const json::Value* other_data) {
   return h;
 }
 
-Refusal gate(const TraceEvent& e, std::string* why) {
-  using R = Refusal;
-  const auto refuse = [&e, why](R r, const std::string& what) {
-    if (why != nullptr) {
-      *why = what + " (event " + std::to_string(e.index) + ")";
-    }
+std::string refusal_text(const TraceEvent& e) {
+  std::ostringstream os;
+  check_event(e, [&os](Refusal r, const auto&... parts) {
+    (os << ... << parts);
     return r;
-  };
-  if (!e.is_object) {
-    return refuse(R::kNotObject, "traceEvents entry is not an object");
-  }
-  if (!e.is_string(Field::kName) || !e.is_string(Field::kPh) ||
-      e.ph.size() != 1) {
-    return refuse(R::kNoNamePh, "event without a string name/ph");
-  }
-  const char p = e.ph[0];
-  if (std::string_view("XistfCM").find(p) == std::string_view::npos) {
-    return refuse(R::kUnknownPhase,
-                  "unknown phase '" + std::string(e.ph) + "'");
-  }
-  if (p == 'M') return R::kNone;
-  if (!e.is_number(Field::kTs) || !e.is_number(Field::kPid) ||
-      !e.is_number(Field::kTid)) {
-    return refuse(R::kNoTsPidTid, "event missing numeric ts/pid/tid");
-  }
-  if (e.not_int64 != 0) {
-    return refuse(R::kNotInt64, std::string(e.first_not_int64()) +
-                                    " outside the int64 range");
-  }
-  // A rank or -1, melsim's tid for run-wide instants (checkpoints).
-  if (e.tid < -1 || e.tid >= kMaxRanks) {
-    return refuse(R::kTidOutside, "tid " + std::to_string(e.tid) +
-                                      " outside [-1, 2147483648)");
-  }
-  const auto flow = [&e] { return "flow " + std::to_string(e.id); };
-  switch (p) {
-    case 'X':
-      if (e.is_number(Field::kDur) && !e.dur_negative) return R::kNone;
-      return refuse(R::kNoDur, "X event without a non-negative dur");
-    case 's':
-    case 't':
-    case 'f':
-      if (!e.is_number(Field::kId)) {
-        return refuse(R::kNoFlowId, "flow event without an id");
-      }
-      if (p == 's' && e.is_number(Field::kBytes) && e.bytes < 0) {
-        return refuse(R::kNegativeFlowBytes,
-                      flow() + " with negative args.bytes");
-      }
-      if (e.id < 1) {
-        return refuse(R::kFlowIdBelowOne,
-                      "flow event with id " + std::to_string(e.id) + " below 1");
-      }
-      // A dst or tag no int holds would wrap into another flow's values.
-      if (p == 's' && !std::in_range<int>(e.dst)) {
-        return refuse(R::kWideDstTag, flow() + " with args.dst " +
-                                          std::to_string(e.dst) +
-                                          " outside the int range");
-      }
-      if (p == 's' && !std::in_range<int>(e.tag)) {
-        return refuse(R::kWideDstTag, flow() + " with args.tag " +
-                                          std::to_string(e.tag) +
-                                          " outside the int range");
-      }
-      return R::kNone;
-    case 'C':
-      if (e.args_is_object && e.args_first_is_number) return R::kNone;
-      return refuse(R::kNoCounterValue, "C event without a numeric args value");
-    case 'i':
-      if (!e.is_string(Field::kCat) || e.cat != "wire") return R::kNone;
-      if (!e.is_number(Field::kSrc) || !e.is_number(Field::kDst) ||
-          !e.is_number(Field::kBytes)) {
-        return refuse(R::kNoWireArgs,
-                      "wire event without numeric args src/dst/bytes");
-      }
-      if (e.bytes >= 0) return R::kNone;
-      return refuse(R::kNegativeWireBytes,
-                    "wire event with negative args.bytes");
-    default:
-      return R::kNone;
-  }
+  });
+  os << " (event " << e.index << ')';
+  return os.str();
 }
 
 }  // namespace mel::obs

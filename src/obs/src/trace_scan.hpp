@@ -24,6 +24,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "mel/obs/json.hpp"
 #include "mel/sim/time.hpp"
@@ -325,10 +326,91 @@ enum class Refusal : std::uint8_t {
   kNone,  // the event may be used
 };
 
-/// The one gate every trace consumer passes events through: the rule the
-/// event breaks, with validate's violation text for it in `why` (naming
-/// the event), or kNone. An "M" event passes once its phase is read, as
-/// metadata carries no timestamp.
-Refusal gate(const TraceEvent& e, std::string* why = nullptr);
+/// Every per-event rule, in validate's order: the first one `e` breaks,
+/// or kNone. An "M" event passes once its phase is read, as metadata
+/// carries no timestamp. A broken rule returns refuse(refusal, parts...),
+/// where the parts spell validate's violation text.
+template <class Refuse>
+Refusal check_event(const TraceEvent& e, Refuse&& refuse) {
+  using R = Refusal;
+  using F = TraceEvent::Field;
+  if (!e.is_object) {
+    return refuse(R::kNotObject, "traceEvents entry is not an object");
+  }
+  if (!e.is_string(F::kName) || !e.is_string(F::kPh) || e.ph.size() != 1) {
+    return refuse(R::kNoNamePh, "event without a string name/ph");
+  }
+  const char p = e.ph[0];
+  if (std::string_view("XistfCM").find(p) == std::string_view::npos) {
+    return refuse(R::kUnknownPhase, "unknown phase '", e.ph, "'");
+  }
+  if (p == 'M') return R::kNone;
+  if (!e.is_number(F::kTs) || !e.is_number(F::kPid) ||
+      !e.is_number(F::kTid)) {
+    return refuse(R::kNoTsPidTid, "event missing numeric ts/pid/tid");
+  }
+  if (e.not_int64 != 0) {
+    return refuse(R::kNotInt64, e.first_not_int64(),
+                  " outside the int64 range");
+  }
+  // A rank or -1, melsim's tid for run-wide instants (checkpoints).
+  if (e.tid < -1 || e.tid >= kMaxRanks) {
+    return refuse(R::kTidOutside, "tid ", e.tid, " outside [-1, 2147483648)");
+  }
+  switch (p) {
+    case 'X':
+      if (e.is_number(F::kDur) && !e.dur_negative) return R::kNone;
+      return refuse(R::kNoDur, "X event without a non-negative dur");
+    case 's':
+    case 't':
+    case 'f':
+      if (!e.is_number(F::kId)) {
+        return refuse(R::kNoFlowId, "flow event without an id");
+      }
+      if (p == 's' && e.is_number(F::kBytes) && e.bytes < 0) {
+        return refuse(R::kNegativeFlowBytes, "flow ", e.id,
+                      " with negative args.bytes");
+      }
+      if (e.id < 1) {
+        return refuse(R::kFlowIdBelowOne, "flow event with id ", e.id,
+                      " below 1");
+      }
+      // A dst or tag no int holds would wrap into another flow's values.
+      if (p == 's' && !std::in_range<int>(e.dst)) {
+        return refuse(R::kWideDstTag, "flow ", e.id, " with args.dst ", e.dst,
+                      " outside the int range");
+      }
+      if (p == 's' && !std::in_range<int>(e.tag)) {
+        return refuse(R::kWideDstTag, "flow ", e.id, " with args.tag ", e.tag,
+                      " outside the int range");
+      }
+      return R::kNone;
+    case 'C':
+      if (e.args_is_object && e.args_first_is_number) return R::kNone;
+      return refuse(R::kNoCounterValue, "C event without a numeric args value");
+    case 'i':
+      if (!e.is_string(F::kCat) || e.cat != "wire") return R::kNone;
+      if (!e.is_number(F::kSrc) || !e.is_number(F::kDst) ||
+          !e.is_number(F::kBytes)) {
+        return refuse(R::kNoWireArgs,
+                      "wire event without numeric args src/dst/bytes");
+      }
+      if (e.bytes >= 0) return R::kNone;
+      return refuse(R::kNegativeWireBytes,
+                    "wire event with negative args.bytes");
+    default:
+      return R::kNone;
+  }
+}
+
+/// The one gate every trace consumer passes events through: check_event's
+/// verdict, building no text. Inline, as it runs once per event.
+inline Refusal gate(const TraceEvent& e) {
+  return check_event(e, [](Refusal r, const auto&...) { return r; });
+}
+
+/// Validate's violation text for an event gate() refuses, naming the
+/// event.
+std::string refusal_text(const TraceEvent& e);
 
 }  // namespace mel::obs

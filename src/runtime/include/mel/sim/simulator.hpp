@@ -167,13 +167,11 @@ class Simulator {
   /// lookahead (limit_lookahead), normally installed by the MPI machine
   /// from the network model's minimum cross-shard latency.
   void set_threads(int threads);
-  int threads() const { return threads_; }
 
   /// Lower (or set, if unset) the conservative lookahead window bound, in
   /// virtual ns. Every cross-shard schedule must land at least this far
   /// after the event that issues it.
   void limit_lookahead(Time d);
-  Time lookahead() const { return lookahead_; }
 
   /// Fall back to the sequential engine (e.g. the MPI machine with the
   /// reliable transport on, whose per-channel state every shard would
@@ -289,6 +287,16 @@ class Simulator {
   /// time, ties by id).
   void fire_hooks(Time t);
 
+  // The two steps both engines take (simulator.cpp), defined once so the
+  // sharded engine's barriers and merge repeat the sequential loop exactly.
+  /// The run reaches the next event's time t: fire every hook boundary it
+  /// crosses, then throw WatchdogError past the horizon.
+  inline void reach(Time t);
+  /// The event at (t, seq) ran: advance now(), fold it into trace_hash()
+  /// and count it.
+  inline void count_event(Time t, std::uint64_t seq);
+  [[noreturn]] void throw_watchdog(Time t) const;
+
   // -- Sharded engine internals (simulator.cpp) -----------------------------
 
   struct Shard;   // per-shard queue + window execution / action records
@@ -305,9 +313,9 @@ class Simulator {
   void run_sharded();
   void run_window(Shard& shard);
   void merge_window();
-  /// Merge the finished window (unless `first`), fire due hooks, and
-  /// publish the next window's bound into the control block — or mark the
-  /// run done / failed.
+  /// Merge the finished window (unless `first`), reach the next event's
+  /// time, and publish the next window's bound into the control block — or
+  /// mark the run done. Throws a failed window's error or the watchdog's.
   void prepare_window(bool first);
   void throw_if_stuck();
 
@@ -330,8 +338,7 @@ class Simulator {
   // never consulted across threads, no effect on virtual-time behaviour.
   static thread_local Shard* tls_window_;
 
-  int threads_ = 1;
-  bool sharded_ = false;  // threads_ > 1 over > 1 rank, not downgraded
+  bool sharded_ = false;  // threads > 1 over > 1 rank, not downgraded
   Time lookahead_ = 0;
   std::uint64_t global_seq_ = 0;  // sharded mode's sequence counter
   /// The shards, set by set_threads when sharded; ranks are split into
@@ -339,7 +346,8 @@ class Simulator {
   std::vector<std::unique_ptr<Shard>> shards_;
   int ranks_per_shard_ = 1;
   std::unique_ptr<Engine> engine_;        // live during run_sharded only
-  std::exception_ptr pending_throw_;      // watchdog / rank error to rethrow
+  /// What window preparation threw, rethrown once the workers have joined.
+  std::exception_ptr pending_throw_;
 };
 
 inline void RankTask::promise_type::FinalAwaiter::await_suspend(

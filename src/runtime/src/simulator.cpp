@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <barrier>
+#include <cstdio>
 #include <sstream>
 #include <thread>
 
 #include "mel/prof/prof.hpp"
-#include "mel/util/log.hpp"
 #include "mel/util/rng.hpp"
 
 namespace mel::sim {
@@ -194,6 +194,26 @@ void Simulator::fire_hooks(Time t) {
   }
 }
 
+void Simulator::throw_watchdog(Time t) const {
+  std::ostringstream os;
+  os << "watchdog: next event at t=" << t
+     << "ns exceeds the virtual-time horizon of " << horizon_ << "ns\n"
+     << progress_report();
+  throw WatchdogError(os.str());
+}
+
+inline void Simulator::reach(Time t) {
+  if (!hooks_.empty()) fire_hooks(t);
+  if (horizon_ > 0 && t > horizon_) throw_watchdog(t);
+}
+
+inline void Simulator::count_event(Time t, std::uint64_t seq) {
+  now_ = std::max(now_, t);
+  trace_hash_ = util::hash_combine(
+      trace_hash_, util::hash_combine(static_cast<std::uint64_t>(t), seq));
+  ++events_executed_;
+}
+
 void Simulator::note_rank_error(Rank rank) {
   const auto& task = ranks_[rank].task;
   if (!task.valid() || !task.handle().promise().error) return;
@@ -218,11 +238,10 @@ void Simulator::set_threads(int threads) {
         "Simulator: the engine (set_threads, require_sequential) is fixed "
         "once anything is spawned or scheduled");
   }
-  threads_ = threads;
-  sharded_ = threads_ > 1 && nranks() > 1;
+  sharded_ = threads > 1 && nranks() > 1;
   shards_.clear();
   if (!sharded_) return;
-  const int nshards = std::min(threads_, nranks());
+  const int nshards = std::min(threads, nranks());
   ranks_per_shard_ = (nranks() + nshards - 1) / nshards;
   for (int i = 0; i < nshards; ++i) {
     auto s = std::make_unique<Shard>();
@@ -243,7 +262,9 @@ void Simulator::limit_lookahead(Time d) {
 void Simulator::require_sequential(const char* why) {
   if (!sharded_) return;
   set_threads(1);
-  MEL_WARN << "sharded engine disabled (" << why << "): running sequential";
+  std::fprintf(stderr,
+               "[mel WARN ] sharded engine disabled (%s): running sequential\n",
+               why);
 }
 
 bool Simulator::in_window_phase() const {
@@ -327,22 +348,10 @@ void Simulator::run_sequential() {
   while (!queue_.empty()) {
     const auto& top = queue_.peek();
     const Time t = top.t;
-    // Fire the periodic hooks for every boundary the next event crosses.
     // Hooks must not schedule events, so the peeked event stays next.
-    if (!hooks_.empty()) fire_hooks(t);
-    if (horizon_ > 0 && t > horizon_) {
-      std::ostringstream os;
-      os << "watchdog: next event at t=" << t
-         << "ns exceeds the virtual-time horizon of " << horizon_ << "ns\n"
-         << progress_report();
-      throw WatchdogError(os.str());
-    }
-    now_ = std::max(now_, t);
-    trace_hash_ = util::hash_combine(
-        trace_hash_, util::hash_combine(static_cast<std::uint64_t>(t),
-                                        top.seq));
+    reach(t);
+    count_event(t, top.seq);
     EventQueue::Event ev = queue_.pop();
-    ++events_executed_;
     ev.fn(t);
     // Propagate rank exceptions eagerly so a failing assertion inside a
     // rank coroutine surfaces at the right virtual time.
@@ -403,10 +412,7 @@ void Simulator::merge_window() {
     if (best < 0) break;
     Shard& s = *shards_[best];
     const Shard::Exec& ex = s.execs[head[best]++];
-    now_ = std::max(now_, ex.t);
-    trace_hash_ = util::hash_combine(
-        trace_hash_, util::hash_combine(static_cast<std::uint64_t>(ex.t), bs));
-    ++events_executed_;
+    count_event(ex.t, bs);
     for (std::uint32_t a = ex.actions_begin; a != ex.actions_end; ++a) {
       Shard::Action& act = s.actions[a];
       switch (act.kind) {
@@ -451,13 +457,9 @@ void Simulator::prepare_window(bool first) {
   auto& e = *engine_;
   if (!first) {
     for (const auto& s : shards_) {
-      if (s->failure) {
-        // Skip the merge: the window is torn anyway and the exception
-        // preempts every observable result.
-        pending_throw_ = s->failure;
-        e.done = true;
-        return;
-      }
+      // Skip the merge: the window is torn anyway and the exception
+      // preempts every observable result.
+      if (s->failure) std::rethrow_exception(s->failure);
     }
     merge_window();
   }
@@ -473,20 +475,10 @@ void Simulator::prepare_window(bool first) {
     e.done = true;
     return;
   }
-  // Identical boundary semantics to the sequential loop: every hook fires
-  // just before the first event at or past its boundary (no events exist
-  // between the previous window's end and w), then the watchdog compares
-  // the next event time against the horizon.
-  if (!hooks_.empty()) fire_hooks(w);
-  if (horizon_ > 0 && w > horizon_) {
-    std::ostringstream os;
-    os << "watchdog: next event at t=" << w
-       << "ns exceeds the virtual-time horizon of " << horizon_ << "ns\n"
-       << progress_report();
-    pending_throw_ = std::make_exception_ptr(WatchdogError(os.str()));
-    e.done = true;
-    return;
-  }
+  // The sequential loop's step: no events exist between the previous
+  // window's end and w, so every hook fires just before the first event at
+  // or past its boundary.
+  reach(w);
   Time w_end = w + lookahead_;
   // Cap the window so no hook boundary and no horizon crossing falls
   // strictly inside it — both must be window-global decisions taken at a
@@ -511,9 +503,10 @@ void Simulator::run_sharded() {
   const int nshards = static_cast<int>(shards_.size());
   std::barrier start_bar(nshards);
   std::barrier end_bar(nshards);
-  // A throw out of window preparation (a merged deferred action can throw,
-  // e.g. a collective misuse error) must not escape while workers wait at
-  // the start barrier — park it and let the loop wind down first.
+  // A throw out of window preparation (a failed window, the watchdog, or a
+  // merged deferred action such as a collective misuse error) must not
+  // escape while workers wait at the start barrier — park it and let the
+  // loop wind down first.
   try {
     prepare_window(true);
   } catch (...) {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -28,6 +29,11 @@ int usage_error(const char* argv0, const std::exception& e);
 class Cli {
  public:
   Cli(int argc, const char* const* argv);
+  /// As above, for a program that reads exactly the options in `known`:
+  /// any other `--name` throws std::invalid_argument("--name: unknown
+  /// option"), so a typo cannot silently run the defaults.
+  Cli(int argc, const char* const* argv,
+      std::initializer_list<std::string_view> known);
 
   /// True if `--name` was passed (with or without a value).
   bool has(const std::string& name) const;

@@ -1,5 +1,6 @@
 #include "mel/util/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -62,6 +63,16 @@ Cli::Cli(int argc, const char* const* argv) {
       options_[arg] = argv[++i];
     } else {
       options_[arg] = "";
+    }
+  }
+}
+
+Cli::Cli(int argc, const char* const* argv,
+         std::initializer_list<std::string_view> known)
+    : Cli(argc, argv) {
+  for (const auto& [name, value] : options_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      throw std::invalid_argument("--" + name + ": unknown option");
     }
   }
 }

@@ -135,16 +135,16 @@ TEST(FtTransport, SequencingStaysExactNearTheSequenceNumberLimit) {
 
 TEST(FtTransport, RetransmitBackoffIsCappedUnderAStorm) {
   // The rto exponent saturates at 16: a segment stuck behind an absurd
-  // loss streak backs off no further than rto_base * backoff^16 * (1 +
-  // jitter), so a retransmit storm cannot push timers to astronomically
+  // loss streak backs off no further than kRtoBase * kRtoBackoff^16 * (1 +
+  // kRtoJitter), so a retransmit storm cannot push timers to astronomically
   // distant virtual times.
   World w(2, test_params(), ft_on());
   auto* tr = w.machine.transport();
-  const ft::Params p;  // defaults: rto_base 25us, backoff 2.0, jitter 0.25
-  const double ceil_ns = static_cast<double>(p.rto_base) *
-                         std::pow(p.rto_backoff, 16) * (1.0 + p.rto_jitter);
+  using T = ft::Transport;  // 25us, backoff 2.0, jitter 0.25
+  const double ceil_ns = static_cast<double>(T::kRtoBase) *
+                         std::pow(T::kRtoBackoff, 16) * (1.0 + T::kRtoJitter);
   const double floor_ns =
-      static_cast<double>(p.rto_base) * std::pow(p.rto_backoff, 16);
+      static_cast<double>(T::kRtoBase) * std::pow(T::kRtoBackoff, 16);
   for (int attempt = 16; attempt <= 48; ++attempt) {
     const sim::Time t = tr->rto_for_test(0, 1, 3, /*seq=*/7, attempt);
     EXPECT_GE(static_cast<double>(t), floor_ns) << "attempt " << attempt;

@@ -189,6 +189,20 @@ TEST(ObsReplay, WhatIfPerturbationMovesTheTotal) {
   EXPECT_LT(rp.replay(faster).total_ns, base.total_ns);
 }
 
+TEST(ObsReplay, FidelityChecksThePassItIsGiven) {
+  // meltrace replay checks the very pass it prints: the recorded-parameter
+  // pass is exact, a what-if pass is not, and another trace's pass is
+  // refused rather than compared flow by flow.
+  const Replayer rp(load_replay_trace_text(traced_trace(match::Model::kNsr, 11)));
+  EXPECT_TRUE(rp.fidelity_errors(rp.replay()).empty());
+  net::Params slower = rp.trace().net;
+  slower.alpha_intra *= 3;
+  EXPECT_FALSE(rp.fidelity_errors(rp.replay(slower)).empty());
+  const Replayer other(
+      load_replay_trace_text(traced_trace(match::Model::kNcl, 11)));
+  EXPECT_THROW(rp.fidelity_errors(other.replay()), std::invalid_argument);
+}
+
 TEST(ObsReplay, SpansSortByRankWhateverTheRanks) {
   // Out of time order within a rank, rank -1 (the only rank below 0 a
   // trace may name) and ranks from the rank count on, and more ranks than

@@ -212,11 +212,18 @@ int cmd_replay(const std::vector<std::string>& args) {
   if (!parse_options("replay", args, {"--set", "--json"}, o)) return 2;
   const obs::Replayer replayer(obs::load_replay_trace_file(o.trace));
   const obs::ReplayTrace& trace = replayer.trace();
+  net::Params params = trace.net;
+  for (const auto& [name, value] : o.sets) {
+    net::set_param(params, name, value);
+  }
   // No --set: the fidelity self-check, where replay under the recorded
-  // parameters must reproduce the recorded run bit-exactly.
+  // parameters must reproduce the recorded run bit-exactly. It checks the
+  // same pass the output reports.
   const bool whatif = !o.sets.empty();
+  const obs::ReplayResult r =
+      whatif ? replayer.replay(params) : replayer.replay();
   if (!whatif) {
-    const auto errors = replayer.fidelity_errors();
+    const auto errors = replayer.fidelity_errors(r);
     for (const auto& e : errors) {
       std::fprintf(stderr, "meltrace replay: %s\n", e.c_str());
     }
@@ -226,11 +233,6 @@ int cmd_replay(const std::vector<std::string>& args) {
       return 1;
     }
   }
-  net::Params params = trace.net;
-  for (const auto& [name, value] : o.sets) {
-    net::set_param(params, name, value);
-  }
-  const obs::ReplayResult r = replayer.replay(params);
   if (o.json) {
     print_replay_json(trace, whatif, o.sets, params, r);
     return 0;
