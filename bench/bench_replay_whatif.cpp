@@ -223,9 +223,8 @@ int main(int argc, char** argv) try {
   const std::string mode = cli.get("mode", "speedup");
   if (mode == "crossover") return run_crossover(cli);
   if (mode != "speedup") {
-    std::fprintf(stderr, "unknown --mode %s (speedup|crossover)\n",
-                 mode.c_str());
-    return 2;
+    throw std::invalid_argument(
+        "--mode: expected speedup or crossover, got \"" + mode + "\"");
   }
   return run_speedup(cli);
 } catch (const std::invalid_argument& e) {

@@ -127,11 +127,13 @@ class Machine : public ft::Host {
   /// config destroys messages (wire faults) or strands them (scheduled
   /// crashes). With the transport on, the engine runs sequential, because
   /// the transport keeps per-channel state that every rank's shard would
-  /// write; otherwise a sharded engine gets the network's lookahead bound,
-  /// chaos timing knobs included (their draws are pure, and the jitter
-  /// counters sit in the sender's row of draws_). So the Machine is built
-  /// before anything is spawned on `simulator`, while the engine can still
-  /// be chosen.
+  /// write; otherwise a sharded engine keeps running, chaos timing knobs
+  /// included (their draws are pure, and the jitter counters sit in the
+  /// sender's row of draws_), and the Machine computes its window bound:
+  /// the cheapest header-only message between ranks on different shards
+  /// (inter-node unless a shard boundary splits a node) or the reduction
+  /// time, whichever is less. So the Machine is built before anything is
+  /// spawned on `simulator`, while the engine can still be chosen.
   Machine(sim::Simulator& simulator, net::Network network,
           const ft::Params& ft = {});
   Machine(const Machine&) = delete;
@@ -150,7 +152,10 @@ class Machine : public ft::Host {
   /// per rank. The call checks it and indexes it: a wrong list count, an
   /// out-of-range neighbor or a self-loop throws std::invalid_argument; a
   /// duplicate neighbor or an edge without its reverse throws
-  /// std::logic_error.
+  /// std::logic_error. On a sharded engine it lowers the window bound to
+  /// the least, over ranks with neighbors, of the header-only transfers
+  /// from all of a rank's neighbors summed: the earliest a neighborhood
+  /// completion decided at a window's merge can land after its start.
   void set_topology(std::vector<std::vector<Rank>> topology);
   const std::vector<Rank>& topology(Rank rank) const;
 

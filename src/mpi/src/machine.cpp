@@ -133,6 +133,33 @@ struct Machine::GlobalCollState {
 };
 
 // ---------------------------------------------------------------------------
+// The sharded engine's window bound
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The cheapest message between ranks on different shards: every isend,
+/// put and neighborhood slice pays at least a header-only transfer. Prices
+/// depend only on whether the two ranks share a node, so one pair of each
+/// kind stands for all. Ranks 0 and p-1 always sit on different shards,
+/// and on different nodes unless there is one node. Two ranks of one node
+/// sit on different shards only where a shard boundary splits that node.
+Time cheapest_cross_shard(const sim::Simulator& sim, const net::Network& net) {
+  const Rank last = net.nranks() - 1;
+  Time least = std::numeric_limits<Time>::max();
+  if (net.nnodes() > 1) least = net.transfer_time(0, last, kHeaderBytes);
+  for (int s = 1; s < sim.shards(); ++s) {
+    const Rank first = sim.shard_first(s);
+    if (first <= last && net.same_node(first - 1, first)) {
+      return std::min(least, net.transfer_time(first - 1, first, kHeaderBytes));
+    }
+  }
+  return least;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 
 CommCounters& CommCounters::operator+=(const CommCounters& o) {
   isends += o.isends;
@@ -221,10 +248,16 @@ Machine::Machine(sim::Simulator& simulator, net::Network network,
         "the reliable transport keeps per-channel state that every shard "
         "writes");
   } else if (sim_.threaded()) {
-    // Chaos timing knobs only ever add time (jitter never pulls a wire
-    // time below the LogGP floor), so the lookahead holds under them, and
-    // their draws are pure: the jitter counters live in the source's row.
-    sim_.limit_lookahead(net_.min_remote_delay());
+    // The window bound: an event a window runs at t causes an event on
+    // another shard no sooner than t plus the cheapest cross-shard
+    // message, and a global collective or fence completes no sooner than
+    // one reduction time after the window's start (set_topology adds the
+    // neighborhood term). Chaos timing knobs only ever add time (jitter
+    // never pulls a wire time below the LogGP floor), so the bound holds
+    // under them, and their draws are pure: the jitter counters live in
+    // the source's row.
+    sim_.limit_lookahead(
+        std::min(cheapest_cross_shard(sim_, net_), net_.reduction_time()));
   }
   comms_.reserve(p);
   mailboxes_.reserve(p);
@@ -309,6 +342,20 @@ void Machine::set_topology(std::vector<std::vector<Rank>> topology) {
   }
   topology_ = std::move(topology);
   reverse_ = std::move(reverse);
+  if (!sim_.threaded()) return;
+  // A neighborhood completion is decided at the merge, no sooner than the
+  // start of the window it is decided in plus one header-only transfer
+  // from each of the rank's neighbors; it must land past that window.
+  Time least = std::numeric_limits<Time>::max();
+  for (Rank r = 0; r < p; ++r) {
+    if (topology_[r].empty()) continue;
+    Time sum = 0;
+    for (const Rank n : topology_[r]) {
+      sum += net_.transfer_time(n, r, kHeaderBytes);
+    }
+    least = std::min(least, sum);
+  }
+  if (least != std::numeric_limits<Time>::max()) sim_.limit_lookahead(least);
 }
 
 const std::vector<Rank>& Machine::topology(Rank rank) const {

@@ -154,15 +154,6 @@ class Network {
   /// Staging-copy cost of `bytes` through a local buffer.
   Time copy_time(std::size_t bytes) const;
 
-  /// Conservative lower bound on the delay between an event on one rank
-  /// and the earliest event it can cause on a *different* rank: the
-  /// minimum of the point-to-point latencies and the global-collective
-  /// completion time. The sharded simulator's lookahead window — any
-  /// cross-rank schedule lands at least this far in the future, because
-  /// every cross-rank path (delivery, put landing, collective completion,
-  /// wire-level ack) pays at least one alpha or one reduction.
-  Time min_remote_delay() const;
-
  private:
   int nranks_;
   int nnodes_;

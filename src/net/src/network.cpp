@@ -1,6 +1,5 @@
 #include "mel/net/network.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -79,12 +78,6 @@ Time Network::reduction_time() const {
 Time Network::copy_time(std::size_t bytes) const {
   return params_.copy_per_byte * static_cast<Time>(bytes) +
          (params_.copy_per_kib * static_cast<Time>(bytes)) / 1024;
-}
-
-Time Network::min_remote_delay() const {
-  Time d = std::min(params_.alpha_intra, params_.alpha_inter);
-  d = std::min(d, reduction_time());
-  return d;
 }
 
 }  // namespace mel::net

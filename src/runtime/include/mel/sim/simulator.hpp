@@ -15,32 +15,40 @@
 //
 // Sharded (multi-threaded) mode — set_threads(T) with T > 1:
 //
-// Ranks are block-partitioned into min(T, nranks) shards, each with its
-// own EventQueue, advanced by one worker thread per shard in bounded
-// windows [W, W + lookahead). The lookahead is the minimum cross-shard
-// scheduling delay (for the MPI machine: the minimum LogGP network
-// latency, see net::Network::min_remote_delay), so no event executed
-// inside a window can schedule into another shard's past. Every event
-// names the rank whose state it touches (schedule_for), and that rank's
-// shard runs it. Every side effect that crosses shards — a delivery into
-// another rank's mailbox, shared collective bookkeeping, trace emission —
-// is recorded in a per-event action log (an EventFn for defer()) and
-// replayed single-threaded at the window barrier, merged across shards
-// in exactly the global (time, sequence) order the sequential engine
-// uses. Sequence numbers are assigned during that merge in global call
-// order, so trace_hash(), events_executed() and every rank-visible
+// Ranks are block-partitioned into min(T, nranks) shards (shards(),
+// shard_first()), each with its own EventQueue, advanced by one worker
+// thread per shard in bounded windows [W, W + lookahead). The simulator
+// does not know the model's delays: its user computes the lookahead from
+// the shard map and installs it (limit_lookahead). The MPI machine takes
+// the cheapest message between ranks on different shards, the reduction
+// time, and the earliest a neighborhood completion can land after the
+// window it is decided in, so no event executed inside a window can
+// schedule into another shard's past, or into the window from the merge.
+// Every event names the rank whose state it touches (schedule_for), and
+// that rank's shard runs it. A push for another shard, or past the
+// window, goes into the executing shard's outbox for its destination;
+// every other side effect that crosses shards — a deferred body for shared
+// collective bookkeeping, trace emission — is recorded in a per-event
+// action log (an EventFn for defer()). At the window barrier one thread
+// merges the shards' executed events in exactly the global (time,
+// sequence) order the sequential engine uses: it gives each push its
+// final sequence number, in global call order, and runs the deferred
+// bodies. So trace_hash(), events_executed() and every rank-visible
 // timestamp are bit-identical to the sequential engine at any thread
-// count. The merge pushes a cross-shard event straight into its
-// destination shard's queue under that final sequence, so the event is
-// stored once: in the log until the merge, then in the queue. A log that
-// a burst grew far past what steady windows use is handed back after its
-// merge. Periodic hooks, the horizon watchdog and deadlock detection all
-// fire at window barriers, which the window bounds align with the exact
-// sequential boundaries. The engine is chosen before anything is
+// count. Each worker moves the entries addressed to its shard into its
+// own queue at the start of the next window, so a closure is stored once:
+// in an outbox, then in a queue. Outboxes alternate by window parity, so
+// the drain needs no barrier of its own, and a destination hands back an
+// outbox's storage, and the log a burst grew, once it is done with them.
+// Periodic hooks, the horizon watchdog and deadlock detection all fire at
+// window barriers, which the window bounds align with the exact
+// sequential boundaries; pending_events() and the end-of-run check count
+// the entries not yet drained. The engine is chosen before anything is
 // spawned or scheduled (set_threads, require_sequential); the shard
 // queues exist from set_threads on.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -164,14 +172,25 @@ class Simulator {
   /// Select the engine: 1 (default) = sequential, > 1 = sharded across
   /// min(threads, nranks) worker threads. Must be called before anything
   /// is spawned or scheduled. Sharded runs additionally need a positive
-  /// lookahead (limit_lookahead), normally installed by the MPI machine
-  /// from the network model's minimum cross-shard latency.
+  /// lookahead (limit_lookahead), which the MPI machine computes from the
+  /// shard map.
   void set_threads(int threads);
+
+  /// The sharded engine's shard map: shard s runs the ranks
+  /// [shard_first(s), shard_first(s + 1)), for s in [0, shards()); the last
+  /// shard ends at nranks(). shards() is 0 on the sequential engine.
+  int shards() const { return static_cast<int>(shards_.size()); }
+  Rank shard_first(int s) const {
+    return std::min(s * ranks_per_shard_, nranks());
+  }
 
   /// Lower (or set, if unset) the conservative lookahead window bound, in
   /// virtual ns. Every cross-shard schedule must land at least this far
-  /// after the event that issues it.
+  /// after the event that issues it, and every schedule made by a deferred
+  /// body at least this far after the start of the window it came from.
   void limit_lookahead(Time d);
+  /// The window bound installed so far (0: none).
+  Time lookahead() const { return lookahead_; }
 
   /// Fall back to the sequential engine (e.g. the MPI machine with the
   /// reliable transport on, whose per-channel state every shard would
@@ -202,6 +221,10 @@ class Simulator {
 
   /// Number of events executed so far (diagnostic / test hook).
   std::uint64_t events_executed() const { return events_executed_; }
+
+  /// Number of windows the sharded engine has run (0 on the sequential
+  /// engine).
+  std::uint64_t windows() const { return windows_; }
 
   /// Order-sensitive hash over the full (time, sequence) event trace
   /// executed so far. Two runs are bit-identical in virtual time iff their
@@ -238,8 +261,9 @@ class Simulator {
   int add_periodic_hook(Time interval, PeriodicHook hook);
 
   /// Events currently queued (diagnostic gauge for telemetry sampling).
-  /// In sharded mode: the sum over shard queues — sampled at window
-  /// barriers this equals the sequential engine's queue size exactly.
+  /// In sharded mode: the sum over shard queues and the outbox entries not
+  /// yet drained — sampled at window barriers this equals the sequential
+  /// engine's queue size exactly.
   std::size_t pending_events() const;
 
   /// The latest local clock over all ranks: the simulated "job time".
@@ -299,10 +323,10 @@ class Simulator {
 
   // -- Sharded engine internals (simulator.cpp) -----------------------------
 
-  struct Shard;   // per-shard queue + window execution / action records
-  struct Engine;  // worker threads, window control block, merge state
+  struct Shard;   // per-shard queue, outboxes, window execution records
+  struct Engine;  // worker threads, window control block
 
-  int shard_of(Rank rank) const;
+  int shard_of(Rank rank) const { return rank / ranks_per_shard_; }
   void sharded_schedule(Rank rank, Time t, EventFn fn);
   /// Queue an event for `rank` on its shard under the next final sequence
   /// (before the run, or at merge, when the call is globally ordered).
@@ -311,6 +335,8 @@ class Simulator {
   void defer_window(EventFn fn);
   void run_sequential();
   void run_sharded();
+  /// Move the entries addressed to `shard` in the previous window's
+  /// outboxes into its queue, then run its share of the window.
   void run_window(Shard& shard);
   void merge_window();
   /// Merge the finished window (unless `first`), reach the next event's
@@ -341,6 +367,9 @@ class Simulator {
   bool sharded_ = false;  // threads > 1 over > 1 rank, not downgraded
   Time lookahead_ = 0;
   std::uint64_t global_seq_ = 0;  // sharded mode's sequence counter
+  /// Windows published so far; window k writes the outboxes of parity
+  /// k & 1, and the next window drains them.
+  std::uint64_t windows_ = 0;
   /// The shards, set by set_threads when sharded; ranks are split into
   /// blocks of ranks_per_shard_.
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -1,10 +1,16 @@
 #include "mel/sim/simulator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <barrier>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <thread>
+
+#ifdef __GLIBC__
+#include <malloc.h>  // malloc_trim
+#endif
 
 #include "mel/prof/prof.hpp"
 #include "mel/util/rng.hpp"
@@ -23,46 +29,87 @@ std::size_t checked_nranks(int nranks) {
 /// would have placed them. They are resolved to final sequences at merge.
 constexpr std::uint64_t kProvBase = 1ULL << 63;
 
-/// A shard's action log keeps its storage from window to window, unless a
-/// window grew it past this many entries (112 B each, so 7 MiB): then the
-/// log is handed back after that window's merge. On NSR matching of a
-/// 512-rank RGG (|V|=120,000) at 4 threads, the first window runs every
-/// rank from its spawn to its first wait and logs 580,624 entries, up to
-/// 146,808 on one shard (two per isend: the in-flight gauge update and the
-/// delivery). Kept, those logs would hold 117 MB for the rest of the run.
-/// The 10,048 windows after it log at most 16,086 entries on one shard,
-/// and half of them fewer than 100 over all four, so steady windows reuse
-/// their storage. Bursts past the bound are rare (6 of the 23,074 windows
-/// of NSR on a 512-rank sbp graph), and regrowing a log after one costs a
-/// few allocations.
-constexpr std::size_t kMaxKeptActions = std::size_t{1} << 16;
+/// A window's storage (action log, deferred bodies, execution records,
+/// outboxes) keeps its capacity from window to window, unless a window
+/// grew one vector past this many bytes: then it is handed back once that
+/// window's entries are done with. On NSR matching of a 512-rank RGG
+/// (|V|=120,000) at 4 threads, the first window runs every rank from its
+/// spawn to its first wait: 290,312 isends, each a deferred in-flight
+/// gauge update and a delivery, up to 5.7 MiB of deferred bodies and
+/// 6.8 MiB of outbox entries on one shard. Kept, that storage would stay
+/// resident for the rest of the run. In the 4,340 windows after it, the
+/// largest vector on any shard held 0.86 MiB (p99.9 0.78 MiB), so no
+/// steady window hands its storage back; at 256 KiB, 3.3% of them did.
+constexpr std::size_t kMaxKeptBytes = std::size_t{1} << 21;
+
+/// Empty `v` for the next window, handing its storage back if a burst grew
+/// it past kMaxKeptBytes. Returns the bytes handed back.
+template <class T>
+std::size_t reset_storage(std::vector<T>& v) {
+  const std::size_t bytes = v.capacity() * sizeof(T);
+  if (bytes > kMaxKeptBytes) {
+    std::vector<T>().swap(v);
+    return bytes;
+  }
+  v.clear();
+  return 0;
+}
+
+/// Handing back an outbox of at least this many bytes also returns the
+/// freed pages to the system, before the queue grows into the next one.
+constexpr std::size_t kTrimBytes = std::size_t{1} << 22;
+
+/// Return the pages of freed heap blocks to the system. glibc keeps a
+/// freed block below its dynamic mmap threshold, which rises to the size
+/// of the largest block freed so far (up to 32 MiB), in its heap: resident,
+/// and of no use to a queue that grows by one large block. So the outboxes
+/// of RMA's put window on sbp p=512 (2.94M puts) stayed resident while the
+/// destination queues grew, and four threads peaked 290-320 MB above one
+/// thread instead of 159-201 MB. Trimming once per drain, after all of a
+/// destination's outboxes, peaked at 1259-1338 MB against 1192-1213 MB
+/// for one trim per outbox; the 24 trims of that run take 0.04-0.06 s.
+void release_freed_pages() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+}
 }  // namespace
 
 // -- Sharded engine data structures ------------------------------------------
 
-/// One shard: the event queue for a contiguous block of ranks, plus the
-/// window-execution record its worker thread builds. Everything in here is
-/// owned by the shard's thread during a window and by the main (merging)
-/// thread between the window barriers.
+/// One shard: the event queue for a contiguous block of ranks, its
+/// outboxes, plus the window-execution record its worker thread builds.
+/// Everything in here is owned by the shard's thread during a window and
+/// by the main (merging) thread between the window barriers, except the
+/// previous window's outboxes, which each destination drains at the start
+/// of the next window.
 struct Simulator::Shard {
-  /// One side effect recorded while executing a window, replayed at merge
-  /// in global (time, sequence) order:
-  ///   kLocalProv — a push into this shard's own queue inside the window,
-  ///       already enqueued under a provisional sequence; merge assigns
-  ///       the final sequence so the trace hash sees the real one.
-  ///   kPush — a push for another shard (or beyond this window); the
-  ///       closure waits here until the merge moves it into the
-  ///       destination shard's queue under its final sequence.
-  ///   kDefer — a globally-ordered callback (shared MPI-machine state,
-  ///       trace emission), run single-threaded at merge.
-  struct Action {
-    enum class Kind : std::uint8_t { kLocalProv, kPush, kDefer };
-    Kind kind;
-    Rank rank = -1;          // kPush: destination rank
-    Time t = 0;              // kPush: event time
-    std::uint64_t prov = 0;  // kLocalProv: provisional sequence
-    EventFn fn;              // kPush, kDefer: payload
+  /// A push for another shard, or past the window: its closure waits here
+  /// until the destination shard moves it into its queue.
+  struct Entry {
+    Time t = 0;
+    EventFn fn;
   };
+  /// The pushes of one window for one destination shard, in push order,
+  /// and the final sequence the merge gave each.
+  struct Outbox {
+    std::vector<Entry> entries;
+    std::vector<std::uint64_t> seqs;
+  };
+
+  /// The window's side effects, one code per call in execution order,
+  /// replayed at merge in global (time, sequence) order:
+  ///   d < kLocal — a push into outbox d: the merge gives it its final
+  ///       sequence;
+  ///   kLocal — a push into this shard's own queue inside the window,
+  ///       already enqueued under a provisional sequence: the merge gives
+  ///       it its final sequence, so the trace hash sees the real one;
+  ///   kDefer — the next globally-ordered callback in `defers` (shared
+  ///       MPI-machine state, trace emission), run single-threaded at
+  ///       merge.
+  static constexpr std::uint32_t kLocal = ~std::uint32_t{0} - 1;
+  static constexpr std::uint32_t kDefer = ~std::uint32_t{0};
+  static constexpr Time kNever = std::numeric_limits<Time>::max();
 
   /// One executed event: its queue key plus its slice of the action log.
   struct Exec {
@@ -73,12 +120,18 @@ struct Simulator::Shard {
   };
 
   EventQueue queue;
-  std::vector<Action> actions;
+  std::vector<std::uint32_t> actions;
+  std::vector<EventFn> defers;
   std::vector<Exec> execs;
-  /// provisional -> final sequence map for the window being merged,
+  /// Final sequence of each provisional push of the window being merged,
   /// indexed by (prov - kProvBase); filled in shard-stream order.
   std::vector<std::uint64_t> prov_final;
   std::uint64_t prov_next = 0;  // provisionals handed out this window
+  std::size_t defers_run = 0;   // deferred bodies the merge has run
+  /// out[p][d]: this shard's pushes for shard d in its windows of parity p.
+  std::array<std::vector<Outbox>, 2> out;
+  /// Time of the earliest push into this window's outboxes.
+  Time out_min = kNever;
   int id = 0;
   Time w_end = 0;  // exclusive bound of the window being executed
   std::exception_ptr failure;
@@ -247,6 +300,7 @@ void Simulator::set_threads(int threads) {
     auto s = std::make_unique<Shard>();
     s->id = i;
     s->sim = this;
+    for (auto& boxes : s->out) boxes.resize(static_cast<std::size_t>(nshards));
     shards_.push_back(std::move(s));
   }
 }
@@ -272,38 +326,52 @@ bool Simulator::in_window_phase() const {
   return ctx != nullptr && ctx->sim == this;
 }
 
-int Simulator::shard_of(Rank rank) const { return rank / ranks_per_shard_; }
-
 std::size_t Simulator::pending_events() const {
   std::size_t n = queue_.size();
-  for (const auto& s : shards_) n += s->queue.size();
+  for (const auto& s : shards_) {
+    n += s->queue.size();
+    // The last window's pushes wait in its outboxes until the next window.
+    if (windows_ > 0) {
+      for (const auto& box : s->out[(windows_ - 1) & 1]) {
+        n += box.entries.size();
+      }
+    }
+  }
   return n;
 }
 
 void Simulator::sharded_schedule(Rank rank, Time t, EventFn fn) {
   Shard* ctx = tls_window_;
   if (ctx != nullptr && ctx->sim == this) {
-    if (shard_of(rank) == ctx->id && t < ctx->w_end) {
+    const int dst = shard_of(rank);
+    if (t < ctx->w_end) {
+      if (dst != ctx->id) {
+        // The destination may already have run past t.
+        std::ostringstream os;
+        os << "Simulator: a cross-shard event for rank " << rank << " at t="
+           << t << "ns lands before the window end t=" << ctx->w_end
+           << "ns; the lookahead of " << lookahead_
+           << "ns exceeds the shortest cross-shard delay";
+        throw std::logic_error(os.str());
+      }
       // Same shard, inside the window: execute it this window under a
       // provisional sequence (same-time wake chains depend on this); the
       // merge maps it back to the sequence the sequential engine would
       // have assigned at this very call.
-      const std::uint64_t prov = kProvBase + ctx->prov_next++;
-      Shard::Action a;
-      a.kind = Shard::Action::Kind::kLocalProv;
-      a.prov = prov;
-      ctx->actions.push_back(std::move(a));
-      ctx->queue.push_keyed(t, prov, std::move(fn));
+      ctx->actions.push_back(Shard::kLocal);
+      ctx->queue.push_keyed(t, kProvBase + ctx->prov_next++, std::move(fn));
       return;
     }
-    // Cross-shard (guaranteed >= window end by the lookahead bound) or
-    // beyond this window: hold it for sequence assignment at merge.
-    Shard::Action a;
-    a.kind = Shard::Action::Kind::kPush;
-    a.rank = rank;
-    a.t = t;
-    a.fn = std::move(fn);
-    ctx->actions.push_back(std::move(a));
+    // For another shard (at or past the window end, by the lookahead
+    // bound) or past this window: the destination moves it into its queue
+    // at the start of the next window, under the sequence the merge gives
+    // it.
+    ctx->actions.push_back(static_cast<std::uint32_t>(dst));
+    Shard::Entry& e = ctx->out[(windows_ - 1) & 1][static_cast<std::size_t>(dst)]
+                          .entries.emplace_back();
+    e.t = t;
+    e.fn = std::move(fn);
+    ctx->out_min = std::min(ctx->out_min, t);
     return;
   }
   // Before the run, or from a deferred action replayed at merge: the call
@@ -325,10 +393,9 @@ void Simulator::push_final(Rank rank, Time t, EventFn fn) {
 }
 
 void Simulator::defer_window(EventFn fn) {
-  Shard::Action a;
-  a.kind = Shard::Action::Kind::kDefer;
-  a.fn = std::move(fn);
-  tls_window_->actions.push_back(std::move(a));
+  Shard& s = *tls_window_;
+  s.actions.push_back(Shard::kDefer);
+  s.defers.push_back(std::move(fn));
 }
 
 // -- Run loops ---------------------------------------------------------------
@@ -361,6 +428,20 @@ void Simulator::run_sequential() {
 }
 
 void Simulator::run_window(Shard& s) {
+  // The previous window's outboxes are this window's inbox. Each is handed
+  // back as soon as it is drained, so a burst is not held twice.
+  const std::size_t inbox = windows_ & 1;
+  for (const auto& src : shards_) {
+    Shard::Outbox& box = src->out[inbox][static_cast<std::size_t>(s.id)];
+    for (std::size_t i = 0; i < box.entries.size(); ++i) {
+      s.queue.push_keyed(box.entries[i].t, box.seqs[i],
+                         std::move(box.entries[i].fn));
+    }
+    if (reset_storage(box.entries) + reset_storage(box.seqs) >= kTrimBytes) {
+      release_freed_pages();
+    }
+  }
+  s.out_min = Shard::kNever;
   tls_window_ = &s;
   try {
     while (!s.queue.empty()) {
@@ -384,9 +465,10 @@ void Simulator::merge_window() {
   // K-way merge of the shard execution streams by (time, final sequence).
   // A provisional key's final sequence is always resolvable when its event
   // reaches the head: the push that created it is an earlier entry of the
-  // same shard's stream, so its kLocalProv action has already run. The
-  // workers wait at the start barrier, so the merge may push into any
-  // shard's queue.
+  // same shard's stream, so its kLocal action has already run. The workers
+  // wait at the start barrier, so deferred bodies may push into any shard's
+  // queue.
+  const std::size_t parity = (windows_ - 1) & 1;
   auto& head = engine_->head;
   head.assign(shards_.size(), 0);
   auto resolved = [](const Shard& s, const Shard::Exec& ex) {
@@ -414,42 +496,23 @@ void Simulator::merge_window() {
     const Shard::Exec& ex = s.execs[head[best]++];
     count_event(ex.t, bs);
     for (std::uint32_t a = ex.actions_begin; a != ex.actions_end; ++a) {
-      Shard::Action& act = s.actions[a];
-      switch (act.kind) {
-        case Shard::Action::Kind::kLocalProv: {
-          const auto slot = static_cast<std::size_t>(act.prov - kProvBase);
-          if (slot >= s.prov_final.size()) s.prov_final.resize(slot + 1);
-          s.prov_final[slot] = global_seq_++;
-          break;
-        }
-        case Shard::Action::Kind::kPush:
-          // Same-shard pushes inside the window never get here (they run
-          // under a provisional sequence), so an early one crossed shards:
-          // its destination may already have run past act.t.
-          if (act.t < s.w_end) {
-            std::ostringstream os;
-            os << "Simulator: a cross-shard event for rank " << act.rank
-               << " at t=" << act.t << "ns lands before the window end t="
-               << s.w_end << "ns; the lookahead of " << lookahead_
-               << "ns exceeds the shortest cross-shard delay";
-            throw std::logic_error(os.str());
-          }
-          push_final(act.rank, act.t, std::move(act.fn));
-          break;
-        case Shard::Action::Kind::kDefer:
-          act.fn(ex.t);
-          break;
+      const std::uint32_t code = s.actions[a];
+      if (code == Shard::kDefer) {
+        s.defers[s.defers_run++](ex.t);
+      } else if (code == Shard::kLocal) {
+        s.prov_final.push_back(global_seq_++);
+      } else {
+        s.out[parity][code].seqs.push_back(global_seq_++);
       }
     }
   }
   for (auto& sp : shards_) {
-    sp->execs.clear();
+    reset_storage(sp->actions);
+    reset_storage(sp->defers);
+    reset_storage(sp->execs);
+    reset_storage(sp->prov_final);
+    sp->defers_run = 0;
     sp->prov_next = 0;
-    if (sp->actions.capacity() > kMaxKeptActions) {
-      std::vector<Shard::Action>().swap(sp->actions);
-    } else {
-      sp->actions.clear();
-    }
   }
 }
 
@@ -463,15 +526,14 @@ void Simulator::prepare_window(bool first) {
     }
     merge_window();
   }
-  Time w = 0;
-  bool have = false;
+  // The next event is the earliest queued one or the earliest push the
+  // last window left in an outbox.
+  Time w = Shard::kNever;
   for (const auto& s : shards_) {
-    if (s->queue.empty()) continue;
-    const Time t = s->queue.peek().t;
-    if (!have || t < w) w = t;
-    have = true;
+    if (!s->queue.empty()) w = std::min(w, s->queue.peek().t);
+    w = std::min(w, s->out_min);
   }
-  if (!have) {
+  if (w == Shard::kNever) {
     e.done = true;
     return;
   }
@@ -489,14 +551,15 @@ void Simulator::prepare_window(bool first) {
   if (horizon_ > 0 && horizon_ + 1 < w_end) w_end = horizon_ + 1;
   e.w_end = w_end;
   for (auto& s : shards_) s->w_end = w_end;
+  ++windows_;
 }
 
 void Simulator::run_sharded() {
   if (lookahead_ <= 0) {
     throw std::logic_error(
         "Simulator: sharded mode needs a positive lookahead "
-        "(limit_lookahead), normally set by the MPI machine from "
-        "net::Network::min_remote_delay()");
+        "(limit_lookahead), which the MPI machine computes from the shard "
+        "map");
   }
   engine_ = std::make_unique<Engine>();
   auto& e = *engine_;

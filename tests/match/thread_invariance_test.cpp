@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <vector>
 
+#include "mel/bfs/bfs.hpp"
 #include "mel/chaos/chaos.hpp"
+#include "mel/color/color.hpp"
 #include "mel/gen/generators.hpp"
 #include "mel/match/driver.hpp"
 #include "mel/obs/recorder.hpp"
@@ -104,6 +108,121 @@ TEST(ThreadInvariance, TraceAndMetricsArtifactsByteIdentical) {
         << match::model_name(model) << ": chrome trace diverged";
     EXPECT_EQ(sharded.second, base.second)
         << match::model_name(model) << ": metrics JSONL diverged";
+  }
+}
+
+// -- Multi-node layouts ------------------------------------------------------
+//
+// The cases above run 8 ranks on one node, where the machine's window bound
+// is always the intra-node latency. Here 64 ranks sit on nodes of 1, 8 or
+// 16 ranks, so the bound the machine computes from the shard map moves: the
+// inter-node latency where every shard boundary is a node boundary, the
+// intra-node one where a boundary splits a node (T=3 always does; T=8 does
+// on 16-rank nodes), the smallest neighborhood sum where the process
+// topology is tighter. A bound one nanosecond too wide throws (a message
+// lands inside a window it was not in) or diverges; these runs catch both.
+
+constexpr int kNodeRanks = 64;
+
+/// One program on one input: the values it computed, and its run stats.
+struct Outcome {
+  match::RunStats stats;
+  std::vector<std::int64_t> values;  // matched weight, distances or colors
+  std::string trace;
+  std::string metrics;
+};
+
+using Program = std::function<Outcome(const match::RunConfig&)>;
+
+/// The ten matchers, then BFS and coloring on NSR and NCL, on one small
+/// RGG: its process topology joins each rank to ranks nearby, across node
+/// and shard boundaries alike.
+std::vector<std::pair<std::string, Program>> node_programs(
+    const graph::Csr& g) {
+  std::vector<std::pair<std::string, Program>> out;
+  for (const match::Model model : kModels) {
+    out.emplace_back(match::model_name(model),
+                     [&g, model](const match::RunConfig& cfg) {
+                       auto r = match::run_match(g, kNodeRanks, model, cfg);
+                       Outcome o;
+                       o.values.assign(r.matching.mate.begin(),
+                                       r.matching.mate.end());
+                       o.stats = std::move(r);
+                       return o;
+                     });
+  }
+  for (const match::Model model : {match::Model::kNsr, match::Model::kNcl}) {
+    out.emplace_back(std::string("bfs ") + match::model_name(model),
+                     [&g, model](const match::RunConfig& cfg) {
+                       auto r = bfs::run_bfs(g, kNodeRanks, 0, model, cfg);
+                       Outcome o;
+                       o.values = std::move(r.dist);
+                       o.stats = std::move(r);
+                       return o;
+                     });
+    out.emplace_back(std::string("color ") + match::model_name(model),
+                     [&g, model](const match::RunConfig& cfg) {
+                       auto r = color::run_coloring(g, kNodeRanks, model, cfg);
+                       Outcome o;
+                       o.values = std::move(r.colors);
+                       o.stats = std::move(r);
+                       return o;
+                     });
+  }
+  return out;
+}
+
+Outcome run_traced(const Program& program, match::RunConfig cfg) {
+  obs::Recorder rec;
+  cfg.tracer = &rec;
+  cfg.sample_interval_ns = 20'000;
+  Outcome o = program(cfg);
+  rec.set_run_info("multi-node", "", kNodeRanks, 1);
+  rec.set_run_result(o.stats.time, o.stats.trace_hash, o.stats.sim_events);
+  o.trace = rec.to_chrome_json();
+  o.metrics = rec.metrics_jsonl();
+  return o;
+}
+
+TEST(ThreadInvariance, MultiNodeLayoutsBitIdentical) {
+  const auto g = gen::random_geometric(
+      1024, gen::rgg_radius_for_degree(1024, 8.0), /*seed=*/5);
+  const auto programs = node_programs(g);
+  constexpr int kNodeSizes[] = {1, 8, 16};
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    for (std::size_t j = 0; j < std::size(kNodeSizes); ++j) {
+      // Each program meets every node size, both orders of the two
+      // latencies and both clean and chaos-timed runs.
+      const bool intra_above = (i + j) % 2 == 1;
+      const bool chaotic = (i / 2 + j) % 2 == 1;
+      match::RunConfig cfg;
+      cfg.net.ranks_per_node = kNodeSizes[j];
+      if (intra_above) cfg.net.alpha_intra = 2000;
+      if (chaotic) {
+        cfg.net.chaos.seed = 7;
+        cfg.net.chaos.latency_jitter = 0.3;
+        cfg.net.chaos.stragglers = 2;
+        cfg.net.chaos.straggler_slowdown = 2.5;
+        cfg.net.chaos.collective_skew = 3000;
+      }
+      const Program& program = programs[i].second;
+      const Outcome base = run_traced(program, cfg);
+      for (const int threads : {2, 3, 4, 8}) {
+        cfg.threads = threads;
+        const Outcome o = run_traced(program, cfg);
+        const auto where = ::testing::Message()
+                           << programs[i].first << " ranks/node "
+                           << kNodeSizes[j] << (intra_above ? " intra>inter" : "")
+                           << (chaotic ? " chaos" : "") << " threads "
+                           << threads;
+        EXPECT_EQ(o.stats.trace_hash, base.stats.trace_hash) << where;
+        EXPECT_EQ(o.stats.time, base.stats.time) << where;
+        EXPECT_EQ(o.stats.sim_events, base.stats.sim_events) << where;
+        EXPECT_EQ(o.values, base.values) << where;
+        EXPECT_TRUE(o.trace == base.trace) << where << ": trace diverged";
+        EXPECT_TRUE(o.metrics == base.metrics) << where << ": metrics diverged";
+      }
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -262,6 +263,107 @@ TEST(ShardedEngine, DeadlockDetectedUnderSharding) {
   s.spawn(0, Body::stuck());
   s.spawn(1, noop_rank());
   EXPECT_THROW(s.run(), DeadlockError);
+}
+
+// A push for another shard waits in an outbox until the next window. With
+// every queue empty, that entry alone decides where the next window
+// starts: rank 1's event at t=1000 must run in a window of its own, at the
+// same point in the trace as on one thread.
+TEST(ShardedEngine, NextWindowStartsAtAnUndrainedEvent) {
+  auto run = [](int threads) {
+    Simulator s(2);
+    s.set_threads(threads);
+    s.limit_lookahead(100);
+    auto hits = std::make_shared<std::vector<Log>>(2);
+    s.spawn(0, noop_rank());
+    s.spawn(1, noop_rank());
+    s.schedule_for(0, 0, [&s, hits](Time t0) {
+      (*hits)[0].emplace_back(t0, 0);
+      s.schedule_for(1, 1000, [hits](Time t1) {
+        (*hits)[1].emplace_back(t1, 1);
+      });
+    });
+    s.run();
+    return std::tuple{*hits, s.trace_hash(), s.events_executed(),
+                      s.windows()};
+  };
+  const auto [base_hits, base_hash, base_events, base_windows] = run(1);
+  const auto [hits, hash, events, windows] = run(2);
+  EXPECT_EQ(base_hits[1], (Log{{1000, 1}}));
+  EXPECT_EQ(hits, base_hits);
+  EXPECT_EQ(hash, base_hash);
+  EXPECT_EQ(events, base_events);
+  EXPECT_EQ(base_windows, 0u);
+  // [0, 100) runs the spawns and the push; [1000, 1100) runs the event.
+  EXPECT_EQ(windows, 2u);
+}
+
+// The sampling gauge and the end-of-run check both see an entry that has
+// not moved into its queue yet. Rank 1 parks until an event rank 0 sends
+// from another shard wakes it, 500 ns later: at the hook boundaries in
+// between, that event sits in an outbox, and the run must neither count it
+// out nor call rank 1 deadlocked.
+TEST(ShardedEngine, PendingEventsAndStuckCheckCountUndrainedEntries) {
+  struct Park {
+    Simulator* sim;
+    std::shared_ptr<Simulator::Parked> slot;
+    bool await_ready() { return false; }
+    void await_suspend(std::coroutine_handle<> h) { *slot = {1, h}; }
+    void await_resume() {}
+  };
+  struct Body {
+    static RankTask parked(Park park) {
+      co_await park;
+      co_return;
+    }
+  };
+  auto run = [](int threads) {
+    Simulator s(2);
+    s.set_threads(threads);
+    s.limit_lookahead(100);
+    auto slot = std::make_shared<Simulator::Parked>();
+    std::vector<std::size_t> pending;
+    s.add_periodic_hook(150, [&s, &pending](Time) {
+      pending.push_back(s.pending_events());
+    });
+    s.spawn(0, noop_rank());
+    s.spawn(1, Body::parked(Park{&s, slot}));
+    // Rank 0 hands rank 1's shard an event that wakes it there.
+    s.schedule_for(0, 10, [&s, slot] {
+      s.schedule_for(1, 510, [&s, slot](Time t) { s.wake(*slot, t); });
+    });
+    s.run();
+    return std::pair{pending, s.trace_hash()};
+  };
+  const auto base = run(1);
+  const auto sharded = run(2);
+  // Boundaries 150, 300 and 450 pass with the wake queued; 600 is never
+  // reached, since the run ends at 510.
+  EXPECT_EQ(base.first, (std::vector<std::size_t>{1, 1, 1}));
+  EXPECT_EQ(sharded, base);
+}
+
+// A window that throws while its pushes sit in outboxes ends the run with
+// the error, and the simulator frees every closure still waiting there
+// (ASan reports a leak otherwise): the count on `token` returns to one.
+TEST(ShardedEngine, WindowThatThrowsWithUndrainedEntriesUnwindsCleanly) {
+  auto token = std::make_shared<int>(0);
+  {
+    Simulator s(2);
+    s.set_threads(2);
+    s.limit_lookahead(100);
+    s.spawn(0, noop_rank());
+    s.spawn(1, noop_rank());
+    s.schedule_for(0, 0, [&s, token] {
+      s.schedule_for(1, 1000, [token] {});
+      s.schedule_for(0, 5000, [token] {});
+    });
+    s.schedule_for(0, 50, [] { throw std::runtime_error("rank 0 fails"); });
+    EXPECT_THROW(s.run(), std::runtime_error);
+    EXPECT_EQ(s.pending_events(), 2u);
+    EXPECT_GT(token.use_count(), 1);
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace

@@ -2,12 +2,15 @@
 # malformed flag value, or an option the program does not read, exits 2
 # with "PROGRAM: --FLAG: ..." on stderr, not with an uncaught exception or
 # a run of the defaults.
-# Invoked with -DBENCH=<bench_fig04a_weak_rgg> -DEXAMPLE=<quickstart>.
-if(NOT DEFINED BENCH OR NOT DEFINED EXAMPLE)
-  message(FATAL_ERROR "pass -DBENCH=<bench binary> -DEXAMPLE=<example binary>")
+# Invoked with -DBENCH=<bench_fig04a_weak_rgg> -DWHATIF=<bench_replay_whatif>
+# -DEXAMPLE=<quickstart>.
+if(NOT DEFINED BENCH OR NOT DEFINED WHATIF OR NOT DEFINED EXAMPLE)
+  message(FATAL_ERROR "pass -DBENCH=<bench binary> -DWHATIF=<bench binary> "
+                      "-DEXAMPLE=<example binary>")
 endif()
 
 foreach(case "${BENCH};bench_fig04a_weak_rgg;--ranks;x,y;malformed"
+             "${WHATIF};bench_replay_whatif;--mode;x;malformed"
              "${EXAMPLE};quickstart;--verts;abc;malformed"
              "${BENCH};bench_fig04a_weak_rgg;--rank;16;unknown"
              "${EXAMPLE};quickstart;--vert;10;unknown")
